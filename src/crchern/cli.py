@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -381,6 +382,17 @@ def _seed_default() -> int:
     return DEFAULT_SEED
 
 
+def _tolerance(text: str) -> float:
+    """``--tol`` values: finite and positive, or a usage error (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crchern",
@@ -398,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n-max", type=int, default=None, dest="n_max")
     p_verify.add_argument("--samples", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=_seed_default())
-    p_verify.add_argument("--tol", type=float, default=None)
+    p_verify.add_argument("--tol", type=_tolerance, default=None)
     _add_output_flags(p_verify)
 
     p_bochner = sub.add_parser(
@@ -406,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bochner.add_argument("--samples", type=int, default=None)
     p_bochner.add_argument("--seed", type=int, default=_seed_default())
-    p_bochner.add_argument("--tol", type=float, default=None)
+    p_bochner.add_argument("--tol", type=_tolerance, default=None)
     _add_output_flags(p_bochner)
 
     p_eval = sub.add_parser("eval", help="evaluate an expression in a ring")
@@ -446,3 +458,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -74,18 +74,24 @@ class KahlerProductPatch:
 
 
 def metric_at(patch: KahlerProductPatch, z: np.ndarray) -> np.ndarray:
-    """Block-diagonal Hermitian metric at ``z`` in closed analytic form."""
+    """Block-diagonal Hermitian metric in closed analytic form.
+
+    ``z`` is one point or a ``(..., n)`` stack of points; the result is
+    the ``(..., n, n)`` stack of their metrics, evaluated in one call
+    per factor.
+    """
     z = np.asarray(z, dtype=complex)
-    if z.shape != (patch.total_dim,):
-        raise PatchDomainError(
-            f"point has {z.shape} coordinates, patch needs {patch.total_dim}"
-        )
     n = patch.total_dim
-    g = np.zeros((n, n), dtype=complex)
-    for f, s, part in zip(patch.factors, patch.slices(), patch.split(z)):
-        if not f.contains(part):
+    if z.ndim == 0 or z.shape[-1] != n:
+        raise PatchDomainError(f"point has {z.shape} coordinates, patch needs {n}")
+    g = np.zeros(z.shape + (n,), dtype=complex)
+    for f, s in zip(patch.factors, patch.slices()):
+        part = z[..., s]
+        outside = ~(np.linalg.norm(part, axis=-1) < f.patch_radius)
+        if np.any(outside):
+            point = part[np.unravel_index(np.argmax(outside), outside.shape)]
             raise PatchDomainError(
-                f"point {part} outside chart of factor dim={f.dim}, hsc={f.hsc}"
+                f"point {point} outside chart of factor dim={f.dim}, hsc={f.hsc}"
             )
-        g[s, s] = f.metric(part)
+        g[..., s, s] = f.metric(part)
     return g

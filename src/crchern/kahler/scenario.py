@@ -17,6 +17,7 @@ is what distinguishes a Bochner-flat configuration from a control.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -123,9 +124,17 @@ def parse_scenario(doc: Mapping) -> tuple[list[tuple[int, Fraction]], int, int, 
     if bad:
         raise ScenarioError(f"unknown tolerance keys: {sorted(bad)}")
     for key, val in overrides.items():
-        if not isinstance(val, (int, float)) or isinstance(val, bool) or val <= 0:
-            raise ScenarioError(f"tolerance {key!r} must be a positive number")
-        tolerances[key] = float(val)
+        if not isinstance(val, (int, float)) or isinstance(val, bool):
+            raise ScenarioError(f"tolerance {key!r} must be a finite positive number")
+        try:
+            val = float(val)
+        except OverflowError:  # a JSON integer beyond the float range
+            val = math.inf
+        if not (math.isfinite(val) and val > 0):
+            raise ScenarioError(
+                f"tolerance {key!r} must be a finite positive number, got {val}"
+            )
+        tolerances[key] = val
     return factors, samples, seed, tolerances
 
 
@@ -194,7 +203,7 @@ def run_batch(
         )
         s_trace_res = float(np.max(np.abs(first_pair_trace(t.S, t.g))))
         cross = _cross_block_max(patch, t.R)
-        div = chern_divergence_residual(patch, z)
+        div = chern_divergence_residual(patch, z, centre=t)
 
         maxima["s_inf"] = max(maxima["s_inf"], float(np.max(np.abs(t.S))))
         maxima["curvature_rel_err"] = max(maxima["curvature_rel_err"], rel_err)
@@ -267,16 +276,7 @@ def run_batch(
 
 def _cross_block_max(patch: KahlerProductPatch, R: np.ndarray) -> float:
     """Largest curvature component with indices in different factor blocks."""
-    slices = patch.slices()
-    n = patch.total_dim
-    block_of = np.empty(n, dtype=int)
-    for i, s in enumerate(slices):
-        block_of[s] = i
-    worst = 0.0
-    it = np.nditer(R, flags=["multi_index"])
-    for val in it:
-        a, b, c, d = it.multi_index
-        blocks = {block_of[a], block_of[b], block_of[c], block_of[d]}
-        if len(blocks) > 1:
-            worst = max(worst, abs(complex(val)))
-    return worst
+    block_of = np.repeat(np.arange(len(patch.factors)), [f.dim for f in patch.factors])
+    a, b, c, d = np.ix_(block_of, block_of, block_of, block_of)
+    cross = (a != b) | (a != c) | (a != d)
+    return float(np.max(np.abs(R[cross]), initial=0.0))

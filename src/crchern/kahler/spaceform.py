@@ -27,6 +27,7 @@ radius); for ``hsc > 0`` the affine chart is all of C^dim.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,15 +67,22 @@ class SpaceFormFactor:
         return float(np.linalg.norm(z)) < self.patch_radius
 
     def metric(self, z: np.ndarray) -> np.ndarray:
-        """Closed-form Hermitian metric block at ``z`` (length-``dim`` complex)."""
+        """Closed-form Hermitian metric block at ``z``.
+
+        ``z`` is a ``(..., dim)`` stack of points; the result is the
+        ``(..., dim, dim)`` stack of their metric blocks.
+        """
+        z = np.asarray(z, dtype=complex)
         a, b, c = float(self.potential_a), float(self.potential_b), self.c
-        u = float(np.vdot(z, z).real)
+        u = np.einsum("...i,...i->...", np.conj(z), z).real
         denom = b + c * u
-        if denom <= 0:
-            raise ValueError("point outside the chart of this factor")
-        fp = a / denom
-        fpp = -a * c / denom**2
-        return fpp * np.outer(np.conj(z), z) + fp * np.eye(self.dim)
+        outside = denom <= 0
+        if np.any(outside):
+            point = z[np.unravel_index(np.argmax(outside), outside.shape)]
+            raise ValueError(f"point {point} outside the chart of this factor")
+        fp = (a / denom)[..., None, None]
+        fpp = (-a * c / denom**2)[..., None, None]
+        return fpp * (np.conj(z)[..., :, None] * z[..., None, :]) + fp * np.eye(self.dim)
 
 
 # -- exact calibration oracle -------------------------------------------------
@@ -127,32 +135,25 @@ def _hsc_at_origin_exact(a: Fraction, hsc: Fraction, depth: int = 8) -> Fraction
     def g(x: Fraction, y: Fraction) -> Fraction:
         return _g11_exact(a, b, c, x, y)
 
-    g0 = g(Fraction(0), Fraction(0))
-
-    def second_derivative_sum(h: Fraction) -> tuple[Fraction, Fraction]:
-        dxx = (g(h, Fraction(0)) - 2 * g0 + g(-h, Fraction(0))) / h**2
-        dyy = (g(Fraction(0), h) - 2 * g0 + g(Fraction(0), -h)) / h**2
-        # the mixed x-y stencils cancel exactly for the radial potential
-        dxy = (g(h, h) - g(h, -h) - g(-h, h) + g(-h, -h)) / (4 * h**2)
-        dyx = (g(h, h) - g(-h, h) - g(h, -h) + g(-h, -h)) / (4 * h**2)
-        return (dxx + dyy) / 4, (dxy - dyx) / 4
-
-    def first_derivatives(h: Fraction) -> tuple[Fraction, Fraction]:
-        dx = (g(h, Fraction(0)) - g(-h, Fraction(0))) / (2 * h)
-        dy = (g(Fraction(0), h) - g(Fraction(0), -h)) / (2 * h)
-        return dx, dy
-
+    zero = Fraction(0)
+    g0 = g(zero, zero)
     values: list[Fraction] = []
     result = None
     h = h0
     for level in range(depth):
-        real_part, imag_part = second_derivative_sum(h)
-        if imag_part != 0:
+        # the eight stencil points of this level, each evaluated once
+        xp, xm, yp, ym = g(h, zero), g(-h, zero), g(zero, h), g(zero, -h)
+        pp, pm, mp, mm = g(h, h), g(h, -h), g(-h, h), g(-h, -h)
+        dxx = (xp - 2 * g0 + xm) / h**2
+        dyy = (yp - 2 * g0 + ym) / h**2
+        # the mixed x-y stencils cancel exactly for the radial potential
+        dxy = (pp - pm - mp + mm) / (4 * h**2)
+        dyx = (pp - mp - pm + mm) / (4 * h**2)
+        if (dxy - dyx) / 4 != 0:
             raise CalibrationError("mixed stencil did not cancel; convention error")
-        dx, dy = first_derivatives(h)
-        if dx != 0 or dy != 0:
+        if (xp - xm) / (2 * h) != 0 or (yp - ym) / (2 * h) != 0:
             raise CalibrationError("first derivatives nonzero at the origin")
-        values.append(real_part)
+        values.append((dxx + dyy) / 4)
         if level >= 1:
             new = _richardson(values)
             if result is not None and abs(new - result) < _EXTRAPOLATION_GOAL:
@@ -166,18 +167,19 @@ def _hsc_at_origin_exact(a: Fraction, hsc: Fraction, depth: int = 8) -> Fraction
     return r1111 / g0**2
 
 
-def calibrate_space_form(
-    dim: int, hsc: Fraction | int | str, max_iterations: int = 30
-) -> SpaceFormFactor:
-    """Fix the potential constants for the requested curvature.
+@functools.lru_cache(maxsize=64)
+def _solve_potential(
+    hsc: Fraction, max_iterations: int, _entry_key
+) -> tuple[Fraction, Fraction]:
+    """``(a, |residual|)`` of the exact secant solve for ``hsc``.
 
-    Exact secant iteration on the single free constant ``a`` against
-    the extrapolated finite-difference curvature at the origin; aborts
-    when the residual cannot be brought below ``CALIBRATION_ABORT``.
+    The solve reads only the curvature, never the factor's dimension,
+    so each distinct curvature is solved once per process.
+    ``_entry_key`` is the current ``_g11_exact``, in the cache key only
+    so that a replaced metric entry never reuses an earlier solve.
+    Only the result is cached: a divergence raises on every call, and
+    the residual gate is applied by the caller.
     """
-    hsc = Fraction(hsc)
-    if hsc == 0:
-        raise CalibrationError("flat factors are not part of the model family")
 
     def objective(a: Fraction) -> Fraction:
         return _hsc_at_origin_exact(a, hsc) - hsc
@@ -192,12 +194,12 @@ def calibrate_space_form(
         if a2 <= 0 or a2 > 10**6:
             # no positive constant of sane size matches: sign mismatch
             raise CalibrationError(
-                f"calibration diverged for dim={dim}, hsc={hsc}: candidate a={float(a2):.3e}"
+                f"calibration diverged for hsc={hsc}: candidate a={float(a2):.3e}"
             )
         a0, f0 = a1, f1
         a1, f1 = a2, objective(a2)
     # Prefer the simplest rational that still verifies; the exact
-    # residual gate below is what legitimizes the snap.
+    # residual gate in the caller is what legitimizes the snap.
     for bound in (1, 2, 4, 16, 256, 10**6):
         candidate = a1.limit_denominator(bound)
         if candidate > 0:
@@ -205,7 +207,22 @@ def calibrate_space_form(
             if abs(f_cand) <= min(abs(f1), CALIBRATION_ABORT):
                 a1, f1 = candidate, f_cand
                 break
-    residual = abs(f1)
+    return a1, abs(f1)
+
+
+def calibrate_space_form(
+    dim: int, hsc: Fraction | int | str, max_iterations: int = 30
+) -> SpaceFormFactor:
+    """Fix the potential constants for the requested curvature.
+
+    Exact secant iteration on the single free constant ``a`` against
+    the extrapolated finite-difference curvature at the origin; aborts
+    when the residual cannot be brought below ``CALIBRATION_ABORT``.
+    """
+    hsc = Fraction(hsc)
+    if hsc == 0:
+        raise CalibrationError("flat factors are not part of the model family")
+    a1, residual = _solve_potential(hsc, max_iterations, _g11_exact)
     if residual > CALIBRATION_ABORT:
         raise CalibrationError(
             f"curvature convention error: residual {float(residual):.3e} "

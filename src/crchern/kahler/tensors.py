@@ -28,6 +28,12 @@ circle-bundle tensor (see :class:`crchern.kahler.scenario.SasakiCorrespondence`)
 
 Third-derivative quantities (``grad P``, ``grad S``) use a larger step
 (default ``1e-3``) and correspondingly looser tolerances.
+
+The stencil, not the point, is the unit of metric evaluation: all
+points of one second-derivative stencil go through ``metric_at`` as one
+stacked array, and one batched assembly turns the derivatives of any
+stack of centres into R, Ric, Scal, P, S and the connection
+coefficients.
 """
 
 from __future__ import annotations
@@ -47,13 +53,23 @@ class IllConditionedMetric(RuntimeError):
     pass
 
 
-def _metric_real(patch: KahlerProductPatch, x: np.ndarray) -> np.ndarray:
-    n = patch.total_dim
-    return metric_at(patch, x[:n] + 1j * x[n:])
-
-
 def _real_coords(z: np.ndarray) -> np.ndarray:
-    return np.concatenate([np.real(z), np.imag(z)])
+    return np.concatenate([np.real(z), np.imag(z)], axis=-1)
+
+
+def _stencil_offsets(m: int) -> np.ndarray:
+    """Unit offsets of the second-derivative stencil in ``m`` real coordinates.
+
+    Rows: the centre, ``+e_a``, ``-e_a``, then for each ``a < b`` (in
+    ``triu_indices`` order) the blocks ``e_a+e_b``, ``e_a-e_b``,
+    ``-e_a+e_b``, ``-e_a-e_b``: ``1 + 2m + 2m(m-1)`` points.
+    """
+    eye = np.eye(m)
+    ia, ib = np.triu_indices(m, 1)
+    ea, eb = eye[ia], eye[ib]
+    return np.concatenate(
+        [np.zeros((1, m)), eye, -eye, ea + eb, ea - eb, -ea + eb, -ea - eb]
+    )
 
 
 def metric_derivatives(
@@ -61,79 +77,86 @@ def metric_derivatives(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(g, D1, D2): metric plus first/second real-coordinate derivatives.
 
-    ``D1[a]`` and ``D2[a, b]`` are the central-difference derivatives of
-    the full metric matrix with respect to real coordinates; the layout
-    is ``x_1..x_n, y_1..y_n``.
+    ``D1[..., a]`` and ``D2[..., a, b]`` are the central-difference
+    derivatives of the full metric matrix with respect to real
+    coordinates; the layout is ``x_1..x_n, y_1..y_n``.  ``z`` is one
+    centre or a ``(..., n)`` stack of centres; every stencil point of
+    every centre is evaluated in a single ``metric_at`` call.
     """
     z = np.asarray(z, dtype=complex)
     n = patch.total_dim
     m = 2 * n
-    x0 = _real_coords(z)
-    g0 = _metric_real(patch, x0)
+    pairs = m * (m - 1) // 2
+    x = _real_coords(z)[..., None, :] + step * _stencil_offsets(m)
+    G = metric_at(patch, x[..., :n] + 1j * x[..., n:])  # [..., point, a, b]
+    g0 = G[..., 0, :, :].copy()  # not a view: the stencil buffer is freed on return
+    plus, minus = G[..., 1 : 1 + m, :, :], G[..., 1 + m : 1 + 2 * m, :, :]
+    pp, pm, mp, mm = (
+        G[..., 1 + 2 * m + i * pairs : 1 + 2 * m + (i + 1) * pairs, :, :]
+        for i in range(4)
+    )
 
-    plus = []
-    minus = []
-    for a in range(m):
-        e = np.zeros(m)
-        e[a] = step
-        plus.append(_metric_real(patch, x0 + e))
-        minus.append(_metric_real(patch, x0 - e))
-
-    D1 = np.stack([(plus[a] - minus[a]) / (2 * step) for a in range(m)])
-
-    D2 = np.zeros((m, m, n, n), dtype=complex)
-    for a in range(m):
-        D2[a, a] = (plus[a] - 2 * g0 + minus[a]) / step**2
-    for a in range(m):
-        ea = np.zeros(m)
-        ea[a] = step
-        for b in range(a + 1, m):
-            eb = np.zeros(m)
-            eb[b] = step
-            val = (
-                _metric_real(patch, x0 + ea + eb)
-                - _metric_real(patch, x0 + ea - eb)
-                - _metric_real(patch, x0 - ea + eb)
-                + _metric_real(patch, x0 - ea - eb)
-            ) / (4 * step**2)
-            D2[a, b] = val
-            D2[b, a] = val
+    D1 = (plus - minus) / (2 * step)
+    D2 = np.empty(z.shape[:-1] + (m, m, n, n), dtype=complex)
+    diag = np.arange(m)
+    D2[..., diag, diag, :, :] = (plus - 2 * g0[..., None, :, :] + minus) / step**2
+    ia, ib = np.triu_indices(m, 1)
+    mixed = (pp - pm - mp + mm) / (4 * step**2)
+    D2[..., ia, ib, :, :] = mixed
+    D2[..., ib, ia, :, :] = mixed
     return g0, D1, D2
 
 
 def _holomorphic_split(D1: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    hol = 0.5 * (D1[:n] - 1j * D1[n:])
-    anti = 0.5 * (D1[:n] + 1j * D1[n:])
+    hol = 0.5 * (D1[..., :n, :, :] - 1j * D1[..., n:, :, :])
+    anti = 0.5 * (D1[..., :n, :, :] + 1j * D1[..., n:, :, :])
     return hol, anti
 
 
 def levi_inverse(g: np.ndarray) -> np.ndarray:
-    """``l^{a b-}`` with the pairing ``l^{a b-} l_{c b-} = delta^a_c``."""
-    cond = np.linalg.cond(g)
+    """``l^{a b-}`` with the pairing ``l^{a b-} l_{c b-} = delta^a_c``.
+
+    ``g`` may be a ``(..., n, n)`` stack; the worst condition number in
+    the stack is checked.
+    """
+    cond = float(np.max(np.linalg.cond(g)))
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise IllConditionedMetric(f"metric condition number {cond:.3e}")
-    return np.linalg.inv(g).T
+    return np.swapaxes(np.linalg.inv(g), -1, -2)
+
+
+def _curvature(g: np.ndarray, D1: np.ndarray, D2: np.ndarray):
+    """The curvature assembly, batched over the leading axes.
+
+    Takes the output of :func:`metric_derivatives` and returns
+    ``(R, Ric, Scal, P, S, gammas)``, each stacked like ``g``.
+    """
+    n = g.shape[-1]
+    linv = levi_inverse(g)
+    hol, anti = _holomorphic_split(D1, n)
+    # d_c d_d- g_{a b-} built from the four real second derivatives.
+    hmix = 0.25 * (
+        D2[..., :n, :n, :, :]
+        + D2[..., n:, n:, :, :]
+        + 1j * (D2[..., :n, n:, :, :] - D2[..., n:, :n, :, :])
+    )  # [c, d, a, b]
+    R = -np.moveaxis(hmix, (-2, -1), (-4, -3)) + np.einsum(
+        "...rs,...cas,...drb->...abcd", linv, hol, anti
+    )
+    ric = np.einsum("...ab,...abcd->...cd", linv, R)
+    scal = np.einsum("...cd,...cd->...", linv, ric).real
+    P = schouten_at(ric, scal, g, n)
+    S = chern_tensor_at(R, P, g, n)
+    gammas = np.einsum("...cs,...abs->...cab", linv, hol)
+    return R, ric, scal, P, S, gammas
 
 
 def curvature_at(
     patch: KahlerProductPatch, z: np.ndarray, step: float = METRIC_STEP
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Curvature ``R[a,b,c,d]`` plus its Ricci and scalar contractions."""
-    g, D1, D2 = metric_derivatives(patch, z, step)
-    n = patch.total_dim
-    linv = levi_inverse(g)
-    hol, anti = _holomorphic_split(D1, n)
-
-    # d_c d_d- g_{a b-} built from the four real second derivatives.
-    hmix = 0.25 * (
-        D2[:n, :n] + D2[n:, n:] + 1j * (D2[:n, n:] - D2[n:, :n])
-    )  # [c, d, a, b]
-    term1 = -np.transpose(hmix, (2, 3, 0, 1))
-    term2 = np.einsum("rs,cas,drb->abcd", linv, hol, anti)
-    R = term1 + term2
-    ric = np.einsum("ab,abcd->cd", linv, R)
-    scal = float(np.einsum("cd,cd->", linv, ric).real)
-    return R, ric, scal
+    R, ric, scal, *_ = _curvature(*metric_derivatives(patch, z, step))
+    return R, ric, float(scal)
 
 
 def christoffels(g: np.ndarray, D1: np.ndarray) -> np.ndarray:
@@ -146,6 +169,7 @@ def christoffels(g: np.ndarray, D1: np.ndarray) -> np.ndarray:
 
 def schouten_at(ric: np.ndarray, scal: float, g: np.ndarray, n: int) -> np.ndarray:
     """``P = (Ric - Scal/(2(n+1)) g) / (n+2)``; its trace is Scal/(2(n+1))."""
+    scal = np.asarray(scal)[..., None, None]
     return (ric - scal / (2 * (n + 1)) * g) / (n + 2)
 
 
@@ -155,10 +179,10 @@ def chern_tensor_at(
     """Trace-free curvature part; identically zero iff the structure is spherical (n >= 2)."""
     return (
         R
-        - np.einsum("ab,cd->abcd", P, g)
-        - np.einsum("cb,ad->abcd", P, g)
-        - np.einsum("cd,ab->abcd", P, g)
-        - np.einsum("ad,cb->abcd", P, g)
+        - np.einsum("...ab,...cd->...abcd", P, g)
+        - np.einsum("...cb,...ad->...abcd", P, g)
+        - np.einsum("...cd,...ab->...abcd", P, g)
+        - np.einsum("...ad,...cb->...abcd", P, g)
     )
 
 
@@ -177,9 +201,11 @@ class PointTensors:
 
     ``T1``/``V`` are populated only when third-order quantities were
     requested (they need finite differences of P across the patch).
+    ``step`` is the metric difference step they were computed with.
     """
 
     point: np.ndarray
+    step: float
     g: np.ndarray
     R: np.ndarray
     Ric: np.ndarray
@@ -203,46 +229,39 @@ def point_tensors(
         raise PatchDomainError(f"sample point outside patch: {z}")
     n = patch.total_dim
     g, D1, D2 = metric_derivatives(patch, z, step)
-    linv = levi_inverse(g)
-    hol, anti = _holomorphic_split(D1, n)
-    hmix = 0.25 * (D2[:n, :n] + D2[n:, n:] + 1j * (D2[:n, n:] - D2[n:, :n]))
-    R = -np.transpose(hmix, (2, 3, 0, 1)) + np.einsum(
-        "rs,cas,drb->abcd", linv, hol, anti
-    )
-    ric = np.einsum("ab,abcd->cd", linv, R)
-    scal = float(np.einsum("cd,cd->", linv, ric).real)
-    P = schouten_at(ric, scal, g, n)
-    S = chern_tensor_at(R, P, g, n)
-    gammas = np.einsum("cs,abs->cab", linv, hol)
+    R, ric, scal, P, S, gammas = _curvature(g, D1, D2)
     T1 = V = None
     if third_order:
-        T1, V = v_tensor_at(patch, z, step=step, step3=step3)
-    return PointTensors(z, g, R, ric, scal, P, S, gammas, T1, V)
-
-
-def _stencil_tensors(patch: KahlerProductPatch, x: np.ndarray, step: float):
-    n = patch.total_dim
-    t = point_tensors(patch, x[:n] + 1j * x[n:], step=step)
-    return t.P, t.S, t.Scal
+        dP_hol, _dS_hol, dScal_hol = _third_order_derivatives(patch, z, step, step3)
+        T1, V = _assemble_v(dP_hol, dScal_hol, gammas, P, g, n)
+    return PointTensors(z, step, g, R, ric, float(scal), P, S, gammas, T1, V)
 
 
 def _third_order_derivatives(
     patch: KahlerProductPatch, z: np.ndarray, step: float, step3: float
 ):
-    """Holomorphic-direction central differences of P, S, and Scal."""
+    """Holomorphic-direction central differences of P, S, and Scal.
+
+    The two centres ``x0 +- step3 e_a`` of each direction go through the
+    metric and the curvature assembly as one stack; stacking more than
+    one pair at a time only raises peak memory.
+    """
     n = patch.total_dim
+    m = 2 * n
     x0 = _real_coords(z)
-    dP = np.zeros((2 * n, n, n), dtype=complex)
-    dS = np.zeros((2 * n, n, n, n, n), dtype=complex)
-    dScal = np.zeros(2 * n)
-    for a in range(2 * n):
-        e = np.zeros(2 * n)
+    dP = np.empty((m, n, n), dtype=complex)
+    dS = np.empty((m, n, n, n, n), dtype=complex)
+    dScal = np.empty(m)
+    for a in range(m):
+        e = np.zeros(m)
         e[a] = step3
-        Pp, Sp, sp = _stencil_tensors(patch, x0 + e, step)
-        Pm, Sm, sm = _stencil_tensors(patch, x0 - e, step)
-        dP[a] = (Pp - Pm) / (2 * step3)
-        dS[a] = (Sp - Sm) / (2 * step3)
-        dScal[a] = (sp - sm) / (2 * step3)
+        x = np.stack([x0 + e, x0 - e])
+        _R, _ric, scal, P, S, _gammas = _curvature(
+            *metric_derivatives(patch, x[:, :n] + 1j * x[:, n:], step)
+        )
+        dP[a] = (P[0] - P[1]) / (2 * step3)
+        dS[a] = (S[0] - S[1]) / (2 * step3)
+        dScal[a] = (scal[0] - scal[1]) / (2 * step3)
     dP_hol = 0.5 * (dP[:n] - 1j * dP[n:])  # [c, a, b]
     dS_hol = 0.5 * (dS[:n] - 1j * dS[n:])  # [r, a, b, c, d]
     dScal_hol = 0.5 * (dScal[:n] - 1j * dScal[n:])
@@ -272,11 +291,8 @@ def v_tensor_at(
     step3: float = THIRD_ORDER_STEP,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(T1, V)`` with the torsion contributions dropped (torsion-free case)."""
-    z = np.asarray(z, dtype=complex)
-    n = patch.total_dim
-    t = point_tensors(patch, z, step=step)
-    dP_hol, _dS_hol, dScal_hol = _third_order_derivatives(patch, z, step, step3)
-    return _assemble_v(dP_hol, dScal_hol, t.gammas, t.P, t.g, n)
+    t = point_tensors(patch, z, step=step, third_order=True, step3=step3)
+    return t.T1, t.V
 
 
 def chern_divergence_residual(
@@ -284,16 +300,27 @@ def chern_divergence_residual(
     z: np.ndarray,
     step: float = METRIC_STEP,
     step3: float = THIRD_ORDER_STEP,
+    centre: PointTensors | None = None,
 ) -> dict:
     """Both sides of the divergence identity ``div S = -n i V``.
 
     ``div S`` is the trace ``l^{r d-} grad_r S_{a b- c d-}`` with the
     covariant corrections on both unbarred slots of S.  Returns the two
-    sides and the residual max-norm for reporting.
+    sides and the residual max-norm for reporting.  ``centre`` is
+    ``point_tensors(patch, z, step)`` when the caller already has it;
+    tensors of another point or step raise ``ValueError``.
     """
     z = np.asarray(z, dtype=complex)
     n = patch.total_dim
-    t = point_tensors(patch, z, step=step)
+    if centre is None:
+        t = point_tensors(patch, z, step=step)
+    elif centre.step != step or not np.array_equal(centre.point, z):
+        raise ValueError(
+            f"centre tensors are of point {centre.point} at step {centre.step}, "
+            f"not of point {z} at step {step}"
+        )
+    else:
+        t = centre
     linv = levi_inverse(t.g)
     dP_hol, dS_hol, dScal_hol = _third_order_derivatives(patch, z, step, step3)
 

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -235,6 +236,20 @@ class TestScenario:
         code, _, err = run_cli(["scenario", "/nonexistent/path.json"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "1e400", "0", "-1", "1" + "0" * 400])
+    def test_non_finite_or_non_positive_tolerance_exit_2(self, capsys, tmp_path, value):
+        # the equal-sign pair is not flat: an unbounded s_max would pass it
+        path = tmp_path / "scenario.json"
+        path.write_text(
+            '{"factors": [{"dim": 1, "hsc": "1"}, {"dim": 1, "hsc": "1"}], '
+            '"samples": 1, "tolerances": {"s_max": %s}}' % value
+        )
+        code, out, err = run_cli(["scenario", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "s_max" in err
+        assert "Traceback" not in err
+
 
 class TestBochner:
     def test_bochner_command_passes(self, capsys):
@@ -243,6 +258,17 @@ class TestBochner:
         )
         assert code == 0
         assert "bochner-flat-batch" in out
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400", "0", "-1"])
+    @pytest.mark.parametrize("command", [["bochner"], ["verify", "bochner-products"]])
+    def test_non_finite_or_non_positive_tol_exit_2(self, capsys, command, value):
+        code, out, err = run_cli([*command, "--samples", "1", "--tol", value], capsys)
+        assert code == 2
+        assert out == ""
+        # argparse's usage block, then one error line naming the flag
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--tol" in errors[0]
+        assert "Traceback" not in err
 
 
 def test_verify_all_aggregate(capsys):
@@ -307,3 +333,24 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert "integral-constraint-counterexample" in proc.stdout
+
+
+def test_python_dash_m_runs_the_cli():
+    import subprocess
+    import sys
+
+    import crchern
+
+    src = str(Path(crchern.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "crchern", "verify", "thm-1-1", "--n", "2",
+         "--format", "json", "--no-timestamp"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["status"] == "pass"
+    assert doc["reports"][0]["check"] == "first-chern-nonvanishing"

@@ -128,5 +128,23 @@ def test_convention_mismatch_aborts(monkeypatch):
         return original(a, b, -c, x, y)
 
     monkeypatch.setattr(spaceform, "_g11_exact", flipped)
-    with pytest.raises(CalibrationError):
-        calibrate_space_form(1, 1)
+    for dim in (1, 1, 2):  # no solve is reused across the abort
+        with pytest.raises(CalibrationError):
+            calibrate_space_form(dim, 1)
+
+
+def test_calibration_depends_on_curvature_only():
+    from crchern.kahler import spaceform
+
+    hsc = Fraction(-3, 2)
+    base = calibrate_space_form(1, hsc)
+    for dim in (2, 5):
+        factor = calibrate_space_form(dim, hsc)
+        assert factor.dim == dim
+        assert (factor.potential_a, factor.patch_radius, factor.calibration_residual) == (
+            base.potential_a,
+            base.patch_radius,
+            base.calibration_residual,
+        )
+    a, residual = spaceform._solve_potential.__wrapped__(hsc, 30, spaceform._g11_exact)
+    assert a == base.potential_a and float(residual) == base.calibration_residual

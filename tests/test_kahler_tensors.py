@@ -12,12 +12,14 @@ from crchern.kahler import (
     first_pair_trace,
     levi_inverse,
     metric_at,
+    metric_derivatives,
     point_tensors,
     pseudo_einstein_residual_at,
     space_form_curvature_oracle,
     symmetry_residuals,
     v_tensor_at,
 )
+from crchern.kahler.scenario import _cross_block_max
 
 
 @pytest.fixture(scope="module")
@@ -60,11 +62,95 @@ class TestMetric:
         with pytest.raises(PatchDomainError):
             metric_at(flat_pair, np.zeros(3, dtype=complex))
 
+    def test_stacked_points_match_single_points(self, mixed_pair):
+        stack = np.array(mixed_pair.sample_points(6, seed=4)).reshape(2, 3, 3)
+        g = metric_at(mixed_pair, stack)
+        assert g.shape == (2, 3, 3, 3)
+        for i in range(2):
+            for j in range(3):
+                single = metric_at(mixed_pair, stack[i, j])
+                assert np.max(np.abs(g[i, j] - single)) <= 1e-15 * np.max(np.abs(single))
+
+    def test_stack_with_one_point_outside_rejected(self):
+        factor = calibrate_space_form(1, -1)
+        patch = KahlerProductPatch((factor,))
+        outside = round(factor.patch_radius * 1.1, 2)
+        stack = np.array([[0.1 + 0j], [outside + 0j], [0.2j]])
+        with pytest.raises(PatchDomainError, match=rf"\[{outside}\+0\.j\]"):
+            metric_at(patch, stack)
+        # the factor's own chart check (denominator <= 0) names the point too
+        with pytest.raises(ValueError, match="outside the chart"):
+            factor.metric(stack)
+
     def test_levi_inverse_pairing(self, mixed_pair):
         z = mixed_pair.sample_points(1, seed=0)[0]
         g = metric_at(mixed_pair, z)
         linv = levi_inverse(g)
         assert np.allclose(np.einsum("ab,cb->ac", linv, g), np.eye(3))
+
+
+def _reference_metric_derivatives(patch, z, step):
+    """The per-point double loop that the stacked stencil replaced."""
+    n = patch.total_dim
+    m = 2 * n
+    x0 = np.concatenate([z.real, z.imag])
+
+    def g(x):
+        return metric_at(patch, x[:n] + 1j * x[n:])
+
+    E = np.eye(m) * step
+    g0 = g(x0)
+    D1 = np.stack([(g(x0 + E[a]) - g(x0 - E[a])) / (2 * step) for a in range(m)])
+    D2 = np.zeros((m, m, n, n), dtype=complex)
+    for a in range(m):
+        D2[a, a] = (g(x0 + E[a]) - 2 * g0 + g(x0 - E[a])) / step**2
+        for b in range(a + 1, m):
+            D2[a, b] = D2[b, a] = (
+                g(x0 + E[a] + E[b])
+                - g(x0 + E[a] - E[b])
+                - g(x0 - E[a] + E[b])
+                + g(x0 - E[a] - E[b])
+            ) / (4 * step**2)
+    return g0, D1, D2
+
+
+class TestStencil:
+    def test_metric_derivatives_match_reference_loop(self, mixed_pair):
+        for z in mixed_pair.sample_points(3, seed=67):
+            got = metric_derivatives(mixed_pair, z)
+            want = _reference_metric_derivatives(mixed_pair, z, 1e-4)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape
+                assert np.max(np.abs(a - b)) <= 1e-7
+
+    def test_stacked_centres_match_single_centres(self, mixed_pair):
+        points = mixed_pair.sample_points(2, seed=71)
+        stacked = metric_derivatives(mixed_pair, np.array(points))
+        for i, z in enumerate(points):
+            for a, b in zip(stacked, metric_derivatives(mixed_pair, z)):
+                assert np.max(np.abs(a[i] - b)) <= 1e-12
+
+    def test_ill_conditioned_member_of_a_stack_detected(self):
+        good = np.eye(2, dtype=complex)
+        bad = np.diag([1.0, 1e-12]).astype(complex)
+        assert levi_inverse(np.stack([good, good])).shape == (2, 2, 2)
+        with pytest.raises(IllConditionedMetric):
+            levi_inverse(np.stack([good, bad, good]))
+
+    def test_cross_block_max_matches_elementwise_scan(self, mixed_pair):
+        rng = np.random.default_rng(73)
+        n = mixed_pair.total_dim
+        R = rng.normal(size=(n,) * 4) + 1j * rng.normal(size=(n,) * 4)
+        block_of = [0, 1, 1]  # mixed_pair: dims 1 and 2
+        worst = 0.0
+        it = np.nditer(R, flags=["multi_index"])
+        for val in it:
+            if len({block_of[i] for i in it.multi_index}) > 1:
+                worst = max(worst, abs(complex(val)))
+        assert worst > 0
+        assert _cross_block_max(mixed_pair, R) == worst
+        single = KahlerProductPatch((calibrate_space_form(3, 1),))
+        assert _cross_block_max(single, R) == 0.0
 
 
 class TestCurvature:
@@ -176,6 +262,16 @@ class TestThirdOrder:
         z = control_pair.sample_points(1, seed=41)[0]
         out = chern_divergence_residual(control_pair, z)
         assert out["residual"] < 1e-3
+
+    def test_divergence_reuses_only_matching_centre(self, control_pair):
+        z, other = control_pair.sample_points(2, seed=47)
+        t = point_tensors(control_pair, z)
+        out = chern_divergence_residual(control_pair, z, centre=t)
+        assert out["residual"] == chern_divergence_residual(control_pair, z)["residual"]
+        with pytest.raises(ValueError, match="centre tensors"):
+            chern_divergence_residual(control_pair, other, centre=t)
+        with pytest.raises(ValueError, match="centre tensors"):
+            chern_divergence_residual(control_pair, z, step=t.step / 2, centre=t)
 
     def test_point_tensors_carries_third_order_on_request(self, flat_pair):
         z = flat_pair.sample_points(1, seed=43)[0]

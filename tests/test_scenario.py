@@ -51,6 +51,10 @@ def test_parse_full_scenario():
         {"factors": [{"dim": 1, "hsc": "1"}], "samples": 0},
         {"factors": [{"dim": 1, "hsc": "1"}], "tolerances": {"bogus": 1}},
         {"factors": [{"dim": 1, "hsc": "1"}], "tolerances": {"s_max": -1}},
+        {"factors": [{"dim": 1, "hsc": "1"}], "tolerances": {"s_max": 0}},
+        {"factors": [{"dim": 1, "hsc": "1"}], "tolerances": {"s_max": float("nan")}},
+        {"factors": [{"dim": 1, "hsc": "1"}], "tolerances": {"s_max": float("inf")}},
+        {"factors": [{"dim": 1, "hsc": "1"}], "tolerances": {"divergence": 10**400}},
         {"factors": [{"dim": 1, "hsc": "1"}], "unknown_key": 1},
         [],
     ],
