@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from ..cohomology.ring import RingElement, RingError, RingPresentation
 
@@ -54,14 +55,21 @@ def chern_projective_space(
 
     ``hyperplane`` names the degree-2 generator playing the hyperplane
     class; its truncation must kill ``h^(n+1)`` (or the total class
-    would exceed degree ``2n`` and be rejected).
+    would exceed degree ``2n`` and be rejected).  The total is built
+    from its binomial coefficients, ``sum_j binom(n+1, j) h^j``; the
+    ring drops the powers of ``h`` past the truncation.
     """
     if n < 1:
         raise RingError(f"projective space dimension must be >= 1, got {n}")
     h = ring.gen(hyperplane)  # raises for a missing generator
     if h.homogeneous_degree() != 2:
         raise RingError(f"hyperplane generator {hyperplane!r} must have degree 2")
-    return BundleClass(n, (1 + h) ** (n + 1))
+    idx = ring.gen_index(hyperplane)
+    zero = (0,) * len(ring.generators)
+    total = ring.element(
+        {zero[:idx] + (j,) + zero[idx + 1 :]: comb(n + 1, j) for j in range(n + 2)}
+    )
+    return BundleClass(n, total)
 
 
 def chern_surface(genus: int, ring: RingPresentation, sigma: str) -> BundleClass:

@@ -72,11 +72,20 @@ def spherical_residual(c: BundleClass, n: int, k: int) -> RingElement:
     ``k = 1`` the coefficient is 1 and the residual vanishes for every
     bundle.
     """
+    return _residual(c, n, k)
+
+
+def _residual(
+    c: BundleClass, n: int, k: int, c1_power: RingElement | None = None
+) -> RingElement:
+    """:func:`spherical_residual`, given ``c1_power = c_1^k`` if known."""
     if c.ring.coefficients.kind != "Q":
         raise RingError("the spherical constraint is rational; use Q coefficients")
     if not 1 <= k <= n + 1:
         raise RingError(f"k must satisfy 1 <= k <= n+1, got k={k}, n={n}")
-    return c.chern(k) - spherical_ratio(n, k) * c.c1() ** k
+    if c1_power is None:
+        c1_power = c.c1() ** k
+    return c.chern(k) - spherical_ratio(n, k) * c1_power
 
 
 def verify_spherical_on_circle_bundle(
@@ -91,8 +100,12 @@ def verify_spherical_on_circle_bundle(
     assertions = []
     witnesses = []
     residuals = []
+    c = setup.base_tangent
+    c1 = c.c1()
+    c1_power = setup.base.one()
     for k in range(1, n + 2):
-        res = spherical_residual(setup.base_tangent, n, k)
+        c1_power = c1_power * c1  # c_1^k, one product with c_1 per k
+        res = _residual(c, n, k, c1_power)
         cert: MembershipCertificate = image_membership(setup.base, setup.euler, res)
         assertions.append((f"residual k={k} in image", cert.member))
         residuals.append({"k": k, "residual": str(res)})

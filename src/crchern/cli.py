@@ -338,9 +338,14 @@ def _cmd_eval(args, argv: list[str]) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    print(value)
-    for k in value.degrees():
-        print(f"degree {k}: {value.homogeneous_part(k)}")
+    try:
+        lines = [str(value)] + [
+            f"degree {k}: {value.homogeneous_part(k)}" for k in value.degrees()
+        ]
+    except ValueError as exc:  # a coefficient past int-to-str's digit limit
+        print(f"result too large to print: {exc}", file=sys.stderr)
+        return 2
+    print("\n".join(lines))
     return 0
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import add
 
 from .ring import (
     ExponentVector,
@@ -47,7 +48,11 @@ class CupMatrix:
 
 
 def cup_matrix(ring: RingPresentation, e: RingElement, k: int) -> CupMatrix:
-    """Matrix of ``x -> e * x`` from ``degree_basis(k-2)`` to ``degree_basis(k)``."""
+    """Matrix of ``x -> e * x`` from ``degree_basis(k-2)`` to ``degree_basis(k)``.
+
+    Column j holds e's terms shifted by the j-th column monomial; a
+    shifted monomial missing from the row basis is truncated to zero.
+    """
     if e.ring != ring:
         raise RingError("class does not belong to the given ring")
     if not e.is_zero() and e.homogeneous_degree() != 2:
@@ -56,23 +61,21 @@ def cup_matrix(ring: RingPresentation, e: RingElement, k: int) -> CupMatrix:
     cols = tuple(ring.degree_basis(k - 2))
     row_index = {m: i for i, m in enumerate(rows)}
 
-    columns: list[dict[int, Fraction | int]] = []
-    denominators = [1]
-    for mono in cols:
-        image = e * ring.element({mono: 1})
-        col: dict[int, Fraction | int] = {}
-        for exps, coeff in image.terms.items():
-            col[row_index[exps]] = coeff
-            if isinstance(coeff, Fraction):
-                denominators.append(coeff.denominator)
-        columns.append(col)
-    scale = lcm(*denominators)
+    shifts = list(e.terms)
+    cells: list[tuple[int, int, int]] = []  # (row, column, term of e)
+    for j, mono in enumerate(cols):
+        for t, exps in enumerate(shifts):
+            i = row_index.get(tuple(map(add, mono, exps)))
+            if i is not None:
+                cells.append((i, j, t))
+    coeffs = list(e.terms.values())
+    landed = {t for _, _, t in cells}
+    scale = lcm(1, *(coeffs[t].denominator for t in landed))
+    scaled = {t: int(coeffs[t] * scale) for t in landed}
 
     entries = [[0] * len(cols) for _ in range(len(rows))]
-    for j, col in enumerate(columns):
-        for i, coeff in col.items():
-            scaled = coeff * scale
-            entries[i][j] = int(scaled)
+    for i, j, t in cells:
+        entries[i][j] = scaled[t]
     matrix = (
         IntegerMatrix.from_rows(entries)
         if entries

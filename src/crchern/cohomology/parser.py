@@ -11,7 +11,8 @@ Grammar (also shipped as ``docs/grammar.ebnf``)::
 
 Implicit multiplication is not part of the language: ``2t`` and
 ``(1+t)(1-t)`` are syntax errors.  Rational literals are only legal
-when the ring has rational coefficients.
+when the ring has rational coefficients.  Parentheses nest at most
+``MAX_NESTING`` deep.
 """
 
 from __future__ import annotations
@@ -20,6 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ring import RingElement, RingError, RingPresentation
+
+
+# Each level of parentheses costs four frames of the recursive descent;
+# this keeps the deepest input well inside Python's recursion limit.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -74,6 +80,7 @@ class _Parser:
         self.tokens = tokens
         self.ring = ring
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -164,8 +171,14 @@ class _Parser:
                 raise ParseError(f"unknown identifier {tok.text!r}", tok.pos)
             return self.ring.gen(tok.text)
         if tok.kind == "op" and tok.text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING}", tok.pos
+                )
             self.advance()
+            self.depth += 1
             value = self.expr()
+            self.depth -= 1
             self.expect_op(")")
             return value
         raise ParseError(

@@ -83,9 +83,6 @@ class CoefficientDomain:
             return value % self.modulus
         return value
 
-    def is_zero(self, value: Coefficient) -> bool:
-        return value == 0
-
     def __str__(self) -> str:
         if self.kind == "mod":
             return f"Z/{self.modulus}"
@@ -151,13 +148,31 @@ class RingPresentation:
             if any(e >= g.truncation for e, g in zip(exps, self.generators)):
                 continue  # the monomial is zero in the quotient
             c = self.coefficients.coerce(raw)
-            if exps in reduced:
-                c = self.coefficients.coerce(reduced[exps] + c)
-            if self.coefficients.is_zero(c):
-                reduced.pop(exps, None)
-            else:
-                reduced[exps] = c
-        return RingElement(self, reduced)
+            reduced[exps] = reduced[exps] + c if exps in reduced else c
+        return self._reduced(reduced)
+
+    def _reduced(self, terms: dict[ExponentVector, Coefficient]) -> "RingElement":
+        """Element of ``terms`` with canonical coefficients, zero terms dropped.
+
+        The one place where coefficients are canonicalised: reduced mod m
+        over Z/m, made ``Fraction`` over Q.  The exponent vectors must
+        already be valid and reduced (checked by :meth:`element` on raw
+        input; arithmetic on reduced operands of this ring keeps them
+        so), and are not checked again.
+        """
+        kind = self.coefficients.kind
+        if kind == "mod":
+            m = self.coefficients.modulus
+            canonical = {e: c % m for e, c in terms.items() if c % m}
+        elif kind == "Q":
+            canonical = {
+                e: c if type(c) is Fraction else Fraction(c)
+                for e, c in terms.items()
+                if c
+            }
+        else:
+            canonical = {e: c for e, c in terms.items() if c}
+        return RingElement(self, canonical)
 
     def zero(self) -> "RingElement":
         return RingElement(self, {})
@@ -355,12 +370,12 @@ class RingElement:
         merged = dict(self.terms)
         for e, c in other.terms.items():
             merged[e] = merged.get(e, 0) + c
-        return self.ring.element(merged)
+        return self.ring._reduced(merged)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RingElement":
-        return self.ring.element({e: -c for e, c in self.terms.items()})
+        return self.ring._reduced({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: object) -> "RingElement":
         return self + (-self._as_element(other))
@@ -371,7 +386,7 @@ class RingElement:
     def __mul__(self, other: object) -> "RingElement":
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             scal = self.ring.coefficients.coerce(other)
-            return self.ring.element({e: c * scal for e, c in self.terms.items()})
+            return self.ring._reduced({e: c * scal for e, c in self.terms.items()})
         other = self._as_element(other)
         prod: dict[ExponentVector, Coefficient] = {}
         truncs = tuple(g.truncation for g in self.ring.generators)
@@ -381,7 +396,7 @@ class RingElement:
                 if any(x >= t for x, t in zip(e, truncs)):
                     continue
                 prod[e] = prod.get(e, 0) + c1 * c2
-        return self.ring.element(prod)
+        return self.ring._reduced(prod)
 
     __rmul__ = __mul__
 

@@ -146,10 +146,9 @@ def _hsc_at_origin_exact(a: Fraction, hsc: Fraction, depth: int = 8) -> Fraction
         pp, pm, mp, mm = g(h, h), g(h, -h), g(-h, h), g(-h, -h)
         dxx = (xp - 2 * g0 + xm) / h**2
         dyy = (yp - 2 * g0 + ym) / h**2
-        # the mixed x-y stencils cancel exactly for the radial potential
+        # the mixed x-y stencil vanishes exactly for a radial entry
         dxy = (pp - pm - mp + mm) / (4 * h**2)
-        dyx = (pp - mp - pm + mm) / (4 * h**2)
-        if (dxy - dyx) / 4 != 0:
+        if dxy != 0:
             raise CalibrationError("mixed stencil did not cancel; convention error")
         if (xp - xm) / (2 * h) != 0 or (yp - ym) / (2 * h) != 0:
             raise CalibrationError("first derivatives nonzero at the origin")

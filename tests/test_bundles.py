@@ -10,7 +10,7 @@ from crchern.chern import (
     chern_surface,
     trivial_bundle,
 )
-from crchern.cohomology import INTEGERS, RATIONALS, RingError, make_ring
+from crchern.cohomology import INTEGERS, RATIONALS, RingError, integers_mod, make_ring
 
 
 def test_projective_space_total_classes():
@@ -23,6 +23,31 @@ def test_projective_space_total_classes():
         for k in range(n + 1):
             # binomial oracle for the coefficients of (1+h)^(n+1)
             assert bundle.chern(k).coefficient(tuple([k])) == comb(n + 1, k)
+
+
+@pytest.mark.parametrize("domain", [INTEGERS, RATIONALS, integers_mod(2), integers_mod(6)])
+def test_projective_space_total_is_binomial_power(domain):
+    for n in range(1, 13):
+        for trunc in (n + 1, max(n, 2), 2):  # exact, and dropping top powers
+            ring = make_ring([("s", 2, 2), ("h", 2, trunc), ("u", 4, 3)], domain)
+            h = ring.gen("h")
+            assert chern_projective_space(n, ring, "h").total == (1 + h) ** (n + 1)
+        # a larger truncation keeps h^(n+1) alive above degree 2n
+        ring = make_ring([("s", 2, 2), ("h", 2, n + 2), ("u", 4, 3)], domain)
+        h = ring.gen("h")
+        assert ((1 + h) ** (n + 1)).degrees()[-1] == 2 * n + 2
+        with pytest.raises(RingError):
+            chern_projective_space(n, ring, "h")
+
+
+def test_projective_space_generator_checks_kept():
+    ring = make_ring([("h", 2, 1), ("w", 4, 3)], INTEGERS)
+    with pytest.raises(RingError, match="degree 2"):
+        chern_projective_space(2, ring, "h")  # h itself is zero
+    with pytest.raises(RingError, match="degree 2"):
+        chern_projective_space(2, ring, "w")
+    with pytest.raises(RingError, match="unknown generator"):
+        chern_projective_space(2, ring, "x")
 
 
 def test_projective_space_examples():

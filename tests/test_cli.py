@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -198,6 +199,19 @@ class TestEval:
         assert out.splitlines()[0] == "1 + 3*t + 3*t^2 + t^3"
 
 
+    @pytest.mark.parametrize(
+        "expr",
+        ["(" * 3000 + "t" + ")" * 3000, "2^100000000*t"],
+        ids=["deep-nesting", "huge-coefficient"],
+    )
+    def test_oversized_input_exit_2_one_line(self, capsys, expr):
+        code, out, err = run_cli(["eval", "--ring", "cp:2", expr], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestScenario:
     def write(self, tmp_path, doc):
         path = tmp_path / "scenario.json"
@@ -299,6 +313,37 @@ def test_verify_all_aggregate(capsys):
         "fillable-contact-constraint-violation",
         "bochner-flat-batch",
     }
+
+
+# SHA-256 of the canonical JSON (sorted keys, compact separators) of the
+# list of exact reports, pinned from the manifests as they were before
+# the exact layer's fast path.  Exact output must stay byte-identical.
+GOLDEN_EXACT_REPORTS = [
+    (
+        ["verify", "thm-1-2", "--n-max", "12"],
+        75,
+        "31905d8416b5581fc0157bcec9c4d89c26889ae2bceefab4a26a06dfd1bde0bd",
+    ),
+    (
+        ["verify", "all", "--n-max", "6", "--samples", "1", "--seed", "0"],
+        63,
+        "2f6abe06cb8c1babf1473bf1038f7631eb8f6569fa2d7f4b48ed2ee0b7d763d0",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,count,digest", GOLDEN_EXACT_REPORTS, ids=["thm-1-2", "all"]
+)
+def test_exact_reports_are_byte_identical(capsys, argv, count, digest):
+    code, out, _ = run_cli([*argv, "--format", "json", "--no-timestamp"], capsys)
+    assert code == 0
+    reports = [
+        r for r in json.loads(out)["reports"] if r["check"] != "bochner-flat-batch"
+    ]
+    canonical = json.dumps(reports, sort_keys=True, separators=(",", ":"))
+    assert len(reports) == count
+    assert hashlib.sha256(canonical.encode()).hexdigest() == digest
 
 
 def test_seed_env_fallback(capsys, monkeypatch):

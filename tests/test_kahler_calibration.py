@@ -133,6 +133,20 @@ def test_convention_mismatch_aborts(monkeypatch):
             calibrate_space_form(dim, 1)
 
 
+def test_non_radial_entry_fails_the_mixed_stencil_check(monkeypatch):
+    # x*y vanishes on both axes, so only the mixed x-y stencil sees it
+    from crchern.kahler import spaceform
+
+    original = spaceform._g11_exact
+
+    def skewed(a, b, c, x, y):
+        return original(a, b, c, x, y) + x * y
+
+    monkeypatch.setattr(spaceform, "_g11_exact", skewed)
+    with pytest.raises(CalibrationError, match="mixed stencil"):
+        calibrate_space_form(1, 1)
+
+
 def test_calibration_depends_on_curvature_only():
     from crchern.kahler import spaceform
 

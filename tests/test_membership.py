@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -58,6 +59,48 @@ class TestCupMatrix:
             cup_matrix(ring, 1 + ring.gen("t"), 4)
         with pytest.raises(RingError):
             cup_matrix(ring, ring.gen("t") ** 2, 4)
+
+
+def _cup_by_products(ring, e, k):
+    """Cup matrix built column by column from general ring products."""
+    rows = ring.degree_basis(k)
+    cols = ring.degree_basis(k - 2)
+    images = [e * ring.element({mono: 1}) for mono in cols]
+    scale = lcm(
+        1,
+        *(
+            c.denominator
+            for image in images
+            for c in image.terms.values()
+            if isinstance(c, Fraction)
+        ),
+    )
+    entries = [[int(image.coefficient(m) * scale) for image in images] for m in rows]
+    return rows, cols, entries, scale
+
+
+@pytest.mark.parametrize(
+    "domain,coeffs",
+    [
+        (INTEGERS, (2, -3, 5)),
+        (RATIONALS, (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4))),
+        (RATIONALS, (Fraction(1, 6), 0, 0)),
+        (integers_mod(6), (4, 5, 3)),
+    ],
+)
+def test_cup_matrix_matches_column_products(domain, coeffs):
+    # several truncated generators; the degree range runs past the top
+    # degree, where every shifted monomial is truncated
+    ring = make_ring([("a", 2, 3), ("b", 2, 2), ("c", 2, 4), ("w", 4, 2)], domain)
+    a, b, c = ring.gen("a"), ring.gen("b"), ring.gen("c")
+    e = coeffs[0] * a + coeffs[1] * b + coeffs[2] * c
+    for k in range(0, 20, 2):
+        cm = cup_matrix(ring, e, k)
+        rows, cols, entries, scale = _cup_by_products(ring, e, k)
+        assert cm.basis_rows == tuple(rows) and cm.basis_cols == tuple(cols)
+        assert cm.matrix.to_lists() == entries
+        assert (cm.matrix.rows, cm.matrix.cols) == (len(rows), len(cols))
+        assert cm.denominator_scale == scale
 
 
 class TestMembership:

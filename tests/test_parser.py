@@ -92,3 +92,15 @@ def test_str_round_trips(qring):
     ]
     for el in cases:
         assert parse_element(str(el), qring) == el
+
+
+def test_nesting_depth_is_bounded(qring):
+    from crchern.cohomology.parser import MAX_NESTING
+
+    depth = MAX_NESTING
+    assert parse_element("(" * depth + "t" + ")" * depth, qring) == qring.gen("t")
+    with pytest.raises(ParseError) as info:
+        parse_element("(" * (depth + 1) + "t" + ")" * (depth + 1), qring)
+    assert info.value.position == depth
+    with pytest.raises(ParseError):
+        parse_element("(" * 3000 + "t" + ")" * 3000, qring)

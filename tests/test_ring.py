@@ -137,6 +137,60 @@ class TestArithmetic:
             el.terms = {}
 
 
+def _assert_canonical(el):
+    """Reduced monomials; nonzero coefficients in canonical form."""
+    ring = el.ring
+    for exps, c in el.terms.items():
+        assert all(0 <= e < g.truncation for e, g in zip(exps, ring.generators))
+        assert c != 0
+        if ring.coefficients.kind == "Q":
+            assert type(c) is Fraction
+        else:
+            assert type(c) is int
+        if ring.coefficients.kind == "mod":
+            assert 0 <= c < ring.coefficients.modulus
+
+
+class TestCanonicalResults:
+    def test_random_arithmetic_results_are_canonical(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            ring = random_ring(rng)
+            x, y = random_element(rng, ring), random_element(rng, ring)
+            scalar = rng.randint(-9, 9)
+            for result in (x + y, x - y, -x, x * y, x * scalar, scalar * x, x + scalar):
+                _assert_canonical(result)
+            if ring.coefficients.kind == "Q":
+                _assert_canonical(x * Fraction(2, 3))
+
+    def test_integer_scalars_become_fractions_over_q(self):
+        t = two_var_ring().gen("t")
+        for result in (t * 3, 3 * t, t + 1, -t, t - t * 2):
+            _assert_canonical(result)
+
+    @pytest.mark.parametrize("domain", [INTEGERS, RATIONALS, integers_mod(6)])
+    def test_products_that_cancel_have_no_terms(self, domain):
+        ring = make_ring([("s", 2, 2), ("h", 2, 2)], domain)
+        s, h = ring.gen("s"), ring.gen("h")
+        # cross terms cancel, squares are truncated
+        assert dict(((s + h) * (s - h)).terms) == {}
+        assert dict((s * h - h * s).terms) == {}
+        assert dict((s + (-s)).terms) == {}
+
+    def test_products_that_vanish_mod_m_have_no_terms(self):
+        ring = cp2_ring(integers_mod(6))
+        t = ring.gen("t")
+        assert dict(((2 * t) * (3 * t)).terms) == {}
+        assert dict((t * 6).terms) == {}
+        assert dict(((1 + 2 * t) * (1 + 3 * t) - 1 - 5 * t).terms) == {}
+
+    def test_rational_products_that_cancel_have_no_terms(self):
+        ring = two_var_ring()
+        t, h = ring.gen("t"), ring.gen("h")
+        el = (Fraction(1, 2) * t) * (2 * t + h) - t * t - Fraction(1, 2) * t * h
+        assert dict(el.terms) == {}
+
+
 class TestSerialization:
     def test_round_trip(self):
         for ring in (cp2_ring(), two_var_ring(), cp2_ring(integers_mod(6))):

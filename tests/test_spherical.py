@@ -145,6 +145,29 @@ class TestVerifyOnCircleBundle:
         report = verify_spherical_on_circle_bundle(spoiled, 4)
         assert not report.passed
 
+    def test_each_residual_is_spherical_residual(self, monkeypatch):
+        from crchern.chern import spherical
+
+        targets = []
+        membership = spherical.image_membership
+
+        def recording(ring, e, beta):
+            targets.append(beta)
+            return membership(ring, e, beta)
+
+        monkeypatch.setattr(spherical, "image_membership", recording)
+        setups = [(genus2_times_cpn_setup(n), n) for n in range(2, 7)]
+        setups += [(cpn_setup(n, d), n) for n in range(2, 7) for d in (1, 3)]
+        setups += [(fpp_times_cpn_setup(n), n) for n in range(4, 7)]
+        for setup, n in setups:
+            targets.clear()
+            report = verify_spherical_on_circle_bundle(setup, n)
+            expected = [
+                spherical_residual(setup.base_tangent, n, k) for k in range(1, n + 2)
+            ]
+            assert targets == expected
+            assert [r["residual"] for r in report.residuals] == [str(x) for x in expected]
+
     def test_report_carries_certificates(self):
         report = verify_spherical_on_circle_bundle(genus2_times_cpn_setup(2), 2)
         ks = [w["k"] for w in report.witnesses]
