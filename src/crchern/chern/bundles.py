@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -19,6 +19,8 @@ class BundleClass:
 
     rank: int
     total: RingElement
+    # The total class split by degree, built once: {degree: component}.
+    _parts: dict[int, RingElement] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.rank < 1:
@@ -27,12 +29,18 @@ class BundleClass:
             raise RingError(
                 f"total class must have constant term 1, got {self.total.constant_term()}"
             )
-        for deg in self.total.degrees():
+        ring = self.total.ring
+        split: dict[int, dict] = {}
+        for e, c in self.total.terms.items():
+            split.setdefault(ring.monomial_degree(e), {})[e] = c
+        for deg in sorted(split):
             if deg > 2 * self.rank:
                 raise RingError(
                     f"total class has a nonzero component in degree {deg} "
                     f"above 2*rank = {2 * self.rank}"
                 )
+        parts = {deg: RingElement(ring, terms) for deg, terms in split.items()}
+        object.__setattr__(self, "_parts", parts)
 
     @property
     def ring(self) -> RingPresentation:
@@ -42,7 +50,7 @@ class BundleClass:
         """The k-th Chern class: the degree-2k component of the total class."""
         if k == 0:
             return self.ring.one()
-        return self.total.homogeneous_part(2 * k)
+        return self._parts.get(2 * k) or self.ring.zero()
 
     def c1(self) -> RingElement:
         return self.chern(1)

@@ -58,15 +58,16 @@ def ring_matrix_determinant(entries: list[list[RingElement]]) -> RingElement:
         if key in cache:
             return cache[key]
         total = ring.zero()
-        sign = 1
+        positive = True
         for col in range(size):
             bit = 1 << col
             if not mask & bit:
                 continue
             entry = entries[row][col]
             if not entry.is_zero():
-                total = total + sign * entry * minor(row + 1, mask & ~bit)
-            sign = -sign
+                term = entry * minor(row + 1, mask & ~bit)
+                total = total + term if positive else total - term
+            positive = not positive
         cache[key] = total
         return total
 
@@ -100,13 +101,12 @@ def _build_matrix(n: int, xi_diagonal: bool):
     if xi_diagonal:
         omega[1][1] = omega[1][1] + ring.gen("xi")
 
-    matrix = [
-        [
-            (ring.one() if i == j else ring.zero()) + s * omega[i][j]
-            for j in range(size)
-        ]
-        for i in range(size)
-    ]
+    one, zero = ring.one(), ring.zero()
+    matrix = [[one if i == j else zero for j in range(size)] for i in range(size)]
+    for i in range(size):
+        for j in range(size):
+            if omega[i][j]:
+                matrix[i][j] = matrix[i][j] + s * omega[i][j]
     return ring, s, w, matrix
 
 

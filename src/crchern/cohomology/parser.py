@@ -12,11 +12,15 @@ Grammar (also shipped as ``docs/grammar.ebnf``)::
 Implicit multiplication is not part of the language: ``2t`` and
 ``(1+t)(1-t)`` are syntax errors.  Rational literals are only legal
 when the ring has rational coefficients.  Parentheses nest at most
-``MAX_NESTING`` deep.
+``MAX_NESTING`` deep.  An integer literal, and over Z and Q the
+constant term of a power, may have at most as many decimal digits as
+Python converts between int and str (``sys.get_int_max_str_digits()``).
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -73,6 +77,16 @@ def _tokenize(text: str) -> list[_Token]:
         raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append(_Token("end", "", n))
     return tokens
+
+
+def _integer(tok: _Token) -> int:
+    try:
+        return int(tok.text)
+    except ValueError as exc:  # past int()'s digit limit
+        raise ParseError(
+            f"integer literal longer than {sys.get_int_max_str_digits()} digits",
+            tok.pos,
+        ) from exc
 
 
 class _Parser:
@@ -139,15 +153,34 @@ class _Parser:
                 if etok.kind != "int":
                     raise ParseError("exponent must be a nonnegative integer", etok.pos)
                 self.advance()
-                value = value ** int(etok.text)
+                exponent = _integer(etok)
+                self.check_power_size(value, exponent, etok.pos)
+                value = value**exponent
             else:
                 return value
+
+    def check_power_size(self, base: RingElement, exponent: int, pos: int) -> None:
+        """Refuse ``base^exponent`` over Z or Q before computing it when
+        its constant term ``c^exponent`` would have more decimal digits
+        than Python converts to a string (``sys.get_int_max_str_digits``).
+        """
+        limit = sys.get_int_max_str_digits()
+        if not limit or self.ring.coefficients.kind == "mod":
+            return
+        c = Fraction(base.constant_term())
+        largest = max(abs(c.numerator), c.denominator)
+        # c^exponent has floor(exponent * log10(c)) + 1 digits
+        if largest > 1 and exponent * math.log10(largest) >= limit:
+            raise ParseError(
+                f"power's constant term would have more than {limit} digits",
+                pos,
+            )
 
     def atom(self) -> RingElement:
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
-            num = int(tok.text)
+            num = _integer(tok)
             nxt = self.peek()
             if nxt.kind == "op" and nxt.text == "/":
                 self.advance()
@@ -155,7 +188,7 @@ class _Parser:
                 if dtok.kind != "int":
                     raise ParseError("expected denominator after '/'", dtok.pos)
                 self.advance()
-                den = int(dtok.text)
+                den = _integer(dtok)
                 if den == 0:
                     raise ParseError("zero denominator", dtok.pos)
                 if self.ring.coefficients.kind != "Q":

@@ -29,8 +29,10 @@ functions, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
+from operator import add, ge
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -126,6 +128,10 @@ class RingPresentation:
 
     generators: tuple[Generator, ...]
     coefficients: CoefficientDomain
+    # degree_basis results by degree, filled on first use; not part of the value
+    _bases: dict[int, tuple[ExponentVector, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         names = [g.name for g in self.generators]
@@ -211,10 +217,11 @@ class RingPresentation:
         The enumeration is deterministic: exponent vectors are listed in
         descending lexicographic order with respect to the declared
         generator order, so e.g. in ``Q[t,h]`` the degree-4 basis reads
-        ``[t^2, t*h, h^2]``.
+        ``[t^2, t*h, h^2]``.  Each degree is enumerated once per
+        presentation; every call returns a fresh list.
         """
-        if k < 0:
-            return []
+        if k in self._bases:
+            return list(self._bases[k])
         out: list[ExponentVector] = []
 
         def rec(i: int, remaining: int, prefix: tuple[int, ...]) -> None:
@@ -227,7 +234,9 @@ class RingPresentation:
             for e in range(top, -1, -1):
                 rec(i + 1, remaining - e * g.degree, prefix + (e,))
 
-        rec(0, k, ())
+        if k >= 0:
+            rec(0, k, ())
+        self._bases[k] = tuple(out)
         return out
 
     def monomial_name(self, exps: ExponentVector) -> str:
@@ -392,8 +401,8 @@ class RingElement:
         truncs = tuple(g.truncation for g in self.ring.generators)
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if any(x >= t for x, t in zip(e, truncs)):
+                e = tuple(map(add, e1, e2))
+                if any(map(ge, e, truncs)):
                     continue
                 prod[e] = prod.get(e, 0) + c1 * c2
         return self.ring._reduced(prod)
@@ -427,9 +436,10 @@ class RingElement:
         """Evaluate the canonical representative at the given point.
 
         Every generator must be assigned a value in the coefficient
-        domain.  Note this evaluates the *reduced* representative, which
-        agrees with the underlying polynomial only when no truncation
-        relation was used to reduce it.
+        domain.  Only the generators with a nonzero exponent in a term
+        are multiplied into it.  Note this evaluates the *reduced*
+        representative, which agrees with the underlying polynomial only
+        when no truncation relation was used to reduce it.
         """
         assignment = []
         for g in self.ring.generators:
@@ -439,8 +449,8 @@ class RingElement:
         total: Coefficient = 0
         for exps, c in self.terms.items():
             term = c
-            for v, e in zip(assignment, exps):
-                term *= v**e
+            for v, e in compress(zip(assignment, exps), exps):
+                term *= v if e == 1 else v**e
             total += term
         return self.ring.coefficients.coerce(total)
 

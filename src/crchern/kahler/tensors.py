@@ -232,25 +232,33 @@ def point_tensors(
     R, ric, scal, P, S, gammas = _curvature(g, D1, D2)
     T1 = V = None
     if third_order:
-        dP_hol, _dS_hol, dScal_hol = _third_order_derivatives(patch, z, step, step3)
+        dP_hol, _, dScal_hol = _third_order_derivatives(
+            patch, z, step, step3, with_dS=False
+        )
         T1, V = _assemble_v(dP_hol, dScal_hol, gammas, P, g, n)
     return PointTensors(z, step, g, R, ric, float(scal), P, S, gammas, T1, V)
 
 
 def _third_order_derivatives(
-    patch: KahlerProductPatch, z: np.ndarray, step: float, step3: float
+    patch: KahlerProductPatch,
+    z: np.ndarray,
+    step: float,
+    step3: float,
+    with_dS: bool = True,
 ):
     """Holomorphic-direction central differences of P, S, and Scal.
 
     The two centres ``x0 +- step3 e_a`` of each direction go through the
     metric and the curvature assembly as one stack; stacking more than
-    one pair at a time only raises peak memory.
+    one pair at a time only raises peak memory.  Without ``with_dS``
+    the differences of S (``2n * n^4`` entries) are skipped and ``None``
+    stands in their place.
     """
     n = patch.total_dim
     m = 2 * n
     x0 = _real_coords(z)
     dP = np.empty((m, n, n), dtype=complex)
-    dS = np.empty((m, n, n, n, n), dtype=complex)
+    dS = np.empty((m, n, n, n, n), dtype=complex) if with_dS else None
     dScal = np.empty(m)
     for a in range(m):
         e = np.zeros(m)
@@ -260,10 +268,11 @@ def _third_order_derivatives(
             *metric_derivatives(patch, x[:, :n] + 1j * x[:, n:], step)
         )
         dP[a] = (P[0] - P[1]) / (2 * step3)
-        dS[a] = (S[0] - S[1]) / (2 * step3)
+        if with_dS:
+            dS[a] = (S[0] - S[1]) / (2 * step3)
         dScal[a] = (scal[0] - scal[1]) / (2 * step3)
     dP_hol = 0.5 * (dP[:n] - 1j * dP[n:])  # [c, a, b]
-    dS_hol = 0.5 * (dS[:n] - 1j * dS[n:])  # [r, a, b, c, d]
+    dS_hol = 0.5 * (dS[:n] - 1j * dS[n:]) if with_dS else None  # [r, a, b, c, d]
     dScal_hol = 0.5 * (dScal[:n] - 1j * dScal[n:])
     return dP_hol, dS_hol, dScal_hol
 

@@ -140,6 +140,20 @@ def test_bundle_product_associative_commutative():
     assert ba.total == bundle_product(a, b).total
 
 
+def test_chern_classes_are_the_homogeneous_parts():
+    ring = make_ring([("t1", 2, 3), ("h", 4, 2), ("t2", 2, 2)], RATIONALS)
+    t1, h, t2 = (ring.gen(x) for x in ("t1", "h", "t2"))
+    bundle = BundleClass(5, (1 + t1) * (1 + h + t2) * (1 + Fraction(1, 2) * t1 * t2))
+    for k in range(-1, 8):
+        expected = ring.one() if k == 0 else bundle.total.homogeneous_part(2 * k)
+        assert bundle.chern(k) == expected, k
+    assert not bundle.chern(5).is_zero()
+    assert bundle.chern(6).is_zero() and bundle.chern(-1).is_zero()
+    # the split is not part of the value: equal totals give equal bundles
+    assert bundle == BundleClass(5, bundle.total)
+    assert "_parts" not in repr(bundle)
+
+
 def test_bundle_invariants_enforced():
     ring = make_ring([("t", 2, 3)], RATIONALS)
     t = ring.gen("t")

@@ -201,8 +201,8 @@ class TestEval:
 
     @pytest.mark.parametrize(
         "expr",
-        ["(" * 3000 + "t" + ")" * 3000, "2^100000000*t"],
-        ids=["deep-nesting", "huge-coefficient"],
+        ["(" * 3000 + "t" + ")" * 3000, "2^100000000*t", "9" * 5000 + "*t"],
+        ids=["deep-nesting", "huge-coefficient", "long-literal"],
     )
     def test_oversized_input_exit_2_one_line(self, capsys, expr):
         code, out, err = run_cli(["eval", "--ring", "cp:2", expr], capsys)
@@ -317,7 +317,9 @@ def test_verify_all_aggregate(capsys):
 
 # SHA-256 of the canonical JSON (sorted keys, compact separators) of the
 # list of exact reports, pinned from the manifests as they were before
-# the exact layer's fast path.  Exact output must stay byte-identical.
+# the exact layer's fast path (thm-1-2, all) and before the tractor
+# check's sparse evaluation (tractor).  Exact output must stay
+# byte-identical.
 GOLDEN_EXACT_REPORTS = [
     (
         ["verify", "thm-1-2", "--n-max", "12"],
@@ -329,11 +331,16 @@ GOLDEN_EXACT_REPORTS = [
         63,
         "2f6abe06cb8c1babf1473bf1038f7631eb8f6569fa2d7f4b48ed2ee0b7d763d0",
     ),
+    (
+        ["verify", "tractor", "--n-max", "12"],
+        12,
+        "20af16cb96a205ca79db21854c49f5a7209593ffb5cb9632ace4f5bfb1567cda",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv,count,digest", GOLDEN_EXACT_REPORTS, ids=["thm-1-2", "all"]
+    "argv,count,digest", GOLDEN_EXACT_REPORTS, ids=["thm-1-2", "all", "tractor"]
 )
 def test_exact_reports_are_byte_identical(capsys, argv, count, digest):
     code, out, _ = run_cli([*argv, "--format", "json", "--no-timestamp"], capsys)

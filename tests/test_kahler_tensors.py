@@ -20,6 +20,12 @@ from crchern.kahler import (
     v_tensor_at,
 )
 from crchern.kahler.scenario import _cross_block_max
+from crchern.kahler.tensors import (
+    METRIC_STEP,
+    THIRD_ORDER_STEP,
+    _assemble_v,
+    _third_order_derivatives,
+)
 
 
 @pytest.fixture(scope="module")
@@ -272,6 +278,25 @@ class TestThirdOrder:
             chern_divergence_residual(control_pair, other, centre=t)
         with pytest.raises(ValueError, match="centre tensors"):
             chern_divergence_residual(control_pair, z, step=t.step / 2, centre=t)
+
+    def test_v_only_path_matches_full_third_order_stencil(self, control_pair):
+        # the V-only path skips the differences of S; T1 and V are
+        # exactly those assembled from the full stencil
+        z = control_pair.sample_points(1, seed=53)[0]
+        n = control_pair.total_dim
+        t = point_tensors(control_pair, z, third_order=True)
+        dP, dS, dScal = _third_order_derivatives(
+            control_pair, z, METRIC_STEP, THIRD_ORDER_STEP
+        )
+        assert dS.shape == (n, n, n, n, n)
+        T1, V = _assemble_v(dP, dScal, t.gammas, t.P, t.g, n)
+        assert np.array_equal(t.T1, T1) and np.array_equal(t.V, V)
+        assert np.array_equal(v_tensor_at(control_pair, z)[1], V)
+        dP2, dS2, dScal2 = _third_order_derivatives(
+            control_pair, z, METRIC_STEP, THIRD_ORDER_STEP, with_dS=False
+        )
+        assert dS2 is None
+        assert np.array_equal(dP2, dP) and np.array_equal(dScal2, dScal)
 
     def test_point_tensors_carries_third_order_on_request(self, flat_pair):
         z = flat_pair.sample_points(1, seed=43)[0]

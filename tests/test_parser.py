@@ -1,3 +1,6 @@
+import sys
+import time
+
 import pytest
 
 from crchern.cohomology import (
@@ -104,3 +107,41 @@ def test_nesting_depth_is_bounded(qring):
     assert info.value.position == depth
     with pytest.raises(ParseError):
         parse_element("(" * 3000 + "t" + ")" * 3000, qring)
+
+
+@pytest.mark.parametrize("domain", [INTEGERS, RATIONALS])
+def test_oversized_power_refused_before_it_is_computed(domain):
+    ring = make_ring([("t", 2, 3)], domain)
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="constant term") as info:
+        parse_element("2^100000000*t", ring)
+    assert time.perf_counter() - start < 0.1  # computing 2^(10^8) takes ~1.5 s
+    assert info.value.position == 2
+
+
+def test_power_size_limit_is_the_int_str_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    zring = make_ring([("t", 2, 3)], INTEGERS)
+    qring = make_ring([("t", 2, 3)], RATIONALS)
+    assert len(str(parse_element(f"10^{limit - 1}", zring))) == limit
+    with pytest.raises(ParseError):
+        parse_element(f"10^{limit}", zring)  # limit + 1 digits
+    with pytest.raises(ParseError):
+        parse_element(f"(1/10)^{limit}", qring)  # the denominator
+    with pytest.raises(ParseError):
+        parse_element(f"(20+t)^{limit}*t", zring)
+    # only the constant term counts, and nothing is refused mod m
+    assert parse_element(f"(1+t)^{10**30}", zring) == parse_element(
+        f"1 + {10**30}*t + {10**30 * (10**30 - 1) // 2}*t^2", zring
+    )
+    assert parse_element(f"t^{10**30}", zring).is_zero()
+    assert parse_element(
+        "2^100000000", make_ring([("t", 2, 3)], integers_mod(7))
+    ) == pow(2, 100000000, 7)
+
+
+def test_integer_literal_past_digit_limit_is_a_parse_error(qring):
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    for text in (digits, f"t^{digits}", f"1/{digits}"):
+        with pytest.raises(ParseError, match="integer literal longer"):
+            parse_element(text, qring)

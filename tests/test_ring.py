@@ -191,6 +191,71 @@ class TestCanonicalResults:
         assert dict(el.terms) == {}
 
 
+class TestEvaluate:
+    @staticmethod
+    def naive(el, values):
+        """Every generator's power multiplied into every term, zero exponents too."""
+        domain = el.ring.coefficients
+        point = [domain.coerce(values[g.name]) for g in el.ring.generators]
+        total = 0
+        for exps, c in el.terms.items():
+            term = c
+            for v, e in zip(point, exps):
+                term *= v**e
+            total += term
+        return domain.coerce(total)
+
+    @pytest.mark.parametrize(
+        "domain", [INTEGERS, RATIONALS, integers_mod(6), integers_mod(7)]
+    )
+    def test_matches_all_generator_product(self, domain):
+        rng = random.Random(23)
+        gens = [(f"g{i}", 2 * rng.randint(1, 2), rng.randint(1, 4)) for i in range(7)]
+        ring = make_ring(gens, domain)
+        checked_zero_exponent = False
+        for _ in range(200):
+            el = random_element(rng, ring, max_terms=6)
+            checked_zero_exponent |= any(0 in exps for exps in el.terms)
+            values = {
+                g.name: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                if domain.kind == "Q"
+                else rng.randint(-9, 9)
+                for g in ring.generators
+            }
+            assert el.evaluate(values) == self.naive(el, values)
+        assert checked_zero_exponent
+
+    def test_missing_generator_raises_even_if_absent_from_every_term(self):
+        ring = two_var_ring()
+        t = ring.gen("t")
+        assert all(exps[1] == 0 for exps in (1 + t).terms)
+        with pytest.raises(RingError, match="no value for generator 'h'"):
+            (1 + t).evaluate({"t": 2})
+        with pytest.raises(RingError):
+            ring.zero().evaluate({"h": 1})
+
+
+class TestDegreeBasisCache:
+    def test_each_call_returns_a_fresh_list(self):
+        ring = two_var_ring()
+        basis = ring.degree_basis(4)
+        basis.append((9, 9))
+        basis[0] = (0, 0)
+        assert ring.degree_basis(4) == [(2, 0), (1, 1), (0, 2)]
+        assert ring.degree_basis(4) is not ring.degree_basis(4)
+
+    def test_cache_is_not_part_of_the_value(self):
+        a = make_ring([("t", 2, 3), ("h", 2, 3)], RATIONALS)
+        b = make_ring([("t", 2, 3), ("h", 2, 2)], RATIONALS)
+        assert a.degree_basis(4) == [(2, 0), (1, 1), (0, 2)]
+        assert b.degree_basis(4) == [(2, 0), (1, 1)]
+        assert a.degree_basis(-2) == [] and a.degree_basis(3) == []
+        fresh = two_var_ring()
+        assert a == fresh and hash(a) == hash(fresh)
+        assert str(a) == str(fresh) and repr(a) == repr(fresh)
+        assert a.to_json_dict() == fresh.to_json_dict()
+
+
 class TestSerialization:
     def test_round_trip(self):
         for ring in (cp2_ring(), two_var_ring(), cp2_ring(integers_mod(6))):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -37,6 +38,34 @@ class TestDeterminant:
             [[w, ring.zero()], [ring.zero(), w]]
         )
         assert det == w * w
+
+    def test_random_four_by_four_against_leibniz_formula(self):
+        rng = random.Random(3)
+        ring = make_ring(
+            [("a", 2, 4), ("b", 2, 3), ("c", 4, 2), ("d", 2, 2)], RATIONALS
+        )
+        gens = [ring.gen(x) for x in "abcd"]
+
+        def entry():
+            if rng.random() < 0.4:
+                return ring.zero()
+            el = ring.scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+            for g in rng.sample(gens, rng.randint(0, 2)):
+                el = el + rng.randint(-3, 3) * g
+            return el
+
+        for _ in range(25):
+            m = [[entry() for _ in range(4)] for _ in range(4)]
+            leibniz = ring.zero()
+            for perm in permutations(range(4)):
+                inversions = sum(
+                    perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4)
+                )
+                prod = ring.one()
+                for row, col in enumerate(perm):
+                    prod = prod * m[row][col]
+                leibniz = leibniz + (-1) ** inversions * prod
+            assert ring_matrix_determinant(m) == leibniz
 
     def test_non_square_rejected(self):
         ring = make_ring([("w", 2, 6)], RATIONALS)
@@ -98,6 +127,27 @@ class TestTractorIdentity:
         lhs = det.evaluate(values)
         rhs = (1 + values["s"] * values["w"]) ** 3
         assert lhs == rhs
+
+    @pytest.mark.parametrize("xi_diagonal", [False, True])
+    def test_matrix_entries_match_identity_plus_s_omega(self, xi_diagonal):
+        # every entry, zero ones included, is (1 or 0) + s * Omega_ij
+        for n in range(1, 5):
+            ring, s, w, matrix = _build_matrix(n, xi_diagonal)
+            size = n + 2
+            stars = iter(ring.gen(f"x{i}") for i in range(1, 2 * n + 2))
+            omega = [[ring.zero()] * size for _ in range(size)]
+            for i in range(size):
+                omega[i][i] = w
+            for i in range(1, size):
+                omega[i][0] = next(stars)
+            for j in range(1, size - 1):
+                omega[size - 1][j] = next(stars)
+            if xi_diagonal:
+                omega[1][1] = w + ring.gen("xi")
+            for i in range(size):
+                for j in range(size):
+                    base = ring.one() if i == j else ring.zero()
+                    assert matrix[i][j] == base + s * omega[i][j], (n, i, j)
 
     def test_bad_n_rejected(self):
         with pytest.raises(RingError):
