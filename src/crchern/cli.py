@@ -1,8 +1,9 @@
 """Command-line interface: named verification targets and a ring calculator.
 
-Exit codes: 0 all checks passed; 1 a check or tolerance failed;
-2 usage errors, unknown targets, invalid parameters, schema violations,
-and parse errors.
+Exit codes: 0 all checks passed; 1 a check or tolerance failed, or
+standard output was closed before all output was written; 2 usage
+errors, unknown targets, invalid parameters, schema violations, parse
+errors, and a manifest that cannot be written to ``--out``.
 
 Every run is deterministic given flags and seed (``--seed``, or the
 ``CRCHERN_SEED`` environment variable, default 0); pass
@@ -275,15 +276,21 @@ def _report_markdown(rep: dict) -> str:
     return "\n".join(out)
 
 
-def _emit(manifest: dict, fmt: str, out_path: str | None) -> None:
+def _emit(manifest: dict, fmt: str, out_path: str | None) -> int:
+    """Write the manifest; return the exit code (2 if ``--out`` fails)."""
     if fmt == "json":
         text = json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n"
     else:
         text = manifest_to_markdown(manifest) + "\n"
     if out_path:
-        Path(out_path).write_text(text)
+        try:
+            Path(out_path).write_text(text)
+        except OSError as exc:
+            print(f"cannot write manifest: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
+    return 0 if manifest["status"] == "pass" else 1
 
 
 # -- subcommand entry points --------------------------------------------------
@@ -302,8 +309,7 @@ def _cmd_verify(args, argv: list[str]) -> int:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 2
     manifest = build_manifest(argv, reports, args.seed, not args.no_timestamp)
-    _emit(manifest, args.format, args.out)
-    return 0 if manifest["status"] == "pass" else 1
+    return _emit(manifest, args.format, args.out)
 
 
 def _cmd_bochner(args, argv: list[str]) -> int:
@@ -313,8 +319,7 @@ def _cmd_bochner(args, argv: list[str]) -> int:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 2
     manifest = build_manifest(argv, reports, args.seed, not args.no_timestamp)
-    _emit(manifest, args.format, args.out)
-    return 0 if manifest["status"] == "pass" else 1
+    return _emit(manifest, args.format, args.out)
 
 
 def _load_ring_spec(spec: str) -> RingPresentation:
@@ -364,8 +369,7 @@ def _cmd_scenario(args, argv: list[str]) -> int:
         seed = args.seed_flag
     report = run_batch(factors, samples=samples, seed=seed, tolerances=tolerances)
     manifest = build_manifest(argv, [report], seed, not args.no_timestamp)
-    _emit(manifest, args.format, args.out)
-    return 0 if manifest["status"] == "pass" else 1
+    return _emit(manifest, args.format, args.out)
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -442,23 +446,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS = {
+    "verify": _cmd_verify,
+    "bochner": _cmd_bochner,
+    "eval": _cmd_eval,
+    "scenario": _cmd_scenario,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if args.command == "verify":
-        return _cmd_verify(args, argv)
-    if args.command == "bochner":
-        return _cmd_bochner(args, argv)
-    if args.command == "eval":
-        return _cmd_eval(args, argv)
-    if args.command == "scenario":
-        return _cmd_scenario(args, argv)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            code = int(exc.code or 0)
+        else:
+            code = _COMMANDS[args.command](args, argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``crchern ... | head``).  As in
+        # the ``signal`` module documentation: point stdout at devnull so
+        # the interpreter's final flush cannot fail again, and exit 1.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 def entrypoint() -> None:

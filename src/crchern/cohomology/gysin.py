@@ -14,7 +14,7 @@ Membership and cokernel answers are invariant under replacing ``e`` by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
 from operator import add
@@ -25,7 +25,12 @@ from .ring import (
     RingError,
     RingPresentation,
 )
-from .snf import IntegerMatrix, invariant_factors, smith_normal_form
+from .snf import (
+    IntegerMatrix,
+    _back_substitute,
+    invariant_factors,
+    smith_normal_form,
+)
 
 EULER_SIGN_CONVENTION = "cup-with-e-as-given"
 
@@ -77,7 +82,7 @@ def cup_matrix(ring: RingPresentation, e: RingElement, k: int) -> CupMatrix:
     for i, j, t in cells:
         entries[i][j] = scaled[t]
     matrix = (
-        IntegerMatrix.from_rows(entries)
+        IntegerMatrix._unchecked(entries)
         if entries
         else IntegerMatrix.zero(0, len(cols))
     )
@@ -118,9 +123,9 @@ class MembershipCertificate:
 def _element_vector(
     ring: RingPresentation, beta: RingElement, basis: tuple[ExponentVector, ...]
 ) -> list:
-    vec = [beta.coefficient(m) for m in basis]
-    accounted = sum(1 for m in basis if m in beta.terms)
-    if accounted != len(beta.terms):
+    terms = beta.terms
+    vec = [terms.get(m, 0) for m in basis]
+    if sum(map(terms.__contains__, basis)) != len(terms):
         raise RingError("element has support outside the expected degree basis")
     return vec
 
@@ -136,12 +141,12 @@ def image_membership(
     """
     if beta.ring != ring:
         raise RingError("element does not belong to the given ring")
-    if not beta.is_homogeneous():
+    degrees = beta.degrees()
+    if len(degrees) > 1:
         raise RingError(f"membership target must be homogeneous: {beta}")
-    if beta.is_zero():
+    if not degrees:
         return MembershipCertificate(True, 0, preimage=ring.zero())
-    k = beta.homogeneous_degree()
-    assert k is not None
+    (k,) = degrees
 
     cup = cup_matrix(ring, e, k)
     b = _element_vector(ring, beta, cup.basis_rows)
@@ -151,59 +156,31 @@ def image_membership(
         return _membership_mod(ring, cup, b, k)
 
     # Clear target denominators; over Q membership is scale-invariant.
-    if domain.kind == "Q":
-        b_scale = lcm(*[Fraction(x).denominator for x in b], 1)
-    else:
-        b_scale = 1
-    b_int = [int(x * b_scale) for x in b]
+    b_scale = lcm(1, *(x.denominator for x in b))
+    b_int = b if b_scale == 1 else [int(x * b_scale) for x in b]
 
     U, D, V = smith_normal_form(cup.matrix)
-    y = U.matvec(b_int)
-    diag = D.diagonal()
-
-    residue = []
-    solvable = True
-    z: list[Fraction] = []
-    for i in range(len(y)):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if y[i] != 0:
-                solvable = False
-                residue.append((i, y[i], 0))
-        else:
-            if domain.kind == "Z" and y[i] % d != 0:
-                solvable = False
-                residue.append((i, y[i], d))
-    if solvable:
-        for i in range(D.cols):
-            d = diag[i] if i < len(diag) else 0
-            if d != 0 and i < len(y):
-                z.append(Fraction(y[i], d))
-            else:
-                z.append(Fraction(0))
-        x = [
-            sum(V.entries[i][j] * z[j] for j in range(D.cols))
-            for i in range(V.rows)
-        ]
-        # Undo the two clearings: A_int = scale * A, b_int = b_scale * b.
-        factor = Fraction(cup.denominator_scale, b_scale)
-        coeffs = [xi * factor for xi in x]
-        if domain.kind == "Z":
-            coeffs = [c.numerator if c.denominator == 1 else c for c in coeffs]
-        preimage = ring.element(
-            {mono: c for mono, c in zip(cup.basis_cols, coeffs) if c != 0}
-        )
+    residue, num, L = _back_substitute(U, D, V, b_int, integral=domain.kind == "Z")
+    if residue:
         return MembershipCertificate(
-            True,
+            False,
             k,
-            preimage=preimage,
+            residue=tuple(residue),
             invariant_factors=invariant_factors(D),
             denominator_scale=cup.denominator_scale,
         )
+    # x = num / L solves A_int x = b_int; undo the two clearings,
+    # A_int = scale * A and b_int = b_scale * b.  Over Z, L divides num.
+    denom = L * b_scale
+    coeffs = {}
+    for mono, v in zip(cup.basis_cols, num):
+        if v:
+            v *= cup.denominator_scale
+            coeffs[mono] = v // denom if v % denom == 0 else Fraction(v, denom)
     return MembershipCertificate(
-        False,
+        True,
         k,
-        residue=tuple(residue),
+        preimage=ring.element(coeffs),
         invariant_factors=invariant_factors(D),
         denominator_scale=cup.denominator_scale,
     )
@@ -220,36 +197,15 @@ def _membership_mod(
         list(cup.matrix.entries[i]) + [m if j == i else 0 for j in range(rows)]
         for i in range(rows)
     ]
-    A = IntegerMatrix.from_rows(aug) if aug else IntegerMatrix.zero(0, cols + rows)
+    A = IntegerMatrix._unchecked(aug) if aug else IntegerMatrix.zero(0, cols + rows)
     U, D, V = smith_normal_form(A)
-    y = U.matvec([int(x) for x in b])
-    diag = D.diagonal()
-    residue = []
-    solvable = True
-    z = []
-    for i in range(len(y)):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if y[i] != 0:
-                solvable = False
-                residue.append((i, y[i], 0))
-            z.append(0)
-        elif y[i] % d != 0:
-            solvable = False
-            residue.append((i, y[i], d))
-        else:
-            z.append(y[i] // d)
-    if not solvable:
+    residue, num, L = _back_substitute(U, D, V, b, integral=True)
+    if residue:
         return MembershipCertificate(
             False, k, residue=tuple(residue), invariant_factors=invariant_factors(D)
         )
-    z += [0] * (D.cols - len(z))
-    x = [
-        sum(V.entries[i][j] * z[j] for j in range(D.cols)) for i in range(V.rows)
-    ]
-    preimage = ring.element(
-        {mono: x[j] % m for j, mono in enumerate(cup.basis_cols) if x[j] % m}
-    )
+    x = (v // L % m for v in num)
+    preimage = ring.element({mono: c for mono, c in zip(cup.basis_cols, x) if c})
     return MembershipCertificate(
         True, k, preimage=preimage, invariant_factors=invariant_factors(D)
     )
@@ -311,19 +267,15 @@ def cokernel(ring: RingPresentation, e: RingElement, k: int) -> CokernelData:
     facs = invariant_factors(D)
     free_rank = cup.matrix.rows - len(facs)
 
-    def class_of(vec: list[int]) -> tuple[int, ...]:
-        y = U.matvec(vec)
-        torsion = [y[i] % d for i, d in enumerate(facs)]
-        return tuple(torsion + list(y[len(facs):]))
-
-    classes = tuple(
-        class_of([1 if i == j else 0 for i in range(cup.matrix.rows)])
-        for j in range(cup.matrix.rows)
-    )
-    return CokernelData(
+    data = CokernelData(
         invariant_factors=facs,
         free_rank=free_rank,
         basis=cup.basis_rows,
-        generator_classes=classes,
+        generator_classes=(),
         row_transform=U,
     )
+    rows = cup.matrix.rows
+    classes = tuple(
+        data.class_of_vector([int(i == j) for i in range(rows)]) for j in range(rows)
+    )
+    return replace(data, generator_classes=classes)

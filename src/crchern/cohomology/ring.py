@@ -23,6 +23,12 @@ Two modeling restrictions are deliberate and worth stating prominently:
   is solvable over Q (rank is field-independent for matrices with
   rational entries).
 
+Over Q a coefficient is stored as an ``int`` when its value is an
+integer and as a ``Fraction`` (denominator > 1) otherwise, so the
+integral arithmetic that dominates the checks never builds a
+``Fraction``.  Both types compare, hash and print alike for equal
+values, and both have ``numerator``/``denominator``.
+
 All values are immutable after construction and all operations are pure
 functions, so everything here is safe to share across threads.
 """
@@ -65,12 +71,19 @@ class CoefficientDomain:
             raise RingError(f"domain {self.kind!r} takes no modulus")
 
     def coerce(self, value: object) -> Coefficient:
-        """Return the canonical representative of ``value``, or raise."""
+        """Return the canonical representative of ``value``, or raise.
+
+        Over Q that is an ``int`` for an integral value and a
+        ``Fraction`` with denominator > 1 otherwise; over Z an ``int``;
+        over Z/m an ``int`` in ``[0, m)``.
+        """
         if isinstance(value, bool):
             raise RingError("boolean is not a ring coefficient")
         if self.kind == "Q":
             if isinstance(value, (int, Fraction)):
-                return Fraction(value)
+                if value.denominator == 1:
+                    return int(value.numerator)
+                return value if type(value) is Fraction else Fraction(value)
             raise RingError(f"not a rational coefficient: {value!r}")
         if isinstance(value, Fraction):
             if value.denominator != 1:
@@ -161,7 +174,8 @@ class RingPresentation:
         """Element of ``terms`` with canonical coefficients, zero terms dropped.
 
         The one place where coefficients are canonicalised: reduced mod m
-        over Z/m, made ``Fraction`` over Q.  The exponent vectors must
+        over Z/m; over Q a ``Fraction`` with denominator 1 becomes its
+        numerator, so integral values are ``int``.  The exponent vectors must
         already be valid and reduced (checked by :meth:`element` on raw
         input; arithmetic on reduced operands of this ring keeps them
         so), and are not checked again.
@@ -172,7 +186,7 @@ class RingPresentation:
             canonical = {e: c % m for e, c in terms.items() if c % m}
         elif kind == "Q":
             canonical = {
-                e: c if type(c) is Fraction else Fraction(c)
+                e: c.numerator if type(c) is Fraction and c.denominator == 1 else c
                 for e, c in terms.items()
                 if c
             }

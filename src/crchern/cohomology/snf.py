@@ -11,6 +11,8 @@ decomposition are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
+from operator import mul
 
 
 @dataclass(frozen=True)
@@ -34,6 +36,19 @@ class IntegerMatrix:
         m = len(rows)
         n = len(rows[0]) if rows else 0
         return IntegerMatrix(m, n, tuple(tuple(int(x) for x in r) for r in rows))
+
+    @staticmethod
+    def _unchecked(rows: list[list[int]]) -> "IntegerMatrix":
+        """Wrap rows whose entries are ints by construction, unscanned.
+
+        Shaped as :meth:`from_rows`; for matrices this package builds
+        itself (Smith forms, cup matrices), never for caller input.
+        """
+        matrix = object.__new__(IntegerMatrix)
+        object.__setattr__(matrix, "rows", len(rows))
+        object.__setattr__(matrix, "cols", len(rows[0]) if rows else 0)
+        object.__setattr__(matrix, "entries", tuple(map(tuple, rows)))
+        return matrix
 
     @staticmethod
     def identity(n: int) -> "IntegerMatrix":
@@ -67,10 +82,7 @@ class IntegerMatrix:
     def matvec(self, vec: list) -> list:
         if self.cols != len(vec):
             raise ValueError("dimension mismatch in matrix-vector product")
-        return [
-            sum(self.entries[i][k] * vec[k] for k in range(self.cols))
-            for i in range(self.rows)
-        ]
+        return [sum(map(mul, row, vec)) for row in self.entries]
 
     def diagonal(self) -> list[int]:
         return [self.entries[i][i] for i in range(min(self.rows, self.cols))]
@@ -152,8 +164,8 @@ def smith_normal_form(
     """Return ``(U, D, V)`` with ``U @ A @ V = D`` in Smith normal form."""
     m, n = A.rows, A.cols
     D = A.to_lists()
-    U = IntegerMatrix.identity(m).to_lists()
-    V = IntegerMatrix.identity(n).to_lists()
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def pick_pivot(t: int) -> tuple[int, int] | None:
         best: tuple[int, int, int] | None = None
@@ -242,15 +254,51 @@ def smith_normal_form(
                 changed = True
 
     return (
-        IntegerMatrix.from_rows(U),
-        IntegerMatrix.from_rows(D),
-        IntegerMatrix.from_rows(V),
+        IntegerMatrix._unchecked(U),
+        IntegerMatrix._unchecked(D),
+        IntegerMatrix._unchecked(V),
     )
 
 
 def invariant_factors(D: IntegerMatrix) -> tuple[int, ...]:
     """Nonzero diagonal entries of a Smith form, in chain order."""
     return tuple(d for d in D.diagonal() if d != 0)
+
+
+def _back_substitute(
+    U: IntegerMatrix, D: IntegerMatrix, V: IntegerMatrix, b: list[int], integral: bool
+) -> tuple[list[tuple[int, int, int]], list[int] | None, int]:
+    """Solve ``A x = b`` from ``U A V = D`` in integers: ``(residue, num, L)``.
+
+    With ``y = U b``, the residue lists ``(i, y_i, d_i)`` in index order
+    for each ``y_i != 0`` beyond the rank (``d_i = 0``) and, when
+    ``integral``, each ``y_i`` not divisible by its pivot ``d_i``.  When
+    the residue is empty, ``x = num / L`` solves the system, where ``L``
+    is the lcm of the pivots used and ``num = V z`` with
+    ``z_i = y_i * (L // d_i)``; no ``Fraction`` is formed.  If
+    ``integral``, every entry of ``num`` is divisible by ``L``.  When
+    the residue is not empty, ``num`` is ``None`` and ``L`` is 1.
+    """
+    y = U.matvec(b)
+    diag = D.diagonal()
+    residue = []
+    pivots = []
+    for i, yi in enumerate(y):
+        d = diag[i] if i < len(diag) else 0
+        if d == 0:
+            if yi != 0:
+                residue.append((i, yi, 0))
+        elif integral and yi % d != 0:
+            residue.append((i, yi, d))
+        else:
+            pivots.append((i, yi, d))
+    if residue:
+        return residue, None, 1
+    L = lcm(1, *(d for _, _, d in pivots))
+    z = [0] * V.rows
+    for i, yi, d in pivots:
+        z[i] = yi * (L // d)
+    return residue, [sum(map(mul, row, z)) for row in V.entries], L
 
 
 def solve_integer_system(
@@ -266,22 +314,7 @@ def solve_integer_system(
     if len(b) != A.rows:
         raise ValueError("right-hand side has the wrong length")
     U, D, V = smith_normal_form(A)
-    y = U.matvec([int(v) for v in b])
-    diag = D.diagonal()
-    residue = []
-    z = [0] * D.cols
-    for i in range(len(y)):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if y[i] != 0:
-                residue.append((i, y[i], 0))
-        elif y[i] % d != 0:
-            residue.append((i, y[i], d))
-        elif i < D.cols:
-            z[i] = y[i] // d
+    residue, num, L = _back_substitute(U, D, V, [int(v) for v in b], integral=True)
     if residue:
         return False, tuple(residue)
-    x = [
-        sum(V.entries[i][j] * z[j] for j in range(D.cols)) for i in range(V.rows)
-    ]
-    return True, x
+    return True, [v // L for v in num]

@@ -51,6 +51,20 @@ def random_element(
     return ring.element(terms)
 
 
+def assert_canonical(el: RingElement) -> None:
+    """Reduced monomials; nonzero coefficients in canonical form."""
+    ring = el.ring
+    for exps, c in el.terms.items():
+        assert all(0 <= e < g.truncation for e, g in zip(exps, ring.generators))
+        assert c != 0
+        if ring.coefficients.kind == "Q":
+            assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+        else:
+            assert type(c) is int
+        if ring.coefficients.kind == "mod":
+            assert 0 <= c < ring.coefficients.modulus
+
+
 def random_matrix(
     rng: random.Random, max_dim: int = 6, lo: int = -9, hi: int = 9
 ) -> IntegerMatrix:

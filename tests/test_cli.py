@@ -122,6 +122,18 @@ class TestVerify:
         doc = json.loads(target.read_text())
         assert doc["status"] == "pass"
 
+    @pytest.mark.parametrize("where", ["missing-dir", "is-a-dir"])
+    def test_unwritable_out_exit_2_one_line(self, capsys, tmp_path, where):
+        target = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+        code, out, err = run_cli(
+            ["verify", "thm-1-2", "--n-max", "3", "--out", str(target)], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("cannot write manifest: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_manifest_matches_schema(self, capsys):
         jsonschema = pytest.importorskip("jsonschema")
         schema = json.loads((SCHEMA_DIR / "manifest.schema.json").read_text())
@@ -406,3 +418,37 @@ def test_python_dash_m_runs_the_cli():
     doc = json.loads(proc.stdout)
     assert doc["status"] == "pass"
     assert doc["reports"][0]["check"] == "first-chern-nonvanishing"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--ring", "cp:2", "2^14000*t"],
+        ["verify", "thm-1-2", "--n-max", "3", "--format", "json", "--no-timestamp"],
+    ],
+    ids=["eval", "verify"],
+)
+def test_closed_stdout_exits_1_without_traceback(argv):
+    import subprocess
+    import sys
+
+    import crchern
+
+    src = str(Path(crchern.__file__).resolve().parent.parent)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child starts: every write fails
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "crchern", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    assert proc.stderr == ""

@@ -8,12 +8,14 @@ from crchern.cohomology import (
     EULER_SIGN_CONVENTION,
     INTEGERS,
     RATIONALS,
+    IntegerMatrix,
     RingError,
     cokernel,
     cup_matrix,
     image_membership,
     integers_mod,
     make_ring,
+    smith_normal_form,
 )
 
 
@@ -99,6 +101,7 @@ def test_cup_matrix_matches_column_products(domain, coeffs):
         rows, cols, entries, scale = _cup_by_products(ring, e, k)
         assert cm.basis_rows == tuple(rows) and cm.basis_cols == tuple(cols)
         assert cm.matrix.to_lists() == entries
+        assert all(type(x) is int for row in cm.matrix.entries for x in row)
         assert (cm.matrix.rows, cm.matrix.cols) == (len(rows), len(cols))
         assert cm.denominator_scale == scale
 
@@ -320,3 +323,97 @@ def _rational_solvable(ring, e, beta):
                 aug[r] = [x - factor * y for x, y in zip(aug[r], aug[pivot_row])]
         pivot_row += 1
     return all(row[-1] == 0 for row in aug[pivot_row:])
+
+
+def _fraction_back_substitution(ring, e, beta):
+    """Residue and preimage by the ``Fraction`` back-substitution, written out.
+
+    ``z_i = Fraction(y_i, d_i)`` for ``y = U b``, then ``x = V z``; over Z
+    and Z/m a ``y_i`` not divisible by ``d_i`` is a residue, over Q only a
+    nonzero ``y_i`` beyond the rank is.
+    """
+    k = beta.homogeneous_degree()
+    cup = cup_matrix(ring, e, k)
+    b = [beta.coefficient(m) for m in cup.basis_rows]
+    kind = ring.coefficients.kind
+    A = cup.matrix
+    if kind == "mod":
+        m = ring.coefficients.modulus
+        A = IntegerMatrix.from_rows(
+            [
+                list(row) + [m if j == i else 0 for j in range(A.rows)]
+                for i, row in enumerate(A.entries)
+            ]
+        )
+    b_scale = lcm(1, *(Fraction(x).denominator for x in b))
+    U, D, V = smith_normal_form(A)
+    y = U.matvec([int(x * b_scale) for x in b])
+    diag = D.diagonal()
+    residue, z = [], [Fraction(0)] * D.cols
+    for i, yi in enumerate(y):
+        d = diag[i] if i < len(diag) else 0
+        if d == 0:
+            if yi:
+                residue.append((i, yi, 0))
+        elif kind != "Q" and yi % d:
+            residue.append((i, yi, d))
+        else:
+            z[i] = Fraction(yi, d)
+    if residue:
+        return tuple(residue), None
+    x = [sum(V[i, j] * z[j] for j in range(D.cols)) for i in range(V.rows)]
+    if kind == "mod":
+        coeffs = [int(xi) % ring.coefficients.modulus for xi in x]
+    else:
+        coeffs = [xi * Fraction(cup.denominator_scale, b_scale) for xi in x]
+    preimage = ring.element(
+        {mono: c for mono, c in zip(cup.basis_cols, coeffs) if c}
+    )
+    return (), preimage
+
+
+@pytest.mark.parametrize(
+    "domain", [INTEGERS, RATIONALS, integers_mod(6)], ids=["Z", "Q", "Z/6"]
+)
+def test_membership_matches_fraction_back_substitution(domain):
+    rng = random.Random(17)
+    ring = make_ring([("t", 2, 4), ("h", 2, 3), ("s", 2, 2)], domain)
+    gens = [ring.gen(n) for n in ("t", "h", "s")]
+
+    def coefficient():
+        if domain.kind == "Q" and rng.random() < 0.5:
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        return rng.choice([-6, -4, -3, -2, 2, 3, 4, 6, 0, 1, -1])
+
+    seen = {"member": 0, "nonmember": 0, "non_unit": 0, "scaled": 0}
+    for _ in range(120):
+        e = sum((coefficient() * g for g in gens), ring.zero())
+        k = rng.choice([4, 6])
+        basis = ring.degree_basis(k)
+        if rng.random() < 0.5:
+            below = ring.element(
+                {m: coefficient() for m in ring.degree_basis(k - 2)}
+            )
+            beta = e * below
+        else:
+            beta = ring.element({m: coefficient() for m in basis})
+        if beta.is_zero():
+            continue
+        cert = image_membership(ring, e, beta)
+        residue, preimage = _fraction_back_substitution(ring, e, beta)
+        assert cert.residue == residue
+        assert cert.member == (preimage is not None)
+        if cert.member:
+            assert cert.preimage == preimage
+            assert str(cert.preimage) == str(preimage)
+            assert e * cert.preimage == beta
+            seen["member"] += 1
+        else:
+            seen["nonmember"] += 1
+        seen["non_unit"] += any(d > 1 for d in cert.invariant_factors)
+        seen["scaled"] += cert.denominator_scale > 1
+    assert seen["member"] > 10 and seen["nonmember"] > 10
+    assert seen["non_unit"] > 10
+    if domain.kind == "Q":
+        assert seen["scaled"] > 10
+

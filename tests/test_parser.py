@@ -1,8 +1,15 @@
+import contextlib
+import io
+import json
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import assert_canonical
+from crchern.cli import _load_ring_spec, main
 from crchern.cohomology import (
     INTEGERS,
     RATIONALS,
@@ -145,3 +152,72 @@ def test_integer_literal_past_digit_limit_is_a_parse_error(qring):
     for text in (digits, f"t^{digits}", f"1/{digits}"):
         with pytest.raises(ParseError, match="integer literal longer"):
             parse_element(text, qring)
+
+
+def _json_ring(coefficients):
+    return json.dumps(
+        {
+            "coefficients": coefficients,
+            "generators": [
+                {"name": "t", "degree": 2, "truncation": 3},
+                {"name": "h", "degree": 4, "truncation": 2},
+            ],
+        }
+    )
+
+
+_FUZZ_RINGS = ("cp:2", "fpp*cp:2", _json_ring("Z"), _json_ring({"mod": 6}))
+
+
+def _expressions():
+    leaf = st.one_of(
+        st.integers(0, 10**4).map(str),
+        st.tuples(st.integers(0, 50), st.integers(0, 9)).map("{0[0]}/{0[1]}".format),
+        st.sampled_from(["t", "h", "x"]),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(children, st.sampled_from("+-*"), children).map(" ".join),
+            st.tuples(children, st.integers(0, 5)).map("({0[0]})^{0[1]}".format),
+            children.map("({})".format),
+            children.map("-{}".format),
+        )
+
+    return st.recursive(leaf, extend, max_leaves=8)
+
+
+_MALFORMED = st.one_of(
+    st.none(),
+    st.tuples(
+        st.sampled_from(["(", ")", "^", "*", "/", "2t", "$", "^-1", "1/0", "t t"]),
+        st.integers(0, 60),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(_FUZZ_RINGS), _expressions(), _MALFORMED)
+def test_eval_fuzz(ring_spec, text, malformed):
+    """Random input in and around the grammar: exit 0 with a canonical
+    result that parses back to itself, or exit 2 with one stderr line."""
+    if malformed is not None:
+        token, at = malformed
+        at %= len(text) + 1
+        text = text[:at] + token + text[at:]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["eval", "--ring", ring_spec, "--", text])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        assert err.count("\n") == 1 and err.endswith("\n")
+        return
+    assert err == ""
+    ring = _load_ring_spec(ring_spec)
+    value = parse_element(text, ring)
+    assert_canonical(value)
+    assert out.splitlines()[0] == str(value)
+    assert parse_element(str(value), ring) == value

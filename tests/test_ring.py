@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_element, random_ring
+from conftest import assert_canonical, random_element, random_ring
 from crchern.cohomology import (
     INTEGERS,
     RATIONALS,
@@ -137,20 +137,6 @@ class TestArithmetic:
             el.terms = {}
 
 
-def _assert_canonical(el):
-    """Reduced monomials; nonzero coefficients in canonical form."""
-    ring = el.ring
-    for exps, c in el.terms.items():
-        assert all(0 <= e < g.truncation for e, g in zip(exps, ring.generators))
-        assert c != 0
-        if ring.coefficients.kind == "Q":
-            assert type(c) is Fraction
-        else:
-            assert type(c) is int
-        if ring.coefficients.kind == "mod":
-            assert 0 <= c < ring.coefficients.modulus
-
-
 class TestCanonicalResults:
     def test_random_arithmetic_results_are_canonical(self):
         rng = random.Random(11)
@@ -159,14 +145,51 @@ class TestCanonicalResults:
             x, y = random_element(rng, ring), random_element(rng, ring)
             scalar = rng.randint(-9, 9)
             for result in (x + y, x - y, -x, x * y, x * scalar, scalar * x, x + scalar):
-                _assert_canonical(result)
+                assert_canonical(result)
             if ring.coefficients.kind == "Q":
-                _assert_canonical(x * Fraction(2, 3))
+                assert_canonical(x * Fraction(2, 3))
 
-    def test_integer_scalars_become_fractions_over_q(self):
-        t = two_var_ring().gen("t")
+    def test_integral_results_are_ints_over_q(self):
+        ring = two_var_ring()
+        t, h = ring.gen("t"), ring.gen("h")
+        x = Fraction(1, 3) * t + Fraction(5, 2) * h - Fraction(7, 4)
         for result in (t * 3, 3 * t, t + 1, -t, t - t * 2):
-            _assert_canonical(result)
+            assert_canonical(result)
+            assert all(type(c) is int for c in result.terms.values())
+        # Fraction arithmetic that lands on an integer gives an int back.
+        back = Fraction(1, 2) * t * 2
+        assert dict(back.terms) == {(1, 0): 1}
+        assert type(back.coefficient((1, 0))) is int
+        shifted = x + (-x + 3)
+        assert dict(shifted.terms) == {(0, 0): 3}
+        assert type(shifted.constant_term()) is int
+        assert type(ring.element({(1, 1): Fraction(6, 3)}).coefficient((1, 1))) is int
+        for result in (x, x * x, back, shifted, x * Fraction(4, 1)):
+            assert_canonical(result)
+        mixed = x * 4
+        assert {type(c) for c in mixed.terms.values()} == {int, Fraction}
+
+    def test_coerce_over_q(self):
+        for value, expected in ((Fraction(6, 3), 2), (7, 7), (Fraction(-4, 2), -2)):
+            c = RATIONALS.coerce(value)
+            assert c == expected and type(c) is int
+        half = RATIONALS.coerce(Fraction(3, 6))
+        assert half == Fraction(1, 2) and type(half) is Fraction
+        for bad in (True, 1.0, "1"):
+            with pytest.raises(RingError):
+                RATIONALS.coerce(bad)
+
+    def test_evaluate_at_rational_points_gives_int_when_integral(self):
+        ring = two_var_ring()
+        t, h = ring.gen("t"), ring.gen("h")
+        el = 4 * t * t - Fraction(1, 2) * h + 1
+        value = el.evaluate({"t": Fraction(1, 2), "h": Fraction(2, 3)})
+        assert value == Fraction(5, 3) and type(value) is Fraction
+        value = el.evaluate({"t": Fraction(3, 2), "h": Fraction(4, 1)})
+        assert value == 8 and type(value) is int
+        value = (Fraction(2, 3) * t).evaluate({"t": Fraction(3, 2), "h": 0})
+        assert value == 1 and type(value) is int
+        assert type(ring.zero().evaluate({"t": Fraction(1, 3), "h": 1})) is int
 
     @pytest.mark.parametrize("domain", [INTEGERS, RATIONALS, integers_mod(6)])
     def test_products_that_cancel_have_no_terms(self, domain):

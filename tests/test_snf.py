@@ -1,4 +1,7 @@
 import random
+from fractions import Fraction
+
+import pytest
 
 from conftest import brute_force_image_member, random_matrix
 from crchern.cohomology import (
@@ -136,3 +139,63 @@ class TestIntegerSolve:
                 assert A.matvec(payload) == b
             else:
                 assert not found
+
+
+def test_solve_integer_system_matches_fraction_back_substitution():
+    rng = random.Random(29)
+    solved = unsolved = 0
+    for _ in range(200):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        A = IntegerMatrix.from_rows(
+            [[rng.choice([0, 2, -2, 3, 4, 6, -6]) for _ in range(n)] for _ in range(m)]
+        )
+        if rng.random() < 0.5:
+            b = A.matvec([rng.randint(-4, 4) for _ in range(n)])
+        else:
+            b = [rng.randint(-12, 12) for _ in range(m)]
+        U, D, V = smith_normal_form(A)
+        y = U.matvec(b)
+        diag = D.diagonal()
+        residue, z = [], [Fraction(0)] * n
+        for i, yi in enumerate(y):
+            d = diag[i] if i < len(diag) else 0
+            if d == 0:
+                if yi:
+                    residue.append((i, yi, 0))
+            elif yi % d:
+                residue.append((i, yi, d))
+            else:
+                z[i] = Fraction(yi, d)
+        ok, out = solve_integer_system(A, b)
+        if residue:
+            assert not ok and out == tuple(residue)
+            unsolved += 1
+        else:
+            x = [sum(V[i, j] * z[j] for j in range(n)) for i in range(n)]
+            assert ok and out == x and A.matvec(out) == b
+            assert all(type(v) is int for v in out)
+            solved += 1
+    assert solved > 40 and unsolved > 40
+
+
+def test_smith_forms_are_plain_integer_matrices():
+    rng = random.Random(31)
+    for _ in range(60):
+        A = random_matrix(rng)
+        U, D, V = smith_normal_form(A)
+        assert U.matmul(A).matmul(V) == D
+        for M in (U, D, V):
+            same = IntegerMatrix.from_rows(M.to_lists())
+            assert M == same and hash(M) == hash(same)
+            assert (M.rows, M.cols) == (same.rows, same.cols)
+            assert type(M.entries) is tuple
+            assert all(type(row) is tuple for row in M.entries)
+            assert all(type(x) is int for row in M.entries for x in row)
+
+
+@pytest.mark.parametrize("bad", [1.0, True, Fraction(1), "1"])
+def test_caller_entries_are_still_checked(bad):
+    with pytest.raises(ValueError):
+        IntegerMatrix(1, 1, ((bad,),))
+    with pytest.raises(ValueError):
+        IntegerMatrix(2, 1, ((1,), (bad,)))
