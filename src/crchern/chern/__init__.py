@@ -21,7 +21,6 @@ from .checks import (
 from .report import CheckReport
 from .spherical import (
     CircleBundleSetup,
-    pullback_nonzero,
     spherical_ratio,
     spherical_residual,
     verify_spherical_on_circle_bundle,
@@ -44,7 +43,6 @@ __all__ = [
     "fpp_times_cpn_setup",
     "genus2_times_cpn_setup",
     "nilsquare_ring",
-    "pullback_nonzero",
     "ring_matrix_determinant",
     "spherical_ratio",
     "spherical_residual",

@@ -5,15 +5,8 @@ and each ``check_*`` function verifies the corresponding statement with
 exact arithmetic, returning a :class:`CheckReport` whose witnesses make
 the outcome auditable.
 
-CLI target labels map to these functions as follows::
-
-    thm-1-1        check_thm_1_1          nonvanishing first Chern class
-    thm-1-2        spherical families     constraint mod the Gysin image
-    thm-1-2-formal tractor determinant    see crchern.chern.tractor
-    prop-1-3       check_prop_1_3         integral counterexample mod d
-    prop-4-1       check_prop_4_1         nonvanishing c_1^2 via membership
-    prop-1-4       check_prop_1_4         fillable contact structure with
-                                          c_2 = c_1^2 / 2 off the constraint
+Which CLI target runs which check, with which parameters, is the table
+``TARGETS`` in :mod:`crchern.cli`.
 """
 
 from __future__ import annotations

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -55,23 +54,3 @@ class CheckReport:
             "witnesses": self.witnesses,
             "residuals": self.residuals,
         }
-
-    def to_markdown(self) -> str:
-        lines = [f"### `{self.check}` -- **{self.status.upper()}**", ""]
-        if self.params:
-            lines.append(
-                "parameters: "
-                + ", ".join(f"`{k}={v}`" for k, v in sorted(self.params.items()))
-            )
-            lines.append("")
-        lines.append("| assertion | ok |")
-        lines.append("|---|---|")
-        for name, ok in self.assertions:
-            lines.append(f"| {name} | {'yes' if ok else 'NO'} |")
-        if self.residuals:
-            lines.append("")
-            lines.append("residuals: " + json.dumps(self.residuals, default=str))
-        if self.witnesses:
-            lines.append("")
-            lines.append("witnesses: " + json.dumps(self.witnesses, default=str))
-        return "\n".join(lines)

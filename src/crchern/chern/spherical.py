@@ -51,15 +51,6 @@ class CircleBundleSetup:
             raise RingError("base tangent classes do not live in the base ring")
 
 
-def pullback_nonzero(setup: CircleBundleSetup, beta: RingElement) -> bool:
-    """True iff the pullback of ``beta`` to the total space is nonzero.
-
-    By exactness this is the statement that ``beta`` is not in the
-    image of cup product with the Euler class in its degree.
-    """
-    return not image_membership(setup.base, setup.euler, beta).member
-
-
 def spherical_ratio(n: int, k: int) -> Fraction:
     """The constraint coefficient binom(n+2, k) / (n+2)^k."""
     return Fraction(comb(n + 2, k), (n + 2) ** k)

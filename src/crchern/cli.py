@@ -1,9 +1,16 @@
 """Command-line interface: named verification targets and a ring calculator.
 
+Every ``verify`` target is one entry of :data:`TARGETS`: the flags it
+takes, each with its default and inclusive range, a runner, and the
+target's share of ``verify all``.  ``bochner`` runs the
+``bochner-products`` entry.
+
 Exit codes: 0 all checks passed; 1 a check or tolerance failed, or
 standard output was closed before all output was written; 2 usage
-errors, unknown targets, invalid parameters, schema violations, parse
-errors, and a manifest that cannot be written to ``--out``.
+errors, unknown targets, a flag the target does not take, a value
+outside its range, schema violations, parse errors, and a manifest that
+cannot be written to ``--out``.  Parameters are checked against the
+table, and ``--out`` is opened, before any check runs.
 
 Every run is deterministic given flags and seed (``--seed``, or the
 ``CRCHERN_SEED`` environment variable, default 0); pass
@@ -17,9 +24,12 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .chern.checks import (
@@ -39,18 +49,6 @@ from .cohomology.ring import RingError, RingPresentation
 from .kahler.scenario import ScenarioError, parse_scenario, run_batch
 from .presets import PresetError, preset_ring
 
-KNOWN_TARGETS = (
-    "thm-1-1",
-    "thm-1-2",
-    "thm-1-2-formal",
-    "tractor",
-    "prop-1-3",
-    "prop-4-1",
-    "prop-1-4",
-    "bochner-products",
-    "all",
-)
-
 DEFAULT_SEED = 0
 CONTROL_FLOOR = 1e-2
 BOCHNER_PAIRS = (
@@ -65,22 +63,55 @@ class ParameterError(ValueError):
     """Invalid target parameters (exit code 2)."""
 
 
-def _primes_through(limit: int) -> list[int]:
-    out = []
-    for p in range(2, limit + 1):
-        if all(p % q for q in out):
-            out.append(p)
-    return out
+def _refuse(message: str) -> int:
+    """Report a refused invocation on one stderr line; the exit code is 2."""
+    print(message, file=sys.stderr)
+    return 2
 
 
-# -- target runners ----------------------------------------------------------
+def _tolerance(text: str) -> float:
+    """``--tol`` values: finite and positive, or a usage error (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
 
 
-def _run_thm_1_1(args) -> list[CheckReport]:
-    n = args.n if args.n is not None else 2
-    if n < 2:
-        raise ParameterError("thm-1-1 requires --n >= 2")
-    return [check_thm_1_1(n)]
+# -- the target table --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Flag:
+    """A ``verify`` flag as one target takes it.
+
+    ``default`` is used when the flag is not given (``None``: unset);
+    ``low``/``high`` bound the value inclusively (``None``: no bound);
+    ``parse`` is the argparse type.
+    """
+
+    default: int | None = None
+    low: int | None = None
+    high: int | None = None
+    parse: Callable[[str], object] = int
+
+
+@dataclass(frozen=True)
+class Target:
+    """One ``verify`` target.
+
+    ``run`` maps the target's parameters (every flag of ``flags`` plus
+    ``seed``) to its reports; ``share`` maps the parameters of ``all``
+    to the reports this target adds to ``verify all``.  Both call the
+    checks through this module's global names at call time, so that
+    code which rebinds those names (tracing, tests) sees every call.
+    """
+
+    flags: dict[str, Flag]
+    run: Callable[[dict], list[CheckReport]]
+    share: Callable[[dict], list[CheckReport]] | None = None
 
 
 def _spherical_families(n_max: int) -> list[CheckReport]:
@@ -99,118 +130,99 @@ def _spherical_families(n_max: int) -> list[CheckReport]:
 
 
 def _relabel(report: CheckReport, **extra) -> CheckReport:
-    params = dict(report.params)
-    params.update(extra)
-    return CheckReport(
-        check=report.check,
-        params=params,
-        status=report.status,
-        assertions=report.assertions,
-        witnesses=report.witnesses,
-        residuals=report.residuals,
+    return replace(report, params={**report.params, **extra})
+
+
+def _tractor(p: dict) -> list[CheckReport]:
+    # ``--n``: that n only; unset by default and absent from ``all``'s parameters
+    ns = range(1, p["n_max"] + 1) if p.get("n") is None else [p["n"]]
+    return [tractor_determinant_check(n, seed=p["seed"]) for n in ns]
+
+
+def _bochner(p: dict) -> list[CheckReport]:
+    batch = {"samples": p["samples"], "seed": p["seed"]}
+    tolerances = {"s_max": p["tol"]} if p["tol"] is not None else None
+    flat = [run_batch(list(pair), tolerances=tolerances, **batch) for pair in BOCHNER_PAIRS]
+    control = run_batch(
+        list(BOCHNER_CONTROL), expect_flat=False, control_floor=CONTROL_FLOOR, **batch
     )
+    return [*flat, control]
 
 
-def _run_thm_1_2(args) -> list[CheckReport]:
-    n_max = args.n_max if args.n_max is not None else 6
-    if args.n is not None:
-        n_max = args.n
-    if n_max < 2:
-        raise ParameterError("thm-1-2 requires --n-max >= 2")
-    return _spherical_families(n_max)
+_SAMPLES = Flag(10, 1)
+_TOL = Flag(parse=_tolerance)  # unset: the batch's default s_max
 
-
-def _run_tractor(args) -> list[CheckReport]:
-    seed = args.seed
-    if args.n is not None:
-        if args.n < 1:
-            raise ParameterError("tractor requires --n >= 1")
-        return [tractor_determinant_check(args.n, seed=seed)]
-    n_max = args.n_max if args.n_max is not None else 6
-    if n_max < 1:
-        raise ParameterError("tractor requires --n-max >= 1")
-    return [tractor_determinant_check(n, seed=seed) for n in range(1, n_max + 1)]
-
-
-def _run_prop_1_3(args) -> list[CheckReport]:
-    n = args.n if args.n is not None else 2
-    d = args.d if args.d is not None else 5
-    if n < 2 or d < 1:
-        raise ParameterError("prop-1-3 requires --n >= 2 and --d >= 1")
-    return [check_prop_1_3(n, d)]
-
-
-def _run_prop_4_1(args) -> list[CheckReport]:
-    n = args.n if args.n is not None else 4
-    if n < 4:
-        raise ParameterError("prop-4-1 requires --n >= 4")
-    return [check_prop_4_1(n)]
-
-
-def _run_prop_1_4(args) -> list[CheckReport]:
-    m = args.m if args.m is not None else 2
-    if m < 2:
-        raise ParameterError("prop-1-4 requires --m >= 2")
-    return [check_prop_1_4(m, even_case=False), check_prop_1_4(m, even_case=True)]
-
-
-def _run_bochner(args) -> list[CheckReport]:
-    samples = args.samples if args.samples is not None else 10
-    if samples < 1:
-        raise ParameterError("--samples must be >= 1")
-    tolerances = {"s_max": args.tol} if args.tol is not None else None
-    reports = []
-    for pair in BOCHNER_PAIRS:
-        reports.append(
-            run_batch(list(pair), samples=samples, seed=args.seed, tolerances=tolerances)
-        )
-    reports.append(
-        run_batch(
-            list(BOCHNER_CONTROL),
-            samples=samples,
-            seed=args.seed,
-            expect_flat=False,
-            control_floor=CONTROL_FLOOR,
-        )
-    )
-    return reports
-
-
-def _run_all(args) -> list[CheckReport]:
-    n_max = args.n_max if args.n_max is not None else 6
-    if n_max < 2:
-        raise ParameterError("all requires --n-max >= 2")
-    reports = []
-    for n in range(2, n_max + 1):
-        reports.append(check_thm_1_1(n))
-    reports.extend(_spherical_families(n_max))
-    for n in range(1, n_max + 1):
-        reports.append(tractor_determinant_check(n, seed=args.seed))
-    for n in range(2, 5):
-        for d in _primes_through(13):
-            if d > n + 1:
-                reports.append(check_prop_1_3(n, d))
-    for n in range(4, min(6, n_max) + 1):
-        reports.append(check_prop_4_1(n))
-    for m in (2, 3, 4):
-        reports.append(check_prop_1_4(m, even_case=False))
-    for m in (2, 3):
-        reports.append(check_prop_1_4(m, even_case=True))
-    reports.extend(_run_bochner(args))
-    return reports
-
-
-_TARGET_RUNNERS = {
-    "thm-1-1": _run_thm_1_1,
-    "thm-1-2": _run_thm_1_2,
-    "thm-1-2-formal": _run_tractor,
-    "tractor": _run_tractor,
-    "prop-1-3": _run_prop_1_3,
-    "prop-4-1": _run_prop_4_1,
-    "prop-1-4": _run_prop_1_4,
-    "bochner-products": _run_bochner,
-    "all": _run_all,
+TARGETS = {
+    "thm-1-1": Target(
+        {"n": Flag(2, 2)},
+        run=lambda p: [check_thm_1_1(p["n"])],
+        share=lambda p: [check_thm_1_1(n) for n in range(2, p["n_max"] + 1)],
+    ),
+    "thm-1-2": Target(
+        {"n": Flag(None, 2), "n_max": Flag(6, 2)},  # --n is an alias of --n-max
+        run=lambda p: _spherical_families(p["n_max"] if p["n"] is None else p["n"]),
+        share=lambda p: _spherical_families(p["n_max"]),
+    ),
+    "tractor": Target({"n": Flag(None, 1), "n_max": Flag(6, 1)}, _tractor, _tractor),
+    "prop-1-3": Target(
+        {"n": Flag(2, 2), "d": Flag(5, 1)},
+        run=lambda p: [check_prop_1_3(p["n"], p["d"])],
+        share=lambda p: [
+            check_prop_1_3(n, d)
+            for n in range(2, 5)
+            for d in (2, 3, 5, 7, 11, 13)
+            if d > n + 1
+        ],
+    ),
+    "prop-4-1": Target(
+        {"n": Flag(4, 4)},
+        run=lambda p: [check_prop_4_1(p["n"])],
+        share=lambda p: [check_prop_4_1(n) for n in range(4, min(6, p["n_max"]) + 1)],
+    ),
+    "prop-1-4": Target(
+        {"m": Flag(2, 2, 12)},  # the nilsquare product has 2^m terms
+        run=lambda p: [
+            check_prop_1_4(p["m"], even_case=False),
+            check_prop_1_4(p["m"], even_case=True),
+        ],
+        share=lambda p: [check_prop_1_4(m, even_case=False) for m in (2, 3, 4)]
+        + [check_prop_1_4(m, even_case=True) for m in (2, 3)],
+    ),
+    "bochner-products": Target({"samples": _SAMPLES, "tol": _TOL}, _bochner, _bochner),
+    "all": Target(
+        {"n_max": Flag(6, 2), "samples": _SAMPLES, "tol": _TOL},
+        run=lambda p: [r for t in TARGETS.values() if t.share for r in t.share(p)],
+    ),
 }
+ALIASES = {"thm-1-2-formal": "tractor"}
+KNOWN_TARGETS = (*TARGETS, *ALIASES)
+FLAGS = {name: flag for t in TARGETS.values() for name, flag in t.flags.items()}
+
+
+def _option(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _params(label: str, target: Target, args) -> dict:
+    """The target's parameters from ``args``, defaults filled in.
+
+    A flag the target does not take, or a value outside a flag's range,
+    raises :class:`ParameterError`; nothing has run yet.
+    """
+    given = [name for name in FLAGS if getattr(args, name, None) is not None]
+    foreign = [_option(name) for name in given if name not in target.flags]
+    if foreign:
+        raise ParameterError(f"{label} does not take {', '.join(foreign)}")
+    params = {"seed": args.seed}
+    for name, flag in target.flags.items():
+        value = getattr(args, name, None)
+        if value is None:
+            value = flag.default
+        elif flag.low is not None and not flag.low <= value <= (flag.high or math.inf):
+            bound = f">= {flag.low}" if flag.high is None else f"in {flag.low}..{flag.high}"
+            raise ParameterError(f"{label} requires {_option(name)} {bound}")
+        params[name] = value
+    return params
 
 
 # -- manifests ---------------------------------------------------------------
@@ -276,20 +288,34 @@ def _report_markdown(rep: dict) -> str:
     return "\n".join(out)
 
 
-def _emit(manifest: dict, fmt: str, out_path: str | None) -> int:
-    """Write the manifest; return the exit code (2 if ``--out`` fails)."""
-    if fmt == "json":
-        text = json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n"
-    else:
-        text = manifest_to_markdown(manifest) + "\n"
-    if out_path:
-        try:
-            Path(out_path).write_text(text)
-        except OSError as exc:
-            print(f"cannot write manifest: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
+def _emit(
+    args, argv: list[str], seed: int, compute: Callable[[], list[CheckReport]]
+) -> int:
+    """Write the manifest of ``compute()``; return the exit code.
+
+    ``--out`` is opened before ``compute`` runs and the manifest is
+    written through that handle, so an unwritable path exits 2 before
+    any work.  It is truncated only once the manifest exists, so a run
+    that raises or is interrupted leaves an earlier file as it was.
+    """
+    try:
+        sink = open(args.out, "a") if args.out else nullcontext(sys.stdout)
+    except OSError as exc:
+        return _refuse(f"cannot write manifest: {exc}")
+    try:
+        with sink as stream:
+            manifest = build_manifest(argv, compute(), seed, not args.no_timestamp)
+            if args.out and stream.seekable() and stream.tell():
+                stream.truncate(0)  # an earlier file: replaced only now
+            if args.format == "json":
+                stream.write(json.dumps(manifest, indent=2, sort_keys=True, default=str))
+            else:
+                stream.write(manifest_to_markdown(manifest))
+            stream.write("\n")
+    except BrokenPipeError:
+        raise  # standard output closed by its reader: ``main`` exits 1
+    except OSError as exc:
+        return _refuse(f"cannot write manifest: {exc}")
     return 0 if manifest["status"] == "pass" else 1
 
 
@@ -297,29 +323,16 @@ def _emit(manifest: dict, fmt: str, out_path: str | None) -> int:
 
 
 def _cmd_verify(args, argv: list[str]) -> int:
-    if args.target not in KNOWN_TARGETS:
-        print(
-            f"unknown target {args.target!r}; known: {', '.join(KNOWN_TARGETS)}",
-            file=sys.stderr,
-        )
-        return 2
+    name = ALIASES.get(args.target, args.target)
+    if name not in TARGETS:
+        known = ", ".join(KNOWN_TARGETS)
+        return _refuse(f"unknown target {args.target!r}; known: {known}")
+    target = TARGETS[name]
     try:
-        reports = _TARGET_RUNNERS[args.target](args)
-    except (ParameterError, RingError) as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
-        return 2
-    manifest = build_manifest(argv, reports, args.seed, not args.no_timestamp)
-    return _emit(manifest, args.format, args.out)
-
-
-def _cmd_bochner(args, argv: list[str]) -> int:
-    try:
-        reports = _run_bochner(args)
+        params = _params(args.target, target, args)
     except ParameterError as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
-        return 2
-    manifest = build_manifest(argv, reports, args.seed, not args.no_timestamp)
-    return _emit(manifest, args.format, args.out)
+        return _refuse(f"invalid parameters: {exc}")
+    return _emit(args, argv, args.seed, lambda: target.run(params))
 
 
 def _load_ring_spec(spec: str) -> RingPresentation:
@@ -336,20 +349,17 @@ def _cmd_eval(args, argv: list[str]) -> int:
     try:
         ring = _load_ring_spec(args.ring)
     except (PresetError, RingError, json.JSONDecodeError, OSError) as exc:
-        print(f"bad ring spec: {exc}", file=sys.stderr)
-        return 2
+        return _refuse(f"bad ring spec: {exc}")
     try:
         value = parse_element(args.expr, ring)
     except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+        return _refuse(f"parse error: {exc}")
     try:
         lines = [str(value)] + [
             f"degree {k}: {value.homogeneous_part(k)}" for k in value.degrees()
         ]
     except ValueError as exc:  # a coefficient past int-to-str's digit limit
-        print(f"result too large to print: {exc}", file=sys.stderr)
-        return 2
+        return _refuse(f"result too large to print: {exc}")
     print("\n".join(lines))
     return 0
 
@@ -358,18 +368,19 @@ def _cmd_scenario(args, argv: list[str]) -> int:
     try:
         doc = json.loads(Path(args.path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read scenario: {exc}", file=sys.stderr)
-        return 2
+        return _refuse(f"cannot read scenario: {exc}")
     try:
         factors, samples, seed, tolerances = parse_scenario(doc)
     except ScenarioError as exc:
-        print(f"scenario schema violation: {exc}", file=sys.stderr)
-        return 2
+        return _refuse(f"scenario schema violation: {exc}")
     if args.seed_flag is not None:
         seed = args.seed_flag
-    report = run_batch(factors, samples=samples, seed=seed, tolerances=tolerances)
-    manifest = build_manifest(argv, [report], seed, not args.no_timestamp)
-    return _emit(manifest, args.format, args.out)
+    return _emit(
+        args,
+        argv,
+        seed,
+        lambda: [run_batch(factors, samples=samples, seed=seed, tolerances=tolerances)],
+    )
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -391,17 +402,6 @@ def _seed_default() -> int:
     return DEFAULT_SEED
 
 
-def _tolerance(text: str) -> float:
-    """``--tol`` values: finite and positive, or a usage error (exit 2)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crchern",
@@ -413,21 +413,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a named verification target")
     p_verify.add_argument("target", help=f"one of: {', '.join(KNOWN_TARGETS)}")
-    p_verify.add_argument("--n", type=int, default=None)
-    p_verify.add_argument("--d", type=int, default=None)
-    p_verify.add_argument("--m", type=int, default=None)
-    p_verify.add_argument("--n-max", type=int, default=None, dest="n_max")
-    p_verify.add_argument("--samples", type=int, default=None)
+    for name, flag in FLAGS.items():
+        p_verify.add_argument(_option(name), type=flag.parse, default=None, dest=name)
     p_verify.add_argument("--seed", type=int, default=_seed_default())
-    p_verify.add_argument("--tol", type=_tolerance, default=None)
     _add_output_flags(p_verify)
 
-    p_bochner = sub.add_parser(
-        "bochner", help="curvature checks on the standard factor pairs"
-    )
-    p_bochner.add_argument("--samples", type=int, default=None)
+    p_bochner = sub.add_parser("bochner", help="alias of: verify bochner-products")
+    for name, flag in TARGETS["bochner-products"].flags.items():
+        p_bochner.add_argument(_option(name), type=flag.parse, default=None, dest=name)
     p_bochner.add_argument("--seed", type=int, default=_seed_default())
-    p_bochner.add_argument("--tol", type=_tolerance, default=None)
+    p_bochner.set_defaults(target="bochner-products")
     _add_output_flags(p_bochner)
 
     p_eval = sub.add_parser("eval", help="evaluate an expression in a ring")
@@ -448,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 _COMMANDS = {
     "verify": _cmd_verify,
-    "bochner": _cmd_bochner,
+    "bochner": _cmd_verify,
     "eval": _cmd_eval,
     "scenario": _cmd_scenario,
 }

@@ -352,10 +352,6 @@ class RingElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_homogeneous(self) -> bool:
-        degs = {self.ring.monomial_degree(e) for e in self.terms}
-        return len(degs) <= 1
-
     def homogeneous_degree(self) -> int | None:
         """Degree of a homogeneous element (``None`` for the zero element)."""
         degs = {self.ring.monomial_degree(e) for e in self.terms}

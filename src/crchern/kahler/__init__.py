@@ -14,24 +14,20 @@ from .spaceform import (
     CalibrationError,
     SpaceFormFactor,
     calibrate_space_form,
-    hsc_for_einstein_constant,
 )
 from .tensors import (
     IllConditionedMetric,
     PointTensors,
     chern_divergence_residual,
     chern_tensor_at,
-    christoffels,
     curvature_at,
     first_pair_trace,
     levi_inverse,
     metric_derivatives,
     point_tensors,
-    pseudo_einstein_residual_at,
     schouten_at,
     space_form_curvature_oracle,
     symmetry_residuals,
-    v_tensor_at,
 )
 
 __all__ = [
@@ -48,20 +44,16 @@ __all__ = [
     "calibrate_space_form",
     "chern_divergence_residual",
     "chern_tensor_at",
-    "christoffels",
     "convergence_factor",
     "curvature_at",
     "first_pair_trace",
-    "hsc_for_einstein_constant",
     "levi_inverse",
     "metric_at",
     "metric_derivatives",
     "parse_scenario",
     "point_tensors",
-    "pseudo_einstein_residual_at",
     "run_batch",
     "schouten_at",
     "space_form_curvature_oracle",
     "symmetry_residuals",
-    "v_tensor_at",
 ]

@@ -239,22 +239,3 @@ def calibrate_space_form(
         potential_b=a1,
         calibration_residual=float(residual),
     )
-
-
-def hsc_for_einstein_constant(dim: int, einstein_constant: float) -> float:
-    """Curvature whose space form satisfies Ric = einstein_constant * g.
-
-    The conversion factor is measured on a probe factor rather than
-    hard-coded: Ric(0) is proportional to g(0) with a ratio linear in
-    the curvature, so one probe fixes it.
-    """
-    from .patch import KahlerProductPatch
-    from .tensors import curvature_at
-
-    probe = calibrate_space_form(dim, 1)
-    patch = KahlerProductPatch((probe,))
-    z = np.zeros(dim, dtype=complex)
-    _R, ric, _scal = curvature_at(patch, z)
-    g = probe.metric(z)
-    ratio = float((ric[0, 0] / g[0, 0]).real)  # == (dim + 1) / 2 analytically
-    return einstein_constant / ratio

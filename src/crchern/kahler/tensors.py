@@ -159,14 +159,6 @@ def curvature_at(
     return R, ric, float(scal)
 
 
-def christoffels(g: np.ndarray, D1: np.ndarray) -> np.ndarray:
-    """``Gamma^c_{a b} = l^{c s-} d_a g_{b s-}`` (symmetric in a, b)."""
-    n = g.shape[0]
-    linv = levi_inverse(g)
-    hol, _ = _holomorphic_split(D1, n)
-    return np.einsum("cs,abs->cab", linv, hol)
-
-
 def schouten_at(ric: np.ndarray, scal: float, g: np.ndarray, n: int) -> np.ndarray:
     """``P = (Ric - Scal/(2(n+1)) g) / (n+2)``; its trace is Scal/(2(n+1))."""
     scal = np.asarray(scal)[..., None, None]
@@ -186,21 +178,10 @@ def chern_tensor_at(
     )
 
 
-def pseudo_einstein_residual_at(
-    ric: np.ndarray, scal: float, g: np.ndarray, n: int
-) -> np.ndarray:
-    """``Ric - (Scal/n) g``; zero iff the contact form is pseudo-Einstein."""
-    if n < 2:
-        raise ValueError("the pseudo-Einstein condition is defined for n >= 2")
-    return ric - (scal / n) * g
-
-
 @dataclass(frozen=True)
 class PointTensors:
     """All pointwise tensors at one sample point.
 
-    ``T1``/``V`` are populated only when third-order quantities were
-    requested (they need finite differences of P across the patch).
     ``step`` is the metric difference step they were computed with.
     """
 
@@ -213,52 +194,35 @@ class PointTensors:
     P: np.ndarray
     S: np.ndarray
     gammas: np.ndarray
-    T1: np.ndarray | None = None
-    V: np.ndarray | None = None
 
 
 def point_tensors(
     patch: KahlerProductPatch,
     z: np.ndarray,
     step: float = METRIC_STEP,
-    third_order: bool = False,
-    step3: float = THIRD_ORDER_STEP,
 ) -> PointTensors:
     z = np.asarray(z, dtype=complex)
     if not patch.contains(z):
         raise PatchDomainError(f"sample point outside patch: {z}")
-    n = patch.total_dim
     g, D1, D2 = metric_derivatives(patch, z, step)
     R, ric, scal, P, S, gammas = _curvature(g, D1, D2)
-    T1 = V = None
-    if third_order:
-        dP_hol, _, dScal_hol = _third_order_derivatives(
-            patch, z, step, step3, with_dS=False
-        )
-        T1, V = _assemble_v(dP_hol, dScal_hol, gammas, P, g, n)
-    return PointTensors(z, step, g, R, ric, float(scal), P, S, gammas, T1, V)
+    return PointTensors(z, step, g, R, ric, float(scal), P, S, gammas)
 
 
 def _third_order_derivatives(
-    patch: KahlerProductPatch,
-    z: np.ndarray,
-    step: float,
-    step3: float,
-    with_dS: bool = True,
+    patch: KahlerProductPatch, z: np.ndarray, step: float, step3: float
 ):
     """Holomorphic-direction central differences of P, S, and Scal.
 
     The two centres ``x0 +- step3 e_a`` of each direction go through the
     metric and the curvature assembly as one stack; stacking more than
-    one pair at a time only raises peak memory.  Without ``with_dS``
-    the differences of S (``2n * n^4`` entries) are skipped and ``None``
-    stands in their place.
+    one pair at a time only raises peak memory.
     """
     n = patch.total_dim
     m = 2 * n
     x0 = _real_coords(z)
     dP = np.empty((m, n, n), dtype=complex)
-    dS = np.empty((m, n, n, n, n), dtype=complex) if with_dS else None
+    dS = np.empty((m, n, n, n, n), dtype=complex)
     dScal = np.empty(m)
     for a in range(m):
         e = np.zeros(m)
@@ -268,11 +232,10 @@ def _third_order_derivatives(
             *metric_derivatives(patch, x[:, :n] + 1j * x[:, n:], step)
         )
         dP[a] = (P[0] - P[1]) / (2 * step3)
-        if with_dS:
-            dS[a] = (S[0] - S[1]) / (2 * step3)
+        dS[a] = (S[0] - S[1]) / (2 * step3)
         dScal[a] = (scal[0] - scal[1]) / (2 * step3)
     dP_hol = 0.5 * (dP[:n] - 1j * dP[n:])  # [c, a, b]
-    dS_hol = 0.5 * (dS[:n] - 1j * dS[n:]) if with_dS else None  # [r, a, b, c, d]
+    dS_hol = 0.5 * (dS[:n] - 1j * dS[n:])  # [r, a, b, c, d]
     dScal_hol = 0.5 * (dScal[:n] - 1j * dScal[n:])
     return dP_hol, dS_hol, dScal_hol
 
@@ -291,17 +254,6 @@ def _assemble_v(dP_hol, dScal_hol, gammas, P, g, n):
         - 2j * np.einsum("a,cb->abc", T1, g)
     )
     return T1, V
-
-
-def v_tensor_at(
-    patch: KahlerProductPatch,
-    z: np.ndarray,
-    step: float = METRIC_STEP,
-    step3: float = THIRD_ORDER_STEP,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(T1, V)`` with the torsion contributions dropped (torsion-free case)."""
-    t = point_tensors(patch, z, step=step, third_order=True, step3=step3)
-    return t.T1, t.V
 
 
 def chern_divergence_residual(

@@ -10,6 +10,7 @@ from crchern.chern import (
     fpp_times_cpn_setup,
     genus2_times_cpn_setup,
 )
+from crchern.cli import _report_markdown
 from crchern.cohomology import RingError, image_membership
 
 
@@ -158,4 +159,4 @@ def test_reports_serialize():
         doc = report.to_json_dict()
         json.dumps(doc)  # JSON-able without custom encoders
         assert doc["status"] == "pass"
-        assert report.to_markdown().startswith("###")
+        assert _report_markdown(doc).startswith(f"## `{report.check}` -- pass")

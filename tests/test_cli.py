@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from crchern import cli
 from crchern.cli import main
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -23,7 +24,7 @@ class TestVerify:
         )
         assert code == 0
         assert "integral-constraint-counterexample" in out
-        assert "-3 mod 5" not in out or True  # residuals live in the json view
+        assert '\nresiduals: [{"class": "-3 mod 5"}]\n' in out
 
     def test_thm_1_1_json(self, capsys):
         code, out, _ = run_cli(
@@ -45,6 +46,31 @@ class TestVerify:
         assert run_cli(["verify", "prop-4-1", "--n", "3"], capsys)[0] == 2
         assert run_cli(["verify", "prop-1-3", "--d", "0"], capsys)[0] == 2
         assert run_cli(["verify", "prop-1-4", "--m", "1"], capsys)[0] == 2
+        # 2^m nilsquare terms: m is bounded above too
+        code, _, err = run_cli(["verify", "prop-1-4", "--m", "13"], capsys)
+        assert code == 2 and err == "invalid parameters: prop-1-4 requires --m in 2..12\n"
+        # a flag the target does not take is refused, not ignored
+        for argv, flag in [
+            (["verify", "thm-1-1", "--d", "7"], "--d"),
+            (["verify", "thm-1-1", "--samples", "3"], "--samples"),
+            (["verify", "all", "--n", "3"], "--n"),
+            (["verify", "thm-1-2-formal", "--tol", "1"], "--tol"),
+        ]:
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out) == (2, "")
+            assert err == f"invalid parameters: {argv[1]} does not take {flag}\n"
+
+    def test_thm_1_2_n_is_an_alias_of_n_max(self, capsys):
+        flags = ["--format", "json", "--no-timestamp"]
+        _, by_n_max, _ = run_cli(["verify", "thm-1-2", "--n-max", "3", *flags], capsys)
+        _, by_n, _ = run_cli(["verify", "thm-1-2", "--n", "3", *flags], capsys)
+        assert json.loads(by_n)["reports"] == json.loads(by_n_max)["reports"]
+
+    def test_seed_accepted_by_every_target(self):
+        for name in cli.KNOWN_TARGETS:
+            args = cli.build_parser().parse_args(["verify", name, "--seed", "5"])
+            target = cli.TARGETS[cli.ALIASES.get(name, name)]
+            assert cli._params(name, target, args)["seed"] == 5
 
     def test_thm_1_2_formal_single_n(self, capsys):
         code, out, _ = run_cli(
@@ -147,6 +173,57 @@ class TestVerify:
             ["verify", "prop-1-3", "--format", "json"], capsys
         )
         assert "timestamp" in json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "argv,check",
+    [
+        (["verify", "all", "--n-max", "24", "--samples", "0"], "check_thm_1_1"),
+        (["verify", "thm-1-2", "--out", "MISSING"], "verify_spherical_on_circle_bundle"),
+        (["verify", "prop-1-4", "--m", "40"], "check_prop_1_4"),
+        (["verify", "thm-1-1", "--d", "7", "--samples", "3"], "check_thm_1_1"),
+    ],
+    ids=["out-of-range", "unwritable-out", "unbounded-m", "foreign-flag"],
+)
+def test_refusals_come_before_any_check(capsys, monkeypatch, tmp_path, argv, check):
+    calls = []
+
+    def check_called(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("a check ran before the refusal")
+
+    monkeypatch.setattr(cli, check, check_called)
+    argv = [str(tmp_path / "missing" / "x.json") if a == "MISSING" else a for a in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, calls) == (2, "", [])
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_run_that_raises_keeps_an_existing_out(monkeypatch, tmp_path):
+    target = tmp_path / "manifest.json"
+    target.write_text("earlier manifest\n")
+
+    def check_raises(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "check_prop_1_3", check_raises)
+    with pytest.raises(KeyboardInterrupt):
+        main(["verify", "prop-1-3", "--out", str(target)])
+    assert target.read_text() == "earlier manifest\n"
+    monkeypatch.undo()
+    assert main(["verify", "prop-1-3", "--format", "json", "--out", str(target)]) == 0
+    assert json.loads(target.read_text())["status"] == "pass"
+
+
+def test_targets_call_checks_through_module_names(capsys, monkeypatch):
+    # tracing and the test above rebind these names; a runner holding
+    # the function object itself would escape both
+    seen = []
+    original = cli.check_thm_1_1
+    monkeypatch.setattr(cli, "check_thm_1_1", lambda n: seen.append(n) or original(n))
+    run_cli(["verify", "thm-1-1", "--n", "3"], capsys)
+    run_cli(["verify", "all", "--n-max", "2", "--samples", "1"], capsys)
+    assert seen == [3, 2]
 
 
 class TestEval:

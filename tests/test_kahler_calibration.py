@@ -9,7 +9,6 @@ from crchern.kahler import (
     KahlerProductPatch,
     calibrate_space_form,
     curvature_at,
-    hsc_for_einstein_constant,
     metric_at,
 )
 from crchern.kahler.spaceform import CALIBRATION_ABORT, _hsc_at_origin_exact
@@ -95,9 +94,8 @@ def test_gaussian_curvature_oracle_dimension_one():
 
 
 def test_einstein_constant_conversion():
-    hsc = hsc_for_einstein_constant(1, -1)
-    assert hsc == pytest.approx(-1.0, abs=1e-6)
-    factor = calibrate_space_form(1, Fraction(hsc).limit_denominator(10**6))
+    # dim 1 space forms satisfy Ric = hsc g
+    factor = calibrate_space_form(1, -1)
     patch = KahlerProductPatch((factor,))
     z = np.zeros(1, dtype=complex)
     _, ric, _ = curvature_at(patch, z)
@@ -107,8 +105,10 @@ def test_einstein_constant_conversion():
 
 def test_einstein_conversion_scales_with_dimension():
     # dim 2 space forms satisfy Ric = (3/2) hsc g
-    hsc = hsc_for_einstein_constant(2, 3)
-    assert hsc == pytest.approx(2.0, abs=1e-6)
+    patch = KahlerProductPatch((calibrate_space_form(2, 2),))
+    z = np.zeros(2, dtype=complex)
+    _, ric, _ = curvature_at(patch, z)
+    assert np.max(np.abs(ric - 3 * metric_at(patch, z))) < 1e-6
 
 
 def test_zero_curvature_rejected():

@@ -14,10 +14,8 @@ from crchern.kahler import (
     metric_at,
     metric_derivatives,
     point_tensors,
-    pseudo_einstein_residual_at,
     space_form_curvature_oracle,
     symmetry_residuals,
-    v_tensor_at,
 )
 from crchern.kahler.scenario import _cross_block_max
 from crchern.kahler.tensors import (
@@ -249,10 +247,17 @@ class TestSchoutenAndChern:
         assert np.max(np.abs(t.P)) < 1e-4
 
 
+def v_tensor(patch, z):
+    """``(T1, V)`` at ``z``, assembled from the third-order stencil."""
+    t = point_tensors(patch, z)
+    dP, _dS, dScal = _third_order_derivatives(patch, z, METRIC_STEP, THIRD_ORDER_STEP)
+    return _assemble_v(dP, dScal, t.gammas, t.P, t.g, patch.total_dim)
+
+
 class TestThirdOrder:
     def test_v_tensor_vanishes_on_einstein_products(self, flat_pair):
         z = flat_pair.sample_points(1, seed=31)[0]
-        T1, V = v_tensor_at(flat_pair, z)
+        T1, V = v_tensor(flat_pair, z)
         assert np.max(np.abs(T1)) < 1e-4
         assert np.max(np.abs(V)) < 1e-4
 
@@ -279,31 +284,10 @@ class TestThirdOrder:
         with pytest.raises(ValueError, match="centre tensors"):
             chern_divergence_residual(control_pair, z, step=t.step / 2, centre=t)
 
-    def test_v_only_path_matches_full_third_order_stencil(self, control_pair):
-        # the V-only path skips the differences of S; T1 and V are
-        # exactly those assembled from the full stencil
-        z = control_pair.sample_points(1, seed=53)[0]
-        n = control_pair.total_dim
-        t = point_tensors(control_pair, z, third_order=True)
-        dP, dS, dScal = _third_order_derivatives(
-            control_pair, z, METRIC_STEP, THIRD_ORDER_STEP
-        )
-        assert dS.shape == (n, n, n, n, n)
-        T1, V = _assemble_v(dP, dScal, t.gammas, t.P, t.g, n)
-        assert np.array_equal(t.T1, T1) and np.array_equal(t.V, V)
-        assert np.array_equal(v_tensor_at(control_pair, z)[1], V)
-        dP2, dS2, dScal2 = _third_order_derivatives(
-            control_pair, z, METRIC_STEP, THIRD_ORDER_STEP, with_dS=False
-        )
-        assert dS2 is None
-        assert np.array_equal(dP2, dP) and np.array_equal(dScal2, dScal)
 
-    def test_point_tensors_carries_third_order_on_request(self, flat_pair):
-        z = flat_pair.sample_points(1, seed=43)[0]
-        t = point_tensors(flat_pair, z, third_order=True)
-        assert t.T1 is not None and t.V is not None
-        t2 = point_tensors(flat_pair, z)
-        assert t2.T1 is None and t2.V is None
+def pseudo_einstein_residual(t, n):
+    """``Ric - (Scal/n) g``; zero iff the contact form is pseudo-Einstein."""
+    return t.Ric - (t.Scal / n) * t.g
 
 
 class TestPseudoEinstein:
@@ -312,12 +296,12 @@ class TestPseudoEinstein:
         patch = KahlerProductPatch((factor,))
         for z in patch.sample_points(3, seed=47):
             t = point_tensors(patch, z)
-            res = pseudo_einstein_residual_at(t.Ric, t.Scal, t.g, 2)
+            res = pseudo_einstein_residual(t, 2)
             assert np.max(np.abs(res)) < 1e-7
 
     def test_opposite_sign_product_is_not(self, flat_pair):
         t = point_tensors(flat_pair, np.zeros(2, dtype=complex))
-        res = pseudo_einstein_residual_at(t.Ric, t.Scal, t.g, 2)
+        res = pseudo_einstein_residual(t, 2)
         assert np.max(np.abs(res)) > 0.1
 
     def test_scaling_preserves_zero_set(self):
@@ -327,13 +311,8 @@ class TestPseudoEinstein:
             patch = KahlerProductPatch((factor,))
             z = patch.sample_points(1, seed=53)[0]
             t = point_tensors(patch, z)
-            res = pseudo_einstein_residual_at(t.Ric, t.Scal, t.g, 2)
+            res = pseudo_einstein_residual(t, 2)
             assert np.max(np.abs(res)) < 1e-6
-
-    def test_low_dimension_rejected(self, flat_pair):
-        t = point_tensors(flat_pair, np.zeros(2, dtype=complex))
-        with pytest.raises(ValueError):
-            pseudo_einstein_residual_at(t.Ric, t.Scal, t.g, 1)
 
 
 class TestInvariance:
@@ -347,8 +326,8 @@ class TestInvariance:
         t2 = point_tensors(control_pair, rotated)
         assert abs(t1.Scal - t2.Scal) < 1e-8
         assert abs(np.max(np.abs(t1.S)) - np.max(np.abs(t2.S))) < 1e-8
-        _, V1 = v_tensor_at(control_pair, z)
-        _, V2 = v_tensor_at(control_pair, rotated)
+        _, V1 = v_tensor(control_pair, z)
+        _, V2 = v_tensor(control_pair, rotated)
         assert abs(np.max(np.abs(V1)) - np.max(np.abs(V2))) < 1e-8
 
 
