@@ -77,13 +77,13 @@ def fpp_times_cpn_setup(n: int) -> CircleBundleSetup:
     return CircleBundleSetup(ring, euler, tangent)
 
 
-def cpn_setup(n: int, d: int, over=RATIONALS) -> CircleBundleSetup:
+def cpn_setup(n: int, d: int) -> CircleBundleSetup:
     """Circle bundle of O(-d) over CP^n, so e = -d * t."""
     if n < 1:
         raise RingError(f"need n >= 1, got {n}")
     if d < 1:
         raise RingError(f"need d >= 1, got {d}")
-    ring = make_ring([("t", 2, n + 1)], over)
+    ring = make_ring([("t", 2, n + 1)], RATIONALS)
     t = ring.gen("t")
     return CircleBundleSetup(ring, -d * t, chern_projective_space(n, ring, "t"))
 

@@ -85,8 +85,10 @@ def verify_spherical_on_circle_bundle(
     """Check the spherical constraint for all k <= n+1 modulo the Gysin image.
 
     Every residual must be a member of ``Im(. cup e)`` in its degree.
-    Note the top case ``k = n+1`` compares classes that may both die in
-    the quotient, so a pass there can be vacuous.
+    Over Q a pass is vacuous where the degree has an empty basis, the
+    residual is already 0 (always at ``k = 1``), or cup with ``e`` is
+    onto the degree; CP^n with ``e = -d*t`` is a rational homology
+    sphere, so that family passes vacuously at every k.
     """
     assertions = []
     witnesses = []

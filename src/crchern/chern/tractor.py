@@ -33,6 +33,8 @@ from fractions import Fraction
 from ..cohomology.ring import RATIONALS, RingElement, RingError, make_ring
 from .report import CheckReport
 
+SAMPLE_POINTS = 10  # random rational points the identity is re-checked at
+
 
 def ring_matrix_determinant(entries: list[list[RingElement]]) -> RingElement:
     """Determinant of a square matrix over a commutative ring.
@@ -110,13 +112,13 @@ def _build_matrix(n: int, xi_diagonal: bool):
     return ring, s, w, matrix
 
 
-def tractor_determinant_check(n: int, sample_points: int = 10, seed: int = 0) -> CheckReport:
+def tractor_determinant_check(n: int, seed: int = 0) -> CheckReport:
     """Verify det(I + s*Omega) = (1 + s*w)^(n+2) with free starred blocks.
 
     Three layers: the exact symbolic identity; a control where one
     middle-block diagonal indeterminate is switched on (the identity
     must then fail, and fail through that indeterminate); and agreement
-    of both sides at ``sample_points`` random rational points, which
+    of both sides at ``SAMPLE_POINTS`` random rational points, which
     re-checks that the result is independent of the starred values.
     """
     if n < 1:
@@ -138,7 +140,7 @@ def tractor_determinant_check(n: int, sample_points: int = 10, seed: int = 0) ->
 
     rng = random.Random(seed)
     point_agreements = []
-    for _ in range(sample_points):
+    for _ in range(SAMPLE_POINTS):
         values = {
             g.name: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             for g in ring.generators
@@ -153,7 +155,7 @@ def tractor_determinant_check(n: int, sample_points: int = 10, seed: int = 0) ->
             ("control with nonzero middle block fails", control_fails),
             ("control failure depends on the inserted entry", control_depends_on_xi),
             (
-                f"symbolic identity confirmed at {sample_points} random rational points",
+                f"symbolic identity confirmed at {SAMPLE_POINTS} random rational points",
                 all(point_agreements),
             ),
         ],

@@ -8,7 +8,8 @@ target's share of ``verify all``.  ``bochner`` runs the
 Exit codes: 0 all checks passed; 1 a check or tolerance failed, or
 standard output was closed before all output was written; 2 usage
 errors, unknown targets, a flag the target does not take, a value
-outside its range, schema violations, parse errors, and a manifest that
+outside its range, schema violations, a scenario whose curvatures the
+finite differences cannot resolve, parse errors, and a manifest that
 cannot be written to ``--out``.  Parameters are checked against the
 table, and ``--out`` is opened, before any check runs.
 
@@ -46,7 +47,10 @@ from .chern.spherical import verify_spherical_on_circle_bundle
 from .chern.tractor import tractor_determinant_check
 from .cohomology.parser import ParseError, parse_element
 from .cohomology.ring import RingError, RingPresentation
+from .kahler.patch import PatchDomainError
 from .kahler.scenario import ScenarioError, parse_scenario, run_batch
+from .kahler.spaceform import CalibrationError
+from .kahler.tensors import IllConditionedMetric
 from .presets import PresetError, preset_ring
 
 DEFAULT_SEED = 0
@@ -143,29 +147,27 @@ def _bochner(p: dict) -> list[CheckReport]:
     batch = {"samples": p["samples"], "seed": p["seed"]}
     tolerances = {"s_max": p["tol"]} if p["tol"] is not None else None
     flat = [run_batch(list(pair), tolerances=tolerances, **batch) for pair in BOCHNER_PAIRS]
-    control = run_batch(
-        list(BOCHNER_CONTROL), expect_flat=False, control_floor=CONTROL_FLOOR, **batch
-    )
+    control = run_batch(list(BOCHNER_CONTROL), control_floor=CONTROL_FLOOR, **batch)
     return [*flat, control]
 
 
-_SAMPLES = Flag(10, 1)
+_SAMPLES = Flag(10, 1, 50)
 _TOL = Flag(parse=_tolerance)  # unset: the batch's default s_max
 
 TARGETS = {
     "thm-1-1": Target(
-        {"n": Flag(2, 2)},
+        {"n": Flag(2, 2, 1000)},
         run=lambda p: [check_thm_1_1(p["n"])],
         share=lambda p: [check_thm_1_1(n) for n in range(2, p["n_max"] + 1)],
     ),
     "thm-1-2": Target(
-        {"n": Flag(None, 2), "n_max": Flag(6, 2)},  # --n is an alias of --n-max
+        {"n": Flag(None, 2, 40), "n_max": Flag(6, 2, 40)},  # --n is an alias of --n-max
         run=lambda p: _spherical_families(p["n_max"] if p["n"] is None else p["n"]),
         share=lambda p: _spherical_families(p["n_max"]),
     ),
-    "tractor": Target({"n": Flag(None, 1), "n_max": Flag(6, 1)}, _tractor, _tractor),
+    "tractor": Target({"n": Flag(None, 1, 60), "n_max": Flag(6, 1, 40)}, _tractor, _tractor),
     "prop-1-3": Target(
-        {"n": Flag(2, 2), "d": Flag(5, 1)},
+        {"n": Flag(2, 2, 1000), "d": Flag(5, 1)},
         run=lambda p: [check_prop_1_3(p["n"], p["d"])],
         share=lambda p: [
             check_prop_1_3(n, d)
@@ -175,7 +177,7 @@ TARGETS = {
         ],
     ),
     "prop-4-1": Target(
-        {"n": Flag(4, 4)},
+        {"n": Flag(4, 4, 1000)},
         run=lambda p: [check_prop_4_1(p["n"])],
         share=lambda p: [check_prop_4_1(n) for n in range(4, min(6, p["n_max"]) + 1)],
     ),
@@ -190,7 +192,7 @@ TARGETS = {
     ),
     "bochner-products": Target({"samples": _SAMPLES, "tol": _TOL}, _bochner, _bochner),
     "all": Target(
-        {"n_max": Flag(6, 2), "samples": _SAMPLES, "tol": _TOL},
+        {"n_max": Flag(6, 2, 40), "samples": _SAMPLES, "tol": _TOL},
         run=lambda p: [r for t in TARGETS.values() if t.share for r in t.share(p)],
     ),
 }
@@ -375,12 +377,16 @@ def _cmd_scenario(args, argv: list[str]) -> int:
         return _refuse(f"scenario schema violation: {exc}")
     if args.seed_flag is not None:
         seed = args.seed_flag
-    return _emit(
-        args,
-        argv,
-        seed,
-        lambda: [run_batch(factors, samples=samples, seed=seed, tolerances=tolerances)],
-    )
+    try:
+        return _emit(
+            args,
+            argv,
+            seed,
+            lambda: [run_batch(factors, samples=samples, seed=seed, tolerances=tolerances)],
+        )
+    except (CalibrationError, PatchDomainError, IllConditionedMetric) as exc:
+        message = " ".join(str(exc).split())  # a point's array repr may wrap
+        return _refuse(f"scenario outside the numeric model's range: {message}")
 
 
 # -- argument parsing ---------------------------------------------------------

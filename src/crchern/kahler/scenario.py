@@ -31,7 +31,6 @@ from .tensors import (
     chern_divergence_residual,
     curvature_at,
     first_pair_trace,
-    levi_inverse,
     point_tensors,
     space_form_curvature_oracle,
     symmetry_residuals,
@@ -159,14 +158,13 @@ def run_batch(
     samples: int = 10,
     seed: int = 0,
     tolerances: Mapping[str, float] | None = None,
-    expect_flat: bool = True,
     control_floor: float | None = None,
 ) -> CheckReport:
     """Sample the patch and enforce the pointwise tensor identities.
 
-    With ``expect_flat`` the Chern tensor must stay below ``s_max`` at
-    every point; with ``control_floor`` set, it must instead *exceed*
-    that floor (negative control).  The divergence identity and the
+    The Chern tensor must stay below ``s_max`` at every point; with
+    ``control_floor`` set, it must instead *exceed* that floor
+    (negative control).  The divergence identity and the
     structural identities are enforced either way, and a convergence
     factor for the curvature stencils is estimated at the first point.
     """
@@ -198,12 +196,12 @@ def run_batch(
         )
         sym1, sym2 = symmetry_residuals(t.R)
         p_trace_res = abs(
-            complex(np.einsum("ab,ab->", levi_inverse(t.g), t.P))
+            complex(np.einsum("ab,ab->", t.linv, t.P))
             - t.Scal / (2 * (n + 1))
         )
-        s_trace_res = float(np.max(np.abs(first_pair_trace(t.S, t.g))))
+        s_trace_res = float(np.max(np.abs(first_pair_trace(t.S, t.linv))))
         cross = _cross_block_max(patch, t.R)
-        div = chern_divergence_residual(patch, z, centre=t)
+        div = chern_divergence_residual(patch, t)
 
         maxima["s_inf"] = max(maxima["s_inf"], float(np.max(np.abs(t.S))))
         maxima["curvature_rel_err"] = max(maxima["curvature_rel_err"], rel_err)
@@ -248,7 +246,7 @@ def run_batch(
                 maxima["s_inf"] > control_floor,
             )
         )
-    elif expect_flat:
+    else:
         assertions.append(
             ("Chern tensor vanishes within tolerance", maxima["s_inf"] <= tol["s_max"])
         )
@@ -260,7 +258,7 @@ def run_batch(
             "factors": [[dim, str(hsc)] for dim, hsc in factors],
             "samples": samples,
             "seed": seed,
-            "expect_flat": expect_flat and control_floor is None,
+            "expect_flat": control_floor is None,
         },
         assertions=assertions,
         witnesses=[

@@ -9,17 +9,21 @@ whose metric has the closed form
     g_{a b-} = f''(u) * conj(z_a) * z_b + f'(u) * delta_{ab},
     f'(u) = a / (b + c u),   f''(u) = -a c / (b + c u)^2,   u = |z|^2.
 
-The constants are not assumed: ``b`` is tied to ``a`` so the metric is
-the identity at the origin, and ``a`` is solved for until the
-holomorphic sectional curvature *computed from the metric by central
-finite differences under the package's curvature convention* equals
-``hsc`` at the origin.  The calibration solve runs in exact rational
-arithmetic (the metric is a rational function of the real coordinates)
-with Richardson extrapolation of the difference quotients, so the
-achievable residual is limited only by the extrapolation depth; a
-residual above the abort threshold therefore really does mean the sign
-conventions of the pipeline and the potential disagree, which is what
-calibration exists to catch.
+The constants have a closed form.  With ``b = a`` the metric is the
+identity at the origin, and along z_1 the entry is
+``g_{1 1-} = a^2 / (a + c |z|^2)^2``, whose holomorphic sectional
+curvature at 0 is ``2c / a``; so ``a = b = 2`` (``POTENTIAL``).  That
+closed form is not trusted but verified once per factor: the exact
+oracle computes the holomorphic sectional curvature *from the metric
+by central finite differences under the package's curvature
+convention*, in exact rational arithmetic (the metric is a rational
+function of the real coordinates) with Richardson extrapolation of the
+difference quotients, so the achievable residual is limited only by
+the extrapolation depth.  A residual above the abort threshold means
+the sign conventions of the pipeline and the potential disagree (at
+``a = 2`` a flipped sign leaves a residual of ``2 |hsc|``), which is
+what calibration exists to catch, or that ``|hsc|`` is too large for
+the extrapolation to resolve (from about 10^15).
 
 For ``hsc < 0`` the chart is the ball ``|z| < sqrt(b/|c|)`` (the model
 radius); for ``hsc > 0`` the affine chart is all of C^dim.
@@ -27,13 +31,13 @@ radius); for ``hsc > 0`` the affine chart is all of C^dim.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+POTENTIAL = Fraction(2)  # a = b = 2: identity metric and HSC = c at the origin
 CALIBRATION_ABORT = Fraction(1, 10**10)
 _EXTRAPOLATION_GOAL = Fraction(1, 10**16)
 
@@ -47,8 +51,6 @@ class SpaceFormFactor:
     dim: int
     hsc: Fraction
     patch_radius: float
-    potential_a: Fraction
-    potential_b: Fraction
     calibration_residual: float
 
     def __post_init__(self) -> None:
@@ -73,7 +75,8 @@ class SpaceFormFactor:
         ``(..., dim, dim)`` stack of their metric blocks.
         """
         z = np.asarray(z, dtype=complex)
-        a, b, c = float(self.potential_a), float(self.potential_b), self.c
+        a = b = float(POTENTIAL)
+        c = self.c
         u = np.einsum("...i,...i->...", np.conj(z), z).real
         denom = b + c * u
         outside = denom <= 0
@@ -127,10 +130,10 @@ def _hsc_at_origin_exact(a: Fraction, hsc: Fraction, depth: int = 8) -> Fraction
     """
     b, c = a, hsc
     h0 = Fraction(1, 8)
-    if c < 0:
-        # keep the largest stencil point (sqrt(2) h) well inside the ball
-        while 4 * h0 * h0 >= b / abs(c):
-            h0 /= 2
+    # keep the largest stencil point (sqrt(2) h) well inside the ball for
+    # c < 0, and c h^2 small against b for c > 0
+    while 4 * h0 * h0 >= b / abs(c):
+        h0 /= 2
 
     def g(x: Fraction, y: Fraction) -> Fraction:
         return _g11_exact(a, b, c, x, y)
@@ -166,76 +169,29 @@ def _hsc_at_origin_exact(a: Fraction, hsc: Fraction, depth: int = 8) -> Fraction
     return r1111 / g0**2
 
 
-@functools.lru_cache(maxsize=64)
-def _solve_potential(
-    hsc: Fraction, max_iterations: int, _entry_key
-) -> tuple[Fraction, Fraction]:
-    """``(a, |residual|)`` of the exact secant solve for ``hsc``.
+def calibrate_space_form(dim: int, hsc: Fraction | int | str) -> SpaceFormFactor:
+    """The factor of curvature ``hsc``, its potential verified at the origin.
 
-    The solve reads only the curvature, never the factor's dimension,
-    so each distinct curvature is solved once per process.
-    ``_entry_key`` is the current ``_g11_exact``, in the cache key only
-    so that a replaced metric entry never reuses an earlier solve.
-    Only the result is cached: a divergence raises on every call, and
-    the residual gate is applied by the caller.
-    """
-
-    def objective(a: Fraction) -> Fraction:
-        return _hsc_at_origin_exact(a, hsc) - hsc
-
-    a0, a1 = Fraction(3, 2), Fraction(5, 2)
-    f0, f1 = objective(a0), objective(a1)
-    for _ in range(max_iterations):
-        if abs(f1) < Fraction(1, 10**12) or f1 == f0:
-            break
-        a2 = a1 - f1 * (a1 - a0) / (f1 - f0)
-        a2 = a2.limit_denominator(10**24)
-        if a2 <= 0 or a2 > 10**6:
-            # no positive constant of sane size matches: sign mismatch
-            raise CalibrationError(
-                f"calibration diverged for hsc={hsc}: candidate a={float(a2):.3e}"
-            )
-        a0, f0 = a1, f1
-        a1, f1 = a2, objective(a2)
-    # Prefer the simplest rational that still verifies; the exact
-    # residual gate in the caller is what legitimizes the snap.
-    for bound in (1, 2, 4, 16, 256, 10**6):
-        candidate = a1.limit_denominator(bound)
-        if candidate > 0:
-            f_cand = objective(candidate)
-            if abs(f_cand) <= min(abs(f1), CALIBRATION_ABORT):
-                a1, f1 = candidate, f_cand
-                break
-    return a1, abs(f1)
-
-
-def calibrate_space_form(
-    dim: int, hsc: Fraction | int | str, max_iterations: int = 30
-) -> SpaceFormFactor:
-    """Fix the potential constants for the requested curvature.
-
-    Exact secant iteration on the single free constant ``a`` against
-    the extrapolated finite-difference curvature at the origin; aborts
-    when the residual cannot be brought below ``CALIBRATION_ABORT``.
+    The constants are the closed form ``a = b = POTENTIAL``; the exact
+    oracle is run once, and a residual above ``CALIBRATION_ABORT``
+    raises :class:`CalibrationError`.
     """
     hsc = Fraction(hsc)
     if hsc == 0:
         raise CalibrationError("flat factors are not part of the model family")
-    a1, residual = _solve_potential(hsc, max_iterations, _g11_exact)
+    residual = abs(_hsc_at_origin_exact(POTENTIAL, hsc) - hsc)
     if residual > CALIBRATION_ABORT:
         raise CalibrationError(
             f"curvature convention error: residual {float(residual):.3e} "
             f"for dim={dim}, hsc={hsc}"
         )
     if hsc < 0:
-        radius = math.sqrt(float(a1 / abs(hsc)))
+        radius = math.sqrt(float(POTENTIAL / abs(hsc)))
     else:
         radius = math.inf
     return SpaceFormFactor(
         dim=dim,
         hsc=hsc,
         patch_radius=radius,
-        potential_a=a1,
-        potential_b=a1,
         calibration_residual=float(residual),
     )

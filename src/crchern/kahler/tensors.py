@@ -27,7 +27,7 @@ from the base, so every tensor computed here *is* the corresponding
 circle-bundle tensor (see :class:`crchern.kahler.scenario.SasakiCorrespondence`).
 
 Third-derivative quantities (``grad P``, ``grad S``) use a larger step
-(default ``1e-3``) and correspondingly looser tolerances.
+(``1e-3``) and correspondingly looser tolerances.
 
 The stencil, not the point, is the unit of metric evaluation: all
 points of one second-derivative stencil go through ``metric_at`` as one
@@ -129,7 +129,7 @@ def _curvature(g: np.ndarray, D1: np.ndarray, D2: np.ndarray):
     """The curvature assembly, batched over the leading axes.
 
     Takes the output of :func:`metric_derivatives` and returns
-    ``(R, Ric, Scal, P, S, gammas)``, each stacked like ``g``.
+    ``(linv, R, Ric, Scal, P, S, gammas)``, each stacked like ``g``.
     """
     n = g.shape[-1]
     linv = levi_inverse(g)
@@ -148,14 +148,14 @@ def _curvature(g: np.ndarray, D1: np.ndarray, D2: np.ndarray):
     P = schouten_at(ric, scal, g, n)
     S = chern_tensor_at(R, P, g, n)
     gammas = np.einsum("...cs,...abs->...cab", linv, hol)
-    return R, ric, scal, P, S, gammas
+    return linv, R, ric, scal, P, S, gammas
 
 
 def curvature_at(
     patch: KahlerProductPatch, z: np.ndarray, step: float = METRIC_STEP
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Curvature ``R[a,b,c,d]`` plus its Ricci and scalar contractions."""
-    R, ric, scal, *_ = _curvature(*metric_derivatives(patch, z, step))
+    _linv, R, ric, scal, *_ = _curvature(*metric_derivatives(patch, z, step))
     return R, ric, float(scal)
 
 
@@ -180,14 +180,11 @@ def chern_tensor_at(
 
 @dataclass(frozen=True)
 class PointTensors:
-    """All pointwise tensors at one sample point.
-
-    ``step`` is the metric difference step they were computed with.
-    """
+    """All pointwise tensors at one sample point, ``linv`` = ``l^{a b-}``."""
 
     point: np.ndarray
-    step: float
     g: np.ndarray
+    linv: np.ndarray
     R: np.ndarray
     Ric: np.ndarray
     Scal: float
@@ -196,44 +193,40 @@ class PointTensors:
     gammas: np.ndarray
 
 
-def point_tensors(
-    patch: KahlerProductPatch,
-    z: np.ndarray,
-    step: float = METRIC_STEP,
-) -> PointTensors:
+def point_tensors(patch: KahlerProductPatch, z: np.ndarray) -> PointTensors:
     z = np.asarray(z, dtype=complex)
     if not patch.contains(z):
         raise PatchDomainError(f"sample point outside patch: {z}")
-    g, D1, D2 = metric_derivatives(patch, z, step)
-    R, ric, scal, P, S, gammas = _curvature(g, D1, D2)
-    return PointTensors(z, step, g, R, ric, float(scal), P, S, gammas)
+    g, D1, D2 = metric_derivatives(patch, z)
+    linv, R, ric, scal, P, S, gammas = _curvature(g, D1, D2)
+    return PointTensors(z, g, linv, R, ric, float(scal), P, S, gammas)
 
 
-def _third_order_derivatives(
-    patch: KahlerProductPatch, z: np.ndarray, step: float, step3: float
-):
+def _third_order_derivatives(patch: KahlerProductPatch, z: np.ndarray):
     """Holomorphic-direction central differences of P, S, and Scal.
 
-    The two centres ``x0 +- step3 e_a`` of each direction go through the
-    metric and the curvature assembly as one stack; stacking more than
-    one pair at a time only raises peak memory.
+    The two centres ``x0 +- h e_a`` (``h = THIRD_ORDER_STEP``) of each
+    direction go through the metric and the curvature assembly as one
+    stack; stacking more than one pair at a time only raises peak
+    memory.
     """
     n = patch.total_dim
     m = 2 * n
+    h = THIRD_ORDER_STEP
     x0 = _real_coords(z)
     dP = np.empty((m, n, n), dtype=complex)
     dS = np.empty((m, n, n, n, n), dtype=complex)
     dScal = np.empty(m)
     for a in range(m):
         e = np.zeros(m)
-        e[a] = step3
+        e[a] = h
         x = np.stack([x0 + e, x0 - e])
-        _R, _ric, scal, P, S, _gammas = _curvature(
-            *metric_derivatives(patch, x[:, :n] + 1j * x[:, n:], step)
+        _linv, _R, _ric, scal, P, S, _gammas = _curvature(
+            *metric_derivatives(patch, x[:, :n] + 1j * x[:, n:])
         )
-        dP[a] = (P[0] - P[1]) / (2 * step3)
-        dS[a] = (S[0] - S[1]) / (2 * step3)
-        dScal[a] = (scal[0] - scal[1]) / (2 * step3)
+        dP[a] = (P[0] - P[1]) / (2 * h)
+        dS[a] = (S[0] - S[1]) / (2 * h)
+        dScal[a] = (scal[0] - scal[1]) / (2 * h)
     dP_hol = 0.5 * (dP[:n] - 1j * dP[n:])  # [c, a, b]
     dS_hol = 0.5 * (dS[:n] - 1j * dS[n:])  # [r, a, b, c, d]
     dScal_hol = 0.5 * (dScal[:n] - 1j * dScal[n:])
@@ -256,41 +249,23 @@ def _assemble_v(dP_hol, dScal_hol, gammas, P, g, n):
     return T1, V
 
 
-def chern_divergence_residual(
-    patch: KahlerProductPatch,
-    z: np.ndarray,
-    step: float = METRIC_STEP,
-    step3: float = THIRD_ORDER_STEP,
-    centre: PointTensors | None = None,
-) -> dict:
-    """Both sides of the divergence identity ``div S = -n i V``.
+def chern_divergence_residual(patch: KahlerProductPatch, t: PointTensors) -> dict:
+    """Both sides of the divergence identity ``div S = -n i V`` at ``t.point``.
 
-    ``div S`` is the trace ``l^{r d-} grad_r S_{a b- c d-}`` with the
-    covariant corrections on both unbarred slots of S.  Returns the two
-    sides and the residual max-norm for reporting.  ``centre`` is
-    ``point_tensors(patch, z, step)`` when the caller already has it;
-    tensors of another point or step raise ``ValueError``.
+    ``t`` is ``point_tensors(patch, z)``.  ``div S`` is the trace
+    ``l^{r d-} grad_r S_{a b- c d-}`` with the covariant corrections on
+    both unbarred slots of S.  Returns the two sides and the residual
+    max-norm for reporting.
     """
-    z = np.asarray(z, dtype=complex)
     n = patch.total_dim
-    if centre is None:
-        t = point_tensors(patch, z, step=step)
-    elif centre.step != step or not np.array_equal(centre.point, z):
-        raise ValueError(
-            f"centre tensors are of point {centre.point} at step {centre.step}, "
-            f"not of point {z} at step {step}"
-        )
-    else:
-        t = centre
-    linv = levi_inverse(t.g)
-    dP_hol, dS_hol, dScal_hol = _third_order_derivatives(patch, z, step, step3)
+    dP_hol, dS_hol, dScal_hol = _third_order_derivatives(patch, t.point)
 
     grad_S = (
         dS_hol
         - np.einsum("sra,sbcd->rabcd", t.gammas, t.S)
         - np.einsum("src,absd->rabcd", t.gammas, t.S)
     )
-    div_S = np.einsum("rd,rabcd->abc", linv, grad_S)
+    div_S = np.einsum("rd,rabcd->abc", t.linv, grad_S)
 
     _T1, V = _assemble_v(dP_hol, dScal_hol, t.gammas, t.P, t.g, n)
     rhs = -n * 1j * V
@@ -335,5 +310,6 @@ def symmetry_residuals(R: np.ndarray) -> tuple[float, float]:
     return first, second
 
 
-def first_pair_trace(tensor4: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return np.einsum("ab,abcd->cd", levi_inverse(g), tensor4)
+def first_pair_trace(tensor4: np.ndarray, linv: np.ndarray) -> np.ndarray:
+    """``l^{a b-} T_{a b- c d-}``, with ``linv`` from :class:`PointTensors`."""
+    return np.einsum("ab,abcd->cd", linv, tensor4)

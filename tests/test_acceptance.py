@@ -195,7 +195,6 @@ def bochner_batches():
         [(1, Fraction(1)), (1, Fraction(1))],
         samples=10,
         seed=0,
-        expect_flat=False,
         control_floor=1e-2,
     )
     elapsed = time.perf_counter() - start

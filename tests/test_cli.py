@@ -49,6 +49,24 @@ class TestVerify:
         # 2^m nilsquare terms: m is bounded above too
         code, _, err = run_cli(["verify", "prop-1-4", "--m", "13"], capsys)
         assert code == 2 and err == "invalid parameters: prop-1-4 requires --m in 2..12\n"
+        # every size flag but --d is bounded above; one past the bound is refused
+        for argv, bound in [
+            (["verify", "thm-1-2", "--n-max", "41"], "--n-max in 2..40"),
+            (["verify", "thm-1-2", "--n", "41"], "--n in 2..40"),
+            (["verify", "tractor", "--n-max", "41"], "--n-max in 1..40"),
+            (["verify", "tractor", "--n", "61"], "--n in 1..60"),
+            (["verify", "all", "--n-max", "41"], "--n-max in 2..40"),
+            (["verify", "thm-1-1", "--n", "1001"], "--n in 2..1000"),
+            (["verify", "prop-1-3", "--n", "1001"], "--n in 2..1000"),
+            (["verify", "prop-4-1", "--n", "1001"], "--n in 4..1000"),
+            (["verify", "bochner-products", "--samples", "51"], "--samples in 1..50"),
+            (["verify", "all", "--samples", "51"], "--samples in 1..50"),
+            (["bochner", "--samples", "51"], "--samples in 1..50"),
+        ]:
+            code, out, err = run_cli(argv, capsys)
+            label = "bochner-products" if argv[0] == "bochner" else argv[1]
+            assert (code, out) == (2, "")
+            assert err == f"invalid parameters: {label} requires {bound}\n"
         # a flag the target does not take is refused, not ignored
         for argv, flag in [
             (["verify", "thm-1-1", "--d", "7"], "--d"),
@@ -182,8 +200,21 @@ class TestVerify:
         (["verify", "thm-1-2", "--out", "MISSING"], "verify_spherical_on_circle_bundle"),
         (["verify", "prop-1-4", "--m", "40"], "check_prop_1_4"),
         (["verify", "thm-1-1", "--d", "7", "--samples", "3"], "check_thm_1_1"),
+        (["verify", "thm-1-2", "--n-max", "41"], "verify_spherical_on_circle_bundle"),
+        (["verify", "tractor", "--n", "61"], "tractor_determinant_check"),
+        (["verify", "prop-1-3", "--n", "1001"], "check_prop_1_3"),
+        (["verify", "all", "--samples", "51"], "run_batch"),
     ],
-    ids=["out-of-range", "unwritable-out", "unbounded-m", "foreign-flag"],
+    ids=[
+        "out-of-range",
+        "unwritable-out",
+        "unbounded-m",
+        "foreign-flag",
+        "n-max-high",
+        "tractor-n-high",
+        "n-high",
+        "samples-high",
+    ],
 )
 def test_refusals_come_before_any_check(capsys, monkeypatch, tmp_path, argv, check):
     calls = []
@@ -352,6 +383,34 @@ class TestScenario:
         assert out == ""
         assert err.count("\n") == 1 and "s_max" in err
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize(
+        "hsc,error",
+        [
+            ("10000", "outside chart of factor dim=1, hsc=-10000"),
+            ("1000000", "metric condition number"),
+            ("1e15", "curvature convention error"),
+        ],
+        ids=["leaves-chart", "ill-conditioned", "uncalibrated"],
+    )
+    def test_curvature_beyond_the_numeric_model_exit_2(
+        self, capsys, tmp_path, hsc, error
+    ):
+        # matched +-hsc pair: valid by the schema, but its charts and
+        # metrics are beyond what the finite differences resolve
+        path = self.write(
+            tmp_path,
+            {"factors": [{"dim": 1, "hsc": hsc}, {"dim": 1, "hsc": f"-{hsc}"}], "samples": 2},
+        )
+        out_path = tmp_path / "manifest.json"
+        out_path.write_text("earlier manifest\n")
+        code, out, err = run_cli(["scenario", path, "--out", str(out_path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("scenario outside the numeric model's range: ")
+        assert error in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert out_path.read_text() == "earlier manifest\n"
 
 
 class TestBochner:

@@ -11,7 +11,7 @@ from crchern.kahler import (
     curvature_at,
     metric_at,
 )
-from crchern.kahler.spaceform import CALIBRATION_ABORT, _hsc_at_origin_exact
+from crchern.kahler.spaceform import CALIBRATION_ABORT, POTENTIAL, _hsc_at_origin_exact
 
 
 @pytest.mark.parametrize("hsc", [1, -1, 2, Fraction(-3, 2), Fraction(1, 4)])
@@ -32,7 +32,7 @@ def test_negative_curvature_patch_radius():
     factor = calibrate_space_form(1, -2)
     # ball of the model radius sqrt(b / |c|)
     assert factor.patch_radius == pytest.approx(
-        math.sqrt(float(factor.potential_b) / 2)
+        math.sqrt(float(POTENTIAL) / 2)
     )
     assert calibrate_space_form(1, 1).patch_radius == math.inf
 
@@ -148,17 +148,46 @@ def test_non_radial_entry_fails_the_mixed_stencil_check(monkeypatch):
 
 
 def test_calibration_depends_on_curvature_only():
-    from crchern.kahler import spaceform
-
     hsc = Fraction(-3, 2)
     base = calibrate_space_form(1, hsc)
     for dim in (2, 5):
         factor = calibrate_space_form(dim, hsc)
         assert factor.dim == dim
-        assert (factor.potential_a, factor.patch_radius, factor.calibration_residual) == (
-            base.potential_a,
+        assert (factor.patch_radius, factor.calibration_residual) == (
             base.patch_radius,
             base.calibration_residual,
         )
-    a, residual = spaceform._solve_potential.__wrapped__(hsc, 30, spaceform._g11_exact)
-    assert a == base.potential_a and float(residual) == base.calibration_residual
+    residual = abs(_hsc_at_origin_exact(POTENTIAL, hsc) - hsc)
+    assert float(residual) == base.calibration_residual
+
+
+WIDE_CURVATURES = [
+    sign * Fraction(value)
+    for value in ("1e-8", "1/4", "1", "37/3", "100", "1e4", "1e6")
+    for sign in (1, -1)
+]
+
+
+@pytest.mark.parametrize("hsc", WIDE_CURVATURES, ids=str)
+def test_closed_form_calibration_across_curvature(hsc, monkeypatch):
+    # a = b = 2 for every curvature: the gate passes, the metric along
+    # z_1 is 1 / (1 + (hsc/2)|z|^2)^2, and the oracle runs once
+    from crchern.kahler import spaceform
+
+    calls = []
+    original = spaceform._g11_exact
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(spaceform, "_g11_exact", counted)
+    factor = calibrate_space_form(1, hsc)
+    assert factor.calibration_residual <= float(CALIBRATION_ABORT)
+    assert len(calls) <= 65  # one extrapolation: 1 + 8 per level, 8 levels
+    c = float(hsc)
+    for frac in (0.0, 0.1, 0.3, 0.45):
+        radius = frac * min(1.0, factor.patch_radius)
+        z = np.array([radius * np.exp(0.7j)])
+        expected = 1 / (1 + (c / 2) * radius**2) ** 2
+        assert factor.metric(z)[0, 0].real == pytest.approx(expected, rel=1e-12)

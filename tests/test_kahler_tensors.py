@@ -18,12 +18,7 @@ from crchern.kahler import (
     symmetry_residuals,
 )
 from crchern.kahler.scenario import _cross_block_max
-from crchern.kahler.tensors import (
-    METRIC_STEP,
-    THIRD_ORDER_STEP,
-    _assemble_v,
-    _third_order_derivatives,
-)
+from crchern.kahler.tensors import _assemble_v, _third_order_derivatives
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +86,9 @@ class TestMetric:
         g = metric_at(mixed_pair, z)
         linv = levi_inverse(g)
         assert np.allclose(np.einsum("ab,cb->ac", linv, g), np.eye(3))
+        # the sample centre's tensors carry the same inverse
+        t = point_tensors(mixed_pair, z)
+        assert np.array_equal(t.linv, levi_inverse(t.g))
 
 
 def _reference_metric_derivatives(patch, z, step):
@@ -235,7 +233,7 @@ class TestSchoutenAndChern:
         for z in control_pair.sample_points(5, seed=29):
             t = point_tensors(control_pair, z)
             bound = 1e-6 * (1 + np.max(np.abs(t.R)))
-            assert np.max(np.abs(first_pair_trace(t.S, t.g))) <= bound
+            assert np.max(np.abs(first_pair_trace(t.S, t.linv))) <= bound
 
     def test_zero_curvature_gives_zero_schouten(self):
         # flat-limit control through a tiny curvature parameter
@@ -250,7 +248,7 @@ class TestSchoutenAndChern:
 def v_tensor(patch, z):
     """``(T1, V)`` at ``z``, assembled from the third-order stencil."""
     t = point_tensors(patch, z)
-    dP, _dS, dScal = _third_order_derivatives(patch, z, METRIC_STEP, THIRD_ORDER_STEP)
+    dP, _dS, dScal = _third_order_derivatives(patch, z)
     return _assemble_v(dP, dScal, t.gammas, t.P, t.g, patch.total_dim)
 
 
@@ -263,7 +261,7 @@ class TestThirdOrder:
 
     def test_divergence_identity_flat(self, flat_pair):
         for z in flat_pair.sample_points(3, seed=37):
-            out = chern_divergence_residual(flat_pair, z)
+            out = chern_divergence_residual(flat_pair, point_tensors(flat_pair, z))
             assert out["residual"] < 1e-3
             assert out["lhs_max"] < 1e-3 and out["rhs_max"] < 1e-3
 
@@ -271,18 +269,8 @@ class TestThirdOrder:
         # S is parallel for any space-form product, so both sides still
         # vanish; the cancellation now runs through the connection terms.
         z = control_pair.sample_points(1, seed=41)[0]
-        out = chern_divergence_residual(control_pair, z)
+        out = chern_divergence_residual(control_pair, point_tensors(control_pair, z))
         assert out["residual"] < 1e-3
-
-    def test_divergence_reuses_only_matching_centre(self, control_pair):
-        z, other = control_pair.sample_points(2, seed=47)
-        t = point_tensors(control_pair, z)
-        out = chern_divergence_residual(control_pair, z, centre=t)
-        assert out["residual"] == chern_divergence_residual(control_pair, z)["residual"]
-        with pytest.raises(ValueError, match="centre tensors"):
-            chern_divergence_residual(control_pair, other, centre=t)
-        with pytest.raises(ValueError, match="centre tensors"):
-            chern_divergence_residual(control_pair, z, step=t.step / 2, centre=t)
 
 
 def pseudo_einstein_residual(t, n):

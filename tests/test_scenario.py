@@ -77,9 +77,7 @@ def test_control_batch_fails_flatness_and_passes_as_control():
     flat_view = run_batch(factors, samples=6, seed=0)
     assert not flat_view.passed  # |S| is recorded and breaks the bound
     assert flat_view.witnesses[0]["maxima"]["s_inf"] > 1e-2
-    control_view = run_batch(
-        factors, samples=6, seed=0, expect_flat=False, control_floor=1e-2
-    )
+    control_view = run_batch(factors, samples=6, seed=0, control_floor=1e-2)
     assert control_view.passed
 
 
