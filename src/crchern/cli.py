@@ -298,12 +298,21 @@ def _emit(
     ``--out`` is opened before ``compute`` runs and the manifest is
     written through that handle, so an unwritable path exits 2 before
     any work.  It is truncated only once the manifest exists, so a run
-    that raises or is interrupted leaves an earlier file as it was.
+    that raises or is interrupted leaves an earlier file as it was, and
+    removes a file that this call created.
     """
+    created = False
     try:
-        sink = open(args.out, "a") if args.out else nullcontext(sys.stdout)
+        if args.out:
+            try:
+                sink, created = open(args.out, "x"), True
+            except FileExistsError:
+                sink = open(args.out, "a")
+        else:
+            sink = nullcontext(sys.stdout)
     except OSError as exc:
         return _refuse(f"cannot write manifest: {exc}")
+    written = False
     try:
         with sink as stream:
             manifest = build_manifest(argv, compute(), seed, not args.no_timestamp)
@@ -314,10 +323,14 @@ def _emit(
             else:
                 stream.write(manifest_to_markdown(manifest))
             stream.write("\n")
+        written = True
     except BrokenPipeError:
         raise  # standard output closed by its reader: ``main`` exits 1
     except OSError as exc:
         return _refuse(f"cannot write manifest: {exc}")
+    finally:
+        if created and not written:
+            os.remove(args.out)
     return 0 if manifest["status"] == "pass" else 1
 
 

@@ -47,6 +47,10 @@ DEFAULT_TOLERANCES = {
     "convergence_high": 4.5,
 }
 CONVERGENCE_STEP = 2e-2  # large enough that truncation dominates roundoff
+# The sampler draws from the cube around each factor's ball and rejects
+# points outside it: d! (4/pi)^d draws per point, 2.8e5 at d = 8 and
+# 8.7e9 at d = 12, so larger factors are refused rather than left to run.
+MAX_FACTOR_DIM = 8
 
 
 class ScenarioError(ValueError):
@@ -101,6 +105,8 @@ def parse_scenario(doc: Mapping) -> tuple[list[tuple[int, Fraction]], int, int, 
         dim = f["dim"]
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
             raise ScenarioError(f"factor #{i}: 'dim' must be a positive integer")
+        if dim > MAX_FACTOR_DIM:
+            raise ScenarioError(f"factor #{i}: 'dim' must be at most {MAX_FACTOR_DIM}")
         hsc_raw = f["hsc"]
         try:
             hsc = Fraction(hsc_raw) if isinstance(hsc_raw, str) else Fraction(int(hsc_raw))

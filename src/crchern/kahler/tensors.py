@@ -33,12 +33,18 @@ The stencil, not the point, is the unit of metric evaluation: all
 points of one second-derivative stencil go through ``metric_at`` as one
 stacked array, and one batched assembly turns the derivatives of any
 stack of centres into R, Ric, Scal, P, S and the connection
-coefficients.
+coefficients.  Every contraction there takes two operands, so the
+assembly is O(n^5) per centre: the connection term of R goes through
+``Gamma^r_{c a} = l^{r s-} d_c g_{a s-}``, and the divergence stencil
+contracts ``l^{r d-}`` into Gamma before it meets S.  The stencil's
+offset and index tables are built once per real dimension and shared
+read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,19 +63,25 @@ def _real_coords(z: np.ndarray) -> np.ndarray:
     return np.concatenate([np.real(z), np.imag(z)], axis=-1)
 
 
-def _stencil_offsets(m: int) -> np.ndarray:
-    """Unit offsets of the second-derivative stencil in ``m`` real coordinates.
+@lru_cache(maxsize=32)
+def _stencil_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(offsets, ia, ib)``: the second-derivative stencil in ``m`` real
+    coordinates, built once per ``m`` and shared read-only.
 
-    Rows: the centre, ``+e_a``, ``-e_a``, then for each ``a < b`` (in
-    ``triu_indices`` order) the blocks ``e_a+e_b``, ``e_a-e_b``,
-    ``-e_a+e_b``, ``-e_a-e_b``: ``1 + 2m + 2m(m-1)`` points.
+    ``ia, ib`` is the ``triu_indices(m, 1)`` pair.  Rows of ``offsets``:
+    the centre, ``+e_a``, ``-e_a``, then for each ``a < b`` (in that
+    pair's order) the blocks ``e_a+e_b``, ``e_a-e_b``, ``-e_a+e_b``,
+    ``-e_a-e_b``: ``1 + 2m + 2m(m-1)`` points.
     """
     eye = np.eye(m)
     ia, ib = np.triu_indices(m, 1)
     ea, eb = eye[ia], eye[ib]
-    return np.concatenate(
+    offsets = np.concatenate(
         [np.zeros((1, m)), eye, -eye, ea + eb, ea - eb, -ea + eb, -ea - eb]
     )
+    for table in (offsets, ia, ib):
+        table.setflags(write=False)
+    return offsets, ia, ib
 
 
 def metric_derivatives(
@@ -87,7 +99,8 @@ def metric_derivatives(
     n = patch.total_dim
     m = 2 * n
     pairs = m * (m - 1) // 2
-    x = _real_coords(z)[..., None, :] + step * _stencil_offsets(m)
+    offsets, ia, ib = _stencil_tables(m)
+    x = _real_coords(z)[..., None, :] + step * offsets
     G = metric_at(patch, x[..., :n] + 1j * x[..., n:])  # [..., point, a, b]
     g0 = G[..., 0, :, :].copy()  # not a view: the stencil buffer is freed on return
     plus, minus = G[..., 1 : 1 + m, :, :], G[..., 1 + m : 1 + 2 * m, :, :]
@@ -100,7 +113,6 @@ def metric_derivatives(
     D2 = np.empty(z.shape[:-1] + (m, m, n, n), dtype=complex)
     diag = np.arange(m)
     D2[..., diag, diag, :, :] = (plus - 2 * g0[..., None, :, :] + minus) / step**2
-    ia, ib = np.triu_indices(m, 1)
     mixed = (pp - pm - mp + mm) / (4 * step**2)
     D2[..., ia, ib, :, :] = mixed
     D2[..., ib, ia, :, :] = mixed
@@ -140,14 +152,16 @@ def _curvature(g: np.ndarray, D1: np.ndarray, D2: np.ndarray):
         + D2[..., n:, n:, :, :]
         + 1j * (D2[..., :n, n:, :, :] - D2[..., n:, :n, :, :])
     )  # [c, d, a, b]
+    # Gamma^r_{c a} = l^{r s-} d_c g_{a s-}, then the connection term
+    # Gamma^r_{c a} d_d- g_{r b-}: two contractions, O(n^5) together.
+    gammas = np.einsum("...cs,...abs->...cab", linv, hol)
     R = -np.moveaxis(hmix, (-2, -1), (-4, -3)) + np.einsum(
-        "...rs,...cas,...drb->...abcd", linv, hol, anti
+        "...rca,...drb->...abcd", gammas, anti
     )
     ric = np.einsum("...ab,...abcd->...cd", linv, R)
     scal = np.einsum("...cd,...cd->...", linv, ric).real
     P = schouten_at(ric, scal, g, n)
     S = chern_tensor_at(R, P, g, n)
-    gammas = np.einsum("...cs,...abs->...cab", linv, hol)
     return linv, R, ric, scal, P, S, gammas
 
 
@@ -254,18 +268,20 @@ def chern_divergence_residual(patch: KahlerProductPatch, t: PointTensors) -> dic
 
     ``t`` is ``point_tensors(patch, z)``.  ``div S`` is the trace
     ``l^{r d-} grad_r S_{a b- c d-}`` with the covariant corrections on
-    both unbarred slots of S.  Returns the two sides and the residual
-    max-norm for reporting.
+    both unbarred slots of S.  ``l^{r d-}`` is contracted into Gamma
+    first (``l^{r d-} Gamma^s_{r a}``), so the trace is O(n^5) and
+    ``grad S`` itself is never built.  Returns the two sides and the
+    residual max-norm for reporting.
     """
     n = patch.total_dim
     dP_hol, dS_hol, dScal_hol = _third_order_derivatives(patch, t.point)
 
-    grad_S = (
-        dS_hol
-        - np.einsum("sra,sbcd->rabcd", t.gammas, t.S)
-        - np.einsum("src,absd->rabcd", t.gammas, t.S)
+    lg = np.einsum("rd,sra->sad", t.linv, t.gammas)
+    div_S = (
+        np.einsum("rd,rabcd->abc", t.linv, dS_hol)
+        - np.einsum("sad,sbcd->abc", lg, t.S)
+        - np.einsum("scd,absd->abc", lg, t.S)
     )
-    div_S = np.einsum("rd,rabcd->abc", t.linv, grad_S)
 
     _T1, V = _assemble_v(dP_hol, dScal_hol, t.gammas, t.P, t.g, n)
     rhs = -n * 1j * V

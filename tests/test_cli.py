@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -241,6 +242,10 @@ def test_run_that_raises_keeps_an_existing_out(monkeypatch, tmp_path):
     with pytest.raises(KeyboardInterrupt):
         main(["verify", "prop-1-3", "--out", str(target)])
     assert target.read_text() == "earlier manifest\n"
+    fresh = tmp_path / "fresh.json"
+    with pytest.raises(KeyboardInterrupt):
+        main(["verify", "prop-1-3", "--out", str(fresh)])
+    assert not fresh.exists()
     monkeypatch.undo()
     assert main(["verify", "prop-1-3", "--format", "json", "--out", str(target)]) == 0
     assert json.loads(target.read_text())["status"] == "pass"
@@ -411,6 +416,29 @@ class TestScenario:
         assert error in err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert out_path.read_text() == "earlier manifest\n"
+
+    @pytest.mark.parametrize("dim", [9, 40])
+    def test_factor_dimension_beyond_the_sampler_exit_2_at_once(self, capsys, tmp_path, dim):
+        path = self.write(tmp_path, {"factors": [{"dim": dim, "hsc": "1"}], "samples": 1})
+        out_path = tmp_path / "manifest.json"
+        start = time.perf_counter()
+        code, out, err = run_cli(["scenario", path, "--out", str(out_path)], capsys)
+        assert time.perf_counter() - start < 0.1
+        assert (code, out) == (2, "")
+        assert err == "scenario schema violation: factor #0: 'dim' must be at most 8\n"
+        assert not out_path.exists()
+
+    def test_refused_run_removes_a_fresh_out(self, capsys, tmp_path):
+        # the +-10^4 pair leaves the chart only once the batch is running
+        path = self.write(
+            tmp_path,
+            {"factors": [{"dim": 1, "hsc": "10000"}, {"dim": 1, "hsc": "-10000"}], "samples": 2},
+        )
+        out_path = tmp_path / "fresh.json"
+        code, out, err = run_cli(["scenario", path, "--out", str(out_path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("scenario outside the numeric model's range: ")
+        assert not out_path.exists()
 
 
 class TestBochner:

@@ -18,7 +18,13 @@ from crchern.kahler import (
     symmetry_residuals,
 )
 from crchern.kahler.scenario import _cross_block_max
-from crchern.kahler.tensors import _assemble_v, _third_order_derivatives
+from crchern.kahler.tensors import (
+    _assemble_v,
+    _curvature,
+    _holomorphic_split,
+    _stencil_tables,
+    _third_order_derivatives,
+)
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +122,29 @@ def _reference_metric_derivatives(patch, z, step):
     return g0, D1, D2
 
 
+def _fresh_stencil_tables(m):
+    """The stencil written out pair by pair, sign block by sign block."""
+    eye = np.eye(m)
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    rows = [np.zeros(m), *eye, *-eye]
+    for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        rows += [sa * eye[a] + sb * eye[b] for a, b in pairs]
+    ia = np.array([a for a, _ in pairs], dtype=np.intp)
+    ib = np.array([b for _, b in pairs], dtype=np.intp)
+    return np.array(rows), ia, ib
+
+
 class TestStencil:
+    @pytest.mark.parametrize("m", [2, 3, 6, 12])
+    def test_cached_tables_match_fresh_ones_and_are_read_only(self, m):
+        tables = _stencil_tables(m)
+        assert _stencil_tables(m) is tables  # built once per m
+        for got, want in zip(tables, _fresh_stencil_tables(m)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 1
+        assert len(tables[0]) == 1 + 2 * m + 2 * m * (m - 1)
+
     def test_metric_derivatives_match_reference_loop(self, mixed_pair):
         for z in mixed_pair.sample_points(3, seed=67):
             got = metric_derivatives(mixed_pair, z)
@@ -155,7 +183,37 @@ class TestStencil:
         assert _cross_block_max(single, R) == 0.0
 
 
+def _three_operand_curvature(g, D1, D2):
+    """R with the connection term as one three-operand contraction, the
+    O(n^6) form that the two-step assembly replaced."""
+    n = g.shape[-1]
+    linv = levi_inverse(g)
+    hol, anti = _holomorphic_split(D1, n)
+    hmix = 0.25 * (
+        D2[..., :n, :n, :, :]
+        + D2[..., n:, n:, :, :]
+        + 1j * (D2[..., :n, n:, :, :] - D2[..., n:, :n, :, :])
+    )
+    return -np.moveaxis(hmix, (-2, -1), (-4, -3)) + np.einsum(
+        "...rs,...cas,...drb->...abcd", linv, hol, anti
+    )
+
+
 class TestCurvature:
+    @pytest.mark.parametrize(
+        "dims", [(1,), (1, 1), (1, 2), (2, 2), (2, 3), (3, 3)], ids=lambda d: f"n={sum(d)}"
+    )
+    def test_two_step_assembly_matches_three_operand_form(self, dims):
+        patch = KahlerProductPatch(
+            tuple(calibrate_space_form(d, (-1) ** i) for i, d in enumerate(dims))
+        )
+        centres = np.array(patch.sample_points(4, seed=79)).reshape(2, 2, -1)
+        g, D1, D2 = metric_derivatives(patch, centres)
+        R = _curvature(g, D1, D2)[1]
+        want = _three_operand_curvature(g, D1, D2)
+        assert R.shape == want.shape == (2, 2) + (sum(dims),) * 4
+        assert np.max(np.abs(R - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_matches_space_form_closed_form(self, mixed_pair):
         for z in mixed_pair.sample_points(10, seed=7):
             R, _, _ = curvature_at(mixed_pair, z)
@@ -258,6 +316,29 @@ class TestThirdOrder:
         T1, V = v_tensor(flat_pair, z)
         assert np.max(np.abs(T1)) < 1e-4
         assert np.max(np.abs(V)) < 1e-4
+
+    @pytest.mark.parametrize("dims,signs", [((1, 1), (1, 1)), ((1, 2), (1, 1)), ((2, 1), (1, -1))])
+    def test_divergence_matches_full_gradient_of_s(self, dims, signs):
+        # div S = l^{r d-} grad_r S_{a b- c d-}, built from the whole
+        # n^5 array grad S as the two-step trace no longer does
+        patch = KahlerProductPatch(
+            tuple(calibrate_space_form(d, s) for d, s in zip(dims, signs))
+        )
+        z = patch.sample_points(1, seed=83)[0]
+        t = point_tensors(patch, z)
+        _dP, dS_hol, _dScal = _third_order_derivatives(patch, z)
+        gamma_terms = np.einsum("sra,sbcd->rabcd", t.gammas, t.S) + np.einsum(
+            "src,absd->rabcd", t.gammas, t.S
+        )
+        want = np.einsum("rd,rabcd->abc", t.linv, dS_hol - gamma_terms)
+        # div S vanishes on space-form products, so the rounding of its
+        # summands, not its own size, sets the scale
+        scale = max(
+            np.max(np.abs(np.einsum("rd,rabcd->abc", t.linv, dS_hol))),
+            np.max(np.abs(np.einsum("rd,rabcd->abc", t.linv, gamma_terms))),
+        )
+        got = chern_divergence_residual(patch, t)["div_S"]
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
     def test_divergence_identity_flat(self, flat_pair):
         for z in flat_pair.sample_points(3, seed=37):

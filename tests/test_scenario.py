@@ -39,11 +39,18 @@ def test_parse_full_scenario():
     assert tol["p_trace"] == DEFAULT_TOLERANCES["p_trace"]
 
 
+def test_largest_factor_dimension_parses():
+    factors, *_ = parse_scenario({"factors": [{"dim": 8, "hsc": "1"}, {"dim": 8, "hsc": "-1"}]})
+    assert factors == [(8, Fraction(1)), (8, Fraction(-1))]
+
+
 @pytest.mark.parametrize(
     "doc",
     [
         {"factors": []},
         {"factors": [{"dim": 0, "hsc": "1"}]},
+        {"factors": [{"dim": 9, "hsc": "1"}]},
+        {"factors": [{"dim": 1, "hsc": "1"}, {"dim": 40, "hsc": "-1"}]},
         {"factors": [{"dim": 1, "hsc": "0"}]},
         {"factors": [{"dim": 1, "hsc": "a/b"}]},
         {"factors": [{"dim": 1}]},
@@ -123,7 +130,9 @@ def test_emitted_reports_validate_against_shipped_schemas():
         "tolerances": {"s_max": 1e-6},
     }
     jsonschema.validate(good, scenario_schema)
-    with pytest.raises(jsonschema.ValidationError):
-        jsonschema.validate({"factors": []}, scenario_schema)
+    for bad in ({"factors": []}, {"factors": [{"dim": 9, "hsc": "1"}]}):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(bad, scenario_schema)
+    jsonschema.validate({"factors": [{"dim": 8, "hsc": "1"}]}, scenario_schema)
     # the hand validator accepts exactly what the schema describes here
     parse_scenario(good)
