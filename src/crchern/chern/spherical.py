@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from ..cohomology.gysin import MembershipCertificate, image_membership
@@ -79,6 +80,21 @@ def _residual(
     return c.chern(k) - spherical_ratio(n, k) * c1_power
 
 
+@lru_cache(maxsize=1)  # the most recent base only: a sweep visits each base once
+def _residual_table(
+    c: BundleClass, n: int
+) -> tuple[tuple[int, RingElement, str, str], ...]:
+    """``(k, residual, str(residual), str(ratio))`` for ``k = 1..n+1``."""
+    rows = []
+    c1 = c.c1()
+    c1_power = c.ring.one()
+    for k in range(1, n + 2):
+        c1_power = c1_power * c1  # c_1^k, one product with c_1 per k
+        res = _residual(c, n, k, c1_power)
+        rows.append((k, res, str(res), str(spherical_ratio(n, k))))
+    return tuple(rows)
+
+
 def verify_spherical_on_circle_bundle(
     setup: CircleBundleSetup, n: int
 ) -> CheckReport:
@@ -93,21 +109,12 @@ def verify_spherical_on_circle_bundle(
     assertions = []
     witnesses = []
     residuals = []
-    c = setup.base_tangent
-    c1 = c.c1()
-    c1_power = setup.base.one()
-    for k in range(1, n + 2):
-        c1_power = c1_power * c1  # c_1^k, one product with c_1 per k
-        res = _residual(c, n, k, c1_power)
+    for k, res, res_text, ratio_text in _residual_table(setup.base_tangent, n):
         cert: MembershipCertificate = image_membership(setup.base, setup.euler, res)
         assertions.append((f"residual k={k} in image", cert.member))
-        residuals.append({"k": k, "residual": str(res)})
+        residuals.append({"k": k, "residual": res_text})
         witnesses.append(
-            {
-                "k": k,
-                "ratio": str(spherical_ratio(n, k)),
-                "membership": cert.to_json_dict(),
-            }
+            {"k": k, "ratio": ratio_text, "membership": cert.to_json_dict()}
         )
     return CheckReport.from_assertions(
         check="spherical-constraint-on-circle-bundle",

@@ -46,12 +46,12 @@ from .chern.report import CheckReport
 from .chern.spherical import verify_spherical_on_circle_bundle
 from .chern.tractor import tractor_determinant_check
 from .cohomology.parser import ParseError, parse_element
-from .cohomology.ring import RingError, RingPresentation
+from .cohomology.ring import RingPresentation
 from .kahler.patch import PatchDomainError
 from .kahler.scenario import ScenarioError, parse_scenario, run_batch
 from .kahler.spaceform import CalibrationError
 from .kahler.tensors import IllConditionedMetric
-from .presets import PresetError, preset_ring
+from .presets import preset_ring
 
 DEFAULT_SEED = 0
 CONTROL_FLOOR = 1e-2
@@ -363,7 +363,7 @@ def _load_ring_spec(spec: str) -> RingPresentation:
 def _cmd_eval(args, argv: list[str]) -> int:
     try:
         ring = _load_ring_spec(args.ring)
-    except (PresetError, RingError, json.JSONDecodeError, OSError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # undecodable or oversized too
         return _refuse(f"bad ring spec: {exc}")
     try:
         value = parse_element(args.expr, ring)
@@ -382,7 +382,7 @@ def _cmd_eval(args, argv: list[str]) -> int:
 def _cmd_scenario(args, argv: list[str]) -> int:
     try:
         doc = json.loads(Path(args.path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # undecodable or oversized too
         return _refuse(f"cannot read scenario: {exc}")
     try:
         factors, samples, seed, tolerances = parse_scenario(doc)

@@ -10,12 +10,24 @@ Sign convention: the multiplication map is taken literally as
 ``x -> e * x`` with ``e`` exactly as supplied (no sign is inserted).
 Membership and cokernel answers are invariant under replacing ``e`` by
 ``-e``; certificates record the convention under ``euler_sign``.
+
+Shared work: a sweep asks about the same cup matrix many times (every
+``n >= k`` of a family, every Euler class of one base).  Membership over
+Z and Q and :func:`cokernel` take the cup matrix and its Smith form from
+:func:`factored_cup`, which keeps one ``(CupMatrix, (U, D, V))`` per
+content key in a bounded LRU memo (``FACTORED_CUP_MEMO`` entries).  The
+key is the coefficient domain, each generator's degree with its
+truncation capped at what degree ``k`` can reach, the terms of ``e``,
+and ``k``: together they fix both degree bases and every entry, so
+CP^n and CP^(n+1) share their degree-k entries.  Shared values are
+immutable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import add
 
@@ -32,7 +44,11 @@ from .snf import (
     smith_normal_form,
 )
 
+SmithForm = tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]  # (U, D, V)
 EULER_SIGN_CONVENTION = "cup-with-e-as-given"
+# Distinct cup-matrix contents held at once; ``verify thm-1-2 --n-max 40``
+# factors a few hundred.
+FACTORED_CUP_MEMO = 1024
 
 
 @dataclass(frozen=True)
@@ -89,6 +105,52 @@ def cup_matrix(ring: RingPresentation, e: RingElement, k: int) -> CupMatrix:
     return CupMatrix(matrix, k, rows, cols, scale)
 
 
+class _CupContent:
+    """A content key with one ring and class that have it; equal by key alone."""
+
+    __slots__ = ("key", "ring", "e")
+
+    def __init__(self, key: tuple, ring: RingPresentation, e: RingElement) -> None:
+        self.key, self.ring, self.e = key, ring, e
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _CupContent) and self.key == other.key
+
+
+@lru_cache(maxsize=FACTORED_CUP_MEMO)
+def _factor(content: _CupContent) -> tuple[CupMatrix, SmithForm]:
+    # module globals, looked up per call, so that rebinding them (tracing)
+    # sees every miss
+    cup = cup_matrix(content.ring, content.e, content.key[-1])
+    return cup, smith_normal_form(cup.matrix)
+
+
+def factored_cup(
+    ring: RingPresentation, e: RingElement, k: int
+) -> tuple[CupMatrix, SmithForm]:
+    """:func:`cup_matrix` and the ``(U, D, V)`` of its Smith form, shared by content.
+
+    Equal to a fresh ``cup_matrix(ring, e, k)`` and ``smith_normal_form``
+    of its matrix; the result is shared with every call of the same
+    content key (see the module docstring) and must not be mutated.
+    ``e.ring != ring`` raises on every call.  The degree-2 homogeneity
+    check of :func:`cup_matrix` runs on every miss; a hit implies it,
+    because a non-homogeneous ``e`` never enters the memo and
+    homogeneity depends only on e's terms and the generator degrees,
+    which are part of the key.
+    """
+    if e.ring != ring:
+        raise RingError("class does not belong to the given ring")
+    reach = tuple(
+        (g.degree, min(g.truncation, k // g.degree + 1)) for g in ring.generators
+    )
+    key = (ring.coefficients, reach, frozenset(e.terms.items()), k)
+    return _factor(_CupContent(key, ring, e))
+
+
 @dataclass(frozen=True)
 class MembershipCertificate:
     """Outcome of an image-membership query, with a checkable witness.
@@ -136,8 +198,9 @@ def image_membership(
     """Decide whether ``beta`` lies in the image of cup product with ``e``.
 
     Over Q this is an exact rational solve; over Z the solve respects
-    invariant factors; over Z/m the integer solve is applied to the cup
-    matrix augmented with ``m`` times the identity.
+    invariant factors; both use the shared factorization of
+    :func:`factored_cup`.  Over Z/m the integer solve is applied to the
+    cup matrix augmented with ``m`` times the identity.
     """
     if beta.ring != ring:
         raise RingError("element does not belong to the given ring")
@@ -148,18 +211,16 @@ def image_membership(
         return MembershipCertificate(True, 0, preimage=ring.zero())
     (k,) = degrees
 
-    cup = cup_matrix(ring, e, k)
-    b = _element_vector(ring, beta, cup.basis_rows)
-
     domain = ring.coefficients
     if domain.kind == "mod":
-        return _membership_mod(ring, cup, b, k)
+        return _membership_mod(ring, e, beta, k)
 
+    cup, (U, D, V) = factored_cup(ring, e, k)
+    b = _element_vector(ring, beta, cup.basis_rows)
     # Clear target denominators; over Q membership is scale-invariant.
     b_scale = lcm(1, *(x.denominator for x in b))
     b_int = b if b_scale == 1 else [int(x * b_scale) for x in b]
 
-    U, D, V = smith_normal_form(cup.matrix)
     residue, num, L = _back_substitute(U, D, V, b_int, integral=domain.kind == "Z")
     if residue:
         return MembershipCertificate(
@@ -187,10 +248,12 @@ def image_membership(
 
 
 def _membership_mod(
-    ring: RingPresentation, cup: CupMatrix, b: list, k: int
+    ring: RingPresentation, e: RingElement, beta: RingElement, k: int
 ) -> MembershipCertificate:
     m = ring.coefficients.modulus
     assert m is not None
+    cup = cup_matrix(ring, e, k)
+    b = _element_vector(ring, beta, cup.basis_rows)
     rows = cup.matrix.rows
     cols = cup.matrix.cols
     aug = [
@@ -262,8 +325,7 @@ def cokernel(ring: RingPresentation, e: RingElement, k: int) -> CokernelData:
     """Invariant factors and basis classes of ``H^k / Im(. cup e)`` over Z."""
     if ring.coefficients.kind != "Z":
         raise RingError("cokernel computation requires integer coefficients")
-    cup = cup_matrix(ring, e, k)
-    U, D, _V = smith_normal_form(cup.matrix)
+    cup, (U, D, _V) = factored_cup(ring, e, k)
     facs = invariant_factors(D)
     free_rank = cup.matrix.rows - len(facs)
 

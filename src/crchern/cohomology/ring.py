@@ -289,10 +289,12 @@ class RingPresentation:
             domain = INTEGERS
         elif raw_coeffs == "Q":
             domain = RATIONALS
-        elif isinstance(raw_coeffs, Mapping) and "mod" in raw_coeffs:
-            domain = integers_mod(int(raw_coeffs["mod"]))
+        elif isinstance(raw_coeffs, Mapping) and isinstance(raw_coeffs.get("mod"), int):
+            domain = integers_mod(raw_coeffs["mod"])
         else:
             raise RingError(f"unknown coefficient spec: {raw_coeffs!r}")
+        if not isinstance(raw_gens, list):
+            raise RingError(f"malformed ring presentation: generators {raw_gens!r}")
         gens = []
         for g in raw_gens:
             try:

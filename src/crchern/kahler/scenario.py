@@ -51,6 +51,11 @@ CONVERGENCE_STEP = 2e-2  # large enough that truncation dominates roundoff
 # points outside it: d! (4/pi)^d draws per point, 2.8e5 at d = 8 and
 # 8.7e9 at d = 12, so larger factors are refused rather than left to run.
 MAX_FACTOR_DIM = 8
+# An 'hsc' string is a short rational or decimal.  Bounding its length and
+# its decimal exponent bounds the digits of the Fraction it becomes:
+# "1e999999999" would otherwise build a 10^9-digit integer.
+MAX_HSC_CHARS = 100
+MAX_HSC_EXPONENT = 400
 
 
 class ScenarioError(ValueError):
@@ -107,11 +112,7 @@ def parse_scenario(doc: Mapping) -> tuple[list[tuple[int, Fraction]], int, int, 
             raise ScenarioError(f"factor #{i}: 'dim' must be a positive integer")
         if dim > MAX_FACTOR_DIM:
             raise ScenarioError(f"factor #{i}: 'dim' must be at most {MAX_FACTOR_DIM}")
-        hsc_raw = f["hsc"]
-        try:
-            hsc = Fraction(hsc_raw) if isinstance(hsc_raw, str) else Fraction(int(hsc_raw))
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
-            raise ScenarioError(f"factor #{i}: bad 'hsc' value {hsc_raw!r}") from exc
+        hsc = _parse_hsc(f["hsc"], i)
         if hsc == 0:
             raise ScenarioError(f"factor #{i}: 'hsc' must be nonzero")
         factors.append((dim, hsc))
@@ -141,6 +142,23 @@ def parse_scenario(doc: Mapping) -> tuple[list[tuple[int, Fraction]], int, int, 
             )
         tolerances[key] = val
     return factors, samples, seed, tolerances
+
+
+def _parse_hsc(raw: object, i: int) -> Fraction:
+    """Factor ``i``'s curvature: an integer, or a string ``Fraction`` accepts."""
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return Fraction(raw)
+    if not isinstance(raw, str):
+        raise ScenarioError(f"factor #{i}: 'hsc' must be a string or an integer")
+    if len(raw) > MAX_HSC_CHARS:
+        raise ScenarioError(f"factor #{i}: 'hsc' must be at most {MAX_HSC_CHARS} characters")
+    exponent = raw.lower().partition("e")[2]
+    try:
+        if abs(int(exponent or 0)) <= MAX_HSC_EXPONENT:
+            return Fraction(raw)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ScenarioError(f"factor #{i}: bad 'hsc' value {raw!r}") from exc
+    raise ScenarioError(f"factor #{i}: 'hsc' exponent must be at most {MAX_HSC_EXPONENT}")
 
 
 def build_patch(factors: list[tuple[int, Fraction]]) -> KahlerProductPatch:

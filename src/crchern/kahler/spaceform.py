@@ -21,9 +21,11 @@ function of the real coordinates) with Richardson extrapolation of the
 difference quotients, so the achievable residual is limited only by
 the extrapolation depth.  A residual above the abort threshold means
 the sign conventions of the pipeline and the potential disagree (at
-``a = 2`` a flipped sign leaves a residual of ``2 |hsc|``), which is
-what calibration exists to catch, or that ``|hsc|`` is too large for
-the extrapolation to resolve (from about 10^15).
+``a = 2`` a flipped sign leaves a residual of ``2 |hsc|``, so the
+oracle reads nearer ``-hsc`` than ``hsc``), which is what calibration
+exists to catch, or that ``|hsc|`` is too large for the extrapolation
+to resolve (from about 10^15).  A curvature outside the range of a
+float is refused before the oracle runs.
 
 For ``hsc < 0`` the chart is the ball ``|z| < sqrt(b/|c|)`` (the model
 radius); for ``hsc > 0`` the affine chart is all of C^dim.
@@ -32,6 +34,7 @@ radius); for ``hsc > 0`` the affine chart is all of C^dim.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,7 +46,7 @@ _EXTRAPOLATION_GOAL = Fraction(1, 10**16)
 
 
 class CalibrationError(RuntimeError):
-    """Curvature convention mismatch detected during calibration."""
+    """A curvature the calibration refuses: a convention mismatch, or beyond resolution."""
 
 
 @dataclass(frozen=True)
@@ -174,15 +177,28 @@ def calibrate_space_form(dim: int, hsc: Fraction | int | str) -> SpaceFormFactor
 
     The constants are the closed form ``a = b = POTENTIAL``; the exact
     oracle is run once, and a residual above ``CALIBRATION_ABORT``
-    raises :class:`CalibrationError`.
+    raises :class:`CalibrationError`: a convention error where the
+    oracle reads nearer ``-hsc`` than ``hsc``, an unresolved curvature
+    otherwise.  So does ``|hsc|`` outside the normal float range.
     """
     hsc = Fraction(hsc)
     if hsc == 0:
         raise CalibrationError("flat factors are not part of the model family")
-    residual = abs(_hsc_at_origin_exact(POTENTIAL, hsc) - hsc)
-    if residual > CALIBRATION_ABORT:
+    low, high = sys.float_info.min, sys.float_info.max
+    if not low <= abs(hsc) <= high:
         raise CalibrationError(
-            f"curvature convention error: residual {float(residual):.3e} "
+            f"curvature of factor dim={dim} is beyond the float range of the "
+            f"metric: |hsc| must lie in [{low:.3e}, {high:.3e}]"
+        )
+    value = _hsc_at_origin_exact(POTENTIAL, hsc)
+    residual = abs(value - hsc)
+    if residual > CALIBRATION_ABORT:
+        if abs(value + hsc) < residual:
+            cause = "curvature convention error"  # the oracle reads about -hsc
+        else:
+            cause = "finite differences cannot resolve this curvature"
+        raise CalibrationError(
+            f"{cause}: relative residual {float(residual / abs(hsc)):.3e} "
             f"for dim={dim}, hsc={hsc}"
         )
     if hsc < 0:

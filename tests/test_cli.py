@@ -5,6 +5,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from crchern import cli
 from crchern.cli import main
@@ -294,6 +296,39 @@ class TestEval:
         assert code == 2
         assert "position 4" in err
 
+    @pytest.mark.parametrize("source", ["file", "inline"])
+    @pytest.mark.parametrize(
+        "document",
+        [
+            b"\xff\xfe{}",
+            b'{"coefficients": "Z", "generators": [{"name": "t", "degree": %s, "truncation": 2}]}'
+            % (b"1" * 5000),
+            b'{"coefficients": "Z", "generators": 5}',
+            b'{"coefficients": {"mod": [7]}, "generators": []}',
+            b'{"coefficients": {"mod": Infinity}, "generators": []}',
+            b'{"a": ' + b"[" * 10**5,
+        ],
+        ids=[
+            "undecodable",
+            "5000-digit-integer",
+            "generators-not-a-list",
+            "mod-not-an-integer",
+            "mod-infinite",
+            "deep-nesting",
+        ],
+    )
+    def test_unreadable_ring_spec_exit_2_one_line(self, capsys, tmp_path, source, document):
+        if source == "file":
+            path = tmp_path / "ring.json"
+            path.write_bytes(document)
+            spec = str(path)
+        else:
+            spec = document.decode("utf-8", "surrogateescape")  # as argv decodes it
+        code, out, err = run_cli(["eval", "--ring", spec, "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("bad ring spec: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_bad_preset_exit_2(self, capsys):
         code, _, err = run_cli(["eval", "--ring", "torus:1", "1"], capsys)
         assert code == 2
@@ -371,6 +406,25 @@ class TestScenario:
         assert code == 2
         assert "schema violation" in err
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            b"\xff\xfe{}",
+            b'{"factors": [{"dim": %s, "hsc": "1"}]}' % (b"1" * 5000),
+            b"[" * 10**5,
+        ],
+        ids=["undecodable", "5000-digit-integer", "deep-nesting"],
+    )
+    def test_unreadable_scenario_exit_2_one_line(self, capsys, tmp_path, document):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(document)
+        out_path = tmp_path / "manifest.json"
+        code, out, err = run_cli(["scenario", str(path), "--out", str(out_path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("cannot read scenario: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out_path.exists()
+
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run_cli(["scenario", "/nonexistent/path.json"], capsys)
         assert code == 2
@@ -395,7 +449,7 @@ class TestScenario:
         [
             ("10000", "outside chart of factor dim=1, hsc=-10000"),
             ("1000000", "metric condition number"),
-            ("1e15", "curvature convention error"),
+            ("1e15", "finite differences cannot resolve this curvature"),
         ],
         ids=["leaves-chart", "ill-conditioned", "uncalibrated"],
     )
@@ -439,6 +493,57 @@ class TestScenario:
         assert (code, out) == (2, "")
         assert err.startswith("scenario outside the numeric model's range: ")
         assert not out_path.exists()
+
+
+# Scenario fuzzing.  Valid documents stay cheap: every valid 'dim' is 1 or 2
+# and every valid 'samples' 1 or 2.  Each field is valid more often than
+# not, so that many documents run a batch; the invalid values sit on both
+# sides of each bound and in the wrong JSON type.
+_JSON_SCALAR = st.sampled_from([None, True, 0, -1, 1.5, float("nan"), "", "x", [], {}])
+_HSC = st.sampled_from(
+    ["1", "-1", "1/2", "-3/2", "2", "-2", "1e-300", "-1e-300", "1e15", "-1e300", "0",
+     "1e400", "-1e-400", "1e999999999", "9" * 101, "1/0", "a/b", "inf", 10**400, 1, -1]
+) | _JSON_SCALAR
+_FACTOR = st.fixed_dictionaries(
+    {"dim": st.sampled_from([1, 2, 1, 2, 0, 9, "1", True]), "hsc": _HSC},
+    optional={"extra": _JSON_SCALAR},
+)
+_SCENARIO = st.fixed_dictionaries(
+    {"factors": st.lists(_FACTOR, min_size=1, max_size=2) | _JSON_SCALAR},
+    optional={
+        "samples": st.sampled_from([1, 2, 1, 2, 0, -1, 2.0, "2", True]),
+        "seed": st.integers(-(2**70), 2**70) | _JSON_SCALAR,
+        "tolerances": st.dictionaries(
+            st.sampled_from(["s_max", "divergence", "p_trace", "bogus"]),
+            st.sampled_from([1e-3, 1, 10**400, 0, -1.0, float("inf"), "1"]),
+            max_size=2,
+        ),
+    },
+)
+_SCENARIO_BYTES = (
+    _SCENARIO.map(json.dumps).map(str.encode)
+    | st.binary(max_size=40)
+    | st.sampled_from([b"\xff\xfe{}", b"[]", b"{", b'{"factors": [], "x": 1}', b"[" * 10**5])
+)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(document=_SCENARIO_BYTES)
+def test_scenario_fuzz_exits_0_1_or_2_without_traceback(capsys, tmp_path, document):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(document)
+    code = main(["scenario", str(path), "--format", "json", "--no-timestamp"])
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and err.count("\n") == 1
+    else:
+        assert json.loads(out)["status"] == ("pass" if code == 0 else "fail")
 
 
 class TestBochner:
@@ -516,17 +621,24 @@ GOLDEN_EXACT_REPORTS = [
 
 
 @pytest.mark.parametrize(
-    "argv,count,digest", GOLDEN_EXACT_REPORTS, ids=["thm-1-2", "all", "tractor"]
+    "runs",
+    [
+        *([case] for case in GOLDEN_EXACT_REPORTS),
+        # one process: exact work shared between runs must not change a byte
+        [GOLDEN_EXACT_REPORTS[0], GOLDEN_EXACT_REPORTS[1], GOLDEN_EXACT_REPORTS[0]],
+    ],
+    ids=["thm-1-2", "all", "tractor", "thm-1-2-then-all-then-thm-1-2"],
 )
-def test_exact_reports_are_byte_identical(capsys, argv, count, digest):
-    code, out, _ = run_cli([*argv, "--format", "json", "--no-timestamp"], capsys)
-    assert code == 0
-    reports = [
-        r for r in json.loads(out)["reports"] if r["check"] != "bochner-flat-batch"
-    ]
-    canonical = json.dumps(reports, sort_keys=True, separators=(",", ":"))
-    assert len(reports) == count
-    assert hashlib.sha256(canonical.encode()).hexdigest() == digest
+def test_exact_reports_are_byte_identical(capsys, runs):
+    for argv, count, digest in runs:
+        code, out, _ = run_cli([*argv, "--format", "json", "--no-timestamp"], capsys)
+        assert code == 0
+        reports = [
+            r for r in json.loads(out)["reports"] if r["check"] != "bochner-flat-batch"
+        ]
+        canonical = json.dumps(reports, sort_keys=True, separators=(",", ":"))
+        assert len(reports) == count
+        assert hashlib.sha256(canonical.encode()).hexdigest() == digest
 
 
 def test_seed_env_fallback(capsys, monkeypatch):

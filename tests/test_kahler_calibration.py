@@ -129,8 +129,27 @@ def test_convention_mismatch_aborts(monkeypatch):
 
     monkeypatch.setattr(spaceform, "_g11_exact", flipped)
     for dim in (1, 1, 2):  # no solve is reused across the abort
-        with pytest.raises(CalibrationError):
+        with pytest.raises(CalibrationError, match="curvature convention error"):
             calibrate_space_form(dim, 1)
+
+
+@pytest.mark.parametrize("hsc", [10**15, -(10**15), 10**300], ids=["1e15", "-1e15", "1e300"])
+def test_unresolved_curvature_is_not_called_a_convention_error(hsc):
+    # the oracle reads hsc to 1e-22 relative, but not to the absolute gate
+    with pytest.raises(CalibrationError) as info:
+        calibrate_space_form(1, hsc)
+    assert str(info.value).startswith("finite differences cannot resolve this curvature")
+    assert "convention" not in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "hsc",
+    [Fraction(1, 10**400), Fraction(-1, 10**400), 10**400, -(10**5000)],
+    ids=["1e-400", "-1e-400", "1e400", "-1e5000"],
+)
+def test_curvature_beyond_the_float_range_refused(hsc):
+    with pytest.raises(CalibrationError, match="beyond the float range"):
+        calibrate_space_form(1, hsc)
 
 
 def test_non_radial_entry_fails_the_mixed_stencil_check(monkeypatch):

@@ -17,6 +17,8 @@ from crchern.cohomology import (
     make_ring,
     smith_normal_form,
 )
+from crchern.cohomology import gysin
+from crchern.cohomology.gysin import factored_cup
 
 
 def cpn_ring(n, domain=INTEGERS):
@@ -187,6 +189,78 @@ class TestMembership:
         t4 = ring4.gen("t")
         assert not image_membership(ring4, 2 * t4, t4 ** 2).member
         assert image_membership(ring4, 2 * t4, 2 * t4 ** 2).member
+
+
+class TestSharedFactorization:
+    """One cup matrix and Smith form per content key, equal to fresh ones."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        gysin._factor.cache_clear()
+        yield
+        gysin._factor.cache_clear()
+
+    @pytest.mark.parametrize(
+        "domain,coeffs",
+        [
+            (INTEGERS, (2, -3)),
+            (RATIONALS, (1, -3)),
+            (RATIONALS, (Fraction(1, 6), Fraction(-2, 3))),
+        ],
+        ids=["Z", "Q", "Q-rational-e"],
+    )
+    def test_matches_a_fresh_factorization(self, domain, coeffs):
+        ring = make_ring([("t", 2, 3), ("h", 2, 4), ("w", 4, 2)], domain)
+        e = coeffs[0] * ring.gen("t") + coeffs[1] * ring.gen("h")
+        for k in range(0, 16, 2):
+            fresh = cup_matrix(ring, e, k)
+            expected = (fresh, smith_normal_form(fresh.matrix))
+            assert factored_cup(ring, e, k) == expected  # miss
+            assert factored_cup(ring, e, k) == expected  # hit
+        assert gysin._factor.cache_info().misses == 8
+
+    def test_truncation_beyond_degree_k_shares_an_entry(self):
+        cp3, cp4 = make_ring([("t", 2, 4)], RATIONALS), make_ring([("t", 2, 5)], RATIONALS)
+        shared = factored_cup(cp3, -2 * cp3.gen("t"), 4)
+        assert factored_cup(cp4, -2 * cp4.gen("t"), 4) is shared
+        # degree 8 is reached by t^4, which only CP^4 has
+        top3 = factored_cup(cp3, -2 * cp3.gen("t"), 8)
+        top4 = factored_cup(cp4, -2 * cp4.gen("t"), 8)
+        assert top3 is not top4
+        assert top4[0] == cup_matrix(cp4, -2 * cp4.gen("t"), 8)
+        assert gysin._factor.cache_info().maxsize == gysin.FACTORED_CUP_MEMO
+
+    def test_other_degrees_or_domain_do_not_share(self):
+        rings = [
+            make_ring([("t", 2, 4), ("w", 4, 2)], RATIONALS),
+            make_ring([("t", 2, 4), ("w", 6, 2)], RATIONALS),
+            make_ring([("t", 2, 4), ("w", 4, 2)], INTEGERS),
+        ]
+        results = [factored_cup(r, -2 * r.gen("t"), 6) for r in rings]
+        assert gysin._factor.cache_info().misses == 3
+        for ring, (cup, snf) in zip(rings, results):
+            fresh = cup_matrix(ring, -2 * ring.gen("t"), 6)
+            assert (cup, snf) == (fresh, smith_normal_form(fresh.matrix))
+        # degree 6 is t^3, t*w in one ring and t^3 alone in the other
+        assert results[0][0].basis_rows != results[1][0].basis_rows
+
+    def test_foreign_or_inhomogeneous_class_raises_on_every_call(self):
+        ring = make_ring([("t", 2, 4)], INTEGERS)
+        # same content key as ``ring`` at k = 4, but another ring
+        other = make_ring([("t", 2, 5)], INTEGERS)
+        t = ring.gen("t")
+        bad = [other.gen("t") * -2, 1 + t, t**2]
+        for _ in range(2):
+            factored_cup(ring, -2 * t, 4)  # fills the entry the foreign class keys to
+            image_membership(ring, -2 * t, t**2)
+            for e in bad:
+                with pytest.raises(RingError):
+                    factored_cup(ring, e, 4)
+                with pytest.raises(RingError):
+                    image_membership(ring, e, t**2)
+                with pytest.raises(RingError):
+                    cokernel(ring, e, 4)
+        assert gysin._factor.cache_info().currsize == 1
 
 
 class TestCokernel:

@@ -64,6 +64,15 @@ def test_largest_factor_dimension_parses():
         {"factors": [{"dim": 1, "hsc": "1"}], "tolerances": {"divergence": 10**400}},
         {"factors": [{"dim": 1, "hsc": "1"}], "unknown_key": 1},
         [],
+        # the hsc must be a short string or an integer (the schema's two forms)
+        {"factors": [{"dim": 1, "hsc": "1e999999999"}]},
+        {"factors": [{"dim": 1, "hsc": "-1e-999999999"}]},
+        {"factors": [{"dim": 1, "hsc": "1e" + "9" * 5000}]},
+        {"factors": [{"dim": 1, "hsc": "1" * 101}]},
+        {"factors": [{"dim": 1, "hsc": 1.5}]},
+        {"factors": [{"dim": 1, "hsc": float("inf")}]},
+        {"factors": [{"dim": 1, "hsc": True}]},
+        {"factors": [{"dim": 1, "hsc": None}]},
     ],
 )
 def test_invalid_scenarios_rejected(doc):
