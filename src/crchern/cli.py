@@ -47,9 +47,8 @@ from .chern.spherical import verify_spherical_on_circle_bundle
 from .chern.tractor import tractor_determinant_check
 from .cohomology.parser import ParseError, parse_element
 from .cohomology.ring import RingPresentation
-from .kahler.patch import PatchDomainError
-from .kahler.scenario import ScenarioError, parse_scenario, run_batch
-from .kahler.spaceform import CalibrationError
+from .kahler.scenario import MAX_SAMPLES, ScenarioError, parse_scenario, run_batch
+from .kahler.spaceform import CalibrationError, PatchDomainError
 from .kahler.tensors import IllConditionedMetric
 from .presets import preset_ring
 
@@ -151,7 +150,7 @@ def _bochner(p: dict) -> list[CheckReport]:
     return [*flat, control]
 
 
-_SAMPLES = Flag(10, 1, 50)
+_SAMPLES = Flag(10, 1, MAX_SAMPLES)
 _TOL = Flag(parse=_tolerance)  # unset: the batch's default s_max
 
 TARGETS = {
@@ -237,7 +236,7 @@ def build_manifest(
     with_timestamp: bool,
 ) -> dict:
     reports = sorted(
-        reports, key=lambda r: (r.check, json.dumps(r.params, sort_keys=True, default=str))
+        reports, key=lambda r: (r.check, json.dumps(r.params, sort_keys=True))
     )
     manifest = {
         "tool": "crchern",
@@ -286,7 +285,7 @@ def _report_markdown(rep: dict) -> str:
         out.append(f"| {a['name']} | {'yes' if a['ok'] else 'NO'} |")
     if rep.get("residuals"):
         out.append("")
-        out.append("residuals: " + json.dumps(rep["residuals"], default=str))
+        out.append("residuals: " + json.dumps(rep["residuals"]))
     return "\n".join(out)
 
 
@@ -319,7 +318,7 @@ def _emit(
             if args.out and stream.seekable() and stream.tell():
                 stream.truncate(0)  # an earlier file: replaced only now
             if args.format == "json":
-                stream.write(json.dumps(manifest, indent=2, sort_keys=True, default=str))
+                stream.write(json.dumps(manifest, indent=2, sort_keys=True))
             else:
                 stream.write(manifest_to_markdown(manifest))
             stream.write("\n")

@@ -13,14 +13,17 @@ Membership and cokernel answers are invariant under replacing ``e`` by
 
 Shared work: a sweep asks about the same cup matrix many times (every
 ``n >= k`` of a family, every Euler class of one base).  Membership over
-Z and Q and :func:`cokernel` take the cup matrix and its Smith form from
-:func:`factored_cup`, which keeps one ``(CupMatrix, (U, D, V))`` per
-content key in a bounded LRU memo (``FACTORED_CUP_MEMO`` entries).  The
-key is the coefficient domain, each generator's degree with its
+every domain and :func:`cokernel` take the cup matrix and its Smith
+form from :func:`factored_cup`, which keeps one ``(CupMatrix, (U, D, V))``
+per content key in a bounded LRU memo (``FACTORED_CUP_MEMO`` entries).
+The key is the coefficient domain, each generator's degree with its
 truncation capped at what degree ``k`` can reach, the terms of ``e``,
 and ``k``: together they fix both degree bases and every entry, so
-CP^n and CP^(n+1) share their degree-k entries.  Shared values are
-immutable.
+CP^n and CP^(n+1) share their degree-k entries, and generator names do
+not matter.  The memo is a pure function of its key: it rebuilds the
+ring and ``e`` from it.  Over Z/m the factored matrix is the cup matrix
+augmented with ``m`` times the identity, ``[A | m I]``, so that the
+solve mod m is an integer solve.  Shared values are immutable.
 """
 
 from __future__ import annotations
@@ -29,10 +32,12 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import add
+from operator import add, lt, mul
 
 from .ring import (
+    CoefficientDomain,
     ExponentVector,
+    Generator,
     RingElement,
     RingError,
     RingPresentation,
@@ -105,27 +110,30 @@ def cup_matrix(ring: RingPresentation, e: RingElement, k: int) -> CupMatrix:
     return CupMatrix(matrix, k, rows, cols, scale)
 
 
-class _CupContent:
-    """A content key with one ring and class that have it; equal by key alone."""
-
-    __slots__ = ("key", "ring", "e")
-
-    def __init__(self, key: tuple, ring: RingPresentation, e: RingElement) -> None:
-        self.key, self.ring, self.e = key, ring, e
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _CupContent) and self.key == other.key
-
-
 @lru_cache(maxsize=FACTORED_CUP_MEMO)
-def _factor(content: _CupContent) -> tuple[CupMatrix, SmithForm]:
+def _factor(
+    domain: CoefficientDomain, reach: tuple, terms: frozenset, k: int
+) -> tuple[CupMatrix, SmithForm]:
+    # The ring and e are rebuilt from the key; a term of e above a capped
+    # truncation cannot reach degree k, so dropping it changes no entry.
+    degrees = [d for d, _ in reach]
+    if any(sum(map(mul, exps, degrees)) != 2 for exps, _ in terms):
+        raise RingError("cup class must be homogeneous of degree 2")
+    truncs = [t for _, t in reach]
+    ring = RingPresentation(
+        tuple(Generator(f"g{i}", d, t) for i, (d, t) in enumerate(reach)), domain
+    )
+    e = ring._reduced({x: c for x, c in terms if all(map(lt, x, truncs))})
     # module globals, looked up per call, so that rebinding them (tracing)
     # sees every miss
-    cup = cup_matrix(content.ring, content.e, content.key[-1])
-    return cup, smith_normal_form(cup.matrix)
+    cup = cup_matrix(ring, e, k)
+    A = cup.matrix
+    if domain.kind == "mod" and A.rows:  # [A | m I]: the solve mod m is one over Z
+        m, n = domain.modulus, A.rows
+        A = IntegerMatrix._unchecked(
+            [[*row, *(m * (i == j) for j in range(n))] for i, row in enumerate(A.entries)]
+        )
+    return cup, smith_normal_form(A)
 
 
 def factored_cup(
@@ -134,21 +142,22 @@ def factored_cup(
     """:func:`cup_matrix` and the ``(U, D, V)`` of its Smith form, shared by content.
 
     Equal to a fresh ``cup_matrix(ring, e, k)`` and ``smith_normal_form``
-    of its matrix; the result is shared with every call of the same
+    of its matrix, over Z/m of that matrix augmented with ``m`` times
+    the identity; the result is shared with every call of the same
     content key (see the module docstring) and must not be mutated.
-    ``e.ring != ring`` raises on every call.  The degree-2 homogeneity
-    check of :func:`cup_matrix` runs on every miss; a hit implies it,
-    because a non-homogeneous ``e`` never enters the memo and
-    homogeneity depends only on e's terms and the generator degrees,
-    which are part of the key.
+    ``e.ring != ring`` raises on every call, and so does an ``e`` that
+    is not homogeneous of degree 2: the memo keeps no exception.
     """
     if e.ring != ring:
         raise RingError("class does not belong to the given ring")
     reach = tuple(
-        (g.degree, min(g.truncation, k // g.degree + 1)) for g in ring.generators
+        (g.degree, max(1, min(g.truncation, k // g.degree + 1)))
+        for g in ring.generators
     )
-    key = (ring.coefficients, reach, frozenset(e.terms.items()), k)
-    return _factor(_CupContent(key, ring, e))
+    try:
+        return _factor(ring.coefficients, reach, frozenset(e.terms.items()), k)
+    except RingError as exc:  # the key has no generator names; name the class
+        raise RingError(f"{exc}, got {e}") from None
 
 
 @dataclass(frozen=True)
@@ -182,9 +191,7 @@ class MembershipCertificate:
         }
 
 
-def _element_vector(
-    ring: RingPresentation, beta: RingElement, basis: tuple[ExponentVector, ...]
-) -> list:
+def _element_vector(beta: RingElement, basis: tuple[ExponentVector, ...]) -> list:
     terms = beta.terms
     vec = [terms.get(m, 0) for m in basis]
     if sum(map(terms.__contains__, basis)) != len(terms):
@@ -197,10 +204,10 @@ def image_membership(
 ) -> MembershipCertificate:
     """Decide whether ``beta`` lies in the image of cup product with ``e``.
 
-    Over Q this is an exact rational solve; over Z the solve respects
-    invariant factors; both use the shared factorization of
-    :func:`factored_cup`.  Over Z/m the integer solve is applied to the
-    cup matrix augmented with ``m`` times the identity.
+    One solve against the shared factorization of :func:`factored_cup`:
+    over Q an exact rational solve; over Z and Z/m an integer solve that
+    respects the invariant factors, over Z/m against the cup matrix
+    augmented with ``m`` times the identity.
     """
     if beta.ring != ring:
         raise RingError("element does not belong to the given ring")
@@ -211,17 +218,14 @@ def image_membership(
         return MembershipCertificate(True, 0, preimage=ring.zero())
     (k,) = degrees
 
-    domain = ring.coefficients
-    if domain.kind == "mod":
-        return _membership_mod(ring, e, beta, k)
-
     cup, (U, D, V) = factored_cup(ring, e, k)
-    b = _element_vector(ring, beta, cup.basis_rows)
+    b = _element_vector(beta, cup.basis_rows)
     # Clear target denominators; over Q membership is scale-invariant.
     b_scale = lcm(1, *(x.denominator for x in b))
     b_int = b if b_scale == 1 else [int(x * b_scale) for x in b]
 
-    residue, num, L = _back_substitute(U, D, V, b_int, integral=domain.kind == "Z")
+    integral = ring.coefficients.kind != "Q"
+    residue, num, L = _back_substitute(U, D, V, b_int, integral=integral)
     if residue:
         return MembershipCertificate(
             False,
@@ -231,7 +235,9 @@ def image_membership(
             denominator_scale=cup.denominator_scale,
         )
     # x = num / L solves A_int x = b_int; undo the two clearings,
-    # A_int = scale * A and b_int = b_scale * b.  Over Z, L divides num.
+    # A_int = scale * A and b_int = b_scale * b.  Over Z and Z/m, L
+    # divides num; over Z/m zip drops the entries of the m I block and
+    # ``ring.element`` reduces the rest mod m.
     denom = L * b_scale
     coeffs = {}
     for mono, v in zip(cup.basis_cols, num):
@@ -244,33 +250,6 @@ def image_membership(
         preimage=ring.element(coeffs),
         invariant_factors=invariant_factors(D),
         denominator_scale=cup.denominator_scale,
-    )
-
-
-def _membership_mod(
-    ring: RingPresentation, e: RingElement, beta: RingElement, k: int
-) -> MembershipCertificate:
-    m = ring.coefficients.modulus
-    assert m is not None
-    cup = cup_matrix(ring, e, k)
-    b = _element_vector(ring, beta, cup.basis_rows)
-    rows = cup.matrix.rows
-    cols = cup.matrix.cols
-    aug = [
-        list(cup.matrix.entries[i]) + [m if j == i else 0 for j in range(rows)]
-        for i in range(rows)
-    ]
-    A = IntegerMatrix._unchecked(aug) if aug else IntegerMatrix.zero(0, cols + rows)
-    U, D, V = smith_normal_form(A)
-    residue, num, L = _back_substitute(U, D, V, b, integral=True)
-    if residue:
-        return MembershipCertificate(
-            False, k, residue=tuple(residue), invariant_factors=invariant_factors(D)
-        )
-    x = (v // L % m for v in num)
-    preimage = ring.element({mono: c for mono, c in zip(cup.basis_cols, x) if c})
-    return MembershipCertificate(
-        True, k, preimage=preimage, invariant_factors=invariant_factors(D)
     )
 
 

@@ -35,7 +35,7 @@ functions, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from operator import add, ge
@@ -141,10 +141,6 @@ class RingPresentation:
 
     generators: tuple[Generator, ...]
     coefficients: CoefficientDomain
-    # degree_basis results by degree, filled on first use; not part of the value
-    _bases: dict[int, tuple[ExponentVector, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         names = [g.name for g in self.generators]
@@ -205,11 +201,8 @@ class RingPresentation:
         return self.element({zero_exp: value})
 
     def gen(self, name: str) -> "RingElement":
-        for i, g in enumerate(self.generators):
-            if g.name == name:
-                exps = tuple(1 if j == i else 0 for j in range(len(self.generators)))
-                return self.element({exps: 1})
-        raise RingError(f"unknown generator: {name!r}")
+        i = self.gen_index(name)
+        return self.element({tuple(int(j == i) for j in range(len(self.generators))): 1})
 
     def gen_index(self, name: str) -> int:
         for i, g in enumerate(self.generators):
@@ -231,11 +224,8 @@ class RingPresentation:
         The enumeration is deterministic: exponent vectors are listed in
         descending lexicographic order with respect to the declared
         generator order, so e.g. in ``Q[t,h]`` the degree-4 basis reads
-        ``[t^2, t*h, h^2]``.  Each degree is enumerated once per
-        presentation; every call returns a fresh list.
+        ``[t^2, t*h, h^2]``.
         """
-        if k in self._bases:
-            return list(self._bases[k])
         out: list[ExponentVector] = []
 
         def rec(i: int, remaining: int, prefix: tuple[int, ...]) -> None:
@@ -250,7 +240,6 @@ class RingPresentation:
 
         if k >= 0:
             rec(0, k, ())
-        self._bases[k] = tuple(out)
         return out
 
     def monomial_name(self, exps: ExponentVector) -> str:

@@ -1,4 +1,9 @@
-"""Products of space-form factors on a shared coordinate patch."""
+"""Products of space-form factors on a shared coordinate patch.
+
+Each factor owns its chart: :meth:`SpaceFormFactor.metric` refuses a point
+outside it (``PatchDomainError``, re-exported here); :func:`metric_at`
+checks only that a point has the patch's dimension.
+"""
 
 from __future__ import annotations
 
@@ -7,13 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaceform import SpaceFormFactor
+from .spaceform import PatchDomainError, SpaceFormFactor
 
 SAMPLE_RADIUS_CAP = 0.5  # stay well inside every chart
-
-
-class PatchDomainError(ValueError):
-    """A point fell outside a factor's coordinate chart."""
 
 
 @dataclass(frozen=True)
@@ -42,27 +43,13 @@ class KahlerProductPatch:
             start += f.dim
         return out
 
-    def split(self, z: np.ndarray) -> list[np.ndarray]:
-        return [z[s] for s in self.slices()]
-
-    def contains(self, z: np.ndarray) -> bool:
-        z = np.asarray(z, dtype=complex)
-        if z.shape != (self.total_dim,):
-            return False
-        return all(f.contains(part) for f, part in zip(self.factors, self.split(z)))
-
-    def sample_bound(self, factor: SpaceFormFactor) -> float:
-        return min(SAMPLE_RADIUS_CAP, factor.patch_radius / 2)
-
     def sample_point(self, rng: random.Random) -> np.ndarray:
         """Uniform draw from the product of balls of the sampling radii."""
         parts = []
         for f in self.factors:
-            r = self.sample_bound(f)
+            r = min(SAMPLE_RADIUS_CAP, f.patch_radius / 2)
             while True:
-                coords = np.array(
-                    [rng.uniform(-r, r) for _ in range(2 * f.dim)]
-                )
+                coords = np.array([rng.uniform(-r, r) for _ in range(2 * f.dim)])
                 if float(np.linalg.norm(coords)) < r:
                     break
             parts.append(coords[: f.dim] + 1j * coords[f.dim :])
@@ -78,7 +65,7 @@ def metric_at(patch: KahlerProductPatch, z: np.ndarray) -> np.ndarray:
 
     ``z`` is one point or a ``(..., n)`` stack of points; the result is
     the ``(..., n, n)`` stack of their metrics, evaluated in one call
-    per factor.
+    per factor, whose metric refuses a point outside its chart.
     """
     z = np.asarray(z, dtype=complex)
     n = patch.total_dim
@@ -86,12 +73,5 @@ def metric_at(patch: KahlerProductPatch, z: np.ndarray) -> np.ndarray:
         raise PatchDomainError(f"point has {z.shape} coordinates, patch needs {n}")
     g = np.zeros(z.shape + (n,), dtype=complex)
     for f, s in zip(patch.factors, patch.slices()):
-        part = z[..., s]
-        outside = ~(np.linalg.norm(part, axis=-1) < f.patch_radius)
-        if np.any(outside):
-            point = part[np.unravel_index(np.argmax(outside), outside.shape)]
-            raise PatchDomainError(
-                f"point {point} outside chart of factor dim={f.dim}, hsc={f.hsc}"
-            )
-        g[..., s, s] = f.metric(part)
+        g[..., s, s] = f.metric(z[..., s])
     return g

@@ -18,6 +18,7 @@ is what distinguishes a Bochner-flat configuration from a control.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -51,9 +52,15 @@ CONVERGENCE_STEP = 2e-2  # large enough that truncation dominates roundoff
 # points outside it: d! (4/pi)^d draws per point, 2.8e5 at d = 8 and
 # 8.7e9 at d = 12, so larger factors are refused rather than left to run.
 MAX_FACTOR_DIM = 8
-# An 'hsc' string is a short rational or decimal.  Bounding its length and
-# its decimal exponent bounds the digits of the Fraction it becomes:
-# "1e999999999" would otherwise build a 10^9-digit integer.
+# Each sample runs the whole curvature pipeline; ``verify --samples`` has
+# the same bound.
+MAX_SAMPLES = 50
+# An 'hsc' string is a short rational or decimal: an optional minus sign,
+# digits, then a denominator or a fraction and exponent.  The schema
+# carries the same pattern.  Bounding its length and its decimal exponent
+# bounds the digits of the Fraction it becomes: "1e999999999" would
+# otherwise build a 10^9-digit integer.
+HSC_PATTERN = r"^-?[0-9]+(/[0-9]+|(\.[0-9]+)?([eE][-+]?[0-9]+)?)$"
 MAX_HSC_CHARS = 100
 MAX_HSC_EXPONENT = 400
 
@@ -119,6 +126,8 @@ def parse_scenario(doc: Mapping) -> tuple[list[tuple[int, Fraction]], int, int, 
     samples = doc.get("samples", 10)
     if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
         raise ScenarioError("'samples' must be a positive integer")
+    if samples > MAX_SAMPLES:
+        raise ScenarioError(f"'samples' must be at most {MAX_SAMPLES}")
     seed = doc.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ScenarioError("'seed' must be an integer")
@@ -145,13 +154,15 @@ def parse_scenario(doc: Mapping) -> tuple[list[tuple[int, Fraction]], int, int, 
 
 
 def _parse_hsc(raw: object, i: int) -> Fraction:
-    """Factor ``i``'s curvature: an integer, or a string ``Fraction`` accepts."""
+    """Factor ``i``'s curvature: an integer, or a string matching ``HSC_PATTERN``."""
     if isinstance(raw, int) and not isinstance(raw, bool):
         return Fraction(raw)
     if not isinstance(raw, str):
         raise ScenarioError(f"factor #{i}: 'hsc' must be a string or an integer")
     if len(raw) > MAX_HSC_CHARS:
         raise ScenarioError(f"factor #{i}: 'hsc' must be at most {MAX_HSC_CHARS} characters")
+    if not re.fullmatch(HSC_PATTERN, raw):
+        raise ScenarioError(f"factor #{i}: bad 'hsc' value {raw!r}")
     exponent = raw.lower().partition("e")[2]
     try:
         if abs(int(exponent or 0)) <= MAX_HSC_EXPONENT:

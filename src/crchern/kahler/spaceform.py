@@ -27,8 +27,9 @@ exists to catch, or that ``|hsc|`` is too large for the extrapolation
 to resolve (from about 10^15).  A curvature outside the range of a
 float is refused before the oracle runs.
 
-For ``hsc < 0`` the chart is the ball ``|z| < sqrt(b/|c|)`` (the model
-radius); for ``hsc > 0`` the affine chart is all of C^dim.
+The chart is where ``b + c |z|^2 > 0``: for ``hsc < 0`` the ball
+``|z| < sqrt(b/|c|)`` (the model radius), for ``hsc > 0`` all of C^dim.
+:meth:`SpaceFormFactor.metric` is the one chart check of the package.
 """
 
 from __future__ import annotations
@@ -49,11 +50,14 @@ class CalibrationError(RuntimeError):
     """A curvature the calibration refuses: a convention mismatch, or beyond resolution."""
 
 
+class PatchDomainError(ValueError):
+    """A point fell outside a factor's coordinate chart."""
+
+
 @dataclass(frozen=True)
 class SpaceFormFactor:
     dim: int
     hsc: Fraction
-    patch_radius: float
     calibration_residual: float
 
     def __post_init__(self) -> None:
@@ -61,31 +65,35 @@ class SpaceFormFactor:
             raise ValueError(f"factor dimension must be >= 1, got {self.dim}")
         if self.hsc == 0:
             raise ValueError("holomorphic sectional curvature must be nonzero")
-        if not self.patch_radius > 0:
-            raise ValueError("patch radius must be positive")
 
     @property
     def c(self) -> float:
         return float(self.hsc)
 
-    def contains(self, z: np.ndarray) -> bool:
-        return float(np.linalg.norm(z)) < self.patch_radius
+    @property
+    def patch_radius(self) -> float:
+        """The model radius ``sqrt(b/|c|)``, infinite for ``hsc > 0``; for sampling."""
+        return math.sqrt(float(POTENTIAL / abs(self.hsc))) if self.hsc < 0 else math.inf
 
     def metric(self, z: np.ndarray) -> np.ndarray:
         """Closed-form Hermitian metric block at ``z``.
 
         ``z`` is a ``(..., dim)`` stack of points; the result is the
-        ``(..., dim, dim)`` stack of their metric blocks.
+        ``(..., dim, dim)`` stack of their metric blocks.  The first point
+        with ``b + c |z|^2`` not finite and positive (NaN included)
+        raises :class:`PatchDomainError`, naming that point.
         """
         z = np.asarray(z, dtype=complex)
         a = b = float(POTENTIAL)
         c = self.c
         u = np.einsum("...i,...i->...", np.conj(z), z).real
         denom = b + c * u
-        outside = denom <= 0
+        outside = ~(np.isfinite(denom) & (denom > 0))
         if np.any(outside):
             point = z[np.unravel_index(np.argmax(outside), outside.shape)]
-            raise ValueError(f"point {point} outside the chart of this factor")
+            raise PatchDomainError(
+                f"point {point} outside chart of factor dim={self.dim}, hsc={self.hsc}"
+            )
         fp = (a / denom)[..., None, None]
         fpp = (-a * c / denom**2)[..., None, None]
         return fpp * (np.conj(z)[..., :, None] * z[..., None, :]) + fp * np.eye(self.dim)
@@ -98,11 +106,10 @@ def _g11_exact(a: Fraction, b: Fraction, c: Fraction, x: Fraction, y: Fraction) 
     """Entry g_{1 1-} with z_1 = x + i y and all other coordinates zero.
 
     Along this line the entry is real: g_11 = f''(u) u + f'(u), u = x^2 + y^2.
+    The oracle's step keeps ``b + c u > b/2`` at every stencil point.
     """
     u = x * x + y * y
     denom = b + c * u
-    if denom <= 0:
-        raise CalibrationError("calibration stencil left the chart; shrink the step")
     return -a * c * u / denom**2 + a / denom
 
 
@@ -201,13 +208,4 @@ def calibrate_space_form(dim: int, hsc: Fraction | int | str) -> SpaceFormFactor
             f"{cause}: relative residual {float(residual / abs(hsc)):.3e} "
             f"for dim={dim}, hsc={hsc}"
         )
-    if hsc < 0:
-        radius = math.sqrt(float(POTENTIAL / abs(hsc)))
-    else:
-        radius = math.inf
-    return SpaceFormFactor(
-        dim=dim,
-        hsc=hsc,
-        patch_radius=radius,
-        calibration_residual=float(residual),
-    )
+    return SpaceFormFactor(dim=dim, hsc=hsc, calibration_residual=float(residual))

@@ -208,9 +208,12 @@ class PointTensors:
 
 
 def point_tensors(patch: KahlerProductPatch, z: np.ndarray) -> PointTensors:
+    """The tensors at one point; the first stencil row, the centre, is
+    the first point the metric's chart check can name."""
     z = np.asarray(z, dtype=complex)
-    if not patch.contains(z):
-        raise PatchDomainError(f"sample point outside patch: {z}")
+    n = patch.total_dim
+    if z.shape != (n,):
+        raise PatchDomainError(f"point has {z.shape} coordinates, patch needs {n}")
     g, D1, D2 = metric_derivatives(patch, z)
     linv, R, ric, scal, P, S, gammas = _curvature(g, D1, D2)
     return PointTensors(z, g, linv, R, ric, float(scal), P, S, gammas)
@@ -310,8 +313,8 @@ def space_form_curvature_oracle(
     z = np.asarray(z, dtype=complex)
     n = patch.total_dim
     R = np.zeros((n, n, n, n), dtype=complex)
-    for f, s, part in zip(patch.factors, patch.slices(), patch.split(z)):
-        gb = f.metric(part)
+    for f, s in zip(patch.factors, patch.slices()):
+        gb = f.metric(z[s])
         block = (f.c / 2) * (
             np.einsum("ab,cd->abcd", gb, gb) + np.einsum("ad,cb->abcd", gb, gb)
         )

@@ -10,6 +10,14 @@ from hypothesis import strategies as st
 
 from crchern import cli
 from crchern.cli import main
+from crchern.kahler.scenario import (
+    HSC_PATTERN,
+    MAX_HSC_CHARS,
+    MAX_SAMPLES,
+    ScenarioError,
+    parse_scenario,
+    run_batch,
+)
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -372,6 +380,14 @@ class TestEval:
         assert "Traceback" not in err
 
 
+# Matched +-hsc pairs that the schema admits but the numeric model refuses.
+_BEYOND_MODEL = [
+    ("10000", "outside chart of factor dim=1, hsc=-10000"),
+    ("1000000", "metric condition number"),
+    ("1e15", "finite differences cannot resolve this curvature"),
+]
+
+
 class TestScenario:
     def write(self, tmp_path, doc):
         path = tmp_path / "scenario.json"
@@ -445,13 +461,7 @@ class TestScenario:
 
 
     @pytest.mark.parametrize(
-        "hsc,error",
-        [
-            ("10000", "outside chart of factor dim=1, hsc=-10000"),
-            ("1000000", "metric condition number"),
-            ("1e15", "finite differences cannot resolve this curvature"),
-        ],
-        ids=["leaves-chart", "ill-conditioned", "uncalibrated"],
+        "hsc,error", _BEYOND_MODEL, ids=["leaves-chart", "ill-conditioned", "uncalibrated"]
     )
     def test_curvature_beyond_the_numeric_model_exit_2(
         self, capsys, tmp_path, hsc, error
@@ -482,6 +492,30 @@ class TestScenario:
         assert err == "scenario schema violation: factor #0: 'dim' must be at most 8\n"
         assert not out_path.exists()
 
+    def test_samples_at_the_bound_parse(self):
+        doc = {"factors": [{"dim": 1, "hsc": "1"}], "samples": MAX_SAMPLES}
+        assert parse_scenario(doc)[1] == 50
+        assert cli.TARGETS["bochner-products"].flags["samples"].high == MAX_SAMPLES
+
+    @pytest.mark.parametrize("samples", [51, 10**9])
+    def test_samples_beyond_the_bound_exit_2_at_once(self, capsys, tmp_path, samples):
+        path = self.write(tmp_path, {"factors": [{"dim": 1, "hsc": "1"}], "samples": samples})
+        out_path = tmp_path / "manifest.json"
+        start = time.perf_counter()
+        code, out, err = run_cli(["scenario", path, "--out", str(out_path)], capsys)
+        assert time.perf_counter() - start < 0.1
+        assert (code, out) == (2, "")
+        assert err == "scenario schema violation: 'samples' must be at most 50\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("hsc", [" 1 ", "1_000", "+1", ".5", "1."])
+    def test_hsc_outside_the_one_syntax_exit_2(self, capsys, tmp_path, hsc):
+        # each of these is a string Fraction() accepts
+        path = self.write(tmp_path, {"factors": [{"dim": 1, "hsc": hsc}], "samples": 1})
+        code, out, err = run_cli(["scenario", path], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"scenario schema violation: factor #0: bad 'hsc' value {hsc!r}\n"
+
     def test_refused_run_removes_a_fresh_out(self, capsys, tmp_path):
         # the +-10^4 pair leaves the chart only once the batch is running
         path = self.write(
@@ -500,10 +534,11 @@ class TestScenario:
 # not, so that many documents run a batch; the invalid values sit on both
 # sides of each bound and in the wrong JSON type.
 _JSON_SCALAR = st.sampled_from([None, True, 0, -1, 1.5, float("nan"), "", "x", [], {}])
-_HSC = st.sampled_from(
-    ["1", "-1", "1/2", "-3/2", "2", "-2", "1e-300", "-1e-300", "1e15", "-1e300", "0",
-     "1e400", "-1e-400", "1e999999999", "9" * 101, "1/0", "a/b", "inf", 10**400, 1, -1]
-) | _JSON_SCALAR
+_HSC_VALUES = [
+    "1", "-1", "1/2", "-3/2", "2", "-2", "1e-300", "-1e-300", "1e15", "-1e300", "0",
+    "1e400", "-1e-400", "1e999999999", "9" * 101, "1/0", "a/b", "inf", 10**400, 1, -1,
+]
+_HSC = st.sampled_from(_HSC_VALUES) | _JSON_SCALAR
 _FACTOR = st.fixed_dictionaries(
     {"dim": st.sampled_from([1, 2, 1, 2, 0, 9, "1", True]), "hsc": _HSC},
     optional={"extra": _JSON_SCALAR},
@@ -544,6 +579,58 @@ def test_scenario_fuzz_exits_0_1_or_2_without_traceback(capsys, tmp_path, docume
         assert out == "" and err.count("\n") == 1
     else:
         assert json.loads(out)["status"] == ("pass" if code == 0 else "fail")
+
+
+def test_every_hsc_string_the_parser_accepts_validates_against_the_schema():
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((SCHEMA_DIR / "scenario.schema.json").read_text())
+    string_form = schema["properties"]["factors"]["items"]["properties"]["hsc"]["oneOf"][0]
+    assert string_form["pattern"] == HSC_PATTERN
+    assert string_form["maxLength"] == MAX_HSC_CHARS
+    # the scenarios the tests above run, and the fuzz's strings
+    run_by_tests = {"1", "-1", *(h for hsc, _ in _BEYOND_MODEL for h in (hsc, f"-{hsc}"))}
+    accepted = 0
+    for hsc in sorted(run_by_tests | {v for v in _HSC_VALUES if isinstance(v, str)}):
+        doc = {"factors": [{"dim": 1, "hsc": hsc}]}
+        try:
+            parse_scenario(doc)
+        except ScenarioError:
+            assert hsc not in run_by_tests
+            continue
+        jsonschema.validate(doc, schema)
+        accepted += 1
+    assert accepted >= len(run_by_tests)
+
+
+def _json_types_only(value):
+    """True if ``value`` is built from the JSON types alone, subclasses excluded."""
+    if type(value) is dict:
+        return all(type(k) is str and _json_types_only(v) for k, v in value.items())
+    if type(value) is list:
+        return all(map(_json_types_only, value))
+    return value is None or type(value) in (str, int, float, bool)
+
+
+def test_manifests_are_plain_json_without_a_default():
+    # every target with small parameters, and both shipped scenarios
+    small = {"n_max": 3, "samples": 1}
+    runs = []
+    for name, target in cli.TARGETS.items():
+        params = {"seed": 0}
+        for flag_name, flag in target.flags.items():
+            params[flag_name] = small.get(flag_name, flag.default)
+        runs.append((["verify", name], target.run(params)))
+    examples = SCHEMA_DIR.parent / "examples"
+    for path in sorted(examples.glob("*.json")):
+        factors, samples, seed, tolerances = parse_scenario(json.loads(path.read_text()))
+        reports = [run_batch(factors, samples=samples, seed=seed, tolerances=tolerances)]
+        runs.append((["scenario", str(path)], reports))
+    assert len(runs) == len(cli.TARGETS) + 2
+    for argv, reports in runs:
+        manifest = cli.build_manifest(argv, reports, 0, with_timestamp=False)
+        assert _json_types_only(manifest), argv
+        assert json.loads(json.dumps(manifest, sort_keys=True)) == manifest
+        cli.manifest_to_markdown(manifest)
 
 
 class TestBochner:

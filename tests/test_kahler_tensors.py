@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -81,11 +83,40 @@ class TestMetric:
         patch = KahlerProductPatch((factor,))
         outside = round(factor.patch_radius * 1.1, 2)
         stack = np.array([[0.1 + 0j], [outside + 0j], [0.2j]])
-        with pytest.raises(PatchDomainError, match=rf"\[{outside}\+0\.j\]"):
+        # the factor's metric is the one chart check: both paths name the point
+        message = rf"^point \[{outside}\+0\.j\] outside chart of factor dim=1, hsc=-1$"
+        with pytest.raises(PatchDomainError, match=message):
             metric_at(patch, stack)
-        # the factor's own chart check (denominator <= 0) names the point too
-        with pytest.raises(ValueError, match="outside the chart"):
+        with pytest.raises(PatchDomainError, match=message):
             factor.metric(stack)
+
+    @pytest.mark.parametrize(
+        "hsc,coordinate,named",
+        [
+            (-2, 1 + 0j, "[1.+0.j]"),
+            (-2, 1j, "[0.+1.j]"),
+            (-2, complex("nan"), "[nan+0.j]"),
+            (1, complex("nan"), "[nan+0.j]"),
+            (1, np.inf, "[inf+0.j]"),
+        ],
+        ids=["boundary", "boundary-imaginary", "nan-ball", "nan-affine", "inf-affine"],
+    )
+    def test_point_off_the_chart_rejected_by_the_factor(self, hsc, coordinate, named):
+        # at hsc = -2 the chart is |z| < 1: b + c|z|^2 is exactly 0 at |z| = 1.
+        # The stencil's row 0 is its centre, so point_tensors names the centre.
+        factor = calibrate_space_form(1, hsc)
+        patch = KahlerProductPatch((calibrate_space_form(1, 1), factor))
+        z = np.array([0.1 + 0j, coordinate])
+        message = "^" + re.escape(f"point {named} outside chart of factor dim=1, hsc={hsc}") + "$"
+        with pytest.raises(PatchDomainError, match=message):
+            metric_at(patch, z)
+        with pytest.raises(PatchDomainError, match=message):
+            point_tensors(patch, z)
+
+    @pytest.mark.parametrize("shape", [(), (1,), (3,), (2, 2)])
+    def test_point_tensors_takes_one_point_of_the_patch_dimension(self, flat_pair, shape):
+        with pytest.raises(PatchDomainError, match="patch needs 2"):
+            point_tensors(flat_pair, np.zeros(shape, dtype=complex))
 
     def test_levi_inverse_pairing(self, mixed_pair):
         z = mixed_pair.sample_points(1, seed=0)[0]

@@ -19,6 +19,7 @@ from crchern.cohomology import (
 )
 from crchern.cohomology import gysin
 from crchern.cohomology.gysin import factored_cup
+from crchern.cohomology.snf import _back_substitute, invariant_factors
 
 
 def cpn_ring(n, domain=INTEGERS):
@@ -218,6 +219,60 @@ class TestSharedFactorization:
             assert factored_cup(ring, e, k) == expected  # miss
             assert factored_cup(ring, e, k) == expected  # hit
         assert gysin._factor.cache_info().misses == 8
+
+    @pytest.mark.parametrize("m", [4, 6])
+    def test_mod_m_factors_the_augmented_matrix(self, m):
+        ring = make_ring([("t", 2, 3), ("h", 2, 4), ("w", 4, 2)], integers_mod(m))
+        e = 2 * ring.gen("t") + (m - 1) * ring.gen("h")
+        for k in range(0, 16, 2):
+            fresh = cup_matrix(ring, e, k)
+            A = fresh.matrix
+            augmented = IntegerMatrix.from_rows(
+                [
+                    list(row) + [m if j == i else 0 for j in range(A.rows)]
+                    for i, row in enumerate(A.entries)
+                ]
+            ) if A.rows else IntegerMatrix.zero(0, A.cols)
+            expected = (fresh, smith_normal_form(augmented))
+            assert factored_cup(ring, e, k) == expected  # miss
+            assert factored_cup(ring, e, k) == expected  # hit
+        assert gysin._factor.cache_info().misses == 8
+
+    def test_generator_names_do_not_matter(self):
+        a = make_ring([("t", 2, 4), ("h", 2, 3)], INTEGERS)
+        b = make_ring([("x", 2, 4), ("y", 2, 3)], INTEGERS)
+        shared = factored_cup(a, a.gen("t") - 3 * a.gen("h"), 4)
+        assert factored_cup(b, b.gen("x") - 3 * b.gen("y"), 4) is shared
+        assert gysin._factor.cache_info().currsize == 1
+        # and the answers in either ring are the same
+        answers = []
+        for ring, (x, y) in ((a, ("t", "h")), (b, ("x", "y"))):
+            e = ring.gen(x) - 3 * ring.gen(y)
+            cert = image_membership(ring, e, ring.gen(x) ** 2)
+            data = cokernel(ring, e, 4)
+            answers.append((cert.to_json_dict(), data.to_json_dict()))
+        assert answers[0] == answers[1]
+        assert answers[0][0]["member"] is False
+
+    def test_negative_degree_gives_an_empty_cokernel(self):
+        # no truncation may be capped below 1: degree -2 reaches no monomial
+        ring = cpn_ring(3)
+        data = cokernel(ring, -5 * ring.gen("t"), -2)
+        assert (data.invariant_factors, data.free_rank) == ((), 0)
+        assert (data.basis, data.generator_classes) == ((), ())
+        assert data.order() == 1
+
+    def test_inhomogeneous_class_error_names_the_class(self):
+        ring = make_ring([("t", 2, 4)], INTEGERS)
+        t = ring.gen("t")
+        # t^3 lies beyond the truncation capped at degree 2; it still counts
+        for e, k in ((1 + t, 4), (t**2, 4), (t + t**3, 2)):
+            with pytest.raises(RingError) as excinfo:
+                factored_cup(ring, e, k)
+            assert str(excinfo.value) == (
+                f"cup class must be homogeneous of degree 2, got {e}"
+            )
+        assert gysin._factor.cache_info().currsize == 0
 
     def test_truncation_beyond_degree_k_shares_an_entry(self):
         cp3, cp4 = make_ring([("t", 2, 4)], RATIONALS), make_ring([("t", 2, 5)], RATIONALS)
@@ -444,6 +499,59 @@ def _fraction_back_substitution(ring, e, beta):
         {mono: c for mono, c in zip(cup.basis_cols, coeffs) if c}
     )
     return (), preimage
+
+
+def _augmented_mod_solve(ring, e, beta):
+    """Membership over Z/m as a separate Smith form of ``[A | m I]``.
+
+    Returns ``(residue, invariant factors, preimage or None)``.
+    """
+    m = ring.coefficients.modulus
+    k = beta.homogeneous_degree()
+    cup = cup_matrix(ring, e, k)
+    b = [beta.coefficient(mono) for mono in cup.basis_rows]
+    rows, cols = cup.matrix.rows, cup.matrix.cols
+    aug = [
+        list(cup.matrix.entries[i]) + [m if j == i else 0 for j in range(rows)]
+        for i in range(rows)
+    ]
+    A = IntegerMatrix.from_rows(aug) if aug else IntegerMatrix.zero(0, cols + rows)
+    U, D, V = smith_normal_form(A)
+    residue, num, L = _back_substitute(U, D, V, b, integral=True)
+    if residue:
+        return tuple(residue), invariant_factors(D), None
+    x = (v // L % m for v in num)
+    preimage = ring.element({mono: c for mono, c in zip(cup.basis_cols, x) if c})
+    return (), invariant_factors(D), preimage
+
+
+@pytest.mark.parametrize("m", [4, 6, 7])
+def test_mod_m_membership_equals_the_augmented_solve(m):
+    gysin._factor.cache_clear()
+    rng = random.Random(m)
+    ring = make_ring([("t", 2, 4), ("h", 2, 3), ("s", 2, 2)], integers_mod(m))
+    gens = [ring.gen(n) for n in ("t", "h", "s")]
+    seen = {"member": 0, "nonmember": 0}
+    for _ in range(80):
+        e = sum((rng.randrange(m) * g for g in gens), ring.zero())
+        k = rng.choice([2, 4, 6])
+        if rng.random() < 0.5:
+            below = ring.element({x: rng.randrange(m) for x in ring.degree_basis(k - 2)})
+            beta = e * below
+        else:
+            beta = ring.element({x: rng.randrange(m) for x in ring.degree_basis(k)})
+        if beta.is_zero():
+            continue
+        cert = image_membership(ring, e, beta)
+        residue, facs, preimage = _augmented_mod_solve(ring, e, beta)
+        assert (cert.residue, cert.invariant_factors) == (residue, facs)
+        assert cert.member == (preimage is not None)
+        assert cert.preimage == preimage
+        assert cert.denominator_scale == 1
+        if cert.member:
+            assert e * cert.preimage == beta
+        seen["member" if cert.member else "nonmember"] += 1
+    assert seen["member"] > 10 and seen["nonmember"] > 5
 
 
 @pytest.mark.parametrize(
