@@ -8,13 +8,16 @@ target's share of ``verify all``.  ``bochner`` runs the
 Exit codes: 0 all checks passed; 1 a check or tolerance failed, or
 standard output was closed before all output was written; 2 usage
 errors, unknown targets, a flag the target does not take, a value
-outside its range, schema violations, a scenario whose curvatures the
-finite differences cannot resolve, parse errors, and a manifest that
-cannot be written to ``--out``.  Parameters are checked against the
-table, and ``--out`` is opened, before any check runs.
+outside its range, a ``CRCHERN_SEED`` that is not an integer, schema
+violations, a scenario whose curvatures the finite differences cannot
+resolve, parse errors and products or powers past the parser's bounds,
+and a manifest that cannot be written to ``--out``.  Parameters are
+checked against the table, and ``--out`` is opened, before any check
+runs.
 
 Every run is deterministic given flags and seed (``--seed``, or the
-``CRCHERN_SEED`` environment variable, default 0); pass
+``CRCHERN_SEED`` environment variable, read only by ``verify`` and
+``bochner`` without ``--seed``, default 0); pass
 ``--no-timestamp`` for byte-identical JSON manifests.
 """
 
@@ -342,6 +345,12 @@ def _cmd_verify(args, argv: list[str]) -> int:
         known = ", ".join(KNOWN_TARGETS)
         return _refuse(f"unknown target {args.target!r}; known: {known}")
     target = TARGETS[name]
+    if args.seed is None:
+        env = os.environ.get("CRCHERN_SEED")
+        try:
+            args.seed = DEFAULT_SEED if env is None else int(env)
+        except ValueError:
+            return _refuse(f"invalid CRCHERN_SEED: {env!r} is not an integer")
     try:
         params = _params(args.target, target, args)
     except ParameterError as exc:
@@ -410,16 +419,6 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-timestamp", action="store_true")
 
 
-def _seed_default() -> int:
-    env = os.environ.get("CRCHERN_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return DEFAULT_SEED
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crchern",
@@ -433,13 +432,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("target", help=f"one of: {', '.join(KNOWN_TARGETS)}")
     for name, flag in FLAGS.items():
         p_verify.add_argument(_option(name), type=flag.parse, default=None, dest=name)
-    p_verify.add_argument("--seed", type=int, default=_seed_default())
+    p_verify.add_argument("--seed", type=int, default=None)
     _add_output_flags(p_verify)
 
     p_bochner = sub.add_parser("bochner", help="alias of: verify bochner-products")
     for name, flag in TARGETS["bochner-products"].flags.items():
         p_bochner.add_argument(_option(name), type=flag.parse, default=None, dest=name)
-    p_bochner.add_argument("--seed", type=int, default=_seed_default())
+    p_bochner.add_argument("--seed", type=int, default=None)
     p_bochner.set_defaults(target="bochner-products")
     _add_output_flags(p_bochner)
 

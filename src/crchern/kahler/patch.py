@@ -1,8 +1,9 @@
 """Products of space-form factors on a shared coordinate patch.
 
 Each factor owns its chart: :meth:`SpaceFormFactor.metric` refuses a point
-outside it (``PatchDomainError``, re-exported here); :func:`metric_at`
-checks only that a point has the patch's dimension.
+outside it (``PatchDomainError``, re-exported here).  The patch owns the
+one shape check, :meth:`KahlerProductPatch.coordinates`: a point has the
+patch's dimension.
 """
 
 from __future__ import annotations
@@ -34,6 +35,18 @@ class KahlerProductPatch:
     @property
     def total_dim(self) -> int:
         return sum(f.dim for f in self.factors)
+
+    def coordinates(self, z: np.ndarray) -> np.ndarray:
+        """``z`` as complex coordinates: one point or a ``(..., n)`` stack.
+
+        Raises :class:`PatchDomainError` unless the last axis has the
+        patch's dimension.
+        """
+        z = np.asarray(z, dtype=complex)
+        n = self.total_dim
+        if z.ndim == 0 or z.shape[-1] != n:
+            raise PatchDomainError(f"point has {z.shape} coordinates, patch needs {n}")
+        return z
 
     def slices(self) -> list[slice]:
         out = []
@@ -67,11 +80,8 @@ def metric_at(patch: KahlerProductPatch, z: np.ndarray) -> np.ndarray:
     the ``(..., n, n)`` stack of their metrics, evaluated in one call
     per factor, whose metric refuses a point outside its chart.
     """
-    z = np.asarray(z, dtype=complex)
-    n = patch.total_dim
-    if z.ndim == 0 or z.shape[-1] != n:
-        raise PatchDomainError(f"point has {z.shape} coordinates, patch needs {n}")
-    g = np.zeros(z.shape + (n,), dtype=complex)
+    z = patch.coordinates(z)
+    g = np.zeros(z.shape + (patch.total_dim,), dtype=complex)
     for f, s in zip(patch.factors, patch.slices()):
         g[..., s, s] = f.metric(z[..., s])
     return g

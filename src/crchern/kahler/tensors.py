@@ -95,7 +95,7 @@ def metric_derivatives(
     centre or a ``(..., n)`` stack of centres; every stencil point of
     every centre is evaluated in a single ``metric_at`` call.
     """
-    z = np.asarray(z, dtype=complex)
+    z = patch.coordinates(z)
     n = patch.total_dim
     m = 2 * n
     pairs = m * (m - 1) // 2
@@ -211,9 +211,10 @@ def point_tensors(patch: KahlerProductPatch, z: np.ndarray) -> PointTensors:
     """The tensors at one point; the first stencil row, the centre, is
     the first point the metric's chart check can name."""
     z = np.asarray(z, dtype=complex)
-    n = patch.total_dim
-    if z.shape != (n,):
-        raise PatchDomainError(f"point has {z.shape} coordinates, patch needs {n}")
+    if z.ndim != 1:
+        raise PatchDomainError(
+            f"point has {z.shape} coordinates, patch needs {patch.total_dim}"
+        )
     g, D1, D2 = metric_derivatives(patch, z)
     linv, R, ric, scal, P, S, gammas = _curvature(g, D1, D2)
     return PointTensors(z, g, linv, R, ric, float(scal), P, S, gammas)
@@ -310,7 +311,7 @@ def space_form_curvature_oracle(
     This is the reference the finite-difference pipeline is tested
     against.
     """
-    z = np.asarray(z, dtype=complex)
+    z = patch.coordinates(z)
     n = patch.total_dim
     R = np.zeros((n, n, n, n), dtype=complex)
     for f, s in zip(patch.factors, patch.slices()):

@@ -6,7 +6,8 @@ unicode multiplication sign is accepted too):
     cp:N         projective N-space:   Q[g]/(g^(N+1))
     surface:G    genus-G surface even part:  Q[g]/(g^2)
     fpp          fake projective plane even part:  Q[g]/(g^3)
-    nilsquare:M  M degree-2 classes with square zero: Q[t1..tM]/(ti^2)
+    nilsquare:M  M degree-2 classes with square zero: Q[t1..tM]/(ti^2),
+                 M <= MAX_NILSQUARE
 
 Generator names are assigned per factor from each preset's preferred
 list, skipping names already taken, so ``cp:2`` alone uses ``t`` while
@@ -18,6 +19,11 @@ from __future__ import annotations
 from .cohomology.ring import RATIONALS, Generator, RingError, RingPresentation, make_ring
 
 _FALLBACK_NAMES = ("t", "h", "u", "v", "w", "y")
+
+# Twice prop-1-4's largest --m.  Every ring operation walks all M
+# exponents, so at 24 a term pair costs two to three times what it costs
+# with one generator.
+MAX_NILSQUARE = 24
 
 _PREFERRED = {
     "cp": ("t", "h", "u", "v"),
@@ -55,6 +61,8 @@ def _parse_factor(spec: str, taken: set[str]) -> list[Generator]:
         return [Generator(_pick_name("fpp", taken), 2, 3)]
     if head == "nilsquare":
         m = _positive_int(arg, "nilsquare:M needs M >= 1")
+        if m > MAX_NILSQUARE:
+            raise PresetError(f"nilsquare:M needs M <= {MAX_NILSQUARE}")
         gens = []
         for j in range(1, m + 1):
             name = f"t{j}"

@@ -380,6 +380,35 @@ class TestEval:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "ring,expr,message",
+        [
+            ("cp:1000000", "(1+t)^2000", "power would bring the input past 1000000 steps"),
+            ("cp:1000000", "(1+t)^8000", "power could have 8001 terms, more than 4096"),
+            (
+                "cp:10",
+                "(1+t)^1" + "0" * 1500,
+                "power's coefficients could have more than 4300 digits",
+            ),
+            (
+                "nilsquare:20",
+                "*".join(f"(1+t{i})" for i in range(1, 19)),
+                "product could have 8192 terms, more than 4096",
+            ),
+            ("nilsquare:200000", "1", "nilsquare:M needs M <= 24"),
+        ],
+        ids=["steps", "terms", "digits", "nilsquare-product", "nilsquare-ring"],
+    )
+    def test_unbounded_work_refused_before_it_starts(self, capsys, ring, expr, message):
+        start = time.perf_counter()
+        code, out, err = run_cli(["eval", "--ring", ring, expr], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert message in err
+
+
 # Matched +-hsc pairs that the schema admits but the numeric model refuses.
 _BEYOND_MODEL = [
     ("10000", "outside chart of factor dim=1, hsc=-10000"),
@@ -735,10 +764,29 @@ def test_seed_env_fallback(capsys, monkeypatch):
     )
     assert json.loads(out)["seed"] == 123
     monkeypatch.setenv("CRCHERN_SEED", "not-an-int")
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         ["verify", "prop-1-3", "--format", "json", "--no-timestamp"], capsys
     )
-    assert json.loads(out)["seed"] == 0
+    assert code == 2
+    assert out == ""
+    assert err == "invalid CRCHERN_SEED: 'not-an-int' is not an integer\n"
+
+
+def test_malformed_seed_env_read_only_where_it_is_used(capsys, monkeypatch):
+    monkeypatch.setenv("CRCHERN_SEED", "abc")
+    code, _, err = run_cli(["bochner", "--samples", "1"], capsys)
+    assert (code, err) == (2, "invalid CRCHERN_SEED: 'abc' is not an integer\n")
+    # an explicit --seed wins, and eval, scenario and --version never read it
+    code, out, _ = run_cli(
+        ["verify", "prop-1-3", "--seed", "7", "--format", "json", "--no-timestamp"],
+        capsys,
+    )
+    assert code == 0 and json.loads(out)["seed"] == 7
+    assert run_cli(["eval", "--ring", "cp:2", "(1+t)^2"], capsys)[0] == 0
+    example = Path(__file__).resolve().parent.parent / "docs" / "examples"
+    path = str(example / "bochner_flat_pair.json")
+    assert run_cli(["scenario", path, "--no-timestamp"], capsys)[0] == 0
+    assert run_cli(["--version"], capsys)[0] == 0
 
 
 def test_usage_error_exit_2(capsys):

@@ -118,6 +118,25 @@ class TestMetric:
         with pytest.raises(PatchDomainError, match="patch needs 2"):
             point_tensors(flat_pair, np.zeros(shape, dtype=complex))
 
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            metric_at,
+            metric_derivatives,
+            curvature_at,
+            convergence_factor,
+            space_form_curvature_oracle,
+            point_tensors,
+        ],
+        ids=lambda f: f.__name__,
+    )
+    def test_wrong_dimension_rejected_by_every_entry_point(self, flat_pair, entry, count):
+        # one shape check, before any stencil offset is added to the point
+        message = "^" + re.escape(f"point has ({count},) coordinates, patch needs 2") + "$"
+        with pytest.raises(PatchDomainError, match=message):
+            entry(flat_pair, np.full(count, 0.1 + 0j))
+
     def test_levi_inverse_pairing(self, mixed_pair):
         z = mixed_pair.sample_points(1, seed=0)[0]
         g = metric_at(mixed_pair, z)

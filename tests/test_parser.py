@@ -1,8 +1,11 @@
 import contextlib
 import io
 import json
+import math
+import random
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,9 @@ from crchern.cohomology import (
     make_ring,
     parse_element,
 )
+from crchern.cohomology.parser import MAX_STEPS, MAX_TERMS, _power_bounds
+from crchern.cohomology.ring import RingElement
+from crchern.presets import MAX_NILSQUARE, PresetError, preset_ring
 
 
 @pytest.fixture
@@ -145,6 +151,93 @@ def test_power_size_limit_is_the_int_str_digit_limit():
     assert parse_element(
         "2^100000000", make_ring([("t", 2, 3)], integers_mod(7))
     ) == pow(2, 100000000, 7)
+
+
+def test_product_term_bound_reads_truncations_and_top_exponents():
+    # |a|*|b| = 65*64 = 4160, and the top exponents 64 + 4032 reach t^4096:
+    # at most 4096 terms survive t^4096 = 0 and 4097 survive t^4097 = 0
+    a = "(" + "+".join(f"t^{j}" for j in range(65)) + ")"
+    b = "(" + "+".join(f"t^{64 * j}" for j in range(64)) + ")"
+    fits = make_ring([("t", 2, MAX_TERMS)], INTEGERS)
+    assert len(parse_element(f"{a}*{b}", fits).terms) == MAX_TERMS
+    with pytest.raises(ParseError, match=f"product could have {MAX_TERMS + 1} terms"):
+        parse_element(f"{a}*{b}", make_ring([("t", 2, MAX_TERMS + 1)], INTEGERS))
+
+
+def test_power_term_bound_reads_the_exponent():
+    ring = make_ring([("t", 2, 10**6)], RATIONALS)
+    with pytest.raises(ParseError, match=f"power could have {MAX_TERMS + 1} terms"):
+        parse_element(f"(1+t)^{MAX_TERMS}", ring)
+
+
+def test_power_digit_bound_covers_every_coefficient():
+    # the constant term is 1, but binom(e, 2) has about 4400 digits
+    zring = make_ring([("t", 2, 3)], INTEGERS)
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="power's coefficients could have more than"):
+        parse_element(f"(1+t)^{10**2200}", zring)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("domain", [INTEGERS, RATIONALS, integers_mod(6)])
+def test_power_bounds_hold_for_computed_powers(domain):
+    ring = make_ring([("t", 2, 4), ("h", 4, 3)], domain)
+    rng = random.Random(11)
+    for _ in range(40):
+        raw = {
+            (rng.randrange(4), rng.randrange(3)): Fraction(
+                rng.randint(-30, 30), rng.choice([1, 1, 2, 7]) if domain is RATIONALS else 1
+            )
+            for _ in range(rng.randint(0, 5))
+        }
+        base = ring.element(raw)
+        terms, digits = _power_bounds(base)
+        for m in range(12):
+            power = base**m
+            assert len(power.terms) <= terms(m)
+            for c in power.terms.values():
+                c = Fraction(c)
+                widest = max(abs(c.numerator), c.denominator)
+                assert len(str(widest)) <= math.floor(digits(m)) + 1
+
+
+def test_fractional_coefficients_cost_more_steps():
+    ring = make_ring([("t", 2, 10**6)], RATIONALS)
+    assert len(parse_element("(3+t)^300", ring).terms) == 301
+    with pytest.raises(ParseError, match=f"power would bring the input past {MAX_STEPS} steps"):
+        parse_element("(1/3+t)^300", ring)
+
+
+def test_step_budget_covers_the_whole_input():
+    # each power alone fits the budget; together they do not
+    ring = make_ring([("t", 2, 10**6)], RATIONALS)
+    assert len(parse_element("(1+t)^300", ring).terms) == 301
+    with pytest.raises(ParseError, match=f"past {MAX_STEPS} steps") as info:
+        parse_element("+".join(["(1+t)^300"] * 20), ring)
+    assert info.value.position > 0
+
+
+def test_long_sum_is_one_running_total(monkeypatch):
+    # adding term by term copied the partial sum at every sign, which is
+    # quadratic in the input: 10,000 typed terms took 15 s
+    ring = make_ring([("t", 2, 100)], INTEGERS)
+    text = "+".join(f"{j}*t^{j}" for j in range(100))
+    expected = ring.element({(j,): j for j in range(100)})
+
+    def pairwise(self, other):
+        raise AssertionError("sum built pairwise")
+
+    monkeypatch.setattr(RingElement, "__add__", pairwise)
+    monkeypatch.setattr(RingElement, "__sub__", pairwise)
+    assert parse_element(text, ring) == expected
+    assert parse_element(f"-({text}) + 2*({text})", ring) == expected
+    assert parse_element(f"{text} - ({text})", ring).is_zero()
+
+
+def test_nilsquare_preset_is_bounded():
+    assert len(preset_ring(f"nilsquare:{MAX_NILSQUARE}").generators) == MAX_NILSQUARE
+    with pytest.raises(PresetError, match=f"M <= {MAX_NILSQUARE}"):
+        preset_ring(f"nilsquare:{MAX_NILSQUARE + 1}")
 
 
 def test_integer_literal_past_digit_limit_is_a_parse_error(qring):

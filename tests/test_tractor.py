@@ -5,6 +5,7 @@ from itertools import permutations
 import pytest
 
 from crchern.chern import ring_matrix_determinant, tractor_determinant_check
+from crchern.chern import tractor
 from crchern.chern.tractor import _build_matrix
 from crchern.cohomology import RATIONALS, RingError, make_ring
 
@@ -93,23 +94,26 @@ class TestTractorIdentity:
         assert flags["control failure depends on the inserted entry"]
 
     def test_starred_entries_cancel_in_symbolic_determinant(self):
-        ring, s, w, matrix = _build_matrix(2, xi_diagonal=False)
-        det = ring_matrix_determinant(matrix)
-        star_indices = [ring.gen_index(f"x{i}") for i in range(1, 6)]
-        for exps in det.terms:
-            assert all(exps[i] == 0 for i in star_indices)
+        # no term of the one expansion, control entry included, carries a
+        # star: stronger than the same statement at xi = 0
+        for n in range(1, 5):
+            ring, diagonal, matrix = _build_matrix(n)
+            full = ring_matrix_determinant(matrix)
+            star_indices = [ring.gen_index(f"x{i}") for i in range(1, 2 * n + 2)]
+            for exps in full.terms:
+                assert all(exps[i] == 0 for i in star_indices), n
 
     def test_identity_is_not_a_truncation_artifact(self):
-        # the top monomial s^(n+2) w^(n+2) must survive on both sides;
+        # the top monomial s^(n+2) w^(n+2) must survive in the expansion;
         # if the working truncations ever clipped it, the symbolic
         # comparison would be vacuous
         n = 3
-        ring, s, w, matrix = _build_matrix(n, xi_diagonal=False)
-        det = ring_matrix_determinant(matrix)
+        ring, diagonal, matrix = _build_matrix(n)
+        full = ring_matrix_determinant(matrix)
         top = [0] * len(ring.generators)
         top[ring.gen_index("s")] = n + 2
         top[ring.gen_index("w")] = n + 2
-        assert det.coefficient(tuple(top)) == 1
+        assert full.coefficient(tuple(top)) == 1
 
     def test_random_point_invariance_with_seeds(self):
         # the identity evaluates equal regardless of the sampled values
@@ -117,22 +121,23 @@ class TestTractorIdentity:
             assert tractor_determinant_check(2, seed=seed).passed
 
     def test_direct_evaluation_at_arbitrary_point(self):
-        ring, s, w, matrix = _build_matrix(1, xi_diagonal=False)
-        det = ring_matrix_determinant(matrix)
+        ring, diagonal, matrix = _build_matrix(1)
+        full = ring_matrix_determinant(matrix)
         rng = random.Random(5)
         values = {
             g.name: Fraction(rng.randint(-5, 5), rng.randint(1, 5))
             for g in ring.generators
         }
-        lhs = det.evaluate(values)
+        values["xi"] = 0
+        lhs = full.evaluate(values)
         rhs = (1 + values["s"] * values["w"]) ** 3
         assert lhs == rhs
 
-    @pytest.mark.parametrize("xi_diagonal", [False, True])
-    def test_matrix_entries_match_identity_plus_s_omega(self, xi_diagonal):
+    def test_matrix_entries_match_identity_plus_s_omega(self):
         # every entry, zero ones included, is (1 or 0) + s * Omega_ij
         for n in range(1, 5):
-            ring, s, w, matrix = _build_matrix(n, xi_diagonal)
+            ring, diagonal, matrix = _build_matrix(n)
+            s, w = ring.gen("s"), ring.gen("w")
             size = n + 2
             stars = iter(ring.gen(f"x{i}") for i in range(1, 2 * n + 2))
             omega = [[ring.zero()] * size for _ in range(size)]
@@ -142,12 +147,64 @@ class TestTractorIdentity:
                 omega[i][0] = next(stars)
             for j in range(1, size - 1):
                 omega[size - 1][j] = next(stars)
-            if xi_diagonal:
-                omega[1][1] = w + ring.gen("xi")
+            omega[1][1] = w + ring.gen("xi")
+            assert diagonal == 1 + s * w
             for i in range(size):
                 for j in range(size):
                     base = ring.one() if i == j else ring.zero()
                     assert matrix[i][j] == base + s * omega[i][j], (n, i, j)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_witnesses_match_two_separate_expansions(self, n):
+        # the two matrices the check once built, each through Omega in its
+        # own ring: the xi-free one gives the determinant witness, the
+        # control gives the difference's term count
+        def expansion(with_xi):
+            size = n + 2
+            names = [f"x{i}" for i in range(1, 2 * n + 2)]
+            gens = [("s", 2, size + 1), ("w", 2, size + 1)]
+            gens += [(name, 2, 2) for name in names] + [("xi", 2, 2)] * with_xi
+            ring = make_ring(gens, RATIONALS)
+            s, w = ring.gen("s"), ring.gen("w")
+            stars = iter(names)
+            omega = [[ring.zero()] * size for _ in range(size)]
+            for i in range(size):
+                omega[i][i] = w
+            for i in range(1, size):
+                omega[i][0] = ring.gen(next(stars))
+            for j in range(1, size - 1):
+                omega[size - 1][j] = ring.gen(next(stars))
+            if with_xi:
+                omega[1][1] = omega[1][1] + ring.gen("xi")
+            matrix = [
+                [(1 if i == j else 0) + s * omega[i][j] for j in range(size)]
+                for i in range(size)
+            ]
+            return ring_matrix_determinant(matrix), (1 + s * w) ** (n + 2)
+
+        witness = tractor_determinant_check(n).witnesses[0]
+        det, _ = expansion(False)
+        assert witness["determinant"] == str(det)
+        control, rhs = expansion(True)
+        assert witness["control_difference_terms"] == len((control - rhs).terms)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_control_difference_closed_form(self, n):
+        ring, diagonal, matrix = _build_matrix(n)
+        full = ring_matrix_determinant(matrix)
+        s, xi = ring.gen("s"), ring.gen("xi")
+        assert full - diagonal ** (n + 2) == s * xi * diagonal ** (n + 1)
+
+    def test_one_expansion_per_check(self, monkeypatch):
+        calls = []
+
+        def counting(entries):
+            calls.append(len(entries))
+            return ring_matrix_determinant(entries)
+
+        monkeypatch.setattr(tractor, "ring_matrix_determinant", counting)
+        assert tractor_determinant_check(3).passed
+        assert calls == [5]
 
     def test_bad_n_rejected(self):
         with pytest.raises(RingError):
