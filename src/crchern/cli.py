@@ -7,11 +7,12 @@ target's share of ``verify all``.  ``bochner`` runs the
 
 Exit codes: 0 all checks passed; 1 a check or tolerance failed, or
 standard output was closed before all output was written; 2 usage
-errors, unknown targets, a flag the target does not take, a value
-outside its range, a ``CRCHERN_SEED`` that is not an integer, schema
-violations, a scenario whose curvatures the finite differences cannot
-resolve, parse errors and products or powers past the parser's bounds,
-and a manifest that cannot be written to ``--out``.  Parameters are
+errors, unknown targets, a flag the target does not take, ``--n``
+together with ``--n-max``, a value outside its range, a
+``CRCHERN_SEED`` that is not an integer, schema violations, a scenario
+whose curvatures the finite differences cannot resolve, parse errors
+and products or powers past the parser's bounds, and a manifest that
+cannot be written to ``--out``.  Parameters are
 checked against the table, and ``--out`` is opened, before any check
 runs.
 
@@ -56,7 +57,6 @@ from .kahler.tensors import IllConditionedMetric
 from .presets import preset_ring
 
 DEFAULT_SEED = 0
-CONTROL_FLOOR = 1e-2
 BOCHNER_PAIRS = (
     ((1, Fraction(1)), (1, Fraction(-1))),
     ((1, Fraction(1)), (2, Fraction(-1))),
@@ -149,7 +149,7 @@ def _bochner(p: dict) -> list[CheckReport]:
     batch = {"samples": p["samples"], "seed": p["seed"]}
     tolerances = {"s_max": p["tol"]} if p["tol"] is not None else None
     flat = [run_batch(list(pair), tolerances=tolerances, **batch) for pair in BOCHNER_PAIRS]
-    control = run_batch(list(BOCHNER_CONTROL), control_floor=CONTROL_FLOOR, **batch)
+    control = run_batch(list(BOCHNER_CONTROL), expect_flat=False, **batch)
     return [*flat, control]
 
 
@@ -210,13 +210,16 @@ def _option(name: str) -> str:
 def _params(label: str, target: Target, args) -> dict:
     """The target's parameters from ``args``, defaults filled in.
 
-    A flag the target does not take, or a value outside a flag's range,
-    raises :class:`ParameterError`; nothing has run yet.
+    A flag the target does not take, ``--n`` together with ``--n-max``,
+    or a value outside a flag's range, raises :class:`ParameterError`;
+    nothing has run yet.
     """
     given = [name for name in FLAGS if getattr(args, name, None) is not None]
     foreign = [_option(name) for name in given if name not in target.flags]
     if foreign:
         raise ParameterError(f"{label} does not take {', '.join(foreign)}")
+    if {"n", "n_max"} <= set(given):  # one n, or a range up to n_max
+        raise ParameterError(f"{label} takes --n or --n-max, not both")
     params = {"seed": args.seed}
     for name, flag in target.flags.items():
         value = getattr(args, name, None)

@@ -47,6 +47,14 @@ class RingError(ValueError):
     """Invalid ring construction, coefficient, or operand mismatch."""
 
 
+# The most generators a JSON presentation may have; its schema carries
+# the same ``maxItems``.  Every element of a ring walks all its
+# generators, so a longer list would cost time the parser's step bound
+# does not see.  The largest preset ring has 31 (``nilsquare:24`` plus
+# the seven other preset names); rings built in code are not bounded.
+MAX_GENERATORS = 64
+
+
 Coefficient = int | Fraction
 ExponentVector = tuple[int, ...]
 
@@ -284,6 +292,10 @@ class RingPresentation:
             raise RingError(f"unknown coefficient spec: {raw_coeffs!r}")
         if not isinstance(raw_gens, list):
             raise RingError(f"malformed ring presentation: generators {raw_gens!r}")
+        if len(raw_gens) > MAX_GENERATORS:
+            raise RingError(
+                f"a presentation has at most {MAX_GENERATORS} generators, got {len(raw_gens)}"
+            )
         gens = []
         for g in raw_gens:
             try:

@@ -2,10 +2,11 @@
 
 from .patch import KahlerProductPatch, PatchDomainError, metric_at
 from .scenario import (
+    BOUNDS,
+    CIRCLE_BUNDLE,
+    CONTROL_FLOOR,
     DEFAULT_TOLERANCES,
-    SasakiCorrespondence,
     ScenarioError,
-    build_patch,
     convergence_factor,
     parse_scenario,
     run_batch,
@@ -31,16 +32,17 @@ from .tensors import (
 )
 
 __all__ = [
+    "BOUNDS",
+    "CIRCLE_BUNDLE",
+    "CONTROL_FLOOR",
     "CalibrationError",
     "DEFAULT_TOLERANCES",
     "IllConditionedMetric",
     "KahlerProductPatch",
     "PatchDomainError",
     "PointTensors",
-    "SasakiCorrespondence",
     "ScenarioError",
     "SpaceFormFactor",
-    "build_patch",
     "calibrate_space_form",
     "chern_divergence_residual",
     "chern_tensor_at",

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -40,13 +39,25 @@ from .tensors import (
 DEFAULT_TOLERANCES = {
     "s_max": 1e-6,  # flatness bound on |S|_inf
     "curvature_rel": 1e-6,  # FD curvature vs closed-form oracle
-    "r_symmetry": 1e-6,  # scaled by (1 + |R|_inf)
+    "r_symmetry": 1e-6,  # scaled by (1 + |R|_inf); also bounds cross_block
     "p_trace": 1e-9,
     "s_trace": 1e-6,  # scaled by (1 + |R|_inf)
     "divergence": 1e-3,
     "convergence_low": 3.5,
     "convergence_high": 4.5,
 }
+# The bounded assertions of a batch, in report order: (assertion name,
+# key of the measured maximum, key of the tolerance that bounds it).
+BOUNDS = (
+    ("curvature matches the space-form closed form", "curvature_rel_err", "curvature_rel"),
+    ("curvature symmetries hold", "r_symmetry", "r_symmetry"),
+    ("Schouten trace identity holds", "p_trace", "p_trace"),
+    ("Chern tensor is trace-free in the first pair", "s_trace", "s_trace"),
+    ("metric is block diagonal", "cross_block", "r_symmetry"),
+    ("divergence identity residual is small", "divergence", "divergence"),
+)
+# The least |S|_inf of a negative control (``run_batch(expect_flat=False)``).
+CONTROL_FLOOR = 1e-2
 CONVERGENCE_STEP = 2e-2  # large enough that truncation dominates roundoff
 # The sampler draws from the cube around each factor's ball and rejects
 # points outside it: d! (4/pi)^d draws per point, 2.8e5 at d = 8 and
@@ -69,35 +80,19 @@ class ScenarioError(ValueError):
     """Scenario document failed validation."""
 
 
-@dataclass(frozen=True)
-class SasakiCorrespondence:
-    """Bookkeeping record tying the base patch to its circle bundle.
-
-    No manifold is constructed: on the circle bundle of a negative line
-    bundle the contact form is the restricted connection form, its
-    Levi form and the pseudo-Hermitian connection and curvature pull
-    back from the base Kaehler data, and the torsion vanishes
-    identically.  Consequently every tensor computed on the base *is*
-    the corresponding Tanaka-Webster tensor upstairs, which is the only
-    fact the batch checks rely on.
-    """
-
-    base: KahlerProductPatch
-    contact_form: str = "restriction of the connection one-form of the line bundle"
-    levi_form: str = "pullback of the base Kaehler metric"
-    torsion: str = "identically zero (Reeb flow preserves the CR structure)"
-    connection: str = "pullback of the base Kaehler connection and curvature forms"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "factors": [
-                {"dim": f.dim, "hsc": str(f.hsc)} for f in self.base.factors
-            ],
-            "contact_form": self.contact_form,
-            "levi_form": self.levi_form,
-            "torsion": self.torsion,
-            "connection": self.connection,
-        }
+# No manifold is constructed.  On the circle bundle of a negative line
+# bundle the contact form is the restricted connection form, its Levi
+# form and the pseudo-Hermitian connection and curvature pull back from
+# the base Kaehler data, and the torsion vanishes identically.  So every
+# tensor computed on the base *is* the corresponding Tanaka-Webster
+# tensor upstairs, which is the only fact the batch checks rely on.  A
+# batch's witness records this next to the base's factors.
+CIRCLE_BUNDLE = {
+    "contact_form": "restriction of the connection one-form of the line bundle",
+    "levi_form": "pullback of the base Kaehler metric",
+    "torsion": "identically zero (Reeb flow preserves the CR structure)",
+    "connection": "pullback of the base Kaehler connection and curvature forms",
+}
 
 
 def parse_scenario(doc: Mapping) -> tuple[list[tuple[int, Fraction]], int, int, dict]:
@@ -150,6 +145,11 @@ def parse_scenario(doc: Mapping) -> tuple[list[tuple[int, Fraction]], int, int, 
                 f"tolerance {key!r} must be a finite positive number, got {val}"
             )
         tolerances[key] = val
+    low, high = tolerances["convergence_low"], tolerances["convergence_high"]
+    if low >= high:  # no convergence factor could pass
+        raise ScenarioError(
+            f"empty convergence range: convergence_low {low} >= convergence_high {high}"
+        )
     return factors, samples, seed, tolerances
 
 
@@ -172,12 +172,6 @@ def _parse_hsc(raw: object, i: int) -> Fraction:
     raise ScenarioError(f"factor #{i}: 'hsc' exponent must be at most {MAX_HSC_EXPONENT}")
 
 
-def build_patch(factors: list[tuple[int, Fraction]]) -> KahlerProductPatch:
-    return KahlerProductPatch(
-        tuple(calibrate_space_form(dim, hsc) for dim, hsc in factors)
-    )
-
-
 def convergence_factor(patch: KahlerProductPatch, z: np.ndarray) -> float:
     """Error-reduction factor of the curvature under one step halving."""
     exact = space_form_curvature_oracle(patch, z)
@@ -193,114 +187,93 @@ def run_batch(
     samples: int = 10,
     seed: int = 0,
     tolerances: Mapping[str, float] | None = None,
-    control_floor: float | None = None,
+    expect_flat: bool = True,
 ) -> CheckReport:
     """Sample the patch and enforce the pointwise tensor identities.
 
-    The Chern tensor must stay below ``s_max`` at every point; with
-    ``control_floor`` set, it must instead *exceed* that floor
-    (negative control).  The divergence identity and the
-    structural identities are enforced either way, and a convergence
-    factor for the curvature stencils is estimated at the first point.
+    Each row of :data:`BOUNDS` holds a measured maximum to its
+    tolerance, and a convergence factor for the curvature stencils,
+    estimated at the first point, must lie in the convergence range.
+    The Chern tensor must then stay below ``s_max`` at every point; a
+    negative control (``expect_flat=False``) must instead *exceed*
+    :data:`CONTROL_FLOOR`.
     """
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(tolerances or {})
-    patch = build_patch(factors)
+    patch = KahlerProductPatch(
+        tuple(calibrate_space_form(dim, hsc) for dim, hsc in factors)
+    )
     n = patch.total_dim
     points = patch.sample_points(samples, seed)
 
-    maxima = {
-        "s_inf": 0.0,
-        "curvature_rel_err": 0.0,
-        "r_symmetry": 0.0,
-        "p_trace": 0.0,
-        "s_trace": 0.0,
-        "cross_block": 0.0,
-        "divergence": 0.0,
-        "divergence_sides": 0.0,
-    }
+    maxima: dict[str, float] = {}
     per_point = []
     for z in points:
         t = point_tensors(patch, z)
-        r_inf = float(np.max(np.abs(t.R)))
-        scale = 1 + r_inf
-
+        scale = 1 + float(np.max(np.abs(t.R)))
         exact = space_form_curvature_oracle(patch, z)
-        rel_err = float(np.max(np.abs(t.R - exact))) / max(
-            1e-30, float(np.max(np.abs(exact)))
-        )
-        sym1, sym2 = symmetry_residuals(t.R)
-        p_trace_res = abs(
-            complex(np.einsum("ab,ab->", t.linv, t.P))
-            - t.Scal / (2 * (n + 1))
-        )
-        s_trace_res = float(np.max(np.abs(first_pair_trace(t.S, t.linv))))
-        cross = _cross_block_max(patch, t.R)
         div = chern_divergence_residual(patch, t)
-
-        maxima["s_inf"] = max(maxima["s_inf"], float(np.max(np.abs(t.S))))
-        maxima["curvature_rel_err"] = max(maxima["curvature_rel_err"], rel_err)
-        maxima["r_symmetry"] = max(maxima["r_symmetry"], max(sym1, sym2) / scale)
-        maxima["p_trace"] = max(maxima["p_trace"], p_trace_res)
-        maxima["s_trace"] = max(maxima["s_trace"], s_trace_res / scale)
-        maxima["cross_block"] = max(maxima["cross_block"], cross)
-        maxima["divergence"] = max(maxima["divergence"], div["residual"])
-        maxima["divergence_sides"] = max(
-            maxima["divergence_sides"], div["lhs_max"], div["rhs_max"]
-        )
+        p_trace = complex(np.einsum("ab,ab->", t.linv, t.P)) - t.Scal / (2 * (n + 1))
+        measured = {
+            "s_inf": float(np.max(np.abs(t.S))),
+            "curvature_rel_err": float(np.max(np.abs(t.R - exact)))
+            / max(1e-30, float(np.max(np.abs(exact)))),
+            "r_symmetry": max(symmetry_residuals(t.R)) / scale,
+            "p_trace": abs(p_trace),
+            "s_trace": float(np.max(np.abs(first_pair_trace(t.S, t.linv)))) / scale,
+            "cross_block": _cross_block_max(patch, t.R),
+            "divergence": div["residual"],
+            "divergence_sides": max(div["lhs_max"], div["rhs_max"]),
+        }
+        for key, value in measured.items():
+            maxima[key] = max(maxima.get(key, 0.0), value)
         per_point.append(
             {
                 "point": [str(c) for c in z],
-                "s_inf": float(np.max(np.abs(t.S))),
-                "curvature_rel_err": rel_err,
-                "divergence_residual": div["residual"],
+                "s_inf": measured["s_inf"],
+                "curvature_rel_err": measured["curvature_rel_err"],
+                "divergence_residual": measured["divergence"],
             }
         )
 
     conv = convergence_factor(patch, points[0])
 
-    assertions = [
-        (
-            "curvature matches the space-form closed form",
-            maxima["curvature_rel_err"] <= tol["curvature_rel"],
-        ),
-        ("curvature symmetries hold", maxima["r_symmetry"] <= tol["r_symmetry"]),
-        ("Schouten trace identity holds", maxima["p_trace"] <= tol["p_trace"]),
-        ("Chern tensor is trace-free in the first pair", maxima["s_trace"] <= tol["s_trace"]),
-        ("metric is block diagonal", maxima["cross_block"] <= tol["r_symmetry"]),
-        ("divergence identity residual is small", maxima["divergence"] <= tol["divergence"]),
+    assertions = [(name, maxima[key] <= tol[bound]) for name, key, bound in BOUNDS]
+    assertions.append(
         (
             "stencil convergence factor is second order",
             tol["convergence_low"] <= conv <= tol["convergence_high"],
-        ),
-    ]
-    if control_floor is not None:
-        assertions.append(
-            (
-                f"Chern tensor exceeds the control floor {control_floor}",
-                maxima["s_inf"] > control_floor,
-            )
         )
-    else:
+    )
+    if expect_flat:
         assertions.append(
             ("Chern tensor vanishes within tolerance", maxima["s_inf"] <= tol["s_max"])
         )
+    else:
+        assertions.append(
+            (
+                f"Chern tensor exceeds the control floor {CONTROL_FLOOR}",
+                maxima["s_inf"] > CONTROL_FLOOR,
+            )
+        )
 
-    correspondence = SasakiCorrespondence(patch)
     return CheckReport.from_assertions(
         check="bochner-flat-batch",
         params={
             "factors": [[dim, str(hsc)] for dim, hsc in factors],
             "samples": samples,
             "seed": seed,
-            "expect_flat": control_floor is None,
+            "expect_flat": expect_flat,
         },
         assertions=assertions,
         witnesses=[
             {
                 "maxima": maxima,
                 "convergence_factor": conv,
-                "circle_bundle": correspondence.to_json_dict(),
+                "circle_bundle": {
+                    "factors": [{"dim": f.dim, "hsc": str(f.hsc)} for f in patch.factors],
+                    **CIRCLE_BUNDLE,
+                },
             }
         ],
         residuals=per_point,

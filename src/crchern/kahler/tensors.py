@@ -24,7 +24,7 @@ Torsion terms are absent throughout: a circle bundle of a negative line
 bundle over a Kaehler base has identically vanishing pseudo-Hermitian
 torsion, and its connection coefficients and curvature form pull back
 from the base, so every tensor computed here *is* the corresponding
-circle-bundle tensor (see :class:`crchern.kahler.scenario.SasakiCorrespondence`).
+circle-bundle tensor (see :data:`crchern.kahler.scenario.CIRCLE_BUNDLE`).
 
 Third-derivative quantities (``grad P``, ``grad S``) use a larger step
 (``1e-3``) and correspondingly looser tolerances.
@@ -43,7 +43,7 @@ read-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -137,11 +137,32 @@ def levi_inverse(g: np.ndarray) -> np.ndarray:
     return np.swapaxes(np.linalg.inv(g), -1, -2)
 
 
-def _curvature(g: np.ndarray, D1: np.ndarray, D2: np.ndarray):
+@dataclass(frozen=True)
+class PointTensors:
+    """All pointwise tensors at one centre, ``linv`` = ``l^{a b-}``.
+
+    :func:`point_tensors` gives one point and a float ``Scal``; inside
+    the stencils each field is stacked over the centres.
+    """
+
+    point: np.ndarray
+    g: np.ndarray
+    linv: np.ndarray
+    R: np.ndarray
+    Ric: np.ndarray
+    Scal: float | np.ndarray
+    P: np.ndarray
+    S: np.ndarray
+    gammas: np.ndarray
+
+
+def _curvature(
+    z: np.ndarray, g: np.ndarray, D1: np.ndarray, D2: np.ndarray
+) -> PointTensors:
     """The curvature assembly, batched over the leading axes.
 
-    Takes the output of :func:`metric_derivatives` and returns
-    ``(linv, R, Ric, Scal, P, S, gammas)``, each stacked like ``g``.
+    Takes the centres ``z`` and their :func:`metric_derivatives`; every
+    field of the record is stacked like ``g``.
     """
     n = g.shape[-1]
     linv = levi_inverse(g)
@@ -162,15 +183,15 @@ def _curvature(g: np.ndarray, D1: np.ndarray, D2: np.ndarray):
     scal = np.einsum("...cd,...cd->...", linv, ric).real
     P = schouten_at(ric, scal, g, n)
     S = chern_tensor_at(R, P, g, n)
-    return linv, R, ric, scal, P, S, gammas
+    return PointTensors(z, g, linv, R, ric, scal, P, S, gammas)
 
 
 def curvature_at(
     patch: KahlerProductPatch, z: np.ndarray, step: float = METRIC_STEP
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Curvature ``R[a,b,c,d]`` plus its Ricci and scalar contractions."""
-    _linv, R, ric, scal, *_ = _curvature(*metric_derivatives(patch, z, step))
-    return R, ric, float(scal)
+    t = _curvature(z, *metric_derivatives(patch, z, step))
+    return t.R, t.Ric, float(t.Scal)
 
 
 def schouten_at(ric: np.ndarray, scal: float, g: np.ndarray, n: int) -> np.ndarray:
@@ -192,21 +213,6 @@ def chern_tensor_at(
     )
 
 
-@dataclass(frozen=True)
-class PointTensors:
-    """All pointwise tensors at one sample point, ``linv`` = ``l^{a b-}``."""
-
-    point: np.ndarray
-    g: np.ndarray
-    linv: np.ndarray
-    R: np.ndarray
-    Ric: np.ndarray
-    Scal: float
-    P: np.ndarray
-    S: np.ndarray
-    gammas: np.ndarray
-
-
 def point_tensors(patch: KahlerProductPatch, z: np.ndarray) -> PointTensors:
     """The tensors at one point; the first stencil row, the centre, is
     the first point the metric's chart check can name."""
@@ -215,9 +221,8 @@ def point_tensors(patch: KahlerProductPatch, z: np.ndarray) -> PointTensors:
         raise PatchDomainError(
             f"point has {z.shape} coordinates, patch needs {patch.total_dim}"
         )
-    g, D1, D2 = metric_derivatives(patch, z)
-    linv, R, ric, scal, P, S, gammas = _curvature(g, D1, D2)
-    return PointTensors(z, g, linv, R, ric, float(scal), P, S, gammas)
+    t = _curvature(z, *metric_derivatives(patch, z))
+    return replace(t, Scal=float(t.Scal))
 
 
 def _third_order_derivatives(patch: KahlerProductPatch, z: np.ndarray):
@@ -239,12 +244,11 @@ def _third_order_derivatives(patch: KahlerProductPatch, z: np.ndarray):
         e = np.zeros(m)
         e[a] = h
         x = np.stack([x0 + e, x0 - e])
-        _linv, _R, _ric, scal, P, S, _gammas = _curvature(
-            *metric_derivatives(patch, x[:, :n] + 1j * x[:, n:])
-        )
-        dP[a] = (P[0] - P[1]) / (2 * h)
-        dS[a] = (S[0] - S[1]) / (2 * h)
-        dScal[a] = (scal[0] - scal[1]) / (2 * h)
+        centres = x[:, :n] + 1j * x[:, n:]
+        t = _curvature(centres, *metric_derivatives(patch, centres))
+        dP[a] = (t.P[0] - t.P[1]) / (2 * h)
+        dS[a] = (t.S[0] - t.S[1]) / (2 * h)
+        dScal[a] = (t.Scal[0] - t.Scal[1]) / (2 * h)
     dP_hol = 0.5 * (dP[:n] - 1j * dP[n:])  # [c, a, b]
     dS_hol = 0.5 * (dS[:n] - 1j * dS[n:])  # [r, a, b, c, d]
     dScal_hol = 0.5 * (dScal[:n] - 1j * dScal[n:])

@@ -195,7 +195,7 @@ def bochner_batches():
         [(1, Fraction(1)), (1, Fraction(1))],
         samples=10,
         seed=0,
-        control_floor=1e-2,
+        expect_flat=False,
     )
     elapsed = time.perf_counter() - start
     return flat, control, elapsed

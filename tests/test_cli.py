@@ -95,6 +95,21 @@ class TestVerify:
         _, by_n, _ = run_cli(["verify", "thm-1-2", "--n", "3", *flags], capsys)
         assert json.loads(by_n)["reports"] == json.loads(by_n_max)["reports"]
 
+    @pytest.mark.parametrize(
+        "label,check",
+        [
+            ("thm-1-2", "verify_spherical_on_circle_bundle"),
+            ("tractor", "tractor_determinant_check"),
+            ("thm-1-2-formal", "tractor_determinant_check"),
+        ],
+    )
+    def test_n_with_n_max_refused(self, capsys, monkeypatch, label, check):
+        # one of the two would otherwise be silently ignored
+        monkeypatch.setattr(cli, check, lambda *a, **k: pytest.fail("a check ran"))
+        code, out, err = run_cli(["verify", label, "--n", "2", "--n-max", "3"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"invalid parameters: {label} takes --n or --n-max, not both\n"
+
     def test_seed_accepted_by_every_target(self):
         for name in cli.KNOWN_TARGETS:
             args = cli.build_parser().parse_args(["verify", name, "--seed", "5"])
@@ -337,6 +352,14 @@ class TestEval:
         assert err.startswith("bad ring spec: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_presentation_past_the_generator_bound_exit_2_one_line(self, capsys, tmp_path):
+        generators = [{"name": f"g{i}", "degree": 2, "truncation": 2} for i in range(1000)]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"coefficients": "Q", "generators": generators}))
+        code, out, err = run_cli(["eval", "--ring", str(path), "(1+g1)^2"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "bad ring spec: a presentation has at most 64 generators, got 1000\n"
+
     def test_bad_preset_exit_2(self, capsys):
         code, _, err = run_cli(["eval", "--ring", "torus:1", "1"], capsys)
         assert code == 2
@@ -469,6 +492,24 @@ class TestScenario:
         assert err.startswith("cannot read scenario: ")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "tolerances,low,high",
+        [
+            ({"convergence_low": 5, "convergence_high": 4}, 5.0, 4.0),
+            ({"convergence_high": 3}, 3.5, 3.0),
+        ],
+        ids=["swapped", "high-below-default-low"],
+    )
+    def test_empty_convergence_range_exit_2(self, capsys, tmp_path, tolerances, low, high):
+        doc = {"factors": [{"dim": 1, "hsc": "1"}, {"dim": 1, "hsc": "-1"}], "samples": 1}
+        path = self.write(tmp_path, {**doc, "tolerances": tolerances})
+        code, out, err = run_cli(["scenario", path], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            "scenario schema violation: empty convergence range: "
+            f"convergence_low {low} >= convergence_high {high}\n"
+        )
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run_cli(["scenario", "/nonexistent/path.json"], capsys)

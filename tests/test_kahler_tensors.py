@@ -259,7 +259,7 @@ class TestCurvature:
         )
         centres = np.array(patch.sample_points(4, seed=79)).reshape(2, 2, -1)
         g, D1, D2 = metric_derivatives(patch, centres)
-        R = _curvature(g, D1, D2)[1]
+        R = _curvature(centres, g, D1, D2).R
         want = _three_operand_curvature(g, D1, D2)
         assert R.shape == want.shape == (2, 2) + (sum(dims),) * 4
         assert np.max(np.abs(R - want)) <= 1e-12 * np.max(np.abs(want))

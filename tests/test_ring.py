@@ -300,6 +300,44 @@ class TestSerialization:
         for ring in (cp2_ring(), two_var_ring(), cp2_ring(integers_mod(6))):
             jsonschema.validate(ring.to_json_dict(), schema)
 
+    def test_schema_bounds_the_generators_like_the_parser(self):
+        import json
+        from pathlib import Path
+
+        from crchern.cohomology.ring import MAX_GENERATORS
+
+        schema_path = (
+            Path(__file__).resolve().parent.parent
+            / "docs"
+            / "schemas"
+            / "presentation.schema.json"
+        )
+        schema = json.loads(schema_path.read_text())
+        assert schema["properties"]["generators"]["maxItems"] == MAX_GENERATORS
+
+    def test_too_many_generators_refused_before_any_is_built(self, monkeypatch):
+        from crchern.cohomology import ring as ring_module
+
+        def generator(*args):
+            raise AssertionError("a generator was built")
+
+        entry = {"name": "g", "degree": 2, "truncation": 2}
+        doc = {"coefficients": "Q", "generators": [entry] * (ring_module.MAX_GENERATORS + 1)}
+        monkeypatch.setattr(ring_module, "Generator", generator)
+        with pytest.raises(RingError, match="at most 64 generators, got 65"):
+            RingPresentation.from_json_dict(doc)
+
+    def test_generator_bound_admits_the_bound(self):
+        from crchern.cohomology.ring import MAX_GENERATORS
+
+        doc = {
+            "coefficients": "Q",
+            "generators": [
+                {"name": f"g{i}", "degree": 2, "truncation": 2} for i in range(MAX_GENERATORS)
+            ],
+        }
+        assert len(RingPresentation.from_json_dict(doc).generators) == MAX_GENERATORS
+
     def test_coefficient_spellings(self):
         doc = {
             "coefficients": {"mod": 5},

@@ -5,10 +5,9 @@ from pathlib import Path
 import pytest
 
 from crchern.kahler import (
+    BOUNDS,
     DEFAULT_TOLERANCES,
-    SasakiCorrespondence,
     ScenarioError,
-    build_patch,
     parse_scenario,
     run_batch,
 )
@@ -93,8 +92,39 @@ def test_control_batch_fails_flatness_and_passes_as_control():
     flat_view = run_batch(factors, samples=6, seed=0)
     assert not flat_view.passed  # |S| is recorded and breaks the bound
     assert flat_view.witnesses[0]["maxima"]["s_inf"] > 1e-2
-    control_view = run_batch(factors, samples=6, seed=0, control_floor=1e-2)
+    control_view = run_batch(factors, samples=6, seed=0, expect_flat=False)
     assert control_view.passed
+
+
+# (tolerance key, assertion it bounds, maximum it is read against), with
+# every pairing spelled out: cross_block shares r_symmetry's bound.
+_READS = (
+    ("curvature_rel", "curvature matches the space-form closed form", "curvature_rel_err"),
+    ("r_symmetry", "curvature symmetries hold", "r_symmetry"),
+    ("p_trace", "Schouten trace identity holds", "p_trace"),
+    ("s_trace", "Chern tensor is trace-free in the first pair", "s_trace"),
+    ("r_symmetry", "metric is block diagonal", "cross_block"),
+    ("divergence", "divergence identity residual is small", "divergence"),
+    ("s_max", "Chern tensor vanishes within tolerance", "s_inf"),
+)
+
+
+@pytest.mark.parametrize("key", sorted(DEFAULT_TOLERANCES))
+def test_each_tolerance_bounds_exactly_its_rows(key):
+    # A bound of 1e-300 fails every row that reads it whose maximum is
+    # above it, and nothing else.  On the 1+2 pair every maximum is.
+    report = run_batch(
+        [(1, Fraction(1)), (2, Fraction(-1))], samples=2, seed=0, tolerances={key: 1e-300}
+    )
+    maxima = report.witnesses[0]["maxima"]
+    expected = [
+        name for bound, name, maximum in _READS if bound == key and maxima[maximum] > 1e-300
+    ]
+    if key == "convergence_high":  # the range [3.5, 1e-300] is empty
+        expected.append("stencil convergence factor is second order")
+    failed = [name for name, ok in report.assertions if not ok]
+    assert sorted(failed) == sorted(expected)
+    assert [(n, m, b) for b, n, m in _READS[:-1]] == list(BOUNDS)
 
 
 def test_batch_determinism():
@@ -106,8 +136,8 @@ def test_batch_determinism():
 
 
 def test_correspondence_record():
-    patch = build_patch([(1, Fraction(1)), (1, Fraction(-1))])
-    record = SasakiCorrespondence(patch).to_json_dict()
+    report = run_batch([(1, Fraction(1)), (1, Fraction(-1))], samples=1, seed=0)
+    record = report.witnesses[0]["circle_bundle"]
     assert record["torsion"].startswith("identically zero")
     assert record["factors"] == [
         {"dim": 1, "hsc": "1"},
