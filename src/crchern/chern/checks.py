@@ -110,15 +110,13 @@ def check_thm_1_1(n: int, euler_override: RingElement | None = None) -> CheckRep
     ``euler_override`` replaces the Euler class to exercise degenerate
     controls; with e proportional to c_1 the check must fail.
     """
-    if n < 2:
-        raise RingError(f"check needs n >= 2, got {n}")
     setup = genus2_times_cpn_setup(n)
     euler = setup.euler if euler_override is None else euler_override
     setup = CircleBundleSetup(setup.base, euler, setup.base_tangent)
     beta = setup.base_tangent.c1()
     cert = image_membership(setup.base, setup.euler, beta)
     nonzero = not cert.member
-    return CheckReport.from_assertions(
+    return CheckReport(
         check="first-chern-nonvanishing",
         params={"n": n},
         assertions=[("c1(base tangent) not in Im(cup e)", nonzero)],
@@ -130,7 +128,6 @@ def check_thm_1_1(n: int, euler_override: RingElement | None = None) -> CheckRep
                 "non_proportionality": "degree-2 image is the line spanned by e",
             }
         ],
-        residuals=[],
     )
 
 
@@ -162,7 +159,7 @@ def check_prop_1_3(n: int, d: int) -> CheckReport:
     matches_formula = combo_class == expected_value
     nonzero = any(combo_class)
     prediction = (n + 1) % d != 0
-    return CheckReport.from_assertions(
+    return CheckReport(
         check="integral-constraint-counterexample",
         params={"n": n, "d": d},
         assertions=[
@@ -196,8 +193,6 @@ def check_prop_4_1(n: int) -> CheckReport:
     exhibits a component off the image of cup product with e.  Both the
     non-membership and the decomposition are verified exactly.
     """
-    if n < 4:
-        raise RingError(f"check needs n >= 4 (so the CP factor has dim >= 2), got {n}")
     setup = fpp_times_cpn_setup(n)
     ring = setup.base
     h = ring.gen("h")
@@ -214,7 +209,7 @@ def check_prop_4_1(n: int) -> CheckReport:
     decomposition_exact = beta - residual_term == e * preimage_factor
     decomposition_member = image_membership(ring, e, beta - residual_term).member
 
-    return CheckReport.from_assertions(
+    return CheckReport(
         check="second-chern-nonvanishing",
         params={"n": n},
         assertions=[
@@ -272,7 +267,7 @@ def check_prop_1_4(m: int, even_case: bool = False) -> CheckReport:
     residual = spherical_residual(tangent, n, 2)
     expected_residual = Fraction(1, 2 * (n + 2)) * c1 * c1
 
-    return CheckReport.from_assertions(
+    return CheckReport(
         check="fillable-contact-constraint-violation",
         params={"m": m, "n": n, "parity": "even" if even_case else "odd"},
         assertions=[

@@ -9,39 +9,26 @@ from dataclasses import dataclass, field
 class CheckReport:
     """Outcome of one named verification.
 
-    ``status`` is "pass" exactly when every recorded sub-assertion
-    holds; the raw assertions are kept so a report can be audited
-    without rerunning the check.
+    The verdict is not stored: ``status`` is read off the assertions,
+    "pass" exactly when every recorded sub-assertion holds (an empty
+    list passes), so a report cannot disagree with its own evidence.
+    The raw assertions are kept so a report can be audited without
+    rerunning the check.
     """
 
     check: str
     params: dict
-    status: str
-    assertions: tuple[tuple[str, bool], ...] = ()
+    assertions: list[tuple[str, bool]] = field(default_factory=list)
     witnesses: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
 
-    @staticmethod
-    def from_assertions(
-        check: str,
-        params: dict,
-        assertions: list[tuple[str, bool]],
-        witnesses: list | None = None,
-        residuals: list | None = None,
-    ) -> "CheckReport":
-        status = "pass" if all(ok for _, ok in assertions) else "fail"
-        return CheckReport(
-            check=check,
-            params=dict(params),
-            status=status,
-            assertions=tuple(assertions),
-            witnesses=witnesses or [],
-            residuals=residuals or [],
-        )
-
     @property
     def passed(self) -> bool:
-        return self.status == "pass"
+        return all(ok for _, ok in self.assertions)
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.passed else "fail"
 
     def to_json_dict(self) -> dict:
         return {

@@ -116,7 +116,7 @@ def verify_spherical_on_circle_bundle(
         witnesses.append(
             {"k": k, "ratio": ratio_text, "membership": cert.to_json_dict()}
         )
-    return CheckReport.from_assertions(
+    return CheckReport(
         check="spherical-constraint-on-circle-bundle",
         params={"n": n, "euler": str(setup.euler)},
         assertions=assertions,

@@ -139,7 +139,7 @@ def tractor_determinant_check(n: int, seed: int = 0) -> CheckReport:
         closed_form = (1 + values["s"] * values["w"]) ** (n + 2)
         point_agreements.append(full.evaluate(values) == closed_form)
 
-    return CheckReport.from_assertions(
+    return CheckReport(
         check="tractor-determinant-identity",
         params={"n": n, "size": n + 2},
         assertions=[

@@ -11,6 +11,12 @@ Sign convention: the multiplication map is taken literally as
 Membership and cokernel answers are invariant under replacing ``e`` by
 ``-e``; certificates record the convention under ``euler_sign``.
 
+Verdicts are read off evidence, never stored: a membership verdict is
+whether the certificate holds a preimage, and a cokernel's free rank
+and basis classes come from its invariant factors, basis and row
+transform.  A class is read into coordinates by one reader, the one
+membership uses, which refuses support outside the degree basis.
+
 Shared work: a sweep asks about the same cup matrix many times (every
 ``n >= k`` of a family, every Euler class of one base).  Membership over
 every domain and :func:`cokernel` take the cup matrix and its Smith
@@ -28,7 +34,7 @@ solve mod m is an integer solve.  Shared values are immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -164,20 +170,25 @@ def factored_cup(
 class MembershipCertificate:
     """Outcome of an image-membership query, with a checkable witness.
 
-    When ``member`` is true, ``preimage`` satisfies ``e * preimage = target``
-    exactly.  Otherwise ``residue`` holds the obstruction read off the
-    Smith decomposition of the (denominator-cleared) cup matrix: the
-    coordinates of ``U * target`` that fail divisibility by the
-    invariant factors or are nonzero beyond the rank.
+    The verdict is not stored: ``member`` is read off the witness, true
+    exactly when there is a ``preimage``, which satisfies
+    ``e * preimage = target`` exactly.  Otherwise ``residue`` holds the
+    obstruction read off the Smith decomposition of the
+    (denominator-cleared) cup matrix: the coordinates of ``U * target``
+    that fail divisibility by the invariant factors or are nonzero
+    beyond the rank.
     """
 
-    member: bool
     degree: int
     preimage: RingElement | None = None
     residue: tuple = ()
     invariant_factors: tuple[int, ...] = ()
     denominator_scale: int = 1
     euler_sign: str = EULER_SIGN_CONVENTION
+
+    @property
+    def member(self) -> bool:
+        return self.preimage is not None
 
     def to_json_dict(self) -> dict:
         return {
@@ -215,7 +226,7 @@ def image_membership(
     if len(degrees) > 1:
         raise RingError(f"membership target must be homogeneous: {beta}")
     if not degrees:
-        return MembershipCertificate(True, 0, preimage=ring.zero())
+        return MembershipCertificate(0, preimage=ring.zero())
     (k,) = degrees
 
     cup, (U, D, V) = factored_cup(ring, e, k)
@@ -228,7 +239,6 @@ def image_membership(
     residue, num, L = _back_substitute(U, D, V, b_int, integral=integral)
     if residue:
         return MembershipCertificate(
-            False,
             k,
             residue=tuple(residue),
             invariant_factors=invariant_factors(D),
@@ -245,7 +255,6 @@ def image_membership(
             v *= cup.denominator_scale
             coeffs[mono] = v // denom if v % denom == 0 else Fraction(v, denom)
     return MembershipCertificate(
-        True,
         k,
         preimage=ring.element(coeffs),
         invariant_factors=invariant_factors(D),
@@ -261,15 +270,25 @@ class CokernelData:
     invariant factors (units included, so the tuple length equals the
     rank of the cup matrix).  ``generator_classes`` maps each degree-k
     basis monomial to its coordinates: one residue per invariant factor
-    followed by ``free_rank`` integers.
+    followed by ``free_rank`` integers.  Both are read off the stored
+    factors, basis and row transform, never stored beside them.
     """
 
     invariant_factors: tuple[int, ...]
-    free_rank: int
     basis: tuple[ExponentVector, ...]
-    generator_classes: tuple[tuple[int, ...], ...]
     row_transform: IntegerMatrix = field(repr=False)
     euler_sign: str = EULER_SIGN_CONVENTION
+
+    @property
+    def free_rank(self) -> int:
+        return len(self.basis) - len(self.invariant_factors)
+
+    @property
+    def generator_classes(self) -> tuple[tuple[int, ...], ...]:
+        n = len(self.basis)
+        return tuple(
+            self.class_of_vector([int(i == j) for i in range(n)]) for j in range(n)
+        )
 
     def order(self) -> int | None:
         """Group order, or ``None`` when the cokernel is infinite."""
@@ -281,14 +300,18 @@ class CokernelData:
         return out
 
     def class_of_vector(self, vec: list[int]) -> tuple[int, ...]:
-        y = self.row_transform.matvec([int(v) for v in vec])
+        """Coordinates of the class of an integer vector over ``basis``."""
+        for v in vec:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise RingError(f"cokernel coordinate is not an exact integer: {v!r}")
+        y = self.row_transform.matvec(vec)
         torsion = [y[i] % d for i, d in enumerate(self.invariant_factors)]
         free = list(y[len(self.invariant_factors):])
         return tuple(torsion + free)
 
     def class_of_element(self, beta: RingElement) -> tuple[int, ...]:
-        vec = [int(beta.coefficient(m)) for m in self.basis]
-        return self.class_of_vector(vec)
+        """Class of ``beta``; support outside ``basis`` raises ``RingError``."""
+        return self.class_of_vector(_element_vector(beta, self.basis))
 
     def to_json_dict(self) -> dict:
         return {
@@ -305,18 +328,4 @@ def cokernel(ring: RingPresentation, e: RingElement, k: int) -> CokernelData:
     if ring.coefficients.kind != "Z":
         raise RingError("cokernel computation requires integer coefficients")
     cup, (U, D, _V) = factored_cup(ring, e, k)
-    facs = invariant_factors(D)
-    free_rank = cup.matrix.rows - len(facs)
-
-    data = CokernelData(
-        invariant_factors=facs,
-        free_rank=free_rank,
-        basis=cup.basis_rows,
-        generator_classes=(),
-        row_transform=U,
-    )
-    rows = cup.matrix.rows
-    classes = tuple(
-        data.class_of_vector([int(i == j) for i in range(rows)]) for j in range(rows)
-    )
-    return replace(data, generator_classes=classes)
+    return CokernelData(invariant_factors(D), cup.basis_rows, row_transform=U)

@@ -55,8 +55,17 @@ class RingError(ValueError):
 MAX_GENERATORS = 64
 
 
+# The most characters of an offending value an error message quotes, so
+# that a refusal of a huge document stays one short line.
+QUOTE_LIMIT = 80
+
 Coefficient = int | Fraction
 ExponentVector = tuple[int, ...]
+
+
+def _quote(value: object) -> str:
+    text = repr(value)
+    return text if len(text) <= QUOTE_LIMIT else text[:QUOTE_LIMIT] + "..."
 
 
 @dataclass(frozen=True)
@@ -130,16 +139,18 @@ class Generator:
 
     def __post_init__(self) -> None:
         if not self.name or not self.name[0].isalpha() and self.name[0] != "_":
-            raise RingError(f"invalid generator name: {self.name!r}")
+            raise RingError(f"invalid generator name: {_quote(self.name)}")
         if not all(ch.isalnum() or ch == "_" for ch in self.name):
-            raise RingError(f"invalid generator name: {self.name!r}")
+            raise RingError(f"invalid generator name: {_quote(self.name)}")
         if self.degree <= 0 or self.degree % 2 != 0:
             raise RingError(
-                f"generator {self.name!r} must have even positive degree, got {self.degree}"
+                f"generator {_quote(self.name)} must have even positive degree, "
+                f"got {_quote(self.degree)}"
             )
         if self.truncation < 1:
             raise RingError(
-                f"generator {self.name!r} needs truncation >= 1, got {self.truncation}"
+                f"generator {_quote(self.name)} needs truncation >= 1, "
+                f"got {_quote(self.truncation)}"
             )
 
 
@@ -153,7 +164,7 @@ class RingPresentation:
     def __post_init__(self) -> None:
         names = [g.name for g in self.generators]
         if len(set(names)) != len(names):
-            raise RingError(f"duplicate generator name in {names}")
+            raise RingError(f"duplicate generator name in {_quote(names)}")
 
     # -- construction -------------------------------------------------
 
@@ -277,33 +288,44 @@ class RingPresentation:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "RingPresentation":
-        try:
-            raw_coeffs = data["coefficients"]
-            raw_gens = data["generators"]
-        except (KeyError, TypeError) as exc:
-            raise RingError(f"malformed ring presentation: missing {exc}") from exc
+        """Read a document of ``docs/schemas/presentation.schema.json``.
+
+        Exactly the documents that schema allows are read: objects with
+        exactly the keys it names, integers where it asks for one (an
+        integral float such as ``2.0`` counts, a bool or a string does
+        not), and ASCII generator names.  A refusal quotes at most
+        ``QUOTE_LIMIT`` characters of the offending value.
+        """
+        _require_keys(data, ("coefficients", "generators"), "ring presentation")
+        raw_coeffs, raw_gens = data["coefficients"], data["generators"]
         if raw_coeffs == "Z":
             domain = INTEGERS
         elif raw_coeffs == "Q":
             domain = RATIONALS
-        elif isinstance(raw_coeffs, Mapping) and isinstance(raw_coeffs.get("mod"), int):
-            domain = integers_mod(raw_coeffs["mod"])
+        elif isinstance(raw_coeffs, Mapping):
+            _require_keys(raw_coeffs, ("mod",), "coefficient spec")
+            domain = integers_mod(_schema_int(raw_coeffs["mod"], "mod"))
         else:
-            raise RingError(f"unknown coefficient spec: {raw_coeffs!r}")
+            raise RingError(f"unknown coefficient spec: {_quote(raw_coeffs)}")
         if not isinstance(raw_gens, list):
-            raise RingError(f"malformed ring presentation: generators {raw_gens!r}")
+            raise RingError(f"malformed ring presentation: generators {_quote(raw_gens)}")
         if len(raw_gens) > MAX_GENERATORS:
             raise RingError(
                 f"a presentation has at most {MAX_GENERATORS} generators, got {len(raw_gens)}"
             )
         gens = []
         for g in raw_gens:
-            try:
-                gens.append(
-                    Generator(str(g["name"]), int(g["degree"]), int(g["truncation"]))
+            _require_keys(g, ("name", "degree", "truncation"), "generator entry")
+            name = g["name"]
+            if not isinstance(name, str) or not name.isascii():
+                raise RingError(f"invalid generator name: {_quote(name)}")
+            gens.append(
+                Generator(
+                    name,
+                    _schema_int(g["degree"], "degree"),
+                    _schema_int(g["truncation"], "truncation"),
                 )
-            except (KeyError, TypeError) as exc:
-                raise RingError(f"malformed generator entry {g!r}") from exc
+            )
         return make_ring(gens, domain)
 
     def __str__(self) -> str:
@@ -312,6 +334,27 @@ class RingPresentation:
             for g in self.generators
         )
         return f"{self.coefficients}[{gens}]"
+
+
+def _require_keys(doc: object, keys: tuple[str, ...], what: str) -> None:
+    """Refuse anything but a mapping with exactly ``keys``."""
+    if not isinstance(doc, Mapping):
+        raise RingError(f"malformed {what}: {_quote(doc)}")
+    for key in doc:
+        if key not in keys:
+            raise RingError(f"malformed {what}: unexpected key {_quote(key)}")
+    for key in keys:
+        if key not in doc:
+            raise RingError(f"malformed {what}: missing {key!r}")
+
+
+def _schema_int(value: object, what: str) -> int:
+    """A JSON Schema integer: an ``int`` or an integral float, not a bool."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise RingError(f"{what} is not an integer: {_quote(value)}")
 
 
 def make_ring(

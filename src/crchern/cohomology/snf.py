@@ -15,6 +15,13 @@ from math import lcm
 from operator import mul
 
 
+def _check_exact(values, what: str) -> None:
+    """Refuse anything but an ``int`` (a ``bool`` included): no conversion."""
+    for x in values:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValueError(f"{what} is not an exact integer: {x!r}")
+
+
 @dataclass(frozen=True)
 class IntegerMatrix:
     rows: int
@@ -27,15 +34,13 @@ class IntegerMatrix:
         ):
             raise ValueError("entry shape does not match declared dimensions")
         for row in self.entries:
-            for x in row:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise ValueError(f"matrix entry is not an exact integer: {x!r}")
+            _check_exact(row, "matrix entry")
 
     @staticmethod
     def from_rows(rows: list[list[int]]) -> "IntegerMatrix":
         m = len(rows)
         n = len(rows[0]) if rows else 0
-        return IntegerMatrix(m, n, tuple(tuple(int(x) for x in r) for r in rows))
+        return IntegerMatrix(m, n, tuple(map(tuple, rows)))
 
     @staticmethod
     def _unchecked(rows: list[list[int]]) -> "IntegerMatrix":
@@ -313,8 +318,9 @@ def solve_integer_system(
     """
     if len(b) != A.rows:
         raise ValueError("right-hand side has the wrong length")
+    _check_exact(b, "right-hand side entry")
     U, D, V = smith_normal_form(A)
-    residue, num, L = _back_substitute(U, D, V, [int(v) for v in b], integral=True)
+    residue, num, L = _back_substitute(U, D, V, b, integral=True)
     if residue:
         return False, tuple(residue)
     return True, [v // L for v in num]

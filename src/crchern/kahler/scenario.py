@@ -257,7 +257,7 @@ def run_batch(
             )
         )
 
-    return CheckReport.from_assertions(
+    return CheckReport(
         check="bochner-flat-batch",
         params={
             "factors": [[dim, str(hsc)] for dim, hsc in factors],

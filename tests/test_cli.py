@@ -287,6 +287,46 @@ def test_targets_call_checks_through_module_names(capsys, monkeypatch):
     assert seen == [3, 2]
 
 
+_GENERATOR = {"name": "t", "degree": 2, "truncation": 3}
+
+
+def _presentation(coefficients="Q", **generator):
+    return {"coefficients": coefficients, "generators": [{**_GENERATOR, **generator}]}
+
+
+# (id, document): each is read exactly when the presentation schema allows it
+_PRESENTATIONS = [
+    ("plain", _presentation()),
+    ("Z", _presentation("Z")),
+    ("no-generators", {"coefficients": "Q", "generators": []}),
+    ("mod", _presentation({"mod": 5})),
+    ("integral-float-mod", _presentation({"mod": 5.0})),
+    ("integral-float-degree", _presentation(degree=2.0)),
+    ("integral-float-truncation", _presentation(truncation=3.0)),
+    ("fractional-degree", _presentation(degree=2.9)),
+    ("fractional-truncation", _presentation(truncation=3.7)),
+    ("string-degree", _presentation(degree="2")),
+    ("bool-truncation", _presentation(truncation=True)),
+    ("bool-mod", _presentation({"mod": True})),
+    ("string-mod", _presentation({"mod": "5"})),
+    ("mod-below-2", _presentation({"mod": 1})),
+    ("extra-mod-key", _presentation({"mod": 5, "x": 1})),
+    ("extra-generator-key", _presentation(extra=1)),
+    ("extra-top-level-key", {**_presentation(), "extra": 1}),
+    ("missing-truncation", {"coefficients": "Q", "generators": [{"name": "t", "degree": 2}]}),
+    ("missing-generators", {"coefficients": "Q"}),
+    ("unknown-coefficients", _presentation("R")),
+    ("odd-degree", _presentation(degree=3)),
+    ("zero-truncation", _presentation(truncation=0)),
+    ("number-name", _presentation(name=7)),
+    ("non-ascii-name", _presentation(name="\u00e9")),
+    ("digit-first-name", _presentation(name="1t")),
+    ("generator-not-an-object", {"coefficients": "Q", "generators": [7]}),
+    ("generators-not-a-list", {"coefficients": "Q", "generators": {"t": 2}}),
+    ("document-not-an-object", [1, 2]),
+]
+
+
 class TestEval:
     @pytest.mark.parametrize(
         "ring,expr,expected",
@@ -359,6 +399,53 @@ class TestEval:
         code, out, err = run_cli(["eval", "--ring", str(path), "(1+g1)^2"], capsys)
         assert (code, out) == (2, "")
         assert err == "bad ring spec: a presentation has at most 64 generators, got 1000\n"
+
+    @pytest.mark.parametrize("name,document", _PRESENTATIONS, ids=[n for n, _ in _PRESENTATIONS])
+    def test_presentation_read_exactly_when_the_schema_allows_it(
+        self, capsys, tmp_path, name, document
+    ):
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads((SCHEMA_DIR / "presentation.schema.json").read_text())
+        try:
+            jsonschema.validate(document, schema)
+            valid = True
+        except jsonschema.ValidationError:
+            valid = False
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run_cli(["eval", "--ring", str(path), "1"], capsys)
+        if valid:
+            assert (code, out, err) == (0, "1\ndegree 0: 1\n", "")
+        else:
+            assert (code, out) == (2, "")
+            assert err.startswith("bad ring spec: ")
+            assert err.count("\n") == 1 and len(err.encode()) < 200
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"coefficients": "Q", "generators": "x" * 5_000_000},
+            {"coefficients": "Q", "generators": [{**_GENERATOR, "k" * 2_000_000: 1}]},
+            {"coefficients": "Q", "generators": [{**_GENERATOR, "name": "n" * 1_000_000}] * 2},
+            _presentation(truncation=-1e308),
+        ],
+        ids=[
+            "5M-character-generators",
+            "2M-character-key",
+            "1M-character-duplicate-names",
+            "309-digit-truncation",
+        ],
+    )
+    def test_oversized_presentation_refused_quickly_on_one_short_line(
+        self, capsys, tmp_path, document
+    ):
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps(document))
+        start = time.perf_counter()
+        code, out, err = run_cli(["eval", "--ring", str(path), "1"], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and len(err.encode()) < 200
 
     def test_bad_preset_exit_2(self, capsys):
         code, _, err = run_cli(["eval", "--ring", "torus:1", "1"], capsys)
