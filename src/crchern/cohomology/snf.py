@@ -2,10 +2,13 @@
 
 The decomposition returned by :func:`smith_normal_form` satisfies
 ``U * A * V = D`` with ``U`` and ``V`` unimodular and ``D`` diagonal with
-nonnegative entries ``d_1 | d_2 | ...``.  Pivoting is deterministic:
-the pivot is always the entry of smallest absolute value in the working
-submatrix, ties broken row-major, so certificates derived from the
-decomposition are reproducible.
+nonnegative entries ``d_1 | d_2 | ...``.  It is built in one pass: each
+pivot divides its whole remaining block before the next pivot is chosen,
+so it divides every later pivot, and zeros come last because elimination
+stops at a zero block.  Pivoting is deterministic: the pivot is always
+the entry of smallest absolute value in the working submatrix, ties
+broken row-major, so certificates derived from the decomposition are
+reproducible.
 """
 
 from __future__ import annotations
@@ -54,12 +57,6 @@ class IntegerMatrix:
         object.__setattr__(matrix, "cols", len(rows[0]) if rows else 0)
         object.__setattr__(matrix, "entries", tuple(map(tuple, rows)))
         return matrix
-
-    @staticmethod
-    def identity(n: int) -> "IntegerMatrix":
-        return IntegerMatrix(
-            n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        )
 
     @staticmethod
     def zero(m: int, n: int) -> "IntegerMatrix":
@@ -148,21 +145,6 @@ def _negate_row(M: list[list[int]], i: int) -> None:
     M[i] = [-x for x in M[i]]
 
 
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) = x*a + y*b, g >= 0."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 def smith_normal_form(
     A: IntegerMatrix,
 ) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
@@ -182,81 +164,44 @@ def smith_normal_form(
         return None if best is None else (best[1], best[2])
 
     t = 0
-    while t < min(m, n):
-        loc = pick_pivot(t)
-        if loc is None:
-            break
-        while True:
-            pi, pj = loc
-            if pi != t:
-                _swap_rows(D, t, pi)
-                _swap_rows(U, t, pi)
-            if pj != t:
-                _swap_cols(D, t, pj)
-                _swap_cols(V, t, pj)
-            if D[t][t] < 0:
-                _negate_row(D, t)
-                _negate_row(U, t)
-            piv = D[t][t]
-            for i in range(t + 1, m):
-                if D[i][t]:
-                    q = D[i][t] // piv
-                    if q:
-                        _row_add(D, i, t, -q)
-                        _row_add(U, i, t, -q)
-            for j in range(t + 1, n):
-                if D[t][j]:
-                    q = D[t][j] // piv
-                    if q:
-                        _col_add(D, j, t, -q)
-                        _col_add(V, j, t, -q)
-            if all(D[i][t] == 0 for i in range(t + 1, m)) and all(
-                D[t][j] == 0 for j in range(t + 1, n)
-            ):
-                break
-            loc = pick_pivot(t)
-            assert loc is not None
-        t += 1
-
-    # Divisibility chain d_i | d_{i+1}; zero diagonal entries go last.
-    r = min(m, n)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(r):
-            for j in range(i + 1, r):
-                a, b = D[i][i], D[j][j]
-                if a == 0 and b == 0:
-                    continue
-                if a == 0 and b != 0:
-                    _swap_rows(D, i, j)
-                    _swap_rows(U, i, j)
-                    _swap_cols(D, i, j)
-                    _swap_cols(V, i, j)
-                    changed = True
-                    continue
-                if b % a == 0:
-                    continue
-                # Combine the (i, j) diagonal block into (gcd, lcm).
-                _row_add(D, i, j, 1)
-                _row_add(U, i, j, 1)
-                g, x, y = _egcd(a, b)
-                # Unimodular column pair: det = (x*a + y*b)/g = 1.
-                for row in (D, V):
-                    for rr in row:
-                        ci, cj = rr[i], rr[j]
-                        rr[i] = x * ci + y * cj
-                        rr[j] = (-(b // g)) * ci + (a // g) * cj
-                q = (y * b) // g
-                _row_add(D, j, i, -q)
-                _row_add(U, j, i, -q)
-                if D[i][i] < 0:
-                    _negate_row(D, i)
-                    _negate_row(U, i)
-                if D[j][j] < 0:
-                    _negate_row(D, j)
-                    _negate_row(U, j)
-                changed = True
+    while t < min(m, n) and (loc := pick_pivot(t)) is not None:
+        pi, pj = loc
+        if pi != t:
+            _swap_rows(D, t, pi)
+            _swap_rows(U, t, pi)
+        if pj != t:
+            _swap_cols(D, t, pj)
+            _swap_cols(V, t, pj)
+        if D[t][t] < 0:
+            _negate_row(D, t)
+            _negate_row(U, t)
+        piv = D[t][t]
+        for i in range(t + 1, m):
+            if D[i][t]:
+                q = D[i][t] // piv
+                if q:
+                    _row_add(D, i, t, -q)
+                    _row_add(U, i, t, -q)
+        for j in range(t + 1, n):
+            if D[t][j]:
+                q = D[t][j] // piv
+                if q:
+                    _col_add(D, j, t, -q)
+                    _col_add(V, j, t, -q)
+        if any(D[i][t] for i in range(t + 1, m)) or any(
+            D[t][j] for j in range(t + 1, n)
+        ):
+            continue  # a remainder smaller than piv is left: pivot again
+        bad = next(
+            (i for i in range(t + 1, m) for j in range(t + 1, n) if D[i][j] % piv), None
+        )
+        if bad is None:
+            t += 1  # piv divides its block, hence every later pivot
+        else:
+            # Row ``bad`` holds an entry piv does not divide; in row t,
+            # reducing by piv leaves a remainder smaller than piv.
+            _row_add(D, t, bad, 1)
+            _row_add(U, t, bad, 1)
 
     return (
         IntegerMatrix._unchecked(U),

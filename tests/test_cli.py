@@ -321,6 +321,7 @@ _PRESENTATIONS = [
     ("number-name", _presentation(name=7)),
     ("non-ascii-name", _presentation(name="\u00e9")),
     ("digit-first-name", _presentation(name="1t")),
+    ("newline-name", {"coefficients": "Q", "generators": [{"name": "t\n", "degree": 2, "truncation": 3}]}),
     ("generator-not-an-object", {"coefficients": "Q", "generators": [7]}),
     ("generators-not-a-list", {"coefficients": "Q", "generators": {"t": 2}}),
     ("document-not-an-object", [1, 2]),

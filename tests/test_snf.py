@@ -57,10 +57,22 @@ def test_zero_matrix():
     assert invariant_factors(D) == ()
 
 
-def test_divisibility_fixup():
-    A = IntegerMatrix.from_rows([[2, 0], [0, 3]])
-    _, D, _ = assert_valid_snf(A)
-    assert invariant_factors(D) == (1, 6)
+@pytest.mark.parametrize(
+    "rows,factors",
+    [
+        ([[2, 0], [0, 3]], (1, 6)),
+        ([[6, 0, 0], [0, 10, 0], [0, 0, 15]], (1, 30, 30)),
+        ([[2, 0, 0], [0, 3, 0], [0, 0, 5]], (1, 1, 30)),
+        ([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], (2, 6, 12)),
+        ([[2, 4, 6], [4, 11, 12], [6, 12, 23]], (1, 1, 30)),
+    ],
+    ids=["diag-2-3", "diag-6-10-15", "diag-2-3-5", "dense-2-6-12", "dense-1-1-30"],
+)
+def test_divisibility_fixup(rows, factors):
+    # all but dense-2-6-12 meet, mid-elimination, a pivot that does not
+    # divide an entry of its cleared block
+    _, D, _ = assert_valid_snf(IntegerMatrix.from_rows(rows))
+    assert invariant_factors(D) == factors
 
 
 def test_deterministic():
