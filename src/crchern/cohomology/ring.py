@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from operator import add, ge
+from math import lcm, prod
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -453,15 +453,28 @@ class RingElement:
             scal = self.ring.coefficients.coerce(other)
             return self.ring._reduced({e: c * scal for e, c in self.terms.items()})
         other = self._as_element(other)
-        prod: dict[ExponentVector, Coefficient] = {}
-        truncs = tuple(g.truncation for g in self.ring.generators)
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                if any(map(ge, e, truncs)):
-                    continue
-                prod[e] = prod.get(e, 0) + c1 * c2
-        return self.ring._reduced(prod)
+        # Walk the support of the operand with fewer terms: each of its
+        # monomials adds into a copy of the other's exponent vector only
+        # where it has a nonzero exponent, and checks only those truncations.
+        short, long = self.terms, other.terms
+        if len(short) > len(long):
+            short, long = long, short
+        gens = self.ring.generators
+        product: dict[ExponentVector, Coefficient] = {}
+        for e1, c1 in short.items():
+            support = [
+                (i, x, gens[i].truncation - x) for i, x in compress(enumerate(e1), e1)
+            ]
+            for e2, c2 in long.items():
+                e = list(e2)
+                for i, x, room in support:
+                    if e[i] >= room:
+                        break  # the monomial is zero in the quotient
+                    e[i] += x
+                else:
+                    key = tuple(e)
+                    product[key] = product.get(key, 0) + c1 * c2
+        return self.ring._reduced(product)
 
     __rmul__ = __mul__
 
@@ -492,23 +505,38 @@ class RingElement:
         """Evaluate the canonical representative at the given point.
 
         Every generator must be assigned a value in the coefficient
-        domain.  Only the generators with a nonzero exponent in a term
-        are multiplied into it.  Note this evaluates the *reduced*
+        domain, whether or not it occurs in a term.  The sum is taken in
+        integers over one common denominator: a generator with value
+        ``p/q`` and top exponent ``T`` over the terms contributes
+        ``p^e * q^(T-e)`` to a term with exponent ``e``, read from one
+        table of powers, and each coefficient is scaled to the lcm of the
+        coefficient denominators.  A generator that occurs in no term
+        contributes nothing.  Note this evaluates the *reduced*
         representative, which agrees with the underlying polynomial only
         when no truncation relation was used to reduce it.
         """
-        assignment = []
+        domain = self.ring.coefficients
+        point = []
         for g in self.ring.generators:
             if g.name not in values:
                 raise RingError(f"no value for generator {g.name!r}")
-            assignment.append(self.ring.coefficients.coerce(values[g.name]))
-        total: Coefficient = 0
-        for exps, c in self.terms.items():
-            term = c
-            for v, e in compress(zip(assignment, exps), exps):
-                term *= v if e == 1 else v**e
-            total += term
-        return self.ring.coefficients.coerce(total)
+            point.append(domain.coerce(values[g.name]))
+        terms = self.terms
+        coefficient_lcm = lcm(*(c.denominator for c in terms.values()))
+        point_denominator = 1
+        tables = []  # (generator index, [p^e * q^(T-e) for e = 0..T])
+        for i, top in enumerate(map(max, zip(*terms))):
+            if top:
+                p, q = point[i].numerator, point[i].denominator
+                tables.append((i, [p**e * q ** (top - e) for e in range(top + 1)]))
+                point_denominator *= q**top
+        total = sum(
+            c.numerator
+            * (coefficient_lcm // c.denominator)
+            * prod(table[exps[i]] for i, table in tables)
+            for exps, c in terms.items()
+        )
+        return domain.coerce(Fraction(total, coefficient_lcm * point_denominator))
 
     # -- comparison / display -------------------------------------------
 

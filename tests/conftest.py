@@ -51,6 +51,19 @@ def random_element(
     return ring.element(terms)
 
 
+def naive_evaluate(el: RingElement, values) -> object:
+    """Every generator's power multiplied into every term, zero exponents too."""
+    domain = el.ring.coefficients
+    point = [domain.coerce(values[g.name]) for g in el.ring.generators]
+    total = 0
+    for exps, c in el.terms.items():
+        term = c
+        for v, e in zip(point, exps):
+            term *= v**e
+        total += term
+    return domain.coerce(total)
+
+
 def assert_canonical(el: RingElement) -> None:
     """Reduced monomials; nonzero coefficients in canonical form."""
     ring = el.ring

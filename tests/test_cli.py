@@ -862,6 +862,12 @@ GOLDEN_EXACT_REPORTS = [
         12,
         "20af16cb96a205ca79db21854c49f5a7209593ffb5cb9632ace4f5bfb1567cda",
     ),
+    (
+        # the widest tractor ring the suite multiplies and evaluates in
+        ["verify", "tractor", "--n", "40"],
+        1,
+        "5919fae08726c0ddfe74741a63ff878eba063616a38f7bd7c5a44c50b4cacf4c",
+    ),
 ]
 
 
@@ -872,7 +878,7 @@ GOLDEN_EXACT_REPORTS = [
         # one process: exact work shared between runs must not change a byte
         [GOLDEN_EXACT_REPORTS[0], GOLDEN_EXACT_REPORTS[1], GOLDEN_EXACT_REPORTS[0]],
     ],
-    ids=["thm-1-2", "all", "tractor", "thm-1-2-then-all-then-thm-1-2"],
+    ids=["thm-1-2", "all", "tractor", "tractor-n-40", "thm-1-2-then-all-then-thm-1-2"],
 )
 def test_exact_reports_are_byte_identical(capsys, runs):
     for argv, count, digest in runs:

@@ -1,11 +1,18 @@
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_canonical, random_element, random_ring
+from conftest import (
+    assert_canonical,
+    naive_evaluate,
+    random_coefficient,
+    random_element,
+    random_ring,
+)
 from crchern.cohomology import (
     INTEGERS,
     RATIONALS,
@@ -214,23 +221,114 @@ class TestCanonicalResults:
         assert dict(el.terms) == {}
 
 
-class TestEvaluate:
-    @staticmethod
-    def naive(el, values):
-        """Every generator's power multiplied into every term, zero exponents too."""
-        domain = el.ring.coefficients
-        point = [domain.coerce(values[g.name]) for g in el.ring.generators]
-        total = 0
-        for exps, c in el.terms.items():
-            term = c
-            for v, e in zip(point, exps):
-                term *= v**e
-            total += term
-        return domain.coerce(total)
+def naive_product(a, b):
+    """Every pair of terms summed along the full exponent tuple, then truncated."""
+    truncs = [g.truncation for g in a.ring.generators]
+    terms = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(map(add, e1, e2))
+            if all(x < t for x, t in zip(e, truncs)):
+                terms[e] = terms.get(e, 0) + c1 * c2
+    return a.ring.element(terms)
 
-    @pytest.mark.parametrize(
-        "domain", [INTEGERS, RATIONALS, integers_mod(6), integers_mod(7)]
+
+def sparse_element(rng, ring, max_terms, hot):
+    """Terms on at most four generators, mostly drawn from the few in ``hot``."""
+    pool = range(len(ring.generators))
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        exps = [0] * len(ring.generators)
+        for i in rng.sample(hot, 3) + [rng.choice(pool)]:
+            if rng.random() < 0.7:
+                exps[i] = rng.randint(0, ring.generators[i].truncation - 1)
+        terms[tuple(exps)] = random_coefficient(rng, ring)
+    return ring.element(terms)
+
+
+DOMAINS = [INTEGERS, RATIONALS, integers_mod(6), integers_mod(7)]
+
+
+class TestProduct:
+    """``__mul__`` walks each monomial's support; the naive product walks all."""
+
+    CASES = (
+        "more terms on the left",
+        "more terms on the right",
+        "a sum lands on its truncation",
+        "a sum lands just below its truncation",
     )
+
+    @staticmethod
+    def check(a, b, seen):
+        expected = naive_product(a, b)
+        for left, right in ((a, b), (b, a)):
+            got = left * right
+            assert got == expected
+            assert dict(got.terms) == dict(expected.terms)
+            assert_canonical(got)
+        seen["more terms on the left"] |= len(a.terms) > len(b.terms)
+        seen["more terms on the right"] |= len(a.terms) < len(b.terms)
+        truncs = [g.truncation for g in a.ring.generators]
+        for e1 in a.terms:
+            for e2 in b.terms:
+                sums = [x + y for x, y in zip(e1, e2)]
+                if any(x == t for x, t in zip(sums, truncs)):
+                    seen["a sum lands on its truncation"] = True
+                elif all(x < t for x, t in zip(sums, truncs)) and any(
+                    x == t - 1 and x > y and x > z
+                    for x, y, z, t in zip(sums, e1, e2, truncs)
+                ):
+                    seen["a sum lands just below its truncation"] = True
+
+    @pytest.mark.parametrize("domain", DOMAINS)
+    @pytest.mark.parametrize("width", [40, 83, 124])
+    def test_wide_sparse_rings(self, domain, width):
+        # the tractor ring at n = 60 has 124 generators: s and w truncated
+        # at 63, the rest at 2; here truncations are 1 to 4
+        rng = random.Random(width)
+        ring = make_ring(
+            [(f"g{i}", 2 * rng.randint(1, 2), rng.randint(1, 4)) for i in range(width)],
+            domain,
+        )
+        hot = rng.sample(range(width), 6)
+        seen = dict.fromkeys(self.CASES, False)
+        for _ in range(60):
+            a = sparse_element(rng, ring, rng.randint(1, 8), hot)
+            b = sparse_element(rng, ring, rng.randint(1, 8), hot)
+            self.check(a, b, seen)
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_one_generator_deep_truncation(self, domain):
+        rng = random.Random(11)
+        seen = dict.fromkeys(self.CASES, False)
+        for truncation in (2, 9, 29, 61):
+            ring = make_ring([("t", 2, truncation)], domain)
+            for _ in range(30):
+                a, b = (
+                    ring.element(
+                        {
+                            (rng.randint(0, truncation - 1),): random_coefficient(rng, ring)
+                            for _ in range(rng.randint(0, 8))
+                        }
+                    )
+                    for _ in range(2)
+                )
+                self.check(a, b, seen)
+        assert all(seen.values()), seen
+
+    def test_exact_truncation_kills_only_that_monomial(self):
+        ring = make_ring([("a", 2, 3), ("b", 2, 2), ("c", 4, 4)], RATIONALS)
+        a, b, c = (ring.gen(x) for x in "abc")
+        assert (a * a * b) * (a * c) == 0  # a^3 = 0
+        assert (a * b) * (a + b) == a * a * b  # a*b^2 = 0, a^2*b survives
+        assert (c**2 + a) * c**2 == a * c**2  # c^4 = 0, c^2 * c^2 lands on it
+        assert (a * c**3) * (2 + c) == 2 * a * c**3
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("domain", DOMAINS)
     def test_matches_all_generator_product(self, domain):
         rng = random.Random(23)
         gens = [(f"g{i}", 2 * rng.randint(1, 2), rng.randint(1, 4)) for i in range(7)]
@@ -245,8 +343,61 @@ class TestEvaluate:
                 else rng.randint(-9, 9)
                 for g in ring.generators
             }
-            assert el.evaluate(values) == self.naive(el, values)
+            assert el.evaluate(values) == naive_evaluate(el, values)
         assert checked_zero_exponent
+
+    def test_absent_generator_contributes_no_denominator(self):
+        ring = two_var_ring()
+        t, h = ring.gen("t"), ring.gen("h")
+        for value_of_h in (Fraction(1, 3), Fraction(-7, 2), 0):
+            value = (1 + t).evaluate({"t": 2, "h": value_of_h})
+            assert value == 3 and type(value) is int
+        # h occurs in one term only; its denominator must cancel there
+        value = (Fraction(1, 2) * t + 3 * h).evaluate({"t": 4, "h": Fraction(1, 3)})
+        assert value == 3 and type(value) is int
+
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_wide_sparse_ring(self, domain):
+        rng = random.Random(124)
+        ring = make_ring([(f"g{i}", 2, rng.randint(1, 4)) for i in range(124)], domain)
+        hot = rng.sample(range(124), 6)
+        for _ in range(40):
+            el = sparse_element(rng, ring, 8, hot)
+            values = {
+                g.name: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                if domain.kind == "Q"
+                else rng.randint(-9, 9)
+                for g in ring.generators
+            }
+            assert el.evaluate(values) == naive_evaluate(el, values)
+
+    def test_mod_m_with_negative_values(self):
+        ring = make_ring([("t", 2, 4), ("h", 2, 3)], integers_mod(7))
+        t, h = ring.gen("t"), ring.gen("h")
+        el = 3 * t**3 + 5 * t * h**2 + 6
+        # t = -2 = 5 and h = -1 = 6 mod 7: 3*(-8) + 5*(-2) + 6 = -28 = 0
+        assert el.evaluate({"t": -2, "h": -1}) == 0
+        # t = -1, h = -3: -3 + 5*(-1)*9 + 6 = -42 = 0; h = -2: -3 - 20 + 6 = -17 = 4
+        assert el.evaluate({"t": -1, "h": -3}) == 0
+        value = el.evaluate({"t": -1, "h": -2})
+        assert value == 4 and type(value) is int
+
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_result_types(self, domain):
+        ring = make_ring([("t", 2, 3), ("h", 2, 3)], domain)
+        t, h = ring.gen("t"), ring.gen("h")
+        integral = {"t": 3, "h": -2}
+        for el in (ring.zero(), ring.one(), 2 * t * h - t, (1 + t + h) ** 2):
+            value = el.evaluate(integral)
+            assert type(value) is int
+            assert value == naive_evaluate(el, integral)
+        if domain.kind == "Q":
+            value = (t * t + h).evaluate({"t": Fraction(1, 2), "h": Fraction(3, 4)})
+            assert value == 1 and type(value) is int
+            value = (t * h).evaluate({"t": Fraction(1, 2), "h": Fraction(3, 4)})
+            assert value == Fraction(3, 8) and type(value) is Fraction
+            zero = ring.zero().evaluate({"t": Fraction(1, 3), "h": Fraction(1, 5)})
+            assert zero == 0 and type(zero) is int
 
     def test_missing_generator_raises_even_if_absent_from_every_term(self):
         ring = two_var_ring()

@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from conftest import naive_evaluate
 from crchern.chern import ring_matrix_determinant, tractor_determinant_check
 from crchern.chern import tractor
 from crchern.chern.tractor import _build_matrix
@@ -132,6 +133,23 @@ class TestTractorIdentity:
         lhs = full.evaluate(values)
         rhs = (1 + values["s"] * values["w"]) ** 3
         assert lhs == rhs
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_sample_points_match_all_generator_product(self, n):
+        # the check's own draws: every sample point, evaluated through the
+        # common-denominator sum, the naive product and the closed form
+        ring, diagonal, matrix = _build_matrix(n)
+        full = ring_matrix_determinant(matrix)
+        xi = ring.gen_index("xi")
+        rng = random.Random(0)
+        for _ in range(tractor.SAMPLE_POINTS):
+            values = {
+                g.name: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                for g in ring.generators[:xi]
+            }
+            values["xi"] = 0
+            closed_form = (1 + values["s"] * values["w"]) ** (n + 2)
+            assert full.evaluate(values) == naive_evaluate(full, values) == closed_form
 
     def test_matrix_entries_match_identity_plus_s_omega(self):
         # every entry, zero ones included, is (1 or 0) + s * Omega_ij
