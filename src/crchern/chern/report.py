@@ -1,8 +1,12 @@
-"""Machine-readable verification outcomes."""
+"""Machine-readable verification outcomes and the manifest's JSON text."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from json import dumps
+from json.encoder import encode_basestring_ascii
+
+_CONSTANTS = {True: "true", False: "false", None: "null"}
 
 
 @dataclass(frozen=True)
@@ -41,3 +45,50 @@ class CheckReport:
             "witnesses": self.witnesses,
             "residuals": self.residuals,
         }
+
+
+def manifest_json(value: object) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
+
+    With an ``indent`` the standard library encodes in pure Python, one
+    generator per container and one chunk per token.  This writer joins
+    one string per container instead.  Exact ``str``, ``int``, ``bool``
+    and ``None`` values, lists, and dicts whose keys are all ``str`` are
+    written here; any other value (floats, tuples, subclasses, other
+    keys) goes to ``json.dumps`` and is re-indented to its depth.  That
+    is exact because encoded JSON holds a raw newline only in its
+    layout, and it raises the standard library's error for a value JSON
+    cannot hold.
+    """
+    try:
+        return _write(value, "\n")
+    except RecursionError:  # circular or too deep: as the standard library fails
+        return dumps(value, indent=2, sort_keys=True)
+
+
+def _write(value: object, pad: str) -> str:
+    """``value`` encoded at the depth whose line break and indent is ``pad``."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool or value is None:
+        return _CONSTANTS[value]
+    inner = pad + "  "
+    if kind is list:
+        if not value:
+            return "[]"
+        items = [_write(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        items = []
+        for key in sorted(value):  # mixed key types raise as the stdlib does
+            if type(key) is not str:
+                break  # the stdlib's key conversions: the fallback below
+            items.append(encode_basestring_ascii(key) + ": " + _write(value[key], inner))
+        else:
+            return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return dumps(value, indent=2, sort_keys=True).replace("\n", pad)

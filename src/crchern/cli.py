@@ -46,7 +46,7 @@ from .chern.checks import (
     fpp_times_cpn_setup,
     genus2_times_cpn_setup,
 )
-from .chern.report import CheckReport
+from .chern.report import CheckReport, manifest_json
 from .chern.spherical import verify_spherical_on_circle_bundle
 from .chern.tractor import tractor_determinant_check
 from .cohomology.parser import ParseError, parse_element
@@ -324,7 +324,7 @@ def _emit(
             if args.out and stream.seekable() and stream.tell():
                 stream.truncate(0)  # an earlier file: replaced only now
             if args.format == "json":
-                stream.write(json.dumps(manifest, indent=2, sort_keys=True))
+                stream.write(manifest_json(manifest))
             else:
                 stream.write(manifest_to_markdown(manifest))
             stream.write("\n")

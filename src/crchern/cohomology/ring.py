@@ -215,13 +215,19 @@ class RingPresentation:
     def one(self) -> "RingElement":
         return self.scalar(1)
 
+    # ``scalar`` and ``gen`` build their exponent vectors reduced, so they
+    # skip :meth:`element`'s checks; ``scalar`` still coerces its value.
+
     def scalar(self, value: object) -> "RingElement":
         zero_exp = (0,) * len(self.generators)
-        return self.element({zero_exp: value})
+        return self._reduced({zero_exp: self.coefficients.coerce(value)})
 
     def gen(self, name: str) -> "RingElement":
         i = self.gen_index(name)
-        return self.element({tuple(int(j == i) for j in range(len(self.generators))): 1})
+        if self.generators[i].truncation == 1:
+            return self.zero()  # g^1 = 0 in k[g]/(g)
+        exps = (0,) * i + (1,) + (0,) * (len(self.generators) - i - 1)
+        return self._reduced({exps: 1})
 
     def gen_index(self, name: str) -> int:
         for i, g in enumerate(self.generators):

@@ -791,6 +791,33 @@ def test_manifests_are_plain_json_without_a_default():
         cli.manifest_to_markdown(manifest)
 
 
+def test_emitted_manifests_are_the_standard_library_encoding(capsys, monkeypatch):
+    # every target with small parameters, and both shipped scenarios: the
+    # written text is ``json.dumps(indent=2, sort_keys=True)`` of the very
+    # dict the run built, before any round trip through JSON
+    small = {"n_max": 3, "samples": 1}
+    runs = []
+    for name, target in cli.TARGETS.items():
+        argv = ["verify", name]
+        for flag_name, flag in target.flags.items():
+            value = small.get(flag_name, flag.default)
+            if value is not None:
+                argv += [cli._option(flag_name), str(value)]
+        runs.append(argv)
+    examples = SCHEMA_DIR.parent / "examples"
+    runs += [["scenario", str(path)] for path in sorted(examples.glob("*.json"))]
+    assert len(runs) == len(cli.TARGETS) + 2
+    built = []
+    build = cli.build_manifest
+    monkeypatch.setattr(
+        cli, "build_manifest", lambda *a, **k: built.append(build(*a, **k)) or built[-1]
+    )
+    for argv in runs:
+        code, out, _ = run_cli([*argv, "--format", "json", "--no-timestamp"], capsys)
+        assert code in (0, 1), argv
+        assert out == json.dumps(built.pop(), indent=2, sort_keys=True) + "\n", argv
+
+
 class TestBochner:
     def test_bochner_command_passes(self, capsys):
         code, out, _ = run_cli(
@@ -890,6 +917,29 @@ def test_exact_reports_are_byte_identical(capsys, runs):
         canonical = json.dumps(reports, sort_keys=True, separators=(",", ":"))
         assert len(reports) == count
         assert hashlib.sha256(canonical.encode()).hexdigest() == digest
+
+
+# SHA-256 of the raw ``--format json --no-timestamp`` standard output,
+# layout included (indent, separators, key order), pinned from the
+# manifests written by ``json.dumps(manifest, indent=2, sort_keys=True)``
+# before the manifest writer replaced it.  Both runs are exact only.
+GOLDEN_EMITTED_BYTES = [
+    (
+        ["verify", "thm-1-2", "--n-max", "12"],
+        "8a242bccf7087952b3d8c9e201b68cd4505f5ff3d2c7c39f539512392446f408",
+    ),
+    (
+        ["verify", "tractor", "--n-max", "12"],
+        "5393608dacedf34ed9c71555f0767335a10b300c87987aa8bd6b0639d851259c",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_EMITTED_BYTES, ids=["thm-1-2", "tractor"])
+def test_emitted_manifest_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run_cli([*argv, "--format", "json", "--no-timestamp"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_seed_env_fallback(capsys, monkeypatch):

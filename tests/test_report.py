@@ -1,0 +1,132 @@
+"""The manifest writer against the standard library's indented encoding."""
+
+import json
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crchern.chern.report import manifest_json
+
+
+def stdlib(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+def outcome(encode, value):
+    """The encoded text, or the type of the exception the encoder raised."""
+    try:
+        return encode(value)
+    except Exception as exc:  # compared by type below
+        return type(exc)
+
+
+class Text(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+_FLOATS = [0.0, -0.0, 1e300, -1e-300, 0.1, float("nan"), float("inf"), float("-inf")]
+_AWKWARD_TEXT = st.text(
+    alphabet=st.sampled_from(
+        ['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\t", "é", " ", "\U0001f600", "a"]
+    )
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([0, 1, -1, 2**64, -(2**64) - 1, 10**300]),
+    st.integers(),
+    st.sampled_from(_FLOATS),
+    st.floats(),
+    st.text(),
+    _AWKWARD_TEXT,
+    st.builds(Text, _AWKWARD_TEXT),
+    st.builds(Count, st.integers()),
+    st.builds(np.float64, st.floats()),
+)
+_KEYS = st.one_of(
+    st.text(),
+    _AWKWARD_TEXT,
+    st.builds(Text, st.text()),
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(), children, max_size=4),
+        # non-str keys, mixed ones among them (unsortable: TypeError)
+        st.dictionaries(_KEYS, children, max_size=3),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_VALUES)
+def test_writer_matches_the_standard_library(value):
+    assert outcome(manifest_json, value) == outcome(stdlib, value)
+
+
+def _nested(depth):
+    value = []
+    for i in range(depth):
+        value = {"k": value, "a": [i, True, None]} if i % 2 else [value, {}, []]
+    return value
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {},
+        [],
+        [[]],
+        {"": {}},
+        [{}, [], (), 0, ""],
+        {"a": 1, 2: "b"},  # unsortable keys: TypeError from both
+        {"b": 1, "a": {"d": [1, 2.5], "c": (True, None)}, "é": "\x00"},
+        {1: "one", 2.5: [1], False: 0, -1e300: None},
+        {None: {}},
+        {"z": {3: "int key deep inside"}},
+        [True, 1, False, 0, 1.0],
+        [10**5000],  # past int-to-str's digit limit where there is one
+        _nested(60),
+    ],
+)
+def test_writer_matches_the_standard_library_on_fixed_values(value):
+    assert outcome(manifest_json, value) == outcome(stdlib, value)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [set(), Fraction(1, 3), object(), np.int64(3), np.float32(0.5), b"x"],
+    ids=["set", "Fraction", "object", "numpy.int64", "numpy.float32", "bytes"],
+)
+@pytest.mark.parametrize(
+    "wrap", [lambda v: v, lambda v: {"a": [1, {"b": v}]}], ids=["bare", "nested"]
+)
+def test_unserializable_values_raise_as_the_standard_library_does(bad, wrap):
+    value = wrap(bad)
+    expected = outcome(stdlib, value)
+    assert isinstance(expected, type) and issubclass(expected, Exception)
+    with pytest.raises(expected):
+        manifest_json(value)
+
+
+def test_circular_value_raises_as_the_standard_library_does():
+    value = {"a": []}
+    value["a"].append(value)
+    with pytest.raises(ValueError, match="Circular reference"):
+        stdlib(value)
+    with pytest.raises(ValueError, match="Circular reference"):
+        manifest_json(value)

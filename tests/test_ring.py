@@ -92,6 +92,40 @@ class TestArithmetic:
             ring.scalar(Fraction(1, 2))
         assert ring.scalar(Fraction(4, 2)) == ring.scalar(2)
 
+    @pytest.mark.parametrize("domain", [INTEGERS, RATIONALS, integers_mod(6)])
+    def test_gen_and_scalar_equal_element(self, domain):
+        # truncation 1 (the generator itself is zero) next to wider ones
+        ring = make_ring([("a", 2, 1), ("b", 4, 3), ("c", 2, 2)], domain)
+        for i, g in enumerate(ring.generators):
+            exps = tuple(int(j == i) for j in range(len(ring.generators)))
+            expected = ring.element({exps: 1})
+            assert ring.gen(g.name) == expected
+            assert ring.gen(g.name).terms == expected.terms
+            assert ring.gen(g.name).is_zero() == (g.truncation == 1)
+        values = [0, 1, -7, 12, Fraction(10, 2)]
+        if domain is RATIONALS:
+            values.append(Fraction(-3, 4))
+        for value in values:
+            scalar = ring.scalar(value)
+            expected = ring.element({(0, 0, 0): value})
+            assert scalar.terms == expected.terms
+            assert list(map(type, scalar.terms.values())) == list(
+                map(type, expected.terms.values())
+            )
+            assert_canonical(scalar)
+
+    @pytest.mark.parametrize("domain", [INTEGERS, RATIONALS, integers_mod(6)])
+    @pytest.mark.parametrize("value", [True, 1.0, "1", None])
+    def test_scalar_refuses_non_coefficients(self, domain, value):
+        with pytest.raises(RingError):
+            make_ring([("a", 2, 1), ("b", 2, 3)], domain).scalar(value)
+
+    def test_scalar_refuses_non_integral_over_z(self):
+        with pytest.raises(RingError):
+            make_ring([("a", 2, 1)], INTEGERS).scalar(Fraction(1, 3))
+        with pytest.raises(RingError):
+            make_ring([("a", 2, 1)], integers_mod(6)).scalar(Fraction(1, 3))
+
     def test_mod_m_canonical_representatives(self):
         ring = cp2_ring(integers_mod(5))
         t = ring.gen("t")
