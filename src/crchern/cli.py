@@ -126,8 +126,10 @@ def _spherical_families(n_max: int) -> list[CheckReport]:
         rep = verify_spherical_on_circle_bundle(genus2_times_cpn_setup(n), n)
         reports.append(_relabel(rep, family="genus2-surface x cp", n=n))
     for n in range(2, n_max + 1):
+        base = cpn_setup(n, 1)  # e = -t; one base and tangent bundle for every d
         for d in range(1, 6):
-            rep = verify_spherical_on_circle_bundle(cpn_setup(n, d), n)
+            setup = replace(base, euler=d * base.euler)
+            rep = verify_spherical_on_circle_bundle(setup, n)
             reports.append(_relabel(rep, family="cp", n=n, d=d))
     for n in range(4, n_max + 1):
         rep = verify_spherical_on_circle_bundle(fpp_times_cpn_setup(n), n)

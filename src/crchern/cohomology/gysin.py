@@ -76,7 +76,7 @@ class CupMatrix:
     degree: int
     basis_rows: tuple[ExponentVector, ...]
     basis_cols: tuple[ExponentVector, ...]
-    denominator_scale: int = 1
+    denominator_scale: int
 
 
 def cup_matrix(ring: RingPresentation, e: RingElement, k: int) -> CupMatrix:
@@ -233,7 +233,9 @@ def image_membership(
     b = _element_vector(beta, cup.basis_rows)
     # Clear target denominators; over Q membership is scale-invariant.
     b_scale = lcm(1, *(x.denominator for x in b))
-    b_int = b if b_scale == 1 else [int(x * b_scale) for x in b]
+    b_int = (
+        b if b_scale == 1 else [x.numerator * (b_scale // x.denominator) for x in b]
+    )
 
     integral = ring.coefficients.kind != "Q"
     residue, num, L = _back_substitute(U, D, V, b_int, integral=integral)
@@ -246,8 +248,10 @@ def image_membership(
         )
     # x = num / L solves A_int x = b_int; undo the two clearings,
     # A_int = scale * A and b_int = b_scale * b.  Over Z and Z/m, L
-    # divides num; over Z/m zip drops the entries of the m I block and
-    # ``ring.element`` reduces the rest mod m.
+    # divides num and b_scale is 1, so every coefficient is an int; over
+    # Z/m zip drops the entries of the m I block and ``_reduced`` reduces
+    # the rest mod m.  The columns are reduced monomials of ``ring``, so
+    # ``element``'s checks would find nothing.
     denom = L * b_scale
     coeffs = {}
     for mono, v in zip(cup.basis_cols, num):
@@ -256,7 +260,7 @@ def image_membership(
             coeffs[mono] = v // denom if v % denom == 0 else Fraction(v, denom)
     return MembershipCertificate(
         k,
-        preimage=ring.element(coeffs),
+        preimage=ring._reduced(coeffs),
         invariant_factors=invariant_factors(D),
         denominator_scale=cup.denominator_scale,
     )

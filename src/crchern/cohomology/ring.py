@@ -191,9 +191,15 @@ class RingPresentation:
         The one place where coefficients are canonicalised: reduced mod m
         over Z/m; over Q a ``Fraction`` with denominator 1 becomes its
         numerator, so integral values are ``int``.  The exponent vectors must
-        already be valid and reduced (checked by :meth:`element` on raw
-        input; arithmetic on reduced operands of this ring keeps them
-        so), and are not checked again.
+        already be valid and reduced, and are not checked again.
+        :meth:`element` checks raw input, and arithmetic on reduced operands
+        of this ring keeps them so.  The membership solve
+        (:func:`~crchern.cohomology.gysin.image_membership`) builds its
+        preimage on the column monomials of its cup matrix: a degree basis
+        of this ring's generators with each truncation capped at most at
+        this ring's, so every exponent is already below its truncation.
+        Coefficients must be ``int`` or ``Fraction``, and ``int`` over Z
+        and Z/m.
         """
         kind = self.coefficients.kind
         if kind == "mod":
@@ -449,7 +455,11 @@ class RingElement:
         return self.ring._reduced({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: object) -> "RingElement":
-        return self + (-self._as_element(other))
+        other = self._as_element(other)
+        merged = dict(self.terms)
+        for e, c in other.terms.items():
+            merged[e] = merged.get(e, 0) - c
+        return self.ring._reduced(merged)
 
     def __rsub__(self, other: object) -> "RingElement":
         return self._as_element(other) - self

@@ -7,11 +7,27 @@ from crchern.chern import (
     check_prop_1_4,
     check_prop_4_1,
     check_thm_1_1,
+    cpn_setup,
     fpp_times_cpn_setup,
     genus2_times_cpn_setup,
 )
 from crchern.cli import _report_markdown
 from crchern.cohomology import RingError, image_membership
+
+
+class TestCpnSetup:
+    @pytest.mark.parametrize(
+        "n, d, message", [(0, 1, "need n >= 1, got 0"), (1, 0, "need d >= 1, got 0")]
+    )
+    def test_below_the_guards_rejected(self, n, d, message):
+        with pytest.raises(RingError, match=message):
+            cpn_setup(n, d)
+
+    def test_smallest_setup_builds(self):
+        setup = cpn_setup(1, 1)
+        assert str(setup.base) == "Q[t(deg 2, t^2=0)]"
+        assert str(setup.euler) == "-t"
+        assert (setup.base_tangent.rank, str(setup.base_tangent.total)) == (1, "1 + 2*t")
 
 
 class TestThm11:

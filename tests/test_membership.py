@@ -4,6 +4,7 @@ from math import lcm
 
 import pytest
 
+from conftest import assert_canonical
 from crchern.cohomology import (
     EULER_SIGN_CONVENTION,
     INTEGERS,
@@ -549,6 +550,7 @@ def test_mod_m_membership_equals_the_augmented_solve(m):
         assert cert.preimage == preimage
         assert cert.denominator_scale == 1
         if cert.member:
+            assert_canonical(cert.preimage)
             assert e * cert.preimage == beta
         seen["member" if cert.member else "nonmember"] += 1
     assert seen["member"] > 10 and seen["nonmember"] > 5
@@ -586,6 +588,7 @@ def test_membership_matches_fraction_back_substitution(domain):
         assert cert.residue == residue
         assert cert.member == (preimage is not None)
         if cert.member:
+            assert_canonical(cert.preimage)
             assert cert.preimage == preimage
             assert str(cert.preimage) == str(preimage)
             assert e * cert.preimage == beta
