@@ -73,7 +73,6 @@ class CupMatrix:
     """
 
     matrix: IntegerMatrix
-    degree: int
     basis_rows: tuple[ExponentVector, ...]
     basis_cols: tuple[ExponentVector, ...]
     denominator_scale: int
@@ -108,12 +107,8 @@ def cup_matrix(ring: RingPresentation, e: RingElement, k: int) -> CupMatrix:
     entries = [[0] * len(cols) for _ in range(len(rows))]
     for i, j, t in cells:
         entries[i][j] = scaled[t]
-    matrix = (
-        IntegerMatrix._unchecked(entries)
-        if entries
-        else IntegerMatrix.zero(0, len(cols))
-    )
-    return CupMatrix(matrix, k, rows, cols, scale)
+    matrix = IntegerMatrix(len(rows), len(cols), tuple(map(tuple, entries)))
+    return CupMatrix(matrix, rows, cols, scale)
 
 
 @lru_cache(maxsize=FACTORED_CUP_MEMO)
@@ -134,10 +129,12 @@ def _factor(
     # sees every miss
     cup = cup_matrix(ring, e, k)
     A = cup.matrix
-    if domain.kind == "mod" and A.rows:  # [A | m I]: the solve mod m is one over Z
+    if domain.kind == "mod":  # [A | m I]: the solve mod m is one over Z
         m, n = domain.modulus, A.rows
-        A = IntegerMatrix._unchecked(
-            [[*row, *(m * (i == j) for j in range(n))] for i, row in enumerate(A.entries)]
+        A = IntegerMatrix(
+            n,
+            A.cols + n,
+            tuple((*row, *(m * (i == j) for j in range(n))) for i, row in enumerate(A.entries)),
         )
     return cup, smith_normal_form(A)
 

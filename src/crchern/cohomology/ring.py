@@ -360,13 +360,24 @@ def _require_keys(doc: object, keys: tuple[str, ...], what: str) -> None:
             raise RingError(f"malformed {what}: missing {key!r}")
 
 
-def _schema_int(value: object, what: str) -> int:
-    """A JSON Schema integer: an ``int`` or an integral float, not a bool."""
+def schema_int(value: object) -> int | None:
+    """A JSON Schema integer as an ``int``, else ``None``.
+
+    An ``int`` or an integral float (``2.0`` counts), never a bool; the
+    presentation and scenario readers share this rule.
+    """
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise RingError(f"{what} is not an integer: {_quote(value)}")
+    return None
+
+
+def _schema_int(value: object, what: str) -> int:
+    n = schema_int(value)
+    if n is None:
+        raise RingError(f"{what} is not an integer: {_quote(value)}")
+    return n
 
 
 def make_ring(

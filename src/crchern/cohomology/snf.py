@@ -2,13 +2,22 @@
 
 The decomposition returned by :func:`smith_normal_form` satisfies
 ``U * A * V = D`` with ``U`` and ``V`` unimodular and ``D`` diagonal with
-nonnegative entries ``d_1 | d_2 | ...``.  It is built in one pass: each
-pivot divides its whole remaining block before the next pivot is chosen,
-so it divides every later pivot, and zeros come last because elimination
-stops at a zero block.  Pivoting is deterministic: the pivot is always
-the entry of smallest absolute value in the working submatrix, ties
-broken row-major, so certificates derived from the decomposition are
-reproducible.
+nonnegative entries ``d_1 | d_2 | ...``; for an ``m x n`` input, ``U`` is
+``m x m``, ``D`` is ``m x n`` and ``V`` is ``n x n``, empty sides included.
+It is built in one pass on one working matrix ``W = [[A, I_m], [I_n, 0]]``:
+each row operation acts once on W's first ``m`` rows and each column
+operation once on its first ``n`` columns, so ``W = [[U A V, U], [V, 0]]``
+holds after every step and U, D and V are read off as its three blocks.
+Each pivot divides its whole remaining block before the next pivot is
+chosen, so it divides every later pivot, and zeros come last because
+elimination stops at a zero block.  Pivoting is deterministic: the pivot
+is always the entry of smallest absolute value in the working submatrix,
+ties broken row-major, so certificates derived from the decomposition
+are reproducible.
+
+Every :class:`IntegerMatrix`, the Smith forms and cup matrices this
+package builds included, passes the checked constructor: its declared
+shape must match its entries, and each entry must be an exact ``int``.
 """
 
 from __future__ import annotations
@@ -46,19 +55,6 @@ class IntegerMatrix:
         return IntegerMatrix(m, n, tuple(map(tuple, rows)))
 
     @staticmethod
-    def _unchecked(rows: list[list[int]]) -> "IntegerMatrix":
-        """Wrap rows whose entries are ints by construction, unscanned.
-
-        Shaped as :meth:`from_rows`; for matrices this package builds
-        itself (Smith forms, cup matrices), never for caller input.
-        """
-        matrix = object.__new__(IntegerMatrix)
-        object.__setattr__(matrix, "rows", len(rows))
-        object.__setattr__(matrix, "cols", len(rows[0]) if rows else 0)
-        object.__setattr__(matrix, "entries", tuple(map(tuple, rows)))
-        return matrix
-
-    @staticmethod
     def zero(m: int, n: int) -> "IntegerMatrix":
         return IntegerMatrix(m, n, tuple(tuple(0 for _ in range(n)) for _ in range(m)))
 
@@ -72,14 +68,14 @@ class IntegerMatrix:
     def matmul(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        out = [
-            [
+        entries = tuple(
+            tuple(
                 sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
                 for j in range(other.cols)
-            ]
+            )
             for i in range(self.rows)
-        ]
-        return IntegerMatrix.from_rows(out) if out else IntegerMatrix.zero(self.rows, other.cols)
+        )
+        return IntegerMatrix(self.rows, other.cols, entries)
 
     def matvec(self, vec: list) -> list:
         if self.cols != len(vec):
@@ -120,45 +116,21 @@ def determinant(A: IntegerMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _swap_rows(M: list[list[int]], i: int, j: int) -> None:
-    M[i], M[j] = M[j], M[i]
-
-
-def _swap_cols(M: list[list[int]], i: int, j: int) -> None:
-    for row in M:
-        row[i], row[j] = row[j], row[i]
-
-
-def _row_add(M: list[list[int]], dst: int, src: int, factor: int) -> None:
-    row_s = M[src]
-    row_d = M[dst]
-    for k in range(len(row_d)):
-        row_d[k] += factor * row_s[k]
-
-
-def _col_add(M: list[list[int]], dst: int, src: int, factor: int) -> None:
-    for row in M:
-        row[dst] += factor * row[src]
-
-
-def _negate_row(M: list[list[int]], i: int) -> None:
-    M[i] = [-x for x in M[i]]
-
-
 def smith_normal_form(
     A: IntegerMatrix,
 ) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
     """Return ``(U, D, V)`` with ``U @ A @ V = D`` in Smith normal form."""
     m, n = A.rows, A.cols
-    D = A.to_lists()
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
+    # W = [[A, I_m], [I_n, 0]]; rows 0..m-1 and columns 0..n-1 take the
+    # operations, so W = [[U A V, U], [V, 0]] after every step.
+    W = [[*row, *(int(i == j) for j in range(m))] for i, row in enumerate(A.entries)]
+    W += [[int(i == j) for j in range(n + m)] for i in range(n)]
 
     def pick_pivot(t: int) -> tuple[int, int] | None:
         best: tuple[int, int, int] | None = None
         for i in range(t, m):
             for j in range(t, n):
-                v = abs(D[i][j])
+                v = abs(W[i][j])
                 if v and (best is None or v < best[0]):
                     best = (v, i, j)
         return None if best is None else (best[1], best[2])
@@ -166,47 +138,36 @@ def smith_normal_form(
     t = 0
     while t < min(m, n) and (loc := pick_pivot(t)) is not None:
         pi, pj = loc
-        if pi != t:
-            _swap_rows(D, t, pi)
-            _swap_rows(U, t, pi)
+        W[t], W[pi] = W[pi], W[t]
         if pj != t:
-            _swap_cols(D, t, pj)
-            _swap_cols(V, t, pj)
-        if D[t][t] < 0:
-            _negate_row(D, t)
-            _negate_row(U, t)
-        piv = D[t][t]
+            for row in W:
+                row[t], row[pj] = row[pj], row[t]
+        if W[t][t] < 0:
+            W[t] = [-x for x in W[t]]
+        piv = W[t][t]
         for i in range(t + 1, m):
-            if D[i][t]:
-                q = D[i][t] // piv
-                if q:
-                    _row_add(D, i, t, -q)
-                    _row_add(U, i, t, -q)
+            if q := W[i][t] // piv:
+                W[i] = [x - q * y for x, y in zip(W[i], W[t])]
         for j in range(t + 1, n):
-            if D[t][j]:
-                q = D[t][j] // piv
-                if q:
-                    _col_add(D, j, t, -q)
-                    _col_add(V, j, t, -q)
-        if any(D[i][t] for i in range(t + 1, m)) or any(
-            D[t][j] for j in range(t + 1, n)
-        ):
+            if q := W[t][j] // piv:
+                for row in W:
+                    row[j] -= q * row[t]
+        if any(W[i][t] for i in range(t + 1, m)) or any(W[t][t + 1 : n]):
             continue  # a remainder smaller than piv is left: pivot again
         bad = next(
-            (i for i in range(t + 1, m) for j in range(t + 1, n) if D[i][j] % piv), None
+            (i for i in range(t + 1, m) for j in range(t + 1, n) if W[i][j] % piv), None
         )
         if bad is None:
             t += 1  # piv divides its block, hence every later pivot
         else:
             # Row ``bad`` holds an entry piv does not divide; in row t,
             # reducing by piv leaves a remainder smaller than piv.
-            _row_add(D, t, bad, 1)
-            _row_add(U, t, bad, 1)
+            W[t] = [x + y for x, y in zip(W[t], W[bad])]
 
     return (
-        IntegerMatrix._unchecked(U),
-        IntegerMatrix._unchecked(D),
-        IntegerMatrix._unchecked(V),
+        IntegerMatrix(m, m, tuple(tuple(row[n:]) for row in W[:m])),
+        IntegerMatrix(m, n, tuple(tuple(row[:n]) for row in W[:m])),
+        IntegerMatrix(n, n, tuple(tuple(row[:n]) for row in W[m:])),
     )
 
 

@@ -25,6 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from ..chern.report import CheckReport
+from ..cohomology.ring import schema_int
 from .patch import KahlerProductPatch
 from .spaceform import calibrate_space_form
 from .tensors import (
@@ -109,8 +110,8 @@ def parse_scenario(doc: Mapping) -> tuple[list[tuple[int, Fraction]], int, int, 
     for i, f in enumerate(factors_raw):
         if not isinstance(f, Mapping) or set(f) - {"dim", "hsc"} or "dim" not in f or "hsc" not in f:
             raise ScenarioError(f"factor #{i} must be an object with 'dim' and 'hsc'")
-        dim = f["dim"]
-        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        dim = schema_int(f["dim"])
+        if dim is None or dim < 1:
             raise ScenarioError(f"factor #{i}: 'dim' must be a positive integer")
         if dim > MAX_FACTOR_DIM:
             raise ScenarioError(f"factor #{i}: 'dim' must be at most {MAX_FACTOR_DIM}")
@@ -118,13 +119,13 @@ def parse_scenario(doc: Mapping) -> tuple[list[tuple[int, Fraction]], int, int, 
         if hsc == 0:
             raise ScenarioError(f"factor #{i}: 'hsc' must be nonzero")
         factors.append((dim, hsc))
-    samples = doc.get("samples", 10)
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
+    samples = schema_int(doc.get("samples", 10))
+    if samples is None or samples < 1:
         raise ScenarioError("'samples' must be a positive integer")
     if samples > MAX_SAMPLES:
         raise ScenarioError(f"'samples' must be at most {MAX_SAMPLES}")
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
+    seed = schema_int(doc.get("seed", 0))
+    if seed is None:
         raise ScenarioError("'seed' must be an integer")
     tolerances = dict(DEFAULT_TOLERANCES)
     overrides = doc.get("tolerances", {})
@@ -155,8 +156,8 @@ def parse_scenario(doc: Mapping) -> tuple[list[tuple[int, Fraction]], int, int, 
 
 def _parse_hsc(raw: object, i: int) -> Fraction:
     """Factor ``i``'s curvature: an integer, or a string matching ``HSC_PATTERN``."""
-    if isinstance(raw, int) and not isinstance(raw, bool):
-        return Fraction(raw)
+    if (n := schema_int(raw)) is not None:
+        return Fraction(n)
     if not isinstance(raw, str):
         raise ScenarioError(f"factor #{i}: 'hsc' must be a string or an integer")
     if len(raw) > MAX_HSC_CHARS:

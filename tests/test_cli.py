@@ -674,6 +674,49 @@ class TestScenario:
         assert (code, out) == (2, "")
         assert err == f"scenario schema violation: factor #0: bad 'hsc' value {hsc!r}\n"
 
+    # JSON Schema integers include integral floats; each document's
+    # all-integer twin replaces its one float by the equal int.
+    _INTEGRAL_FLOATS = [
+        '{"factors":[{"dim":1.0,"hsc":"1"},{"dim":1,"hsc":"-1"}],"samples":1}',
+        '{"factors":[{"dim":1,"hsc":"1"},{"dim":1,"hsc":"-1"}],"samples":1.0}',
+        '{"factors":[{"dim":1,"hsc":"1"},{"dim":1,"hsc":"-1"}],"samples":1,"seed":3.0}',
+        '{"factors":[{"dim":1,"hsc":1.0},{"dim":1,"hsc":"-1"}],"samples":1}',
+    ]
+
+    @pytest.mark.parametrize("text", _INTEGRAL_FLOATS, ids=["dim", "samples", "seed", "hsc"])
+    def test_integral_floats_read_as_their_integer_twins(self, capsys, tmp_path, text):
+        twin = text.replace(".0", "")
+        assert twin != text
+        assert parse_scenario(json.loads(text)) == parse_scenario(json.loads(twin))
+        reports = []
+        for doc in (text, twin):
+            path = tmp_path / "scenario.json"
+            path.write_text(doc)
+            code, out, err = run_cli(
+                ["scenario", str(path), "--no-timestamp", "--format", "json"], capsys
+            )
+            assert (code, err) == (0, "")
+            reports.append(out)
+        assert reports[0] == reports[1]
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads((SCHEMA_DIR / "scenario.schema.json").read_text())
+        jsonschema.validate(json.loads(text), schema)
+
+    @pytest.mark.parametrize("value", ["1.5", "Infinity", "true"])
+    @pytest.mark.parametrize("field", ["dim", "samples", "seed", "hsc"])
+    def test_non_integers_still_exit_2(self, capsys, tmp_path, field, value):
+        values = {"dim": "1", "hsc": '"1"', "samples": "1", "seed": "0", field: value}
+        text = (
+            '{"factors": [{"dim": %(dim)s, "hsc": %(hsc)s}, {"dim": 1, "hsc": "-1"}], '
+            '"samples": %(samples)s, "seed": %(seed)s}' % values
+        )
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        code, out, err = run_cli(["scenario", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("scenario schema violation: ")
+        assert err.count("\n") == 1
+
     def test_refused_run_removes_a_fresh_out(self, capsys, tmp_path):
         # the +-10^4 pair leaves the chart only once the batch is running
         path = self.write(

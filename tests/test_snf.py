@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -88,11 +89,47 @@ def test_random_matrices_smoke():
         assert_valid_snf(random_matrix(rng))
 
 
-def test_empty_dimensions():
-    A = IntegerMatrix.zero(3, 0)
+@pytest.mark.parametrize("m,n", [(3, 0), (0, 3), (0, 0)], ids=["3x0", "0x3", "0x0"])
+def test_empty_dimensions(m, n):
+    A = IntegerMatrix.zero(m, n)
     U, D, V = smith_normal_form(A)
-    assert U.matmul(A).matmul(V).entries == D.entries
-    assert D.rows == 3 and D.cols == 0
+    assert U.matmul(A).matmul(V) == D  # shapes included
+    assert (D.rows, D.cols) == (m, n)
+
+
+# SHA-256 of the entries of (U, D, V) over pinned_matrices(), so that no
+# change to the elimination moves a certificate unnoticed.  Entries only:
+# the shapes are asserted one by one.
+PINNED_SMITH_SHA256 = "1b24d194a020f9bd0a1d5b26bdb0d72ca328e6a92049cff3fd78bb44ba07ec59"
+
+
+def pinned_matrices():
+    """2,000 seeded matrices: shapes 0..6 x 0..6, entries -9..9, 30% zero."""
+    nonzero = [x for x in range(-9, 10) if x]
+    rng = random.Random(2024)
+    for _ in range(2000):
+        m, n = rng.randint(0, 6), rng.randint(0, 6)
+        yield IntegerMatrix(
+            m,
+            n,
+            tuple(
+                tuple(0 if rng.random() < 0.3 else rng.choice(nonzero) for _ in range(n))
+                for _ in range(m)
+            ),
+        )
+
+
+def test_smith_forms_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    shapes = set()
+    for A in pinned_matrices():
+        U, D, V = smith_normal_form(A)
+        assert U.matmul(A).matmul(V) == D  # shapes included
+        assert (D.rows, D.cols) == (A.rows, A.cols)
+        shapes.add((A.rows, A.cols))
+        digest.update(repr((U.entries, D.entries, V.entries)).encode())
+    assert shapes == {(m, n) for m in range(7) for n in range(7)}
+    assert digest.hexdigest() == PINNED_SMITH_SHA256
 
 
 def test_determinant_matches_cofactor_small():
