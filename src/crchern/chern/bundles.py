@@ -56,59 +56,51 @@ class BundleClass:
         return self.chern(1)
 
 
-def chern_projective_space(
-    n: int, ring: RingPresentation, hyperplane: str
-) -> BundleClass:
-    """Holomorphic tangent bundle of CP^n: rank ``n``, total ``(1+h)^(n+1)``.
+def _space_form_class(p: int, ring: RingPresentation, x: str, c1: int) -> BundleClass:
+    """Tangent class of a p-dimensional space form with c_1 = ``c1 * x``.
 
-    ``hyperplane`` names the degree-2 generator playing the hyperplane
-    class; its truncation must kill ``h^(n+1)`` (or the total class
-    would exceed degree ``2n`` and be rejected).  The total is built
-    from its binomial coefficients, ``sum_j binom(n+1, j) h^j``; the
-    ring drops the powers of ``h`` past the truncation.
+    The total is ``(1 + c_1/(p+1))^(p+1)``, the sum over k = 0..p+1 of
+    ``binom(p+1, k) (c1/(p+1))^k x^k``.  CP^p takes ``c1 = p+1``.  A
+    compact p-ball quotient satisfies it on the subring generated by c_1
+    by Hirzebruch proportionality: its Chern-Weil forms are CP^p's with
+    the Kaehler form rescaled.  ``x`` must be a nonzero degree-2
+    generator truncated at ``x^(p+1)`` or lower, since a p-dimensional
+    factor has no cohomology above degree 2p, and every coefficient,
+    those of dropped powers included, must lie in the ring's domain.
     """
+    idx = ring.gen_index(x)  # raises for a missing generator
+    gen = ring.generators[idx]
+    if gen.degree != 2 or gen.truncation < 2:
+        raise RingError(f"generator {x!r} must be a nonzero class of degree 2")
+    if gen.truncation > p + 1:
+        raise RingError(f"generator {x!r} truncated at {gen.truncation}, above {p + 1}")
+    weights = [Fraction(comb(p + 1, k) * c1**k, (p + 1) ** k) for k in range(p + 2)]
+    head, tail = (0,) * idx, (0,) * (len(ring.generators) - idx - 1)
+    terms = {head + (k,) + tail: ring.coefficients.coerce(w) for k, w in enumerate(weights)}
+    return BundleClass(p, ring.element(terms))
+
+
+def chern_projective_space(n: int, ring: RingPresentation, hyperplane: str) -> BundleClass:
+    """Holomorphic tangent bundle of CP^n: rank ``n``, total ``(1+h)^(n+1)``."""
     if n < 1:
         raise RingError(f"projective space dimension must be >= 1, got {n}")
-    h = ring.gen(hyperplane)  # raises for a missing generator
-    if h.homogeneous_degree() != 2:
-        raise RingError(f"hyperplane generator {hyperplane!r} must have degree 2")
-    idx = ring.gen_index(hyperplane)
-    zero = (0,) * len(ring.generators)
-    total = ring.element(
-        {zero[:idx] + (j,) + zero[idx + 1 :]: comb(n + 1, j) for j in range(n + 2)}
-    )
-    return BundleClass(n, total)
+    return _space_form_class(n, ring, hyperplane, n + 1)
 
 
 def chern_surface(genus: int, ring: RingPresentation, sigma: str) -> BundleClass:
     """Holomorphic tangent bundle of a genus-g surface: ``1 + (2-2g) * sigma``."""
     if genus < 0:
         raise RingError(f"genus must be >= 0, got {genus}")
-    s = ring.gen(sigma)
-    idx = ring.gen_index(sigma)
-    gen = ring.generators[idx]
-    if gen.degree != 2 or gen.truncation != 2:
-        raise RingError(
-            f"surface generator {sigma!r} needs degree 2 and truncation 2"
-        )
-    return BundleClass(1, 1 + (2 - 2 * genus) * s)
+    return _space_form_class(1, ring, sigma, 2 - 2 * genus)
 
 
 def chern_fake_projective_plane(ring: RingPresentation, t: str) -> BundleClass:
-    """Holomorphic tangent bundle of a fake projective plane.
+    """Tangent bundle of a fake projective plane, a 2-ball quotient, c_1 = ``t``.
 
-    The generator ``t`` stands for the anticanonical class c_1.  As a
-    compact quotient of the complex 2-ball the surface satisfies
-    ``c_1^2 = 3 * c_2`` (equality in the Miyaoka-Yau bound), which fixes
-    ``c_2 = t^2 / 3`` without choosing a normalization for the point
-    class.  Rational coefficients are required for the 1/3.
+    ``1 + t + t^2/3``: ``c_1^2 = 3 c_2``, equality in the Miyaoka-Yau bound.
+    The 1/3 needs Q coefficients.
     """
-    if ring.coefficients.kind != "Q":
-        raise RingError("fake projective plane classes need rational coefficients")
-    tt = ring.gen(t)
-    if tt.homogeneous_degree() != 2:
-        raise RingError(f"generator {t!r} must have degree 2")
-    return BundleClass(2, 1 + tt + Fraction(1, 3) * tt * tt)
+    return _space_form_class(2, ring, t, 1)
 
 
 def trivial_bundle(ring: RingPresentation, rank: int) -> BundleClass:

@@ -12,21 +12,16 @@ Which CLI target runs which check, with which parameters, is the table
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from math import prod
 
 from ..cohomology.gysin import cokernel, image_membership
-from ..cohomology.ring import (
-    INTEGERS,
-    RATIONALS,
-    RingElement,
-    RingError,
-    make_ring,
-)
+from ..cohomology.ring import INTEGERS, RATIONALS, RingElement, RingError, make_ring
 from .bundles import (
     BundleClass,
+    _space_form_class,
     bundle_product,
-    chern_fake_projective_plane,
     chern_projective_space,
-    chern_surface,
 )
 from .report import CheckReport
 from .spherical import (
@@ -39,6 +34,21 @@ from .spherical import (
 # -- circle-bundle families -------------------------------------------------
 
 
+def _circle_bundle(*factors: tuple[int, str, int, int]) -> CircleBundleSetup:
+    """Circle bundle over a product of space forms, over Q.
+
+    Each factor ``(p, x, c1, a)`` is a p-dimensional space form whose
+    degree-2 generator x is truncated at ``x^(p+1)``, with
+    ``c_1 = c1 * x``; it contributes ``a * x`` to the Euler class.
+    """
+    ring = make_ring([(x, 2, p + 1) for p, x, _, _ in factors], RATIONALS)
+    euler = sum(a * ring.gen(x) for _, x, _, a in factors)
+    tangent = reduce(
+        bundle_product, (_space_form_class(p, ring, x, c1) for p, x, c1, _ in factors)
+    )
+    return CircleBundleSetup(ring, euler, tangent)
+
+
 def genus2_times_cpn_setup(n: int) -> CircleBundleSetup:
     """Circle bundle over (genus-2 surface) x CP^(n-1).
 
@@ -49,13 +59,7 @@ def genus2_times_cpn_setup(n: int) -> CircleBundleSetup:
     """
     if n < 2:
         raise RingError(f"the construction needs n >= 2, got {n}")
-    ring = make_ring([("s", 2, 2), ("h", 2, n)], RATIONALS)
-    s, h = ring.gen("s"), ring.gen("h")
-    euler = -2 * s - 2 * h
-    tangent = bundle_product(
-        chern_surface(2, ring, "s"), chern_projective_space(n - 1, ring, "h")
-    )
-    return CircleBundleSetup(ring, euler, tangent)
+    return _circle_bundle((1, "s", -2, -2), (n - 1, "h", n, -2))
 
 
 def fpp_times_cpn_setup(n: int) -> CircleBundleSetup:
@@ -67,14 +71,7 @@ def fpp_times_cpn_setup(n: int) -> CircleBundleSetup:
     """
     if n < 4:
         raise RingError(f"the construction needs n >= 4, got {n}")
-    ring = make_ring([("t", 2, 3), ("h", 2, n - 1)], RATIONALS)
-    t, h = ring.gen("t"), ring.gen("h")
-    euler = t - 3 * h
-    tangent = bundle_product(
-        chern_fake_projective_plane(ring, "t"),
-        chern_projective_space(n - 2, ring, "h"),
-    )
-    return CircleBundleSetup(ring, euler, tangent)
+    return _circle_bundle((2, "t", 1, 1), (n - 2, "h", n - 1, -3))
 
 
 def cpn_setup(n: int, d: int) -> CircleBundleSetup:
@@ -83,9 +80,7 @@ def cpn_setup(n: int, d: int) -> CircleBundleSetup:
         raise RingError(f"need n >= 1, got {n}")
     if d < 1:
         raise RingError(f"need d >= 1, got {d}")
-    ring = make_ring([("t", 2, n + 1)], RATIONALS)
-    t = ring.gen("t")
-    return CircleBundleSetup(ring, -d * t, chern_projective_space(n, ring, "t"))
+    return _circle_bundle((n, "t", n + 1, -d))
 
 
 def nilsquare_ring(m: int):
@@ -250,15 +245,9 @@ def check_prop_1_4(m: int, even_case: bool = False) -> CheckReport:
         raise RingError(f"check needs m >= 2, got {m}")
     n = 2 * m if even_case else 2 * m - 1
     ring = nilsquare_ring(m)
-    factors = [
-        BundleClass(2, 1 + ring.gen(f"t{j}")) for j in range(1, m + 1)
-    ]
-    stack = factors[0]
-    for f in factors[1:]:
-        stack = bundle_product(stack, f)
-    # The honest CR tangent bundle has rank n; the stacked classes above
-    # include trivialized normal directions, which change rank only.
-    tangent = BundleClass(n, stack.total)
+    # The honest CR tangent bundle has rank n; the product also covers
+    # trivialized normal directions, which change rank only.
+    tangent = BundleClass(n, prod(1 + ring.gen(f"t{j}") for j in range(1, m + 1)))
     contact = tangent  # c(contact structure) = c(CR tangent), one object
 
     c1 = tangent.c1()

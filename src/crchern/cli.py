@@ -9,7 +9,8 @@ Exit codes: 0 all checks passed; 1 a check or tolerance failed, or
 standard output was closed before all output was written; 2 usage
 errors, unknown targets, a flag the target does not take, ``--n``
 together with ``--n-max``, a value outside its range, a
-``CRCHERN_SEED`` that is not an integer, schema violations, a scenario
+``CRCHERN_SEED`` that is not an integer, a scenario or ring document
+larger than :data:`MAX_DOCUMENT_BYTES`, schema violations, a scenario
 whose curvatures the finite differences cannot resolve, parse errors
 and products or powers past the parser's bounds, and a manifest that
 cannot be written to ``--out``.  Parameters are
@@ -57,6 +58,9 @@ from .kahler.tensors import IllConditionedMetric
 from .presets import preset_ring
 
 DEFAULT_SEED = 0
+# The most bytes a scenario or ring document may hold; the largest
+# legitimate one, a 64-generator presentation, is a few KB.
+MAX_DOCUMENT_BYTES = 1 << 20
 BOCHNER_PAIRS = (
     ((1, Fraction(1)), (1, Fraction(-1))),
     ((1, Fraction(1)), (2, Fraction(-1))),
@@ -363,13 +367,22 @@ def _cmd_verify(args, argv: list[str]) -> int:
     return _emit(args, argv, args.seed, lambda: target.run(params))
 
 
+def _read_document(path: Path | str) -> str:
+    """The UTF-8 text at ``path``, refused past :data:`MAX_DOCUMENT_BYTES`."""
+    with open(path, "rb") as f:  # reads at most one byte past the bound
+        data = f.read(MAX_DOCUMENT_BYTES + 1)
+    if len(data) > MAX_DOCUMENT_BYTES:
+        raise ValueError(f"{path} is larger than {MAX_DOCUMENT_BYTES} bytes")
+    return data.decode()
+
+
 def _load_ring_spec(spec: str) -> RingPresentation:
     text = spec.strip()
     if text.startswith("{"):
         return RingPresentation.from_json_dict(json.loads(text))
     path = Path(text)
     if path.suffix == ".json" or path.exists():
-        return RingPresentation.from_json_dict(json.loads(path.read_text()))
+        return RingPresentation.from_json_dict(json.loads(_read_document(path)))
     return preset_ring(text)
 
 
@@ -394,7 +407,7 @@ def _cmd_eval(args, argv: list[str]) -> int:
 
 def _cmd_scenario(args, argv: list[str]) -> int:
     try:
-        doc = json.loads(Path(args.path).read_text())
+        doc = json.loads(_read_document(args.path))
     except (OSError, ValueError, RecursionError) as exc:  # undecodable or oversized too
         return _refuse(f"cannot read scenario: {exc}")
     try:

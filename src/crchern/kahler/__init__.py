@@ -20,13 +20,11 @@ from .tensors import (
     IllConditionedMetric,
     PointTensors,
     chern_divergence_residual,
-    chern_tensor_at,
     curvature_at,
     first_pair_trace,
     levi_inverse,
     metric_derivatives,
     point_tensors,
-    schouten_at,
     space_form_curvature_oracle,
     symmetry_residuals,
 )
@@ -45,7 +43,6 @@ __all__ = [
     "SpaceFormFactor",
     "calibrate_space_form",
     "chern_divergence_residual",
-    "chern_tensor_at",
     "convergence_factor",
     "curvature_at",
     "first_pair_trace",
@@ -55,7 +52,6 @@ __all__ = [
     "parse_scenario",
     "point_tensors",
     "run_batch",
-    "schouten_at",
     "space_form_curvature_oracle",
     "symmetry_residuals",
 ]

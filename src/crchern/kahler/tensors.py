@@ -181,8 +181,16 @@ def _curvature(
     )
     ric = np.einsum("...ab,...abcd->...cd", linv, R)
     scal = np.einsum("...cd,...cd->...", linv, ric).real
-    P = schouten_at(ric, scal, g, n)
-    S = chern_tensor_at(R, P, g, n)
+    # Schouten P = (Ric - Scal/(2(n+1)) g) / (n+2), trace Scal/(2(n+1)),
+    # and the trace-free part S of R, zero iff spherical (n >= 2).
+    P = (ric - np.asarray(scal)[..., None, None] / (2 * (n + 1)) * g) / (n + 2)
+    S = (
+        R
+        - np.einsum("...ab,...cd->...abcd", P, g)
+        - np.einsum("...cb,...ad->...abcd", P, g)
+        - np.einsum("...cd,...ab->...abcd", P, g)
+        - np.einsum("...ad,...cb->...abcd", P, g)
+    )
     return PointTensors(z, g, linv, R, ric, scal, P, S, gammas)
 
 
@@ -192,25 +200,6 @@ def curvature_at(
     """Curvature ``R[a,b,c,d]`` plus its Ricci and scalar contractions."""
     t = _curvature(z, *metric_derivatives(patch, z, step))
     return t.R, t.Ric, float(t.Scal)
-
-
-def schouten_at(ric: np.ndarray, scal: float, g: np.ndarray, n: int) -> np.ndarray:
-    """``P = (Ric - Scal/(2(n+1)) g) / (n+2)``; its trace is Scal/(2(n+1))."""
-    scal = np.asarray(scal)[..., None, None]
-    return (ric - scal / (2 * (n + 1)) * g) / (n + 2)
-
-
-def chern_tensor_at(
-    R: np.ndarray, P: np.ndarray, g: np.ndarray, n: int
-) -> np.ndarray:
-    """Trace-free curvature part; identically zero iff the structure is spherical (n >= 2)."""
-    return (
-        R
-        - np.einsum("...ab,...cd->...abcd", P, g)
-        - np.einsum("...cb,...ad->...abcd", P, g)
-        - np.einsum("...cd,...ab->...abcd", P, g)
-        - np.einsum("...ad,...cb->...abcd", P, g)
-    )
 
 
 def point_tensors(patch: KahlerProductPatch, z: np.ndarray) -> PointTensors:

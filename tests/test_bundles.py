@@ -8,6 +8,7 @@ from crchern.chern import (
     chern_fake_projective_plane,
     chern_projective_space,
     chern_surface,
+    spherical_residual,
     trivial_bundle,
 )
 from crchern.cohomology import INTEGERS, RATIONALS, RingError, integers_mod, make_ring
@@ -99,6 +100,66 @@ def test_fake_projective_plane_class():
     zring = make_ring([("t", 2, 3)], INTEGERS)
     with pytest.raises(RingError):
         chern_fake_projective_plane(zring, "t")
+
+
+def _space_forms():
+    """(p, tangent class) for CP^1..CP^12, genus 0..4 curves and the fake plane."""
+    for p in range(1, 13):
+        yield p, chern_projective_space(p, make_ring([("h", 2, p + 1)], RATIONALS), "h")
+    for genus in range(5):
+        yield 1, chern_surface(genus, make_ring([("s", 2, 2)], RATIONALS), "s")
+    yield 2, chern_fake_projective_plane(make_ring([("t", 2, 3)], RATIONALS), "t")
+
+
+def test_every_space_form_satisfies_the_spherical_formula_one_dimension_down():
+    # c = (1 + c_1/(p+1))^(p+1) is the spherical constraint with n + 2 = p + 1
+    forms = list(_space_forms())
+    assert len(forms) == 18
+    for p, bundle in forms:
+        for k in range(1, p + 1):
+            assert spherical_residual(bundle, p - 1, k).is_zero(), (p, bundle, k)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        # a missing generator
+        lambda: chern_projective_space(2, make_ring([("t", 2, 3)], RATIONALS), "h"),
+        lambda: chern_surface(2, make_ring([("t", 2, 2)], RATIONALS), "s"),
+        lambda: chern_fake_projective_plane(make_ring([("h", 2, 3)], RATIONALS), "t"),
+        # a generator that is not a nonzero class of degree 2
+        lambda: chern_projective_space(1, make_ring([("h", 4, 2)], RATIONALS), "h"),
+        lambda: chern_surface(2, make_ring([("s", 2, 1)], RATIONALS), "s"),
+        lambda: chern_fake_projective_plane(make_ring([("t", 4, 3)], RATIONALS), "t"),
+        # a truncation above p + 1
+        lambda: chern_projective_space(3, make_ring([("h", 2, 5)], integers_mod(2)), "h"),
+        lambda: chern_surface(1, make_ring([("s", 2, 3)], RATIONALS), "s"),
+        lambda: chern_surface(1, make_ring([("s", 2, 4)], INTEGERS), "s"),
+        lambda: chern_fake_projective_plane(make_ring([("t", 2, 4)], RATIONALS), "t"),
+        # a coefficient the domain cannot hold, also where the power is dropped
+        lambda: chern_fake_projective_plane(make_ring([("t", 2, 3)], INTEGERS), "t"),
+        lambda: chern_fake_projective_plane(make_ring([("t", 2, 2)], INTEGERS), "t"),
+        lambda: chern_fake_projective_plane(make_ring([("t", 2, 2)], integers_mod(3)), "t"),
+    ],
+    ids=[
+        "cp-missing",
+        "surface-missing",
+        "fpp-missing",
+        "cp-degree-4",
+        "surface-zero-generator",
+        "fpp-degree-4",
+        "cp3-truncation-5",
+        "genus-1-truncation-3",
+        "genus-1-cube-alive",
+        "fpp-truncation-4",
+        "fpp-over-Z",
+        "fpp-over-Z-square-zero",
+        "fpp-over-Z3-square-zero",
+    ],
+)
+def test_space_form_refusals(build):
+    with pytest.raises(RingError):
+        build()
 
 
 def test_bundle_product_example():

@@ -448,6 +448,24 @@ class TestEval:
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and len(err.encode()) < 200
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"coefficients": "Q", "generators": "x" * 5_000_000},
+            {"coefficients": "Q", "generators": [{**_GENERATOR, "k" * 2_000_000: 1}]},
+            {"coefficients": "Q", "generators": [{**_GENERATOR, "name": "n" * 1_000_000}] * 2},
+        ],
+        ids=["5M-character-generators", "2M-character-key", "1M-character-duplicate-names"],
+    )
+    def test_oversized_inline_presentation_reaches_the_reader(self, capsys, document):
+        # as a file each is past the document bound; inline the reader refuses it
+        start = time.perf_counter()
+        code, out, err = run_cli(["eval", "--ring", json.dumps(document), "1"], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err.startswith("bad ring spec: ") and "larger than" not in err
+        assert err.count("\n") == 1 and len(err.encode()) < 200
+
     def test_bad_preset_exit_2(self, capsys):
         code, _, err = run_cli(["eval", "--ring", "torus:1", "1"], capsys)
         assert code == 2
@@ -763,6 +781,45 @@ _SCENARIO_BYTES = (
 )
 
 
+# (valid document, argv reading it from PATH, prefix of the refusal)
+_DOCUMENT_READERS = {
+    "scenario": (
+        {"factors": [{"dim": 1, "hsc": "1"}, {"dim": 1, "hsc": "-1"}], "samples": 1},
+        ["scenario", "PATH", "--no-timestamp"],
+        "cannot read scenario: ",
+    ),
+    "eval": (_presentation(), ["eval", "--ring", "PATH", "1"], "bad ring spec: "),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_DOCUMENT_READERS))
+@pytest.mark.parametrize("extra", [0, 1], ids=["at-the-bound", "one-byte-over"])
+def test_document_padded_to_the_bound_is_read_and_one_byte_more_is_refused(
+    capsys, tmp_path, command, extra
+):
+    doc, argv, prefix = _DOCUMENT_READERS[command]
+    text = json.dumps(doc)
+    path = tmp_path / "document.json"
+    path.write_text(text + " " * (cli.MAX_DOCUMENT_BYTES - len(text) + extra))
+    code, out, err = run_cli([str(path) if a == "PATH" else a for a in argv], capsys)
+    if extra == 0:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, out) == (2, "")
+        assert err == f"{prefix}{path} is larger than {cli.MAX_DOCUMENT_BYTES} bytes\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+@pytest.mark.parametrize("command", sorted(_DOCUMENT_READERS))
+def test_endless_document_is_refused(capsys, command):
+    _, argv, prefix = _DOCUMENT_READERS[command]
+    start = time.perf_counter()
+    code, out, err = run_cli(["/dev/zero" if a == "PATH" else a for a in argv], capsys)
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert err == f"{prefix}/dev/zero is larger than {cli.MAX_DOCUMENT_BYTES} bytes\n"
+
+
 @settings(
     max_examples=60,
     deadline=None,
@@ -938,6 +995,26 @@ GOLDEN_EXACT_REPORTS = [
         1,
         "5919fae08726c0ddfe74741a63ff878eba063616a38f7bd7c5a44c50b4cacf4c",
     ),
+    (
+        ["verify", "thm-1-1", "--n", "40"],
+        1,
+        "142ad9e551b4fecc38ab21be95757d467e6cda7cdc4ab85512cc36cf400ab205",
+    ),
+    (
+        ["verify", "prop-4-1", "--n", "30"],
+        1,
+        "cfe12957245a362eb47782cde37ba4f24555e3439067efad8302d4d273566651",
+    ),
+    (
+        ["verify", "prop-1-3", "--n", "30", "--d", "12"],
+        1,
+        "3b1fae16598b3dc1eb81f0cbdc2674c7d5b082d2d31222271f869c86a3a4b8a4",
+    ),
+    (
+        ["verify", "prop-1-4", "--m", "6"],
+        2,
+        "41fe29c4c09b225f7ee2607986d631d35e364a2f4203457c3639f591dfd6c99b",
+    ),
 ]
 
 
@@ -948,7 +1025,17 @@ GOLDEN_EXACT_REPORTS = [
         # one process: exact work shared between runs must not change a byte
         [GOLDEN_EXACT_REPORTS[0], GOLDEN_EXACT_REPORTS[1], GOLDEN_EXACT_REPORTS[0]],
     ],
-    ids=["thm-1-2", "all", "tractor", "tractor-n-40", "thm-1-2-then-all-then-thm-1-2"],
+    ids=[
+        "thm-1-2",
+        "all",
+        "tractor",
+        "tractor-n-40",
+        "thm-1-1-n-40",
+        "prop-4-1-n-30",
+        "prop-1-3-n-30-d-12",
+        "prop-1-4-m-6",
+        "thm-1-2-then-all-then-thm-1-2",
+    ],
 )
 def test_exact_reports_are_byte_identical(capsys, runs):
     for argv, count, digest in runs:

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -125,6 +126,36 @@ def test_each_tolerance_bounds_exactly_its_rows(key):
     failed = [name for name, ok in report.assertions if not ok]
     assert sorted(failed) == sorted(expected)
     assert [(n, m, b) for b, n, m in _READS[:-1]] == list(BOUNDS)
+
+
+_FLAT_PAIR = [(1, Fraction(1)), (1, Fraction(-1))]
+
+
+@pytest.fixture(scope="module")
+def flat_pair_measured():
+    report = run_batch(_FLAT_PAIR, samples=1, seed=0)
+    assert report.passed
+    return report.witnesses[0]["maxima"], report.witnesses[0]["convergence_factor"]
+
+
+@pytest.mark.parametrize("key", sorted(DEFAULT_TOLERANCES))
+def test_each_bound_holds_at_equality_and_fails_one_float_past(flat_pair_measured, key):
+    # Every bound is inclusive: a tolerance equal to the value it is read
+    # against passes, and the next float past that value fails exactly the
+    # rows that read it.  On this pair r_symmetry and cross_block are 0.
+    maxima, conv = flat_pair_measured
+    if key.startswith("convergence_"):
+        names, value = ["stencil convergence factor is second order"], conv
+        past = math.nextafter(conv, math.inf if key == "convergence_low" else 0)
+    else:
+        rows = [(name, maximum) for bound, name, maximum in _READS if bound == key]
+        names, value = [name for name, _ in rows], maxima[rows[0][1]]
+        assert all(maxima[maximum] == value for _, maximum in rows)
+        past = math.nextafter(value, 0 if value > 0 else -1)
+    at_bound = run_batch(_FLAT_PAIR, samples=1, seed=0, tolerances={key: value})
+    assert at_bound.passed
+    beyond = run_batch(_FLAT_PAIR, samples=1, seed=0, tolerances={key: past})
+    assert sorted(name for name, ok in beyond.assertions if not ok) == sorted(names)
 
 
 def test_batch_determinism():
