@@ -77,7 +77,15 @@ def _residual(
         raise RingError(f"k must satisfy 1 <= k <= n+1, got k={k}, n={n}")
     if c1_power is None:
         c1_power = c.c1() ** k
-    return c.chern(k) - spherical_ratio(n, k) * c1_power
+    # Over one denominator: (den * c_k - C * c_1^k) / den with
+    # den = (n+2)^k and C = binom(n+2, k), one Fraction per term.
+    den, C = (n + 2) ** k, comb(n + 2, k)
+    merged = {e: den * x for e, x in c.chern(k).terms.items()}
+    for e, x in c1_power.terms.items():
+        merged[e] = merged.get(e, 0) - C * x
+    return c.ring._reduced(
+        {e: Fraction(x.numerator, x.denominator * den) for e, x in merged.items() if x}
+    )
 
 
 @lru_cache(maxsize=1)  # the most recent base only: a sweep visits each base once

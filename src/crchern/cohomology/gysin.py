@@ -19,12 +19,14 @@ membership uses, which refuses support outside the degree basis.
 
 Shared work: a sweep asks about the same cup matrix many times (every
 ``n >= k`` of a family, every Euler class of one base).  Membership over
-every domain and :func:`cokernel` take the cup matrix and its Smith
-form from :func:`factored_cup`, which keeps one ``(CupMatrix, (U, D, V))``
-per content key in a bounded LRU memo (``FACTORED_CUP_MEMO`` entries).
-The key is the coefficient domain, each generator's degree with its
-truncation capped at what degree ``k`` can reach, the terms of ``e``,
-and ``k``: together they fix both degree bases and every entry, so
+every domain and :func:`cokernel` take the cup matrix, its Smith form
+and its invariant factors from :func:`factored_cup`, which keeps one
+``(CupMatrix, (U, D, V), invariant factors)`` per content key in a
+bounded LRU memo (``FACTORED_CUP_MEMO`` entries).  The key is the
+coefficient domain, each generator's degree with its truncation capped
+at what degree ``k`` can reach, the terms of ``e`` (its
+:meth:`~crchern.cohomology.ring.RingElement.content_key`, built once per
+class), and ``k``: together they fix both degree bases and every entry, so
 CP^n and CP^(n+1) share their degree-k entries, and generator names do
 not matter.  The memo is a pure function of its key: it rebuilds the
 ring and ``e`` from it.  Over Z/m the factored matrix is the cup matrix
@@ -78,6 +80,10 @@ class CupMatrix:
     denominator_scale: int
 
 
+# A cup matrix, its Smith form and that form's invariant factors.
+FactoredCup = tuple[CupMatrix, SmithForm, tuple[int, ...]]
+
+
 def cup_matrix(ring: RingPresentation, e: RingElement, k: int) -> CupMatrix:
     """Matrix of ``x -> e * x`` from ``degree_basis(k-2)`` to ``degree_basis(k)``.
 
@@ -114,7 +120,7 @@ def cup_matrix(ring: RingPresentation, e: RingElement, k: int) -> CupMatrix:
 @lru_cache(maxsize=FACTORED_CUP_MEMO)
 def _factor(
     domain: CoefficientDomain, reach: tuple, terms: frozenset, k: int
-) -> tuple[CupMatrix, SmithForm]:
+) -> FactoredCup:
     # The ring and e are rebuilt from the key; a term of e above a capped
     # truncation cannot reach degree k, so dropping it changes no entry.
     degrees = [d for d, _ in reach]
@@ -136,18 +142,18 @@ def _factor(
             A.cols + n,
             tuple((*row, *(m * (i == j) for j in range(n))) for i, row in enumerate(A.entries)),
         )
-    return cup, smith_normal_form(A)
+    U, D, V = smith_normal_form(A)
+    return cup, (U, D, V), invariant_factors(D)
 
 
-def factored_cup(
-    ring: RingPresentation, e: RingElement, k: int
-) -> tuple[CupMatrix, SmithForm]:
-    """:func:`cup_matrix` and the ``(U, D, V)`` of its Smith form, shared by content.
+def factored_cup(ring: RingPresentation, e: RingElement, k: int) -> FactoredCup:
+    """:func:`cup_matrix`, its Smith form ``(U, D, V)`` and ``invariant_factors(D)``.
 
     Equal to a fresh ``cup_matrix(ring, e, k)`` and ``smith_normal_form``
     of its matrix, over Z/m of that matrix augmented with ``m`` times
-    the identity; the result is shared with every call of the same
-    content key (see the module docstring) and must not be mutated.
+    the identity, with the invariant factors of that form.  The result
+    is shared with every call of the same content key (see the module
+    docstring) and must not be mutated.
     ``e.ring != ring`` raises on every call, and so does an ``e`` that
     is not homogeneous of degree 2: the memo keeps no exception.
     """
@@ -158,7 +164,7 @@ def factored_cup(
         for g in ring.generators
     )
     try:
-        return _factor(ring.coefficients, reach, frozenset(e.terms.items()), k)
+        return _factor(ring.coefficients, reach, e.content_key(), k)
     except RingError as exc:  # the key has no generator names; name the class
         raise RingError(f"{exc}, got {e}") from None
 
@@ -226,7 +232,7 @@ def image_membership(
         return MembershipCertificate(0, preimage=ring.zero())
     (k,) = degrees
 
-    cup, (U, D, V) = factored_cup(ring, e, k)
+    cup, (U, D, V), factors = factored_cup(ring, e, k)
     b = _element_vector(beta, cup.basis_rows)
     # Clear target denominators; over Q membership is scale-invariant.
     b_scale = lcm(1, *(x.denominator for x in b))
@@ -240,7 +246,7 @@ def image_membership(
         return MembershipCertificate(
             k,
             residue=tuple(residue),
-            invariant_factors=invariant_factors(D),
+            invariant_factors=factors,
             denominator_scale=cup.denominator_scale,
         )
     # x = num / L solves A_int x = b_int; undo the two clearings,
@@ -258,7 +264,7 @@ def image_membership(
     return MembershipCertificate(
         k,
         preimage=ring._reduced(coeffs),
-        invariant_factors=invariant_factors(D),
+        invariant_factors=factors,
         denominator_scale=cup.denominator_scale,
     )
 
@@ -328,5 +334,5 @@ def cokernel(ring: RingPresentation, e: RingElement, k: int) -> CokernelData:
     """Invariant factors and basis classes of ``H^k / Im(. cup e)`` over Z."""
     if ring.coefficients.kind != "Z":
         raise RingError("cokernel computation requires integer coefficients")
-    cup, (U, D, _V) = factored_cup(ring, e, k)
-    return CokernelData(invariant_factors(D), cup.basis_rows, row_transform=U)
+    cup, (U, _D, _V), factors = factored_cup(ring, e, k)
+    return CokernelData(factors, cup.basis_rows, row_transform=U)

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import lcm, prod
+from operator import itemgetter, mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -274,13 +275,7 @@ class RingPresentation:
         return out
 
     def monomial_name(self, exps: ExponentVector) -> str:
-        parts = []
-        for e, g in zip(exps, self.generators):
-            if e == 1:
-                parts.append(g.name)
-            elif e > 1:
-                parts.append(f"{g.name}^{e}")
-        return "*".join(parts) if parts else "1"
+        return _monomial_name([g.name for g in self.generators], exps)
 
     # -- serialization ------------------------------------------------
 
@@ -348,6 +343,11 @@ class RingPresentation:
         return f"{self.coefficients}[{gens}]"
 
 
+def _monomial_name(names: list[str], exps: ExponentVector) -> str:
+    """``t^2*h`` for exponents ``(2, 1)`` on generators ``t, h``; ``1`` for none."""
+    return "*".join([n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e]) or "1"
+
+
 def _require_keys(doc: object, keys: tuple[str, ...], what: str) -> None:
     """Refuse anything but a mapping with exactly ``keys``."""
     if not isinstance(doc, Mapping):
@@ -402,10 +402,11 @@ class RingElement:
 
     Instances are immutable; every arithmetic operation returns a fresh
     reduced element.  Construct through :meth:`RingPresentation.element`
-    and friends rather than directly.
+    and friends rather than directly.  The third slot holds the content
+    key of :meth:`content_key` once it has been asked for.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_content_key")
 
     def __init__(
         self, ring: RingPresentation, terms: Mapping[ExponentVector, Coefficient]
@@ -437,7 +438,8 @@ class RingElement:
         )
 
     def degrees(self) -> list[int]:
-        return sorted({self.ring.monomial_degree(e) for e in self.terms})
+        degrees = [g.degree for g in self.ring.generators]
+        return sorted({sum(map(mul, e, degrees)) for e in self.terms})
 
     def coefficient(self, exps: ExponentVector) -> Coefficient:
         return self.terms.get(tuple(exps), 0)
@@ -581,22 +583,36 @@ class RingElement:
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.ring, tuple(sorted(self.terms.items()))))
+        return hash((self.ring, self.content_key()))
+
+    def content_key(self) -> frozenset:
+        """The terms as a hashable value, ``frozenset(terms.items())``, built once.
+
+        Equal elements of one ring have equal keys, however they were built.
+        """
+        try:
+            return self._content_key
+        except AttributeError:
+            key = frozenset(self.terms.items())
+            object.__setattr__(self, "_content_key", key)
+            return key
 
     def sorted_terms(self) -> Iterator[tuple[ExponentVector, Coefficient]]:
         """Terms by ascending degree, descending-lex within a degree."""
-        key = lambda item: (
-            self.ring.monomial_degree(item[0]),
-            tuple(-e for e in item[0]),
-        )
-        return iter(sorted(self.terms.items(), key=key))
+        # Descending-lex first; the stable sort by degree keeps that order
+        # within each degree.
+        degrees = [g.degree for g in self.ring.generators]
+        items = sorted(self.terms.items(), key=itemgetter(0), reverse=True)
+        items.sort(key=lambda item: sum(map(mul, item[0], degrees)))
+        return iter(items)
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        names = [g.name for g in self.ring.generators]
         chunks: list[str] = []
         for exps, coeff in self.sorted_terms():
-            mono = self.ring.monomial_name(exps)
+            mono = _monomial_name(names, exps)
             if mono == "1":
                 body = str(coeff)
             elif coeff == 1:

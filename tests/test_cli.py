@@ -1015,6 +1015,12 @@ GOLDEN_EXACT_REPORTS = [
         2,
         "41fe29c4c09b225f7ee2607986d631d35e364a2f4203457c3639f591dfd6c99b",
     ),
+    (
+        # the largest exact sweep: fake-projective-plane residuals up to k = 41
+        ["verify", "thm-1-2", "--n-max", "40"],
+        271,
+        "5cb2f50e00318f06c5814e43aadc11a8be9d3727a656864ffc6aa5ad9b25f706",
+    ),
 ]
 
 
@@ -1034,6 +1040,7 @@ GOLDEN_EXACT_REPORTS = [
         "prop-4-1-n-30",
         "prop-1-3-n-30-d-12",
         "prop-1-4-m-6",
+        "thm-1-2-n-max-40",
         "thm-1-2-then-all-then-thm-1-2",
     ],
 )

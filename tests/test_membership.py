@@ -194,7 +194,7 @@ class TestMembership:
 
 
 class TestSharedFactorization:
-    """One cup matrix and Smith form per content key, equal to fresh ones."""
+    """One cup matrix, Smith form and invariant factors per content key, equal to fresh ones."""
 
     @pytest.fixture(autouse=True)
     def empty_memo(self):
@@ -216,7 +216,8 @@ class TestSharedFactorization:
         e = coeffs[0] * ring.gen("t") + coeffs[1] * ring.gen("h")
         for k in range(0, 16, 2):
             fresh = cup_matrix(ring, e, k)
-            expected = (fresh, smith_normal_form(fresh.matrix))
+            U, D, V = smith_normal_form(fresh.matrix)
+            expected = (fresh, (U, D, V), invariant_factors(D))
             assert factored_cup(ring, e, k) == expected  # miss
             assert factored_cup(ring, e, k) == expected  # hit
         assert gysin._factor.cache_info().misses == 8
@@ -234,7 +235,8 @@ class TestSharedFactorization:
                     for i, row in enumerate(A.entries)
                 ]
             ) if A.rows else IntegerMatrix.zero(0, A.cols)
-            expected = (fresh, smith_normal_form(augmented))
+            U, D, V = smith_normal_form(augmented)
+            expected = (fresh, (U, D, V), invariant_factors(D))
             assert factored_cup(ring, e, k) == expected  # miss
             assert factored_cup(ring, e, k) == expected  # hit
         assert gysin._factor.cache_info().misses == 8
@@ -294,11 +296,50 @@ class TestSharedFactorization:
         ]
         results = [factored_cup(r, -2 * r.gen("t"), 6) for r in rings]
         assert gysin._factor.cache_info().misses == 3
-        for ring, (cup, snf) in zip(rings, results):
+        for ring, result in zip(rings, results):
             fresh = cup_matrix(ring, -2 * ring.gen("t"), 6)
-            assert (cup, snf) == (fresh, smith_normal_form(fresh.matrix))
+            U, D, V = smith_normal_form(fresh.matrix)
+            assert result == (fresh, (U, D, V), invariant_factors(D))
         # degree 6 is t^3, t*w in one ring and t^3 alone in the other
         assert results[0][0].basis_rows != results[1][0].basis_rows
+
+    def test_equal_classes_built_separately_share_an_entry(self):
+        # the memo key is the class's content, not the object that holds it
+        ring = make_ring([("t", 2, 4), ("h", 2, 3)], INTEGERS)
+        t, h = ring.gen("t"), ring.gen("h")
+        first = 2 * t - 3 * h
+        second = ring.element({(1, 0): 4, (0, 1): -3}) - t - t
+        assert first is not second and first == second
+        assert first.content_key() == second.content_key()
+        beta = t**2 + h**2
+        answer = image_membership(ring, first, beta).to_json_dict()
+        misses = gysin._factor.cache_info().misses
+        assert image_membership(ring, second, beta).to_json_dict() == answer
+        assert cokernel(ring, second, 4) == cokernel(ring, first, 4)
+        assert gysin._factor.cache_info().misses == misses == 1
+
+    @pytest.mark.parametrize(
+        "domain", [INTEGERS, RATIONALS, integers_mod(4), integers_mod(6)],
+        ids=["Z", "Q", "Z4", "Z6"],
+    )
+    def test_invariant_factors_are_those_of_a_fresh_smith_form(self, domain):
+        ring = make_ring([("t", 2, 3), ("h", 2, 4), ("w", 4, 2)], domain)
+        t, h, w = ring.gen("t"), ring.gen("h"), ring.gen("w")
+        e = 2 * t + 3 * h
+        for k, beta in ((2, t), (4, t * h + w), (6, h**3 + t * w), (8, t**2 * w)):
+            A = cup_matrix(ring, e, k).matrix
+            if domain.kind == "mod":  # the solve mod m factors [A | m I]
+                m = domain.modulus
+                A = IntegerMatrix.from_rows(
+                    [
+                        list(row) + [m if j == i else 0 for j in range(A.rows)]
+                        for i, row in enumerate(A.entries)
+                    ]
+                )
+            fresh = invariant_factors(smith_normal_form(A)[1])
+            assert image_membership(ring, e, beta).invariant_factors == fresh
+            if domain.kind == "Z":
+                assert cokernel(ring, e, k).invariant_factors == fresh
 
     def test_foreign_or_inhomogeneous_class_raises_on_every_call(self):
         ring = make_ring([("t", 2, 4)], INTEGERS)

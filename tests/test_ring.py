@@ -464,6 +464,91 @@ class TestDegreeBasisCache:
         assert a.to_json_dict() == fresh.to_json_dict()
 
 
+def _reference_str(el) -> str:
+    """The printer as it stood before per-element tables: a sort key of
+    ``(monomial_degree, negated exponents)`` and ``monomial_name`` per term."""
+    if not el.terms:
+        return "0"
+    ring = el.ring
+    items = sorted(
+        el.terms.items(),
+        key=lambda item: (ring.monomial_degree(item[0]), tuple(-e for e in item[0])),
+    )
+    chunks = []
+    for exps, coeff in items:
+        mono = ring.monomial_name(exps)
+        if mono == "1":
+            body = str(coeff)
+        elif coeff == 1:
+            body = mono
+        elif coeff == -1:
+            body = f"-{mono}"
+        else:
+            body = f"{coeff}*{mono}"
+        if not chunks:
+            chunks.append(body)
+        elif body.startswith("-"):
+            chunks.append(f"- {body[1:]}")
+        else:
+            chunks.append(f"+ {body}")
+    return " ".join(chunks)
+
+
+class TestPrinting:
+    # generators of degree 2 and 4: a^2 and b share degree 4, so the
+    # order within a degree is the descending-lex one, a^2 before b
+
+    def test_rational_coefficients(self):
+        ring = make_ring([("a", 2, 4), ("b", 4, 3)], RATIONALS)
+        a, b = ring.gen("a"), ring.gen("b")
+        cases = [
+            (
+                -(a**2) + Fraction(3, 2) * b + Fraction(-1, 3) + a * b
+                - Fraction(5, 7) * a**3,
+                "-1/3 - a^2 + 3/2*b - 5/7*a^3 + a*b",
+            ),
+            (Fraction(-2, 5) * a * b + b**2 - a + 7, "7 - a - 2/5*a*b + b^2"),
+            (-1 + a - a**2 * b, "-1 + a - a^2*b"),
+            (Fraction(1, 2) * b - b**2 * a + a**3 * b, "1/2*b + a^3*b - a*b^2"),
+            (ring.zero(), "0"),
+            (ring.one(), "1"),
+            (-ring.one(), "-1"),
+            (-a, "-a"),
+            (Fraction(-1, 2) * b**2, "-1/2*b^2"),
+        ]
+        for el, text in cases:
+            assert str(el) == text
+            assert [e for e, _ in el.sorted_terms()] == sorted(
+                el.terms, key=lambda e: (ring.monomial_degree(e), [-x for x in e])
+            )
+
+    def test_coefficients_mod_m(self):
+        ring = make_ring([("a", 2, 4), ("b", 4, 3)], integers_mod(6))
+        a, b = ring.gen("a"), ring.gen("b")
+        cases = [
+            (-(a**2) + 4 * b - 1 + a * b, "5 + 5*a^2 + 4*b + a*b"),
+            (5 * a**3 * b**2 + 2 - a * b - b, "2 + 5*b + 5*a*b + 5*a^3*b^2"),
+            (ring.scalar(-1) + 0 * a, "5"),
+            (-b * a**2 + 3 * b**2, "5*a^2*b + 3*b^2"),
+        ]
+        for el, text in cases:
+            assert str(el) == text
+
+    def test_degrees(self):
+        ring = make_ring([("a", 2, 4), ("b", 4, 3)], RATIONALS)
+        a, b = ring.gen("a"), ring.gen("b")
+        assert (3 + a**2 + b + a**3 * b).degrees() == [0, 4, 10]
+        assert ring.zero().degrees() == []
+
+    def test_matches_the_reference_printer(self):
+        rng = random.Random(20)
+        for _ in range(400):
+            ring = random_ring(rng, max_gens=4)
+            el = random_element(rng, ring, max_terms=8)
+            assert str(el) == _reference_str(el)
+            assert el.degrees() == sorted({ring.monomial_degree(e) for e in el.terms})
+
+
 class TestSerialization:
     def test_round_trip(self):
         for ring in (cp2_ring(), two_var_ring(), cp2_ring(integers_mod(6))):

@@ -17,6 +17,7 @@ from crchern.chern import (
     spherical_residual,
     verify_spherical_on_circle_bundle,
 )
+from crchern.chern import spherical
 from crchern.cohomology import (
     INTEGERS,
     RATIONALS,
@@ -74,6 +75,33 @@ def test_residual_nilsquare_footprint():
     res = spherical_residual(bundle, 3, 2)
     assert res == Fraction(1, 5) * t1 * t2
     assert not res.is_zero()
+
+
+def _spherical_bases(n_max):
+    for n in range(1, n_max + 1):
+        yield f"cp{n}", n, cpn_setup(n, 1).base_tangent
+        if n >= 2:
+            yield f"genus2-x-cp{n - 1}", n, genus2_times_cpn_setup(n).base_tangent
+        if n >= 4:  # the fake projective plane's 1/3 coefficients
+            yield f"fpp-x-cp{n - 2}", n, fpp_times_cpn_setup(n).base_tangent
+
+
+def test_residual_over_one_denominator_is_ring_arithmetic():
+    seen_fraction = False
+    for name, n, c in _spherical_bases(12):
+        table = spherical._residual_table(c, n)
+        assert [row[0] for row in table] == list(range(1, n + 2))
+        for k, row in zip(range(1, n + 2), table):
+            expected = c.chern(k) - spherical_ratio(n, k) * c.c1() ** k
+            for res in (spherical_residual(c, n, k), row[1]):
+                assert res == expected, (name, k)
+                assert res.terms == expected.terms, (name, k)
+                for x in res.terms.values():
+                    # int where the value is integral, Fraction otherwise
+                    assert type(x) is (int if x.denominator == 1 else Fraction)
+                    seen_fraction |= type(x) is Fraction
+            assert row[2] == str(expected)
+    assert seen_fraction
 
 
 def test_residual_requires_rational_ring():
