@@ -417,6 +417,11 @@ class RingElement:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RingElement is immutable")
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the checked constructor;
+        # the default slot restore would go through __setattr__ above.
+        return self.ring.element, (dict(self.terms),)
+
     # -- predicates and grading ---------------------------------------
 
     def is_zero(self) -> bool:

@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,11 +20,11 @@ from crchern.kahler import (
     space_form_curvature_oracle,
     symmetry_residuals,
 )
+from crchern.kahler import tensors
 from crchern.kahler.scenario import _cross_block_max
 from crchern.kahler.tensors import (
     _assemble_v,
     _curvature,
-    _holomorphic_split,
     _stencil_tables,
     _third_order_derivatives,
 )
@@ -40,6 +41,19 @@ def flat_pair():
 def mixed_pair():
     return KahlerProductPatch(
         (calibrate_space_form(1, 1), calibrate_space_form(2, -1))
+    )
+
+
+@pytest.fixture(scope="module")
+def three_factors():
+    # mixed signs and a middle factor of dim 2: each factor's x and y
+    # coordinates sit at different offsets in the patch's real layout
+    return KahlerProductPatch(
+        (
+            calibrate_space_form(1, 1),
+            calibrate_space_form(2, -1),
+            calibrate_space_form(1, Fraction(1, 2)),
+        )
     )
 
 
@@ -148,7 +162,9 @@ class TestMetric:
 
 
 def _reference_metric_derivatives(patch, z, step):
-    """The per-point double loop that the stacked stencil replaced."""
+    """The per-point double loop over the whole patch's real coordinates
+    ``x_1..x_n, y_1..y_n``, through ``metric_at``, turned into
+    ``(g, hol, anti, hmix)``."""
     n = patch.total_dim
     m = 2 * n
     x0 = np.concatenate([z.real, z.imag])
@@ -169,7 +185,20 @@ def _reference_metric_derivatives(patch, z, step):
                 - g(x0 - E[a] + E[b])
                 + g(x0 - E[a] - E[b])
             ) / (4 * step**2)
-    return g0, D1, D2
+    hol = 0.5 * (D1[:n] - 1j * D1[n:])
+    anti = 0.5 * (D1[:n] + 1j * D1[n:])
+    hmix = 0.25 * (D2[:n, :n] + D2[n:, n:] + 1j * (D2[:n, n:] - D2[n:, :n]))
+    return g0, hol, anti, hmix
+
+
+def _cross_factor_mask(patch, rank):
+    """True where the ``rank`` complex indices do not all lie in one factor."""
+    block_of = np.repeat(np.arange(len(patch.factors)), [f.dim for f in patch.factors])
+    first, *rest = np.ix_(*[block_of] * rank)
+    mask = np.zeros((len(block_of),) * rank, dtype=bool)
+    for grid in rest:
+        mask |= grid != first
+    return mask
 
 
 def _fresh_stencil_tables(m):
@@ -195,13 +224,16 @@ class TestStencil:
                 got[0] = 1
         assert len(tables[0]) == 1 + 2 * m + 2 * m * (m - 1)
 
-    def test_metric_derivatives_match_reference_loop(self, mixed_pair):
-        for z in mixed_pair.sample_points(3, seed=67):
-            got = metric_derivatives(mixed_pair, z)
-            want = _reference_metric_derivatives(mixed_pair, z, 1e-4)
-            for a, b in zip(got, want):
-                assert a.shape == b.shape
-                assert np.max(np.abs(a - b)) <= 1e-7
+    def test_metric_derivatives_match_reference_loop(self, mixed_pair, three_factors):
+        for patch in (mixed_pair, three_factors):
+            for z in patch.sample_points(3, seed=67):
+                got = metric_derivatives(patch, z)
+                want = _reference_metric_derivatives(patch, z, 1e-4)
+                for a, b in zip(got, want, strict=True):
+                    assert a.shape == b.shape
+                    assert np.max(np.abs(a - b)) <= 1e-7
+                    # per-factor stencils: cross-factor entries are exact zeros
+                    assert not np.any(a[_cross_factor_mask(patch, a.ndim)])
 
     def test_stacked_centres_match_single_centres(self, mixed_pair):
         points = mixed_pair.sample_points(2, seed=71)
@@ -233,17 +265,10 @@ class TestStencil:
         assert _cross_block_max(single, R) == 0.0
 
 
-def _three_operand_curvature(g, D1, D2):
+def _three_operand_curvature(g, hol, anti, hmix):
     """R with the connection term as one three-operand contraction, the
     O(n^6) form that the two-step assembly replaced."""
-    n = g.shape[-1]
     linv = levi_inverse(g)
-    hol, anti = _holomorphic_split(D1, n)
-    hmix = 0.25 * (
-        D2[..., :n, :n, :, :]
-        + D2[..., n:, n:, :, :]
-        + 1j * (D2[..., :n, n:, :, :] - D2[..., n:, :n, :, :])
-    )
     return -np.moveaxis(hmix, (-2, -1), (-4, -3)) + np.einsum(
         "...rs,...cas,...drb->...abcd", linv, hol, anti
     )
@@ -258,9 +283,9 @@ class TestCurvature:
             tuple(calibrate_space_form(d, (-1) ** i) for i, d in enumerate(dims))
         )
         centres = np.array(patch.sample_points(4, seed=79)).reshape(2, 2, -1)
-        g, D1, D2 = metric_derivatives(patch, centres)
-        R = _curvature(centres, g, D1, D2).R
-        want = _three_operand_curvature(g, D1, D2)
+        derivatives = metric_derivatives(patch, centres)
+        R = _curvature(centres, *derivatives).R
+        want = _three_operand_curvature(*derivatives)
         assert R.shape == want.shape == (2, 2) + (sum(dims),) * 4
         assert np.max(np.abs(R - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -356,8 +381,41 @@ class TestSchoutenAndChern:
 def v_tensor(patch, z):
     """``(T1, V)`` at ``z``, assembled from the third-order stencil."""
     t = point_tensors(patch, z)
-    dP, _dS, dScal = _third_order_derivatives(patch, z)
+    dP, _trace_dS, dScal = _third_order_derivatives(patch, z, t.linv)
     return _assemble_v(dP, dScal, t.gammas, t.P, t.g, patch.total_dim)
+
+
+def _assert_divergence_matches_full_gradient_of_s(dims, signs):
+    """div S = l^{r d-} grad_r S_{a b- c d-}, built from the whole array
+    d S, one +- pair of point_tensors per real direction, and the whole
+    n^5 array grad S: the streamed stencil stores neither."""
+    patch = KahlerProductPatch(
+        tuple(calibrate_space_form(d, s) for d, s in zip(dims, signs))
+    )
+    n = patch.total_dim
+    z = patch.sample_points(1, seed=83)[0]
+    t = point_tensors(patch, z)
+    h = tensors.THIRD_ORDER_STEP
+    x0 = np.concatenate([z.real, z.imag])
+    dS = np.empty((2 * n,) + (n,) * 4, dtype=complex)
+    for a in range(2 * n):
+        e = np.zeros(2 * n)
+        e[a] = h
+        S = [point_tensors(patch, x[:n] + 1j * x[n:]).S for x in (x0 + e, x0 - e)]
+        dS[a] = (S[0] - S[1]) / (2 * h)
+    dS_hol = 0.5 * (dS[:n] - 1j * dS[n:])
+    gamma_terms = np.einsum("sra,sbcd->rabcd", t.gammas, t.S) + np.einsum(
+        "src,absd->rabcd", t.gammas, t.S
+    )
+    want = np.einsum("rd,rabcd->abc", t.linv, dS_hol - gamma_terms)
+    # div S vanishes on space-form products, so the rounding of its
+    # summands, not its own size, sets the scale
+    scale = max(
+        np.max(np.abs(np.einsum("rd,rabcd->abc", t.linv, dS_hol))),
+        np.max(np.abs(np.einsum("rd,rabcd->abc", t.linv, gamma_terms))),
+    )
+    got = chern_divergence_residual(patch, t)["div_S"]
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
 class TestThirdOrder:
@@ -367,28 +425,21 @@ class TestThirdOrder:
         assert np.max(np.abs(T1)) < 1e-4
         assert np.max(np.abs(V)) < 1e-4
 
-    @pytest.mark.parametrize("dims,signs", [((1, 1), (1, 1)), ((1, 2), (1, 1)), ((2, 1), (1, -1))])
+    @pytest.mark.parametrize(
+        "dims,signs",
+        [((1, 1), (1, 1)), ((1, 2), (1, 1)), ((2, 1), (1, -1)), ((1, 2, 1), (1, -1, 1))],
+    )
     def test_divergence_matches_full_gradient_of_s(self, dims, signs):
-        # div S = l^{r d-} grad_r S_{a b- c d-}, built from the whole
-        # n^5 array grad S as the two-step trace no longer does
-        patch = KahlerProductPatch(
-            tuple(calibrate_space_form(d, s) for d, s in zip(dims, signs))
-        )
-        z = patch.sample_points(1, seed=83)[0]
-        t = point_tensors(patch, z)
-        _dP, dS_hol, _dScal = _third_order_derivatives(patch, z)
-        gamma_terms = np.einsum("sra,sbcd->rabcd", t.gammas, t.S) + np.einsum(
-            "src,absd->rabcd", t.gammas, t.S
-        )
-        want = np.einsum("rd,rabcd->abc", t.linv, dS_hol - gamma_terms)
-        # div S vanishes on space-form products, so the rounding of its
-        # summands, not its own size, sets the scale
-        scale = max(
-            np.max(np.abs(np.einsum("rd,rabcd->abc", t.linv, dS_hol))),
-            np.max(np.abs(np.einsum("rd,rabcd->abc", t.linv, gamma_terms))),
-        )
-        got = chern_divergence_residual(patch, t)["div_S"]
-        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        _assert_divergence_matches_full_gradient_of_s(dims, signs)
+
+    @pytest.mark.parametrize(
+        "dims,signs",
+        [((1, 1), (1, -1)), ((2, 2), (1, 1))],
+        ids=["2n=4: stacks of 3 and 1", "2n=8: stacks of 3, 3 and 2"],
+    )
+    def test_divergence_with_a_partial_last_stack(self, dims, signs, monkeypatch):
+        monkeypatch.setattr(tensors, "PAIRS_PER_STACK", 3)
+        _assert_divergence_matches_full_gradient_of_s(dims, signs)
 
     def test_divergence_identity_flat(self, flat_pair):
         for z in flat_pair.sample_points(3, seed=37):

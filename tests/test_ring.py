@@ -616,6 +616,31 @@ class TestSerialization:
         ring = RingPresentation.from_json_dict(doc)
         assert str(ring.coefficients) == "Z/5"
 
+    @pytest.mark.parametrize(
+        "domain", [RATIONALS, INTEGERS, integers_mod(6)], ids=["Q", "Z", "Z/6"]
+    )
+    def test_copy_deepcopy_and_pickle_round_trip(self, domain):
+        import copy
+        import pickle
+
+        ring = make_ring([("t", 2, 3), ("h", 2, 2)], domain)
+        half = Fraction(1, 2) if domain is RATIONALS else 5
+        x = ring.element({(0, 0): 3, (1, 1): half, (2, 0): -1})
+        for y in (
+            copy.copy(x),
+            copy.deepcopy(x),
+            pickle.loads(pickle.dumps(x)),
+            pickle.loads(pickle.dumps(x, protocol=0)),
+        ):
+            assert y is not x
+            assert y == x and y.ring == x.ring
+            assert hash(y) == hash(x)
+            assert str(y) == str(x)
+            assert_canonical(y)
+            with pytest.raises(AttributeError, match="immutable"):
+                y.terms = {}
+        assert copy.deepcopy(ring.zero()) == ring.zero()
+
     def test_malformed_document_rejected(self):
         with pytest.raises(RingError):
             RingPresentation.from_json_dict({"coefficients": "R", "generators": []})
