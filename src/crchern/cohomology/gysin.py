@@ -159,12 +159,8 @@ def factored_cup(ring: RingPresentation, e: RingElement, k: int) -> FactoredCup:
     """
     if e.ring != ring:
         raise RingError("class does not belong to the given ring")
-    reach = tuple(
-        (g.degree, max(1, min(g.truncation, k // g.degree + 1)))
-        for g in ring.generators
-    )
     try:
-        return _factor(ring.coefficients, reach, e.content_key(), k)
+        return _factor(ring.coefficients, ring.reach(k), e.content_key(), k)
     except RingError as exc:  # the key has no generator names; name the class
         raise RingError(f"{exc}, got {e}") from None
 
@@ -232,7 +228,7 @@ def image_membership(
         return MembershipCertificate(0, preimage=ring.zero())
     (k,) = degrees
 
-    cup, (U, D, V), factors = factored_cup(ring, e, k)
+    cup, (U, _D, V), factors = factored_cup(ring, e, k)
     b = _element_vector(beta, cup.basis_rows)
     # Clear target denominators; over Q membership is scale-invariant.
     b_scale = lcm(1, *(x.denominator for x in b))
@@ -241,7 +237,7 @@ def image_membership(
     )
 
     integral = ring.coefficients.kind != "Q"
-    residue, num, L = _back_substitute(U, D, V, b_int, integral=integral)
+    residue, num, L = _back_substitute(U, factors, V, b_int, integral=integral)
     if residue:
         return MembershipCertificate(
             k,

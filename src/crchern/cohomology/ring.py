@@ -166,6 +166,7 @@ class RingPresentation:
         names = [g.name for g in self.generators]
         if len(set(names)) != len(names):
             raise RingError(f"duplicate generator name in {_quote(names)}")
+        object.__setattr__(self, "_reach", {})  # degree -> reach(degree)
 
     # -- construction -------------------------------------------------
 
@@ -273,6 +274,20 @@ class RingPresentation:
         if k >= 0:
             rec(0, k, ())
         return out
+
+    def reach(self, k: int) -> tuple[tuple[int, int], ...]:
+        """``(degree, truncation)`` of each generator, the truncation capped
+        at ``k // degree + 1`` (and at least 1): what a monomial of degree
+        ``k`` can reach.  Built once per ``k`` and kept."""
+        try:
+            return self._reach[k]
+        except KeyError:
+            reach = tuple(
+                (g.degree, max(1, min(g.truncation, k // g.degree + 1)))
+                for g in self.generators
+            )
+            self._reach[k] = reach
+            return reach
 
     def monomial_name(self, exps: ExponentVector) -> str:
         return _monomial_name([g.name for g in self.generators], exps)

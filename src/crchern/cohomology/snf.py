@@ -177,13 +177,19 @@ def invariant_factors(D: IntegerMatrix) -> tuple[int, ...]:
 
 
 def _back_substitute(
-    U: IntegerMatrix, D: IntegerMatrix, V: IntegerMatrix, b: list[int], integral: bool
+    U: IntegerMatrix,
+    factors: tuple[int, ...],
+    V: IntegerMatrix,
+    b: list[int],
+    integral: bool,
 ) -> tuple[list[tuple[int, int, int]], list[int] | None, int]:
     """Solve ``A x = b`` from ``U A V = D`` in integers: ``(residue, num, L)``.
 
-    With ``y = U b``, the residue lists ``(i, y_i, d_i)`` in index order
-    for each ``y_i != 0`` beyond the rank (``d_i = 0``) and, when
-    ``integral``, each ``y_i`` not divisible by its pivot ``d_i``.  When
+    ``factors`` is ``invariant_factors(D)``: the pivots ``d_i`` are its
+    entries, and ``d_i = 0`` beyond it.  With ``y = U b``, the residue
+    lists ``(i, y_i, d_i)`` in index order for each ``y_i != 0`` beyond
+    the rank (``d_i = 0``) and, when ``integral``, each ``y_i`` not
+    divisible by its pivot ``d_i``.  When
     the residue is empty, ``x = num / L`` solves the system, where ``L``
     is the lcm of the pivots used and ``num = V z`` with
     ``z_i = y_i * (L // d_i)``; no ``Fraction`` is formed.  If
@@ -191,11 +197,10 @@ def _back_substitute(
     the residue is not empty, ``num`` is ``None`` and ``L`` is 1.
     """
     y = U.matvec(b)
-    diag = D.diagonal()
     residue = []
     pivots = []
     for i, yi in enumerate(y):
-        d = diag[i] if i < len(diag) else 0
+        d = factors[i] if i < len(factors) else 0
         if d == 0:
             if yi != 0:
                 residue.append((i, yi, 0))
@@ -226,7 +231,7 @@ def solve_integer_system(
         raise ValueError("right-hand side has the wrong length")
     _check_exact(b, "right-hand side entry")
     U, D, V = smith_normal_form(A)
-    residue, num, L = _back_substitute(U, D, V, b, integral=True)
+    residue, num, L = _back_substitute(U, invariant_factors(D), V, b, integral=True)
     if residue:
         return False, tuple(residue)
     return True, [v // L for v in num]

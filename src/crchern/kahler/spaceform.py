@@ -13,7 +13,7 @@ The constants have a closed form.  With ``b = a`` the metric is the
 identity at the origin, and along z_1 the entry is
 ``g_{1 1-} = a^2 / (a + c |z|^2)^2``, whose holomorphic sectional
 curvature at 0 is ``2c / a``; so ``a = b = 2`` (``POTENTIAL``).  That
-closed form is not trusted but verified once per factor: the exact
+closed form is not trusted but verified once per curvature: the exact
 oracle computes the holomorphic sectional curvature *from the metric
 by central finite differences under the package's curvature
 convention*, in exact rational arithmetic (the metric is a rational
@@ -38,6 +38,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -128,6 +129,7 @@ def _richardson(values: list[Fraction]) -> Fraction:
     return table[-1][0]
 
 
+@lru_cache(maxsize=64)
 def _hsc_at_origin_exact(a: Fraction, hsc: Fraction, depth: int = 8) -> Fraction:
     """Holomorphic sectional curvature at 0, by exact finite differences.
 
@@ -137,6 +139,12 @@ def _hsc_at_origin_exact(a: Fraction, hsc: Fraction, depth: int = 8) -> Fraction
     potential (the exact central differences are literally zero), so
     the inverse-metric term drops out exactly; the second derivatives
     are Richardson-extrapolated until successive levels agree.
+
+    The result is a pure function of its Fractions, so it is memoized:
+    factors that share a curvature share one oracle run.  An error
+    raised here is not memoized, and :func:`calibrate_space_form` gates
+    the memoized reading on every call, so a refused curvature is
+    refused every time.
     """
     b, c = a, hsc
     h0 = Fraction(1, 8)
@@ -183,10 +191,11 @@ def calibrate_space_form(dim: int, hsc: Fraction | int | str) -> SpaceFormFactor
     """The factor of curvature ``hsc``, its potential verified at the origin.
 
     The constants are the closed form ``a = b = POTENTIAL``; the exact
-    oracle is run once, and a residual above ``CALIBRATION_ABORT``
-    raises :class:`CalibrationError`: a convention error where the
-    oracle reads nearer ``-hsc`` than ``hsc``, an unresolved curvature
-    otherwise.  So does ``|hsc|`` outside the normal float range.
+    oracle is run once per curvature, and a residual above
+    ``CALIBRATION_ABORT`` raises :class:`CalibrationError`: a convention
+    error where the oracle reads nearer ``-hsc`` than ``hsc``, an
+    unresolved curvature otherwise.  So does ``|hsc|`` outside the
+    normal float range.
     """
     hsc = Fraction(hsc)
     if hsc == 0:

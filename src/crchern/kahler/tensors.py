@@ -39,13 +39,19 @@ construction, not by cancellation.  One batched assembly turns the
 derivatives of any stack of centres into R, Ric, Scal, P, S and the
 connection coefficients.  Every contraction there takes two operands,
 so the assembly is O(n^5) per centre: the connection term of R goes
-through ``Gamma^r_{c a} = l^{r s-} d_c g_{a s-}``.  The divergence
-stencil puts the +- centres of ``PAIRS_PER_STACK`` real directions
-through one assembly at a time, and adds each stack's share of
-``l^{r d-} d_r S`` to one ``(n, n, n)`` sum, so the ``2n n^4`` array of
-derivatives of S is never stored; ``l^{r d-}`` is contracted into Gamma
-before Gamma meets S.  The stencil's offset and index tables are built
-once per real dimension and shared read-only.
+through ``Gamma^r_{c a} = l^{r s-} d_c g_{a s-}``.  Each contraction
+is one batched matrix product (``@``, so BLAS), each outer product a
+rank-2 product or a broadcast, never an ``einsum`` loop; R and S are
+stored as ``[c, d, a, b]``, the layout of ``d d- g``, in which a trace
+over the first pair is a matrix-vector product, and the record holds
+``[a, b, c, d]`` views of them.
+
+The divergence stencil puts the +- centres of ``PAIRS_PER_STACK`` real
+directions through one assembly at a time, and adds each stack's share
+of ``l^{r d-} d_r S`` to one ``(n, n, n)`` sum, so the ``2n n^4`` array
+of derivatives of S is never stored; ``l^{r d-}`` is contracted into
+Gamma before Gamma meets S.  The stencil's offset and index tables are
+built once per real dimension and shared read-only.
 """
 
 from __future__ import annotations
@@ -62,9 +68,10 @@ METRIC_STEP = 1e-4
 THIRD_ORDER_STEP = 1e-3
 CONDITION_LIMIT = 1e8
 # Real directions, each a +- pair of centres, per stacked assembly of the
-# third-order stencil.  Larger stacks raise peak memory for little time:
-# a 3+3 scenario with 4 samples peaks at 32.7 MB RSS with 2 and at
-# 34.9 MB with all 12 directions in one stack.
+# third-order stencil.  Larger stacks raise peak memory for no time: a
+# 3+3 scenario with 4 samples peaks at 32.9 MB RSS with 2 and at 34.7 MB
+# with all 12 directions in one stack, and runs no faster (medians of 6
+# runs on a 2-core Xeon, one BLAS thread).
 PAIRS_PER_STACK = 2
 
 
@@ -195,35 +202,68 @@ class PointTensors:
     gammas: np.ndarray
 
 
+def _swap_pairs(x: np.ndarray) -> np.ndarray:
+    """The view ``x[..., c, d, a, b]`` of ``x[..., a, b, c, d]``; its own inverse.
+
+    The assembly stores R and S with the second pair first, the layout of
+    ``hmix``: there a first-pair trace is one matrix-vector product.
+    """
+    return x.swapaxes(-4, -2).swapaxes(-3, -1)
+
+
+def first_pair_trace(tensor4: np.ndarray, linv: np.ndarray) -> np.ndarray:
+    """``l^{a b-} T_{a b- c d-}``, with ``linv`` from :class:`PointTensors`.
+
+    Batched over the leading axes: one ``(c d) x (a b)`` matrix-vector
+    product per centre, without a copy when ``tensor4`` is stored as
+    ``[c, d, a, b]`` like the assembly's R and S.
+    """
+    n = linv.shape[-1]
+    lead = linv.shape[:-2]
+    # "...ab,...abcd->...cd"
+    flat = _swap_pairs(tensor4).reshape(lead + (n * n, n * n))
+    return (flat @ linv.reshape(lead + (n * n, 1))).reshape(lead + (n, n))
+
+
 def _curvature(
     z: np.ndarray, g: np.ndarray, hol: np.ndarray, anti: np.ndarray, hmix: np.ndarray
 ) -> PointTensors:
     """The curvature assembly, batched over the leading axes.
 
     Takes the centres ``z`` and their :func:`metric_derivatives`; every
-    field of the record is stacked like ``g``.
+    field of the record is stacked like ``g``.  Each contraction is one
+    batched matrix product, each outer product one broadcast or rank-2
+    product; ``R``, ``S`` and ``gammas`` are views of the layouts those
+    products write.
     """
     n = g.shape[-1]
+    lead = g.shape[:-2]
     linv = levi_inverse(g)
-    # Gamma^r_{c a} = l^{r s-} d_c g_{a s-}, then the connection term
-    # Gamma^r_{c a} d_d- g_{r b-}: two contractions, O(n^5) together.
-    gammas = np.einsum("...cs,...abs->...cab", linv, hol)
-    R = -np.moveaxis(hmix, (-2, -1), (-4, -3)) + np.einsum(
-        "...rca,...drb->...abcd", gammas, anti
-    )
-    ric = np.einsum("...ab,...abcd->...cd", linv, R)
-    scal = np.einsum("...cd,...cd->...", linv, ric).real
+    # Gamma^r_{c a} = l^{r s-} d_c g_{a s-}, stored as [c, a, r].
+    # "...cs,...abs->...cab"
+    gam = hol.reshape(lead + (n * n, n)) @ np.swapaxes(linv, -1, -2)
+    # The connection term Gamma^r_{c a} d_d- g_{r b-}, a (c a) x (d b)
+    # product: the O(n^5) step.  R is stored as [c, d, a, b].
+    # "...rca,...drb->...abcd"
+    conn = gam @ np.swapaxes(anti, -3, -2).reshape(lead + (n, n * n))
+    R = _swap_pairs(np.swapaxes(conn.reshape(lead + (n,) * 4), -3, -2) - hmix)
+    del conn  # one n^4 array fewer at the peak
+    ric = first_pair_trace(R, linv)
+    # "...cd,...cd->..."
+    scal = (linv.reshape(lead + (1, n * n)) @ ric.reshape(lead + (n * n, 1))).real[..., 0, 0]
     # Schouten P = (Ric - Scal/(2(n+1)) g) / (n+2), trace Scal/(2(n+1)),
     # and the trace-free part S of R, zero iff spherical (n >= 2).
-    P = (ric - np.asarray(scal)[..., None, None] / (2 * (n + 1)) * g) / (n + 2)
-    S = (
-        R
-        - np.einsum("...ab,...cd->...abcd", P, g)
-        - np.einsum("...cb,...ad->...abcd", P, g)
-        - np.einsum("...cd,...ab->...abcd", P, g)
-        - np.einsum("...ad,...cb->...abcd", P, g)
-    )
-    return PointTensors(z, g, linv, R, ric, scal, P, S, gammas)
+    P = (ric - scal[..., None, None] / (2 * (n + 1)) * g) / (n + 2)
+    # P_{a b-} g_{c d-} + P_{c d-} g_{a b-} at [c, d, a, b], one rank-2
+    # product; its [c, b, a, d] view is P_{c b-} g_{a d-} + P_{a d-} g_{c b-}.
+    # "...ab,...cd->...abcd" + "...cd,...ab->...abcd"
+    gp = np.stack([g.reshape(lead + (n * n,)), P.reshape(lead + (n * n,))], axis=-1)
+    pg = (gp @ np.swapaxes(gp[..., ::-1], -1, -2)).reshape(lead + (n,) * 4)
+    S = _swap_pairs(R) - pg
+    # "...cb,...ad->...abcd" + "...ad,...cb->...abcd"
+    S -= np.swapaxes(pg, -3, -1)
+    gammas = gam.reshape(lead + (n,) * 3).swapaxes(-3, -1).swapaxes(-2, -1)  # [r, c, a]
+    return PointTensors(z, g, linv, R, ric, scal, P, _swap_pairs(S), gammas)
 
 
 def curvature_at(
@@ -265,7 +305,7 @@ def _third_order_derivatives(
     x0 = _real_coords(z)
     dP = np.empty((m, n, n), dtype=complex)
     dScal = np.empty(m)
-    trace_dS = np.zeros((n, n, n), dtype=complex)
+    trace_dS = np.zeros((n, 1, n * n), dtype=complex)  # [c, 1, (a b)]
     weight = np.concatenate([np.full(n, 0.5), np.full(n, -0.5j)])
     lw = weight[:, None] * np.concatenate([linv, linv])  # [a, d]
     for lo in range(0, m, PAIRS_PER_STACK):
@@ -276,11 +316,13 @@ def _third_order_derivatives(
         t = _curvature(centres, *metric_derivatives(patch, centres))
         dP[a] = (t.P[:, 0] - t.P[:, 1]) / (2 * h)
         dScal[a] = (t.Scal[:, 0] - t.Scal[:, 1]) / (2 * h)
-        dS = (t.S[:, 0] - t.S[:, 1]) / (2 * h)
-        trace_dS += np.einsum("kd,kabcd->abc", lw[a], dS)
+        S = _swap_pairs(t.S)  # [direction, sign, c, d, a, b]
+        dS = (S[:, 0] - S[:, 1]) / (2 * h)
+        # "kd,kabcd->abc": for each direction k and row c, a (d) x (d, (a b)) product
+        trace_dS += (lw[a, None, None, :] @ dS.reshape(len(a), n, n, n * n)).sum(axis=0)
     dP_hol = 0.5 * (dP[:n] - 1j * dP[n:])  # [c, a, b]
     dScal_hol = 0.5 * (dScal[:n] - 1j * dScal[n:])
-    return dP_hol, trace_dS, dScal_hol
+    return dP_hol, trace_dS.reshape(n, n, n).transpose(1, 2, 0), dScal_hol
 
 
 def _assemble_v(dP_hol, dScal_hol, gammas, P, g, n):
@@ -289,12 +331,14 @@ def _assemble_v(dP_hol, dScal_hol, gammas, P, g, n):
     direction derivative.  ``T1_a`` is the gradient of the P-trace
     (a multiple of Scal) over ``n + 2``.
     """
-    grad_P = dP_hol - np.einsum("rca,rb->cab", gammas, P)
+    gam = gammas.transpose(1, 2, 0)  # Gamma^r_{c a} at [c, a, r]
+    # "rca,rb->cab"
+    grad_P = dP_hol - (gam.reshape(n * n, n) @ P).reshape(n, n, n)
     T1 = dScal_hol / (2 * (n + 1) * (n + 2))
     V = (
         1j * np.transpose(grad_P, (1, 2, 0))
-        - 1j * np.einsum("c,ab->abc", T1, g)
-        - 2j * np.einsum("a,cb->abc", T1, g)
+        - 1j * (g[:, :, None] * T1)  # "c,ab->abc"
+        - 2j * (T1[:, None, None] * g.T)  # "a,cb->abc"
     )
     return T1, V
 
@@ -313,12 +357,16 @@ def chern_divergence_residual(patch: KahlerProductPatch, t: PointTensors) -> dic
     n = patch.total_dim
     dP_hol, trace_dS, dScal_hol = _third_order_derivatives(patch, t.point, t.linv)
 
-    lg = np.einsum("rd,sra->sad", t.linv, t.gammas)
-    div_S = (
-        trace_dS
-        - np.einsum("sad,sbcd->abc", lg, t.S)
-        - np.einsum("scd,absd->abc", lg, t.S)
-    )
+    gam = t.gammas.transpose(1, 2, 0)  # Gamma^s_{r a} at [r, a, s]
+    S = _swap_pairs(t.S)  # S_{a b- c d-} at [c, d, a, b]
+    # lg[a, d, s] = l^{r d-} Gamma^s_{r a}: for each a, a (d, r) x (r, s) product
+    # "rd,sra->sad"
+    lg = t.linv.T @ np.swapaxes(gam, 0, 1)
+    # "sad,sbcd->abc": for each c, an (a, (d s)) x ((d s), b) product
+    first = lg.reshape(n, n * n) @ S.reshape(n, n * n, n)  # [c, a, b]
+    # "scd,absd->abc": one (c, (s d)) x ((s d), (a b)) product
+    second = np.swapaxes(lg, 1, 2).reshape(n, n * n) @ S.reshape(n * n, n * n)
+    div_S = (trace_dS.transpose(2, 0, 1) - first - second.reshape(n, n, n)).transpose(1, 2, 0)
 
     _T1, V = _assemble_v(dP_hol, dScal_hol, t.gammas, t.P, t.g, n)
     rhs = -n * 1j * V
@@ -361,8 +409,3 @@ def symmetry_residuals(R: np.ndarray) -> tuple[float, float]:
     first = float(np.max(np.abs(R - np.transpose(R, (2, 1, 0, 3)))))
     second = float(np.max(np.abs(R - np.transpose(R, (0, 3, 2, 1)))))
     return first, second
-
-
-def first_pair_trace(tensor4: np.ndarray, linv: np.ndarray) -> np.ndarray:
-    """``l^{a b-} T_{a b- c d-}``, with ``linv`` from :class:`PointTensors`."""
-    return np.einsum("ab,abcd->cd", linv, tensor4)

@@ -14,6 +14,15 @@ from crchern.kahler import (
 from crchern.kahler.spaceform import CALIBRATION_ABORT, POTENTIAL, _hsc_at_origin_exact
 
 
+@pytest.fixture
+def fresh_oracle():
+    """An empty oracle memo, before and after: a test that patches the
+    oracle's metric must see the oracle run, not a memoized result."""
+    _hsc_at_origin_exact.cache_clear()
+    yield
+    _hsc_at_origin_exact.cache_clear()
+
+
 @pytest.mark.parametrize("hsc", [1, -1, 2, Fraction(-3, 2), Fraction(1, 4)])
 def test_calibration_residual_below_gate(hsc):
     for dim in (1, 2):
@@ -116,7 +125,7 @@ def test_zero_curvature_rejected():
         calibrate_space_form(1, 0)
 
 
-def test_convention_mismatch_aborts(monkeypatch):
+def test_convention_mismatch_aborts(monkeypatch, fresh_oracle):
     # flip the sign of the curvature parameter inside the metric the
     # calibration oracle sees: no positive constant can then match, and
     # the abort path must fire rather than return a wrong factor
@@ -152,7 +161,7 @@ def test_curvature_beyond_the_float_range_refused(hsc):
         calibrate_space_form(1, hsc)
 
 
-def test_non_radial_entry_fails_the_mixed_stencil_check(monkeypatch):
+def test_non_radial_entry_fails_the_mixed_stencil_check(monkeypatch, fresh_oracle):
     # x*y vanishes on both axes, so only the mixed x-y stencil sees it
     from crchern.kahler import spaceform
 
@@ -188,7 +197,7 @@ WIDE_CURVATURES = [
 
 
 @pytest.mark.parametrize("hsc", WIDE_CURVATURES, ids=str)
-def test_closed_form_calibration_across_curvature(hsc, monkeypatch):
+def test_closed_form_calibration_across_curvature(hsc, monkeypatch, fresh_oracle):
     # a = b = 2 for every curvature: the gate passes, the metric along
     # z_1 is 1 / (1 + (hsc/2)|z|^2)^2, and the oracle runs once
     from crchern.kahler import spaceform
@@ -210,3 +219,39 @@ def test_closed_form_calibration_across_curvature(hsc, monkeypatch):
         z = np.array([radius * np.exp(0.7j)])
         expected = 1 / (1 + (c / 2) * radius**2) ** 2
         assert factor.metric(z)[0, 0].real == pytest.approx(expected, rel=1e-12)
+
+
+def test_bochner_products_runs_the_oracle_once_per_curvature(
+    monkeypatch, tmp_path, fresh_oracle
+):
+    # eight factors of two curvatures: two oracle runs, and every factor
+    # equals one calibrated from an empty memo
+    from crchern.cli import main
+    from crchern.kahler import scenario
+
+    factors = []
+    original = scenario.calibrate_space_form
+
+    def recorded(dim, hsc):
+        factors.append(original(dim, hsc))
+        return factors[-1]
+
+    monkeypatch.setattr(scenario, "calibrate_space_form", recorded)
+    out = tmp_path / "manifest.json"
+    argv = ["verify", "bochner-products", "--format", "json", "--no-timestamp"]
+    assert main([*argv, "--out", str(out)]) == 0
+    info = _hsc_at_origin_exact.cache_info()
+    assert len(factors) == 8
+    assert (info.misses, info.hits) == (2, 6)
+    for factor in factors:
+        _hsc_at_origin_exact.cache_clear()
+        assert calibrate_space_form(factor.dim, factor.hsc) == factor
+
+
+def test_refused_curvature_is_refused_on_every_call(fresh_oracle):
+    # the oracle's reading is memoized, the gate on it is not
+    for _ in range(3):
+        with pytest.raises(CalibrationError, match="cannot resolve"):
+            calibrate_space_form(1, 10**15)
+    info = _hsc_at_origin_exact.cache_info()
+    assert (info.misses, info.hits) == (1, 2)

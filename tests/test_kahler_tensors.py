@@ -1,5 +1,7 @@
+import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,10 @@ from crchern.kahler.tensors import (
     _stencil_tables,
     _third_order_derivatives,
 )
+
+# metric_derivatives of a seeded stack, as the per-factor stencil first
+# computed them; see test_metric_derivatives_are_pinned_bit_for_bit
+PINNED_METRIC_DERIVATIVES = Path(__file__).parent / "data" / "metric_derivatives_pinned.json"
 
 
 @pytest.fixture(scope="module")
@@ -213,7 +219,26 @@ def _fresh_stencil_tables(m):
     return np.array(rows), ia, ib
 
 
+def _complex_array(pairs):
+    """``[..., 2]`` nested lists of real and imaginary parts, read exactly."""
+    return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
+
+
 class TestStencil:
+    def test_metric_derivatives_are_pinned_bit_for_bit(self):
+        # Two centres of the 1+2 patch, drawn at seed 83 and rounded to
+        # multiples of 1/64, and a step of 2^-10: every stencil point, |z|^2
+        # and z_a conj(z_b) is then exact, and each value below is one
+        # correctly rounded operation after another, the same on every
+        # IEEE platform whatever its fused multiply-adds.
+        doc = json.loads(PINNED_METRIC_DERIVATIVES.read_text())
+        patch = KahlerProductPatch(
+            tuple(calibrate_space_form(d, Fraction(h)) for d, h in doc["factors"])
+        )
+        got = metric_derivatives(patch, _complex_array(doc["centres"]), doc["step"])
+        for name, value in zip(("g", "hol", "anti", "hmix"), got, strict=True):
+            assert np.array_equal(value, _complex_array(doc[name])), name
+
     @pytest.mark.parametrize("m", [2, 3, 6, 12])
     def test_cached_tables_match_fresh_ones_and_are_read_only(self, m):
         tables = _stencil_tables(m)
@@ -266,28 +291,53 @@ class TestStencil:
 
 
 def _three_operand_curvature(g, hol, anti, hmix):
-    """R with the connection term as one three-operand contraction, the
-    O(n^6) form that the two-step assembly replaced."""
+    """The assembly written with ``einsum`` throughout, R's connection
+    term as one three-operand contraction (the O(n^6) form)."""
+    n = g.shape[-1]
     linv = levi_inverse(g)
-    return -np.moveaxis(hmix, (-2, -1), (-4, -3)) + np.einsum(
+    R = -np.moveaxis(hmix, (-2, -1), (-4, -3)) + np.einsum(
         "...rs,...cas,...drb->...abcd", linv, hol, anti
     )
+    ric = np.einsum("...ab,...abcd->...cd", linv, R)
+    scal = np.einsum("...cd,...cd->...", linv, ric).real
+    P = (ric - scal[..., None, None] / (2 * (n + 1)) * g) / (n + 2)
+    S = (
+        R
+        - np.einsum("...ab,...cd->...abcd", P, g)
+        - np.einsum("...cb,...ad->...abcd", P, g)
+        - np.einsum("...cd,...ab->...abcd", P, g)
+        - np.einsum("...ad,...cb->...abcd", P, g)
+    )
+    gammas = np.einsum("...rs,...cas->...rca", linv, hol)
+    return {"gammas": gammas, "R": R, "Ric": ric, "Scal": scal, "P": P, "S": S}
 
 
 class TestCurvature:
     @pytest.mark.parametrize(
-        "dims", [(1,), (1, 1), (1, 2), (2, 2), (2, 3), (3, 3)], ids=lambda d: f"n={sum(d)}"
+        "dims",
+        [(1,), (1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4), (4, 4)],
+        ids=lambda d: f"n={sum(d)}",
     )
     def test_two_step_assembly_matches_three_operand_form(self, dims):
         patch = KahlerProductPatch(
             tuple(calibrate_space_form(d, (-1) ** i) for i, d in enumerate(dims))
         )
-        centres = np.array(patch.sample_points(4, seed=79)).reshape(2, 2, -1)
-        derivatives = metric_derivatives(patch, centres)
-        R = _curvature(centres, *derivatives).R
-        want = _three_operand_curvature(*derivatives)
-        assert R.shape == want.shape == (2, 2) + (sum(dims),) * 4
-        assert np.max(np.abs(R - want)) <= 1e-12 * np.max(np.abs(want))
+        n = sum(dims)
+        stack = np.array(patch.sample_points(4, seed=79)).reshape(2, 2, -1)
+        for centres in (stack[0, 1], stack):  # one centre, and a (2, 2) stack
+            derivatives = metric_derivatives(patch, centres)
+            got = _curvature(centres, *derivatives)
+            want = _three_operand_curvature(*derivatives)
+            lead = centres.shape[:-1]
+            assert got.R.shape == lead + (n,) * 4
+            # Scal and S vanish on the matched pairs, so their summands,
+            # Ric and R, set their rounding scale
+            summands = {"Scal": "Ric", "S": "R"}
+            for name, value in want.items():
+                assert getattr(got, name).shape == value.shape, name
+                scale = np.max(np.abs(want[summands.get(name, name)]))
+                err = np.max(np.abs(getattr(got, name) - value))
+                assert err <= 1e-12 * scale, name
 
     def test_matches_space_form_closed_form(self, mixed_pair):
         for z in mixed_pair.sample_points(10, seed=7):

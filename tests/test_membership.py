@@ -559,7 +559,7 @@ def _augmented_mod_solve(ring, e, beta):
     ]
     A = IntegerMatrix.from_rows(aug) if aug else IntegerMatrix.zero(0, cols + rows)
     U, D, V = smith_normal_form(A)
-    residue, num, L = _back_substitute(U, D, V, b, integral=True)
+    residue, num, L = _back_substitute(U, invariant_factors(D), V, b, integral=True)
     if residue:
         return tuple(residue), invariant_factors(D), None
     x = (v // L % m for v in num)

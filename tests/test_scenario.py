@@ -88,6 +88,37 @@ def test_flat_batch_passes():
     assert maxima["divergence_sides"] < 1e-3
 
 
+# Maxima of the 3+3 batch at seed 0 with 4 samples, to catch a wrong
+# kernel that still passes the bounds.  A maximum that finite-difference
+# truncation sets is pinned to 1e-6 relative.  Three are set by the
+# rounding of O(1) summands instead: rounding the metric's complex
+# products as a fused multiply-add does moves p_trace and s_trace by
+# 3.6e-4 relative and divergence by 9.1e-3, so those are pinned to 1e-2
+# and 1e-1, which other platforms can meet; they sit at least two orders of
+# magnitude inside their bounds (1e-9, 1e-6, 1e-3).
+_PINNED_3_3 = {
+    "s_inf": (2.6931660062527052e-08, 1e-6),
+    "curvature_rel_err": (2.265582104660974e-08, 1e-6),
+    "r_symmetry": (1.4423945548022338e-08, 1e-6),
+    "divergence_sides": (1.1306287593617291e-05, 1e-6),
+    "p_trace": (1.5841760888601912e-11, 1e-2),
+    "s_trace": (7.781847385243652e-12, 1e-2),
+    "divergence": (1.1608338480116578e-05, 1e-1),
+}
+
+
+def test_three_plus_three_maxima_are_pinned():
+    report = run_batch([(3, Fraction(1)), (3, Fraction(-1))], samples=4, seed=0)
+    assert report.passed
+    witness = report.witnesses[0]
+    maxima = witness["maxima"]
+    assert set(maxima) == {*_PINNED_3_3, "cross_block"}
+    assert maxima["cross_block"] == 0.0
+    for key, (value, rel) in _PINNED_3_3.items():
+        assert maxima[key] == pytest.approx(value, rel=rel, abs=0), key
+    assert witness["convergence_factor"] == pytest.approx(4.002997801413031, rel=1e-9, abs=0)
+
+
 def test_control_batch_fails_flatness_and_passes_as_control():
     factors = [(1, Fraction(1)), (1, Fraction(1))]
     flat_view = run_batch(factors, samples=6, seed=0)
