@@ -10,6 +10,7 @@ from crchern.kahler import (
     IllConditionedMetric,
     KahlerProductPatch,
     PatchDomainError,
+    SpaceFormFactor,
     calibrate_space_form,
     chern_divergence_residual,
     convergence_factor,
@@ -28,6 +29,7 @@ from crchern.kahler.tensors import (
     _assemble_v,
     _curvature,
     _stencil_tables,
+    _swap_pairs,
     _third_order_derivatives,
 )
 
@@ -274,6 +276,50 @@ class TestStencil:
         with pytest.raises(IllConditionedMetric):
             levi_inverse(np.stack([good, bad, good]))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [np.ones((2, 2)), np.diag([1.0, 1e-200])],
+        ids=["zero pivot", "inverse norm overflows"],
+    )
+    def test_singular_member_of_a_stack_detected(self, bad):
+        # IllConditionedMetric, not LAPACK's LinAlgError or an overflow warning
+        good = np.eye(2, dtype=complex)
+        with pytest.raises(IllConditionedMetric, match="^metric condition number inf$"):
+            levi_inverse(np.stack([good, bad.astype(complex)]))
+
+    def test_inverse_is_the_transposed_lapack_inverse(self, mixed_pair, three_factors):
+        # the condition check reads the inverse; it does not change its bits
+        rng = np.random.default_rng(89)
+        stacks = [
+            metric_at(p, np.array(p.sample_points(4, seed=89))) for p in (mixed_pair, three_factors)
+        ]
+        for n in (1, 2, 3, 6):
+            a = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
+            stacks.append(a @ np.swapaxes(a.conj(), -1, -2) + np.eye(n))
+        for g in stacks:
+            assert np.array_equal(levi_inverse(g), np.swapaxes(np.linalg.inv(g), -1, -2))
+
+    def test_condition_limit_refuses_whatever_the_2_norm_refuses(self):
+        # Hermitian positive matrices with 2-norm condition numbers from
+        # 1e6 to 1e10, on both sides of CONDITION_LIMIT
+        rng = np.random.default_rng(97)
+        refused_2 = refused = 0
+        for _ in range(400):
+            n = int(rng.integers(2, 7))
+            q, _r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            spread = rng.uniform(6, 10)
+            eigenvalues = 10.0 ** -np.concatenate([[0, spread], rng.uniform(0, spread, n - 2)])
+            g = (q * eigenvalues) @ q.conj().T
+            by_2_norm = np.linalg.cond(g) > tensors.CONDITION_LIMIT
+            try:
+                levi_inverse(g)
+            except IllConditionedMetric:
+                refused += 1
+            else:
+                assert not by_2_norm
+            refused_2 += by_2_norm
+        assert 100 < refused_2 <= refused < 300
+
     def test_cross_block_max_matches_elementwise_scan(self, mixed_pair):
         rng = np.random.default_rng(73)
         n = mixed_pair.total_dim
@@ -428,10 +474,42 @@ class TestSchoutenAndChern:
         assert np.max(np.abs(t.P)) < 1e-4
 
 
+def _whole_patch_third_order_derivatives(patch, z, linv):
+    """The third-order stencil as first streamed: every +- centre reruns
+    ``metric_derivatives`` over the whole patch, every factor's stencil."""
+    n = patch.total_dim
+    m = 2 * n
+    h = tensors.THIRD_ORDER_STEP
+    x0 = np.concatenate([z.real, z.imag])
+    dP = np.empty((m, n, n), dtype=complex)
+    dScal = np.empty(m)
+    trace_dS = np.zeros((n, 1, n * n), dtype=complex)
+    weight = np.concatenate([np.full(n, 0.5), np.full(n, -0.5j)])
+    lw = weight[:, None] * np.concatenate([linv, linv])
+    for lo in range(0, m, tensors.PAIRS_PER_STACK):
+        a = np.arange(lo, min(lo + tensors.PAIRS_PER_STACK, m))
+        e = h * np.eye(m)[a]
+        x = np.stack([x0 + e, x0 - e], axis=1)
+        centres = x[..., :n] + 1j * x[..., n:]
+        t = _curvature(centres, *metric_derivatives(patch, centres))
+        dP[a] = (t.P[:, 0] - t.P[:, 1]) / (2 * h)
+        dScal[a] = (t.Scal[:, 0] - t.Scal[:, 1]) / (2 * h)
+        S = _swap_pairs(t.S)  # [direction, sign, c, d, a, b]
+        dS = (S[:, 0] - S[:, 1]) / (2 * h)
+        trace_dS += (lw[a, None, None, :] @ dS.reshape(len(a), n, n, n * n)).sum(axis=0)
+    dP_hol = 0.5 * (dP[:n] - 1j * dP[n:])
+    dScal_hol = 0.5 * (dScal[:n] - 1j * dScal[n:])
+    return dP_hol, trace_dS.reshape(n, n, n).transpose(1, 2, 0), dScal_hol
+
+
+def _patch(dims, signs):
+    return KahlerProductPatch(tuple(calibrate_space_form(d, s) for d, s in zip(dims, signs)))
+
+
 def v_tensor(patch, z):
     """``(T1, V)`` at ``z``, assembled from the third-order stencil."""
     t = point_tensors(patch, z)
-    dP, _trace_dS, dScal = _third_order_derivatives(patch, z, t.linv)
+    dP, _trace_dS, dScal = _third_order_derivatives(patch, t)
     return _assemble_v(dP, dScal, t.gammas, t.P, t.g, patch.total_dim)
 
 
@@ -439,9 +517,7 @@ def _assert_divergence_matches_full_gradient_of_s(dims, signs):
     """div S = l^{r d-} grad_r S_{a b- c d-}, built from the whole array
     d S, one +- pair of point_tensors per real direction, and the whole
     n^5 array grad S: the streamed stencil stores neither."""
-    patch = KahlerProductPatch(
-        tuple(calibrate_space_form(d, s) for d, s in zip(dims, signs))
-    )
+    patch = _patch(dims, signs)
     n = patch.total_dim
     z = patch.sample_points(1, seed=83)[0]
     t = point_tensors(patch, z)
@@ -490,6 +566,65 @@ class TestThirdOrder:
     def test_divergence_with_a_partial_last_stack(self, dims, signs, monkeypatch):
         monkeypatch.setattr(tensors, "PAIRS_PER_STACK", 3)
         _assert_divergence_matches_full_gradient_of_s(dims, signs)
+
+    @pytest.mark.parametrize("pairs_per_stack", [2, 3], ids=["2 pairs", "3 pairs"])
+    @pytest.mark.parametrize(
+        "dims,signs",
+        [((1, 1), (1, -1)), ((1, 2), (1, -1)), ((3, 3), (1, -1)), ((1, 2, 1), (1, -1, 1))],
+        ids=["1+1", "1+2", "3+3", "1+2+1"],
+    )
+    def test_factor_local_stencil_matches_whole_patch_bit_for_bit(
+        self, dims, signs, pairs_per_stack, monkeypatch
+    ):
+        # At 3+3 the stacks (x3, x4) and (y3, y4) straddle the factor
+        # boundary; with 3 pairs per stack the last stack is partial.
+        monkeypatch.setattr(tensors, "PAIRS_PER_STACK", pairs_per_stack)
+        patch = _patch(dims, signs)
+        for z in patch.sample_points(2, seed=101):
+            t = point_tensors(patch, z)
+            got = _third_order_derivatives(patch, t)
+            want = _whole_patch_third_order_derivatives(patch, z, t.linv)
+            for name, a, b in zip(("dP_hol", "trace_dS", "dScal_hol"), got, want, strict=True):
+                assert np.array_equal(a, b), name
+
+    @pytest.mark.parametrize(
+        "dims,signs,points",
+        [((3, 3), (1, -1), 1752), ((1, 2, 1), (1, -1, 1), 336)],
+        ids=["3+3", "1+2+1"],
+    )
+    def test_stencil_evaluates_only_the_moved_factor(self, dims, signs, points, monkeypatch):
+        # Per factor of real dimension m_f: m_f directions, two centres
+        # each, 1 + 2 m_f^2 metric points per centre; the centre's own
+        # stencil comes with t and is not evaluated again.
+        patch = _patch(dims, signs)
+        z = patch.sample_points(1, seed=103)[0]
+        t = point_tensors(patch, z)
+        seen = []
+        metric = SpaceFormFactor.metric
+
+        def counted(factor, w):
+            seen.append((factor, np.asarray(w).reshape(-1, factor.dim)))
+            return metric(factor, w)
+
+        monkeypatch.setattr(SpaceFormFactor, "metric", counted)
+        chern_divergence_residual(patch, t)
+        assert sum(len(w) for _, w in seen) == points
+        assert points == sum(2 * (2 * d) * (1 + 2 * (2 * d) ** 2) for d in dims)
+        for f, s in zip(patch.factors, patch.slices()):
+            evaluated = np.concatenate([w for factor, w in seen if factor is f])
+            assert len(evaluated) == 2 * (2 * f.dim) * (1 + 2 * (2 * f.dim) ** 2)
+            assert not np.any(np.all(evaluated == z[s], axis=-1))
+
+    def test_stencil_leaving_a_chart_names_the_factor_and_an_outside_point(self):
+        # hsc = -2: the chart is |z| < 1.  point_tensors' stencil (step 1e-4)
+        # stays inside; the +x_2 centre of the third-order stencil does not.
+        patch = _patch((1, 1), (1, -2))
+        t = point_tensors(patch, np.array([0.1 + 0j, 1 - 5e-4 + 0j]))
+        message = r"^point \[(.+)\] outside chart of factor dim=1, hsc=-2$"
+        with pytest.raises(PatchDomainError, match=message) as caught:
+            chern_divergence_residual(patch, t)
+        named = complex(re.match(message, str(caught.value)).group(1))
+        assert abs(named) >= 1
 
     def test_divergence_identity_flat(self, flat_pair):
         for z in flat_pair.sample_points(3, seed=37):
