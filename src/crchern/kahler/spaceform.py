@@ -103,7 +103,9 @@ class SpaceFormFactor:
 # -- exact calibration oracle -------------------------------------------------
 
 
-def _g11_exact(a: Fraction, b: Fraction, c: Fraction, x: Fraction, y: Fraction) -> Fraction:
+def _g11_exact(
+    a: Fraction, b: Fraction, c: Fraction, x: Fraction | int, y: Fraction | int
+) -> Fraction:
     """Entry g_{1 1-} with z_1 = x + i y and all other coordinates zero.
 
     Along this line the entry is real: g_11 = f''(u) u + f'(u), u = x^2 + y^2.
@@ -114,19 +116,21 @@ def _g11_exact(a: Fraction, b: Fraction, c: Fraction, x: Fraction, y: Fraction) 
     return -a * c * u / denom**2 + a / denom
 
 
-def _richardson(values: list[Fraction]) -> Fraction:
-    """Extrapolate F(h), F(h/2), ... assuming an even-power error expansion."""
-    table = [list(values)]
-    for j in range(1, len(values)):
-        prev = table[-1]
+def _richardson_row(row: list[Fraction], value: Fraction) -> list[Fraction]:
+    """The next row of the Richardson tableau of F(h), F(h/2), ...,
+    assuming an even-power error expansion: ``row`` is the tableau's last
+    row (empty before the first level), ``value`` the new level's F, and
+    the new row's last entry the extrapolation through every level.
+
+    ``T[L][0] = F_L`` and ``T[L][j] = (4^j T[L][j-1] - T[L-1][j-1]) /
+    (4^j - 1)``: O(L) operations per level, not the O(L^2) of the whole
+    table, and the same Fraction.
+    """
+    new = [value]
+    for j, previous in enumerate(row, start=1):
         factor = 4**j
-        table.append(
-            [
-                (factor * prev[i + 1] - prev[i]) / (factor - 1)
-                for i in range(len(prev) - 1)
-            ]
-        )
-    return table[-1][0]
+        new.append((factor * new[-1] - previous) / (factor - 1))
+    return new
 
 
 @lru_cache(maxsize=64)
@@ -156,9 +160,9 @@ def _hsc_at_origin_exact(a: Fraction, hsc: Fraction, depth: int = 8) -> Fraction
     def g(x: Fraction, y: Fraction) -> Fraction:
         return _g11_exact(a, b, c, x, y)
 
-    zero = Fraction(0)
+    zero = 0  # an int: products with it on the axes are int, not Fraction, arithmetic
     g0 = g(zero, zero)
-    values: list[Fraction] = []
+    row: list[Fraction] = []
     result = None
     h = h0
     for level in range(depth):
@@ -173,9 +177,9 @@ def _hsc_at_origin_exact(a: Fraction, hsc: Fraction, depth: int = 8) -> Fraction
             raise CalibrationError("mixed stencil did not cancel; convention error")
         if (xp - xm) / (2 * h) != 0 or (yp - ym) / (2 * h) != 0:
             raise CalibrationError("first derivatives nonzero at the origin")
-        values.append((dxx + dyy) / 4)
+        row = _richardson_row(row, (dxx + dyy) / 4)
         if level >= 1:
-            new = _richardson(values)
+            new = row[-1]
             if result is not None and abs(new - result) < _EXTRAPOLATION_GOAL:
                 result = new
                 break

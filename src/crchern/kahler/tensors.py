@@ -37,28 +37,34 @@ and its blocks of ``g``, ``d g``, ``d- g`` and ``d d- g`` are scattered
 into block-diagonal arrays: cross-factor entries are zero by
 construction, not by cancellation.  One batched assembly turns the
 derivatives of any stack of centres into R, Ric, Scal, P, S and the
-connection coefficients.  Every contraction there takes two operands,
-so the assembly is O(n^5) per centre: the connection term of R goes
-through ``Gamma^r_{c a} = l^{r s-} d_c g_{a s-}``.  Each contraction
-is one batched matrix product (``@``, so BLAS), each outer product a
-rank-2 product or a broadcast, never an ``einsum`` loop; R and S are
-stored as ``[c, d, a, b]``, the layout of ``d d- g``, in which a trace
-over the first pair is a matrix-vector product, and the record holds
-``[a, b, c, d]`` views of them.
+connection coefficients: a Riemann step (``l^{a b-}``, Gamma, R, Ric,
+Scal), then the P and S step.  Every contraction there takes two
+operands, so the assembly is O(n^5) per centre: the connection term of
+R goes through ``Gamma^r_{c a} = l^{r s-} d_c g_{a s-}``.  Each
+contraction is one batched matrix product (``@``, so BLAS), each outer
+product a rank-2 product or a broadcast, never an ``einsum`` loop; R
+and S are stored as ``[c, d, a, b]``, the layout of ``d d- g``, in
+which a trace over the first pair is a matrix-vector product, and the
+record holds ``[a, b, c, d]`` views of them.
 
-The divergence stencil puts the +- centres of ``PAIRS_PER_STACK`` real
-directions through one assembly at a time, and adds each stack's share
-of ``l^{r d-} d_r S`` to one ``(n, n, n)`` sum, so the ``2n n^4`` array
-of derivatives of S is never stored; ``l^{r d-}`` is contracted into
-Gamma before Gamma meets S.  A real direction moves the coordinates of
-one factor, so at its two centres only that factor reruns its
-second-derivative stencil; every other factor's blocks are the
-centre's own, which :class:`PointTensors` carries from
-:func:`point_tensors`, bit for bit what a rerun would give.  A sample
-then costs ``sum_f 2 m_f (1 + 2 m_f^2)`` metric points over the factors'
-real dimensions ``m_f``, not ``4n`` centres of every factor's stencil
-(1,752 points, not 3,504, at 3+3).  The stencil's offset and index
-tables are built once per real dimension and shared read-only.
+The divergence stencil differences P, Scal and S at the +- centres of
+each real direction.  A real direction moves the coordinates of one
+factor ``k``, so at its centres every other factor's blocks of ``g``,
+R and Ric are the centre's own, bit for bit, and only block ``k``
+changes.  The stencil therefore works one factor at a time: the
+factor's second-derivative stencil at its moved centres
+(``PAIRS_PER_STACK`` directions per call), one Riemann step on block
+``k`` alone over all of them, and the full ``g``, Ric, Scal and P in
+closed form from the centre's values.  R's unmoved blocks cancel in the
+difference, so the R part of ``l^{r d-} d_r S`` lies in block ``k``;
+the four P g terms of S are contracted with the directions' weights
+before they are formed, one matrix product over the (direction, sign)
+axis.  No ``n^4`` array exists at a moved centre, and a moved centre
+costs O(n_k^5 + n^3), not the O(n^5) of a whole assembly; ``l^{r d-}``
+is contracted into Gamma before Gamma meets S.  A sample costs ``sum_f
+2 m_f (1 + 2 m_f^2)`` metric points over the factors' real dimensions
+``m_f`` (1,752 at 3+3).  The stencil's offset and index tables are
+built once per real dimension and shared read-only.
 """
 
 from __future__ import annotations
@@ -74,11 +80,12 @@ from .spaceform import SpaceFormFactor
 METRIC_STEP = 1e-4
 THIRD_ORDER_STEP = 1e-3
 CONDITION_LIMIT = 1e8
-# Real directions, each a +- pair of centres, per stacked assembly of the
-# third-order stencil.  Larger stacks raise peak memory for no time: a
-# 3+3 scenario with 4 samples peaks at 32.9 MB RSS with 2 and at 34.7 MB
-# with all 12 directions in one stack, and runs no faster (medians of 6
-# runs on a 2-core Xeon, one BLAS thread).
+# Real directions, each a +- pair of centres, per call of a factor's
+# second-derivative stencil in the third-order stencil: the bound on the
+# stencil buffer.  All of a factor's directions in one call run a 3+3
+# sample's stencil in 2.3-2.5 ms, not 2.9-3.1 ms, but raise the peak: a
+# single-sample 8+8 scenario peaks at 45 MB RSS with 2, 52 MB with 4 and
+# 85 MB with all 16 (2-core Xeon, one BLAS thread).
 PAIRS_PER_STACK = 2
 
 
@@ -187,13 +194,25 @@ def levi_inverse(g: np.ndarray) -> np.ndarray:
     below the 2-norm one, so the limit refuses at least what an SVD's
     condition number would.  An exactly singular member reads ``inf``.
     """
+    return _checked_inverse(g, 0.0, 0.0)
+
+
+def _checked_inverse(g: np.ndarray, g_others: float, inv_others: float) -> np.ndarray:
+    """:func:`levi_inverse` of one diagonal block ``g`` of a block-diagonal
+    metric whose other blocks, and their inverses, have the Frobenius norms
+    ``g_others`` and ``inv_others``: the condition number checked is the
+    whole metric's, ``hypot(|g|_F, g_others) hypot(|g^-1|_F, inv_others)``,
+    exactly :func:`levi_inverse`'s when both are 0.
+    """
     try:
         inv = np.linalg.inv(g)
     except np.linalg.LinAlgError:
         cond = np.inf
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            frobenius = np.linalg.norm(g, axis=(-2, -1)) * np.linalg.norm(inv, axis=(-2, -1))
+            frobenius = np.hypot(np.linalg.norm(g, axis=(-2, -1)), g_others) * np.hypot(
+                np.linalg.norm(inv, axis=(-2, -1)), inv_others
+            )
         cond = float(np.max(frobenius))
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise IllConditionedMetric(f"metric condition number {cond:.3e}")
@@ -204,18 +223,12 @@ def levi_inverse(g: np.ndarray) -> np.ndarray:
 class PointTensors:
     """All pointwise tensors at one centre, ``linv`` = ``l^{a b-}``.
 
-    ``hol``, ``anti`` and ``hmix`` are the :func:`metric_derivatives`
-    the tensors were assembled from, kept so that the divergence stencil
-    reuses the blocks of every factor its direction does not move.
     :func:`point_tensors` gives one point and a float ``Scal``; inside
-    the stencils each field is stacked over the centres.
+    :func:`_curvature` each field is stacked over the centres.
     """
 
     point: np.ndarray
     g: np.ndarray
-    hol: np.ndarray
-    anti: np.ndarray
-    hmix: np.ndarray
     linv: np.ndarray
     R: np.ndarray
     Ric: np.ndarray
@@ -248,45 +261,70 @@ def first_pair_trace(tensor4: np.ndarray, linv: np.ndarray) -> np.ndarray:
     return (flat @ linv.reshape(lead + (n * n, 1))).reshape(lead + (n, n))
 
 
+def _riemann(
+    g: np.ndarray,
+    hol: np.ndarray,
+    anti: np.ndarray,
+    hmix: np.ndarray,
+    others: tuple[float, float] = (0.0, 0.0),
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(linv, gam, R, Ric, Scal)`` from :func:`metric_derivatives`,
+    batched over the leading axes.
+
+    ``gam[..., c, a, r] = Gamma^r_{c a}`` and R is stored as ``[c, d,
+    a, b]``, the layout of ``hmix``.  ``others`` are the Frobenius norms
+    passed to :func:`_checked_inverse` when the derivatives are one block
+    of a block-diagonal metric.
+    """
+    n = g.shape[-1]
+    lead = g.shape[:-2]
+    linv = _checked_inverse(g, *others)
+    # Gamma^r_{c a} = l^{r s-} d_c g_{a s-}, stored as [c, a, r].
+    # "...cs,...abs->...cab"
+    gam = hol.reshape(lead + (n * n, n)) @ np.swapaxes(linv, -1, -2)
+    # The connection term Gamma^r_{c a} d_d- g_{r b-}, a (c a) x (d b)
+    # product: the O(n^5) step.
+    # "...rca,...drb->...abcd"
+    conn = gam @ np.swapaxes(anti, -3, -2).reshape(lead + (n, n * n))
+    R = np.swapaxes(conn.reshape(lead + (n,) * 4), -3, -2) - hmix  # [c, d, a, b]
+    del conn  # one n^4 array fewer at the peak
+    ric = first_pair_trace(_swap_pairs(R), linv)
+    # "...cd,...cd->..."
+    scal = (linv.reshape(lead + (1, n * n)) @ ric.reshape(lead + (n * n, 1))).real[..., 0, 0]
+    return linv, gam, R, ric, scal
+
+
+def _schouten(ric: np.ndarray, scal: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
+    """Schouten ``P = (Ric - Scal/(2(n+1)) g) / (n+2)``, trace ``Scal/(2(n+1))``."""
+    return (ric - scal[..., None, None] / (2 * (n + 1)) * g) / (n + 2)
+
+
 def _curvature(
     z: np.ndarray, g: np.ndarray, hol: np.ndarray, anti: np.ndarray, hmix: np.ndarray
 ) -> PointTensors:
     """The curvature assembly, batched over the leading axes.
 
     Takes the centres ``z`` and their :func:`metric_derivatives`; every
-    field of the record is stacked like ``g``.  Each contraction is one
-    batched matrix product, each outer product one broadcast or rank-2
-    product; ``R``, ``S`` and ``gammas`` are views of the layouts those
-    products write.
+    field of the record is stacked like ``g``.  :func:`_riemann` gives
+    R, Ric and Scal, then P and the trace-free part S of R, zero iff
+    spherical (n >= 2): each outer product one rank-2 product or
+    broadcast.  ``R``, ``S`` and ``gammas`` are views of the layouts
+    those products write.
     """
     n = g.shape[-1]
     lead = g.shape[:-2]
-    linv = levi_inverse(g)
-    # Gamma^r_{c a} = l^{r s-} d_c g_{a s-}, stored as [c, a, r].
-    # "...cs,...abs->...cab"
-    gam = hol.reshape(lead + (n * n, n)) @ np.swapaxes(linv, -1, -2)
-    # The connection term Gamma^r_{c a} d_d- g_{r b-}, a (c a) x (d b)
-    # product: the O(n^5) step.  R is stored as [c, d, a, b].
-    # "...rca,...drb->...abcd"
-    conn = gam @ np.swapaxes(anti, -3, -2).reshape(lead + (n, n * n))
-    R = _swap_pairs(np.swapaxes(conn.reshape(lead + (n,) * 4), -3, -2) - hmix)
-    del conn  # one n^4 array fewer at the peak
-    ric = first_pair_trace(R, linv)
-    # "...cd,...cd->..."
-    scal = (linv.reshape(lead + (1, n * n)) @ ric.reshape(lead + (n * n, 1))).real[..., 0, 0]
-    # Schouten P = (Ric - Scal/(2(n+1)) g) / (n+2), trace Scal/(2(n+1)),
-    # and the trace-free part S of R, zero iff spherical (n >= 2).
-    P = (ric - scal[..., None, None] / (2 * (n + 1)) * g) / (n + 2)
+    linv, gam, R, ric, scal = _riemann(g, hol, anti, hmix)
+    P = _schouten(ric, scal, g, n)
     # P_{a b-} g_{c d-} + P_{c d-} g_{a b-} at [c, d, a, b], one rank-2
     # product; its [c, b, a, d] view is P_{c b-} g_{a d-} + P_{a d-} g_{c b-}.
     # "...ab,...cd->...abcd" + "...cd,...ab->...abcd"
     gp = np.stack([g.reshape(lead + (n * n,)), P.reshape(lead + (n * n,))], axis=-1)
     pg = (gp @ np.swapaxes(gp[..., ::-1], -1, -2)).reshape(lead + (n,) * 4)
-    S = _swap_pairs(R) - pg
+    S = R - pg
     # "...cb,...ad->...abcd" + "...ad,...cb->...abcd"
     S -= np.swapaxes(pg, -3, -1)
     gammas = gam.reshape(lead + (n,) * 3).swapaxes(-3, -1).swapaxes(-2, -1)  # [r, c, a]
-    return PointTensors(z, g, hol, anti, hmix, linv, R, ric, scal, P, _swap_pairs(S), gammas)
+    return PointTensors(z, g, linv, _swap_pairs(R), ric, scal, P, _swap_pairs(S), gammas)
 
 
 def curvature_at(
@@ -309,76 +347,105 @@ def point_tensors(patch: KahlerProductPatch, z: np.ndarray) -> PointTensors:
     return replace(t, Scal=float(t.Scal))
 
 
-def _moved_derivatives(
-    patch: KahlerProductPatch, t: PointTensors, centres: np.ndarray, owner: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(g, hol, anti, hmix)`` at a ``[direction, sign]`` stack of
-    centres, direction ``k`` displacing a coordinate of factor
-    ``owner[k]`` only: that factor reruns its stencil at the direction's
-    centres, and every other block is the centre's own, from ``t``.
-    """
-    centre = (t.g, t.hol, t.anti, t.hmix)
-    g, hol, anti, hmix = stack = [np.empty(centres.shape[:-1] + c.shape, complex) for c in centre]
-    for full, c in zip(stack, centre):
-        full[...] = c
-    slices = patch.slices()
-    for k in sorted(set(owner.tolist())):  # np.unique would import numpy.ma
-        moved, s = np.flatnonzero(owner == k), slices[k]
-        fg, fhol, fanti, fhmix = _factor_derivatives(
-            patch.factors[k], centres[moved][..., s], METRIC_STEP
-        )
-        g[moved, :, s, s], hol[moved, :, s, s, s] = fg, fhol
-        anti[moved, :, s, s, s], hmix[moved, :, s, s, s, s] = fanti, fhmix
-    return g, hol, anti, hmix
-
-
 def _third_order_derivatives(
     patch: KahlerProductPatch, t: PointTensors
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Holomorphic-direction central differences of P and Scal, and the
     trace ``l^{r d-} d_r S_{a b- c d-}``, at the centre of ``t``.
 
-    ``t`` is ``point_tensors(patch, z)``.  Each real direction ``e_a``
-    has the two centres ``x0 +- h e_a`` (``h = THIRD_ORDER_STEP``).  A
-    direction moves the coordinates of the factor that owns it and no
-    other, so only that factor reruns its second-derivative stencil, at
-    the direction's two centres; every other factor's blocks of ``g``,
-    ``d g``, ``d- g`` and ``d d- g`` are copied from ``t``.  That is
-    exact: an unmoved coordinate is ``x0 + 0.0``, so its stencil points
-    are the centre's bit for bit, and ``point_tensors`` has already put
-    them through the factor's chart check.  ``PAIRS_PER_STACK``
-    directions at a time go through the curvature assembly as one
-    stack, and each stack adds its directions' share of the trace,
-    weight ``1/2`` for ``x_r`` and ``-i/2`` for ``y_r``, to one
-    ``(n, n, n)`` sum: ``d S`` itself is never stored.
+    ``t`` is ``point_tensors(patch, z)``.  Each real direction ``e_r``
+    has the two centres ``x0 +- h e_r`` (``h = THIRD_ORDER_STEP``), and
+    moves the coordinates of the factor ``k`` that owns it and no other.
+    At a moved centre every other factor's blocks of ``g``, R and Ric
+    are the centre's bit for bit (an unmoved coordinate is ``x0 +
+    0.0``), so the work goes one factor at a time, over its ``2 dim_k``
+    directions:
+
+    - its second-derivative stencil, ``PAIRS_PER_STACK`` directions per
+      call of :func:`_factor_derivatives`, which bounds the stencil
+      buffer; its chart check sees every point;
+    - one :func:`_riemann` step on block ``k`` alone over all the
+      factor's moved centres, O(n_k^5) each, its condition check
+      reading the whole moved metric's Frobenius number;
+    - ``g`` and Ric are the centre's with block ``k`` replaced,
+      ``Scal = sum_{f != k} Scal_f(centre) + Scal_k``, and P is formed
+      with the full ``n``: O(n^2) per centre;
+    - the difference quotients ``d P``, ``d Scal`` and ``d R`` of block
+      ``k``; R's other blocks cancel exactly, so the R part of the trace
+      lies in block ``k``;
+    - the four P g terms of S, each contracted with its direction's
+      weight (``1/2`` for ``x_r``, ``-i/2`` for ``y_r``, times
+      ``+-1/(2h) l^{r d-}``) before it is formed: ``u = w g`` and ``v =
+      w P``, then ``sum_j P_j (x) u_j + g_j (x) v_j`` is one matrix
+      product over the (direction, sign) axis, an ``(n^2, n_k)`` array,
+      and its ``a <-> c`` transpose gives the other two terms.
+
+    No ``n^4`` array exists at any moved centre: the cost is O(n_k^5 +
+    n^3) per moved centre.
     """
     n = patch.total_dim
-    m = 2 * n
     h = THIRD_ORDER_STEP
-    x0 = _real_coords(t.point)
-    # the factor that owns each real direction x_1..x_n, y_1..y_n
-    owner = np.tile(np.repeat(np.arange(len(patch.factors)), [f.dim for f in patch.factors]), 2)
-    dP = np.empty((m, n, n), dtype=complex)
-    dScal = np.empty(m)
-    trace_dS = np.zeros((n, 1, n * n), dtype=complex)  # [c, 1, (a b)]
-    weight = np.concatenate([np.full(n, 0.5), np.full(n, -0.5j)])
-    lw = weight[:, None] * np.concatenate([t.linv, t.linv])  # [a, d]
-    for lo in range(0, m, PAIRS_PER_STACK):
-        a = np.arange(lo, min(lo + PAIRS_PER_STACK, m))
-        e = h * np.eye(m)[a]
+    dP = np.empty((2 * n, n, n), dtype=complex)  # rows x_1..x_n, y_1..y_n
+    dScal = np.empty(2 * n)
+    trace_R = np.zeros((n, n, n), dtype=complex)  # [c, a, b]
+    pg = np.empty((n * n, n), dtype=complex)  # [(a b), c]
+    slices = patch.slices()
+    g_norm = [np.linalg.norm(t.g[s, s]) for s in slices]
+    inv_norm = [np.linalg.norm(t.linv[s, s]) for s in slices]
+    scal = [float((t.linv[s, s] * t.Ric[s, s]).sum().real) for s in slices]
+    for k, (f, s) in enumerate(zip(patch.factors, slices)):
+        nk = f.dim
+        m = 2 * nk
+        others = [j for j in range(len(slices)) if j != k]
+        rows = np.arange(s.start, s.stop)
+        rows = np.concatenate([rows, n + rows])  # x and y of block k
+        e = h * np.eye(m)
+        x0 = _real_coords(t.point[s])
         x = np.stack([x0 + e, x0 - e], axis=1)  # [direction, sign, coordinate]
-        centres = x[..., :n] + 1j * x[..., n:]
-        stacked = _curvature(centres, *_moved_derivatives(patch, t, centres, owner[a]))
-        dP[a] = (stacked.P[:, 0] - stacked.P[:, 1]) / (2 * h)
-        dScal[a] = (stacked.Scal[:, 0] - stacked.Scal[:, 1]) / (2 * h)
-        S = _swap_pairs(stacked.S)  # [direction, sign, c, d, a, b]
-        dS = (S[:, 0] - S[:, 1]) / (2 * h)
-        # "kd,kabcd->abc": for each direction k and row c, a (d) x (d, (a b)) product
-        trace_dS += (lw[a, None, None, :] @ dS.reshape(len(a), n, n, n * n)).sum(axis=0)
-        del stacked, S  # the stack's n^4 arrays go before the next stack's come
+        centres = x[..., :nk] + 1j * x[..., nk:]
+        derivatives = [np.empty((m, 2) + (nk,) * r, dtype=complex) for r in (2, 3, 3, 4)]
+        for lo in range(0, m, PAIRS_PER_STACK):
+            chunk = slice(lo, lo + PAIRS_PER_STACK)
+            for full, part in zip(derivatives, _factor_derivatives(f, centres[chunk], METRIC_STEP)):
+                full[chunk] = part
+        gk = derivatives[0]
+        others_norms = (
+            float(np.linalg.norm([g_norm[j] for j in others])),
+            float(np.linalg.norm([inv_norm[j] for j in others])),
+        )
+        _linv, _gam, Rk, ric_k, scal_k = _riemann(*derivatives, others=others_norms)
+        del derivatives
+        g = np.broadcast_to(t.g, (m, 2, n, n)).copy()
+        g[..., s, s] = gk
+        ric = np.broadcast_to(t.Ric, (m, 2, n, n)).copy()
+        ric[..., s, s] = ric_k
+        scal_moved = sum(scal[j] for j in others) + scal_k
+        P = _schouten(ric, scal_moved, g, n)
+        dP[rows] = (P[:, 0] - P[:, 1]) / (2 * h)
+        dScal[rows] = (scal_moved[:, 0] - scal_moved[:, 1]) / (2 * h)
+
+        # lw[j, d] = w_j l^{r_j d-}: direction j moves x or y of row r_j
+        weight = np.concatenate([np.full(nk, 0.5), np.full(nk, -0.5j)])
+        lw = weight[:, None] * np.concatenate([t.linv[s, s], t.linv[s, s]])
+        dR = (Rk[:, 0] - Rk[:, 1]) / (2 * h)  # [direction, c, d, a, b]
+        # "jd,jcdab->cab": for each direction and row c, a (d) x (d, (a b)) product
+        trace_R[s, s, s] = (
+            (lw[:, None, None, :] @ dR.reshape(m, nk, nk, nk * nk)).sum(axis=0).reshape((nk,) * 3)
+        )
+        del Rk, dR
+        # the weights carry the difference quotient's +-1/(2h)
+        lws = lw[:, None, :, None] * np.array([1, -1])[:, None, None] / (2 * h)
+        u = (gk @ lws)[..., 0]  # w_j g_{c d-} at [direction, sign, c]
+        v = (P[..., s, s] @ lws)[..., 0]  # w_j P_{c d-}
+        # "jab,jc->abc": P (x) u + g (x) v over the (direction, sign) axis j
+        X = np.concatenate([P.reshape(2 * m, n * n), g.reshape(2 * m, n * n)])
+        pg[:, s] = X.T @ np.concatenate([u.reshape(2 * m, nk), v.reshape(2 * m, nk)])
+    pg = pg.reshape(n, n, n)  # [a, b, c]
+    # S's P g terms: P_{a b-} g_{c d-} + P_{c d-} g_{a b-} + (a <-> c)
+    trace_dS = trace_R.transpose(1, 2, 0) - pg - pg.transpose(2, 1, 0)
     dP_hol = 0.5 * (dP[:n] - 1j * dP[n:])  # [c, a, b]
     dScal_hol = 0.5 * (dScal[:n] - 1j * dScal[n:])
-    return dP_hol, trace_dS.reshape(n, n, n).transpose(1, 2, 0), dScal_hol
+    return dP_hol, trace_dS, dScal_hol
 
 
 def _assemble_v(dP_hol, dScal_hol, gammas, P, g, n):

@@ -248,6 +248,53 @@ def test_bochner_products_runs_the_oracle_once_per_curvature(
         assert calibrate_space_form(factor.dim, factor.hsc) == factor
 
 
+def _full_table_oracle(a, hsc, depth=8):
+    """The calibration oracle as first written: ``Fraction(0)`` on the
+    axes, and the whole Richardson table rebuilt at every level."""
+    from crchern.kahler import spaceform
+
+    b, c = a, hsc
+    h = Fraction(1, 8)
+    while 4 * h * h >= b / abs(c):
+        h /= 2
+
+    def g(x, y):
+        return spaceform._g11_exact(a, b, c, x, y)
+
+    zero = Fraction(0)
+    g0 = g(zero, zero)
+    values, result = [], None
+    for level in range(depth):
+        dxx = (g(h, zero) - 2 * g0 + g(-h, zero)) / h**2
+        dyy = (g(zero, h) - 2 * g0 + g(zero, -h)) / h**2
+        values.append((dxx + dyy) / 4)
+        if level >= 1:
+            table = [values]
+            for j in range(1, len(values)):
+                prev = table[-1]
+                table.append(
+                    [(4**j * prev[i + 1] - prev[i]) / (4**j - 1) for i in range(len(prev) - 1)]
+                )
+            new = table[-1][0]
+            if result is not None and abs(new - result) < spaceform._EXTRAPOLATION_GOAL:
+                result = new
+                break
+            result = new
+        h /= 2
+    return -result / g0**2
+
+
+@pytest.mark.parametrize(
+    "hsc", ["1", "-1", "1/3", "-7/2", "100", "1/1000", "-1e6", "3e-9"], ids=str
+)
+def test_oracle_one_tableau_row_per_level_matches_the_full_table(hsc, fresh_oracle):
+    # exact arithmetic: one new row per level is the same Fraction
+    hsc = Fraction(hsc)
+    value = _hsc_at_origin_exact(POTENTIAL, hsc)
+    assert type(value) is Fraction
+    assert value == _full_table_oracle(POTENTIAL, hsc)
+
+
 def test_refused_curvature_is_refused_on_every_call(fresh_oracle):
     # the oracle's reading is memoized, the gate on it is not
     for _ in range(3):
