@@ -16,7 +16,7 @@ from functools import reduce
 from math import prod
 
 from ..cohomology.gysin import cokernel, image_membership
-from ..cohomology.ring import INTEGERS, RATIONALS, RingElement, RingError, make_ring
+from ..cohomology.ring import INTEGERS, RATIONALS, RingError, make_ring
 from .bundles import (
     BundleClass,
     _space_form_class,
@@ -93,7 +93,7 @@ def nilsquare_ring(m: int):
 # -- named checks -----------------------------------------------------------
 
 
-def check_thm_1_1(n: int, euler_override: RingElement | None = None) -> CheckReport:
+def check_thm_1_1(n: int) -> CheckReport:
     """Closed spherical CR manifold of dimension 2n+1 with c_1 != 0.
 
     Builds the circle bundle over (genus-2 surface) x CP^(n-1) and
@@ -101,13 +101,8 @@ def check_thm_1_1(n: int, euler_override: RingElement | None = None) -> CheckRep
     to a nonzero class, i.e. is not proportional to e = -2s - 2h.  In
     particular the total space admits no pseudo-Einstein contact form
     (such a form would force c_1 = 0 in real coefficients).
-
-    ``euler_override`` replaces the Euler class to exercise degenerate
-    controls; with e proportional to c_1 the check must fail.
     """
     setup = genus2_times_cpn_setup(n)
-    euler = setup.euler if euler_override is None else euler_override
-    setup = CircleBundleSetup(setup.base, euler, setup.base_tangent)
     beta = setup.base_tangent.c1()
     cert = image_membership(setup.base, setup.euler, beta)
     nonzero = not cert.member

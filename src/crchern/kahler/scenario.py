@@ -54,9 +54,9 @@ BOUNDS = (
     ("curvature symmetries hold", "r_symmetry", "r_symmetry"),
     ("Schouten trace identity holds", "p_trace", "p_trace"),
     ("Chern tensor is trace-free in the first pair", "s_trace", "s_trace"),
-    # Holds exactly by construction: each factor's metric derivatives come
-    # from its own stencil and enter block-diagonal arrays, so a nonzero
-    # cross-factor component can only come from a mis-indexed assembly.
+    # Holds exactly by construction: each factor's Riemann step assembles
+    # its own block of R, which is scattered into a zero array, so a nonzero
+    # cross-factor component can only come from a mis-indexed scatter.
     ("metric is block diagonal", "cross_block", "r_symmetry"),
     ("divergence identity residual is small", "divergence", "divergence"),
 )

@@ -45,6 +45,7 @@ import numpy as np
 POTENTIAL = Fraction(2)  # a = b = 2: identity metric and HSC = c at the origin
 CALIBRATION_ABORT = Fraction(1, 10**10)
 _EXTRAPOLATION_GOAL = Fraction(1, 10**16)
+_EXTRAPOLATION_DEPTH = 8  # Richardson levels at most, each halving the step
 
 
 class CalibrationError(RuntimeError):
@@ -95,9 +96,12 @@ class SpaceFormFactor:
             raise PatchDomainError(
                 f"point {point} outside chart of factor dim={self.dim}, hsc={self.hsc}"
             )
-        fp = (a / denom)[..., None, None]
-        fpp = (-a * c / denom**2)[..., None, None]
-        return fpp * (np.conj(z)[..., :, None] * z[..., None, :]) + fp * np.eye(self.dim)
+        # f'' conj(z) z^T, then f' on the diagonal: one (..., dim, dim) array
+        g = np.conj(z)[..., :, None] * z[..., None, :]
+        g *= (-a * c / denom**2)[..., None, None]
+        diagonal = np.arange(self.dim)
+        g[..., diagonal, diagonal] += (a / denom)[..., None]
+        return g
 
 
 # -- exact calibration oracle -------------------------------------------------
@@ -134,7 +138,7 @@ def _richardson_row(row: list[Fraction], value: Fraction) -> list[Fraction]:
 
 
 @lru_cache(maxsize=64)
-def _hsc_at_origin_exact(a: Fraction, hsc: Fraction, depth: int = 8) -> Fraction:
+def _hsc_at_origin_exact(a: Fraction, hsc: Fraction) -> Fraction:
     """Holomorphic sectional curvature at 0, by exact finite differences.
 
     Applies the package's curvature convention
@@ -165,7 +169,7 @@ def _hsc_at_origin_exact(a: Fraction, hsc: Fraction, depth: int = 8) -> Fraction
     row: list[Fraction] = []
     result = None
     h = h0
-    for level in range(depth):
+    for level in range(_EXTRAPOLATION_DEPTH):
         # the eight stencil points of this level, each evaluated once
         xp, xm, yp, ym = g(h, zero), g(-h, zero), g(zero, h), g(zero, -h)
         pp, pm, mp, mm = g(h, h), g(h, -h), g(-h, h), g(-h, -h)

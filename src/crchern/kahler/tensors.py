@@ -29,23 +29,25 @@ circle-bundle tensor (see :data:`crchern.kahler.scenario.CIRCLE_BUNDLE`).
 Third-derivative quantities (``grad P``, ``grad S``) use a larger step
 (``1e-3``) and correspondingly looser tolerances.
 
-The stencil, not the point, is the unit of metric evaluation.  A
-factor's metric block depends on that factor's coordinates alone, so
-each factor runs the second-derivative stencil in its own ``2 dim``
-real coordinates, all points of all centres in one call of its metric,
-and its blocks of ``g``, ``d g``, ``d- g`` and ``d d- g`` are scattered
-into block-diagonal arrays: cross-factor entries are zero by
-construction, not by cancellation.  One batched assembly turns the
-derivatives of any stack of centres into R, Ric, Scal, P, S and the
-connection coefficients: a Riemann step (``l^{a b-}``, Gamma, R, Ric,
-Scal), then the P and S step.  Every contraction there takes two
-operands, so the assembly is O(n^5) per centre: the connection term of
-R goes through ``Gamma^r_{c a} = l^{r s-} d_c g_{a s-}``.  Each
-contraction is one batched matrix product (``@``, so BLAS), each outer
-product a rank-2 product or a broadcast, never an ``einsum`` loop; R
-and S are stored as ``[c, d, a, b]``, the layout of ``d d- g``, in
-which a trace over the first pair is a matrix-vector product, and the
-record holds ``[a, b, c, d]`` views of them.
+The stencil, not the point, is the unit of metric evaluation, and the
+factor is the unit of assembly.  A factor's metric block depends on
+that factor's coordinates alone, so each factor runs the
+second-derivative stencil in its own ``2 dim`` real coordinates, all
+points of all centres in one call of its metric, and keeps its own
+blocks of ``g``, ``d g``, ``d- g`` and ``d d- g``: every cross-factor
+entry is zero by construction and none is stored.  The one curvature
+assembly inverts the whole metric once (:func:`levi_inverse`, the one
+inverse and condition check), runs one Riemann step (Gamma, R, Ric,
+Scal) on each factor's block of that inverse and of its derivatives,
+and scatters the blocks into zero arrays; P and S alone are formed over
+the whole patch.  Every contraction takes two operands, so a factor's
+step is O(n_k^5) per centre: the connection term of R goes through
+``Gamma^r_{c a} = l^{r s-} d_c g_{a s-}``.  Each contraction is one
+batched matrix product (``@``, so BLAS), each outer product a rank-2
+product or a broadcast, never an ``einsum`` loop; R and S are stored
+as ``[c, d, a, b]``, the layout of ``d d- g``, in which a trace over
+the first pair is a matrix-vector product, and the record holds ``[a,
+b, c, d]`` views of them.
 
 The divergence stencil differences P, Scal and S at the +- centres of
 each real direction.  A real direction moves the coordinates of one
@@ -53,18 +55,18 @@ factor ``k``, so at its centres every other factor's blocks of ``g``,
 R and Ric are the centre's own, bit for bit, and only block ``k``
 changes.  The stencil therefore works one factor at a time: the
 factor's second-derivative stencil at its moved centres
-(``PAIRS_PER_STACK`` directions per call), one Riemann step on block
-``k`` alone over all of them, and the full ``g``, Ric, Scal and P in
-closed form from the centre's values.  R's unmoved blocks cancel in the
-difference, so the R part of ``l^{r d-} d_r S`` lies in block ``k``;
-the four P g terms of S are contracted with the directions' weights
-before they are formed, one matrix product over the (direction, sign)
-axis.  No ``n^4`` array exists at a moved centre, and a moved centre
-costs O(n_k^5 + n^3), not the O(n^5) of a whole assembly; ``l^{r d-}``
-is contracted into Gamma before Gamma meets S.  A sample costs ``sum_f
-2 m_f (1 + 2 m_f^2)`` metric points over the factors' real dimensions
-``m_f`` (1,752 at 3+3).  The stencil's offset and index tables are
-built once per real dimension and shared read-only.
+(``PAIRS_PER_STACK`` directions per call), the inverse of the whole
+moved ``g``, one Riemann step on its block ``k`` over all of them, and
+the full Ric, Scal and P in closed form from the centre's values.  R's
+unmoved blocks cancel in the difference, so the R part of ``l^{r d-}
+d_r S`` lies in block ``k``; the four P g terms of S are contracted
+with the directions' weights before they are formed, one matrix
+product over the (direction, sign) axis.  No ``n^4`` array exists at a
+moved centre, which costs O(n_k^5 + n^3); ``l^{r d-}`` is contracted
+into Gamma before Gamma meets S.  A sample costs ``sum_f 2 m_f (1 + 2
+m_f^2)`` metric points over the factors' real dimensions ``m_f``
+(1,752 at 3+3).  The stencil's offset and index tables are built once
+per real dimension and shared read-only.
 """
 
 from __future__ import annotations
@@ -160,29 +162,20 @@ def _factor_derivatives(
 
 def metric_derivatives(
     patch: KahlerProductPatch, z: np.ndarray, step: float = METRIC_STEP
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(g, hol, anti, hmix)``: the metric and its complex derivatives.
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """One ``(g, hol, anti, hmix)`` per factor: its metric block and the
+    block's complex derivatives.
 
     ``hol[..., c, a, b] = d_c g_{a b-}``, ``anti[..., c, a, b] =
     d_c- g_{a b-}`` and ``hmix[..., c, d, a, b] = d_c d_d- g_{a b-}``,
-    by central differences of step ``step`` in the real coordinates.
-    A factor's block depends on that factor's coordinates alone, so each
-    factor runs its own stencil and its blocks are scattered into
-    block-diagonal arrays: every cross-factor entry is exactly zero.
+    by central differences of step ``step`` in the factor's real
+    coordinates (:func:`_factor_derivatives`).  A factor's block depends
+    on that factor's coordinates alone, so every cross-factor entry of
+    the whole metric's derivatives is exactly zero, and none is stored.
     ``z`` is one centre or a ``(..., n)`` stack of centres.
     """
     z = patch.coordinates(z)
-    n = patch.total_dim
-    lead = z.shape[:-1]
-    g = np.zeros(lead + (n, n), dtype=complex)
-    hol = np.zeros(lead + (n, n, n), dtype=complex)
-    anti = np.zeros(lead + (n, n, n), dtype=complex)
-    hmix = np.zeros(lead + (n, n, n, n), dtype=complex)
-    for f, s in zip(patch.factors, patch.slices()):
-        g[..., s, s], hol[..., s, s, s], anti[..., s, s, s], hmix[..., s, s, s, s] = (
-            _factor_derivatives(f, z[..., s], step)
-        )
-    return g, hol, anti, hmix
+    return [_factor_derivatives(f, z[..., s], step) for f, s in zip(patch.factors, patch.slices())]
 
 
 def levi_inverse(g: np.ndarray) -> np.ndarray:
@@ -194,25 +187,13 @@ def levi_inverse(g: np.ndarray) -> np.ndarray:
     below the 2-norm one, so the limit refuses at least what an SVD's
     condition number would.  An exactly singular member reads ``inf``.
     """
-    return _checked_inverse(g, 0.0, 0.0)
-
-
-def _checked_inverse(g: np.ndarray, g_others: float, inv_others: float) -> np.ndarray:
-    """:func:`levi_inverse` of one diagonal block ``g`` of a block-diagonal
-    metric whose other blocks, and their inverses, have the Frobenius norms
-    ``g_others`` and ``inv_others``: the condition number checked is the
-    whole metric's, ``hypot(|g|_F, g_others) hypot(|g^-1|_F, inv_others)``,
-    exactly :func:`levi_inverse`'s when both are 0.
-    """
     try:
         inv = np.linalg.inv(g)
     except np.linalg.LinAlgError:
         cond = np.inf
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            frobenius = np.hypot(np.linalg.norm(g, axis=(-2, -1)), g_others) * np.hypot(
-                np.linalg.norm(inv, axis=(-2, -1)), inv_others
-            )
+            frobenius = np.linalg.norm(g, axis=(-2, -1)) * np.linalg.norm(inv, axis=(-2, -1))
         cond = float(np.max(frobenius))
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise IllConditionedMetric(f"metric condition number {cond:.3e}")
@@ -262,23 +243,20 @@ def first_pair_trace(tensor4: np.ndarray, linv: np.ndarray) -> np.ndarray:
 
 
 def _riemann(
-    g: np.ndarray,
-    hol: np.ndarray,
-    anti: np.ndarray,
-    hmix: np.ndarray,
-    others: tuple[float, float] = (0.0, 0.0),
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(linv, gam, R, Ric, Scal)`` from :func:`metric_derivatives`,
-    batched over the leading axes.
+    linv: np.ndarray, hol: np.ndarray, anti: np.ndarray, hmix: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(gam, R, Ric, Scal)`` of one factor's block, batched over the
+    leading axes.
 
-    ``gam[..., c, a, r] = Gamma^r_{c a}`` and R is stored as ``[c, d,
-    a, b]``, the layout of ``hmix``.  ``others`` are the Frobenius norms
-    passed to :func:`_checked_inverse` when the derivatives are one block
-    of a block-diagonal metric.
+    ``linv`` is the factor's block of :func:`levi_inverse` of the whole
+    metric and ``hol``, ``anti``, ``hmix`` are the factor's
+    :func:`metric_derivatives`.  Both vanish off the block, so Gamma, R
+    and Ric do too, and Scal is a sum over the factors: O(n_k^5) per
+    centre.  ``gam[..., c, a, r] = Gamma^r_{c a}`` and R is stored as
+    ``[c, d, a, b]``, the layout of ``hmix``.
     """
-    n = g.shape[-1]
-    lead = g.shape[:-2]
-    linv = _checked_inverse(g, *others)
+    n = linv.shape[-1]
+    lead = linv.shape[:-2]
     # Gamma^r_{c a} = l^{r s-} d_c g_{a s-}, stored as [c, a, r].
     # "...cs,...abs->...cab"
     gam = hol.reshape(lead + (n * n, n)) @ np.swapaxes(linv, -1, -2)
@@ -291,7 +269,7 @@ def _riemann(
     ric = first_pair_trace(_swap_pairs(R), linv)
     # "...cd,...cd->..."
     scal = (linv.reshape(lead + (1, n * n)) @ ric.reshape(lead + (n * n, 1))).real[..., 0, 0]
-    return linv, gam, R, ric, scal
+    return gam.reshape(lead + (n,) * 3), R, ric, scal
 
 
 def _schouten(ric: np.ndarray, scal: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
@@ -300,20 +278,36 @@ def _schouten(ric: np.ndarray, scal: np.ndarray, g: np.ndarray, n: int) -> np.nd
 
 
 def _curvature(
-    z: np.ndarray, g: np.ndarray, hol: np.ndarray, anti: np.ndarray, hmix: np.ndarray
+    patch: KahlerProductPatch, z: np.ndarray, step: float = METRIC_STEP
 ) -> PointTensors:
-    """The curvature assembly, batched over the leading axes.
+    """The curvature assembly at the centres ``z``, batched over their
+    leading axes; every field of the record is stacked like ``z``.
 
-    Takes the centres ``z`` and their :func:`metric_derivatives`; every
-    field of the record is stacked like ``g``.  :func:`_riemann` gives
-    R, Ric and Scal, then P and the trace-free part S of R, zero iff
-    spherical (n >= 2): each outer product one rank-2 product or
-    broadcast.  ``R``, ``S`` and ``gammas`` are views of the layouts
-    those products write.
+    :func:`levi_inverse` inverts the whole metric, then :func:`_riemann`
+    runs on each factor's block of it and of :func:`metric_derivatives`,
+    and Gamma, R and Ric are scattered into zero arrays, their Scal
+    summed.  P and the trace-free part S of R, zero iff spherical
+    (n >= 2), are formed over the whole patch: each outer product one
+    rank-2 product or broadcast.  ``R``, ``S`` and ``gammas`` are views
+    of the layouts those products write.
     """
-    n = g.shape[-1]
-    lead = g.shape[:-2]
-    linv, gam, R, ric, scal = _riemann(g, hol, anti, hmix)
+    z = patch.coordinates(z)
+    n = patch.total_dim
+    lead = z.shape[:-1]
+    blocks = list(zip(patch.slices(), metric_derivatives(patch, z, step)))
+    g = np.zeros(lead + (n, n), dtype=complex)
+    for s, (gk, *_) in blocks:
+        g[..., s, s] = gk
+    linv = levi_inverse(g)
+    gam = np.zeros(lead + (n,) * 3, dtype=complex)  # [c, a, r]
+    R = np.zeros(lead + (n,) * 4, dtype=complex)  # [c, d, a, b]
+    ric = np.zeros(lead + (n, n), dtype=complex)
+    scal = 0.0
+    for s, (_gk, *derivatives) in blocks:
+        gam[..., s, s, s], R[..., s, s, s, s], ric[..., s, s], scal_k = _riemann(
+            linv[..., s, s], *derivatives
+        )
+        scal += scal_k
     P = _schouten(ric, scal, g, n)
     # P_{a b-} g_{c d-} + P_{c d-} g_{a b-} at [c, d, a, b], one rank-2
     # product; its [c, b, a, d] view is P_{c b-} g_{a d-} + P_{a d-} g_{c b-}.
@@ -323,7 +317,7 @@ def _curvature(
     S = R - pg
     # "...cb,...ad->...abcd" + "...ad,...cb->...abcd"
     S -= np.swapaxes(pg, -3, -1)
-    gammas = gam.reshape(lead + (n,) * 3).swapaxes(-3, -1).swapaxes(-2, -1)  # [r, c, a]
+    gammas = gam.swapaxes(-3, -1).swapaxes(-2, -1)  # [r, c, a]
     return PointTensors(z, g, linv, _swap_pairs(R), ric, scal, P, _swap_pairs(S), gammas)
 
 
@@ -331,7 +325,7 @@ def curvature_at(
     patch: KahlerProductPatch, z: np.ndarray, step: float = METRIC_STEP
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Curvature ``R[a,b,c,d]`` plus its Ricci and scalar contractions."""
-    t = _curvature(z, *metric_derivatives(patch, z, step))
+    t = _curvature(patch, z, step)
     return t.R, t.Ric, float(t.Scal)
 
 
@@ -343,7 +337,7 @@ def point_tensors(patch: KahlerProductPatch, z: np.ndarray) -> PointTensors:
         raise PatchDomainError(
             f"point has {z.shape} coordinates, patch needs {patch.total_dim}"
         )
-    t = _curvature(z, *metric_derivatives(patch, z))
+    t = _curvature(patch, z)
     return replace(t, Scal=float(t.Scal))
 
 
@@ -364,12 +358,14 @@ def _third_order_derivatives(
     - its second-derivative stencil, ``PAIRS_PER_STACK`` directions per
       call of :func:`_factor_derivatives`, which bounds the stencil
       buffer; its chart check sees every point;
-    - one :func:`_riemann` step on block ``k`` alone over all the
-      factor's moved centres, O(n_k^5) each, its condition check
-      reading the whole moved metric's Frobenius number;
-    - ``g`` and Ric are the centre's with block ``k`` replaced,
-      ``Scal = sum_{f != k} Scal_f(centre) + Scal_k``, and P is formed
-      with the full ``n``: O(n^2) per centre;
+    - ``g`` is the centre's with block ``k`` replaced, and
+      :func:`levi_inverse` inverts and checks it whole: O(n^3) per
+      centre;
+    - one :func:`_riemann` step on block ``k`` of that inverse alone
+      over all the factor's moved centres, O(n_k^5) each;
+    - Ric is the centre's with block ``k`` replaced, ``Scal = sum_{f !=
+      k} Scal_f(centre) + Scal_k``, and P is formed with the full ``n``:
+      O(n^2) per centre;
     - the difference quotients ``d P``, ``d Scal`` and ``d R`` of block
       ``k``; R's other blocks cancel exactly, so the R part of the trace
       lies in block ``k``;
@@ -390,13 +386,10 @@ def _third_order_derivatives(
     trace_R = np.zeros((n, n, n), dtype=complex)  # [c, a, b]
     pg = np.empty((n * n, n), dtype=complex)  # [(a b), c]
     slices = patch.slices()
-    g_norm = [np.linalg.norm(t.g[s, s]) for s in slices]
-    inv_norm = [np.linalg.norm(t.linv[s, s]) for s in slices]
     scal = [float((t.linv[s, s] * t.Ric[s, s]).sum().real) for s in slices]
     for k, (f, s) in enumerate(zip(patch.factors, slices)):
         nk = f.dim
         m = 2 * nk
-        others = [j for j in range(len(slices)) if j != k]
         rows = np.arange(s.start, s.stop)
         rows = np.concatenate([rows, n + rows])  # x and y of block k
         e = h * np.eye(m)
@@ -409,17 +402,13 @@ def _third_order_derivatives(
             for full, part in zip(derivatives, _factor_derivatives(f, centres[chunk], METRIC_STEP)):
                 full[chunk] = part
         gk = derivatives[0]
-        others_norms = (
-            float(np.linalg.norm([g_norm[j] for j in others])),
-            float(np.linalg.norm([inv_norm[j] for j in others])),
-        )
-        _linv, _gam, Rk, ric_k, scal_k = _riemann(*derivatives, others=others_norms)
-        del derivatives
         g = np.broadcast_to(t.g, (m, 2, n, n)).copy()
         g[..., s, s] = gk
+        _gam, Rk, ric_k, scal_k = _riemann(levi_inverse(g)[..., s, s], *derivatives[1:])
+        del derivatives
         ric = np.broadcast_to(t.Ric, (m, 2, n, n)).copy()
         ric[..., s, s] = ric_k
-        scal_moved = sum(scal[j] for j in others) + scal_k
+        scal_moved = sum(scal[j] for j in range(len(slices)) if j != k) + scal_k
         P = _schouten(ric, scal_moved, g, n)
         dP[rows] = (P[:, 0] - P[:, 1]) / (2 * h)
         dScal[rows] = (scal_moved[:, 0] - scal_moved[:, 1]) / (2 * h)

@@ -11,6 +11,8 @@ from crchern.chern import (
     fpp_times_cpn_setup,
     genus2_times_cpn_setup,
 )
+from crchern.chern import checks
+from crchern.chern.spherical import CircleBundleSetup
 from crchern.cli import _report_markdown
 from crchern.cohomology import RingError, image_membership
 
@@ -46,10 +48,16 @@ class TestThm11:
         report = check_thm_1_1(5)
         assert report.witnesses[0]["c1_base_tangent"] == "-2*s + 5*h"
 
-    def test_degenerate_control_fails(self):
-        setup = genus2_times_cpn_setup(2)
-        report = check_thm_1_1(2, euler_override=setup.base_tangent.c1())
+    def test_degenerate_control_fails(self, monkeypatch):
+        # the same base with e = c_1 of its tangent bundle: c_1 pulls back to 0
+        def degenerate(n):
+            setup = genus2_times_cpn_setup(n)
+            return CircleBundleSetup(setup.base, setup.base_tangent.c1(), setup.base_tangent)
+
+        monkeypatch.setattr(checks, "genus2_times_cpn_setup", degenerate)
+        report = check_thm_1_1(2)
         assert not report.passed
+        assert report.witnesses[0]["euler"] == "-2*s + 2*h"
 
     def test_small_n_rejected(self):
         with pytest.raises(RingError):

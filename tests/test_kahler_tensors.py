@@ -209,6 +209,26 @@ def _cross_factor_mask(patch, rank):
     return mask
 
 
+RANKS = (2, 3, 3, 4)  # complex indices of g, hol, anti and hmix
+
+
+def _block(x, s, rank):
+    """The factor block ``s`` of the last ``rank`` axes of ``x``."""
+    return x[(Ellipsis,) + (s,) * rank]
+
+
+def _scatter(patch, blocks):
+    """The whole patch's ``(g, hol, anti, hmix)`` from the per-factor
+    ``metric_derivatives``, zero across factors."""
+    n = patch.total_dim
+    lead = blocks[0][0].shape[:-2]
+    whole = [np.zeros(lead + (n,) * r, dtype=complex) for r in RANKS]
+    for s, block in zip(patch.slices(), blocks, strict=True):
+        for w, b, r in zip(whole, block, RANKS):
+            _block(w, s, r)[...] = b
+    return whole
+
+
 def _fresh_stencil_tables(m):
     """The stencil written out pair by pair, sign block by sign block."""
     eye = np.eye(m)
@@ -238,8 +258,11 @@ class TestStencil:
             tuple(calibrate_space_form(d, Fraction(h)) for d, h in doc["factors"])
         )
         got = metric_derivatives(patch, _complex_array(doc["centres"]), doc["step"])
-        for name, value in zip(("g", "hol", "anti", "hmix"), got, strict=True):
-            assert np.array_equal(value, _complex_array(doc[name])), name
+        for i, (name, rank) in enumerate(zip(("g", "hol", "anti", "hmix"), RANKS)):
+            want = _complex_array(doc[name])
+            assert not np.any(want[:, _cross_factor_mask(patch, rank)]), name
+            for s, blocks in zip(patch.slices(), got, strict=True):
+                assert np.array_equal(blocks[i], _block(want, s, rank)), name
 
     @pytest.mark.parametrize("m", [2, 3, 6, 12])
     def test_cached_tables_match_fresh_ones_and_are_read_only(self, m):
@@ -256,18 +279,24 @@ class TestStencil:
             for z in patch.sample_points(3, seed=67):
                 got = metric_derivatives(patch, z)
                 want = _reference_metric_derivatives(patch, z, 1e-4)
-                for a, b in zip(got, want, strict=True):
-                    assert a.shape == b.shape
-                    assert np.max(np.abs(a - b)) <= 1e-7
-                    # per-factor stencils: cross-factor entries are exact zeros
-                    assert not np.any(a[_cross_factor_mask(patch, a.ndim)])
+                for b, rank in zip(want, RANKS, strict=True):
+                    # the per-factor stencils store no cross-factor entry, so
+                    # they read 0: the loop's mixed differences across two
+                    # factors cancel only up to rounding
+                    assert np.max(np.abs(b[_cross_factor_mask(patch, rank)])) <= 1e-7
+                for s, blocks in zip(patch.slices(), got, strict=True):
+                    for a, b, rank in zip(blocks, want, RANKS, strict=True):
+                        assert a.shape == _block(b, s, rank).shape
+                        assert np.max(np.abs(a - _block(b, s, rank))) <= 1e-7
 
     def test_stacked_centres_match_single_centres(self, mixed_pair):
         points = mixed_pair.sample_points(2, seed=71)
         stacked = metric_derivatives(mixed_pair, np.array(points))
         for i, z in enumerate(points):
-            for a, b in zip(stacked, metric_derivatives(mixed_pair, z)):
-                assert np.max(np.abs(a[i] - b)) <= 1e-12
+            single = metric_derivatives(mixed_pair, z)
+            for blocks, one in zip(stacked, single, strict=True):
+                for a, b in zip(blocks, one, strict=True):
+                    assert np.max(np.abs(a[i] - b)) <= 1e-12
 
     def test_ill_conditioned_member_of_a_stack_detected(self):
         good = np.eye(2, dtype=complex)
@@ -371,9 +400,8 @@ class TestCurvature:
         n = sum(dims)
         stack = np.array(patch.sample_points(4, seed=79)).reshape(2, 2, -1)
         for centres in (stack[0, 1], stack):  # one centre, and a (2, 2) stack
-            derivatives = metric_derivatives(patch, centres)
-            got = _curvature(centres, *derivatives)
-            want = _three_operand_curvature(*derivatives)
+            got = _curvature(patch, centres)
+            want = _three_operand_curvature(*_scatter(patch, metric_derivatives(patch, centres)))
             lead = centres.shape[:-1]
             assert got.R.shape == lead + (n,) * 4
             # Scal and S vanish on the matched pairs, so their summands,
@@ -392,12 +420,48 @@ class TestCurvature:
             rel = np.max(np.abs(R - exact)) / np.max(np.abs(exact))
             assert rel < 1e-6
 
-    def test_cross_factor_components_vanish(self, flat_pair):
-        for z in flat_pair.sample_points(5, seed=3):
-            R, _, _ = curvature_at(flat_pair, z)
-            assert abs(R[0, 0, 1, 1]) < 1e-8
-            assert abs(R[0, 1, 0, 1]) < 1e-8
-            assert abs(R[0, 1, 1, 0]) < 1e-8
+    def test_cross_factor_components_vanish(self, flat_pair, three_factors):
+        # each factor's blocks are scattered into zero arrays, and the
+        # inverse of a block-diagonal metric is block diagonal: every
+        # cross-factor component is an exact zero, not a cancellation
+        for patch in (flat_pair, three_factors):
+            for z in patch.sample_points(5, seed=3):
+                t = point_tensors(patch, z)
+                for name in ("R", "Ric", "linv", "gammas"):
+                    x = getattr(t, name)
+                    assert not np.any(x[_cross_factor_mask(patch, x.ndim)]), name
+
+    def test_one_riemann_step_per_factor_block(self, monkeypatch):
+        # the assembly hands each factor's block of the whole inverse, and
+        # of that factor's derivatives, to its own Riemann step
+        patch = _patch((3, 1, 2), (1, -1, 1))
+        seen = []
+        riemann = tensors._riemann
+
+        def counted_riemann(linv, hol, anti, hmix):
+            seen.append((linv.copy(), hmix.shape))
+            return riemann(linv, hol, anti, hmix)
+
+        monkeypatch.setattr(tensors, "_riemann", counted_riemann)
+        t = point_tensors(patch, patch.sample_points(1, seed=109)[0])
+        assert [shape for _, shape in seen] == [(f.dim,) * 4 for f in patch.factors]
+        for (linv, _), s in zip(seen, patch.slices(), strict=True):
+            assert np.array_equal(linv, t.linv[s, s])
+
+    def test_condition_check_reads_the_whole_metric(self, monkeypatch):
+        # As at a moved centre of the divergence stencil: the dim-2 factor
+        # near its chart's edge has a Frobenius condition number of about
+        # 50 and the unit block of the other factor about 1, while the
+        # whole metric's is about 2500.  A limit between them must refuse.
+        patch = _patch((2, 1), (-1, 1))
+        z = np.array([1.4 + 0j, 0j, 0.1 + 0j])
+        t = point_tensors(patch, z)
+        blocks = [np.linalg.norm(t.g[s, s]) * np.linalg.norm(t.linv[s, s]) for s in patch.slices()]
+        whole = np.linalg.norm(t.g) * np.linalg.norm(t.linv)
+        assert 40 * max(blocks) < whole
+        monkeypatch.setattr(tensors, "CONDITION_LIMIT", np.sqrt(max(blocks) * whole))
+        with pytest.raises(IllConditionedMetric, match="^metric condition number "):
+            point_tensors(patch, z)
 
     def test_symmetries(self, mixed_pair):
         for z in mixed_pair.sample_points(5, seed=5):
@@ -491,7 +555,7 @@ def _whole_patch_third_order_derivatives(patch, z, linv):
         e = h * np.eye(m)[a]
         x = np.stack([x0 + e, x0 - e], axis=1)
         centres = x[..., :n] + 1j * x[..., n:]
-        t = _curvature(centres, *metric_derivatives(patch, centres))
+        t = _curvature(patch, centres)
         dP[a] = (t.P[:, 0] - t.P[:, 1]) / (2 * h)
         dScal[a] = (t.Scal[:, 0] - t.Scal[:, 1]) / (2 * h)
         S = _swap_pairs(t.S)  # [direction, sign, c, d, a, b]
@@ -618,9 +682,9 @@ class TestThirdOrder:
             centres.append((factor.dim, int(np.prod(np.shape(z)[:-1]))))
             return factor_derivatives(factor, z, step)
 
-        def counted_riemann(g, *rest, **kwargs):
-            blocks.append(g.shape)
-            return riemann(g, *rest, **kwargs)
+        def counted_riemann(linv, *rest):
+            blocks.append(linv.shape)
+            return riemann(linv, *rest)
 
         monkeypatch.setattr(tensors, "_factor_derivatives", counted_stencil)
         monkeypatch.setattr(tensors, "_riemann", counted_riemann)
