@@ -11,7 +11,8 @@ errors, unknown targets, a flag the target does not take, ``--n``
 together with ``--n-max``, a value outside its range, a
 ``CRCHERN_SEED`` that is not an integer, a scenario or ring document
 larger than :data:`MAX_DOCUMENT_BYTES`, schema violations, a scenario
-whose curvatures the finite differences cannot resolve, parse errors
+outside the numeric model's range (a point outside a factor's chart, an
+ill-conditioned metric, or a curvature the calibration refuses), parse errors
 and products or powers past the parser's bounds, and a manifest that
 cannot be written to ``--out``.  Parameters are
 checked against the table, and ``--out`` is opened, before any check

@@ -9,27 +9,28 @@ whose metric has the closed form
     g_{a b-} = f''(u) * conj(z_a) * z_b + f'(u) * delta_{ab},
     f'(u) = a / (b + c u),   f''(u) = -a c / (b + c u)^2,   u = |z|^2.
 
-The constants have a closed form.  With ``b = a`` the metric is the
-identity at the origin, and along z_1 the entry is
-``g_{1 1-} = a^2 / (a + c |z|^2)^2``, whose holomorphic sectional
-curvature at 0 is ``2c / a``; so ``a = b = 2`` (``POTENTIAL``).  That
-closed form is not trusted but verified once per curvature: the exact
-oracle computes the holomorphic sectional curvature *from the metric
-by central finite differences under the package's curvature
-convention*, in exact rational arithmetic (the metric is a rational
-function of the real coordinates) with Richardson extrapolation of the
-difference quotients, so the achievable residual is limited only by
-the extrapolation depth.  A residual above the abort threshold means
-the sign conventions of the pipeline and the potential disagree (at
-``a = 2`` a flipped sign leaves a residual of ``2 |hsc|``, so the
-oracle reads nearer ``-hsc`` than ``hsc``), which is what calibration
-exists to catch, or that ``|hsc|`` is too large for the extrapolation
-to resolve (from about 10^15).  A curvature outside the range of a
-float is refused before the oracle runs.
+f' and f'' are written once, in :func:`_radial`, which accepts a float
+array of ``u`` or the exact series ``u`` truncated after ``u^1``.
+:meth:`SpaceFormFactor.metric` evaluates it on arrays;
+:func:`calibrate_space_form` evaluates it on the series, with
+``Fraction`` coefficients, and reads off the origin what the metric
+itself gives.  The first derivatives of g vanish at 0, so under the
+package's convention ``R_{1 1- 1 1-}(0) = -d_1 d_1- g_{1 1-}(0) =
+-(f'_1 + f''_0)``, where ``f'(u) = f'_0 + f'_1 u + ...``, and the
+holomorphic sectional curvature at 0 is that over ``f'_0^2``.  With
+``b = a`` the metric is the identity at the origin and that curvature
+is ``2c / a``; so ``a = b = 2`` (``POTENTIAL``).  Calibration checks
+two things exactly, with no threshold: that the metric is Kaehler,
+``f''(0) == d f'/du (0)`` (g is then ``d d- f(u)``), and that the
+curvature read equals ``hsc``.  A reading of ``-hsc`` means the sign
+conventions of the pipeline and the potential disagree, which is what
+calibration exists to catch.  A curvature outside the range of a float
+is refused before the series is evaluated.
 
 The chart is where ``b + c |z|^2 > 0``: for ``hsc < 0`` the ball
 ``|z| < sqrt(b/|c|)`` (the model radius), for ``hsc > 0`` all of C^dim.
-:meth:`SpaceFormFactor.metric` is the one chart check of the package.
+:meth:`SpaceFormFactor.metric` is the one chart check of the package;
+it also refuses a point whose f'' overflows a float.
 """
 
 from __future__ import annotations
@@ -38,18 +39,14 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 POTENTIAL = Fraction(2)  # a = b = 2: identity metric and HSC = c at the origin
-CALIBRATION_ABORT = Fraction(1, 10**10)
-_EXTRAPOLATION_GOAL = Fraction(1, 10**16)
-_EXTRAPOLATION_DEPTH = 8  # Richardson levels at most, each halving the step
 
 
 class CalibrationError(RuntimeError):
-    """A curvature the calibration refuses: a convention mismatch, or beyond resolution."""
+    """A curvature the calibration refuses: a convention mismatch, or beyond a float."""
 
 
 class PatchDomainError(ValueError):
@@ -57,10 +54,38 @@ class PatchDomainError(ValueError):
 
 
 @dataclass(frozen=True)
+class _Series:
+    """``u0 + u1 u``: a series in ``u`` truncated after ``u^1``, exact when
+    its coefficients are ``Fraction``s.  It has the operations
+    :func:`_radial` applies to ``u``, each with a scalar on the left."""
+
+    u0: Fraction
+    u1: Fraction
+
+    def __radd__(self, other: Fraction) -> _Series:
+        return _Series(other + self.u0, self.u1)
+
+    def __rmul__(self, other: Fraction) -> _Series:
+        return _Series(other * self.u0, other * self.u1)
+
+    def __rtruediv__(self, other: Fraction) -> _Series:
+        quotient = other / self.u0
+        return _Series(quotient, -quotient * self.u1 / self.u0)
+
+    def __pow__(self, k: int) -> _Series:
+        return _Series(self.u0**k, k * self.u0 ** (k - 1) * self.u1)
+
+
+def _radial(a, b, c, u):
+    """``(f'(u), f''(u))`` of the potential, for a float array or a :class:`_Series` ``u``."""
+    denom = b + c * u
+    return a / denom, -a * c / denom**2
+
+
+@dataclass(frozen=True)
 class SpaceFormFactor:
     dim: int
     hsc: Fraction
-    calibration_residual: float
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -82,15 +107,18 @@ class SpaceFormFactor:
 
         ``z`` is a ``(..., dim)`` stack of points; the result is the
         ``(..., dim, dim)`` stack of their metric blocks.  The first point
-        with ``b + c |z|^2`` not finite and positive (NaN included)
-        raises :class:`PatchDomainError`, naming that point.
+        outside the chart (``f' = a / (b + c |z|^2)`` not positive, NaN
+        included) or whose f'' is not a finite nonzero float raises
+        :class:`PatchDomainError`, naming that point; no float warning
+        is emitted on the way.
         """
         z = np.asarray(z, dtype=complex)
         a = b = float(POTENTIAL)
-        c = self.c
-        u = np.einsum("...i,...i->...", np.conj(z), z).real
-        denom = b + c * u
-        outside = ~(np.isfinite(denom) & (denom > 0))
+        with np.errstate(all="ignore"):
+            u = np.einsum("...i,...i->...", np.conj(z), z).real
+            f1, f2 = _radial(a, b, self.c, u)  # f', f''
+        # the exact f'' is finite and nonzero: 0 means denom**2 overflowed
+        outside = ~((f1 > 0) & np.isfinite(f2) & (f2 != 0))
         if np.any(outside):
             point = z[np.unravel_index(np.argmax(outside), outside.shape)]
             raise PatchDomainError(
@@ -98,112 +126,20 @@ class SpaceFormFactor:
             )
         # f'' conj(z) z^T, then f' on the diagonal: one (..., dim, dim) array
         g = np.conj(z)[..., :, None] * z[..., None, :]
-        g *= (-a * c / denom**2)[..., None, None]
+        g *= f2[..., None, None]
         diagonal = np.arange(self.dim)
-        g[..., diagonal, diagonal] += (a / denom)[..., None]
+        g[..., diagonal, diagonal] += f1[..., None]
         return g
 
 
-# -- exact calibration oracle -------------------------------------------------
-
-
-def _g11_exact(
-    a: Fraction, b: Fraction, c: Fraction, x: Fraction | int, y: Fraction | int
-) -> Fraction:
-    """Entry g_{1 1-} with z_1 = x + i y and all other coordinates zero.
-
-    Along this line the entry is real: g_11 = f''(u) u + f'(u), u = x^2 + y^2.
-    The oracle's step keeps ``b + c u > b/2`` at every stencil point.
-    """
-    u = x * x + y * y
-    denom = b + c * u
-    return -a * c * u / denom**2 + a / denom
-
-
-def _richardson_row(row: list[Fraction], value: Fraction) -> list[Fraction]:
-    """The next row of the Richardson tableau of F(h), F(h/2), ...,
-    assuming an even-power error expansion: ``row`` is the tableau's last
-    row (empty before the first level), ``value`` the new level's F, and
-    the new row's last entry the extrapolation through every level.
-
-    ``T[L][0] = F_L`` and ``T[L][j] = (4^j T[L][j-1] - T[L-1][j-1]) /
-    (4^j - 1)``: O(L) operations per level, not the O(L^2) of the whole
-    table, and the same Fraction.
-    """
-    new = [value]
-    for j, previous in enumerate(row, start=1):
-        factor = 4**j
-        new.append((factor * new[-1] - previous) / (factor - 1))
-    return new
-
-
-@lru_cache(maxsize=64)
-def _hsc_at_origin_exact(a: Fraction, hsc: Fraction) -> Fraction:
-    """Holomorphic sectional curvature at 0, by exact finite differences.
-
-    Applies the package's curvature convention
-    ``R = -d d- g + g^{-1} (d g)(d- g)`` in the e_1 direction.  First
-    derivatives of g vanish at the origin by symmetry of the radial
-    potential (the exact central differences are literally zero), so
-    the inverse-metric term drops out exactly; the second derivatives
-    are Richardson-extrapolated until successive levels agree.
-
-    The result is a pure function of its Fractions, so it is memoized:
-    factors that share a curvature share one oracle run.  An error
-    raised here is not memoized, and :func:`calibrate_space_form` gates
-    the memoized reading on every call, so a refused curvature is
-    refused every time.
-    """
-    b, c = a, hsc
-    h0 = Fraction(1, 8)
-    # keep the largest stencil point (sqrt(2) h) well inside the ball for
-    # c < 0, and c h^2 small against b for c > 0
-    while 4 * h0 * h0 >= b / abs(c):
-        h0 /= 2
-
-    def g(x: Fraction, y: Fraction) -> Fraction:
-        return _g11_exact(a, b, c, x, y)
-
-    zero = 0  # an int: products with it on the axes are int, not Fraction, arithmetic
-    g0 = g(zero, zero)
-    row: list[Fraction] = []
-    result = None
-    h = h0
-    for level in range(_EXTRAPOLATION_DEPTH):
-        # the eight stencil points of this level, each evaluated once
-        xp, xm, yp, ym = g(h, zero), g(-h, zero), g(zero, h), g(zero, -h)
-        pp, pm, mp, mm = g(h, h), g(h, -h), g(-h, h), g(-h, -h)
-        dxx = (xp - 2 * g0 + xm) / h**2
-        dyy = (yp - 2 * g0 + ym) / h**2
-        # the mixed x-y stencil vanishes exactly for a radial entry
-        dxy = (pp - pm - mp + mm) / (4 * h**2)
-        if dxy != 0:
-            raise CalibrationError("mixed stencil did not cancel; convention error")
-        if (xp - xm) / (2 * h) != 0 or (yp - ym) / (2 * h) != 0:
-            raise CalibrationError("first derivatives nonzero at the origin")
-        row = _richardson_row(row, (dxx + dyy) / 4)
-        if level >= 1:
-            new = row[-1]
-            if result is not None and abs(new - result) < _EXTRAPOLATION_GOAL:
-                result = new
-                break
-            result = new
-        h /= 2
-    assert result is not None
-    hmix = result  # d_1 d_1- g_11 at the origin
-    r1111 = -hmix  # inverse-metric term vanished exactly above
-    return r1111 / g0**2
-
-
 def calibrate_space_form(dim: int, hsc: Fraction | int | str) -> SpaceFormFactor:
-    """The factor of curvature ``hsc``, its potential verified at the origin.
+    """The factor of curvature ``hsc``, its metric verified at the origin.
 
-    The constants are the closed form ``a = b = POTENTIAL``; the exact
-    oracle is run once per curvature, and a residual above
-    ``CALIBRATION_ABORT`` raises :class:`CalibrationError`: a convention
-    error where the oracle reads nearer ``-hsc`` than ``hsc``, an
-    unresolved curvature otherwise.  So does ``|hsc|`` outside the
-    normal float range.
+    :func:`_radial` is evaluated on the series ``u`` with ``a = b =
+    POTENTIAL``.  :class:`CalibrationError` is raised unless the metric
+    is Kaehler there and its holomorphic sectional curvature at 0 equals
+    ``hsc`` exactly (a reading of ``-hsc`` is a convention error), and
+    for ``hsc`` zero or ``|hsc|`` outside the normal float range.
     """
     hsc = Fraction(hsc)
     if hsc == 0:
@@ -214,15 +150,16 @@ def calibrate_space_form(dim: int, hsc: Fraction | int | str) -> SpaceFormFactor
             f"curvature of factor dim={dim} is beyond the float range of the "
             f"metric: |hsc| must lie in [{low:.3e}, {high:.3e}]"
         )
-    value = _hsc_at_origin_exact(POTENTIAL, hsc)
-    residual = abs(value - hsc)
-    if residual > CALIBRATION_ABORT:
-        if abs(value + hsc) < residual:
-            cause = "curvature convention error"  # the oracle reads about -hsc
-        else:
-            cause = "finite differences cannot resolve this curvature"
+    f1, f2 = _radial(POTENTIAL, POTENTIAL, hsc, _Series(Fraction(0), Fraction(1)))
+    if f2.u0 != f1.u1:
         raise CalibrationError(
-            f"{cause}: relative residual {float(residual / abs(hsc)):.3e} "
-            f"for dim={dim}, hsc={hsc}"
+            f"metric is not Kaehler at the origin: f''(0) = {f2.u0}, "
+            f"d f'/du (0) = {f1.u1} for dim={dim}, hsc={hsc}"
         )
-    return SpaceFormFactor(dim=dim, hsc=hsc, calibration_residual=float(residual))
+    value = -(f1.u1 + f2.u0) / f1.u0**2
+    if value != hsc:
+        cause = "curvature convention error" if value == -hsc else "curvature mismatch"
+        raise CalibrationError(
+            f"{cause}: the metric reads {value} at the origin for dim={dim}, hsc={hsc}"
+        )
+    return SpaceFormFactor(dim=dim, hsc=hsc)

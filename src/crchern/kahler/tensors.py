@@ -10,9 +10,10 @@ back from on the associated circle bundle).  The curvature is
                     + g^{r s-} (d_c g_{a s-}) (d_d- g_{r b-}),
 
 with first and second metric derivatives taken by central finite
-differences of the closed-form metric (default step ``1e-4``); the
-convention is validated by the space-form calibration, under which
-positive curvature is the Fubini-Study side.  Contractions:
+differences of the closed-form metric (default step ``1e-4``).  The
+space-form calibration reads R at the origin exactly, under this
+convention, off the expression the metric evaluates; positive
+curvature is the Fubini-Study side.  Contractions:
 
     Ric_{c d-} = l^{a b-} R_{a b- c d-},     Scal = l^{c d-} Ric_{c d-},
     P = (Ric - Scal/(2(n+1)) l) / (n+2),

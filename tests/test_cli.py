@@ -542,7 +542,9 @@ class TestEval:
 _BEYOND_MODEL = [
     ("10000", "outside chart of factor dim=1, hsc=-10000"),
     ("1000000", "metric condition number"),
-    ("1e15", "finite differences cannot resolve this curvature"),
+    ("1e15", "outside chart of factor dim=1, hsc=-1000000000000000"),
+    # f'' = -2c / (2 + c|z|^2)^2 overflows a float at the positive factor's points
+    ("1e300", f"outside chart of factor dim=1, hsc={10**300}"),
 ]
 
 
@@ -637,7 +639,7 @@ class TestScenario:
 
 
     @pytest.mark.parametrize(
-        "hsc,error", _BEYOND_MODEL, ids=["leaves-chart", "ill-conditioned", "uncalibrated"]
+        "hsc,error", _BEYOND_MODEL, ids=["leaves-chart", "ill-conditioned", "chart-below-step", "overflow"]
     )
     def test_curvature_beyond_the_numeric_model_exit_2(
         self, capsys, tmp_path, hsc, error

@@ -7,28 +7,21 @@ import pytest
 from crchern.kahler import (
     CalibrationError,
     KahlerProductPatch,
+    PatchDomainError,
     calibrate_space_form,
     curvature_at,
     metric_at,
 )
-from crchern.kahler.spaceform import CALIBRATION_ABORT, POTENTIAL, _hsc_at_origin_exact
-
-
-@pytest.fixture
-def fresh_oracle():
-    """An empty oracle memo, before and after: a test that patches the
-    oracle's metric must see the oracle run, not a memoized result."""
-    _hsc_at_origin_exact.cache_clear()
-    yield
-    _hsc_at_origin_exact.cache_clear()
+from crchern.kahler import spaceform
+from crchern.kahler.spaceform import POTENTIAL, SpaceFormFactor, _radial, _Series
 
 
 @pytest.mark.parametrize("hsc", [1, -1, 2, Fraction(-3, 2), Fraction(1, 4)])
-def test_calibration_residual_below_gate(hsc):
+def test_calibration_returns_the_requested_curvature(hsc):
     for dim in (1, 2):
         factor = calibrate_space_form(dim, hsc)
-        assert factor.calibration_residual <= float(CALIBRATION_ABORT)
-        assert factor.hsc == Fraction(hsc)
+        assert factor == SpaceFormFactor(dim, Fraction(hsc))
+        assert type(factor.hsc) is Fraction
 
 
 def test_metric_is_identity_at_origin():
@@ -67,13 +60,6 @@ def test_flat_limit():
             assert size < previous / 5
         previous = size
     assert previous < 1e-3
-
-
-def test_exact_origin_oracle_matches_request():
-    value = _hsc_at_origin_exact(Fraction(2), Fraction(1))
-    assert abs(value - 1) < Fraction(1, 10**12)
-    value = _hsc_at_origin_exact(Fraction(2), Fraction(-3, 2))
-    assert abs(value - Fraction(-3, 2)) < Fraction(1, 10**12)
 
 
 def test_gaussian_curvature_oracle_dimension_one():
@@ -125,30 +111,67 @@ def test_zero_curvature_rejected():
         calibrate_space_form(1, 0)
 
 
-def test_convention_mismatch_aborts(monkeypatch, fresh_oracle):
-    # flip the sign of the curvature parameter inside the metric the
-    # calibration oracle sees: no positive constant can then match, and
-    # the abort path must fire rather than return a wrong factor
-    from crchern.kahler import spaceform
+def _mutant(monkeypatch, mutate):
+    """Replace the one expression of f' and f'' by ``mutate`` of it."""
+    original = _radial
 
-    original = spaceform._g11_exact
+    def mutated(a, b, c, u):
+        return mutate(a, b, c, u, original)
 
-    def flipped(a, b, c, x, y):
-        return original(a, b, -c, x, y)
+    monkeypatch.setattr(spaceform, "_radial", mutated)
 
-    monkeypatch.setattr(spaceform, "_g11_exact", flipped)
-    for dim in (1, 1, 2):  # no solve is reused across the abort
+
+def test_convention_mismatch_aborts(monkeypatch):
+    # flip the sign of the curvature parameter inside f' and f'': the
+    # metric stays Kaehler, but reads -hsc at the origin
+    _mutant(monkeypatch, lambda a, b, c, u, f: f(a, b, -c, u))
+    for dim in (1, 1, 2):
         with pytest.raises(CalibrationError, match="curvature convention error"):
             calibrate_space_form(dim, 1)
 
 
-@pytest.mark.parametrize("hsc", [10**15, -(10**15), 10**300], ids=["1e15", "-1e15", "1e300"])
-def test_unresolved_curvature_is_not_called_a_convention_error(hsc):
-    # the oracle reads hsc to 1e-22 relative, but not to the absolute gate
-    with pytest.raises(CalibrationError) as info:
-        calibrate_space_form(1, hsc)
-    assert str(info.value).startswith("finite differences cannot resolve this curvature")
-    assert "convention" not in str(info.value)
+def test_scaled_curvature_mutant_is_refused(monkeypatch):
+    # 1.5 c in the shared expression moves the metric and the calibration
+    # together; a curvature read off a second copy of the formula did not
+    # see it
+    factor = SpaceFormFactor(1, Fraction(1))
+    z = np.array([0.3 + 0.1j])
+    before = factor.metric(z)
+    _mutant(monkeypatch, lambda a, b, c, u, f: f(a, b, 3 * c / 2, u))
+    assert not np.allclose(factor.metric(z), before)
+    for hsc in (1, -1, Fraction(5, 2)):
+        with pytest.raises(CalibrationError, match="curvature mismatch: the metric reads"):
+            calibrate_space_form(1, hsc)
+
+
+def test_sign_flip_of_f2_is_refused_as_not_kaehler(monkeypatch):
+    # f'' = +a c / (b + c u)^2 is no longer d f'/du: g = f' I + f'' conj(z) z^T
+    # then comes from no potential
+    def flipped(a, b, c, u, f):
+        d1, d2 = f(a, b, c, u)
+        return d1, -1 * d2
+
+    _mutant(monkeypatch, flipped)
+    for hsc in (1, -1, Fraction(5, 2)):
+        with pytest.raises(CalibrationError, match="metric is not Kaehler at the origin"):
+            calibrate_space_form(2, hsc)
+
+
+@pytest.mark.parametrize("hsc", ["-1e15", "1e300"])
+def test_large_curvature_is_calibrated(hsc):
+    # the series is exact at every scale: a large curvature is refused
+    # only where the float pipeline fails, by the metric's chart check
+    assert calibrate_space_form(1, hsc).hsc == Fraction(hsc)
+
+
+@pytest.mark.parametrize("z", [0.1, 0.5 + 0.5j, 1e10])
+def test_metric_refuses_a_point_whose_f2_overflows(z):
+    # (2 + 1e300 |z|^2)^2 overflows a float, so f'' reads 0 or inf; the
+    # chart check names the point, with no float warning on the way
+    factor = calibrate_space_form(1, "1e300")
+    assert np.array_equal(factor.metric(np.zeros(1)), np.eye(1))
+    with pytest.raises(PatchDomainError, match="outside chart of factor dim=1"):
+        factor.metric(np.array([z]))
 
 
 @pytest.mark.parametrize(
@@ -161,32 +184,13 @@ def test_curvature_beyond_the_float_range_refused(hsc):
         calibrate_space_form(1, hsc)
 
 
-def test_non_radial_entry_fails_the_mixed_stencil_check(monkeypatch, fresh_oracle):
-    # x*y vanishes on both axes, so only the mixed x-y stencil sees it
-    from crchern.kahler import spaceform
-
-    original = spaceform._g11_exact
-
-    def skewed(a, b, c, x, y):
-        return original(a, b, c, x, y) + x * y
-
-    monkeypatch.setattr(spaceform, "_g11_exact", skewed)
-    with pytest.raises(CalibrationError, match="mixed stencil"):
-        calibrate_space_form(1, 1)
-
-
 def test_calibration_depends_on_curvature_only():
     hsc = Fraction(-3, 2)
     base = calibrate_space_form(1, hsc)
     for dim in (2, 5):
         factor = calibrate_space_form(dim, hsc)
         assert factor.dim == dim
-        assert (factor.patch_radius, factor.calibration_residual) == (
-            base.patch_radius,
-            base.calibration_residual,
-        )
-    residual = abs(_hsc_at_origin_exact(POTENTIAL, hsc) - hsc)
-    assert float(residual) == base.calibration_residual
+        assert (factor.hsc, factor.patch_radius) == (base.hsc, base.patch_radius)
 
 
 WIDE_CURVATURES = [
@@ -196,109 +200,27 @@ WIDE_CURVATURES = [
 ]
 
 
+@pytest.mark.parametrize("hsc", [*WIDE_CURVATURES, Fraction(10**15)], ids=str)
+def test_origin_series_reads_the_request_exactly(hsc):
+    # f' and f'' on u = 0 + 1 u, in Fractions: the Kaehler condition and
+    # R_{1 1- 1 1-}(0) / g_{1 1-}(0)^2 = -(f'_1 + f''_0) / f'_0^2 hold
+    # with no remainder
+    d1, d2 = _radial(POTENTIAL, POTENTIAL, hsc, _Series(Fraction(0), Fraction(1)))
+    for part in (d1.u0, d1.u1, d2.u0, d2.u1):
+        assert type(part) is Fraction
+    assert (d1.u0, d2.u0) == (1, d1.u1)
+    assert -(d1.u1 + d2.u0) / d1.u0**2 == hsc
+    assert calibrate_space_form(1, hsc).hsc == hsc
+
+
 @pytest.mark.parametrize("hsc", WIDE_CURVATURES, ids=str)
-def test_closed_form_calibration_across_curvature(hsc, monkeypatch, fresh_oracle):
-    # a = b = 2 for every curvature: the gate passes, the metric along
-    # z_1 is 1 / (1 + (hsc/2)|z|^2)^2, and the oracle runs once
-    from crchern.kahler import spaceform
-
-    calls = []
-    original = spaceform._g11_exact
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(spaceform, "_g11_exact", counted)
+def test_closed_form_metric_across_curvature(hsc):
+    # a = b = 2 for every curvature: the metric along z_1 is
+    # 1 / (1 + (hsc/2)|z|^2)^2
     factor = calibrate_space_form(1, hsc)
-    assert factor.calibration_residual <= float(CALIBRATION_ABORT)
-    assert len(calls) <= 65  # one extrapolation: 1 + 8 per level, 8 levels
     c = float(hsc)
     for frac in (0.0, 0.1, 0.3, 0.45):
         radius = frac * min(1.0, factor.patch_radius)
         z = np.array([radius * np.exp(0.7j)])
         expected = 1 / (1 + (c / 2) * radius**2) ** 2
         assert factor.metric(z)[0, 0].real == pytest.approx(expected, rel=1e-12)
-
-
-def test_bochner_products_runs_the_oracle_once_per_curvature(
-    monkeypatch, tmp_path, fresh_oracle
-):
-    # eight factors of two curvatures: two oracle runs, and every factor
-    # equals one calibrated from an empty memo
-    from crchern.cli import main
-    from crchern.kahler import scenario
-
-    factors = []
-    original = scenario.calibrate_space_form
-
-    def recorded(dim, hsc):
-        factors.append(original(dim, hsc))
-        return factors[-1]
-
-    monkeypatch.setattr(scenario, "calibrate_space_form", recorded)
-    out = tmp_path / "manifest.json"
-    argv = ["verify", "bochner-products", "--format", "json", "--no-timestamp"]
-    assert main([*argv, "--out", str(out)]) == 0
-    info = _hsc_at_origin_exact.cache_info()
-    assert len(factors) == 8
-    assert (info.misses, info.hits) == (2, 6)
-    for factor in factors:
-        _hsc_at_origin_exact.cache_clear()
-        assert calibrate_space_form(factor.dim, factor.hsc) == factor
-
-
-def _full_table_oracle(a, hsc, depth=8):
-    """The calibration oracle as first written: ``Fraction(0)`` on the
-    axes, and the whole Richardson table rebuilt at every level."""
-    from crchern.kahler import spaceform
-
-    b, c = a, hsc
-    h = Fraction(1, 8)
-    while 4 * h * h >= b / abs(c):
-        h /= 2
-
-    def g(x, y):
-        return spaceform._g11_exact(a, b, c, x, y)
-
-    zero = Fraction(0)
-    g0 = g(zero, zero)
-    values, result = [], None
-    for level in range(depth):
-        dxx = (g(h, zero) - 2 * g0 + g(-h, zero)) / h**2
-        dyy = (g(zero, h) - 2 * g0 + g(zero, -h)) / h**2
-        values.append((dxx + dyy) / 4)
-        if level >= 1:
-            table = [values]
-            for j in range(1, len(values)):
-                prev = table[-1]
-                table.append(
-                    [(4**j * prev[i + 1] - prev[i]) / (4**j - 1) for i in range(len(prev) - 1)]
-                )
-            new = table[-1][0]
-            if result is not None and abs(new - result) < spaceform._EXTRAPOLATION_GOAL:
-                result = new
-                break
-            result = new
-        h /= 2
-    return -result / g0**2
-
-
-@pytest.mark.parametrize(
-    "hsc", ["1", "-1", "1/3", "-7/2", "100", "1/1000", "-1e6", "3e-9"], ids=str
-)
-def test_oracle_one_tableau_row_per_level_matches_the_full_table(hsc, fresh_oracle):
-    # exact arithmetic: one new row per level is the same Fraction
-    hsc = Fraction(hsc)
-    value = _hsc_at_origin_exact(POTENTIAL, hsc)
-    assert type(value) is Fraction
-    assert value == _full_table_oracle(POTENTIAL, hsc)
-
-
-def test_refused_curvature_is_refused_on_every_call(fresh_oracle):
-    # the oracle's reading is memoized, the gate on it is not
-    for _ in range(3):
-        with pytest.raises(CalibrationError, match="cannot resolve"):
-            calibrate_space_form(1, 10**15)
-    info = _hsc_at_origin_exact.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
