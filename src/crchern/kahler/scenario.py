@@ -179,9 +179,9 @@ def _parse_hsc(raw: object, i: int) -> Fraction:
 def convergence_factor(patch: KahlerProductPatch, z: np.ndarray) -> float:
     """Error-reduction factor of the curvature under one step halving."""
     exact = space_form_curvature_oracle(patch, z)
-    err_h = float(np.max(np.abs(curvature_at(patch, z, CONVERGENCE_STEP)[0] - exact)))
+    err_h = float(np.max(np.abs(curvature_at(patch, z, CONVERGENCE_STEP).R - exact)))
     err_h2 = float(
-        np.max(np.abs(curvature_at(patch, z, CONVERGENCE_STEP / 2)[0] - exact))
+        np.max(np.abs(curvature_at(patch, z, CONVERGENCE_STEP / 2).R - exact))
     )
     return err_h / err_h2 if err_h2 else float("inf")
 

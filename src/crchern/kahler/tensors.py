@@ -45,10 +45,11 @@ the whole patch.  Every contraction takes two operands, so a factor's
 step is O(n_k^5) per centre: the connection term of R goes through
 ``Gamma^r_{c a} = l^{r s-} d_c g_{a s-}``.  Each contraction is one
 batched matrix product (``@``, so BLAS), each outer product a rank-2
-product or a broadcast, never an ``einsum`` loop; R and S are stored
-as ``[c, d, a, b]``, the layout of ``d d- g``, in which a trace over
-the first pair is a matrix-vector product, and the record holds ``[a,
-b, c, d]`` views of them.
+product or a broadcast, never an ``einsum`` loop.  :func:`curvature_at`
+is that assembly, and :class:`PointTensors` holds what it writes: R and
+S in ``[c, d, a, b]``, the layout of ``d d- g`` (``R_{a b- c d-}`` at
+``[c, d, a, b]``), where a first-pair trace is a matrix-vector product,
+and ``gammas[c, a, r] = Gamma^r_{c a}``.
 
 The divergence stencil differences P, Scal and S at the +- centres of
 each real direction.  A real direction moves the coordinates of one
@@ -72,7 +73,7 @@ per real dimension and shared read-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -203,10 +204,12 @@ def levi_inverse(g: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointTensors:
-    """All pointwise tensors at one centre, ``linv`` = ``l^{a b-}``.
+    """The curvature record of :func:`curvature_at`, ``linv`` = ``l^{a b-}``.
 
-    :func:`point_tensors` gives one point and a float ``Scal``; inside
-    :func:`_curvature` each field is stacked over the centres.
+    Fields are stacked over the centres' leading axes; at one point
+    ``Scal`` is a float.  ``R_{a b- c d-}`` sits at ``R[..., c, d, a, b]``
+    (for a Kaehler metric also ``R_{c d- a b-}``, by the pair symmetry),
+    likewise S, and ``gammas[..., c, a, r] = Gamma^r_{c a}``.
     """
 
     point: np.ndarray
@@ -220,26 +223,17 @@ class PointTensors:
     gammas: np.ndarray
 
 
-def _swap_pairs(x: np.ndarray) -> np.ndarray:
-    """The view ``x[..., c, d, a, b]`` of ``x[..., a, b, c, d]``; its own inverse.
-
-    The assembly stores R and S with the second pair first, the layout of
-    ``hmix``: there a first-pair trace is one matrix-vector product.
-    """
-    return x.swapaxes(-4, -2).swapaxes(-3, -1)
-
-
 def first_pair_trace(tensor4: np.ndarray, linv: np.ndarray) -> np.ndarray:
-    """``l^{a b-} T_{a b- c d-}``, with ``linv`` from :class:`PointTensors`.
+    """``l^{a b-} T_{a b- c d-}`` of ``T`` stored as ``[c, d, a, b]``, like
+    the record's R and S, with ``linv`` from :class:`PointTensors`.
 
     Batched over the leading axes: one ``(c d) x (a b)`` matrix-vector
-    product per centre, without a copy when ``tensor4`` is stored as
-    ``[c, d, a, b]`` like the assembly's R and S.
+    product per centre.
     """
     n = linv.shape[-1]
     lead = linv.shape[:-2]
-    # "...ab,...abcd->...cd"
-    flat = _swap_pairs(tensor4).reshape(lead + (n * n, n * n))
+    # "...cdab,...ab->...cd"
+    flat = tensor4.reshape(lead + (n * n, n * n))
     return (flat @ linv.reshape(lead + (n * n, 1))).reshape(lead + (n, n))
 
 
@@ -267,7 +261,7 @@ def _riemann(
     conn = gam @ np.swapaxes(anti, -3, -2).reshape(lead + (n, n * n))
     R = np.swapaxes(conn.reshape(lead + (n,) * 4), -3, -2) - hmix  # [c, d, a, b]
     del conn  # one n^4 array fewer at the peak
-    ric = first_pair_trace(_swap_pairs(R), linv)
+    ric = first_pair_trace(R, linv)
     # "...cd,...cd->..."
     scal = (linv.reshape(lead + (1, n * n)) @ ric.reshape(lead + (n * n, 1))).real[..., 0, 0]
     return gam.reshape(lead + (n,) * 3), R, ric, scal
@@ -278,10 +272,10 @@ def _schouten(ric: np.ndarray, scal: np.ndarray, g: np.ndarray, n: int) -> np.nd
     return (ric - scal[..., None, None] / (2 * (n + 1)) * g) / (n + 2)
 
 
-def _curvature(
+def curvature_at(
     patch: KahlerProductPatch, z: np.ndarray, step: float = METRIC_STEP
 ) -> PointTensors:
-    """The curvature assembly at the centres ``z``, batched over their
+    """The one curvature assembly, at the centres ``z``, batched over their
     leading axes; every field of the record is stacked like ``z``.
 
     :func:`levi_inverse` inverts the whole metric, then :func:`_riemann`
@@ -289,8 +283,7 @@ def _curvature(
     and Gamma, R and Ric are scattered into zero arrays, their Scal
     summed.  P and the trace-free part S of R, zero iff spherical
     (n >= 2), are formed over the whole patch: each outer product one
-    rank-2 product or broadcast.  ``R``, ``S`` and ``gammas`` are views
-    of the layouts those products write.
+    rank-2 product or broadcast.  The record holds the arrays they write.
     """
     z = patch.coordinates(z)
     n = patch.total_dim
@@ -318,28 +311,18 @@ def _curvature(
     S = R - pg
     # "...cb,...ad->...abcd" + "...ad,...cb->...abcd"
     S -= np.swapaxes(pg, -3, -1)
-    gammas = gam.swapaxes(-3, -1).swapaxes(-2, -1)  # [r, c, a]
-    return PointTensors(z, g, linv, _swap_pairs(R), ric, scal, P, _swap_pairs(S), gammas)
-
-
-def curvature_at(
-    patch: KahlerProductPatch, z: np.ndarray, step: float = METRIC_STEP
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Curvature ``R[a,b,c,d]`` plus its Ricci and scalar contractions."""
-    t = _curvature(patch, z, step)
-    return t.R, t.Ric, float(t.Scal)
+    return PointTensors(z, g, linv, R, ric, scal, P, S, gam)
 
 
 def point_tensors(patch: KahlerProductPatch, z: np.ndarray) -> PointTensors:
-    """The tensors at one point.  Each factor's chart check sees its
-    whole stencil, and the centre is the first point it can name."""
+    """:func:`curvature_at` at one point.  Each factor's chart check sees
+    its whole stencil, and the centre is the first point it can name."""
     z = np.asarray(z, dtype=complex)
     if z.ndim != 1:
         raise PatchDomainError(
             f"point has {z.shape} coordinates, patch needs {patch.total_dim}"
         )
-    t = _curvature(patch, z)
-    return replace(t, Scal=float(t.Scal))
+    return curvature_at(patch, z)
 
 
 def _third_order_derivatives(
@@ -444,9 +427,8 @@ def _assemble_v(dP_hol, dScal_hol, gammas, P, g, n):
     direction derivative.  ``T1_a`` is the gradient of the P-trace
     (a multiple of Scal) over ``n + 2``.
     """
-    gam = gammas.transpose(1, 2, 0)  # Gamma^r_{c a} at [c, a, r]
-    # "rca,rb->cab"
-    grad_P = dP_hol - (gam.reshape(n * n, n) @ P).reshape(n, n, n)
+    # "car,rb->cab"
+    grad_P = dP_hol - (gammas.reshape(n * n, n) @ P).reshape(n, n, n)
     T1 = dScal_hol / (2 * (n + 1) * (n + 2))
     V = (
         1j * np.transpose(grad_P, (1, 2, 0))
@@ -470,14 +452,13 @@ def chern_divergence_residual(patch: KahlerProductPatch, t: PointTensors) -> dic
     n = patch.total_dim
     dP_hol, trace_dS, dScal_hol = _third_order_derivatives(patch, t)
 
-    gam = t.gammas.transpose(1, 2, 0)  # Gamma^s_{r a} at [r, a, s]
-    S = _swap_pairs(t.S)  # S_{a b- c d-} at [c, d, a, b]
+    S = t.S  # S_{a b- c d-} at [c, d, a, b]
     # lg[a, d, s] = l^{r d-} Gamma^s_{r a}: for each a, a (d, r) x (r, s) product
-    # "rd,sra->sad"
-    lg = t.linv.T @ np.swapaxes(gam, 0, 1)
-    # "sad,sbcd->abc": for each c, an (a, (d s)) x ((d s), b) product
+    # "rd,ras->ads"
+    lg = t.linv.T @ np.swapaxes(t.gammas, 0, 1)
+    # "ads,sbcd->abc": for each c, an (a, (d s)) x ((d s), b) product
     first = lg.reshape(n, n * n) @ S.reshape(n, n * n, n)  # [c, a, b]
-    # "scd,absd->abc": one (c, (s d)) x ((s d), (a b)) product
+    # "cds,absd->abc": one (c, (s d)) x ((s d), (a b)) product
     second = np.swapaxes(lg, 1, 2).reshape(n, n * n) @ S.reshape(n * n, n * n)
     div_S = (trace_dS.transpose(2, 0, 1) - first - second.reshape(n, n, n)).transpose(1, 2, 0)
 
@@ -501,9 +482,9 @@ def space_form_curvature_oracle(
     """Closed-form curvature of a product of space forms.
 
     Per factor, ``R = (hsc/2) (g g + g g)`` on the factor's block with
-    the exact analytic metric; all cross-factor components vanish.
-    This is the reference the finite-difference pipeline is tested
-    against.
+    the exact analytic metric; all cross-factor components vanish.  It
+    is unchanged by the pair swap, so it is the reference for the
+    record's ``[c, d, a, b]`` R.
     """
     z = patch.coordinates(z)
     n = patch.total_dim
@@ -518,7 +499,7 @@ def space_form_curvature_oracle(
 
 
 def symmetry_residuals(R: np.ndarray) -> tuple[float, float]:
-    """Max deviation from the two index symmetries of the curvature."""
+    """Max deviation from R's two index symmetries, in either pair order."""
     first = float(np.max(np.abs(R - np.transpose(R, (2, 1, 0, 3)))))
     second = float(np.max(np.abs(R - np.transpose(R, (0, 3, 2, 1)))))
     return first, second

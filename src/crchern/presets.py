@@ -49,18 +49,17 @@ def _parse_factor(spec: str, taken: set[str]) -> list[Generator]:
     head = head.strip()
     arg = arg.strip()
     if head == "cp":
-        n = _positive_int(arg, "cp:N needs N >= 1")
+        n = _int_at_least(arg, 1, "cp:N needs N >= 1")
         return [Generator(_pick_name("cp", taken), 2, n + 1)]
     if head == "surface":
-        g = _nonnegative_int(arg, "surface:G needs G >= 0")
-        del g  # the even-part ring does not depend on the genus
+        _int_at_least(arg, 0, "surface:G needs G >= 0")  # the ring does not depend on G
         return [Generator(_pick_name("surface", taken), 2, 2)]
     if head == "fpp":
         if arg:
             raise PresetError("fpp takes no parameter")
         return [Generator(_pick_name("fpp", taken), 2, 3)]
     if head == "nilsquare":
-        m = _positive_int(arg, "nilsquare:M needs M >= 1")
+        m = _int_at_least(arg, 1, "nilsquare:M needs M >= 1")
         if m > MAX_NILSQUARE:
             raise PresetError(f"nilsquare:M needs M <= {MAX_NILSQUARE}")
         gens = []
@@ -74,22 +73,13 @@ def _parse_factor(spec: str, taken: set[str]) -> list[Generator]:
     raise PresetError(f"unknown preset {head!r}")
 
 
-def _positive_int(arg: str, msg: str) -> int:
+def _int_at_least(arg: str, low: int, msg: str) -> int:
+    """``arg`` as an integer; refused with ``msg`` unless it is one and ``>= low``."""
     try:
         value = int(arg)
     except ValueError:
         raise PresetError(msg) from None
-    if value < 1:
-        raise PresetError(msg)
-    return value
-
-
-def _nonnegative_int(arg: str, msg: str) -> int:
-    try:
-        value = int(arg)
-    except ValueError:
-        raise PresetError(msg) from None
-    if value < 0:
+    if value < low:
         raise PresetError(msg)
     return value
 

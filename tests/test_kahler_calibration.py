@@ -43,8 +43,8 @@ def test_opposite_curvatures_negate_at_origin():
     plus = calibrate_space_form(1, 2)
     minus = calibrate_space_form(1, -2)
     z = np.zeros(1, dtype=complex)
-    r_plus = curvature_at(KahlerProductPatch((plus,)), z)[0]
-    r_minus = curvature_at(KahlerProductPatch((minus,)), z)[0]
+    r_plus = curvature_at(KahlerProductPatch((plus,)), z).R
+    r_minus = curvature_at(KahlerProductPatch((minus,)), z).R
     assert np.max(np.abs(r_plus + r_minus)) < 1e-7
 
 
@@ -54,7 +54,7 @@ def test_flat_limit():
     for c in (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10**4)):
         factor = calibrate_space_form(1, c)
         z = np.zeros(1, dtype=complex)
-        r = curvature_at(KahlerProductPatch((factor,)), z)[0]
+        r = curvature_at(KahlerProductPatch((factor,)), z).R
         size = float(np.max(np.abs(r)))
         if previous is not None:
             assert size < previous / 5
@@ -93,7 +93,7 @@ def test_einstein_constant_conversion():
     factor = calibrate_space_form(1, -1)
     patch = KahlerProductPatch((factor,))
     z = np.zeros(1, dtype=complex)
-    _, ric, _ = curvature_at(patch, z)
+    ric = curvature_at(patch, z).Ric
     g = metric_at(patch, z)
     assert np.max(np.abs(ric + g)) < 1e-6  # Ric = -g
 
@@ -102,7 +102,7 @@ def test_einstein_conversion_scales_with_dimension():
     # dim 2 space forms satisfy Ric = (3/2) hsc g
     patch = KahlerProductPatch((calibrate_space_form(2, 2),))
     z = np.zeros(2, dtype=complex)
-    _, ric, _ = curvature_at(patch, z)
+    ric = curvature_at(patch, z).Ric
     assert np.max(np.abs(ric - 3 * metric_at(patch, z))) < 1e-6
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from fractions import Fraction
@@ -10,6 +11,7 @@ from crchern.kahler import (
     IllConditionedMetric,
     KahlerProductPatch,
     PatchDomainError,
+    PointTensors,
     SpaceFormFactor,
     calibrate_space_form,
     chern_divergence_residual,
@@ -25,13 +27,7 @@ from crchern.kahler import (
 )
 from crchern.kahler import tensors
 from crchern.kahler.scenario import _cross_block_max
-from crchern.kahler.tensors import (
-    _assemble_v,
-    _curvature,
-    _stencil_tables,
-    _swap_pairs,
-    _third_order_derivatives,
-)
+from crchern.kahler.tensors import _assemble_v, _stencil_tables, _third_order_derivatives
 
 # metric_derivatives of a seeded stack, as the per-factor stencil first
 # computed them; see test_metric_derivatives_are_pinned_bit_for_bit
@@ -367,23 +363,22 @@ class TestStencil:
 
 def _three_operand_curvature(g, hol, anti, hmix):
     """The assembly written with ``einsum`` throughout, R's connection
-    term as one three-operand contraction (the O(n^6) form)."""
+    term as one three-operand contraction (the O(n^6) form), in the
+    record's layouts: R and S at ``[c, d, a, b]``, gammas at ``[c, a, r]``."""
     n = g.shape[-1]
     linv = levi_inverse(g)
-    R = -np.moveaxis(hmix, (-2, -1), (-4, -3)) + np.einsum(
-        "...rs,...cas,...drb->...abcd", linv, hol, anti
-    )
-    ric = np.einsum("...ab,...abcd->...cd", linv, R)
+    R = -hmix + np.einsum("...rs,...cas,...drb->...cdab", linv, hol, anti)
+    ric = np.einsum("...ab,...cdab->...cd", linv, R)
     scal = np.einsum("...cd,...cd->...", linv, ric).real
     P = (ric - scal[..., None, None] / (2 * (n + 1)) * g) / (n + 2)
     S = (
         R
-        - np.einsum("...ab,...cd->...abcd", P, g)
-        - np.einsum("...cb,...ad->...abcd", P, g)
-        - np.einsum("...cd,...ab->...abcd", P, g)
-        - np.einsum("...ad,...cb->...abcd", P, g)
+        - np.einsum("...ab,...cd->...cdab", P, g)
+        - np.einsum("...cb,...ad->...cdab", P, g)
+        - np.einsum("...cd,...ab->...cdab", P, g)
+        - np.einsum("...ad,...cb->...cdab", P, g)
     )
-    gammas = np.einsum("...rs,...cas->...rca", linv, hol)
+    gammas = np.einsum("...rs,...cas->...car", linv, hol)
     return {"gammas": gammas, "R": R, "Ric": ric, "Scal": scal, "P": P, "S": S}
 
 
@@ -400,7 +395,7 @@ class TestCurvature:
         n = sum(dims)
         stack = np.array(patch.sample_points(4, seed=79)).reshape(2, 2, -1)
         for centres in (stack[0, 1], stack):  # one centre, and a (2, 2) stack
-            got = _curvature(patch, centres)
+            got = curvature_at(patch, centres)
             want = _three_operand_curvature(*_scatter(patch, metric_derivatives(patch, centres)))
             lead = centres.shape[:-1]
             assert got.R.shape == lead + (n,) * 4
@@ -413,9 +408,20 @@ class TestCurvature:
                 err = np.max(np.abs(getattr(got, name) - value))
                 assert err <= 1e-12 * scale, name
 
+    def test_point_tensors_is_the_assembly_at_one_point(self, three_factors):
+        # one record: curvature_at writes it, point_tensors hands it on, and
+        # Ric is the first-pair trace of the stored R, bit for bit
+        z = three_factors.sample_points(1, seed=113)[0]
+        t = point_tensors(three_factors, z)
+        u = curvature_at(three_factors, z)
+        for field in dataclasses.fields(PointTensors):
+            assert np.array_equal(getattr(u, field.name), getattr(t, field.name)), field.name
+        assert np.array_equal(first_pair_trace(t.R, t.linv), t.Ric)
+        assert isinstance(t.Scal, float)
+
     def test_matches_space_form_closed_form(self, mixed_pair):
         for z in mixed_pair.sample_points(10, seed=7):
-            R, _, _ = curvature_at(mixed_pair, z)
+            R = curvature_at(mixed_pair, z).R
             exact = space_form_curvature_oracle(mixed_pair, z)
             rel = np.max(np.abs(R - exact)) / np.max(np.abs(exact))
             assert rel < 1e-6
@@ -465,7 +471,7 @@ class TestCurvature:
 
     def test_symmetries(self, mixed_pair):
         for z in mixed_pair.sample_points(5, seed=5):
-            R, _, _ = curvature_at(mixed_pair, z)
+            R = curvature_at(mixed_pair, z).R
             s1, s2 = symmetry_residuals(R)
             bound = 1e-6 * (1 + np.max(np.abs(R)))
             assert s1 <= bound and s2 <= bound
@@ -475,7 +481,7 @@ class TestCurvature:
         factor = calibrate_space_form(1, -1)
         patch = KahlerProductPatch((factor,))
         for z in patch.sample_points(5, seed=11):
-            _, ric, _ = curvature_at(patch, z)
+            ric = curvature_at(patch, z).Ric
             g = metric_at(patch, z)
             assert np.max(np.abs(ric + g)) < 1e-6
 
@@ -555,11 +561,10 @@ def _whole_patch_third_order_derivatives(patch, z, linv):
         e = h * np.eye(m)[a]
         x = np.stack([x0 + e, x0 - e], axis=1)
         centres = x[..., :n] + 1j * x[..., n:]
-        t = _curvature(patch, centres)
+        t = curvature_at(patch, centres)
         dP[a] = (t.P[:, 0] - t.P[:, 1]) / (2 * h)
         dScal[a] = (t.Scal[:, 0] - t.Scal[:, 1]) / (2 * h)
-        S = _swap_pairs(t.S)  # [direction, sign, c, d, a, b]
-        dS = (S[:, 0] - S[:, 1]) / (2 * h)
+        dS = (t.S[:, 0] - t.S[:, 1]) / (2 * h)  # [direction, c, d, a, b]
         trace_dS += (lw[a, None, None, :] @ dS.reshape(len(a), n, n, n * n)).sum(axis=0)
     dP_hol = 0.5 * (dP[:n] - 1j * dP[n:])
     dScal_hol = 0.5 * (dScal[:n] - 1j * dScal[n:])
@@ -603,16 +608,17 @@ def _assert_divergence_matches_full_gradient_of_s(dims, signs):
         e[a] = h
         S = [point_tensors(patch, x[:n] + 1j * x[n:]).S for x in (x0 + e, x0 - e)]
         dS[a] = (S[0] - S[1]) / (2 * h)
-    dS_hol = 0.5 * (dS[:n] - 1j * dS[n:])
-    gamma_terms = np.einsum("sra,sbcd->rabcd", t.gammas, t.S) + np.einsum(
-        "src,absd->rabcd", t.gammas, t.S
+    dS_hol = 0.5 * (dS[:n] - 1j * dS[n:])  # [r, c, d, a, b]
+    # Gamma^s_{r a} S_{s b- c d-} + Gamma^s_{r c} S_{a b- s d-}
+    gamma_terms = np.einsum("ras,cdsb->rcdab", t.gammas, t.S) + np.einsum(
+        "rcs,sdab->rcdab", t.gammas, t.S
     )
-    want = np.einsum("rd,rabcd->abc", t.linv, dS_hol - gamma_terms)
+    want = np.einsum("rd,rcdab->abc", t.linv, dS_hol - gamma_terms)
     # div S vanishes on space-form products, so the rounding of its
     # summands, not its own size, sets the scale
     scale = max(
-        np.max(np.abs(np.einsum("rd,rabcd->abc", t.linv, dS_hol))),
-        np.max(np.abs(np.einsum("rd,rabcd->abc", t.linv, gamma_terms))),
+        np.max(np.abs(np.einsum("rd,rcdab->abc", t.linv, dS_hol))),
+        np.max(np.abs(np.einsum("rd,rcdab->abc", t.linv, gamma_terms))),
     )
     got = chern_divergence_residual(patch, t)["div_S"]
     assert np.max(np.abs(got - want)) <= 1e-12 * scale + _rounding_unit(patch, t)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -238,6 +239,28 @@ def test_nilsquare_preset_is_bounded():
     assert len(preset_ring(f"nilsquare:{MAX_NILSQUARE}").generators) == MAX_NILSQUARE
     with pytest.raises(PresetError, match=f"M <= {MAX_NILSQUARE}"):
         preset_ring(f"nilsquare:{MAX_NILSQUARE + 1}")
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ("cp:0", "cp:N needs N >= 1"),
+        ("cp:x", "cp:N needs N >= 1"),
+        ("cp:", "cp:N needs N >= 1"),
+        ("surface:-1", "surface:G needs G >= 0"),
+        ("surface:1.5", "surface:G needs G >= 0"),
+        ("nilsquare:0", "nilsquare:M needs M >= 1"),
+        ("nilsquare:two", "nilsquare:M needs M >= 1"),
+    ],
+)
+def test_preset_integer_arguments_are_refused_below_their_bound(spec, message):
+    with pytest.raises(PresetError, match="^" + re.escape(message) + "$"):
+        preset_ring(spec)
+
+
+@pytest.mark.parametrize("spec,size", [("cp:1", 1), ("surface:0", 1), ("nilsquare:1", 1)])
+def test_preset_integer_arguments_accept_their_bound(spec, size):
+    assert len(preset_ring(spec).generators) == size
 
 
 def test_integer_literal_past_digit_limit_is_a_parse_error(qring):

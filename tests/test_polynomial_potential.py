@@ -13,14 +13,29 @@ conj(c_{alpha beta})`` so that phi is real.  Its metric is closed form,
     J_{alpha a} = d_a z^alpha,
 
 and the pipeline reads a factor only through ``dim`` and ``metric(z)``.
+
+At the origin g = I and d g = 0, so Gamma = 0 and
+
+    R_{a b- c d-}(0) = -d_a d_b- d_c d_d- phi(0),
+    d_e R_{a b- c d-}(0) = -d_a d_b- d_c d_d- d_e phi(0),
+
+read exactly off the (2,2) and (3,2) coefficients of ``C``: every other
+term of R and of its derivative carries a factor d g(0) = 0.
 """
 
+from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import factorial, prod
 
 import numpy as np
 import pytest
 
-from crchern.kahler import KahlerProductPatch, chern_divergence_residual, point_tensors
+from crchern.kahler import (
+    DEFAULT_TOLERANCES,
+    KahlerProductPatch,
+    chern_divergence_residual,
+    point_tensors,
+)
 
 EPS = 0.05
 
@@ -106,3 +121,98 @@ def test_divergence_identity_holds_where_both_sides_are_not_zero(index):
     sides = min(out["lhs_max"], out["rhs_max"])
     assert sides > 0.1
     assert out["residual"] < 1e-3 * sides
+
+
+def _origin_derivatives(patch: KahlerProductPatch, part) -> tuple[np.ndarray, np.ndarray]:
+    """``R(0)`` at ``[a, b, c, d]`` and ``d_e R(0)`` at ``[e, a, b, c, d]``,
+    as object arrays of the exact ``Fraction`` value of ``part(C)`` (the
+    real or the imaginary part): ``-eps alpha! beta! c_{alpha beta}`` with
+    ``alpha`` the holomorphic and ``beta`` the antiholomorphic indices."""
+    n = patch.total_dim
+    R = np.full((n,) * 4, Fraction(0), dtype=object)
+    dR = np.full((n,) * 5, Fraction(0), dtype=object)
+    for f, s in zip(patch.factors, patch.slices()):
+        row = {tuple(e): i for i, e in enumerate(f.exponents)}
+        eye = np.eye(f.dim, dtype=int)
+
+        def coefficient(holomorphic, anti):
+            alpha, beta = sum(eye[list(holomorphic)]), sum(eye[list(anti)])
+            c = Fraction(float(part(f.C[row[tuple(alpha)], row[tuple(beta)]])))
+            weight = prod(map(factorial, alpha)) * prod(map(factorial, beta))
+            return -Fraction(EPS) * weight * c
+
+        for a, b, c, d in np.ndindex((f.dim,) * 4):
+            R[s.start + a, s.start + b, s.start + c, s.start + d] = coefficient((a, c), (b, d))
+            for e in range(f.dim):
+                index = (s.start + e, s.start + a, s.start + b, s.start + c, s.start + d)
+                dR[index] = coefficient((a, c, e), (b, d))
+    return R, dR
+
+
+def _origin_tensors(R: np.ndarray, dR: np.ndarray) -> dict:
+    """S, div S and -n i V at the origin by the ``tensors`` formulas, with
+    g = l = I and Gamma = 0, so every covariant derivative is ``d``.
+
+    Each step is real-linear but the factor i of V, so it runs on the
+    real and the imaginary part apart: with ``V = i W``, ``-n i V = n W``.
+    """
+    n = len(R)
+    g = np.eye(n, dtype=int)
+
+    def chern(R, P):
+        # S = R - P_{a b-} g_{c d-} - P_{c b-} g_{a d-} - P_{c d-} g_{a b-} - P_{a d-} g_{c b-}
+        pg, gp = np.multiply.outer(P, g), np.multiply.outer(g, P)
+        return R - pg - pg.transpose(2, 1, 0, 3) - gp - gp.transpose(2, 1, 0, 3)
+
+    ric = sum(R[a, a] for a in range(n))  # [c, d]
+    scal = sum(ric[c, c] for c in range(n))
+    P = (ric - scal / (2 * (n + 1)) * g) / (n + 2)
+    d_ric = sum(dR[:, a, a] for a in range(n))  # [e, c, d]
+    d_scal = np.array([sum(d_ric[e, c, c] for c in range(n)) for e in range(n)])
+    d_P = (d_ric - np.multiply.outer(d_scal, g) / (2 * (n + 1))) / (n + 2)  # [e, a, b]
+    d_S = np.array([chern(dR[e], d_P[e]) for e in range(n)])  # [e, a, b, c, d]
+    div_S = sum(d_S[r, :, :, :, r] for r in range(n))  # [a, b, c]
+    T1 = d_scal / (2 * (n + 1) * (n + 2))
+    W = (
+        d_P.transpose(1, 2, 0)
+        - np.multiply.outer(g, T1)  # T_c l_{a b-}
+        - 2 * np.multiply.outer(T1, g.T)  # T_a l_{c b-}
+    )
+    return {"R": R, "S": chern(R, P), "div_S": div_S, "minus_n_i_V": n * W}
+
+
+@pytest.fixture(scope="module")
+def origin_reference():
+    patch = _patch()
+    parts = [_origin_tensors(*_origin_derivatives(patch, part)) for part in (np.real, np.imag)]
+    return patch, parts
+
+
+def _complex(parts, name):
+    re, im = (p[name].astype(float) for p in parts)
+    return re + 1j * im
+
+
+def test_divergence_identity_holds_exactly_at_the_origin(origin_reference):
+    _, parts = origin_reference
+    for part in parts:
+        assert np.max(np.abs(part["div_S"].astype(float))) > 0.1
+        assert np.all(part["div_S"] == part["minus_n_i_V"])
+
+
+def test_curvature_and_chern_tensor_match_the_exact_origin(origin_reference):
+    patch, parts = origin_reference
+    t = point_tensors(patch, np.zeros(patch.total_dim, dtype=complex))
+    for name in ("R", "S"):
+        want = _complex(parts, name).transpose(2, 3, 0, 1)  # the record's [c, d, a, b]
+        err = np.max(np.abs(getattr(t, name) - want))
+        assert err <= DEFAULT_TOLERANCES["curvature_rel"] * np.max(np.abs(want)), name
+
+
+def test_divergence_sides_match_the_exact_origin(origin_reference):
+    patch, parts = origin_reference
+    t = point_tensors(patch, np.zeros(patch.total_dim, dtype=complex))
+    out = chern_divergence_residual(patch, t)
+    for name in ("div_S", "minus_n_i_V"):
+        want = _complex(parts, name)
+        assert np.max(np.abs(out[name] - want)) <= 1e-3 * np.max(np.abs(want)), name

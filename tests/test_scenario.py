@@ -7,6 +7,7 @@ import pytest
 
 from crchern.kahler import (
     BOUNDS,
+    CONTROL_FLOOR,
     DEFAULT_TOLERANCES,
     ScenarioError,
     parse_scenario,
@@ -126,6 +127,17 @@ def test_control_batch_fails_flatness_and_passes_as_control():
     assert flat_view.witnesses[0]["maxima"]["s_inf"] > 1e-2
     control_view = run_batch(factors, samples=6, seed=0, expect_flat=False)
     assert control_view.passed
+
+
+def test_three_unequal_blocks_are_a_control():
+    # 2+1+3 runs every identity through the one record; three factors
+    # are never Bochner-flat, so flatness alone fails (|S|_inf about 0.87)
+    factors = [(2, Fraction(1)), (1, Fraction(-1)), (3, Fraction(-1, 2))]
+    report = run_batch(factors, samples=3, seed=7)
+    failed = [name for name, ok in report.assertions if not ok]
+    assert failed == ["Chern tensor vanishes within tolerance"]
+    assert report.witnesses[0]["maxima"]["s_inf"] > CONTROL_FLOOR
+    assert run_batch(factors, samples=3, seed=7, expect_flat=False).passed
 
 
 # (tolerance key, assertion it bounds, maximum it is read against), with
