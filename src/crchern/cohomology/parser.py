@@ -8,7 +8,12 @@ Grammar (also shipped as ``docs/grammar.ebnf``)::
     atom   = rational | integer | name | "(" expr ")" ;
     sign   = "+" | "-" ;
     rational = integer "/" integer ;
+    integer  = digit { digit } ;                          (ring.INTEGER)
+    name     = ( letter | "_" ) { letter | digit | "_" } ;  (ring.NAME)
 
+Letters and digits are ASCII (``ring.NAME``, ``ring.INTEGER``); any
+other character but whitespace (what ``str.isspace`` accepts), a
+Unicode letter or digit included, is an ``unexpected character``.
 Implicit multiplication is not part of the language: ``2t`` and
 ``(1+t)(1-t)`` are syntax errors.  Rational literals are only legal
 when the ring has rational coefficients.  Parentheses nest at most
@@ -42,11 +47,12 @@ length of the input.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import RingElement, RingError, RingPresentation
+from .ring import INTEGER, NAME, RingElement, RingError, RingPresentation
 
 
 # Each level of parentheses costs four frames of the recursive descent;
@@ -71,35 +77,24 @@ class _Token:
     pos: int
 
 
+# ``\s`` matches exactly what ``str.isspace`` accepts; "bad" is any other
+# character.
+_SCANNER = re.compile(
+    rf"(?P<int>{INTEGER.pattern})|(?P<name>{NAME.pattern})"
+    r"|(?P<op>[-+*^()/])|(?P<space>\s+)|(?P<bad>.)",
+    re.DOTALL,
+)
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*^()/":
-            tokens.append(_Token("op", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
+    for match in _SCANNER.finditer(text):
+        kind = match.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {match.group()!r}", match.start())
+        if kind != "space":
+            tokens.append(_Token(kind, match.group(), match.start()))
+    tokens.append(_Token("end", "", len(text)))
     return tokens
 
 
@@ -121,72 +116,60 @@ class _Parser:
         self.depth = 0
         self.steps_taken = 0.0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
     def advance(self) -> _Token:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
-    def expect_op(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != text:
-            raise ParseError(f"expected {text!r}", tok.pos)
-        return self.advance()
+    def take(self, ops: str) -> _Token | None:
+        """The next token, consumed, if it is one of the operators ``ops``."""
+        tok = self.tokens[self.i]
+        if tok.kind == "op" and tok.text in ops:  # the end token's "" is in every str
+            self.i += 1
+            return tok
+        return None
+
+    def integer(self, message: str) -> tuple[int, int]:
+        """The next token's value and position; refused with ``message``
+        unless it is an integer."""
+        tok = self.advance()
+        if tok.kind != "int":
+            raise ParseError(message, tok.pos)
+        return _integer(tok), tok.pos
 
     def parse(self) -> RingElement:
         value = self.expr()
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind != "end":
             raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
         return value
 
     def expr(self) -> RingElement:
-        sign = 1
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in "+-":
-            self.advance()
-            sign = -1 if tok.text == "-" else 1
+        tok = self.take("+-")
+        sign = -1 if tok and tok.text == "-" else 1
         total = {e: sign * c for e, c in self.term().terms.items()}
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.advance()
-                sign = -1 if tok.text == "-" else 1
-                # one running sum: adding term by term would copy it each time
-                for e, c in self.term().terms.items():
-                    total[e] = total.get(e, 0) + sign * c
-            else:
-                return self.ring.element(total)
+        while tok := self.take("+-"):
+            sign = -1 if tok.text == "-" else 1
+            # one running sum: adding term by term would copy it each time
+            for e, c in self.term().terms.items():
+                total[e] = total.get(e, 0) + sign * c
+        return self.ring.element(total)
 
     def term(self) -> RingElement:
         value = self.power()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text == "*":
-                self.advance()
-                rhs = self.power()
-                self.check_product(value, rhs, tok.pos)
-                value = value * rhs
-            else:
-                return value
+        while tok := self.take("*"):
+            rhs = self.power()
+            self.check_product(value, rhs, tok.pos)
+            value = value * rhs
+        return value
 
     def power(self) -> RingElement:
         value = self.atom()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text == "^":
-                self.advance()
-                etok = self.peek()
-                if etok.kind != "int":
-                    raise ParseError("exponent must be a nonnegative integer", etok.pos)
-                self.advance()
-                exponent = _integer(etok)
-                self.check_power(value, exponent, etok.pos)
-                value = value**exponent
-            else:
-                return value
+        while self.take("^"):
+            exponent, pos = self.integer("exponent must be a nonnegative integer")
+            self.check_power(value, exponent, pos)
+            value = value**exponent
+        return value
 
     def check_product(self, a: RingElement, b: RingElement, pos: int) -> None:
         """Refuse ``a*b`` before computing it when it exceeds a bound above."""
@@ -252,43 +235,36 @@ class _Parser:
             )
 
     def atom(self) -> RingElement:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            num = _integer(tok)
-            nxt = self.peek()
-            if nxt.kind == "op" and nxt.text == "/":
-                self.advance()
-                dtok = self.peek()
-                if dtok.kind != "int":
-                    raise ParseError("expected denominator after '/'", dtok.pos)
-                self.advance()
-                den = _integer(dtok)
-                if den == 0:
-                    raise ParseError("zero denominator", dtok.pos)
-                if self.ring.coefficients.kind != "Q":
-                    raise ParseError(
-                        f"rational coefficient in a {self.ring.coefficients} ring",
-                        tok.pos,
-                    )
-                return self.ring.scalar(Fraction(num, den))
-            return self.ring.scalar(num)
-        if tok.kind == "name":
-            self.advance()
-            if not self.ring.has_gen(tok.text):
-                raise ParseError(f"unknown identifier {tok.text!r}", tok.pos)
-            return self.ring.gen(tok.text)
-        if tok.kind == "op" and tok.text == "(":
+        if tok := self.take("("):
             if self.depth == MAX_NESTING:
                 raise ParseError(
                     f"parentheses nested deeper than {MAX_NESTING}", tok.pos
                 )
-            self.advance()
             self.depth += 1
             value = self.expr()
             self.depth -= 1
-            self.expect_op(")")
+            if not self.take(")"):
+                raise ParseError("expected ')'", self.tokens[self.i].pos)
             return value
+        tok = self.advance()
+        if tok.kind == "int":
+            num = _integer(tok)
+            if not self.take("/"):
+                return self.ring.scalar(num)
+            den, pos = self.integer("expected denominator after '/'")
+            if den == 0:
+                raise ParseError("zero denominator", pos)
+            if self.ring.coefficients.kind != "Q":
+                raise ParseError(
+                    f"rational coefficient in a {self.ring.coefficients} ring",
+                    tok.pos,
+                )
+            return self.ring.scalar(Fraction(num, den))
+        if tok.kind == "name":
+            try:
+                return self.ring.gen(tok.text)
+            except RingError:
+                raise ParseError(f"unknown identifier {tok.text!r}", tok.pos) from None
         raise ParseError(
             f"expected a number, name, or '(', got {tok.text!r}"
             if tok.kind != "end"

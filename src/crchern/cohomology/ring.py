@@ -35,6 +35,7 @@ functions, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -54,6 +55,14 @@ class RingError(ValueError):
 # does not see.  The largest preset ring has 31 (``nilsquare:24`` plus
 # the seven other preset names); rings built in code are not bounded.
 MAX_GENERATORS = 64
+
+
+# The element grammar's two lexical classes (docs/grammar.ebnf), ASCII
+# only, each applied to a whole string with ``fullmatch``.  Generator
+# names, the parser's scanner and the preset arguments use these alone;
+# the presentation schema's name pattern is ``NAME`` anchored.
+NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+INTEGER = re.compile(r"[0-9]+")
 
 
 # The most characters of an offending value an error message quotes, so
@@ -132,16 +141,15 @@ def integers_mod(m: int) -> CoefficientDomain:
 
 @dataclass(frozen=True)
 class Generator:
-    """A ring generator ``name`` of even degree with ``name**truncation = 0``."""
+    """A ring generator ``name`` of even degree with ``name**truncation = 0``.
+    ``name`` is a string that ``NAME`` matches whole."""
 
     name: str
     degree: int
     truncation: int
 
     def __post_init__(self) -> None:
-        if not self.name or not self.name[0].isalpha() and self.name[0] != "_":
-            raise RingError(f"invalid generator name: {_quote(self.name)}")
-        if not all(ch.isalnum() or ch == "_" for ch in self.name):
+        if not isinstance(self.name, str) or not NAME.fullmatch(self.name):
             raise RingError(f"invalid generator name: {_quote(self.name)}")
         if self.degree <= 0 or self.degree % 2 != 0:
             raise RingError(
@@ -243,9 +251,6 @@ class RingPresentation:
                 return i
         raise RingError(f"unknown generator: {name!r}")
 
-    def has_gen(self, name: str) -> bool:
-        return any(g.name == name for g in self.generators)
-
     # -- grading ------------------------------------------------------
 
     def monomial_degree(self, exps: ExponentVector) -> int:
@@ -315,8 +320,8 @@ class RingPresentation:
         Exactly the documents that schema allows are read: objects with
         exactly the keys it names, integers where it asks for one (an
         integral float such as ``2.0`` counts, a bool or a string does
-        not), and ASCII generator names.  A refusal quotes at most
-        ``QUOTE_LIMIT`` characters of the offending value.
+        not), and generator names that ``NAME`` matches.  A refusal
+        quotes at most ``QUOTE_LIMIT`` characters of the offending value.
         """
         _require_keys(data, ("coefficients", "generators"), "ring presentation")
         raw_coeffs, raw_gens = data["coefficients"], data["generators"]
@@ -338,12 +343,9 @@ class RingPresentation:
         gens = []
         for g in raw_gens:
             _require_keys(g, ("name", "degree", "truncation"), "generator entry")
-            name = g["name"]
-            if not isinstance(name, str) or not name.isascii():
-                raise RingError(f"invalid generator name: {_quote(name)}")
             gens.append(
                 Generator(
-                    name,
+                    g["name"],
                     _schema_int(g["degree"], "degree"),
                     _schema_int(g["truncation"], "truncation"),
                 )

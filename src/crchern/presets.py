@@ -1,7 +1,8 @@
 """Named ring presets for the command-line calculator.
 
 A preset string is one or more factor specs joined with ``*`` (the
-unicode multiplication sign is accepted too):
+unicode multiplication sign is accepted too). N, G and M are plain
+ASCII digits (``ring.INTEGER``): no sign, ``_`` or other digits.
 
     cp:N         projective N-space:   Q[g]/(g^(N+1))
     surface:G    genus-G surface even part:  Q[g]/(g^2)
@@ -16,7 +17,7 @@ list, skipping names already taken, so ``cp:2`` alone uses ``t`` while
 
 from __future__ import annotations
 
-from .cohomology.ring import RATIONALS, Generator, RingError, RingPresentation, make_ring
+from .cohomology.ring import INTEGER, RATIONALS, Generator, RingError, RingPresentation, make_ring
 
 _FALLBACK_NAMES = ("t", "h", "u", "v", "w", "y")
 
@@ -74,12 +75,13 @@ def _parse_factor(spec: str, taken: set[str]) -> list[Generator]:
 
 
 def _int_at_least(arg: str, low: int, msg: str) -> int:
-    """``arg`` as an integer; refused with ``msg`` unless it is one and ``>= low``."""
+    """``arg`` as an integer; refused with ``msg`` unless ``INTEGER``
+    matches it whole and its value is ``>= low``."""
     try:
-        value = int(arg)
-    except ValueError:
-        raise PresetError(msg) from None
-    if value < low:
+        value = int(arg) if INTEGER.fullmatch(arg) else None
+    except ValueError:  # past int()'s digit limit
+        value = None
+    if value is None or value < low:
         raise PresetError(msg)
     return value
 

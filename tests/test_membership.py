@@ -5,6 +5,8 @@ from math import lcm
 import pytest
 
 from conftest import assert_canonical
+from crchern.chern.checks import cpn_setup, fpp_times_cpn_setup, genus2_times_cpn_setup
+from crchern.chern.spherical import spherical_residual
 from crchern.cohomology import (
     EULER_SIGN_CONVENTION,
     INTEGERS,
@@ -643,3 +645,67 @@ def test_membership_matches_fraction_back_substitution(domain):
     if domain.kind == "Q":
         assert seen["scaled"] > 10
 
+
+
+# -- membership by substitution: a second decision procedure --------------
+#
+# Over Q, R = Q[x, h]/(x^(p+1), h^(q+1)) and e = a*x + b*h with a, b != 0
+# give R/(e) = Q[x]/(x^(min(p,q)+1)) through h -> -(a/b)*x.  So a class
+# of degree 2k is in Im(cup e) exactly when k > min(p, q) or its image
+# sum_{i+j=k} r_ij (-a/b)^j is 0.  With one factor and e = a*x != 0,
+# R/(e) = Q: every class of positive degree is a member.  The oracle reads
+# the class's terms with Fraction arithmetic only.
+
+
+def _member_by_substitution(e, r):
+    gens = e.ring.generators
+    if len(gens) == 1:
+        assert set(e.terms) == {(1,)}
+        return all(exps != (0,) for exps in r.terms)
+    assert len(gens) == 2 and set(e.terms) == {(1, 0), (0, 1)}
+    ratio = -Fraction(e.terms[(1, 0)]) / Fraction(e.terms[(0, 1)])
+    low = min(g.truncation - 1 for g in gens)
+    image = {}  # degree k -> coefficient of x^k
+    for (i, j), c in r.terms.items():
+        image[i + j] = image.get(i + j, 0) + Fraction(c) * ratio**j
+    return all(k > low or not v for k, v in image.items())
+
+
+def _substitution_queries():
+    """``(e, target)`` of every thm-1-2 query for n <= 40, thm-1-1's c_1,
+    prop-4-1's c_1^2 and the unmatched control e = t + 3h on fpp x CP^(n-2)."""
+
+    def spherical(e, tangent, n):
+        for k in range(1, n + 2):
+            yield e, spherical_residual(tangent, n, k)
+
+    for n in range(2, 41):
+        setup = genus2_times_cpn_setup(n)
+        yield from spherical(setup.euler, setup.base_tangent, n)
+        yield setup.euler, setup.base_tangent.c1()
+        for d in range(1, 6):
+            setup = cpn_setup(n, d)
+            yield from spherical(setup.euler, setup.base_tangent, n)
+    for n in range(4, 41):
+        setup = fpp_times_cpn_setup(n)
+        yield from spherical(setup.euler, setup.base_tangent, n)
+        yield setup.euler, setup.base_tangent.c1() ** 2
+        t, h = setup.base.gen("t"), setup.base.gen("h")
+        yield from spherical(t + 3 * h, setup.base_tangent, n)
+
+
+def test_membership_agrees_with_substitution():
+    queries = nonmembers = quotient_checked = 0
+    for e, r in _substitution_queries():
+        member = _member_by_substitution(e, r)
+        assert image_membership(e.ring, e, r).member == member, (str(e), str(r))
+        queries += 1
+        nonmembers += not member
+        if len(e.ring.generators) == 2 and r:
+            # cup e is onto degree 2k exactly when the quotient there is 0
+            p, q = (g.truncation - 1 for g in e.ring.generators)
+            k = r.homogeneous_degree() // 2
+            cup, _, factors = factored_cup(e.ring, e, 2 * k)
+            assert (len(factors) == len(cup.basis_rows)) == (min(p, q) < k <= p + q)
+            quotient_checked += 1
+    assert (queries, nonmembers, quotient_checked) == (6926, 113, 2410)

@@ -22,7 +22,14 @@ from crchern.cohomology import (
     make_ring,
     parse_element,
 )
-from crchern.cohomology.parser import MAX_STEPS, MAX_TERMS, _power_bounds
+from crchern.cohomology.parser import (
+    _SCANNER,
+    MAX_STEPS,
+    MAX_TERMS,
+    _power_bounds,
+    _Token,
+    _tokenize,
+)
 from crchern.cohomology.ring import RingElement
 from crchern.presets import MAX_NILSQUARE, PresetError, preset_ring
 
@@ -251,6 +258,11 @@ def test_nilsquare_preset_is_bounded():
         ("surface:1.5", "surface:G needs G >= 0"),
         ("nilsquare:0", "nilsquare:M needs M >= 1"),
         ("nilsquare:two", "nilsquare:M needs M >= 1"),
+        ("cp:1_0", "cp:N needs N >= 1"),
+        ("cp:\u0663", "cp:N needs N >= 1"),  # ARABIC-INDIC DIGIT THREE
+        ("cp:+3", "cp:N needs N >= 1"),
+        ("surface:-0", "surface:G needs G >= 0"),
+        ("cp:" + "9" * (sys.get_int_max_str_digits() + 1), "cp:N needs N >= 1"),
     ],
 )
 def test_preset_integer_arguments_are_refused_below_their_bound(spec, message):
@@ -261,6 +273,88 @@ def test_preset_integer_arguments_are_refused_below_their_bound(spec, message):
 @pytest.mark.parametrize("spec,size", [("cp:1", 1), ("surface:0", 1), ("nilsquare:1", 1)])
 def test_preset_integer_arguments_accept_their_bound(spec, size):
     assert len(preset_ring(spec).generators) == size
+
+
+@pytest.mark.parametrize(
+    "text,char,position",
+    [("t^²", "²", 2), ("٣", "٣", 0), ("３*t", "３", 0), ("é", "é", 0), ("tξ", "ξ", 1)],
+)
+def test_non_ascii_letters_and_digits_are_unexpected_characters(capsys, text, char, position):
+    assert main(["eval", "--ring", "cp:2", "--", text]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"parse error: unexpected character {char!r} (at position {position})\n")
+
+
+def _loop_tokenize(text):
+    """The character loop that the scanner replaced, as the reference for
+    ASCII input."""
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(_Token("int", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(_Token("name", text[i:j], i))
+            i = j
+            continue
+        if ch in "+-*^()/":
+            tokens.append(_Token("op", ch, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(_Token("end", "", n))
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+def test_scanner_matches_the_character_loop_on_ascii():
+    # digits, letters, _, the operators, tabs, newlines, no-break spaces and
+    # stray punctuation; the operators and spaces weighted up
+    alphabet = (
+        "0123456789" + "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
+        + "+-*^()/" * 4 + " \t\n\xa0" * 2 + "$@.,;!?"
+    )
+    rng = random.Random(28)
+    errors = 0
+    for _ in range(100_000):
+        text = "".join(rng.choices(alphabet, k=rng.randint(0, 12)))
+        expected = _tokens_or_error(_loop_tokenize, text)
+        assert _tokens_or_error(_tokenize, text) == expected, text
+        errors += isinstance(expected, tuple)
+    assert 20_000 < errors < 80_000  # both outcomes are well covered
+
+
+def test_scanner_classifies_every_code_point():
+    text = "".join(map(chr, range(sys.maxunicode + 1)))
+    found = {"int": "", "name": "", "op": "", "space": ""}
+    for match in _SCANNER.finditer(text):
+        if match.lastgroup != "bad":  # every other character is refused
+            found[match.lastgroup] += match.group()
+    assert found == {
+        "int": "0123456789",
+        "name": "ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz",
+        "op": "()*+-/^",
+        "space": "".join(filter(str.isspace, text)),  # str.isspace exactly
+    }
 
 
 def test_integer_literal_past_digit_limit_is_a_parse_error(qring):
@@ -306,7 +400,9 @@ def _expressions():
 _MALFORMED = st.one_of(
     st.none(),
     st.tuples(
-        st.sampled_from(["(", ")", "^", "*", "/", "2t", "$", "^-1", "1/0", "t t"]),
+        st.sampled_from(
+            ["(", ")", "^", "*", "/", "2t", "$", "^-1", "1/0", "t t", "²", "٣", "３", "é"]
+        ),
         st.integers(0, 60),
     ),
 )

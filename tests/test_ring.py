@@ -21,6 +21,7 @@ from crchern.cohomology import (
     integers_mod,
     make_ring,
 )
+from crchern.cohomology.ring import NAME, Generator
 
 
 def cp2_ring(domain=INTEGERS):
@@ -67,6 +68,17 @@ class TestConstruction:
     def test_modulus_below_two_rejected(self):
         with pytest.raises(RingError):
             integers_mod(1)
+
+    @pytest.mark.parametrize("name", ["t²", "é", "t٣", "３", "1t", "", "t\n", "t-1", 5, None])
+    def test_generator_name_outside_the_name_pattern_rejected(self, name):
+        with pytest.raises(RingError, match="invalid generator name"):
+            make_ring([(name, 2, 3)], RATIONALS)
+        with pytest.raises(RingError, match="invalid generator name"):
+            Generator(name, 2, 2)
+
+    @pytest.mark.parametrize("name", ["t", "_", "_t1", "T_2", "x" * 100])
+    def test_generator_name_of_the_name_pattern_accepted(self, name):
+        assert make_ring([(name, 2, 3)], RATIONALS).generators[0].name == name
 
 
 class TestArithmetic:
@@ -584,6 +596,20 @@ class TestSerialization:
         )
         schema = json.loads(schema_path.read_text())
         assert schema["properties"]["generators"]["maxItems"] == MAX_GENERATORS
+
+    def test_schema_name_pattern_is_the_code_s_anchored(self):
+        import json
+        from pathlib import Path
+
+        schema_path = (
+            Path(__file__).resolve().parent.parent
+            / "docs"
+            / "schemas"
+            / "presentation.schema.json"
+        )
+        schema = json.loads(schema_path.read_text())
+        name = schema["properties"]["generators"]["items"]["properties"]["name"]
+        assert name["pattern"] == f"^{NAME.pattern}$"
 
     def test_too_many_generators_refused_before_any_is_built(self, monkeypatch):
         from crchern.cohomology import ring as ring_module
