@@ -22,6 +22,11 @@ Every run is deterministic given flags and seed (``--seed``, or the
 ``CRCHERN_SEED`` environment variable, read only by ``verify`` and
 ``bochner`` without ``--seed``, default 0); pass
 ``--no-timestamp`` for byte-identical JSON manifests.
+
+Each input has one spelling, and any other is a usage error: exact
+option names; integers in ASCII digits (``ring.read_integer``), a seed
+with at most one leading ``-``; a ``--tol`` that ``scenario.DECIMAL``
+matches; a ``--ring`` spec told apart by syntax (:func:`_load_ring_spec`).
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from fractions import Fraction
-from pathlib import Path
+from functools import partial
 from typing import Callable
 
 from . import __version__
@@ -52,8 +57,8 @@ from .chern.report import CheckReport, manifest_json
 from .chern.spherical import verify_spherical_on_circle_bundle
 from .chern.tractor import tractor_determinant_check
 from .cohomology.parser import ParseError, parse_element
-from .cohomology.ring import RingPresentation
-from .kahler.scenario import MAX_SAMPLES, ScenarioError, parse_scenario, run_batch
+from .cohomology.ring import RingPresentation, read_integer
+from .kahler.scenario import DECIMAL, MAX_SAMPLES, ScenarioError, parse_scenario, run_batch
 from .kahler.spaceform import CalibrationError, PatchDomainError
 from .kahler.tensors import IllConditionedMetric
 from .presets import preset_ring
@@ -80,14 +85,16 @@ def _refuse(message: str) -> int:
     return 2
 
 
+def _seed(text: str) -> int:
+    """``--seed`` and ``CRCHERN_SEED``: ``read_integer`` after at most one leading ``-``."""
+    return -read_integer(text[1:]) if text.startswith("-") else read_integer(text)
+
+
 def _tolerance(text: str) -> float:
-    """``--tol`` values: finite and positive, or a usage error (exit 2)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    """``--tol`` values: a finite and positive ``DECIMAL``, or a usage error (exit 2)."""
+    value = float(text) if DECIMAL.fullmatch(text) else math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite and positive decimal, got {text!r}")
     return value
 
 
@@ -106,7 +113,7 @@ class Flag:
     default: int | None = None
     low: int | None = None
     high: int | None = None
-    parse: Callable[[str], object] = int
+    parse: Callable[[str], object] = read_integer
 
 
 @dataclass(frozen=True)
@@ -125,18 +132,24 @@ class Target:
     share: Callable[[dict], list[CheckReport]] | None = None
 
 
-def _spherical_families(n_max: int) -> list[CheckReport]:
+def _ns(p: dict, first: int) -> range:
+    """``first..n_max``; under ``--n`` (never in ``all``'s parameters) that n, if ``>= first``."""
+    n = p.get("n")
+    return range(first, p["n_max"] + 1) if n is None else range(max(first, n), n + 1)
+
+
+def _spherical_families(p: dict) -> list[CheckReport]:
     reports = []
-    for n in range(2, n_max + 1):
+    for n in _ns(p, 2):
         rep = verify_spherical_on_circle_bundle(genus2_times_cpn_setup(n), n)
         reports.append(_relabel(rep, family="genus2-surface x cp", n=n))
-    for n in range(2, n_max + 1):
+    for n in _ns(p, 2):
         base = cpn_setup(n, 1)  # e = -t; one base and tangent bundle for every d
         for d in range(1, 6):
             setup = replace(base, euler=d * base.euler)
             rep = verify_spherical_on_circle_bundle(setup, n)
             reports.append(_relabel(rep, family="cp", n=n, d=d))
-    for n in range(4, n_max + 1):
+    for n in _ns(p, 4):
         rep = verify_spherical_on_circle_bundle(fpp_times_cpn_setup(n), n)
         reports.append(_relabel(rep, family="fpp x cp", n=n))
     return reports
@@ -147,9 +160,7 @@ def _relabel(report: CheckReport, **extra) -> CheckReport:
 
 
 def _tractor(p: dict) -> list[CheckReport]:
-    # ``--n``: that n only; unset by default and absent from ``all``'s parameters
-    ns = range(1, p["n_max"] + 1) if p.get("n") is None else [p["n"]]
-    return [tractor_determinant_check(n, seed=p["seed"]) for n in ns]
+    return [tractor_determinant_check(n, seed=p["seed"]) for n in _ns(p, 1)]
 
 
 def _bochner(p: dict) -> list[CheckReport]:
@@ -170,9 +181,7 @@ TARGETS = {
         share=lambda p: [check_thm_1_1(n) for n in range(2, p["n_max"] + 1)],
     ),
     "thm-1-2": Target(
-        {"n": Flag(None, 2, 40), "n_max": Flag(6, 2, 40)},  # --n is an alias of --n-max
-        run=lambda p: _spherical_families(p["n_max"] if p["n"] is None else p["n"]),
-        share=lambda p: _spherical_families(p["n_max"]),
+        {"n": Flag(None, 2, 40), "n_max": Flag(6, 2, 40)}, _spherical_families, _spherical_families
     ),
     "tractor": Target({"n": Flag(None, 1, 60), "n_max": Flag(6, 1, 40)}, _tractor, _tractor),
     "prop-1-3": Target(
@@ -358,7 +367,7 @@ def _cmd_verify(args, argv: list[str]) -> int:
     if args.seed is None:
         env = os.environ.get("CRCHERN_SEED")
         try:
-            args.seed = DEFAULT_SEED if env is None else int(env)
+            args.seed = DEFAULT_SEED if env is None else _seed(env)
         except ValueError:
             return _refuse(f"invalid CRCHERN_SEED: {env!r} is not an integer")
     try:
@@ -368,7 +377,7 @@ def _cmd_verify(args, argv: list[str]) -> int:
     return _emit(args, argv, args.seed, lambda: target.run(params))
 
 
-def _read_document(path: Path | str) -> str:
+def _read_document(path: str) -> str:
     """The UTF-8 text at ``path``, refused past :data:`MAX_DOCUMENT_BYTES`."""
     with open(path, "rb") as f:  # reads at most one byte past the bound
         data = f.read(MAX_DOCUMENT_BYTES + 1)
@@ -378,13 +387,12 @@ def _read_document(path: Path | str) -> str:
 
 
 def _load_ring_spec(spec: str) -> RingPresentation:
-    text = spec.strip()
-    if text.startswith("{"):
-        return RingPresentation.from_json_dict(json.loads(text))
-    path = Path(text)
-    if path.suffix == ".json" or path.exists():
-        return RingPresentation.from_json_dict(json.loads(_read_document(path)))
-    return preset_ring(text)
+    """JSON text if ``spec`` starts with ``{``, a path if it holds ``/`` or ``.``, else a preset."""
+    if spec.startswith("{"):
+        return RingPresentation.from_json_dict(json.loads(spec))
+    if "/" in spec or "." in spec:
+        return RingPresentation.from_json_dict(json.loads(_read_document(spec)))
+    return preset_ring(spec)
 
 
 def _cmd_eval(args, argv: list[str]) -> int:
@@ -415,8 +423,7 @@ def _cmd_scenario(args, argv: list[str]) -> int:
         factors, samples, seed, tolerances = parse_scenario(doc)
     except ScenarioError as exc:
         return _refuse(f"scenario schema violation: {exc}")
-    if args.seed_flag is not None:
-        seed = args.seed_flag
+    seed = seed if args.seed is None else args.seed
     try:
         return _emit(
             args,
@@ -432,7 +439,10 @@ def _cmd_scenario(args, argv: list[str]) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
-def _add_output_flags(p: argparse.ArgumentParser) -> None:
+def _add_run_flags(p: argparse.ArgumentParser, flags: dict[str, Flag]) -> None:
+    for name, flag in flags.items():
+        p.add_argument(_option(name), type=flag.parse, default=None, dest=name)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--format", choices=("md", "json"), default="md")
     p.add_argument("--out", metavar="PATH", default=None)
     p.add_argument("--no-timestamp", action="store_true")
@@ -440,39 +450,33 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="crchern",
+        prog="crchern", allow_abbrev=False,
         description="Exact verification of Chern-class constraints for "
         "spherical CR structures on circle bundles.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = partial(sub.add_parser, allow_abbrev=False)
 
-    p_verify = sub.add_parser("verify", help="run a named verification target")
+    p_verify = add_parser("verify", help="run a named verification target")
     p_verify.add_argument("target", help=f"one of: {', '.join(KNOWN_TARGETS)}")
-    for name, flag in FLAGS.items():
-        p_verify.add_argument(_option(name), type=flag.parse, default=None, dest=name)
-    p_verify.add_argument("--seed", type=int, default=None)
-    _add_output_flags(p_verify)
+    _add_run_flags(p_verify, FLAGS)
 
-    p_bochner = sub.add_parser("bochner", help="alias of: verify bochner-products")
-    for name, flag in TARGETS["bochner-products"].flags.items():
-        p_bochner.add_argument(_option(name), type=flag.parse, default=None, dest=name)
-    p_bochner.add_argument("--seed", type=int, default=None)
+    p_bochner = add_parser("bochner", help="alias of: verify bochner-products")
     p_bochner.set_defaults(target="bochner-products")
-    _add_output_flags(p_bochner)
+    _add_run_flags(p_bochner, TARGETS["bochner-products"].flags)
 
-    p_eval = sub.add_parser("eval", help="evaluate an expression in a ring")
+    p_eval = add_parser("eval", help="evaluate an expression in a ring")
     p_eval.add_argument(
         "--ring",
         required=True,
-        help="preset string (e.g. fpp*cp:2), JSON document, or path to one",
+        help="JSON text ('{...'), a path to it (holding '/' or '.'), or a preset (fpp*cp:2)",
     )
     p_eval.add_argument("expr")
 
-    p_scn = sub.add_parser("scenario", help="run a JSON scenario file")
+    p_scn = add_parser("scenario", help="run a JSON scenario file")
     p_scn.add_argument("path")
-    p_scn.add_argument("--seed", type=int, default=None, dest="seed_flag")
-    _add_output_flags(p_scn)
+    _add_run_flags(p_scn, {})
 
     return parser
 

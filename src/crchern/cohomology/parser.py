@@ -52,7 +52,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import INTEGER, NAME, RingElement, RingError, RingPresentation
+from .ring import INTEGER, NAME, RingElement, RingError, RingPresentation, read_integer
 
 
 # Each level of parentheses costs four frames of the recursive descent;
@@ -100,7 +100,7 @@ def _tokenize(text: str) -> list[_Token]:
 
 def _integer(tok: _Token) -> int:
     try:
-        return int(tok.text)
+        return read_integer(tok.text)
     except ValueError as exc:  # past int()'s digit limit
         raise ParseError(
             f"integer literal longer than {sys.get_int_max_str_digits()} digits",

@@ -65,6 +65,13 @@ NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 INTEGER = re.compile(r"[0-9]+")
 
 
+def read_integer(text: str) -> int:
+    """``int(text)`` if ``INTEGER`` matches ``text`` whole, else ``ValueError``."""
+    if not INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 # The most characters of an offending value an error message quotes, so
 # that a refusal of a huge document stays one short line.
 QUOTE_LIMIT = 80

@@ -70,12 +70,14 @@ MAX_FACTOR_DIM = 8
 # Each sample runs the whole curvature pipeline; ``verify --samples`` has
 # the same bound.
 MAX_SAMPLES = 50
-# An 'hsc' string is a short rational or decimal: an optional minus sign,
-# digits, then a denominator or a fraction and exponent.  The schema
+# An 'hsc' string is a short rational or decimal (``DECIMAL``, also the one
+# spelling of ``verify --tol``) after an optional minus sign.  The schema
 # carries the same pattern.  Bounding its length and its decimal exponent
 # bounds the digits of the Fraction it becomes: "1e999999999" would
 # otherwise build a 10^9-digit integer.
-HSC_PATTERN = r"^-?[0-9]+(/[0-9]+|(\.[0-9]+)?([eE][-+]?[0-9]+)?)$"
+_FRACTION_EXPONENT = r"(\.[0-9]+)?([eE][-+]?[0-9]+)?"
+HSC_PATTERN = rf"^-?[0-9]+(/[0-9]+|{_FRACTION_EXPONENT})$"
+DECIMAL = re.compile(r"[0-9]+" + _FRACTION_EXPONENT)
 MAX_HSC_CHARS = 100
 MAX_HSC_EXPONENT = 400
 

@@ -1,8 +1,8 @@
 """Named ring presets for the command-line calculator.
 
-A preset string is one or more factor specs joined with ``*`` (the
-unicode multiplication sign is accepted too). N, G and M are plain
-ASCII digits (``ring.INTEGER``): no sign, ``_`` or other digits.
+A preset string is factor specs joined with ``*`` (or the unicode
+multiplication sign), without spaces.  N, G and M are ASCII digits
+(``ring.read_integer``): no sign, ``_``, space or other digit.
 
     cp:N         projective N-space:   Q[g]/(g^(N+1))
     surface:G    genus-G surface even part:  Q[g]/(g^2)
@@ -17,7 +17,8 @@ list, skipping names already taken, so ``cp:2`` alone uses ``t`` while
 
 from __future__ import annotations
 
-from .cohomology.ring import INTEGER, RATIONALS, Generator, RingError, RingPresentation, make_ring
+from .cohomology.ring import RATIONALS, Generator, RingError, RingPresentation, make_ring
+from .cohomology.ring import read_integer
 
 _FALLBACK_NAMES = ("t", "h", "u", "v", "w", "y")
 
@@ -47,8 +48,6 @@ def _pick_name(preset: str, taken: set[str]) -> str:
 
 def _parse_factor(spec: str, taken: set[str]) -> list[Generator]:
     head, _, arg = spec.partition(":")
-    head = head.strip()
-    arg = arg.strip()
     if head == "cp":
         n = _int_at_least(arg, 1, "cp:N needs N >= 1")
         return [Generator(_pick_name("cp", taken), 2, n + 1)]
@@ -75,11 +74,10 @@ def _parse_factor(spec: str, taken: set[str]) -> list[Generator]:
 
 
 def _int_at_least(arg: str, low: int, msg: str) -> int:
-    """``arg`` as an integer; refused with ``msg`` unless ``INTEGER``
-    matches it whole and its value is ``>= low``."""
+    """``read_integer(arg)`` if it is ``>= low``, else ``PresetError(msg)``."""
     try:
-        value = int(arg) if INTEGER.fullmatch(arg) else None
-    except ValueError:  # past int()'s digit limit
+        value = read_integer(arg)
+    except ValueError:
         value = None
     if value is None or value < low:
         raise PresetError(msg)
@@ -92,7 +90,6 @@ def preset_ring(spec: str) -> RingPresentation:
     taken: set[str] = set()
     gens: list[Generator] = []
     for part in parts:
-        part = part.strip()
         if not part:
             raise PresetError(f"empty factor in preset {spec!r}")
         gens.extend(_parse_factor(part, taken))

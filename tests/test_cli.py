@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -89,11 +90,21 @@ class TestVerify:
             assert (code, out) == (2, "")
             assert err == f"invalid parameters: {argv[1]} does not take {flag}\n"
 
-    def test_thm_1_2_n_is_an_alias_of_n_max(self, capsys):
-        flags = ["--format", "json", "--no-timestamp"]
-        _, by_n_max, _ = run_cli(["verify", "thm-1-2", "--n-max", "3", *flags], capsys)
-        _, by_n, _ = run_cli(["verify", "thm-1-2", "--n", "3", *flags], capsys)
-        assert json.loads(by_n)["reports"] == json.loads(by_n_max)["reports"]
+    @pytest.mark.parametrize("label", ["thm-1-2", "tractor"])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_n_runs_the_n_max_reports_of_that_n_only(self, capsys, label, n):
+        def reports(flag, n_only):
+            argv = ["verify", label, flag, str(n), "--format", "json", "--no-timestamp"]
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 0
+            return [
+                json.dumps(r, indent=2, sort_keys=True)
+                for r in json.loads(out)["reports"]
+                if r["params"]["n"] == n or not n_only
+            ]
+
+        single = reports("--n", n_only=False)
+        assert single and single == reports("--n-max", n_only=True)
 
     @pytest.mark.parametrize(
         "label,check",
@@ -254,6 +265,130 @@ def test_refusals_come_before_any_check(capsys, monkeypatch, tmp_path, argv, che
     code, out, err = run_cli(argv, capsys)
     assert (code, out, calls) == (2, "", [])
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# every name through which a command reaches work: none may run on a refusal
+_WORK = (
+    "check_thm_1_1",
+    "check_prop_1_3",
+    "check_prop_4_1",
+    "check_prop_1_4",
+    "verify_spherical_on_circle_bundle",
+    "tractor_determinant_check",
+    "run_batch",
+    "parse_element",
+)
+
+
+@pytest.fixture
+def flat_pair(tmp_path):
+    """A single-sample matched-pair scenario file, the cheapest that runs."""
+    path = tmp_path / "scenario.json"
+    factors = [{"dim": 1, "hsc": "1"}, {"dim": 1, "hsc": "-1"}]
+    path.write_text(json.dumps({"factors": factors, "samples": 1}))
+    return str(path)
+
+
+def _refuse_all_work(monkeypatch):
+    for name in _WORK:
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("work ran"))
+
+
+def _long_options():
+    """(command, option, takes a value) for every long option that
+    ``build_parser`` defines; command ``None`` is the top-level parser."""
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, p in [(None, parser), *sub.choices.items()]:
+        for action in p._actions:
+            for option in action.option_strings:
+                if option.startswith("--"):
+                    yield command, option, action.nargs != 0
+
+
+@pytest.mark.parametrize("command,option,takes_value", list(_long_options()))
+def test_every_option_cut_short_is_refused(
+    capsys, monkeypatch, tmp_path, flat_pair, command, option, takes_value
+):
+    # argparse's prefix matching would read each of these as the option
+    _refuse_all_work(monkeypatch)
+    name = option[2:].replace("-", "_")
+    target = next((t for t, entry in cli.TARGETS.items() if name in entry.flags), "prop-1-3")
+    command_argv = {
+        None: [],
+        "verify": ["verify", target],
+        "bochner": ["bochner"],
+        "eval": ["eval", "t"] + ([] if option == "--ring" else ["--ring", "cp:2"]),
+        "scenario": ["scenario", flat_pair],
+    }[command]
+    value = {"--format": "json", "--out": str(tmp_path / "m.json"), "--ring": "cp:2"}
+    cut = [option[:-1]] + ([value.get(option, "2")] if takes_value else [])
+    # a top-level option goes before a command that would run on its own
+    argv = cut + ["verify", "prop-1-3"] if command is None else command_argv + cut
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert option[:-1] in err or option[:-1] == "--"  # "--" ends the options
+
+
+def test_bochner_n_is_not_no_timestamp(capsys, monkeypatch):
+    _refuse_all_work(monkeypatch)
+    code, out, err = run_cli(["bochner", "--n", "3"], capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --n 3\n")
+
+
+_DIALECTS = ["\u0663", "\uff13", "1_0", " 3 ", "+3", "1" * 4301]  # ARABIC-INDIC and FULLWIDTH 3
+_NUMBER_FLAGS = [
+    ["verify", "thm-1-1", "--n"],
+    ["verify", "thm-1-2", "--n-max"],
+    ["verify", "prop-1-3", "--d"],
+    ["verify", "prop-1-4", "--m"],
+    ["verify", "bochner-products", "--samples"],
+    ["verify", "prop-1-3", "--seed"],
+    ["bochner", "--seed"],
+    ["scenario", "SCENARIO", "--seed"],
+    ["verify", "bochner-products", "--tol"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv,value",
+    [(argv, value) for argv in _NUMBER_FLAGS for value in _DIALECTS]
+    + [(["verify", "bochner-products", "--tol"], " \u0661e-3 ")],
+    ids=lambda x: " ".join(x) if isinstance(x, list) else repr(x)[:12],
+)
+def test_numbers_in_another_spelling_are_refused(capsys, monkeypatch, flat_pair, argv, value):
+    _refuse_all_work(monkeypatch)
+    argv = [flat_pair if a == "SCENARIO" else a for a in argv]
+    code, out, err = run_cli([*argv, value], capsys)
+    assert (code, out) == (2, "")
+    assert f"argument {argv[-1]}: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [*_DIALECTS, " 1_2 "], ids=lambda v: repr(v)[:12])
+def test_seed_env_in_another_spelling_is_refused(capsys, monkeypatch, value):
+    _refuse_all_work(monkeypatch)
+    monkeypatch.setenv("CRCHERN_SEED", value)
+    code, out, err = run_cli(["verify", "tractor", "--n", "2"], capsys)
+    assert (code, out, err) == (2, "", f"invalid CRCHERN_SEED: {value!r} is not an integer\n")
+
+
+@pytest.mark.parametrize(
+    "argv,env",
+    [
+        (["verify", "tractor", "--n", "2", "--seed", "-5"], None),
+        (["verify", "tractor", "--n", "2"], "-5"),
+        (["bochner", "--samples", "1", "--seed", "-5"], None),
+        (["scenario", "SCENARIO", "--seed", "-5"], None),
+    ],
+    ids=["verify", "env", "bochner", "scenario"],
+)
+def test_negative_seeds_run(capsys, monkeypatch, flat_pair, argv, env):
+    if env is not None:
+        monkeypatch.setenv("CRCHERN_SEED", env)
+    argv = [flat_pair if a == "SCENARIO" else a for a in argv]
+    code, out, _ = run_cli([*argv, "--format", "json", "--no-timestamp"], capsys)
+    assert code == 0 and json.loads(out)["seed"] == -5
 
 
 def test_run_that_raises_keeps_an_existing_out(monkeypatch, tmp_path):
@@ -465,6 +600,18 @@ class TestEval:
         assert (code, out) == (2, "")
         assert err.startswith("bad ring spec: ") and "larger than" not in err
         assert err.count("\n") == 1 and len(err.encode()) < 200
+
+    def test_ring_specs_are_told_apart_by_syntax(self, capsys, monkeypatch, tmp_path):
+        # files named like presets are never read in their place
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "fpp").write_text(json.dumps(_presentation(truncation=2)))
+        (tmp_path / "cp:2").write_text("not a presentation")
+        for ring, expected in [("fpp", "t^2"), ("cp:2", "t^2"), ("./fpp", "0")]:
+            code, out, _ = run_cli(["eval", "--ring", ring, "t^2"], capsys)
+            assert (code, out.splitlines()[0]) == (0, expected)
+        long_preset = "nilsquare:" + "9" * 290
+        code, out, err = run_cli(["eval", "--ring", long_preset, "1"], capsys)
+        assert (code, out, err) == (2, "", "bad ring spec: nilsquare:M needs M <= 24\n")
 
     def test_bad_preset_exit_2(self, capsys):
         code, _, err = run_cli(["eval", "--ring", "torus:1", "1"], capsys)

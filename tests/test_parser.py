@@ -261,6 +261,8 @@ def test_nilsquare_preset_is_bounded():
         ("cp:1_0", "cp:N needs N >= 1"),
         ("cp:\u0663", "cp:N needs N >= 1"),  # ARABIC-INDIC DIGIT THREE
         ("cp:+3", "cp:N needs N >= 1"),
+        ("cp: 3", "cp:N needs N >= 1"),
+        ("cp:3 ", "cp:N needs N >= 1"),
         ("surface:-0", "surface:G needs G >= 0"),
         ("cp:" + "9" * (sys.get_int_max_str_digits() + 1), "cp:N needs N >= 1"),
     ],
