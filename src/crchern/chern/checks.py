@@ -16,13 +16,8 @@ from functools import reduce
 from math import prod
 
 from ..cohomology.gysin import cokernel, image_membership
-from ..cohomology.ring import INTEGERS, RATIONALS, RingError, make_ring
-from .bundles import (
-    BundleClass,
-    _space_form_class,
-    bundle_product,
-    chern_projective_space,
-)
+from ..cohomology.ring import INTEGERS, RATIONALS, CoefficientDomain, RingError, make_ring
+from .bundles import BundleClass, _space_form_class, bundle_product
 from .report import CheckReport
 from .spherical import (
     CircleBundleSetup,
@@ -34,14 +29,16 @@ from .spherical import (
 # -- circle-bundle families -------------------------------------------------
 
 
-def _circle_bundle(*factors: tuple[int, str, int, int]) -> CircleBundleSetup:
-    """Circle bundle over a product of space forms, over Q.
+def _circle_bundle(
+    domain: CoefficientDomain, *factors: tuple[int, str, int, int]
+) -> CircleBundleSetup:
+    """Circle bundle over a product of space forms, with coefficients in ``domain``.
 
     Each factor ``(p, x, c1, a)`` is a p-dimensional space form whose
     degree-2 generator x is truncated at ``x^(p+1)``, with
     ``c_1 = c1 * x``; it contributes ``a * x`` to the Euler class.
     """
-    ring = make_ring([(x, 2, p + 1) for p, x, _, _ in factors], RATIONALS)
+    ring = make_ring([(x, 2, p + 1) for p, x, _, _ in factors], domain)
     euler = sum(a * ring.gen(x) for _, x, _, a in factors)
     tangent = reduce(
         bundle_product, (_space_form_class(p, ring, x, c1) for p, x, c1, _ in factors)
@@ -59,7 +56,7 @@ def genus2_times_cpn_setup(n: int) -> CircleBundleSetup:
     """
     if n < 2:
         raise RingError(f"the construction needs n >= 2, got {n}")
-    return _circle_bundle((1, "s", -2, -2), (n - 1, "h", n, -2))
+    return _circle_bundle(RATIONALS, (1, "s", -2, -2), (n - 1, "h", n, -2))
 
 
 def fpp_times_cpn_setup(n: int) -> CircleBundleSetup:
@@ -71,7 +68,7 @@ def fpp_times_cpn_setup(n: int) -> CircleBundleSetup:
     """
     if n < 4:
         raise RingError(f"the construction needs n >= 4, got {n}")
-    return _circle_bundle((2, "t", 1, 1), (n - 2, "h", n - 1, -3))
+    return _circle_bundle(RATIONALS, (2, "t", 1, 1), (n - 2, "h", n - 1, -3))
 
 
 def cpn_setup(n: int, d: int) -> CircleBundleSetup:
@@ -80,7 +77,7 @@ def cpn_setup(n: int, d: int) -> CircleBundleSetup:
         raise RingError(f"need n >= 1, got {n}")
     if d < 1:
         raise RingError(f"need d >= 1, got {d}")
-    return _circle_bundle((n, "t", n + 1, -d))
+    return _circle_bundle(RATIONALS, (n, "t", n + 1, -d))
 
 
 def nilsquare_ring(m: int):
@@ -135,10 +132,9 @@ def check_prop_1_3(n: int, d: int) -> CheckReport:
         raise RingError(f"check needs n >= 2, got {n}")
     if d < 1:
         raise RingError(f"check needs d >= 1, got {d}")
-    ring = make_ring([("t", 2, n + 1)], INTEGERS)
+    setup = _circle_bundle(INTEGERS, (n, "t", n + 1, -d))
+    ring, euler, tangent = setup.base, setup.euler, setup.base_tangent
     t = ring.gen("t")
-    euler = -d * t
-    tangent = chern_projective_space(n, ring, "t")
     combo = 2 * (n + 2) * tangent.chern(2) - (n + 1) * tangent.c1() ** 2
 
     coker = cokernel(ring, euler, 4)

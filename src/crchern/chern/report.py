@@ -1,10 +1,15 @@
-"""Machine-readable verification outcomes and the manifest's JSON text."""
+"""Verification outcomes, and the one manifest of a run: its content
+(:func:`build_manifest`) and its text in JSON or Markdown (:func:`render_manifest`).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
 from json import dumps
 from json.encoder import encode_basestring_ascii
+
+from .. import __version__
 
 _CONSTANTS = {True: "true", False: "false", None: "null"}
 
@@ -45,6 +50,57 @@ class CheckReport:
             "witnesses": self.witnesses,
             "residuals": self.residuals,
         }
+
+
+def build_manifest(
+    command: list[str], reports: list[CheckReport], seed: int, with_timestamp: bool
+) -> dict:
+    """The manifest dict of a run, its reports ordered by check and then params."""
+    reports = sorted(reports, key=lambda r: (r.check, dumps(r.params, sort_keys=True)))
+    manifest = {
+        "tool": "crchern",
+        "version": __version__,
+        "command": command,
+        "seed": seed,
+        "status": "pass" if all(r.passed for r in reports) else "fail",
+        "reports": [r.to_json_dict() for r in reports],
+    }
+    if with_timestamp:
+        manifest["timestamp"] = datetime.now(timezone.utc).isoformat()
+    return manifest
+
+
+def render_manifest(manifest: dict, fmt: str) -> str:
+    """The text of ``manifest`` in ``fmt``, ``"json"`` or ``"md"``, with its final newline."""
+    return (manifest_json if fmt == "json" else manifest_markdown)(manifest) + "\n"
+
+
+def manifest_markdown(manifest: dict) -> str:
+    """A summary table of the reports, then each report's params, assertions and residuals."""
+    lines = [
+        f"# crchern {manifest['version']} -- {manifest['status'].upper()}",
+        "",
+        f"command: `{' '.join(manifest['command'])}`  ",
+        f"seed: {manifest['seed']}",
+    ]
+    if "timestamp" in manifest:
+        lines.append(f"timestamp: {manifest['timestamp']}")
+    lines += ["", "| check | params | status |", "|---|---|---|"]
+    for rep in manifest["reports"]:
+        params = ", ".join(f"{k}={v}" for k, v in sorted(rep["params"].items()))
+        lines.append(f"| {rep['check']} | {params} | {rep['status']} |")
+    lines.append("")
+    for rep in manifest["reports"]:
+        lines.append(f"## `{rep['check']}` -- {rep['status']}")
+        params = ", ".join(f"`{k}={v}`" for k, v in sorted(rep["params"].items()))
+        if params:
+            lines.append(params)
+        lines += ["", "| assertion | ok |", "|---|---|"]
+        lines += [f"| {a['name']} | {'yes' if a['ok'] else 'NO'} |" for a in rep["assertions"]]
+        if rep["residuals"]:
+            lines += ["", "residuals: " + dumps(rep["residuals"])]
+        lines.append("")
+    return "\n".join(lines)
 
 
 def manifest_json(value: object) -> str:
@@ -92,3 +148,4 @@ def _write(value: object, pad: str) -> str:
         else:
             return "{" + inner + ("," + inner).join(items) + pad + "}"
     return dumps(value, indent=2, sort_keys=True).replace("\n", pad)
+

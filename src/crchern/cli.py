@@ -1,5 +1,8 @@
 """Command-line interface: named verification targets and a ring calculator.
 
+This module reads the command line and picks the output sink; the
+manifest is built and rendered by :mod:`crchern.chern.report`.
+
 Every ``verify`` target is one entry of :data:`TARGETS`: the flags it
 takes, each with its default and inclusive range, a runner, and the
 target's share of ``verify all``.  ``bochner`` runs the
@@ -12,21 +15,21 @@ together with ``--n-max``, a value outside its range, a
 ``CRCHERN_SEED`` that is not an integer, a scenario or ring document
 larger than :data:`MAX_DOCUMENT_BYTES`, schema violations, a scenario
 outside the numeric model's range (a point outside a factor's chart, an
-ill-conditioned metric, or a curvature the calibration refuses), parse errors
-and products or powers past the parser's bounds, and a manifest that
-cannot be written to ``--out``.  Parameters are
-checked against the table, and ``--out`` is opened, before any check
-runs.
+ill-conditioned metric, or a curvature the calibration refuses), parse
+errors and products or powers past the parser's bounds, and a manifest
+that cannot be written to ``--out``.  Parameters are checked against the
+table, and ``--out`` is opened, before any check runs.
 
 Every run is deterministic given flags and seed (``--seed``, or the
 ``CRCHERN_SEED`` environment variable, read only by ``verify`` and
-``bochner`` without ``--seed``, default 0); pass
-``--no-timestamp`` for byte-identical JSON manifests.
+``bochner`` without ``--seed``, default 0); pass ``--no-timestamp`` for
+byte-identical manifests.
 
 Each input has one spelling, and any other is a usage error: exact
 option names; integers in ASCII digits (``ring.read_integer``), a seed
 with at most one leading ``-``; a ``--tol`` that ``scenario.DECIMAL``
 matches; a ``--ring`` spec told apart by syntax (:func:`_load_ring_spec`).
+A refusal quotes at most ``ring.QUOTE_LIMIT`` characters of its input.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ import os
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from datetime import datetime, timezone
 from fractions import Fraction
 from functools import partial
 from typing import Callable
@@ -53,11 +55,11 @@ from .chern.checks import (
     fpp_times_cpn_setup,
     genus2_times_cpn_setup,
 )
-from .chern.report import CheckReport, manifest_json
+from .chern.report import CheckReport, build_manifest, render_manifest
 from .chern.spherical import verify_spherical_on_circle_bundle
 from .chern.tractor import tractor_determinant_check
 from .cohomology.parser import ParseError, parse_element
-from .cohomology.ring import RingPresentation, read_integer
+from .cohomology.ring import RingPresentation, quote, read_integer
 from .kahler.scenario import DECIMAL, MAX_SAMPLES, ScenarioError, parse_scenario, run_batch
 from .kahler.spaceform import CalibrationError, PatchDomainError
 from .kahler.tensors import IllConditionedMetric
@@ -85,16 +87,34 @@ def _refuse(message: str) -> int:
     return 2
 
 
+def _reason(exc: Exception) -> str:
+    """``str(exc)``, an ``OSError``'s file name cut by ``quote``."""
+    if isinstance(exc, OSError) and exc.filename is not None:
+        return f"[Errno {exc.errno}] {exc.strerror}: {quote(exc.filename)}"
+    return str(exc)
+
+
+def _integer(text: str) -> int:
+    """An integer flag: ``read_integer``, or a usage error (exit 2) that argparse
+    prints as it is, not as ``invalid <type function> value: <whole input>``."""
+    try:
+        return read_integer(text)
+    except ValueError:  # not ASCII digits, or past int()'s digit limit
+        raise argparse.ArgumentTypeError(f"not an integer: {quote(text)}") from None
+
+
 def _seed(text: str) -> int:
-    """``--seed`` and ``CRCHERN_SEED``: ``read_integer`` after at most one leading ``-``."""
-    return -read_integer(text[1:]) if text.startswith("-") else read_integer(text)
+    """``--seed`` and ``CRCHERN_SEED``: ``_integer`` after at most one leading ``-``."""
+    return -_integer(text[1:]) if text.startswith("-") else _integer(text)
 
 
 def _tolerance(text: str) -> float:
     """``--tol`` values: a finite and positive ``DECIMAL``, or a usage error (exit 2)."""
     value = float(text) if DECIMAL.fullmatch(text) else math.nan
     if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite and positive decimal, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"must be a finite and positive decimal, got {quote(text)}"
+        )
     return value
 
 
@@ -113,7 +133,7 @@ class Flag:
     default: int | None = None
     low: int | None = None
     high: int | None = None
-    parse: Callable[[str], object] = read_integer
+    parse: Callable[[str], object] = _integer
 
 
 @dataclass(frozen=True)
@@ -248,67 +268,7 @@ def _params(label: str, target: Target, args) -> dict:
     return params
 
 
-# -- manifests ---------------------------------------------------------------
-
-
-def build_manifest(
-    command: list[str],
-    reports: list[CheckReport],
-    seed: int,
-    with_timestamp: bool,
-) -> dict:
-    reports = sorted(
-        reports, key=lambda r: (r.check, json.dumps(r.params, sort_keys=True))
-    )
-    manifest = {
-        "tool": "crchern",
-        "version": __version__,
-        "command": command,
-        "seed": seed,
-        "status": "pass" if all(r.passed for r in reports) else "fail",
-        "reports": [r.to_json_dict() for r in reports],
-    }
-    if with_timestamp:
-        manifest["timestamp"] = datetime.now(timezone.utc).isoformat()
-    return manifest
-
-
-def manifest_to_markdown(manifest: dict) -> str:
-    lines = [
-        f"# crchern {manifest['version']} -- {manifest['status'].upper()}",
-        "",
-        f"command: `{' '.join(manifest['command'])}`  ",
-        f"seed: {manifest['seed']}",
-    ]
-    if "timestamp" in manifest:
-        lines.append(f"timestamp: {manifest['timestamp']}")
-    lines.append("")
-    lines.append("| check | params | status |")
-    lines.append("|---|---|---|")
-    for rep in manifest["reports"]:
-        params = ", ".join(f"{k}={v}" for k, v in sorted(rep["params"].items()))
-        lines.append(f"| {rep['check']} | {params} | {rep['status']} |")
-    lines.append("")
-    for rep in manifest["reports"]:
-        lines.append(_report_markdown(rep))
-        lines.append("")
-    return "\n".join(lines)
-
-
-def _report_markdown(rep: dict) -> str:
-    out = [f"## `{rep['check']}` -- {rep['status']}"]
-    params = ", ".join(f"`{k}={v}`" for k, v in sorted(rep["params"].items()))
-    if params:
-        out.append(params)
-    out.append("")
-    out.append("| assertion | ok |")
-    out.append("|---|---|")
-    for a in rep["assertions"]:
-        out.append(f"| {a['name']} | {'yes' if a['ok'] else 'NO'} |")
-    if rep.get("residuals"):
-        out.append("")
-        out.append("residuals: " + json.dumps(rep["residuals"]))
-    return "\n".join(out)
+# -- output -----------------------------------------------------------------
 
 
 def _emit(
@@ -332,23 +292,19 @@ def _emit(
         else:
             sink = nullcontext(sys.stdout)
     except OSError as exc:
-        return _refuse(f"cannot write manifest: {exc}")
+        return _refuse(f"cannot write manifest: {_reason(exc)}")
     written = False
     try:
         with sink as stream:
             manifest = build_manifest(argv, compute(), seed, not args.no_timestamp)
             if args.out and stream.seekable() and stream.tell():
                 stream.truncate(0)  # an earlier file: replaced only now
-            if args.format == "json":
-                stream.write(manifest_json(manifest))
-            else:
-                stream.write(manifest_to_markdown(manifest))
-            stream.write("\n")
+            stream.write(render_manifest(manifest, args.format))
         written = True
     except BrokenPipeError:
         raise  # standard output closed by its reader: ``main`` exits 1
     except OSError as exc:
-        return _refuse(f"cannot write manifest: {exc}")
+        return _refuse(f"cannot write manifest: {_reason(exc)}")
     finally:
         if created and not written:
             os.remove(args.out)
@@ -361,15 +317,15 @@ def _emit(
 def _cmd_verify(args, argv: list[str]) -> int:
     name = ALIASES.get(args.target, args.target)
     if name not in TARGETS:
-        known = ", ".join(KNOWN_TARGETS)
-        return _refuse(f"unknown target {args.target!r}; known: {known}")
+        known = ", ".join(TARGETS)  # the aliases are in --help
+        return _refuse(f"unknown target {quote(args.target)}; known: {known}")
     target = TARGETS[name]
     if args.seed is None:
         env = os.environ.get("CRCHERN_SEED")
         try:
             args.seed = DEFAULT_SEED if env is None else _seed(env)
-        except ValueError:
-            return _refuse(f"invalid CRCHERN_SEED: {env!r} is not an integer")
+        except argparse.ArgumentTypeError:
+            return _refuse(f"invalid CRCHERN_SEED: {quote(env)} is not an integer")
     try:
         params = _params(args.target, target, args)
     except ParameterError as exc:
@@ -399,7 +355,7 @@ def _cmd_eval(args, argv: list[str]) -> int:
     try:
         ring = _load_ring_spec(args.ring)
     except (OSError, ValueError, RecursionError) as exc:  # undecodable or oversized too
-        return _refuse(f"bad ring spec: {exc}")
+        return _refuse(f"bad ring spec: {_reason(exc)}")
     try:
         value = parse_element(args.expr, ring)
     except ParseError as exc:
@@ -418,7 +374,7 @@ def _cmd_scenario(args, argv: list[str]) -> int:
     try:
         doc = json.loads(_read_document(args.path))
     except (OSError, ValueError, RecursionError) as exc:  # undecodable or oversized too
-        return _refuse(f"cannot read scenario: {exc}")
+        return _refuse(f"cannot read scenario: {_reason(exc)}")
     try:
         factors, samples, seed, tolerances = parse_scenario(doc)
     except ScenarioError as exc:

@@ -38,7 +38,8 @@ operands' term counts, largest exponents and coefficient sizes:
   plus ``1 + G/12`` for each pair of terms in a ring of ``G``
   generators, plus ``b1*b2/10^6`` for coefficients of ``b1`` and ``b2``
   bits, ten times that where an operand has a non-integral coefficient;
-  a power costs the products of its repeated squaring.
+  a power costs the products of ``RingElement.__pow__``: one per set
+  bit of the exponent, and one square per bit below the top one.
 
 A sum is one running total, so the rest of the work is linear in the
 length of the input.
@@ -52,7 +53,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import INTEGER, NAME, RingElement, RingError, RingPresentation, read_integer
+from .ring import INTEGER, NAME, RingElement, RingError, RingPresentation, quote, read_integer
 
 
 # Each level of parentheses costs four frames of the recursive descent;
@@ -141,7 +142,7 @@ class _Parser:
         value = self.expr()
         tok = self.tokens[self.i]
         if tok.kind != "end":
-            raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
+            raise ParseError(f"unexpected token {quote(tok.text)}", tok.pos)
         return value
 
     def expr(self) -> RingElement:
@@ -211,16 +212,17 @@ class _Parser:
             count = terms(m)
             return count, count * (digits(m) * math.log2(10) + 1)
 
-        # the products of RingElement.__pow__, its last unused squaring too
+        # the products of RingElement.__pow__, one for one
         steps, done, square = 0.0, 0, 1
         while exponent and steps <= MAX_STEPS:
             squared = size(square)
             if exponent & 1:
                 steps += self.steps(*size(done), *squared)
                 done += square
-            steps += self.steps(*squared, *squared)
-            square *= 2
             exponent >>= 1
+            if exponent:
+                steps += self.steps(*squared, *squared)
+            square *= 2
         self.check_steps("power", _scale(base) * steps, pos)
 
     def steps(self, terms_a: int, bits_a: float, terms_b: int, bits_b: float) -> float:
@@ -264,7 +266,7 @@ class _Parser:
             try:
                 return self.ring.gen(tok.text)
             except RingError:
-                raise ParseError(f"unknown identifier {tok.text!r}", tok.pos) from None
+                raise ParseError(f"unknown identifier {quote(tok.text)}", tok.pos) from None
         raise ParseError(
             f"expected a number, name, or '(', got {tok.text!r}"
             if tok.kind != "end"

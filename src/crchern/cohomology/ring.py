@@ -73,14 +73,15 @@ def read_integer(text: str) -> int:
 
 
 # The most characters of an offending value an error message quotes, so
-# that a refusal of a huge document stays one short line.
+# that the refusal of a huge input stays one short line.
 QUOTE_LIMIT = 80
 
 Coefficient = int | Fraction
 ExponentVector = tuple[int, ...]
 
 
-def _quote(value: object) -> str:
+def quote(value: object) -> str:
+    """``repr(value)`` cut to ``QUOTE_LIMIT`` characters: how every refusal names its input."""
     text = repr(value)
     return text if len(text) <= QUOTE_LIMIT else text[:QUOTE_LIMIT] + "..."
 
@@ -157,16 +158,16 @@ class Generator:
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not NAME.fullmatch(self.name):
-            raise RingError(f"invalid generator name: {_quote(self.name)}")
+            raise RingError(f"invalid generator name: {quote(self.name)}")
         if self.degree <= 0 or self.degree % 2 != 0:
             raise RingError(
-                f"generator {_quote(self.name)} must have even positive degree, "
-                f"got {_quote(self.degree)}"
+                f"generator {quote(self.name)} must have even positive degree, "
+                f"got {quote(self.degree)}"
             )
         if self.truncation < 1:
             raise RingError(
-                f"generator {_quote(self.name)} needs truncation >= 1, "
-                f"got {_quote(self.truncation)}"
+                f"generator {quote(self.name)} needs truncation >= 1, "
+                f"got {quote(self.truncation)}"
             )
 
 
@@ -180,7 +181,7 @@ class RingPresentation:
     def __post_init__(self) -> None:
         names = [g.name for g in self.generators]
         if len(set(names)) != len(names):
-            raise RingError(f"duplicate generator name in {_quote(names)}")
+            raise RingError(f"duplicate generator name in {quote(names)}")
         object.__setattr__(self, "_reach", {})  # degree -> reach(degree)
 
     # -- construction -------------------------------------------------
@@ -340,9 +341,9 @@ class RingPresentation:
             _require_keys(raw_coeffs, ("mod",), "coefficient spec")
             domain = integers_mod(_schema_int(raw_coeffs["mod"], "mod"))
         else:
-            raise RingError(f"unknown coefficient spec: {_quote(raw_coeffs)}")
+            raise RingError(f"unknown coefficient spec: {quote(raw_coeffs)}")
         if not isinstance(raw_gens, list):
-            raise RingError(f"malformed ring presentation: generators {_quote(raw_gens)}")
+            raise RingError(f"malformed ring presentation: generators {quote(raw_gens)}")
         if len(raw_gens) > MAX_GENERATORS:
             raise RingError(
                 f"a presentation has at most {MAX_GENERATORS} generators, got {len(raw_gens)}"
@@ -375,10 +376,10 @@ def _monomial_name(names: list[str], exps: ExponentVector) -> str:
 def _require_keys(doc: object, keys: tuple[str, ...], what: str) -> None:
     """Refuse anything but a mapping with exactly ``keys``."""
     if not isinstance(doc, Mapping):
-        raise RingError(f"malformed {what}: {_quote(doc)}")
+        raise RingError(f"malformed {what}: {quote(doc)}")
     for key in doc:
         if key not in keys:
-            raise RingError(f"malformed {what}: unexpected key {_quote(key)}")
+            raise RingError(f"malformed {what}: unexpected key {quote(key)}")
     for key in keys:
         if key not in doc:
             raise RingError(f"malformed {what}: missing {key!r}")
@@ -400,7 +401,7 @@ def schema_int(value: object) -> int | None:
 def _schema_int(value: object, what: str) -> int:
     n = schema_int(value)
     if n is None:
-        raise RingError(f"{what} is not an integer: {_quote(value)}")
+        raise RingError(f"{what} is not an integer: {quote(value)}")
     return n
 
 
@@ -545,8 +546,9 @@ class RingElement:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:  # the top bit's square would go unused
+                base = base * base
         return result
 
     def _as_element(self, other: object) -> "RingElement":

@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from ..chern.report import CheckReport
-from ..cohomology.ring import schema_int
+from ..cohomology.ring import quote, schema_int
 from .patch import KahlerProductPatch
 from .spaceform import calibrate_space_form
 from .tensors import (
@@ -107,7 +107,7 @@ def parse_scenario(doc: Mapping) -> tuple[list[tuple[int, Fraction]], int, int, 
         raise ScenarioError("scenario must be a JSON object")
     unknown = set(doc) - {"factors", "samples", "seed", "tolerances"}
     if unknown:
-        raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
+        raise ScenarioError(f"unknown scenario keys: {quote(sorted(unknown))}")
     factors_raw = doc.get("factors")
     if not isinstance(factors_raw, list) or not factors_raw:
         raise ScenarioError("'factors' must be a nonempty list")
@@ -138,7 +138,7 @@ def parse_scenario(doc: Mapping) -> tuple[list[tuple[int, Fraction]], int, int, 
         raise ScenarioError("'tolerances' must be an object")
     bad = set(overrides) - set(DEFAULT_TOLERANCES)
     if bad:
-        raise ScenarioError(f"unknown tolerance keys: {sorted(bad)}")
+        raise ScenarioError(f"unknown tolerance keys: {quote(sorted(bad))}")
     for key, val in overrides.items():
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             raise ScenarioError(f"tolerance {key!r} must be a finite positive number")

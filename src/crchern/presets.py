@@ -1,7 +1,8 @@
 """Named ring presets for the command-line calculator.
 
-A preset string is factor specs joined with ``*`` (or the unicode
-multiplication sign), without spaces.  N, G and M are ASCII digits
+A preset string is factor specs joined with ``*``, without spaces; any
+other separator, the Unicode multiplication sign included, makes an
+unknown preset.  N, G and M are ASCII digits
 (``ring.read_integer``): no sign, ``_``, space or other digit.
 
     cp:N         projective N-space:   Q[g]/(g^(N+1))
@@ -18,7 +19,7 @@ list, skipping names already taken, so ``cp:2`` alone uses ``t`` while
 from __future__ import annotations
 
 from .cohomology.ring import RATIONALS, Generator, RingError, RingPresentation, make_ring
-from .cohomology.ring import read_integer
+from .cohomology.ring import quote, read_integer
 
 _FALLBACK_NAMES = ("t", "h", "u", "v", "w", "y")
 
@@ -70,7 +71,7 @@ def _parse_factor(spec: str, taken: set[str]) -> list[Generator]:
             taken.add(name)
             gens.append(Generator(name, 2, 2))
         return gens
-    raise PresetError(f"unknown preset {head!r}")
+    raise PresetError(f"unknown preset {quote(head)}")
 
 
 def _int_at_least(arg: str, low: int, msg: str) -> int:
@@ -86,12 +87,11 @@ def _int_at_least(arg: str, low: int, msg: str) -> int:
 
 def preset_ring(spec: str) -> RingPresentation:
     """Build the rational ring described by a preset string."""
-    parts = spec.replace("×", "*").split("*")
     taken: set[str] = set()
     gens: list[Generator] = []
-    for part in parts:
+    for part in spec.split("*"):
         if not part:
-            raise PresetError(f"empty factor in preset {spec!r}")
+            raise PresetError(f"empty factor in preset {quote(spec)}")
         gens.extend(_parse_factor(part, taken))
     try:
         return make_ring(gens, RATIONALS)

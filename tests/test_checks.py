@@ -12,8 +12,8 @@ from crchern.chern import (
     genus2_times_cpn_setup,
 )
 from crchern.chern import checks
+from crchern.chern.report import build_manifest, render_manifest
 from crchern.chern.spherical import CircleBundleSetup
-from crchern.cli import _report_markdown
 from crchern.cohomology import RingError, image_membership
 
 
@@ -183,4 +183,5 @@ def test_reports_serialize():
         doc = report.to_json_dict()
         json.dumps(doc)  # JSON-able without custom encoders
         assert doc["status"] == "pass"
-        assert _report_markdown(doc).startswith(f"## `{report.check}` -- pass")
+        markdown = render_manifest(build_manifest([], [report], 0, False), "md")
+        assert f"\n## `{report.check}` -- pass\n" in markdown

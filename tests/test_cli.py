@@ -10,7 +10,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from crchern import cli
+from crchern.chern.report import render_manifest
 from crchern.cli import main
+from crchern.cohomology.ring import quote
 from crchern.kahler.scenario import (
     HSC_PATTERN,
     MAX_HSC_CHARS,
@@ -283,9 +285,14 @@ _WORK = (
 @pytest.fixture
 def flat_pair(tmp_path):
     """A single-sample matched-pair scenario file, the cheapest that runs."""
+    return _scenario_with(tmp_path)
+
+
+def _scenario_with(tmp_path, **extra):
+    """``flat_pair``'s scenario with the top-level keys ``extra`` added."""
     path = tmp_path / "scenario.json"
     factors = [{"dim": 1, "hsc": "1"}, {"dim": 1, "hsc": "-1"}]
-    path.write_text(json.dumps({"factors": factors, "samples": 1}))
+    path.write_text(json.dumps({"factors": factors, "samples": 1, **extra}))
     return str(path)
 
 
@@ -370,7 +377,42 @@ def test_seed_env_in_another_spelling_is_refused(capsys, monkeypatch, value):
     _refuse_all_work(monkeypatch)
     monkeypatch.setenv("CRCHERN_SEED", value)
     code, out, err = run_cli(["verify", "tractor", "--n", "2"], capsys)
-    assert (code, out, err) == (2, "", f"invalid CRCHERN_SEED: {value!r} is not an integer\n")
+    assert (code, out, err) == (2, "", f"invalid CRCHERN_SEED: {quote(value)} is not an integer\n")
+
+
+# Every refusal that names a command-line or document input: (argv,
+# environment) for the input ``x``.
+_NAMING_REFUSALS = {
+    "unknown-target": lambda x, tmp: (["verify", x], {}),
+    "CRCHERN_SEED": lambda x, tmp: (["verify", "prop-1-3"], {"CRCHERN_SEED": x}),
+    "--n": lambda x, tmp: (["verify", "thm-1-1", "--n", x], {}),
+    "--tol": lambda x, tmp: (["verify", "bochner-products", "--tol", x], {}),
+    "ring-path": lambda x, tmp: (["eval", "--ring", f"{x}.json", "t"], {}),
+    "unknown-preset": lambda x, tmp: (["eval", "--ring", x, "t"], {}),
+    "unknown-identifier": lambda x, tmp: (["eval", "--ring", "cp:2", x], {}),
+    "unexpected-token": lambda x, tmp: (["eval", "--ring", "cp:2", f"t {x}"], {}),
+    "scenario-key": lambda x, tmp: (["scenario", _scenario_with(tmp, **{x: 1})], {}),
+    "tolerance-key": lambda x, tmp: (["scenario", _scenario_with(tmp, tolerances={x: 1})], {}),
+}
+
+
+@pytest.mark.parametrize("site", _NAMING_REFUSALS)
+@pytest.mark.parametrize("length", [10, 4000])
+def test_refusal_lines_quote_a_bounded_prefix_of_the_input(
+    capsys, monkeypatch, tmp_path, site, length
+):
+    # a short input is named whole; a long one by a prefix, so every line
+    # stays short
+    text = "x" * length
+    argv, env = _NAMING_REFUSALS[site](text, tmp_path)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert all(len(line.encode()) < 200 for line in err.splitlines())
+    assert (text in err) == (length == 10)
+    assert text[:10] in err.splitlines()[-1]
 
 
 @pytest.mark.parametrize(
@@ -479,8 +521,9 @@ class TestEval:
         assert out.splitlines()[0] == expected
 
     def test_unicode_product_sign(self, capsys):
-        code, out, _ = run_cli(["eval", "--ring", "fpp×cp:2", "t*h"], capsys)
-        assert code == 0
+        # ``*`` is the one product sign of a preset string
+        code, out, err = run_cli(["eval", "--ring", "fpp×cp:2", "t*h"], capsys)
+        assert (code, out, err) == (2, "", "bad ring spec: unknown preset 'fpp×cp'\n")
 
     def test_degree_decomposition_lines(self, capsys):
         _, out, _ = run_cli(["eval", "--ring", "cp:2", "(1+t)^3"], capsys)
@@ -1037,7 +1080,7 @@ def test_manifests_are_plain_json_without_a_default():
         manifest = cli.build_manifest(argv, reports, 0, with_timestamp=False)
         assert _json_types_only(manifest), argv
         assert json.loads(json.dumps(manifest, sort_keys=True)) == manifest
-        cli.manifest_to_markdown(manifest)
+        render_manifest(manifest, "md")
 
 
 def test_emitted_manifests_are_the_standard_library_encoding(capsys, monkeypatch):
@@ -1205,25 +1248,47 @@ def test_exact_reports_are_byte_identical(capsys, runs):
         assert hashlib.sha256(canonical.encode()).hexdigest() == digest
 
 
-# SHA-256 of the raw ``--format json --no-timestamp`` standard output,
-# layout included (indent, separators, key order), pinned from the
+# SHA-256 of the raw ``--no-timestamp`` standard output, layout included.
+# The JSON ones (indent, separators, key order) were pinned from the
 # manifests written by ``json.dumps(manifest, indent=2, sort_keys=True)``
-# before the manifest writer replaced it.  Both runs are exact only.
+# before the manifest writer replaced it; the Markdown ones from the
+# renderer before it moved into ``chern.report``.  Every run is exact
+# only: the Bochner targets' floats may differ between platforms.
 GOLDEN_EMITTED_BYTES = [
     (
-        ["verify", "thm-1-2", "--n-max", "12"],
+        ["verify", "thm-1-2", "--n-max", "12", "--format", "json"],
         "8a242bccf7087952b3d8c9e201b68cd4505f5ff3d2c7c39f539512392446f408",
     ),
     (
-        ["verify", "tractor", "--n-max", "12"],
+        ["verify", "tractor", "--n-max", "12", "--format", "json"],
         "5393608dacedf34ed9c71555f0767335a10b300c87987aa8bd6b0639d851259c",
+    ),
+    (
+        ["verify", "thm-1-2", "--n-max", "12", "--format", "md"],
+        "4e9a583e36df2b38ccb70b02b3e29a84c4f358f09431d25dfd489f95010aa189",
+    ),
+    (
+        ["verify", "tractor", "--n-max", "12", "--format", "md"],
+        "155765a07b0357c92cf6054719101991342c853a31ad557dd84286148068e6f8",
+    ),
+    (
+        ["verify", "prop-1-3", "--format", "md"],
+        "d20bf0c7d6a281c503886cdc8b5f37b4c4c090d13a6244bb2cead0ee34e9589d",
+    ),
+    (
+        ["verify", "prop-1-4", "--format", "md"],
+        "a59a087e2d3e9deab9234aee04b3ec7693b4f95d0abeb61f6cb7e1a21f9fb347",
     ),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", GOLDEN_EMITTED_BYTES, ids=["thm-1-2", "tractor"])
+@pytest.mark.parametrize(
+    "argv, digest",
+    GOLDEN_EMITTED_BYTES,
+    ids=["thm-1-2", "tractor", "thm-1-2-md", "tractor-md", "prop-1-3-md", "prop-1-4-md"],
+)
 def test_emitted_manifest_bytes_are_pinned(capsys, argv, digest):
-    code, out, _ = run_cli([*argv, "--format", "json", "--no-timestamp"], capsys)
+    code, out, _ = run_cli([*argv, "--no-timestamp"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -210,18 +210,20 @@ def test_power_bounds_hold_for_computed_powers(domain):
 
 
 def test_fractional_coefficients_cost_more_steps():
+    # 451 is the least exponent at which the Fraction power is refused
     ring = make_ring([("t", 2, 10**6)], RATIONALS)
-    assert len(parse_element("(3+t)^300", ring).terms) == 301
+    assert len(parse_element("(3+t)^451", ring).terms) == 452
     with pytest.raises(ParseError, match=f"power would bring the input past {MAX_STEPS} steps"):
-        parse_element("(1/3+t)^300", ring)
+        parse_element("(1/3+t)^451", ring)
 
 
 def test_step_budget_covers_the_whole_input():
-    # each power alone fits the budget; together they do not
+    # each power alone fits the budget; 26 of them together fit, 27 do not
     ring = make_ring([("t", 2, 10**6)], RATIONALS)
     assert len(parse_element("(1+t)^300", ring).terms) == 301
+    assert len(parse_element("+".join(["(1+t)^300"] * 26), ring).terms) == 301
     with pytest.raises(ParseError, match=f"past {MAX_STEPS} steps") as info:
-        parse_element("+".join(["(1+t)^300"] * 20), ring)
+        parse_element("+".join(["(1+t)^300"] * 27), ring)
     assert info.value.position > 0
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 from operator import add
 
 import pytest
@@ -21,7 +22,7 @@ from crchern.cohomology import (
     integers_mod,
     make_ring,
 )
-from crchern.cohomology.ring import NAME, Generator
+from crchern.cohomology.ring import NAME, Generator, RingElement
 
 
 def cp2_ring(domain=INTEGERS):
@@ -155,6 +156,22 @@ class TestArithmetic:
         t = ring.gen("t")
         assert (t ** 3).is_zero()
         assert t ** 2 * t == ring.zero()
+
+    def test_power_computes_no_unused_square(self, monkeypatch):
+        # repeated squaring: a product per set bit of the exponent, and a
+        # square per bit below the top one
+        ring = make_ring([("t", 2, 100)], INTEGERS)
+        base = 1 + ring.gen("t")
+        products = []
+        mul = RingElement.__mul__
+        monkeypatch.setattr(
+            RingElement, "__mul__", lambda a, b: products.append(1) or mul(a, b)
+        )
+        for e in range(40):
+            products.clear()
+            power = base**e
+            assert len(products) == bin(e).count("1") + max(e.bit_length() - 1, 0)
+            assert power == ring.element({(j,): comb(e, j) for j in range(e + 1)})
 
     def test_homogeneous_parts(self):
         ring = two_var_ring()
