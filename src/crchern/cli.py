@@ -5,30 +5,28 @@ manifest is built and rendered by :mod:`crchern.chern.report`.
 
 Every ``verify`` target is one entry of :data:`TARGETS`: the flags it
 takes, each with its default and inclusive range, a runner, and the
-target's share of ``verify all``.  ``bochner`` runs the
-``bochner-products`` entry.
+target's share of ``verify all``.
 
 Exit codes: 0 all checks passed; 1 a check or tolerance failed, or
 standard output was closed before all output was written; 2 usage
 errors, unknown targets, a flag the target does not take, ``--n``
-together with ``--n-max``, a value outside its range, a
-``CRCHERN_SEED`` that is not an integer, a scenario or ring document
-larger than :data:`MAX_DOCUMENT_BYTES`, schema violations, a scenario
-outside the numeric model's range (a point outside a factor's chart, an
-ill-conditioned metric, or a curvature the calibration refuses), parse
-errors and products or powers past the parser's bounds, and a manifest
-that cannot be written to ``--out``.  Parameters are checked against the
+together with ``--n-max``, a value outside its range, a scenario or
+ring document larger than :data:`MAX_DOCUMENT_BYTES`, schema
+violations, a scenario outside the numeric model's range (a point
+outside a factor's chart, an ill-conditioned metric, or a curvature the
+calibration refuses), parse errors and products or powers past the
+parser's bounds, and a manifest that cannot be written to ``--out``.  Parameters are checked against the
 table, and ``--out`` is opened, before any check runs.
 
-Every run is deterministic given flags and seed (``--seed``, or the
-``CRCHERN_SEED`` environment variable, read only by ``verify`` and
-``bochner`` without ``--seed``, default 0); pass ``--no-timestamp`` for
-byte-identical manifests.
+Every run is deterministic given its flags and seed (``verify --seed``,
+default 0, or a scenario document's ``seed``); pass ``--no-timestamp``
+for byte-identical manifests.
 
-Each input has one spelling, and any other is a usage error: exact
-option names; integers in ASCII digits (``ring.read_integer``), a seed
-with at most one leading ``-``; a ``--tol`` that ``scenario.DECIMAL``
-matches; a ``--ring`` spec told apart by syntax (:func:`_load_ring_spec`).
+Each input has one spelling, and any other is a usage error: one name
+per command and per target; exact option names; integers in ASCII
+digits (``ring.read_integer``), a seed with at most one leading ``-``;
+a ``--tol`` that ``scenario.DECIMAL`` matches; a ``--ring`` spec told
+apart by syntax (:func:`_load_ring_spec`).
 A refusal quotes at most ``ring.QUOTE_LIMIT`` characters of its input.
 """
 
@@ -104,7 +102,7 @@ def _integer(text: str) -> int:
 
 
 def _seed(text: str) -> int:
-    """``--seed`` and ``CRCHERN_SEED``: ``_integer`` after at most one leading ``-``."""
+    """``--seed``: ``_integer`` after at most one leading ``-``."""
     return -_integer(text[1:]) if text.startswith("-") else _integer(text)
 
 
@@ -234,8 +232,6 @@ TARGETS = {
         run=lambda p: [r for t in TARGETS.values() if t.share for r in t.share(p)],
     ),
 }
-ALIASES = {"thm-1-2-formal": "tractor"}
-KNOWN_TARGETS = (*TARGETS, *ALIASES)
 FLAGS = {name: flag for t in TARGETS.values() for name, flag in t.flags.items()}
 
 
@@ -315,17 +311,10 @@ def _emit(
 
 
 def _cmd_verify(args, argv: list[str]) -> int:
-    name = ALIASES.get(args.target, args.target)
-    if name not in TARGETS:
-        known = ", ".join(TARGETS)  # the aliases are in --help
+    target = TARGETS.get(args.target)
+    if target is None:
+        known = ", ".join(TARGETS)
         return _refuse(f"unknown target {quote(args.target)}; known: {known}")
-    target = TARGETS[name]
-    if args.seed is None:
-        env = os.environ.get("CRCHERN_SEED")
-        try:
-            args.seed = DEFAULT_SEED if env is None else _seed(env)
-        except argparse.ArgumentTypeError:
-            return _refuse(f"invalid CRCHERN_SEED: {quote(env)} is not an integer")
     try:
         params = _params(args.target, target, args)
     except ParameterError as exc:
@@ -338,7 +327,7 @@ def _read_document(path: str) -> str:
     with open(path, "rb") as f:  # reads at most one byte past the bound
         data = f.read(MAX_DOCUMENT_BYTES + 1)
     if len(data) > MAX_DOCUMENT_BYTES:
-        raise ValueError(f"{path} is larger than {MAX_DOCUMENT_BYTES} bytes")
+        raise ValueError(f"{quote(path)} is larger than {MAX_DOCUMENT_BYTES} bytes")
     return data.decode()
 
 
@@ -379,7 +368,6 @@ def _cmd_scenario(args, argv: list[str]) -> int:
         factors, samples, seed, tolerances = parse_scenario(doc)
     except ScenarioError as exc:
         return _refuse(f"scenario schema violation: {exc}")
-    seed = seed if args.seed is None else args.seed
     try:
         return _emit(
             args,
@@ -395,10 +383,7 @@ def _cmd_scenario(args, argv: list[str]) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
-def _add_run_flags(p: argparse.ArgumentParser, flags: dict[str, Flag]) -> None:
-    for name, flag in flags.items():
-        p.add_argument(_option(name), type=flag.parse, default=None, dest=name)
-    p.add_argument("--seed", type=_seed, default=None)
+def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("md", "json"), default="md")
     p.add_argument("--out", metavar="PATH", default=None)
     p.add_argument("--no-timestamp", action="store_true")
@@ -415,12 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_parser = partial(sub.add_parser, allow_abbrev=False)
 
     p_verify = add_parser("verify", help="run a named verification target")
-    p_verify.add_argument("target", help=f"one of: {', '.join(KNOWN_TARGETS)}")
-    _add_run_flags(p_verify, FLAGS)
-
-    p_bochner = add_parser("bochner", help="alias of: verify bochner-products")
-    p_bochner.set_defaults(target="bochner-products")
-    _add_run_flags(p_bochner, TARGETS["bochner-products"].flags)
+    p_verify.add_argument("target", help=f"one of: {', '.join(TARGETS)}")
+    for name, flag in FLAGS.items():
+        p_verify.add_argument(_option(name), type=flag.parse, default=None, dest=name)
+    p_verify.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+    _add_output_flags(p_verify)
 
     p_eval = add_parser("eval", help="evaluate an expression in a ring")
     p_eval.add_argument(
@@ -432,14 +416,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scn = add_parser("scenario", help="run a JSON scenario file")
     p_scn.add_argument("path")
-    _add_run_flags(p_scn, {})
+    _add_output_flags(p_scn)
 
     return parser
 
 
 _COMMANDS = {
     "verify": _cmd_verify,
-    "bochner": _cmd_verify,
     "eval": _cmd_eval,
     "scenario": _cmd_scenario,
 }

@@ -1,49 +1,1 @@
 """Exact cohomology-ring arithmetic and integer linear algebra."""
-
-from .gysin import (
-    EULER_SIGN_CONVENTION,
-    CokernelData,
-    CupMatrix,
-    MembershipCertificate,
-    cokernel,
-    cup_matrix,
-    image_membership,
-)
-from .parser import ParseError, parse_element
-from .ring import (
-    INTEGERS,
-    RATIONALS,
-    CoefficientDomain,
-    Generator,
-    RingElement,
-    RingError,
-    RingPresentation,
-    integers_mod,
-    make_ring,
-)
-from .snf import IntegerMatrix, determinant, invariant_factors, smith_normal_form
-
-__all__ = [
-    "EULER_SIGN_CONVENTION",
-    "CoefficientDomain",
-    "CokernelData",
-    "CupMatrix",
-    "Generator",
-    "INTEGERS",
-    "IntegerMatrix",
-    "MembershipCertificate",
-    "ParseError",
-    "RATIONALS",
-    "RingElement",
-    "RingError",
-    "RingPresentation",
-    "cokernel",
-    "cup_matrix",
-    "determinant",
-    "image_membership",
-    "integers_mod",
-    "invariant_factors",
-    "make_ring",
-    "parse_element",
-    "smith_normal_form",
-]

@@ -202,7 +202,8 @@ def run_batch(
     estimated at the first point, must lie in the convergence range.
     The Chern tensor must then stay below ``s_max`` at every point; a
     negative control (``expect_flat=False``) must instead *exceed*
-    :data:`CONTROL_FLOOR`.
+    :data:`CONTROL_FLOOR`.  The witness records the maxima next to the
+    merged tolerance table that held them.
     """
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(tolerances or {})
@@ -276,6 +277,7 @@ def run_batch(
             {
                 "maxima": maxima,
                 "convergence_factor": conv,
+                "tolerances": tol,
                 "circle_bundle": {
                     "factors": [{"dim": f.dim, "hsc": str(f.hsc)} for f in patch.factors],
                     **CIRCLE_BUNDLE,

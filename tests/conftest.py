@@ -12,15 +12,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from crchern.cohomology import (
+from crchern.cohomology.ring import (
     INTEGERS,
     RATIONALS,
-    IntegerMatrix,
     RingElement,
     RingPresentation,
     integers_mod,
     make_ring,
 )
+from crchern.cohomology.snf import IntegerMatrix
 
 _DOMAINS = (INTEGERS, RATIONALS, integers_mod(4), integers_mod(7))
 

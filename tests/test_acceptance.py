@@ -12,21 +12,27 @@ from fractions import Fraction
 import pytest
 
 from conftest import brute_force_image_member, random_element, random_matrix, random_ring
-from crchern.chern import (
+from crchern.chern.checks import (
     check_prop_1_3,
     check_prop_1_4,
     check_prop_4_1,
     cpn_setup,
     fpp_times_cpn_setup,
     genus2_times_cpn_setup,
+)
+from crchern.chern.spherical import (
     spherical_residual,
-    tractor_determinant_check,
     verify_spherical_on_circle_bundle,
 )
+from crchern.chern.tractor import tractor_determinant_check
 from crchern.cli import main
-from crchern.cohomology import IntegerMatrix, determinant, smith_normal_form
-from crchern.cohomology.snf import solve_integer_system
-from crchern.kahler import run_batch
+from crchern.cohomology.snf import (
+    IntegerMatrix,
+    determinant,
+    smith_normal_form,
+    solve_integer_system,
+)
+from crchern.kahler.scenario import run_batch
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -160,7 +166,8 @@ def test_criterion_6_fillable_contact_family():
         ok = ok and report.passed
         n = report.params["n"]
         # independent recomputation in the nilsquare ring
-        from crchern.chern import BundleClass, nilsquare_ring
+        from crchern.chern.bundles import BundleClass
+        from crchern.chern.checks import nilsquare_ring
 
         ring = nilsquare_ring(m)
         total = ring.one()

@@ -2,16 +2,22 @@ from fractions import Fraction
 
 import pytest
 
-from crchern.chern import (
+from crchern.chern.bundles import (
     BundleClass,
     bundle_product,
     chern_fake_projective_plane,
     chern_projective_space,
     chern_surface,
-    spherical_residual,
     trivial_bundle,
 )
-from crchern.cohomology import INTEGERS, RATIONALS, RingError, integers_mod, make_ring
+from crchern.chern.spherical import spherical_residual
+from crchern.cohomology.ring import (
+    INTEGERS,
+    RATIONALS,
+    RingError,
+    integers_mod,
+    make_ring,
+)
 
 
 def test_projective_space_total_classes():

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from crchern.chern import (
+from crchern.chern import checks
+from crchern.chern.checks import (
     check_prop_1_3,
     check_prop_1_4,
     check_prop_4_1,
@@ -11,10 +12,10 @@ from crchern.chern import (
     fpp_times_cpn_setup,
     genus2_times_cpn_setup,
 )
-from crchern.chern import checks
 from crchern.chern.report import build_manifest, render_manifest
 from crchern.chern.spherical import CircleBundleSetup
-from crchern.cohomology import RingError, image_membership
+from crchern.cohomology.gysin import image_membership
+from crchern.cohomology.ring import RingError
 
 
 class TestCpnSetup:

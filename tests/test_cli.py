@@ -14,6 +14,7 @@ from crchern.chern.report import render_manifest
 from crchern.cli import main
 from crchern.cohomology.ring import quote
 from crchern.kahler.scenario import (
+    DEFAULT_TOLERANCES,
     HSC_PATTERN,
     MAX_HSC_CHARS,
     MAX_SAMPLES,
@@ -75,18 +76,16 @@ class TestVerify:
             (["verify", "prop-4-1", "--n", "1001"], "--n in 4..1000"),
             (["verify", "bochner-products", "--samples", "51"], "--samples in 1..50"),
             (["verify", "all", "--samples", "51"], "--samples in 1..50"),
-            (["bochner", "--samples", "51"], "--samples in 1..50"),
         ]:
             code, out, err = run_cli(argv, capsys)
-            label = "bochner-products" if argv[0] == "bochner" else argv[1]
             assert (code, out) == (2, "")
-            assert err == f"invalid parameters: {label} requires {bound}\n"
+            assert err == f"invalid parameters: {argv[1]} requires {bound}\n"
         # a flag the target does not take is refused, not ignored
         for argv, flag in [
             (["verify", "thm-1-1", "--d", "7"], "--d"),
             (["verify", "thm-1-1", "--samples", "3"], "--samples"),
             (["verify", "all", "--n", "3"], "--n"),
-            (["verify", "thm-1-2-formal", "--tol", "1"], "--tol"),
+            (["verify", "tractor", "--tol", "1"], "--tol"),
         ]:
             code, out, err = run_cli(argv, capsys)
             assert (code, out) == (2, "")
@@ -113,7 +112,6 @@ class TestVerify:
         [
             ("thm-1-2", "verify_spherical_on_circle_bundle"),
             ("tractor", "tractor_determinant_check"),
-            ("thm-1-2-formal", "tractor_determinant_check"),
         ],
     )
     def test_n_with_n_max_refused(self, capsys, monkeypatch, label, check):
@@ -124,17 +122,9 @@ class TestVerify:
         assert err == f"invalid parameters: {label} takes --n or --n-max, not both\n"
 
     def test_seed_accepted_by_every_target(self):
-        for name in cli.KNOWN_TARGETS:
+        for name, target in cli.TARGETS.items():
             args = cli.build_parser().parse_args(["verify", name, "--seed", "5"])
-            target = cli.TARGETS[cli.ALIASES.get(name, name)]
             assert cli._params(name, target, args)["seed"] == 5
-
-    def test_thm_1_2_formal_single_n(self, capsys):
-        code, out, _ = run_cli(
-            ["verify", "thm-1-2-formal", "--n", "3", "--no-timestamp"], capsys
-        )
-        assert code == 0
-        assert "tractor-determinant-identity" in out
 
     def test_tractor_alias(self, capsys):
         code, out, _ = run_cli(
@@ -324,7 +314,6 @@ def test_every_option_cut_short_is_refused(
     command_argv = {
         None: [],
         "verify": ["verify", target],
-        "bochner": ["bochner"],
         "eval": ["eval", "t"] + ([] if option == "--ring" else ["--ring", "cp:2"]),
         "scenario": ["scenario", flat_pair],
     }[command]
@@ -337,9 +326,9 @@ def test_every_option_cut_short_is_refused(
     assert option[:-1] in err or option[:-1] == "--"  # "--" ends the options
 
 
-def test_bochner_n_is_not_no_timestamp(capsys, monkeypatch):
+def test_scenario_n_is_not_no_timestamp(capsys, monkeypatch, flat_pair):
     _refuse_all_work(monkeypatch)
-    code, out, err = run_cli(["bochner", "--n", "3"], capsys)
+    code, out, err = run_cli(["scenario", flat_pair, "--n", "3"], capsys)
     assert (code, out) == (2, "")
     assert err.endswith("error: unrecognized arguments: --n 3\n")
 
@@ -352,8 +341,6 @@ _NUMBER_FLAGS = [
     ["verify", "prop-1-4", "--m"],
     ["verify", "bochner-products", "--samples"],
     ["verify", "prop-1-3", "--seed"],
-    ["bochner", "--seed"],
-    ["scenario", "SCENARIO", "--seed"],
     ["verify", "bochner-products", "--tol"],
 ]
 
@@ -364,50 +351,35 @@ _NUMBER_FLAGS = [
     + [(["verify", "bochner-products", "--tol"], " \u0661e-3 ")],
     ids=lambda x: " ".join(x) if isinstance(x, list) else repr(x)[:12],
 )
-def test_numbers_in_another_spelling_are_refused(capsys, monkeypatch, flat_pair, argv, value):
+def test_numbers_in_another_spelling_are_refused(capsys, monkeypatch, argv, value):
     _refuse_all_work(monkeypatch)
-    argv = [flat_pair if a == "SCENARIO" else a for a in argv]
     code, out, err = run_cli([*argv, value], capsys)
     assert (code, out) == (2, "")
     assert f"argument {argv[-1]}: " in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("value", [*_DIALECTS, " 1_2 "], ids=lambda v: repr(v)[:12])
-def test_seed_env_in_another_spelling_is_refused(capsys, monkeypatch, value):
-    _refuse_all_work(monkeypatch)
-    monkeypatch.setenv("CRCHERN_SEED", value)
-    code, out, err = run_cli(["verify", "tractor", "--n", "2"], capsys)
-    assert (code, out, err) == (2, "", f"invalid CRCHERN_SEED: {quote(value)} is not an integer\n")
-
-
-# Every refusal that names a command-line or document input: (argv,
-# environment) for the input ``x``.
+# Every refusal that names a command-line or document input: the argv
+# for the input ``x``.
 _NAMING_REFUSALS = {
-    "unknown-target": lambda x, tmp: (["verify", x], {}),
-    "CRCHERN_SEED": lambda x, tmp: (["verify", "prop-1-3"], {"CRCHERN_SEED": x}),
-    "--n": lambda x, tmp: (["verify", "thm-1-1", "--n", x], {}),
-    "--tol": lambda x, tmp: (["verify", "bochner-products", "--tol", x], {}),
-    "ring-path": lambda x, tmp: (["eval", "--ring", f"{x}.json", "t"], {}),
-    "unknown-preset": lambda x, tmp: (["eval", "--ring", x, "t"], {}),
-    "unknown-identifier": lambda x, tmp: (["eval", "--ring", "cp:2", x], {}),
-    "unexpected-token": lambda x, tmp: (["eval", "--ring", "cp:2", f"t {x}"], {}),
-    "scenario-key": lambda x, tmp: (["scenario", _scenario_with(tmp, **{x: 1})], {}),
-    "tolerance-key": lambda x, tmp: (["scenario", _scenario_with(tmp, tolerances={x: 1})], {}),
+    "unknown-target": lambda x, tmp: ["verify", x],
+    "--n": lambda x, tmp: ["verify", "thm-1-1", "--n", x],
+    "--tol": lambda x, tmp: ["verify", "bochner-products", "--tol", x],
+    "ring-path": lambda x, tmp: ["eval", "--ring", f"{x}.json", "t"],
+    "unknown-preset": lambda x, tmp: ["eval", "--ring", x, "t"],
+    "unknown-identifier": lambda x, tmp: ["eval", "--ring", "cp:2", x],
+    "unexpected-token": lambda x, tmp: ["eval", "--ring", "cp:2", f"t {x}"],
+    "scenario-key": lambda x, tmp: ["scenario", _scenario_with(tmp, **{x: 1})],
+    "tolerance-key": lambda x, tmp: ["scenario", _scenario_with(tmp, tolerances={x: 1})],
 }
 
 
 @pytest.mark.parametrize("site", _NAMING_REFUSALS)
 @pytest.mark.parametrize("length", [10, 4000])
-def test_refusal_lines_quote_a_bounded_prefix_of_the_input(
-    capsys, monkeypatch, tmp_path, site, length
-):
+def test_refusal_lines_quote_a_bounded_prefix_of_the_input(capsys, tmp_path, site, length):
     # a short input is named whole; a long one by a prefix, so every line
     # stays short
     text = "x" * length
-    argv, env = _NAMING_REFUSALS[site](text, tmp_path)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
-    code, out, err = run_cli(argv, capsys)
+    code, out, err = run_cli(_NAMING_REFUSALS[site](text, tmp_path), capsys)
     assert (code, out) == (2, "")
     assert "Traceback" not in err
     assert all(len(line.encode()) < 200 for line in err.splitlines())
@@ -416,20 +388,15 @@ def test_refusal_lines_quote_a_bounded_prefix_of_the_input(
 
 
 @pytest.mark.parametrize(
-    "argv,env",
+    "argv",
     [
-        (["verify", "tractor", "--n", "2", "--seed", "-5"], None),
-        (["verify", "tractor", "--n", "2"], "-5"),
-        (["bochner", "--samples", "1", "--seed", "-5"], None),
-        (["scenario", "SCENARIO", "--seed", "-5"], None),
+        lambda tmp: ["verify", "tractor", "--n", "2", "--seed", "-5"],
+        lambda tmp: ["scenario", _scenario_with(tmp, seed=-5)],
     ],
-    ids=["verify", "env", "bochner", "scenario"],
+    ids=["verify", "scenario"],
 )
-def test_negative_seeds_run(capsys, monkeypatch, flat_pair, argv, env):
-    if env is not None:
-        monkeypatch.setenv("CRCHERN_SEED", env)
-    argv = [flat_pair if a == "SCENARIO" else a for a in argv]
-    code, out, _ = run_cli([*argv, "--format", "json", "--no-timestamp"], capsys)
+def test_negative_seeds_run(capsys, tmp_path, argv):
+    code, out, _ = run_cli([*argv(tmp_path), "--format", "json", "--no-timestamp"], capsys)
     assert code == 0 and json.loads(out)["seed"] == -5
 
 
@@ -998,7 +965,8 @@ def test_document_padded_to_the_bound_is_read_and_one_byte_more_is_refused(
         assert (code, err) == (0, "")
     else:
         assert (code, out) == (2, "")
-        assert err == f"{prefix}{path} is larger than {cli.MAX_DOCUMENT_BYTES} bytes\n"
+        bound = cli.MAX_DOCUMENT_BYTES
+        assert err == f"{prefix}{quote(str(path))} is larger than {bound} bytes\n"
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
@@ -1009,7 +977,21 @@ def test_endless_document_is_refused(capsys, command):
     code, out, err = run_cli(["/dev/zero" if a == "PATH" else a for a in argv], capsys)
     assert time.perf_counter() - start < 5
     assert (code, out) == (2, "")
-    assert err == f"{prefix}/dev/zero is larger than {cli.MAX_DOCUMENT_BYTES} bytes\n"
+    assert err == f"{prefix}'/dev/zero' is larger than {cli.MAX_DOCUMENT_BYTES} bytes\n"
+
+
+@pytest.mark.parametrize("command", sorted(_DOCUMENT_READERS))
+def test_oversized_document_under_a_long_path_is_named_by_a_prefix(capsys, tmp_path, command):
+    _, argv, prefix = _DOCUMENT_READERS[command]
+    directory = tmp_path.joinpath(*["d" * 200] * 15)
+    directory.mkdir(parents=True)
+    path = directory / "document.json"
+    path.write_bytes(b" " * (cli.MAX_DOCUMENT_BYTES + 1))
+    code, out, err = run_cli([str(path) if a == "PATH" else a for a in argv], capsys)
+    assert (code, out) == (2, "")
+    bound = cli.MAX_DOCUMENT_BYTES
+    assert err == f"{prefix}{quote(str(path))} is larger than {bound} bytes\n"
+    assert len(err.encode()) < 200
 
 
 @settings(
@@ -1111,17 +1093,38 @@ def test_emitted_manifests_are_the_standard_library_encoding(capsys, monkeypatch
 
 
 class TestBochner:
-    def test_bochner_command_passes(self, capsys):
-        code, out, _ = run_cli(
-            ["bochner", "--samples", "3", "--no-timestamp"], capsys
-        )
+    def test_witnesses_record_the_tolerances_of_their_maxima(self, capsys):
+        argv = ["verify", "bochner-products", "--samples", "1", "--tol", "1e-5"]
+        code, out, _ = run_cli([*argv, "--format", "json", "--no-timestamp"], capsys)
         assert code == 0
-        assert "bochner-flat-batch" in out
+        recorded = [
+            (r["params"]["expect_flat"], r["witnesses"][0]["tolerances"])
+            for r in json.loads(out)["reports"]
+        ]
+        loosened = {**DEFAULT_TOLERANCES, "s_max": 1e-5}
+        assert sorted(recorded, key=lambda r: r[0]) == [
+            (False, DEFAULT_TOLERANCES),  # the control is not held to --tol
+            *[(True, loosened)] * 3,
+        ]
+
+    def test_a_loosened_control_shows_its_bound(self, capsys, tmp_path):
+        # the equal-sign control passes flatness only under a bound of 10,
+        # and its witness says so
+        path = tmp_path / "loosened.json"
+        factors = [{"dim": 1, "hsc": "1"}, {"dim": 1, "hsc": "1"}]
+        doc = {"factors": factors, "samples": 2, "tolerances": {"s_max": 10}}
+        path.write_text(json.dumps(doc))
+        argv = ["scenario", str(path), "--format", "json", "--no-timestamp"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        (witness,) = json.loads(out)["reports"][0]["witnesses"]
+        assert witness["tolerances"] == {**DEFAULT_TOLERANCES, "s_max": 10}
+        assert 0.01 < witness["maxima"]["s_inf"] <= 10
 
     @pytest.mark.parametrize("value", ["nan", "inf", "1e400", "0", "-1"])
-    @pytest.mark.parametrize("command", [["bochner"], ["verify", "bochner-products"]])
-    def test_non_finite_or_non_positive_tol_exit_2(self, capsys, command, value):
-        code, out, err = run_cli([*command, "--samples", "1", "--tol", value], capsys)
+    def test_non_finite_or_non_positive_tol_exit_2(self, capsys, value):
+        argv = ["verify", "bochner-products", "--samples", "1", "--tol", value]
+        code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert out == ""
         # argparse's usage block, then one error line naming the flag
@@ -1293,36 +1296,31 @@ def test_emitted_manifest_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_seed_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("CRCHERN_SEED", "123")
+@pytest.mark.parametrize("value", ["abc", "123"])
+def test_seed_env_is_not_read(capsys, monkeypatch, value):
+    # --seed is the one spelling of a run's seed
+    monkeypatch.setenv("CRCHERN_SEED", value)
     code, out, _ = run_cli(
         ["verify", "prop-1-3", "--format", "json", "--no-timestamp"], capsys
     )
-    assert json.loads(out)["seed"] == 123
-    monkeypatch.setenv("CRCHERN_SEED", "not-an-int")
-    code, out, err = run_cli(
-        ["verify", "prop-1-3", "--format", "json", "--no-timestamp"], capsys
-    )
-    assert code == 2
-    assert out == ""
-    assert err == "invalid CRCHERN_SEED: 'not-an-int' is not an integer\n"
+    assert code == 0 and json.loads(out)["seed"] == cli.DEFAULT_SEED == 0
 
 
-def test_malformed_seed_env_read_only_where_it_is_used(capsys, monkeypatch):
-    monkeypatch.setenv("CRCHERN_SEED", "abc")
-    code, _, err = run_cli(["bochner", "--samples", "1"], capsys)
-    assert (code, err) == (2, "invalid CRCHERN_SEED: 'abc' is not an integer\n")
-    # an explicit --seed wins, and eval, scenario and --version never read it
-    code, out, _ = run_cli(
-        ["verify", "prop-1-3", "--seed", "7", "--format", "json", "--no-timestamp"],
-        capsys,
-    )
-    assert code == 0 and json.loads(out)["seed"] == 7
-    assert run_cli(["eval", "--ring", "cp:2", "(1+t)^2"], capsys)[0] == 0
-    example = Path(__file__).resolve().parent.parent / "docs" / "examples"
-    path = str(example / "bochner_flat_pair.json")
-    assert run_cli(["scenario", path, "--no-timestamp"], capsys)[0] == 0
-    assert run_cli(["--version"], capsys)[0] == 0
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["bochner"], "invalid choice: 'bochner'"),
+        (["verify", "thm-1-2-formal"], "unknown target 'thm-1-2-formal'; known: thm-1-1, "),
+        (["scenario", "SCENARIO", "--seed", "3"], "unrecognized arguments: --seed 3"),
+    ],
+    ids=["bochner", "thm-1-2-formal", "scenario-seed"],
+)
+def test_second_spellings_are_refused(capsys, monkeypatch, flat_pair, argv, message):
+    # each of these once ran as another spelling of a command, target or seed
+    _refuse_all_work(monkeypatch)
+    code, out, err = run_cli([flat_pair if a == "SCENARIO" else a for a in argv], capsys)
+    assert (code, out) == (2, "")
+    assert message in err.splitlines()[-1]
 
 
 def test_usage_error_exit_2(capsys):

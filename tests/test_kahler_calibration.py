@@ -4,16 +4,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from crchern.kahler import (
-    CalibrationError,
-    KahlerProductPatch,
-    PatchDomainError,
-    calibrate_space_form,
-    curvature_at,
-    metric_at,
-)
 from crchern.kahler import spaceform
-from crchern.kahler.spaceform import POTENTIAL, SpaceFormFactor, _radial, _Series
+from crchern.kahler.patch import KahlerProductPatch, PatchDomainError, metric_at
+from crchern.kahler.spaceform import (
+    POTENTIAL,
+    _Series,
+    CalibrationError,
+    SpaceFormFactor,
+    _radial,
+    calibrate_space_form,
+)
+from crchern.kahler.tensors import curvature_at
 
 
 @pytest.mark.parametrize("hsc", [1, -1, 2, Fraction(-3, 2), Fraction(1, 4)])

@@ -7,27 +7,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crchern.kahler import (
+from crchern.kahler import tensors
+from crchern.kahler.patch import KahlerProductPatch, PatchDomainError, metric_at
+from crchern.kahler.scenario import _cross_block_max, convergence_factor
+from crchern.kahler.spaceform import SpaceFormFactor, calibrate_space_form
+from crchern.kahler.tensors import (
     IllConditionedMetric,
-    KahlerProductPatch,
-    PatchDomainError,
     PointTensors,
-    SpaceFormFactor,
-    calibrate_space_form,
+    _assemble_v,
+    _stencil_tables,
+    _third_order_derivatives,
     chern_divergence_residual,
-    convergence_factor,
     curvature_at,
     first_pair_trace,
     levi_inverse,
-    metric_at,
     metric_derivatives,
     point_tensors,
     space_form_curvature_oracle,
     symmetry_residuals,
 )
-from crchern.kahler import tensors
-from crchern.kahler.scenario import _cross_block_max
-from crchern.kahler.tensors import _assemble_v, _stencil_tables, _third_order_derivatives
 
 # metric_derivatives of a seeded stack, as the per-factor stencil first
 # computed them; see test_metric_derivatives_are_pinned_bit_for_bit

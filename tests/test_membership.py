@@ -7,22 +7,27 @@ import pytest
 from conftest import assert_canonical
 from crchern.chern.checks import cpn_setup, fpp_times_cpn_setup, genus2_times_cpn_setup
 from crchern.chern.spherical import spherical_residual
-from crchern.cohomology import (
+from crchern.cohomology import gysin
+from crchern.cohomology.gysin import (
     EULER_SIGN_CONVENTION,
-    INTEGERS,
-    RATIONALS,
-    IntegerMatrix,
-    RingError,
     cokernel,
     cup_matrix,
+    factored_cup,
     image_membership,
+)
+from crchern.cohomology.ring import (
+    INTEGERS,
+    RATIONALS,
+    RingError,
     integers_mod,
     make_ring,
+)
+from crchern.cohomology.snf import (
+    IntegerMatrix,
+    _back_substitute,
+    invariant_factors,
     smith_normal_form,
 )
-from crchern.cohomology import gysin
-from crchern.cohomology.gysin import factored_cup
-from crchern.cohomology.snf import _back_substitute, invariant_factors
 
 
 def cpn_ring(n, domain=INTEGERS):
@@ -410,7 +415,7 @@ def _is_unit(c, d):
 def test_membership_vs_brute_force_over_z():
     """Literal brute-force oracle on integral degree-4 membership."""
     from conftest import brute_force_image_member
-    from crchern.cohomology import cup_matrix
+    from crchern.cohomology.gysin import cup_matrix
 
     rng = random.Random(41)
     ring = make_ring([("t", 2, 3), ("h", 2, 3)], INTEGERS)

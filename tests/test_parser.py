@@ -14,23 +14,24 @@ from hypothesis import strategies as st
 
 from conftest import assert_canonical
 from crchern.cli import _load_ring_spec, main
-from crchern.cohomology import (
-    INTEGERS,
-    RATIONALS,
-    ParseError,
-    integers_mod,
-    make_ring,
-    parse_element,
-)
 from crchern.cohomology.parser import (
     _SCANNER,
     MAX_STEPS,
     MAX_TERMS,
-    _power_bounds,
+    _Parser,
     _Token,
+    ParseError,
+    _power_bounds,
     _tokenize,
+    parse_element,
 )
-from crchern.cohomology.ring import RingElement
+from crchern.cohomology.ring import (
+    INTEGERS,
+    RATIONALS,
+    RingElement,
+    integers_mod,
+    make_ring,
+)
 from crchern.presets import MAX_NILSQUARE, PresetError, preset_ring
 
 
@@ -225,6 +226,23 @@ def test_step_budget_covers_the_whole_input():
     with pytest.raises(ParseError, match=f"past {MAX_STEPS} steps") as info:
         parse_element("+".join(["(1+t)^300"] * 27), ring)
     assert info.value.position > 0
+
+
+def test_power_budget_counts_the_products_that_pow_computes(monkeypatch):
+    # check_power keeps its own copy of __pow__'s square-and-multiply
+    # schedule; the two must count the same products for every exponent
+    ring = make_ring([("t", 2, 200)], INTEGERS)
+    base = 1 + ring.gen("t")
+    counted, computed = [], []
+    steps, mul = _Parser.steps, RingElement.__mul__
+    monkeypatch.setattr(_Parser, "steps", lambda *a: counted.append(1) or steps(*a))
+    monkeypatch.setattr(RingElement, "__mul__", lambda a, b: computed.append(1) or mul(a, b))
+    for e in range(129):
+        counted.clear()
+        _Parser([], ring).check_power(base, e, 0)
+        computed.clear()
+        assert len((base**e).terms) == e + 1
+        assert len(counted) == len(computed), e
 
 
 def test_long_sum_is_one_running_total(monkeypatch):

@@ -30,12 +30,9 @@ from math import factorial, prod
 import numpy as np
 import pytest
 
-from crchern.kahler import (
-    DEFAULT_TOLERANCES,
-    KahlerProductPatch,
-    chern_divergence_residual,
-    point_tensors,
-)
+from crchern.kahler.patch import KahlerProductPatch
+from crchern.kahler.scenario import DEFAULT_TOLERANCES
+from crchern.kahler.tensors import chern_divergence_residual, point_tensors
 
 EPS = 0.05
 

@@ -14,15 +14,17 @@ from conftest import (
     random_element,
     random_ring,
 )
-from crchern.cohomology import (
+from crchern.cohomology.ring import (
     INTEGERS,
+    NAME,
     RATIONALS,
+    Generator,
+    RingElement,
     RingError,
     RingPresentation,
     integers_mod,
     make_ring,
 )
-from crchern.cohomology.ring import NAME, Generator, RingElement
 
 
 def cp2_ring(domain=INTEGERS):

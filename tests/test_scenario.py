@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from crchern.kahler import (
+from crchern.kahler.scenario import (
     BOUNDS,
     CONTROL_FLOOR,
     DEFAULT_TOLERANCES,
@@ -199,6 +199,14 @@ def test_each_bound_holds_at_equality_and_fails_one_float_past(flat_pair_measure
     assert at_bound.passed
     beyond = run_batch(_FLAT_PAIR, samples=1, seed=0, tolerances={key: past})
     assert sorted(name for name, ok in beyond.assertions if not ok) == sorted(names)
+
+
+def test_witness_records_the_merged_tolerances():
+    pair = [(1, Fraction(1)), (1, Fraction(-1))]
+    (witness,) = run_batch(pair, samples=1).witnesses
+    assert witness["tolerances"] == DEFAULT_TOLERANCES
+    (witness,) = run_batch(pair, samples=1, tolerances={"divergence": 0.5}).witnesses
+    assert witness["tolerances"] == {**DEFAULT_TOLERANCES, "divergence": 0.5}
 
 
 def test_batch_determinism():

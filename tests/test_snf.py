@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import brute_force_image_member, random_matrix
-from crchern.cohomology import (
+from crchern.cohomology.snf import (
     IntegerMatrix,
     determinant,
     invariant_factors,
     smith_normal_form,
+    solve_integer_system,
 )
-from crchern.cohomology.snf import solve_integer_system
 
 
 def assert_valid_snf(A):

@@ -5,26 +5,22 @@ from math import comb
 import pytest
 
 from conftest import random_element
-from crchern.chern import (
-    BundleClass,
-    CircleBundleSetup,
-    chern_projective_space,
+from crchern.chern import spherical
+from crchern.chern.bundles import BundleClass, chern_projective_space
+from crchern.chern.checks import (
     cpn_setup,
     fpp_times_cpn_setup,
     genus2_times_cpn_setup,
     nilsquare_ring,
+)
+from crchern.chern.spherical import (
+    CircleBundleSetup,
     spherical_ratio,
     spherical_residual,
     verify_spherical_on_circle_bundle,
 )
-from crchern.chern import spherical
-from crchern.cohomology import (
-    INTEGERS,
-    RATIONALS,
-    RingError,
-    image_membership,
-    make_ring,
-)
+from crchern.cohomology.gysin import image_membership
+from crchern.cohomology.ring import INTEGERS, RATIONALS, RingError, make_ring
 
 
 def test_ratio_values():

@@ -5,10 +5,13 @@ from itertools import permutations
 import pytest
 
 from conftest import naive_evaluate
-from crchern.chern import ring_matrix_determinant, tractor_determinant_check
 from crchern.chern import tractor
-from crchern.chern.tractor import _build_matrix
-from crchern.cohomology import RATIONALS, RingError, make_ring
+from crchern.chern.tractor import (
+    _build_matrix,
+    ring_matrix_determinant,
+    tractor_determinant_check,
+)
+from crchern.cohomology.ring import RATIONALS, RingError, make_ring
 
 
 class TestDeterminant:

@@ -11,25 +11,28 @@ from fractions import Fraction
 
 import pytest
 
-from crchern.chern import (
-    CheckReport,
+from crchern.chern.checks import (
     check_prop_1_3,
     cpn_setup,
     fpp_times_cpn_setup,
     genus2_times_cpn_setup,
 )
+from crchern.chern.report import CheckReport
 from crchern.chern.spherical import _residual_table
 from crchern.cli import TARGETS, build_manifest
-from crchern.cohomology import (
+from crchern.cohomology.gysin import (
+    CokernelData,
+    MembershipCertificate,
+    cokernel,
+    image_membership,
+)
+from crchern.cohomology.ring import (
     INTEGERS,
     RATIONALS,
     RingError,
-    cokernel,
-    image_membership,
     integers_mod,
     make_ring,
 )
-from crchern.cohomology.gysin import CokernelData, MembershipCertificate
 
 
 def test_no_record_stores_a_verdict():

@@ -22,7 +22,8 @@ from crchern.chern.checks import (
 )
 from crchern.chern.tractor import _build_matrix
 from crchern.cli import main
-from crchern.cohomology import INTEGERS, make_ring, parse_element
+from crchern.cohomology.parser import parse_element
+from crchern.cohomology.ring import INTEGERS, make_ring
 
 _SPHERICAL_FAMILIES = {
     "genus2-surface x cp": lambda p: genus2_times_cpn_setup(p["n"]),
