@@ -132,6 +132,15 @@ class TestVerify:
         )
         assert code == 0
 
+    def test_tractor_single_n(self, capsys):
+        code, out, _ = run_cli(
+            ["verify", "tractor", "--n", "3", "--format", "json", "--no-timestamp"], capsys
+        )
+        assert code == 0
+        (report,) = json.loads(out)["reports"]
+        assert report["check"] == "tractor-determinant-identity"
+        assert report["params"]["n"] == 3
+
     def test_thm_1_2_families_small(self, capsys):
         code, out, _ = run_cli(
             [
@@ -358,12 +367,21 @@ def test_numbers_in_another_spelling_are_refused(capsys, monkeypatch, argv, valu
     assert f"argument {argv[-1]}: " in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", _DIALECTS, ids=lambda v: repr(v)[:12])
+def test_document_seed_in_another_spelling_is_refused(capsys, monkeypatch, tmp_path, value):
+    # a scenario's seed is a JSON integer of its document, never a string
+    _refuse_all_work(monkeypatch)
+    code, out, err = run_cli(["scenario", _scenario_with(tmp_path, seed=value)], capsys)
+    assert (code, out, err) == (2, "", "scenario schema violation: 'seed' must be an integer\n")
+
+
 # Every refusal that names a command-line or document input: the argv
 # for the input ``x``.
 _NAMING_REFUSALS = {
     "unknown-target": lambda x, tmp: ["verify", x],
     "--n": lambda x, tmp: ["verify", "thm-1-1", "--n", x],
     "--tol": lambda x, tmp: ["verify", "bochner-products", "--tol", x],
+    "--seed": lambda x, tmp: ["verify", "prop-1-3", "--seed", x],
     "ring-path": lambda x, tmp: ["eval", "--ring", f"{x}.json", "t"],
     "unknown-preset": lambda x, tmp: ["eval", "--ring", x, "t"],
     "unknown-identifier": lambda x, tmp: ["eval", "--ring", "cp:2", x],
@@ -391,9 +409,10 @@ def test_refusal_lines_quote_a_bounded_prefix_of_the_input(capsys, tmp_path, sit
     "argv",
     [
         lambda tmp: ["verify", "tractor", "--n", "2", "--seed", "-5"],
+        lambda tmp: ["verify", "bochner-products", "--samples", "1", "--seed", "-5"],
         lambda tmp: ["scenario", _scenario_with(tmp, seed=-5)],
     ],
-    ids=["verify", "scenario"],
+    ids=["verify", "bochner-products", "scenario"],
 )
 def test_negative_seeds_run(capsys, tmp_path, argv):
     code, out, _ = run_cli([*argv(tmp_path), "--format", "json", "--no-timestamp"], capsys)
@@ -1122,8 +1141,9 @@ class TestBochner:
         assert 0.01 < witness["maxima"]["s_inf"] <= 10
 
     @pytest.mark.parametrize("value", ["nan", "inf", "1e400", "0", "-1"])
-    def test_non_finite_or_non_positive_tol_exit_2(self, capsys, value):
-        argv = ["verify", "bochner-products", "--samples", "1", "--tol", value]
+    @pytest.mark.parametrize("target", ["bochner-products", "all"])
+    def test_non_finite_or_non_positive_tol_exit_2(self, capsys, target, value):
+        argv = ["verify", target, "--samples", "1", "--tol", value]
         code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert out == ""
@@ -1297,12 +1317,21 @@ def test_emitted_manifest_bytes_are_pinned(capsys, argv, digest):
 
 
 @pytest.mark.parametrize("value", ["abc", "123"])
-def test_seed_env_is_not_read(capsys, monkeypatch, value):
-    # --seed is the one spelling of a run's seed
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "prop-1-3"],
+        ["verify", "tractor", "--n", "2"],
+        ["verify", "bochner-products", "--samples", "1"],
+        ["scenario", "SCENARIO"],
+    ],
+    ids=["prop-1-3", "tractor", "bochner-products", "scenario"],
+)
+def test_seed_env_is_not_read(capsys, monkeypatch, flat_pair, argv, value):
+    # --seed, or a scenario document's seed, is the one spelling of a run's seed
     monkeypatch.setenv("CRCHERN_SEED", value)
-    code, out, _ = run_cli(
-        ["verify", "prop-1-3", "--format", "json", "--no-timestamp"], capsys
-    )
+    argv = [flat_pair if a == "SCENARIO" else a for a in argv]
+    code, out, _ = run_cli([*argv, "--format", "json", "--no-timestamp"], capsys)
     assert code == 0 and json.loads(out)["seed"] == cli.DEFAULT_SEED == 0
 
 
