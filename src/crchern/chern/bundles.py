@@ -2,44 +2,42 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from ..cohomology.ring import RingElement, RingError, RingPresentation
+from ..cohomology.ring import Record, RingElement, RingError, RingPresentation
 
 
-@dataclass(frozen=True)
-class BundleClass:
+class BundleClass(Record):
     """A complex vector bundle's rank together with its total Chern class.
 
     The total class must have constant term 1, and every homogeneous
     component above degree ``2 * rank`` must vanish in the ambient ring.
     """
 
-    rank: int
-    total: RingElement
-    # The total class split by degree, built once: {degree: component}.
-    _parts: dict[int, RingElement] = field(init=False, repr=False, compare=False)
+    # ``_parts``: the total class split by degree, built once: {degree: component}.
+    __slots__ = ("rank", "total", "_parts")
 
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise RingError(f"bundle rank must be positive, got {self.rank}")
-        if self.total.constant_term() != 1:
+    def __init__(self, rank: int, total: RingElement) -> None:
+        if rank < 1:
+            raise RingError(f"bundle rank must be positive, got {rank}")
+        if total.constant_term() != 1:
             raise RingError(
-                f"total class must have constant term 1, got {self.total.constant_term()}"
+                f"total class must have constant term 1, got {total.constant_term()}"
             )
-        ring = self.total.ring
+        ring = total.ring
         split: dict[int, dict] = {}
-        for e, c in self.total.terms.items():
+        for e, c in total.terms.items():
             split.setdefault(ring.monomial_degree(e), {})[e] = c
         for deg in sorted(split):
-            if deg > 2 * self.rank:
+            if deg > 2 * rank:
                 raise RingError(
                     f"total class has a nonzero component in degree {deg} "
-                    f"above 2*rank = {2 * self.rank}"
+                    f"above 2*rank = {2 * rank}"
                 )
         parts = {deg: RingElement(ring, terms) for deg, terms in split.items()}
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "total", total)
         object.__setattr__(self, "_parts", parts)
 
     @property

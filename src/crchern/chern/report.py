@@ -4,18 +4,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from json import dumps
 from json.encoder import encode_basestring_ascii
 
 from .. import __version__
+from ..cohomology.ring import Record
 
 _CONSTANTS = {True: "true", False: "false", None: "null"}
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     """Outcome of one named verification.
 
     The verdict is not stored: ``status`` is read off the assertions,
@@ -25,11 +24,22 @@ class CheckReport:
     rerunning the check.
     """
 
-    check: str
-    params: dict
-    assertions: list[tuple[str, bool]] = field(default_factory=list)
-    witnesses: list = field(default_factory=list)
-    residuals: list = field(default_factory=list)
+    __slots__ = ("check", "params", "assertions", "witnesses", "residuals")
+
+    def __init__(
+        self,
+        check: str,
+        params: dict,
+        assertions: list[tuple[str, bool]] | None = None,
+        witnesses: list | None = None,
+        residuals: list | None = None,
+    ) -> None:
+        # an omitted list is a new empty one
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "assertions", [] if assertions is None else assertions)
+        object.__setattr__(self, "witnesses", [] if witnesses is None else witnesses)
+        object.__setattr__(self, "residuals", [] if residuals is None else residuals)
 
     @property
     def passed(self) -> bool:

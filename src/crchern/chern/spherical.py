@@ -19,19 +19,17 @@ is generally nonzero at base level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 from ..cohomology.gysin import MembershipCertificate, image_membership
-from ..cohomology.ring import RingElement, RingError, RingPresentation
+from ..cohomology.ring import Record, RingElement, RingError, RingPresentation
 from .bundles import BundleClass
 from .report import CheckReport
 
 
-@dataclass(frozen=True)
-class CircleBundleSetup:
+class CircleBundleSetup(Record):
     """Circle bundle data: base ring, Euler class e = c_1(L), base tangent bundle.
 
     Classes on the total space are represented by base classes modulo
@@ -39,17 +37,20 @@ class CircleBundleSetup:
     questions downstairs.
     """
 
-    base: RingPresentation
-    euler: RingElement
-    base_tangent: BundleClass
+    __slots__ = ("base", "euler", "base_tangent")
 
-    def __post_init__(self) -> None:
-        if self.euler.ring != self.base:
+    def __init__(
+        self, base: RingPresentation, euler: RingElement, base_tangent: BundleClass
+    ) -> None:
+        if euler.ring != base:
             raise RingError("Euler class does not live in the base ring")
-        if not self.euler.is_zero() and self.euler.homogeneous_degree() != 2:
+        if not euler.is_zero() and euler.homogeneous_degree() != 2:
             raise RingError("Euler class must be homogeneous of degree 2")
-        if self.base_tangent.ring != self.base:
+        if base_tangent.ring != base:
             raise RingError("base tangent classes do not live in the base ring")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "euler", euler)
+        object.__setattr__(self, "base_tangent", base_tangent)
 
 
 def spherical_ratio(n: int, k: int) -> Fraction:

@@ -38,7 +38,6 @@ import math
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from typing import Callable
@@ -57,7 +56,7 @@ from .chern.report import CheckReport, build_manifest, render_manifest
 from .chern.spherical import verify_spherical_on_circle_bundle
 from .chern.tractor import tractor_determinant_check
 from .cohomology.parser import ParseError, parse_element
-from .cohomology.ring import RingPresentation, quote, read_integer
+from .cohomology.ring import Record, RingPresentation, quote, read_integer
 from .kahler.scenario import DECIMAL, MAX_SAMPLES, ScenarioError, parse_scenario, run_batch
 from .kahler.spaceform import CalibrationError, PatchDomainError
 from .kahler.tensors import IllConditionedMetric
@@ -119,8 +118,7 @@ def _tolerance(text: str) -> float:
 # -- the target table --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(Record):
     """A ``verify`` flag as one target takes it.
 
     ``default`` is used when the flag is not given (``None``: unset);
@@ -128,14 +126,22 @@ class Flag:
     ``parse`` is the argparse type.
     """
 
-    default: int | None = None
-    low: int | None = None
-    high: int | None = None
-    parse: Callable[[str], object] = _integer
+    __slots__ = ("default", "low", "high", "parse")
+
+    def __init__(
+        self,
+        default: int | None = None,
+        low: int | None = None,
+        high: int | None = None,
+        parse: Callable[[str], object] = _integer,
+    ) -> None:
+        object.__setattr__(self, "default", default)
+        object.__setattr__(self, "low", low)
+        object.__setattr__(self, "high", high)
+        object.__setattr__(self, "parse", parse)
 
 
-@dataclass(frozen=True)
-class Target:
+class Target(Record):
     """One ``verify`` target.
 
     ``run`` maps the target's parameters (every flag of ``flags`` plus
@@ -145,9 +151,17 @@ class Target:
     code which rebinds those names (tracing, tests) sees every call.
     """
 
-    flags: dict[str, Flag]
-    run: Callable[[dict], list[CheckReport]]
-    share: Callable[[dict], list[CheckReport]] | None = None
+    __slots__ = ("flags", "run", "share")
+
+    def __init__(
+        self,
+        flags: dict[str, Flag],
+        run: Callable[[dict], list[CheckReport]],
+        share: Callable[[dict], list[CheckReport]] | None = None,
+    ) -> None:
+        object.__setattr__(self, "flags", flags)
+        object.__setattr__(self, "run", run)
+        object.__setattr__(self, "share", share)
 
 
 def _ns(p: dict, first: int) -> range:
@@ -164,7 +178,7 @@ def _spherical_families(p: dict) -> list[CheckReport]:
     for n in _ns(p, 2):
         base = cpn_setup(n, 1)  # e = -t; one base and tangent bundle for every d
         for d in range(1, 6):
-            setup = replace(base, euler=d * base.euler)
+            setup = base.replace(euler=d * base.euler)
             rep = verify_spherical_on_circle_bundle(setup, n)
             reports.append(_relabel(rep, family="cp", n=n, d=d))
     for n in _ns(p, 4):
@@ -174,7 +188,7 @@ def _spherical_families(p: dict) -> list[CheckReport]:
 
 
 def _relabel(report: CheckReport, **extra) -> CheckReport:
-    return replace(report, params={**report.params, **extra})
+    return report.replace(params={**report.params, **extra})
 
 
 def _tractor(p: dict) -> list[CheckReport]:

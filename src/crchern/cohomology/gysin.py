@@ -36,7 +36,6 @@ solve mod m is an integer solve.  Shared values are immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -46,6 +45,7 @@ from .ring import (
     CoefficientDomain,
     ExponentVector,
     Generator,
+    Record,
     RingElement,
     RingError,
     RingPresentation,
@@ -64,8 +64,7 @@ EULER_SIGN_CONVENTION = "cup-with-e-as-given"
 FACTORED_CUP_MEMO = 1024
 
 
-@dataclass(frozen=True)
-class CupMatrix:
+class CupMatrix(Record):
     """Multiplication by a degree-2 class between two degree bases.
 
     ``matrix`` holds integer entries equal to ``denominator_scale``
@@ -74,10 +73,19 @@ class CupMatrix:
     bases of degree ``k`` and ``k-2``.
     """
 
-    matrix: IntegerMatrix
-    basis_rows: tuple[ExponentVector, ...]
-    basis_cols: tuple[ExponentVector, ...]
-    denominator_scale: int
+    __slots__ = ("matrix", "basis_rows", "basis_cols", "denominator_scale")
+
+    def __init__(
+        self,
+        matrix: IntegerMatrix,
+        basis_rows: tuple[ExponentVector, ...],
+        basis_cols: tuple[ExponentVector, ...],
+        denominator_scale: int,
+    ) -> None:
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "basis_rows", basis_rows)
+        object.__setattr__(self, "basis_cols", basis_cols)
+        object.__setattr__(self, "denominator_scale", denominator_scale)
 
 
 # A cup matrix, its Smith form and that form's invariant factors.
@@ -165,8 +173,7 @@ def factored_cup(ring: RingPresentation, e: RingElement, k: int) -> FactoredCup:
         raise RingError(f"{exc}, got {e}") from None
 
 
-@dataclass(frozen=True)
-class MembershipCertificate:
+class MembershipCertificate(Record):
     """Outcome of an image-membership query, with a checkable witness.
 
     The verdict is not stored: ``member`` is read off the witness, true
@@ -178,12 +185,30 @@ class MembershipCertificate:
     beyond the rank.
     """
 
-    degree: int
-    preimage: RingElement | None = None
-    residue: tuple = ()
-    invariant_factors: tuple[int, ...] = ()
-    denominator_scale: int = 1
-    euler_sign: str = EULER_SIGN_CONVENTION
+    __slots__ = (
+        "degree",
+        "preimage",
+        "residue",
+        "invariant_factors",
+        "denominator_scale",
+        "euler_sign",
+    )
+
+    def __init__(
+        self,
+        degree: int,
+        preimage: RingElement | None = None,
+        residue: tuple = (),
+        invariant_factors: tuple[int, ...] = (),
+        denominator_scale: int = 1,
+        euler_sign: str = EULER_SIGN_CONVENTION,
+    ) -> None:
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "preimage", preimage)
+        object.__setattr__(self, "residue", residue)
+        object.__setattr__(self, "invariant_factors", invariant_factors)
+        object.__setattr__(self, "denominator_scale", denominator_scale)
+        object.__setattr__(self, "euler_sign", euler_sign)
 
     @property
     def member(self) -> bool:
@@ -265,8 +290,7 @@ def image_membership(
     )
 
 
-@dataclass(frozen=True)
-class CokernelData:
+class CokernelData(Record, hidden=("row_transform",)):
     """Cokernel of cup product with an integral class in a fixed degree.
 
     The group is ``Z^free_rank (+) sum_i Z/d_i`` over the listed
@@ -277,10 +301,19 @@ class CokernelData:
     factors, basis and row transform, never stored beside them.
     """
 
-    invariant_factors: tuple[int, ...]
-    basis: tuple[ExponentVector, ...]
-    row_transform: IntegerMatrix = field(repr=False)
-    euler_sign: str = EULER_SIGN_CONVENTION
+    __slots__ = ("invariant_factors", "basis", "row_transform", "euler_sign")
+
+    def __init__(
+        self,
+        invariant_factors: tuple[int, ...],
+        basis: tuple[ExponentVector, ...],
+        row_transform: IntegerMatrix,
+        euler_sign: str = EULER_SIGN_CONVENTION,
+    ) -> None:
+        object.__setattr__(self, "invariant_factors", invariant_factors)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "row_transform", row_transform)
+        object.__setattr__(self, "euler_sign", euler_sign)
 
     @property
     def free_rank(self) -> int:

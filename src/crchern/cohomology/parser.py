@@ -50,10 +50,9 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import INTEGER, NAME, RingElement, RingError, RingPresentation, quote, read_integer
+from .ring import INTEGER, NAME, Record, RingElement, RingError, RingPresentation, quote, read_integer
 
 
 # Each level of parentheses costs four frames of the recursive descent;
@@ -71,11 +70,13 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "int" | "name" | "op" | "end"
-    text: str
-    pos: int
+class _Token(Record):
+    __slots__ = ("kind", "text", "pos")  # kind: "int" | "name" | "op" | "end"
+
+    def __init__(self, kind: str, text: str, pos: int) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "pos", pos)
 
 
 # ``\s`` matches exactly what ``str.isspace`` accepts; "bad" is any other

@@ -30,17 +30,20 @@ integral arithmetic that dominates the checks never builds a
 values, and both have ``numerator``/``denominator``.
 
 All values are immutable after construction and all operations are pure
-functions, so everything here is safe to share across threads.
+functions, so everything here is safe to share across threads.  The
+package's records derive from :class:`Record`: their fields are slots
+set once by the constructor after its checks, and assigning or deleting
+an attribute raises ``AttributeError``; :class:`RingElement` refuses
+assignment the same way.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import lcm, prod
-from operator import itemgetter, mul
+from operator import attrgetter, itemgetter, mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -86,24 +89,77 @@ def quote(value: object) -> str:
     return text if len(text) <= QUOTE_LIMIT else text[:QUOTE_LIMIT] + "..."
 
 
-@dataclass(frozen=True)
-class CoefficientDomain:
+class Record:
+    """Base of the package's immutable records.
+
+    A record lists its fields in ``__slots__``, in constructor order, and
+    its ``__init__`` sets them through ``object.__setattr__`` after its
+    checks; a slot whose name starts with ``_`` holds state derived from
+    the fields, which equality, hashing, ``repr``, copying and
+    :meth:`replace` leave out.  Assigning or deleting an attribute raises
+    ``AttributeError``.  Two records are equal when they are of one type
+    with equal fields, and equal records hash alike; copy and pickle go
+    through the constructor, so a copy passes the same checks.
+    ``hidden`` names fields that ``repr`` leaves out.
+    """
+
+    __slots__ = ()
+    fields: tuple[str, ...] = ()  # the field names, in constructor order
+
+    def __init_subclass__(cls, hidden: tuple[str, ...] = (), **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls._shown = tuple(name for name in cls.fields if name not in hidden)
+        # the field values: a tuple, or the one value of a one-field record
+        cls._values = attrgetter(*cls.fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __reduce__(self):
+        # the default slot restore would go through __setattr__ above
+        return type(self), tuple(getattr(self, name) for name in self.fields)
+
+    def replace(self, **changes: object) -> "Record":
+        """A record of this type with ``changes`` in place of those fields."""
+        return type(self)(**{**{name: getattr(self, name) for name in self.fields}, **changes})
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class CoefficientDomain(Record):
     """Exact coefficient system: ``Z``, ``Q``, or ``Z/m`` with m >= 2.
 
     Mod-m values are kept as canonical representatives in ``[0, m)``.
     """
 
-    kind: str  # "Z" | "Q" | "mod"
-    modulus: int | None = None
+    __slots__ = ("kind", "modulus")  # "Z" | "Q" | "mod"; m or None
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("Z", "Q", "mod"):
-            raise RingError(f"unknown coefficient domain kind: {self.kind!r}")
-        if self.kind == "mod":
-            if self.modulus is None or self.modulus < 2:
+    def __init__(self, kind: str, modulus: int | None = None) -> None:
+        if kind not in ("Z", "Q", "mod"):
+            raise RingError(f"unknown coefficient domain kind: {kind!r}")
+        if kind == "mod":
+            if modulus is None or modulus < 2:
                 raise RingError("modulus must be an integer >= 2")
-        elif self.modulus is not None:
-            raise RingError(f"domain {self.kind!r} takes no modulus")
+        elif modulus is not None:
+            raise RingError(f"domain {kind!r} takes no modulus")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "modulus", modulus)
 
     def coerce(self, value: object) -> Coefficient:
         """Return the canonical representative of ``value``, or raise.
@@ -147,41 +203,43 @@ def integers_mod(m: int) -> CoefficientDomain:
     return CoefficientDomain("mod", m)
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(Record):
     """A ring generator ``name`` of even degree with ``name**truncation = 0``.
     ``name`` is a string that ``NAME`` matches whole."""
 
-    name: str
-    degree: int
-    truncation: int
+    __slots__ = ("name", "degree", "truncation")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not NAME.fullmatch(self.name):
-            raise RingError(f"invalid generator name: {quote(self.name)}")
-        if self.degree <= 0 or self.degree % 2 != 0:
+    def __init__(self, name: str, degree: int, truncation: int) -> None:
+        if not isinstance(name, str) or not NAME.fullmatch(name):
+            raise RingError(f"invalid generator name: {quote(name)}")
+        if degree <= 0 or degree % 2 != 0:
             raise RingError(
-                f"generator {quote(self.name)} must have even positive degree, "
-                f"got {quote(self.degree)}"
+                f"generator {quote(name)} must have even positive degree, "
+                f"got {quote(degree)}"
             )
-        if self.truncation < 1:
+        if truncation < 1:
             raise RingError(
-                f"generator {quote(self.name)} needs truncation >= 1, "
-                f"got {quote(self.truncation)}"
+                f"generator {quote(name)} needs truncation >= 1, "
+                f"got {quote(truncation)}"
             )
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "truncation", truncation)
 
 
-@dataclass(frozen=True)
-class RingPresentation:
+class RingPresentation(Record):
     """Tensor product of one-generator truncated rings over an exact domain."""
 
-    generators: tuple[Generator, ...]
-    coefficients: CoefficientDomain
+    __slots__ = ("generators", "coefficients", "_reach")
 
-    def __post_init__(self) -> None:
-        names = [g.name for g in self.generators]
+    def __init__(
+        self, generators: tuple[Generator, ...], coefficients: CoefficientDomain
+    ) -> None:
+        names = [g.name for g in generators]
         if len(set(names)) != len(names):
             raise RingError(f"duplicate generator name in {quote(names)}")
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "_reach", {})  # degree -> reach(degree)
 
     # -- construction -------------------------------------------------

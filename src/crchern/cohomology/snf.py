@@ -22,9 +22,10 @@ shape must match its entries, and each entry must be an exact ``int``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from operator import mul
+
+from .ring import Record
 
 
 def _check_exact(values, what: str) -> None:
@@ -34,19 +35,17 @@ def _check_exact(values, what: str) -> None:
             raise ValueError(f"{what} is not an exact integer: {x!r}")
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+class IntegerMatrix(Record):
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows or any(
-            len(r) != self.cols for r in self.entries
-        ):
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> None:
+        if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError("entry shape does not match declared dimensions")
-        for row in self.entries:
+        for row in entries:
             _check_exact(row, "matrix entry")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
 
     @staticmethod
     def from_rows(rows: list[list[int]]) -> "IntegerMatrix":

@@ -9,28 +9,28 @@ patch's dimension.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
+from ..cohomology.ring import Record
 from .spaceform import PatchDomainError, SpaceFormFactor
 
 SAMPLE_RADIUS_CAP = 0.5  # stay well inside every chart
 
 
-@dataclass(frozen=True)
-class KahlerProductPatch:
+class KahlerProductPatch(Record):
     """Block-diagonal product of constant-curvature factors.
 
     The metric has no cross-factor components at any point; each factor
     owns a contiguous slice of the complex coordinates.
     """
 
-    factors: tuple[SpaceFormFactor, ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self) -> None:
-        if not self.factors:
+    def __init__(self, factors: tuple[SpaceFormFactor, ...]) -> None:
+        if not factors:
             raise ValueError("a patch needs at least one factor")
+        object.__setattr__(self, "factors", factors)
 
     @property
     def total_dim(self) -> int:

@@ -37,10 +37,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+from ..cohomology.ring import Record
 
 POTENTIAL = Fraction(2)  # a = b = 2: identity metric and HSC = c at the origin
 
@@ -53,14 +54,16 @@ class PatchDomainError(ValueError):
     """A point fell outside a factor's coordinate chart."""
 
 
-@dataclass(frozen=True)
-class _Series:
+class _Series(Record):
     """``u0 + u1 u``: a series in ``u`` truncated after ``u^1``, exact when
     its coefficients are ``Fraction``s.  It has the operations
     :func:`_radial` applies to ``u``, each with a scalar on the left."""
 
-    u0: Fraction
-    u1: Fraction
+    __slots__ = ("u0", "u1")
+
+    def __init__(self, u0: Fraction, u1: Fraction) -> None:
+        object.__setattr__(self, "u0", u0)
+        object.__setattr__(self, "u1", u1)
 
     def __radd__(self, other: Fraction) -> _Series:
         return _Series(other + self.u0, self.u1)
@@ -82,16 +85,16 @@ def _radial(a, b, c, u):
     return a / denom, -a * c / denom**2
 
 
-@dataclass(frozen=True)
-class SpaceFormFactor:
-    dim: int
-    hsc: Fraction
+class SpaceFormFactor(Record):
+    __slots__ = ("dim", "hsc")
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError(f"factor dimension must be >= 1, got {self.dim}")
-        if self.hsc == 0:
+    def __init__(self, dim: int, hsc: Fraction) -> None:
+        if dim < 1:
+            raise ValueError(f"factor dimension must be >= 1, got {dim}")
+        if hsc == 0:
             raise ValueError("holomorphic sectional curvature must be nonzero")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "hsc", hsc)
 
     @property
     def c(self) -> float:

@@ -73,11 +73,11 @@ per real dimension and shared read-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from ..cohomology.ring import Record
 from .patch import KahlerProductPatch, PatchDomainError
 from .spaceform import SpaceFormFactor
 
@@ -202,8 +202,7 @@ def levi_inverse(g: np.ndarray) -> np.ndarray:
     return np.swapaxes(inv, -1, -2)
 
 
-@dataclass(frozen=True)
-class PointTensors:
+class PointTensors(Record):
     """The curvature record of :func:`curvature_at`, ``linv`` = ``l^{a b-}``.
 
     Fields are stacked over the centres' leading axes; at one point
@@ -212,15 +211,29 @@ class PointTensors:
     likewise S, and ``gammas[..., c, a, r] = Gamma^r_{c a}``.
     """
 
-    point: np.ndarray
-    g: np.ndarray
-    linv: np.ndarray
-    R: np.ndarray
-    Ric: np.ndarray
-    Scal: float | np.ndarray
-    P: np.ndarray
-    S: np.ndarray
-    gammas: np.ndarray
+    __slots__ = ("point", "g", "linv", "R", "Ric", "Scal", "P", "S", "gammas")
+
+    def __init__(
+        self,
+        point: np.ndarray,
+        g: np.ndarray,
+        linv: np.ndarray,
+        R: np.ndarray,
+        Ric: np.ndarray,
+        Scal: float | np.ndarray,
+        P: np.ndarray,
+        S: np.ndarray,
+        gammas: np.ndarray,
+    ) -> None:
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "linv", linv)
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "Ric", Ric)
+        object.__setattr__(self, "Scal", Scal)
+        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "gammas", gammas)
 
 
 def first_pair_trace(tensor4: np.ndarray, linv: np.ndarray) -> np.ndarray:

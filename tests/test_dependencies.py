@@ -1,6 +1,9 @@
-"""The package's runtime depends on the standard library and numpy only."""
+"""The package's runtime depends on the standard library and numpy only,
+and builds its records without ``dataclasses``."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -32,7 +35,32 @@ def test_every_import_is_stdlib_numpy_or_the_package():
     assert foreign == []
 
 
+def test_no_module_imports_dataclasses():
+    # records are plain classes (cohomology.ring.Record): no code is
+    # generated for them when the package is imported
+    modules = sorted(PACKAGE.rglob("*.py"))
+    found = [
+        f"{path.relative_to(PACKAGE)}:{line}"
+        for path in modules
+        for root, line in _imported_roots(ast.parse(path.read_text(), str(path)))
+        if root == "dataclasses"
+    ]
+    assert found == []
+
+
+def test_the_command_line_loads_without_dataclasses():
+    code = "import sys, crchern.cli; print('dataclasses' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env, timeout=120
+    ).stdout
+    assert out == "False\n"
+
+
 def test_the_guard_sees_a_foreign_import():
-    tree = ast.parse("import os\nfrom scipy import linalg\nimport numpy.linalg\n")
+    tree = ast.parse(
+        "import os\nfrom scipy import linalg\nimport numpy.linalg\n"
+        "from dataclasses import dataclass\n"
+    )
     roots = [root for root, _ in _imported_roots(tree)]
-    assert roots == ["os", "scipy", "numpy"]
+    assert roots == ["os", "scipy", "numpy", "dataclasses"]

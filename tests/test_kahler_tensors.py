@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 from fractions import Fraction
@@ -412,8 +411,8 @@ class TestCurvature:
         z = three_factors.sample_points(1, seed=113)[0]
         t = point_tensors(three_factors, z)
         u = curvature_at(three_factors, z)
-        for field in dataclasses.fields(PointTensors):
-            assert np.array_equal(getattr(u, field.name), getattr(t, field.name)), field.name
+        for name in PointTensors.fields:
+            assert np.array_equal(getattr(u, name), getattr(t, name)), name
         assert np.array_equal(first_pair_trace(t.R, t.linv), t.Ric)
         assert isinstance(t.Scal, float)
 
