@@ -80,13 +80,17 @@ def build_manifest(
     return manifest
 
 
-def render_manifest(manifest: dict, fmt: str) -> str:
-    """The text of ``manifest`` in ``fmt``, ``"json"`` or ``"md"``, with its final newline."""
-    return (manifest_json if fmt == "json" else manifest_markdown)(manifest) + "\n"
+def render_manifest(manifest: dict, fmt: str) -> list[str]:
+    """The text of ``manifest`` in ``fmt``, ``"json"`` or ``"md"``, with its final
+    newline, as pieces: one per report and a few short ones between them."""
+    pieces = (manifest_json if fmt == "json" else manifest_markdown)(manifest)
+    pieces.append("\n")
+    return pieces
 
 
-def manifest_markdown(manifest: dict) -> str:
-    """A summary table of the reports, then each report's params, assertions and residuals."""
+def manifest_markdown(manifest: dict) -> list[str]:
+    """A summary table of the reports, then each report's params, assertions and
+    residuals: the summary is the first piece and each report section one more."""
     lines = [
         f"# crchern {manifest['version']} -- {manifest['status'].upper()}",
         "",
@@ -100,8 +104,10 @@ def manifest_markdown(manifest: dict) -> str:
         params = ", ".join(f"{k}={v}" for k, v in sorted(rep["params"].items()))
         lines.append(f"| {rep['check']} | {params} | {rep['status']} |")
     lines.append("")
+    pieces = ["\n".join(lines)]
     for rep in manifest["reports"]:
-        lines.append(f"## `{rep['check']}` -- {rep['status']}")
+        # a section starts with the line break that joins it to the piece before
+        lines = ["", f"## `{rep['check']}` -- {rep['status']}"]
         params = ", ".join(f"`{k}={v}`" for k, v in sorted(rep["params"].items()))
         if params:
             lines.append(params)
@@ -110,26 +116,55 @@ def manifest_markdown(manifest: dict) -> str:
         if rep["residuals"]:
             lines += ["", "residuals: " + dumps(rep["residuals"])]
         lines.append("")
-    return "\n".join(lines)
+        pieces.append("\n".join(lines))
+    return pieces
 
 
-def manifest_json(value: object) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
+def manifest_json(value: object) -> list[str]:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, as pieces.
 
     With an ``indent`` the standard library encodes in pure Python, one
     generator per container and one chunk per token.  This writer joins
-    one string per container instead.  Exact ``str``, ``int``, ``bool``
-    and ``None`` values, lists, and dicts whose keys are all ``str`` are
-    written here; any other value (floats, tuples, subclasses, other
-    keys) goes to ``json.dumps`` and is re-indented to its depth.  That
-    is exact because encoded JSON holds a raw newline only in its
-    layout, and it raises the standard library's error for a value JSON
-    cannot hold.
+    one string per container instead, except at the top two levels
+    (a manifest and its ``reports`` list): there each item is its own
+    piece, so the pieces of a manifest are its reports and the short
+    text between them, and nothing holds the whole text at once.  Exact
+    ``str``, ``int``, ``bool`` and ``None`` values, lists, and dicts whose
+    keys are all ``str`` are written here; any other value (floats,
+    tuples, subclasses, other keys) goes to ``json.dumps`` and is
+    re-indented to its depth.  That is exact because encoded JSON holds a
+    raw newline only in its layout, and it raises the standard library's
+    error for a value JSON cannot hold.
     """
     try:
-        return _write(value, "\n")
+        return _pieces(value, "\n", 2)
     except RecursionError:  # circular or too deep: as the standard library fails
-        return dumps(value, indent=2, sort_keys=True)
+        return [dumps(value, indent=2, sort_keys=True)]
+
+
+def _pieces(value: object, pad: str, levels: int) -> list[str]:
+    """``value`` encoded at the depth whose line break and indent is ``pad``:
+    each item of its top ``levels`` container levels starts a piece, and
+    each item below them is one :func:`_write` string."""
+    kind = type(value)
+    if not levels or not value or (kind is not list and kind is not dict):
+        return [_write(value, pad)]
+    if kind is dict:
+        keys = sorted(value)  # mixed key types raise as the stdlib does
+        if any(type(key) is not str for key in keys):
+            return [_write(value, pad)]  # the stdlib's key conversions
+        items = [(encode_basestring_ascii(key) + ": ", value[key]) for key in keys]
+        brackets = "{}"
+    else:
+        items, brackets = [("", item) for item in value], "[]"
+    inner = pad + "  "
+    pieces, sep = [], brackets[0] + inner
+    for head, item in items:
+        pieces.append(sep + head)
+        pieces += _pieces(item, inner, levels - 1)
+        sep = "," + inner
+    pieces.append(pad + brackets[1])
+    return pieces
 
 
 def _write(value: object, pad: str) -> str:

@@ -33,6 +33,7 @@ A refusal quotes at most ``ring.QUOTE_LIMIT`` characters of its input.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -288,9 +289,10 @@ def _emit(
 
     ``--out`` is opened before ``compute`` runs and the manifest is
     written through that handle, so an unwritable path exits 2 before
-    any work.  It is truncated only once the manifest exists, so a run
-    that raises or is interrupted leaves an earlier file as it was, and
-    removes a file that this call created.
+    any work.  The manifest's text is rendered in full, as pieces that
+    are written one after another, before the file is truncated, so a
+    run that raises or is interrupted leaves an earlier file as it was,
+    and removes a file that this call created.
     """
     created = False
     try:
@@ -307,9 +309,10 @@ def _emit(
     try:
         with sink as stream:
             manifest = build_manifest(argv, compute(), seed, not args.no_timestamp)
+            pieces = render_manifest(manifest, args.format)
             if args.out and stream.seekable() and stream.tell():
                 stream.truncate(0)  # an earlier file: replaced only now
-            stream.write(render_manifest(manifest, args.format))
+            stream.writelines(pieces)
         written = True
     except BrokenPipeError:
         raise  # standard output closed by its reader: ``main`` exits 1
@@ -444,6 +447,13 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    # The objects alive when a run starts (tens of thousands, numpy's among
+    # them) outlive it: frozen for the run, no collection walks them.  A
+    # caller's own frozen objects stay frozen, and main's are unfrozen on
+    # return, so an in-process caller goes on collecting as before.
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
     try:
         try:
             args = build_parser().parse_args(argv)
@@ -458,6 +468,9 @@ def main(argv: list[str] | None = None) -> int:
         # the interpreter's final flush cannot fail again, and exit 1.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    finally:
+        if freeze:
+            gc.unfreeze()
     return code
 
 

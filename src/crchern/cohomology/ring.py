@@ -500,6 +500,9 @@ class RingElement:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RingElement is immutable")
 
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("RingElement is immutable")
+
     def __reduce__(self):
         # copy, deepcopy and pickle rebuild through the checked constructor;
         # the default slot restore would go through __setattr__ above.

@@ -184,5 +184,5 @@ def test_reports_serialize():
         doc = report.to_json_dict()
         json.dumps(doc)  # JSON-able without custom encoders
         assert doc["status"] == "pass"
-        markdown = render_manifest(build_manifest([], [report], 0, False), "md")
+        markdown = "".join(render_manifest(build_manifest([], [report], 0, False), "md"))
         assert f"\n## `{report.check}` -- pass\n" in markdown

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -437,6 +438,29 @@ def test_run_that_raises_keeps_an_existing_out(monkeypatch, tmp_path):
     monkeypatch.undo()
     assert main(["verify", "prop-1-3", "--format", "json", "--out", str(target)]) == 0
     assert json.loads(target.read_text())["status"] == "pass"
+
+
+@pytest.mark.parametrize("caller_froze", [False, True], ids=["none-frozen", "caller-froze"])
+def test_main_leaves_the_frozen_objects_as_it_found_them(tmp_path, monkeypatch, caller_froze):
+    # main freezes what is alive when it starts, for its own run only; a
+    # caller's frozen objects are neither unfrozen nor joined by main's
+    argv = ["verify", "thm-1-1", "--n", "2", "--out", str(tmp_path / "manifest.md")]
+    assert gc.get_freeze_count() == 0
+    assert main(argv) == 0  # caches filled, so the run below frees nothing frozen
+    during = []
+    build = cli.build_manifest
+    monkeypatch.setattr(
+        cli, "build_manifest", lambda *a: during.append(gc.get_freeze_count()) or build(*a)
+    )
+    if caller_froze:
+        gc.freeze()
+    try:
+        before = gc.get_freeze_count()
+        assert main(argv) == 0
+        assert gc.get_freeze_count() == before
+    finally:
+        gc.unfreeze()
+    assert during[0] == before if caller_froze else during[0] > 10_000
 
 
 def test_targets_call_checks_through_module_names(capsys, monkeypatch):
@@ -1081,7 +1105,7 @@ def test_manifests_are_plain_json_without_a_default():
         manifest = cli.build_manifest(argv, reports, 0, with_timestamp=False)
         assert _json_types_only(manifest), argv
         assert json.loads(json.dumps(manifest, sort_keys=True)) == manifest
-        render_manifest(manifest, "md")
+        "".join(render_manifest(manifest, "md"))
 
 
 def test_emitted_manifests_are_the_standard_library_encoding(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """The manifest writer against the standard library's indented encoding."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crchern.chern.report import manifest_json
+from crchern.chern.report import build_manifest, manifest_json, render_manifest
+from crchern.cli import TARGETS
 
 
 def stdlib(value):
     return json.dumps(value, indent=2, sort_keys=True)
+
+
+def written(value):
+    return "".join(manifest_json(value))
 
 
 def outcome(encode, value):
@@ -75,7 +81,7 @@ _VALUES = st.recursive(
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_VALUES)
 def test_writer_matches_the_standard_library(value):
-    assert outcome(manifest_json, value) == outcome(stdlib, value)
+    assert outcome(written, value) == outcome(stdlib, value)
 
 
 def _nested(depth):
@@ -88,23 +94,34 @@ def _nested(depth):
 @pytest.mark.parametrize(
     "value",
     [
+        # the whole value unsplit: scalars and empty containers
+        0,
+        "é\n",
+        None,
+        2.5,
         {},
         [],
         [[]],
         {"": {}},
         [{}, [], (), 0, ""],
+        # non-str and mixed keys at depth 0, where the writer splits
         {"a": 1, 2: "b"},  # unsortable keys: TypeError from both
-        {"b": 1, "a": {"d": [1, 2.5], "c": (True, None)}, "é": "\x00"},
         {1: "one", 2.5: [1], False: 0, -1e300: None},
         {None: {}},
+        {Text("k"): [1]},
+        # and at depth 1, the items of a split container
         {"z": {3: "int key deep inside"}},
+        {"z": {"a": 1, 2: "b"}},
+        [{None: [1, {}]}, {"a": [2]}],
+        [{"a": 1, 2: "b"}],
+        {"b": 1, "a": {"d": [1, 2.5], "c": (True, None)}, "é": "\x00"},
         [True, 1, False, 0, 1.0],
         [10**5000],  # past int-to-str's digit limit where there is one
         _nested(60),
     ],
 )
 def test_writer_matches_the_standard_library_on_fixed_values(value):
-    assert outcome(manifest_json, value) == outcome(stdlib, value)
+    assert outcome(written, value) == outcome(stdlib, value)
 
 
 @pytest.mark.parametrize(
@@ -113,20 +130,58 @@ def test_writer_matches_the_standard_library_on_fixed_values(value):
     ids=["set", "Fraction", "object", "numpy.int64", "numpy.float32", "bytes"],
 )
 @pytest.mark.parametrize(
-    "wrap", [lambda v: v, lambda v: {"a": [1, {"b": v}]}], ids=["bare", "nested"]
+    "wrap",
+    [lambda v: v, lambda v: {"a": v}, lambda v: [0, v], lambda v: {"a": [1, {"b": v}]}],
+    ids=["bare", "depth-1-dict", "depth-1-list", "nested"],
 )
 def test_unserializable_values_raise_as_the_standard_library_does(bad, wrap):
     value = wrap(bad)
     expected = outcome(stdlib, value)
     assert isinstance(expected, type) and issubclass(expected, Exception)
     with pytest.raises(expected):
-        manifest_json(value)
+        written(value)
 
 
-def test_circular_value_raises_as_the_standard_library_does():
+def _cycle_at_depth_0():
     value = {"a": []}
     value["a"].append(value)
+    return value
+
+
+def _cycle_at_depth_1():
+    inner = {"b": []}
+    inner["b"].append(inner)
+    return {"a": inner}
+
+
+@pytest.mark.parametrize("make", [_cycle_at_depth_0, _cycle_at_depth_1])
+def test_circular_value_raises_as_the_standard_library_does(make):
+    value = make()
     with pytest.raises(ValueError, match="Circular reference"):
         stdlib(value)
     with pytest.raises(ValueError, match="Circular reference"):
-        manifest_json(value)
+        written(value)
+
+
+def test_rendering_holds_about_one_copy_of_the_text():
+    # verify thm-1-2 --n-max 28: 187 reports, 1.9 MB of JSON.  The pieces
+    # are the whole text once; joining it, as a single string would need,
+    # peaks at three copies.
+    target = TARGETS["thm-1-2"]
+    params = {name: flag.default for name, flag in target.flags.items()}
+    params.update(seed=0, n_max=28)
+    argv = ["verify", "thm-1-2", "--n-max", "28"]
+    manifest = build_manifest(argv, target.run(params), 0, with_timestamp=False)
+    tracemalloc.start()
+    try:
+        pieces = render_manifest(manifest, "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = "".join(pieces)
+    assert text == stdlib(manifest) + "\n"
+    assert peak <= 1.25 * len(text)
+    longest_report = max(
+        len(stdlib(report).replace("\n", "\n    ")) for report in manifest["reports"]
+    )
+    assert max(map(len, pieces)) <= longest_report

@@ -686,6 +686,16 @@ class TestSerialization:
                 y.terms = {}
         assert copy.deepcopy(ring.zero()) == ring.zero()
 
+    @pytest.mark.parametrize("name", ["terms", "ring", "_content_key"])
+    def test_attributes_cannot_be_deleted(self, name):
+        ring = make_ring([("t", 2, 3)], INTEGERS)
+        x = ring.element({(1,): 2, (0,): 1})
+        hash(x)  # sets _content_key
+        with pytest.raises(AttributeError, match="RingElement is immutable"):
+            delattr(x, name)
+        assert x * x == ring.element({(2,): 4, (1,): 4, (0,): 1})
+        assert x.content_key() == frozenset(x.terms.items())
+
     def test_malformed_document_rejected(self):
         with pytest.raises(RingError):
             RingPresentation.from_json_dict({"coefficients": "R", "generators": []})
