@@ -4,12 +4,17 @@ For a circle bundle with Euler class ``e`` the degree-``k`` kernel of
 the pullback to the total space equals the image of cup product with
 ``e`` from degree ``k-2``.  Everything a verification needs about
 classes on the total space therefore reduces to exact linear algebra
-against that image, carried out here over Z, Q, or Z/m.
+against that image, each question in the one domain it is asked in:
+:func:`image_membership` decides membership over Q, where the
+real-cohomology statements live, and :func:`cokernel` gives
+``H^k / Im(. cup e)`` over Z, where the class of ``beta`` is zero
+exactly when ``beta`` lies in the integral image.  :func:`cup_matrix`
+builds over any domain.
 
 Sign convention: the multiplication map is taken literally as
 ``x -> e * x`` with ``e`` exactly as supplied (no sign is inserted).
 Membership and cokernel answers are invariant under replacing ``e`` by
-``-e``; certificates record the convention under ``euler_sign``.
+``-e``; certificates write the convention under ``euler_sign``.
 
 Verdicts are read off evidence, never stored: a membership verdict is
 whether the certificate holds a preimage, and a cokernel's free rank
@@ -18,9 +23,9 @@ transform.  A class is read into coordinates by one reader, the one
 membership uses, which refuses support outside the degree basis.
 
 Shared work: a sweep asks about the same cup matrix many times (every
-``n >= k`` of a family, every Euler class of one base).  Membership over
-every domain and :func:`cokernel` take the cup matrix, its Smith form
-and its invariant factors from :func:`factored_cup`, which keeps one
+``n >= k`` of a family, every Euler class of one base).  Membership and
+:func:`cokernel` take the cup matrix, its Smith form and its invariant
+factors from :func:`factored_cup`, which keeps one
 ``(CupMatrix, (U, D, V), invariant factors)`` per content key in a
 bounded LRU memo (``FACTORED_CUP_MEMO`` entries).  The key is the
 coefficient domain, each generator's degree with its truncation capped
@@ -29,9 +34,7 @@ at what degree ``k`` can reach, the terms of ``e`` (its
 class), and ``k``: together they fix both degree bases and every entry, so
 CP^n and CP^(n+1) share their degree-k entries, and generator names do
 not matter.  The memo is a pure function of its key: it rebuilds the
-ring and ``e`` from it.  Over Z/m the factored matrix is the cup matrix
-augmented with ``m`` times the identity, ``[A | m I]``, so that the
-solve mod m is an integer solve.  Shared values are immutable.
+ring and ``e`` from it.  Shared values are immutable.
 """
 
 from __future__ import annotations
@@ -142,24 +145,15 @@ def _factor(
     # module globals, looked up per call, so that rebinding them (tracing)
     # sees every miss
     cup = cup_matrix(ring, e, k)
-    A = cup.matrix
-    if domain.kind == "mod":  # [A | m I]: the solve mod m is one over Z
-        m, n = domain.modulus, A.rows
-        A = IntegerMatrix(
-            n,
-            A.cols + n,
-            tuple((*row, *(m * (i == j) for j in range(n))) for i, row in enumerate(A.entries)),
-        )
-    U, D, V = smith_normal_form(A)
+    U, D, V = smith_normal_form(cup.matrix)
     return cup, (U, D, V), invariant_factors(D)
 
 
 def factored_cup(ring: RingPresentation, e: RingElement, k: int) -> FactoredCup:
     """:func:`cup_matrix`, its Smith form ``(U, D, V)`` and ``invariant_factors(D)``.
 
-    Equal to a fresh ``cup_matrix(ring, e, k)`` and ``smith_normal_form``
-    of its matrix, over Z/m of that matrix augmented with ``m`` times
-    the identity, with the invariant factors of that form.  The result
+    Equal to a fresh ``cup_matrix(ring, e, k)``, ``smith_normal_form``
+    of its matrix and the invariant factors of that form.  The result
     is shared with every call of the same content key (see the module
     docstring) and must not be mutated.
     ``e.ring != ring`` raises on every call, and so does an ``e`` that
@@ -181,8 +175,7 @@ class MembershipCertificate(Record):
     ``e * preimage = target`` exactly.  Otherwise ``residue`` holds the
     obstruction read off the Smith decomposition of the
     (denominator-cleared) cup matrix: the coordinates of ``U * target``
-    that fail divisibility by the invariant factors or are nonzero
-    beyond the rank.
+    that are nonzero beyond the rank.
     """
 
     __slots__ = (
@@ -191,7 +184,6 @@ class MembershipCertificate(Record):
         "residue",
         "invariant_factors",
         "denominator_scale",
-        "euler_sign",
     )
 
     def __init__(
@@ -201,14 +193,12 @@ class MembershipCertificate(Record):
         residue: tuple = (),
         invariant_factors: tuple[int, ...] = (),
         denominator_scale: int = 1,
-        euler_sign: str = EULER_SIGN_CONVENTION,
     ) -> None:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "preimage", preimage)
         object.__setattr__(self, "residue", residue)
         object.__setattr__(self, "invariant_factors", invariant_factors)
         object.__setattr__(self, "denominator_scale", denominator_scale)
-        object.__setattr__(self, "euler_sign", euler_sign)
 
     @property
     def member(self) -> bool:
@@ -222,7 +212,7 @@ class MembershipCertificate(Record):
             "residue": [str(x) for x in self.residue],
             "invariant_factors": list(self.invariant_factors),
             "denominator_scale": self.denominator_scale,
-            "euler_sign": self.euler_sign,
+            "euler_sign": EULER_SIGN_CONVENTION,
         }
 
 
@@ -237,13 +227,17 @@ def _element_vector(beta: RingElement, basis: tuple[ExponentVector, ...]) -> lis
 def image_membership(
     ring: RingPresentation, e: RingElement, beta: RingElement
 ) -> MembershipCertificate:
-    """Decide whether ``beta`` lies in the image of cup product with ``e``.
+    """Decide over Q whether ``beta`` lies in the image of cup product with ``e``.
 
-    One solve against the shared factorization of :func:`factored_cup`:
-    over Q an exact rational solve; over Z and Z/m an integer solve that
-    respects the invariant factors, over Z/m against the cup matrix
-    augmented with ``m`` times the identity.
+    One exact rational solve against the shared factorization of
+    :func:`factored_cup`.  A Z or Z/m ring raises ``RingError``: over Z
+    the class of ``beta`` in :func:`cokernel` is zero exactly when
+    ``beta`` lies in the image.
     """
+    if ring.coefficients.kind != "Q":
+        raise RingError(
+            "membership is decided over Q; over Z read the class in cokernel()"
+        )
     if beta.ring != ring:
         raise RingError("element does not belong to the given ring")
     degrees = beta.degrees()
@@ -261,8 +255,7 @@ def image_membership(
         b if b_scale == 1 else [x.numerator * (b_scale // x.denominator) for x in b]
     )
 
-    integral = ring.coefficients.kind != "Q"
-    residue, num, L = _back_substitute(U, factors, V, b_int, integral=integral)
+    residue, num, L = _back_substitute(U, factors, V, b_int, integral=False)
     if residue:
         return MembershipCertificate(
             k,
@@ -271,11 +264,8 @@ def image_membership(
             denominator_scale=cup.denominator_scale,
         )
     # x = num / L solves A_int x = b_int; undo the two clearings,
-    # A_int = scale * A and b_int = b_scale * b.  Over Z and Z/m, L
-    # divides num and b_scale is 1, so every coefficient is an int; over
-    # Z/m zip drops the entries of the m I block and ``_reduced`` reduces
-    # the rest mod m.  The columns are reduced monomials of ``ring``, so
-    # ``element``'s checks would find nothing.
+    # A_int = scale * A and b_int = b_scale * b.  The columns are reduced
+    # monomials of ``ring``, so ``element``'s checks would find nothing.
     denom = L * b_scale
     coeffs = {}
     for mono, v in zip(cup.basis_cols, num):
@@ -301,19 +291,17 @@ class CokernelData(Record, hidden=("row_transform",)):
     factors, basis and row transform, never stored beside them.
     """
 
-    __slots__ = ("invariant_factors", "basis", "row_transform", "euler_sign")
+    __slots__ = ("invariant_factors", "basis", "row_transform")
 
     def __init__(
         self,
         invariant_factors: tuple[int, ...],
         basis: tuple[ExponentVector, ...],
         row_transform: IntegerMatrix,
-        euler_sign: str = EULER_SIGN_CONVENTION,
     ) -> None:
         object.__setattr__(self, "invariant_factors", invariant_factors)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "row_transform", row_transform)
-        object.__setattr__(self, "euler_sign", euler_sign)
 
     @property
     def free_rank(self) -> int:
@@ -355,7 +343,7 @@ class CokernelData(Record, hidden=("row_transform",)):
             "free_rank": self.free_rank,
             "basis": [list(m) for m in self.basis],
             "generator_classes": [list(c) for c in self.generator_classes],
-            "euler_sign": self.euler_sign,
+            "euler_sign": EULER_SIGN_CONVENTION,
         }
 
 

@@ -213,7 +213,7 @@ def _back_substitute(
     z = [0] * V.rows
     for i, yi, d in pivots:
         z[i] = yi * (L // d)
-    return residue, [sum(map(mul, row, z)) for row in V.entries], L
+    return residue, V.matvec(z), L
 
 
 def solve_integer_system(

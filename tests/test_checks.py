@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from crchern.chern import checks
 from crchern.chern.checks import (
+    _circle_bundle,
     check_prop_1_3,
     check_prop_1_4,
     check_prop_4_1,
@@ -14,8 +16,8 @@ from crchern.chern.checks import (
 )
 from crchern.chern.report import build_manifest, render_manifest
 from crchern.chern.spherical import CircleBundleSetup
-from crchern.cohomology.gysin import image_membership
-from crchern.cohomology.ring import RingError
+from crchern.cohomology.gysin import cokernel, image_membership
+from crchern.cohomology.ring import INTEGERS, RingError
 
 
 class TestCpnSetup:
@@ -108,6 +110,40 @@ class TestProp13:
             check_prop_1_3(1, 5)
         with pytest.raises(RingError):
             check_prop_1_3(2, 0)
+
+    def test_integral_census(self):
+        # The lens space S^(2n+1)/Z_d, the circle bundle of O(-d) over CP^n,
+        # has Z/d in each even degree 2k <= 2n.  There the reduced lift
+        # D_k c_k - N_k c_1^k of the constraint, q_k = N_k / D_k, is its
+        # closed-form value times the class of t^k; the paper's k = 2 lift
+        # misses the pairs where only another k fails.
+        queries, missed = 0, set()
+        for n in range(2, 13):
+            for d in range(2, 14):
+                setup = _circle_bundle(INTEGERS, (n, "t", n + 1, -d))
+                ring, tangent = setup.base, setup.base_tangent
+                t, c1 = ring.gen("t"), tangent.c1()
+                reduced_fails = False
+                for k in range(1, n + 1):
+                    q = Fraction(comb(n + 2, k), (n + 2) ** k)
+                    N, D = q.numerator, q.denominator
+                    coker = cokernel(ring, setup.euler, 2 * k)
+                    assert coker.invariant_factors == (d,) and coker.free_rank == 0
+                    value = (D * comb(n + 1, k) - N * (n + 1) ** k) % d
+                    lift = coker.class_of_element(D * tangent.chern(k) - N * c1**k)
+                    (gen,) = coker.class_of_element(t**k)
+                    assert lift == (value * gen % d,)
+                    reduced_fails |= value != 0
+                    queries += 1
+                paper_lift = 2 * (n + 2) * tangent.chern(2) - (n + 1) * c1**2
+                paper_class = cokernel(ring, setup.euler, 4).class_of_element(paper_lift)
+                if reduced_fails and not any(paper_class):
+                    missed.add((n, d))
+        assert queries == 924
+        assert missed == {
+            (3, 4), (5, 2), (5, 3), (5, 6), (7, 4), (7, 8), (8, 9), (9, 2),
+            (9, 5), (9, 10), (11, 2), (11, 3), (11, 4), (11, 6), (11, 12),
+        }
 
 
 class TestProp41:

@@ -84,9 +84,8 @@ REPRS = {
     "basis_rows=((2,),), basis_cols=((1,),), denominator_scale=1)",
     "MembershipCertificate": "MembershipCertificate(degree=4, "
     "preimage=<RingElement -1/3*t in Q[t(deg 2, t^3=0)]>, residue=(), "
-    "invariant_factors=(3,), denominator_scale=1, euler_sign='cup-with-e-as-given')",
-    "CokernelData": "CokernelData(invariant_factors=(1, 9), basis=((2, 0), (1, 1)), "
-    "euler_sign='cup-with-e-as-given')",
+    "invariant_factors=(3,), denominator_scale=1)",
+    "CokernelData": "CokernelData(invariant_factors=(1, 9), basis=((2, 0), (1, 1)))",
     "_Series": "_Series(u0=Fraction(2, 1), u1=Fraction(2, 3))",
     "SpaceFormFactor": "SpaceFormFactor(dim=2, hsc=Fraction(-1, 2))",
     "KahlerProductPatch": "KahlerProductPatch(factors=(SpaceFormFactor(dim=1, "
@@ -111,9 +110,8 @@ FIELDS = {
         "residue",
         "invariant_factors",
         "denominator_scale",
-        "euler_sign",
     ),
-    "CokernelData": ("invariant_factors", "basis", "row_transform", "euler_sign"),
+    "CokernelData": ("invariant_factors", "basis", "row_transform"),
     "_Series": ("u0", "u1"),
     "SpaceFormFactor": ("dim", "hsc"),
     "KahlerProductPatch": ("factors",),

@@ -29,7 +29,6 @@ from crchern.cohomology.ring import (
     INTEGERS,
     RATIONALS,
     RingError,
-    integers_mod,
     make_ring,
 )
 
@@ -81,41 +80,17 @@ def _thm_1_2_setups(n_max):
         yield fpp_times_cpn_setup(n), n
 
 
-def _assert_member_read_off_preimage(e, beta, cert):
-    assert cert.member == (cert.preimage is not None)
-    assert cert.to_json_dict()["member"] is cert.member
-    if cert.member:
-        assert e * cert.preimage == beta
-
-
 def test_thm_1_2_certificates_read_member_off_the_preimage():
     members = 0
     for setup, n in _thm_1_2_setups(8):
         for _k, res, _res_text, _ratio_text in _residual_table(setup.base_tangent, n):
             cert = image_membership(setup.base, setup.euler, res)
-            _assert_member_read_off_preimage(setup.euler, res, cert)
+            assert cert.member == (cert.preimage is not None)
+            assert cert.to_json_dict()["member"] is cert.member
+            if cert.member:
+                assert setup.euler * cert.preimage == res
             members += cert.member
     assert members > 100
-
-
-@pytest.mark.parametrize(
-    "domain,e,beta,member",
-    [
-        (INTEGERS, 2, 6, True),
-        (INTEGERS, 2, 3, False),
-        (integers_mod(3), 2, 1, True),
-        (integers_mod(4), 2, 1, False),
-        (integers_mod(4), 2, 2, True),
-    ],
-    ids=["Z-member", "Z-nonmember", "Z/3-member", "Z/4-nonmember", "Z/4-member"],
-)
-def test_integral_certificates_read_member_off_the_preimage(domain, e, beta, member):
-    ring = make_ring([("t", 2, 3)], domain)
-    t = ring.gen("t")
-    cert = image_membership(ring, e * t, beta * t**2)
-    assert cert.member is member
-    assert (cert.residue == ()) is member
-    _assert_member_read_off_preimage(e * t, beta * t**2, cert)
 
 
 def test_prop_1_3_cokernels_derive_rank_and_classes():
