@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -22,7 +22,12 @@ from crchern.cohomology.ring import (
     integers_mod,
     make_ring,
 )
-from crchern.cohomology.snf import invariant_factors, smith_normal_form
+from crchern.cohomology.snf import (
+    IntegerMatrix,
+    invariant_factors,
+    smith_normal_form,
+    solve_integer_system,
+)
 
 
 def cpn_ring(n, domain=INTEGERS):
@@ -209,10 +214,13 @@ class TestSharedFactorization:
             (INTEGERS, (2, -3)),
             (RATIONALS, (1, -3)),
             (RATIONALS, (Fraction(1, 6), Fraction(-2, 3))),
+            (integers_mod(4), (2, 3)),
+            (integers_mod(6), (2, 5)),
         ],
-        ids=["Z", "Q", "Q-rational-e"],
+        ids=["Z", "Q", "Q-rational-e", "Z4", "Z6"],
     )
     def test_matches_a_fresh_factorization(self, domain, coeffs):
+        # one contract on every domain: over Z/m too, the plain cup matrix
         ring = make_ring([("t", 2, 3), ("h", 2, 4), ("w", 4, 2)], domain)
         e = coeffs[0] * ring.gen("t") + coeffs[1] * ring.gen("h")
         for k in range(0, 16, 2):
@@ -308,9 +316,13 @@ class TestSharedFactorization:
         assert cokernel(ring, second, 4) == cokernel(ring, first, 4)
         assert gysin._factor.cache_info().misses == 2
 
-    @pytest.mark.parametrize("domain", [INTEGERS, RATIONALS], ids=["Z", "Q"])
+    @pytest.mark.parametrize(
+        "domain", [INTEGERS, RATIONALS, integers_mod(4), integers_mod(6)],
+        ids=["Z", "Q", "Z4", "Z6"],
+    )
     def test_invariant_factors_are_those_of_a_fresh_smith_form(self, domain):
-        # membership is asked over Q, of the same integer matrix
+        # membership is asked over Q, of the same integer matrix; e's
+        # coefficients are below every modulus, so the entries agree
         gens = [("t", 2, 3), ("h", 2, 4), ("w", 4, 2)]
         ring, qring = make_ring(gens, domain), make_ring(gens, RATIONALS)
         t, h, w = qring.gen("t"), qring.gen("h"), qring.gen("w")
@@ -318,6 +330,7 @@ class TestSharedFactorization:
         for k, beta in ((2, t), (4, t * h + w), (6, h**3 + t * w), (8, t**2 * w)):
             A = cup_matrix(ring, e, k).matrix
             fresh = invariant_factors(smith_normal_form(A)[1])
+            assert factored_cup(ring, e, k)[2] == fresh
             cert = image_membership(qring, 2 * t + 3 * h, beta)
             assert cert.invariant_factors == fresh
             if domain.kind == "Z":
@@ -421,6 +434,76 @@ def test_membership_vs_brute_force_over_z():
         assert zero == brute_force_image_member(cm.matrix, b, bound=50)
         checked += 1
     assert checked > 40
+
+
+def _in_m_times_cokernel(data, cls, m):
+    """Whether a class lies in ``m`` times the cokernel; ``m = 0`` asks for zero.
+
+    ``beta`` lies in the image of cup product with ``e`` over Z/m exactly
+    when ``beta = e x + m y`` over Z, that is when its class lies in
+    ``m * coker``: each residue mod ``d_i`` divisible by ``gcd(m, d_i)``
+    and each free coordinate by ``m``.
+    """
+    factors = data.invariant_factors
+    torsion, free = cls[: len(factors)], cls[len(factors):]
+    return all(c % gcd(m, d) == 0 for c, d in zip(torsion, factors)) and all(
+        (c % m if m else c) == 0 for c in free
+    )
+
+
+@pytest.mark.parametrize("m", [4, 6, 7])
+def test_mod_m_membership_is_read_off_the_integral_cokernel(m):
+    """The Z cokernel answers membership mod m; the reference solves
+    ``[A | m I] x = b`` over Z, and its solution is checked over Z/m."""
+    rng = random.Random(m)
+    gens = [("t", 2, 4), ("h", 2, 3), ("s", 2, 2)]
+    zring, mring = make_ring(gens, INTEGERS), make_ring(gens, integers_mod(m))
+    seen = {"member": 0, "nonmember": 0}
+    for _ in range(80):
+        e = {x: rng.randrange(m) for x in zring.degree_basis(2)}
+        k = rng.choice([2, 4, 6])
+        if rng.random() < 0.5:
+            below = {x: rng.randrange(m) for x in zring.degree_basis(k - 2)}
+            beta = zring.element(e) * zring.element(below)
+        else:
+            beta = zring.element({x: rng.randrange(m) for x in zring.degree_basis(k)})
+        if beta.is_zero():
+            continue
+        data = cokernel(zring, zring.element(e), k)
+        member = _in_m_times_cokernel(data, data.class_of_element(beta), m)
+        A = cup_matrix(zring, zring.element(e), k).matrix
+        augmented = IntegerMatrix.from_rows(
+            [
+                list(row) + [m * (j == i) for j in range(A.rows)]
+                for i, row in enumerate(A.entries)
+            ]
+        )
+        b = [beta.coefficient(x) for x in data.basis]
+        solvable, x = solve_integer_system(augmented, b)
+        assert member == solvable
+        if solvable:
+            preimage = mring.element(dict(zip(zring.degree_basis(k - 2), x[: A.cols])))
+            assert mring.element(e) * preimage == mring.element(dict(beta.terms))
+        seen["member" if member else "nonmember"] += 1
+    assert seen["member"] > 10 and seen["nonmember"] > 5
+
+
+def test_rational_membership_is_the_free_part_of_the_cokernel():
+    """Over Q, beta is a member exactly when its integral class has no free part."""
+    rng = random.Random(5)
+    gens = [("t", 2, 3), ("h", 2, 3)]
+    zring, qring = make_ring(gens, INTEGERS), make_ring(gens, RATIONALS)
+    seen = {"member": 0, "nonmember": 0}
+    for _ in range(60):
+        e = {x: rng.choice([0, 0, 1, -2, 3, 5]) for x in zring.degree_basis(2)}
+        k = rng.choice([4, 6])
+        beta = {x: rng.randint(-6, 6) for x in zring.degree_basis(k)}
+        data = cokernel(zring, zring.element(e), k)
+        cls = data.class_of_element(zring.element(beta))
+        cert = image_membership(qring, qring.element(e), qring.element(beta))
+        assert cert.member == (not any(cls[len(data.invariant_factors):]))
+        seen["member" if cert.member else "nonmember"] += 1
+    assert seen["member"] > 10 and seen["nonmember"] > 10
 
 
 def test_membership_independent_rational_oracle():

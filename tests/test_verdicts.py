@@ -7,6 +7,7 @@ it rests on.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -91,6 +92,31 @@ def test_thm_1_2_certificates_read_member_off_the_preimage():
                 assert setup.euler * cert.preimage == res
             members += cert.member
     assert members > 100
+
+
+@pytest.mark.parametrize(
+    "m,e,beta,member",
+    [
+        (0, 2, 6, True),
+        (0, 2, 3, False),
+        (3, 2, 1, True),
+        (4, 2, 1, False),
+        (4, 2, 2, True),
+    ],
+    ids=["Z-member", "Z-nonmember", "Z/3-member", "Z/4-nonmember", "Z/4-member"],
+)
+def test_integral_verdicts_are_read_off_the_cokernel(m, e, beta, member):
+    # beta t^2 lies in the image of e t over Z/m (over Z when m = 0) exactly
+    # when its class in the Z/2 cokernel lies in m times it
+    ring = make_ring([("t", 2, 3)], INTEGERS)
+    t = ring.gen("t")
+    data = cokernel(ring, e * t, 4)
+    assert (data.invariant_factors, data.free_rank) == ((2,), 0)
+    (cls,) = data.class_of_element(beta * t**2)
+    assert (cls % gcd(m, 2) == 0) is member
+    # the same verdict by brute force: e x + m y = beta in small integers
+    box = range(-6, 7)
+    assert any(e * x + m * y == beta for x in box for y in box) is member
 
 
 def test_prop_1_3_cokernels_derive_rank_and_classes():
