@@ -7,6 +7,7 @@ from __future__ import annotations
 from datetime import datetime, timezone
 from json import dumps
 from json.encoder import encode_basestring_ascii
+from math import isfinite
 
 from .. import __version__
 from ..cohomology.ring import Record
@@ -129,12 +130,13 @@ def manifest_json(value: object) -> list[str]:
     (a manifest and its ``reports`` list): there each item is its own
     piece, so the pieces of a manifest are its reports and the short
     text between them, and nothing holds the whole text at once.  Exact
-    ``str``, ``int``, ``bool`` and ``None`` values, lists, and dicts whose
-    keys are all ``str`` are written here; any other value (floats,
-    tuples, subclasses, other keys) goes to ``json.dumps`` and is
-    re-indented to its depth.  That is exact because encoded JSON holds a
-    raw newline only in its layout, and it raises the standard library's
-    error for a value JSON cannot hold.
+    ``str``, ``int``, ``bool`` and ``None`` values, finite exact floats
+    (``float.__repr__``, the standard library's own rule), lists, and
+    dicts whose keys are all ``str`` are written here; any other value
+    (NaN and infinities, tuples, subclasses, other keys) goes to
+    ``json.dumps`` and is re-indented to its depth.  That is exact
+    because encoded JSON holds a raw newline only in its layout, and it
+    raises the standard library's error for a value JSON cannot hold.
     """
     try:
         return _pieces(value, "\n", 2)
@@ -174,6 +176,8 @@ def _write(value: object, pad: str) -> str:
         return encode_basestring_ascii(value)
     if kind is int:
         return int.__repr__(value)
+    if kind is float and isfinite(value):
+        return float.__repr__(value)
     if kind is bool or value is None:
         return _CONSTANTS[value]
     inner = pad + "  "

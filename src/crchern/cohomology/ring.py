@@ -330,20 +330,24 @@ class RingPresentation(Record):
         generator order, so e.g. in ``Q[t,h]`` the degree-4 basis reads
         ``[t^2, t*h, h^2]``.
         """
+        if k < 0 or not self.generators:
+            return [()] if k == 0 else []
+        *head, last = self.generators
+        # each prefix with the degree left for the generators after it,
+        # its exponents descending at every position
+        prefixes: list[tuple[tuple[int, ...], int]] = [((), k)]
+        for g in head:
+            prefixes = [
+                (prefix + (e,), left - e * g.degree)
+                for prefix, left in prefixes
+                for e in range(min(g.truncation - 1, left // g.degree), -1, -1)
+            ]
+        # the last exponent is what the degree left fixes
         out: list[ExponentVector] = []
-
-        def rec(i: int, remaining: int, prefix: tuple[int, ...]) -> None:
-            if i == len(self.generators):
-                if remaining == 0:
-                    out.append(prefix)
-                return
-            g = self.generators[i]
-            top = min(g.truncation - 1, remaining // g.degree)
-            for e in range(top, -1, -1):
-                rec(i + 1, remaining - e * g.degree, prefix + (e,))
-
-        if k >= 0:
-            rec(0, k, ())
+        for prefix, left in prefixes:
+            e, rest = divmod(left, last.degree)
+            if not rest and e < last.truncation:
+                out.append(prefix + (e,))
         return out
 
     def reach(self, k: int) -> tuple[tuple[int, int], ...]:

@@ -26,13 +26,14 @@ import numpy as np
 
 from ..chern.report import CheckReport
 from ..cohomology.ring import quote, schema_int
-from .patch import KahlerProductPatch
+from .patch import KahlerProductPatch, PatchDomainError
 from .spaceform import calibrate_space_form
 from .tensors import (
+    IllConditionedMetric,
     chern_divergence_residual,
     curvature_at,
     first_pair_trace,
-    point_tensors,
+    sample_stacks,
     space_form_curvature_oracle,
     symmetry_residuals,
 )
@@ -203,45 +204,41 @@ def run_batch(
     The Chern tensor must then stay below ``s_max`` at every point; a
     negative control (``expect_flat=False``) must instead *exceed*
     :data:`CONTROL_FLOOR`.  The witness records the maxima next to the
-    merged tolerance table that held them.
+    merged tolerance table that held them.  The samples run in the
+    stacks of :func:`~crchern.kahler.tensors.sample_stacks`, each stage
+    once per stack, and give the rows and maxima of one sample at a time.
     """
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(tolerances or {})
     patch = KahlerProductPatch(
         tuple(calibrate_space_form(dim, hsc) for dim, hsc in factors)
     )
-    n = patch.total_dim
     points = patch.sample_points(samples, seed)
+    centres = np.array(points)
 
-    maxima: dict[str, float] = {}
-    per_point = []
-    for z in points:
-        t = point_tensors(patch, z)
-        scale = 1 + float(np.max(np.abs(t.R)))
-        exact = space_form_curvature_oracle(patch, z)
-        div = chern_divergence_residual(patch, t)
-        p_trace = complex(np.einsum("ab,ab->", t.linv, t.P)) - t.Scal / (2 * (n + 1))
-        measured = {
-            "s_inf": float(np.max(np.abs(t.S))),
-            "curvature_rel_err": float(np.max(np.abs(t.R - exact)))
-            / max(1e-30, float(np.max(np.abs(exact)))),
-            "r_symmetry": max(symmetry_residuals(t.R)) / scale,
-            "p_trace": abs(p_trace),
-            "s_trace": float(np.max(np.abs(first_pair_trace(t.S, t.linv)))) / scale,
-            "cross_block": _cross_block_max(patch, t.R),
-            "divergence": div["residual"],
-            "divergence_sides": max(div["lhs_max"], div["rhs_max"]),
+    columns = []
+    for stack in sample_stacks(patch, samples):
+        try:
+            columns.append(_measure(patch, centres[stack]))
+        except (PatchDomainError, IllConditionedMetric):
+            # A stack's failure names its first or worst point; one sample
+            # at a time names the first failing sample's, in sample order.
+            for i in range(stack.start, stack.stop):
+                _measure(patch, centres[i : i + 1])
+            raise
+    measured = {key: np.concatenate([c[key] for c in columns]).tolist() for key in columns[0]}
+    maxima = {key: max(0.0, *values) for key, values in measured.items()}
+    per_point = [
+        {
+            "point": [str(c) for c in z],
+            "s_inf": s_inf,
+            "curvature_rel_err": rel_err,
+            "divergence_residual": residual,
         }
-        for key, value in measured.items():
-            maxima[key] = max(maxima.get(key, 0.0), value)
-        per_point.append(
-            {
-                "point": [str(c) for c in z],
-                "s_inf": measured["s_inf"],
-                "curvature_rel_err": measured["curvature_rel_err"],
-                "divergence_residual": measured["divergence"],
-            }
+        for z, s_inf, rel_err, residual in zip(
+            points, measured["s_inf"], measured["curvature_rel_err"], measured["divergence"]
         )
+    ]
 
     conv = convergence_factor(patch, points[0])
 
@@ -288,9 +285,34 @@ def run_batch(
     )
 
 
-def _cross_block_max(patch: KahlerProductPatch, R: np.ndarray) -> float:
-    """Largest curvature component with indices in different factor blocks."""
+def _measure(patch: KahlerProductPatch, z: np.ndarray) -> dict[str, np.ndarray]:
+    """The measured value behind each maximum of a batch, at each centre of
+    the ``(samples, n)`` stack ``z``: one call of each stage per stack."""
+    n = patch.total_dim
+    t = curvature_at(patch, z)
+    tensor = (-4, -3, -2, -1)
+    scale = 1 + np.max(np.abs(t.R), axis=tensor)
+    exact = space_form_curvature_oracle(patch, z)
+    div = chern_divergence_residual(patch, t)
+    p_trace = np.einsum("...ab,...ab->...", t.linv, t.P) - t.Scal / (2 * (n + 1))
+    return {
+        "s_inf": np.max(np.abs(t.S), axis=tensor),
+        "curvature_rel_err": np.max(np.abs(t.R - exact), axis=tensor)
+        / np.maximum(1e-30, np.max(np.abs(exact), axis=tensor)),
+        "r_symmetry": np.maximum(*symmetry_residuals(t.R)) / scale,
+        # hypot, the modulus of Python's abs; numpy's complex abs may differ in the last bit
+        "p_trace": np.hypot(p_trace.real, p_trace.imag),
+        "s_trace": np.max(np.abs(first_pair_trace(t.S, t.linv)), axis=(-2, -1)) / scale,
+        "cross_block": _cross_block_max(patch, t.R),
+        "divergence": div["residual"],
+        "divergence_sides": np.maximum(div["lhs_max"], div["rhs_max"]),
+    }
+
+
+def _cross_block_max(patch: KahlerProductPatch, R: np.ndarray) -> np.ndarray:
+    """Largest curvature component with indices in different factor blocks,
+    over the last four axes."""
     block_of = np.repeat(np.arange(len(patch.factors)), [f.dim for f in patch.factors])
     a, b, c, d = np.ix_(block_of, block_of, block_of, block_of)
     cross = (a != b) | (a != c) | (a != d)
-    return float(np.max(np.abs(R[cross]), initial=0.0))
+    return np.max(np.abs(R), axis=(-4, -3, -2, -1), where=cross, initial=0.0)

@@ -56,19 +56,30 @@ each real direction.  A real direction moves the coordinates of one
 factor ``k``, so at its centres every other factor's blocks of ``g``,
 R and Ric are the centre's own, bit for bit, and only block ``k``
 changes.  The stencil therefore works one factor at a time: the
-factor's second-derivative stencil at its moved centres
-(``PAIRS_PER_STACK`` directions per call), the inverse of the whole
-moved ``g``, one Riemann step on its block ``k`` over all of them, and
-the full Ric, Scal and P in closed form from the centre's values.  R's
-unmoved blocks cancel in the difference, so the R part of ``l^{r d-}
-d_r S`` lies in block ``k``; the four P g terms of S are contracted
-with the directions' weights before they are formed, one matrix
-product over the (direction, sign) axis.  No ``n^4`` array exists at a
-moved centre, which costs O(n_k^5 + n^3); ``l^{r d-}`` is contracted
-into Gamma before Gamma meets S.  A sample costs ``sum_f 2 m_f (1 + 2
-m_f^2)`` metric points over the factors' real dimensions ``m_f``
-(1,752 at 3+3).  The stencil's offset and index tables are built once
-per real dimension and shared read-only.
+factor's second-derivative stencil at its moved centres, the inverse of
+the whole moved ``g``, one Riemann step on its block ``k`` over all of
+them, and the full Ric, Scal and P in closed form from the centre's
+values.  R's unmoved blocks cancel in the difference, so the R part of
+``l^{r d-} d_r S`` lies in block ``k``; the four P g terms of S are
+contracted with the directions' weights before they are formed, one
+matrix product over the (direction, sign) axis.  No ``n^4`` array
+exists at a moved centre, which costs O(n_k^5 + n^3); ``l^{r d-}`` is
+contracted into Gamma before Gamma meets S.  A sample costs ``sum_f 2
+m_f (1 + 2 m_f^2)`` metric points over the factors' real dimensions
+``m_f`` (1,752 at 3+3).  The stencil's offset and index tables are
+built once per real dimension and shared read-only.
+
+Every stage takes a stack of sample centres on leading axes
+(:func:`point_tensors` is the one-point form of :func:`curvature_at`),
+and a batch runs its samples through each stage in stacks.  One
+constant, :data:`STACK_ENTRIES`, bounds the complex entries of the
+largest array a stacked call builds, a stencil buffer or an ``n^4``
+tensor, with at least one item per call: :func:`sample_stacks` cuts a
+batch into stacks of :func:`curvature_at`, and the divergence stencil
+stacks (sample, direction, sign) centres per call of a factor's stencil
+and whole samples per Riemann step.  Each sample's sums over its
+directions then run as they do for that sample alone, so a stack's
+results are those of its samples one at a time, bit for bit.
 """
 
 from __future__ import annotations
@@ -84,13 +95,17 @@ from .spaceform import SpaceFormFactor
 METRIC_STEP = 1e-4
 THIRD_ORDER_STEP = 1e-3
 CONDITION_LIMIT = 1e8
-# Real directions, each a +- pair of centres, per call of a factor's
-# second-derivative stencil in the third-order stencil: the bound on the
-# stencil buffer.  All of a factor's directions in one call run a 3+3
-# sample's stencil in 2.3-2.5 ms, not 2.9-3.1 ms, but raise the peak: a
-# single-sample 8+8 scenario peaks at 45 MB RSS with 2, 52 MB with 4 and
-# 85 MB with all 16 (2-core Xeon, one BLAS thread).
-PAIRS_PER_STACK = 2
+# Complex entries of the largest array one stacked call builds: a stencil
+# buffer or an n^4 tensor.  Sample centres, and at a moved centre its
+# direction and sign, are stacked until the bound is reached, and at least
+# one goes into each call, so a centre or a sample larger than the bound is
+# built alone: a single-sample 8+8 scenario runs one centre (32,832
+# entries) per stencil call and one sample per Riemann step.  8192 entries
+# (128 KiB) keep the 3+3 benchmark batch of 4 samples at 12 centres per
+# stencil call and its peak RSS 0.7 MB above one sample at a time; a bound
+# that puts its whole stencil in one call adds 1.6 MB and saves no time
+# (2-core Xeon, one BLAS thread).
+STACK_ENTRIES = 8_192
 
 
 class IllConditionedMetric(RuntimeError):
@@ -120,6 +135,27 @@ def _stencil_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for table in (offsets, ia, ib):
         table.setflags(write=False)
     return offsets, ia, ib
+
+
+def _stencil_entries(dim: int) -> int:
+    """Complex entries of one centre's stencil buffer in a factor of ``dim``:
+    ``1 + 2m^2`` metric blocks of ``dim^2``, ``m = 2 dim``."""
+    return (1 + 8 * dim * dim) * dim * dim
+
+
+def _stacks(count: int, entries: int) -> list[slice]:
+    """``range(count)`` as consecutive slices of items of ``entries`` complex
+    entries each: as many per slice as :data:`STACK_ENTRIES` holds, at least one."""
+    step = max(1, STACK_ENTRIES // entries)
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
+def sample_stacks(patch: KahlerProductPatch, count: int) -> list[slice]:
+    """``count`` sample centres as the stacks of :func:`curvature_at` calls:
+    a centre's largest arrays are its ``n^4`` tensors and each factor's
+    stencil buffer."""
+    n = patch.total_dim
+    return _stacks(count, max(n**4, *(_stencil_entries(f.dim) for f in patch.factors)))
 
 
 def _factor_derivatives(
@@ -342,24 +378,27 @@ def _third_order_derivatives(
     patch: KahlerProductPatch, t: PointTensors
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Holomorphic-direction central differences of P and Scal, and the
-    trace ``l^{r d-} d_r S_{a b- c d-}``, at the centre of ``t``.
+    trace ``l^{r d-} d_r S_{a b- c d-}``, at the centres of ``t``.
 
-    ``t`` is ``point_tensors(patch, z)``.  Each real direction ``e_r``
-    has the two centres ``x0 +- h e_r`` (``h = THIRD_ORDER_STEP``), and
-    moves the coordinates of the factor ``k`` that owns it and no other.
-    At a moved centre every other factor's blocks of ``g``, R and Ric
-    are the centre's bit for bit (an unmoved coordinate is ``x0 +
-    0.0``), so the work goes one factor at a time, over its ``2 dim_k``
-    directions:
+    ``t`` is ``curvature_at(patch, z)``, one centre or a stack, and the
+    results are stacked like ``z``.  Each real direction ``e_r`` has the
+    two centres ``x0 +- h e_r`` (``h = THIRD_ORDER_STEP``), and moves the
+    coordinates of the factor ``k`` that owns it and no other.  At a moved
+    centre every other factor's blocks of ``g``, R and Ric are the
+    centre's bit for bit (an unmoved coordinate is ``x0 + 0.0``), so the
+    work goes one factor at a time, over its ``2 dim_k`` directions of
+    every sample, in chunks of whole samples that :func:`_stacks` bounds by
+    a moved centre's largest arrays (block ``k``'s ``n_k^4`` and the ``2
+    n^2`` of P and g).  Per chunk:
 
-    - its second-derivative stencil, ``PAIRS_PER_STACK`` directions per
-      call of :func:`_factor_derivatives`, which bounds the stencil
-      buffer; its chart check sees every point;
+    - its second-derivative stencil at every (sample, direction, sign)
+      centre, as many per call of :func:`_factor_derivatives` as the
+      stencil buffer's bound holds; its chart check sees every point;
     - ``g`` is the centre's with block ``k`` replaced, and
       :func:`levi_inverse` inverts and checks it whole: O(n^3) per
       centre;
     - one :func:`_riemann` step on block ``k`` of that inverse alone
-      over all the factor's moved centres, O(n_k^5) each;
+      over all the chunk's moved centres, O(n_k^5) each;
     - Ric is the centre's with block ``k`` replaced, ``Scal = sum_{f !=
       k} Scal_f(centre) + Scal_k``, and P is formed with the full ``n``:
       O(n^2) per centre;
@@ -370,83 +409,100 @@ def _third_order_derivatives(
       weight (``1/2`` for ``x_r``, ``-i/2`` for ``y_r``, times
       ``+-1/(2h) l^{r d-}``) before it is formed: ``u = w g`` and ``v =
       w P``, then ``sum_j P_j (x) u_j + g_j (x) v_j`` is one matrix
-      product over the (direction, sign) axis, an ``(n^2, n_k)`` array,
-      and its ``a <-> c`` transpose gives the other two terms.
+      product per sample over the (direction, sign) axis, an ``(n^2,
+      n_k)`` array, and its ``a <-> c`` transpose gives the other two
+      terms.
 
     No ``n^4`` array exists at any moved centre: the cost is O(n_k^5 +
     n^3) per moved centre.
     """
     n = patch.total_dim
     h = THIRD_ORDER_STEP
-    dP = np.empty((2 * n, n, n), dtype=complex)  # rows x_1..x_n, y_1..y_n
-    dScal = np.empty(2 * n)
-    trace_R = np.zeros((n, n, n), dtype=complex)  # [c, a, b]
-    pg = np.empty((n * n, n), dtype=complex)  # [(a b), c]
+    lead = t.point.shape[:-1]
+    count = int(np.prod(lead, dtype=int))
+    point, g0, linv0, ric0 = (
+        a.reshape((count,) + a.shape[len(lead) :]) for a in (t.point, t.g, t.linv, t.Ric)
+    )
+    dP = np.empty((count, 2 * n, n, n), dtype=complex)  # rows x_1..x_n, y_1..y_n
+    dScal = np.empty((count, 2 * n))
+    trace_R = np.zeros((count, n, n, n), dtype=complex)  # [c, a, b]
+    pg = np.empty((count, n * n, n), dtype=complex)  # [(a b), c]
     slices = patch.slices()
-    scal = [float((t.linv[s, s] * t.Ric[s, s]).sum().real) for s in slices]
+    scal = [(linv0[:, s, s] * ric0[:, s, s]).reshape(count, -1).sum(axis=-1).real for s in slices]
     for k, (f, s) in enumerate(zip(patch.factors, slices)):
         nk = f.dim
         m = 2 * nk
         rows = np.arange(s.start, s.stop)
         rows = np.concatenate([rows, n + rows])  # x and y of block k
         e = h * np.eye(m)
-        x0 = _real_coords(t.point[s])
-        x = np.stack([x0 + e, x0 - e], axis=1)  # [direction, sign, coordinate]
+        x0 = _real_coords(point[:, s])[:, None, :]
+        x = np.stack([x0 + e, x0 - e], axis=2)  # [sample, direction, sign, coordinate]
         centres = x[..., :nk] + 1j * x[..., nk:]
-        derivatives = [np.empty((m, 2) + (nk,) * r, dtype=complex) for r in (2, 3, 3, 4)]
-        for lo in range(0, m, PAIRS_PER_STACK):
-            chunk = slice(lo, lo + PAIRS_PER_STACK)
-            for full, part in zip(derivatives, _factor_derivatives(f, centres[chunk], METRIC_STEP)):
-                full[chunk] = part
-        gk = derivatives[0]
-        g = np.broadcast_to(t.g, (m, 2, n, n)).copy()
-        g[..., s, s] = gk
-        _gam, Rk, ric_k, scal_k = _riemann(levi_inverse(g)[..., s, s], *derivatives[1:])
-        del derivatives
-        ric = np.broadcast_to(t.Ric, (m, 2, n, n)).copy()
-        ric[..., s, s] = ric_k
-        scal_moved = sum(scal[j] for j in range(len(slices)) if j != k) + scal_k
-        P = _schouten(ric, scal_moved, g, n)
-        dP[rows] = (P[:, 0] - P[:, 1]) / (2 * h)
-        dScal[rows] = (scal_moved[:, 0] - scal_moved[:, 1]) / (2 * h)
-
-        # lw[j, d] = w_j l^{r_j d-}: direction j moves x or y of row r_j
+        others = sum((scal[j] for j in range(len(slices)) if j != k), np.zeros(count))
+        # lw[i, j, d] = w_j l^{r_j d-}: direction j moves x or y of row r_j
         weight = np.concatenate([np.full(nk, 0.5), np.full(nk, -0.5j)])
-        lw = weight[:, None] * np.concatenate([t.linv[s, s], t.linv[s, s]])
-        dR = (Rk[:, 0] - Rk[:, 1]) / (2 * h)  # [direction, c, d, a, b]
-        # "jd,jcdab->cab": for each direction and row c, a (d) x (d, (a b)) product
-        trace_R[s, s, s] = (
-            (lw[:, None, None, :] @ dR.reshape(m, nk, nk, nk * nk)).sum(axis=0).reshape((nk,) * 3)
-        )
-        del Rk, dR
-        # the weights carry the difference quotient's +-1/(2h)
-        lws = lw[:, None, :, None] * np.array([1, -1])[:, None, None] / (2 * h)
-        u = (gk @ lws)[..., 0]  # w_j g_{c d-} at [direction, sign, c]
-        v = (P[..., s, s] @ lws)[..., 0]  # w_j P_{c d-}
-        # "jab,jc->abc": P (x) u + g (x) v over the (direction, sign) axis j
-        X = np.concatenate([P.reshape(2 * m, n * n), g.reshape(2 * m, n * n)])
-        pg[:, s] = X.T @ np.concatenate([u.reshape(2 * m, nk), v.reshape(2 * m, nk)])
-    pg = pg.reshape(n, n, n)  # [a, b, c]
+        lw = weight[:, None] * np.concatenate([linv0[:, s, s], linv0[:, s, s]], axis=1)
+        for chunk in _stacks(count, 2 * m * max(nk**4, 2 * n * n)):
+            moved = centres[chunk].reshape(-1, nk)
+            derivatives = [np.empty((len(moved),) + (nk,) * r, dtype=complex) for r in (2, 3, 3, 4)]
+            for call in _stacks(len(moved), _stencil_entries(nk)):
+                parts = _factor_derivatives(f, moved[call], METRIC_STEP)
+                for full, part in zip(derivatives, parts):
+                    full[call] = part
+            gk, *derivatives = (d.reshape((-1, m, 2) + d.shape[1:]) for d in derivatives)
+            g = np.broadcast_to(g0[chunk, None, None], gk.shape[:3] + (n, n)).copy()
+            g[..., s, s] = gk
+            _gam, Rk, ric_k, scal_k = _riemann(levi_inverse(g)[..., s, s], *derivatives)
+            del derivatives
+            ric = np.broadcast_to(ric0[chunk, None, None], g.shape).copy()
+            ric[..., s, s] = ric_k
+            scal_moved = others[chunk, None, None] + scal_k
+            P = _schouten(ric, scal_moved, g, n)
+            dP[chunk, rows] = (P[:, :, 0] - P[:, :, 1]) / (2 * h)
+            dScal[chunk, rows] = (scal_moved[:, :, 0] - scal_moved[:, :, 1]) / (2 * h)
+
+            dR = (Rk[:, :, 0] - Rk[:, :, 1]) / (2 * h)  # [sample, direction, c, d, a, b]
+            # "ijd,ijcdab->icab": for each direction and row c, a (d) x (d, (a b)) product
+            trace_R[chunk, s, s, s] = (
+                (lw[chunk, :, None, None, :] @ dR.reshape(-1, m, nk, nk, nk * nk))
+                .sum(axis=1)
+                .reshape((-1,) + (nk,) * 3)
+            )
+            del Rk, dR
+            # the weights carry the difference quotient's +-1/(2h)
+            lws = lw[chunk, :, None, :, None] * np.array([1, -1])[:, None, None] / (2 * h)
+            u = (gk @ lws)[..., 0]  # w_j g_{c d-} at [sample, direction, sign, c]
+            v = (P[..., s, s] @ lws)[..., 0]  # w_j P_{c d-}
+            # "ijab,ijc->iabc": P (x) u + g (x) v over the (direction, sign) axis j
+            X = np.concatenate([P.reshape(-1, 2 * m, n * n), g.reshape(-1, 2 * m, n * n)], axis=1)
+            Y = np.concatenate([u.reshape(-1, 2 * m, nk), v.reshape(-1, 2 * m, nk)], axis=1)
+            pg[chunk, :, s] = np.swapaxes(X, -1, -2) @ Y
+    pg = pg.reshape(count, n, n, n)  # [a, b, c]
     # S's P g terms: P_{a b-} g_{c d-} + P_{c d-} g_{a b-} + (a <-> c)
-    trace_dS = trace_R.transpose(1, 2, 0) - pg - pg.transpose(2, 1, 0)
-    dP_hol = 0.5 * (dP[:n] - 1j * dP[n:])  # [c, a, b]
-    dScal_hol = 0.5 * (dScal[:n] - 1j * dScal[n:])
-    return dP_hol, trace_dS, dScal_hol
+    trace_dS = np.moveaxis(trace_R, 1, -1) - pg - np.swapaxes(pg, 1, 3)
+    dP_hol = 0.5 * (dP[:, :n] - 1j * dP[:, n:])  # [c, a, b]
+    dScal_hol = 0.5 * (dScal[:, :n] - 1j * dScal[:, n:])
+    return (
+        dP_hol.reshape(lead + (n,) * 3),
+        trace_dS.reshape(lead + (n,) * 3),
+        dScal_hol.reshape(lead + (n,)),
+    )
 
 
 def _assemble_v(dP_hol, dScal_hol, gammas, P, g, n):
     """``grad_c P_{a b-} = d_c P_{a b-} - Gamma^r_{c a} P_{r b-}``: the
     barred index picks up no connection term under a holomorphic-
     direction derivative.  ``T1_a`` is the gradient of the P-trace
-    (a multiple of Scal) over ``n + 2``.
+    (a multiple of Scal) over ``n + 2``.  Batched over the leading axes.
     """
-    # "car,rb->cab"
-    grad_P = dP_hol - (gammas.reshape(n * n, n) @ P).reshape(n, n, n)
+    lead = g.shape[:-2]
+    # "...car,...rb->...cab"
+    grad_P = dP_hol - (gammas.reshape(lead + (n * n, n)) @ P).reshape(lead + (n,) * 3)
     T1 = dScal_hol / (2 * (n + 1) * (n + 2))
     V = (
-        1j * np.transpose(grad_P, (1, 2, 0))
-        - 1j * (g[:, :, None] * T1)  # "c,ab->abc"
-        - 2j * (T1[:, None, None] * g.T)  # "a,cb->abc"
+        1j * np.moveaxis(grad_P, -3, -1)
+        - 1j * (g[..., :, :, None] * T1[..., None, None, :])  # "c,ab->abc"
+        - 2j * (T1[..., :, None, None] * np.swapaxes(g, -1, -2)[..., None, :, :])  # "a,cb->abc"
     )
     return T1, V
 
@@ -454,35 +510,40 @@ def _assemble_v(dP_hol, dScal_hol, gammas, P, g, n):
 def chern_divergence_residual(patch: KahlerProductPatch, t: PointTensors) -> dict:
     """Both sides of the divergence identity ``div S = -n i V`` at ``t.point``.
 
-    ``t`` is ``point_tensors(patch, z)``.  ``div S`` is the trace
-    ``l^{r d-} grad_r S_{a b- c d-}`` with the covariant corrections on
-    both unbarred slots of S.  The stencil streams ``l^{r d-} d_r S``,
-    and ``l^{r d-}`` is contracted into Gamma first (``l^{r d-}
-    Gamma^s_{r a}``), so the trace is O(n^5) and neither ``d S`` nor
-    ``grad S`` is ever built.  Returns the two sides and the residual
-    max-norm for reporting.
+    ``t`` is ``curvature_at(patch, z)``, one centre or a stack, and every
+    value is stacked like ``z``.  ``div S`` is the trace ``l^{r d-}
+    grad_r S_{a b- c d-}`` with the covariant corrections on both
+    unbarred slots of S.  The stencil streams ``l^{r d-} d_r S``, and
+    ``l^{r d-}`` is contracted into Gamma first (``l^{r d-} Gamma^s_{r
+    a}``), so the trace is O(n^5) and neither ``d S`` nor ``grad S`` is
+    ever built.  Returns the two sides and the residual max-norm for
+    reporting.
     """
     n = patch.total_dim
+    lead = t.linv.shape[:-2]
     dP_hol, trace_dS, dScal_hol = _third_order_derivatives(patch, t)
 
     S = t.S  # S_{a b- c d-} at [c, d, a, b]
     # lg[a, d, s] = l^{r d-} Gamma^s_{r a}: for each a, a (d, r) x (r, s) product
-    # "rd,ras->ads"
-    lg = t.linv.T @ np.swapaxes(t.gammas, 0, 1)
-    # "ads,sbcd->abc": for each c, an (a, (d s)) x ((d s), b) product
-    first = lg.reshape(n, n * n) @ S.reshape(n, n * n, n)  # [c, a, b]
-    # "cds,absd->abc": one (c, (s d)) x ((s d), (a b)) product
-    second = np.swapaxes(lg, 1, 2).reshape(n, n * n) @ S.reshape(n * n, n * n)
-    div_S = (trace_dS.transpose(2, 0, 1) - first - second.reshape(n, n, n)).transpose(1, 2, 0)
+    # "...rd,...ras->...ads"
+    lg = np.swapaxes(t.linv, -1, -2)[..., None, :, :] @ np.swapaxes(t.gammas, -3, -2)
+    # "...ads,...sbcd->...abc": for each c, an (a, (d s)) x ((d s), b) product
+    first = lg.reshape(lead + (1, n, n * n)) @ S.reshape(lead + (n, n * n, n))  # [c, a, b]
+    # "...cds,...absd->...abc": one (c, (s d)) x ((s d), (a b)) product
+    second = np.swapaxes(lg, -2, -1).reshape(lead + (n, n * n)) @ S.reshape(lead + (n * n, n * n))
+    div_S = np.moveaxis(
+        np.moveaxis(trace_dS, -1, -3) - first - second.reshape(lead + (n,) * 3), -3, -1
+    )
 
     _T1, V = _assemble_v(dP_hol, dScal_hol, t.gammas, t.P, t.g, n)
     rhs = -n * 1j * V
+    tensor = (-3, -2, -1)
     return {
         "div_S": div_S,
         "minus_n_i_V": rhs,
-        "residual": float(np.max(np.abs(div_S - rhs))),
-        "lhs_max": float(np.max(np.abs(div_S))),
-        "rhs_max": float(np.max(np.abs(rhs))),
+        "residual": np.max(np.abs(div_S - rhs), axis=tensor),
+        "lhs_max": np.max(np.abs(div_S), axis=tensor),
+        "rhs_max": np.max(np.abs(rhs), axis=tensor),
     }
 
 
@@ -492,7 +553,8 @@ def chern_divergence_residual(patch: KahlerProductPatch, t: PointTensors) -> dic
 def space_form_curvature_oracle(
     patch: KahlerProductPatch, z: np.ndarray
 ) -> np.ndarray:
-    """Closed-form curvature of a product of space forms.
+    """Closed-form curvature of a product of space forms, at one centre or
+    a ``(..., n)`` stack of them.
 
     Per factor, ``R = (hsc/2) (g g + g g)`` on the factor's block with
     the exact analytic metric; all cross-factor components vanish.  It
@@ -501,18 +563,20 @@ def space_form_curvature_oracle(
     """
     z = patch.coordinates(z)
     n = patch.total_dim
-    R = np.zeros((n, n, n, n), dtype=complex)
+    R = np.zeros(z.shape[:-1] + (n,) * 4, dtype=complex)
     for f, s in zip(patch.factors, patch.slices()):
-        gb = f.metric(z[s])
+        gb = f.metric(z[..., s])
         block = (f.c / 2) * (
-            np.einsum("ab,cd->abcd", gb, gb) + np.einsum("ad,cb->abcd", gb, gb)
+            np.einsum("...ab,...cd->...abcd", gb, gb) + np.einsum("...ad,...cb->...abcd", gb, gb)
         )
-        R[s, s, s, s] = block
+        R[..., s, s, s, s] = block
     return R
 
 
-def symmetry_residuals(R: np.ndarray) -> tuple[float, float]:
-    """Max deviation from R's two index symmetries, in either pair order."""
-    first = float(np.max(np.abs(R - np.transpose(R, (2, 1, 0, 3)))))
-    second = float(np.max(np.abs(R - np.transpose(R, (0, 3, 2, 1)))))
+def symmetry_residuals(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Max deviation from R's two index symmetries, in either pair order,
+    over the last four axes."""
+    tensor = (-4, -3, -2, -1)
+    first = np.max(np.abs(R - np.swapaxes(R, -4, -2)), axis=tensor)
+    second = np.max(np.abs(R - np.swapaxes(R, -3, -1)), axis=tensor)
     return first, second

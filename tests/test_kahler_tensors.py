@@ -548,21 +548,15 @@ def _whole_patch_third_order_derivatives(patch, z, linv):
     m = 2 * n
     h = tensors.THIRD_ORDER_STEP
     x0 = np.concatenate([z.real, z.imag])
-    dP = np.empty((m, n, n), dtype=complex)
-    dScal = np.empty(m)
-    trace_dS = np.zeros((n, 1, n * n), dtype=complex)
     weight = np.concatenate([np.full(n, 0.5), np.full(n, -0.5j)])
     lw = weight[:, None] * np.concatenate([linv, linv])
-    for lo in range(0, m, tensors.PAIRS_PER_STACK):
-        a = np.arange(lo, min(lo + tensors.PAIRS_PER_STACK, m))
-        e = h * np.eye(m)[a]
-        x = np.stack([x0 + e, x0 - e], axis=1)
-        centres = x[..., :n] + 1j * x[..., n:]
-        t = curvature_at(patch, centres)
-        dP[a] = (t.P[:, 0] - t.P[:, 1]) / (2 * h)
-        dScal[a] = (t.Scal[:, 0] - t.Scal[:, 1]) / (2 * h)
-        dS = (t.S[:, 0] - t.S[:, 1]) / (2 * h)  # [direction, c, d, a, b]
-        trace_dS += (lw[a, None, None, :] @ dS.reshape(len(a), n, n, n * n)).sum(axis=0)
+    e = h * np.eye(m)
+    x = np.stack([x0 + e, x0 - e], axis=1)
+    t = curvature_at(patch, x[..., :n] + 1j * x[..., n:])
+    dP = (t.P[:, 0] - t.P[:, 1]) / (2 * h)
+    dScal = (t.Scal[:, 0] - t.Scal[:, 1]) / (2 * h)
+    dS = (t.S[:, 0] - t.S[:, 1]) / (2 * h)  # [direction, c, d, a, b]
+    trace_dS = (lw[:, None, None, :] @ dS.reshape(m, n, n, n * n)).sum(axis=0)
     dP_hol = 0.5 * (dP[:n] - 1j * dP[n:])
     dScal_hol = 0.5 * (dScal[:n] - 1j * dScal[n:])
     return dP_hol, trace_dS.reshape(n, n, n).transpose(1, 2, 0), dScal_hol
@@ -638,13 +632,13 @@ class TestThirdOrder:
     @pytest.mark.parametrize(
         "dims,signs",
         [((1, 1), (1, -1)), ((2, 2), (1, 1))],
-        ids=["1+1: one stack of 2 per factor", "2+2: stacks of 3 and 1 per factor"],
+        ids=["1+1: one call per factor", "2+2: calls of 3, 3 and 2 centres per factor"],
     )
     def test_divergence_with_a_partial_last_stack(self, dims, signs, monkeypatch):
-        monkeypatch.setattr(tensors, "PAIRS_PER_STACK", 3)
+        monkeypatch.setattr(tensors, "STACK_ENTRIES", 3 * tensors._stencil_entries(2))
         _assert_divergence_matches_full_gradient_of_s(dims, signs)
 
-    @pytest.mark.parametrize("pairs_per_stack", [2, 3], ids=["2 pairs", "3 pairs"])
+    @pytest.mark.parametrize("centres_per_call", [4, 5], ids=["4 centres", "5 centres"])
     @pytest.mark.parametrize("matched", [True, False], ids=["matched", "equal signs"])
     @pytest.mark.parametrize(
         "dims,signs",
@@ -652,37 +646,48 @@ class TestThirdOrder:
         ids=["1+1", "1+2", "3+3", "1+2+1"],
     )
     def test_factor_local_stencil_matches_whole_patch(
-        self, dims, signs, matched, pairs_per_stack, monkeypatch
+        self, dims, signs, matched, centres_per_call, monkeypatch
     ):
         # The whole-patch stencil assembles every factor's blocks at every
-        # centre and differences S itself; the factor-local one sums the
-        # same difference quotients in another order.  With 3 pairs per
-        # stack a factor's last stack is partial at 1+2 and 3+3.
-        monkeypatch.setattr(tensors, "PAIRS_PER_STACK", pairs_per_stack)
+        # centre of one sample and differences S itself; the factor-local
+        # one, run on both samples stacked, sums the same difference
+        # quotients in another order.  With 5 centres per call of the
+        # largest factor's stencil its last call is partial at 1+2 and 3+3,
+        # and at 3+3 a call holds centres of both samples.
+        largest = tensors._stencil_entries(max(dims))
+        monkeypatch.setattr(tensors, "STACK_ENTRIES", centres_per_call * largest)
         patch = _patch(dims, signs if matched else [abs(s) for s in signs])
-        for z in patch.sample_points(2, seed=101):
+        zs = np.array(patch.sample_points(2, seed=101))
+        got = _third_order_derivatives(patch, curvature_at(patch, zs))
+        for i, z in enumerate(zs):
             t = point_tensors(patch, z)
-            got = _third_order_derivatives(patch, t)
             want = _whole_patch_third_order_derivatives(patch, z, t.linv)
             for name, a, b in zip(("dP_hol", "trace_dS", "dScal_hol"), got, want, strict=True):
-                assert a.shape == b.shape, name
-                assert np.max(np.abs(a - b)) <= _rounding_unit(patch, t), name
+                assert a[i].shape == b.shape, name
+                assert np.max(np.abs(a[i] - b)) <= _rounding_unit(patch, t), name
 
-    @pytest.mark.parametrize("pairs_per_stack", [1, 2, 3])
+    @pytest.mark.parametrize("centres_per_call", [1, 2, 4])
     def test_stencil_buffer_is_bounded_and_each_factor_assembles_once(
-        self, pairs_per_stack, monkeypatch
+        self, centres_per_call, monkeypatch
     ):
-        # Each call of the factor stencil holds at most PAIRS_PER_STACK
-        # directions' +- centres, and every moved centre is evaluated
-        # once; one Riemann step per factor, on that factor's block alone.
-        monkeypatch.setattr(tensors, "PAIRS_PER_STACK", pairs_per_stack)
+        # Each call of the factor stencil holds at most STACK_ENTRIES
+        # entries, and every moved centre of every sample is evaluated
+        # once, in sample order.  Samples are stacked in chunks of as many
+        # whole samples as the bound holds (at least one), by a moved
+        # centre's largest arrays: block k's n_k^4 curvature, and P and g
+        # side by side (2 n^2).  One Riemann step per factor per chunk, on
+        # that factor's block alone.
+        bound = centres_per_call * tensors._stencil_entries(3)
+        monkeypatch.setattr(tensors, "STACK_ENTRIES", bound)
         patch = _patch((3, 1, 2), (1, -1, 1))
-        t = point_tensors(patch, patch.sample_points(1, seed=107)[0])
-        centres, blocks = [], []
+        n, samples = patch.total_dim, 3
+        zs = np.array(patch.sample_points(samples, seed=107))
+        t = curvature_at(patch, zs)
+        calls, blocks = [], []
         factor_derivatives, riemann = tensors._factor_derivatives, tensors._riemann
 
         def counted_stencil(factor, z, step):
-            centres.append((factor.dim, int(np.prod(np.shape(z)[:-1]))))
+            calls.append((factor.dim, np.array(z)))
             return factor_derivatives(factor, z, step)
 
         def counted_riemann(linv, *rest):
@@ -692,10 +697,22 @@ class TestThirdOrder:
         monkeypatch.setattr(tensors, "_factor_derivatives", counted_stencil)
         monkeypatch.setattr(tensors, "_riemann", counted_riemann)
         chern_divergence_residual(patch, t)
-        assert max(count for _, count in centres) <= 2 * pairs_per_stack
-        for f in patch.factors:
-            assert sum(count for dim, count in centres if dim == f.dim) == 4 * f.dim
-        assert blocks == [(2 * f.dim, 2, f.dim, f.dim) for f in patch.factors]
+        h = tensors.THIRD_ORDER_STEP
+        expected_blocks = []
+        for f, s in zip(patch.factors, patch.slices()):
+            m = 2 * f.dim
+            evaluated = [z for dim, z in calls if dim == f.dim]
+            assert all(len(z) * tensors._stencil_entries(f.dim) <= bound for z in evaluated)
+            x0 = np.concatenate([zs[:, s].real, zs[:, s].imag], axis=-1)[:, None, None, :]
+            sign = np.array([1, -1])[:, None]
+            x = x0 + sign * h * np.eye(m)[:, None, :]  # [sample, direction, sign, coordinate]
+            moved = (x[..., : f.dim] + 1j * x[..., f.dim :]).reshape(-1, f.dim)
+            assert np.array_equal(np.concatenate(evaluated), moved)
+            per_chunk = max(1, bound // (2 * m * max(f.dim**4, 2 * n * n)))
+            for lo in range(0, samples, per_chunk):
+                expected_blocks.append((min(per_chunk, samples - lo), m, 2, f.dim, f.dim))
+        assert blocks == expected_blocks
+        assert len(blocks) > len(patch.factors)
 
     def test_condition_check_reads_the_whole_moved_metric(self, monkeypatch):
         # The dim-2 factor near its chart's edge has metric eigenvalues of

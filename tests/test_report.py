@@ -125,6 +125,22 @@ def test_writer_matches_the_standard_library_on_fixed_values(value):
 
 
 @pytest.mark.parametrize(
+    "value",
+    [-0.0, 5e-324, 1e308, float("nan"), float("inf"), float("-inf"), np.float64(0.1)],
+    ids=["-0.0", "5e-324", "1e308", "nan", "inf", "-inf", "numpy.float64"],
+)
+@pytest.mark.parametrize(
+    "wrap",
+    [lambda v: v, lambda v: {"a": v}, lambda v: [0, v], lambda v: {"a": [1, {"b": v}]}],
+    ids=["bare", "depth-1-dict", "depth-1-list", "nested"],
+)
+def test_floats_are_written_as_the_standard_library_writes_them(value, wrap):
+    # a finite exact float is float.__repr__, json's own rule; NaN, the
+    # infinities and float subclasses go through json.dumps
+    assert written(wrap(value)) == stdlib(wrap(value))
+
+
+@pytest.mark.parametrize(
     "bad",
     [set(), Fraction(1, 3), object(), np.int64(3), np.float32(0.5), b"x"],
     ids=["set", "Fraction", "object", "numpy.int64", "numpy.float32", "bytes"],

@@ -474,6 +474,35 @@ class TestEvaluate:
             ring.zero().evaluate({"h": 1})
 
 
+def _brute_force_degree_basis(ring, k):
+    """Every exponent vector under the truncations with degree ``k``, sorted
+    descending-lex."""
+    vectors = [()]
+    for g in ring.generators:
+        vectors = [v + (e,) for v in vectors for e in range(g.truncation)]
+    return sorted((v for v in vectors if ring.monomial_degree(v) == k), reverse=True)
+
+
+class TestDegreeBasis:
+    def test_matches_brute_force_on_random_rings(self):
+        # mixed degrees and truncations, truncation 1 among them: a
+        # generator that only exponent 0 reaches, first, last or between
+        rng = random.Random(71)
+        for _ in range(200):
+            count = rng.randint(0, 4)
+            spec = [(f"g{i}", 2 * rng.randint(1, 3), rng.randint(1, 4)) for i in range(count)]
+            ring = make_ring(spec, RATIONALS)
+            top = sum(degree * (truncation - 1) for _, degree, truncation in spec)
+            for k in range(-2, top + 3):
+                assert ring.degree_basis(k) == _brute_force_degree_basis(ring, k), (spec, k)
+
+    def test_truncation_one_contributes_exponent_zero_only(self):
+        ring = make_ring([("a", 2, 1), ("b", 4, 2), ("c", 2, 1)], RATIONALS)
+        assert ring.degree_basis(0) == [(0, 0, 0)]
+        assert ring.degree_basis(4) == [(0, 1, 0)]
+        assert ring.degree_basis(2) == [] and ring.degree_basis(6) == []
+
+
 class TestDegreeBasisCache:
     def test_each_call_returns_a_fresh_list(self):
         ring = two_var_ring()

@@ -3,15 +3,28 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from crchern.kahler import scenario, tensors
+from crchern.kahler.patch import KahlerProductPatch, PatchDomainError, metric_at
 from crchern.kahler.scenario import (
     BOUNDS,
     CONTROL_FLOOR,
     DEFAULT_TOLERANCES,
     ScenarioError,
+    _cross_block_max,
     parse_scenario,
     run_batch,
+)
+from crchern.kahler.spaceform import calibrate_space_form
+from crchern.kahler.tensors import (
+    IllConditionedMetric,
+    chern_divergence_residual,
+    first_pair_trace,
+    point_tensors,
+    space_form_curvature_oracle,
+    symmetry_residuals,
 )
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -257,3 +270,127 @@ def test_emitted_reports_validate_against_shipped_schemas():
     jsonschema.validate({"factors": [{"dim": 8, "hsc": "1"}]}, scenario_schema)
     # the hand validator accepts exactly what the schema describes here
     parse_scenario(good)
+
+
+def _one_sample_at_a_time(factors, samples, seed):
+    """The per-point rows and maxima of a batch, each sample assembled on
+    its own through the one-point forms, as the batch did before it
+    stacked its samples."""
+    patch = KahlerProductPatch(tuple(calibrate_space_form(d, hsc) for d, hsc in factors))
+    n = patch.total_dim
+    maxima, rows = {}, []
+    for z in patch.sample_points(samples, seed):
+        t = point_tensors(patch, z)
+        scale = 1 + float(np.max(np.abs(t.R)))
+        exact = space_form_curvature_oracle(patch, z)
+        div = chern_divergence_residual(patch, t)
+        p_trace = complex(np.einsum("ab,ab->", t.linv, t.P)) - t.Scal / (2 * (n + 1))
+        measured = {
+            "s_inf": float(np.max(np.abs(t.S))),
+            "curvature_rel_err": float(np.max(np.abs(t.R - exact)))
+            / max(1e-30, float(np.max(np.abs(exact)))),
+            "r_symmetry": float(max(symmetry_residuals(t.R))) / scale,
+            "p_trace": abs(p_trace),
+            "s_trace": float(np.max(np.abs(first_pair_trace(t.S, t.linv)))) / scale,
+            "cross_block": float(_cross_block_max(patch, t.R)),
+            "divergence": float(div["residual"]),
+            "divergence_sides": float(max(div["lhs_max"], div["rhs_max"])),
+        }
+        for key, value in measured.items():
+            maxima[key] = max(maxima.get(key, 0.0), value)
+        rows.append(
+            {
+                "point": [str(c) for c in z],
+                "s_inf": measured["s_inf"],
+                "curvature_rel_err": measured["curvature_rel_err"],
+                "divergence_residual": measured["divergence"],
+            }
+        )
+    return patch, rows, maxima
+
+
+@pytest.mark.parametrize("stacks", ["one stack", "two samples per stack"])
+@pytest.mark.parametrize(
+    "factors,samples",
+    [
+        ([(1, 1), (1, -1)], 5),
+        ([(1, 1), (2, -1)], 3),
+        ([(3, 1), (3, -1)], 3),
+        ([(1, 1), (2, -1), (1, 1)], 3),
+        ([(1, 1), (1, 1)], 5),
+    ],
+    ids=["1+1", "1+2", "3+3", "1+2+1", "equal-sign control"],
+)
+def test_stacked_batch_matches_one_sample_at_a_time(factors, samples, stacks, monkeypatch):
+    # Every stage of a stack computes each sample as a stack of one does,
+    # so rows and maxima agree bit for bit, with a partial last stack too.
+    factors = [(d, Fraction(hsc)) for d, hsc in factors]
+    patch, rows, maxima = _one_sample_at_a_time(factors, samples, 11)
+    sizes = []
+    if stacks != "one stack":
+        n = patch.total_dim
+        widest = max(n**4, *(tensors._stencil_entries(f.dim) for f in patch.factors))
+        monkeypatch.setattr(tensors, "STACK_ENTRIES", 2 * widest)
+    curvature = tensors.curvature_at
+
+    def counted(patch, z, *args):
+        sizes.append(len(z) if np.ndim(z) == 2 else None)
+        return curvature(patch, z, *args)
+
+    monkeypatch.setattr(scenario, "curvature_at", counted)
+    report = run_batch(factors, samples=samples, seed=11)
+    assert report.residuals == rows
+    assert report.witnesses[0]["maxima"] == maxima
+    stacked = sizes[:-2]  # the convergence factor's two single points come last
+    assert stacked == ([samples] if stacks == "one stack" else [2] * (samples // 2) + [1])
+
+
+def _first_failure(patch, z):
+    """The refusal of one sample run on its own."""
+    with pytest.raises((PatchDomainError, IllConditionedMetric)) as caught:
+        t = point_tensors(patch, z)
+        space_form_curvature_oracle(patch, z)
+        chern_divergence_residual(patch, t)
+    return type(caught.value), str(caught.value)
+
+
+def _run_at(points, factors, monkeypatch):
+    monkeypatch.setattr(KahlerProductPatch, "sample_points", lambda self, count, seed: points)
+    with pytest.raises((PatchDomainError, IllConditionedMetric)) as caught:
+        run_batch(factors, samples=len(points), seed=0)
+    return type(caught.value), str(caught.value)
+
+
+def test_stacked_chart_failure_names_the_first_failing_sample(monkeypatch):
+    # hsc = -2: the chart is |z| < 1.  Sample 1 passes the curvature
+    # stencil (step 1e-4) and leaves the chart in the third-order one
+    # (step 1e-3); sample 2 leaves it already in the curvature stencil,
+    # which the stack runs first.  The batch names sample 1's point.
+    factors = [(1, Fraction(1)), (1, Fraction(-2))]
+    patch = KahlerProductPatch(tuple(calibrate_space_form(d, hsc) for d, hsc in factors))
+    points = [np.array([0.1, 0.1], dtype=complex)] + [
+        np.array([0.1, 1 - gap], dtype=complex) for gap in (5e-4, 5e-5)
+    ]
+    kind, message = _first_failure(patch, points[1])
+    assert kind is PatchDomainError
+    with pytest.raises(PatchDomainError) as whole_stack:
+        tensors.curvature_at(patch, np.array(points))
+    assert str(whole_stack.value) != message
+    assert _run_at(points, factors, monkeypatch) == (kind, message)
+
+
+def test_stacked_condition_failure_names_the_first_failing_sample(monkeypatch):
+    # The dim-2 factor's condition number grows towards its chart's edge
+    # (radius sqrt 2).  With a limit between samples 0 and 1, the batch
+    # reports sample 1's worst condition number, not sample 2's larger one.
+    factors = [(2, Fraction(-1)), (1, Fraction(1))]
+    patch = KahlerProductPatch(tuple(calibrate_space_form(d, hsc) for d, hsc in factors))
+    points = [np.array([x, 0, 0.1], dtype=complex) for x in (0.1, 1.0, 1.3)]
+    g = metric_at(patch, np.array(points))
+    cond = np.linalg.norm(g, axis=(1, 2)) * np.linalg.norm(np.linalg.inv(g), axis=(1, 2))
+    assert cond[0] < cond[1] < cond[2]
+    monkeypatch.setattr(tensors, "CONDITION_LIMIT", np.sqrt(cond[0] * cond[1]))
+    kind, message = _first_failure(patch, points[1])
+    assert kind is IllConditionedMetric
+    assert _first_failure(patch, points[2])[1] != message
+    assert _run_at(points, factors, monkeypatch) == (kind, message)
