@@ -9,7 +9,7 @@ against that image, each question in the one domain it is asked in:
 real-cohomology statements live, and :func:`cokernel` gives
 ``H^k / Im(. cup e)`` over Z, where the class of ``beta`` is zero
 exactly when ``beta`` lies in the integral image.  :func:`cup_matrix`
-builds over any domain.
+builds over Z and over Q.
 
 Sign convention: the multiplication map is taken literally as
 ``x -> e * x`` with ``e`` exactly as supplied (no sign is inserted).
@@ -230,9 +230,9 @@ def image_membership(
     """Decide over Q whether ``beta`` lies in the image of cup product with ``e``.
 
     One exact rational solve against the shared factorization of
-    :func:`factored_cup`.  A Z or Z/m ring raises ``RingError``: over Z
-    the class of ``beta`` in :func:`cokernel` is zero exactly when
-    ``beta`` lies in the image.
+    :func:`factored_cup`.  A Z ring raises ``RingError``: over Z the
+    class of ``beta`` in :func:`cokernel` is zero exactly when ``beta``
+    lies in the image.
     """
     if ring.coefficients.kind != "Q":
         raise RingError(
@@ -255,7 +255,7 @@ def image_membership(
         b if b_scale == 1 else [x.numerator * (b_scale // x.denominator) for x in b]
     )
 
-    residue, num, L = _back_substitute(U, factors, V, b_int, integral=False)
+    residue, num, L = _back_substitute(U, factors, V, b_int)
     if residue:
         return MembershipCertificate(
             k,
@@ -313,15 +313,6 @@ class CokernelData(Record, hidden=("row_transform",)):
         return tuple(
             self.class_of_vector([int(i == j) for i in range(n)]) for j in range(n)
         )
-
-    def order(self) -> int | None:
-        """Group order, or ``None`` when the cokernel is infinite."""
-        if self.free_rank:
-            return None
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
 
     def class_of_vector(self, vec: list[int]) -> tuple[int, ...]:
         """Coordinates of the class of an integer vector over ``basis``."""

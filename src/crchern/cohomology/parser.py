@@ -29,7 +29,7 @@ operands' term counts, largest exponents and coefficient sizes:
   ``t_g`` is the truncation of generator ``g``, and for ``a^e`` with
   ``e*max_g(a)`` in place of the sum and ``binom(|a| + e - 1, e)`` in
   place of ``|a|*|b|``;
-* over Z and Q a power's coefficients have at most the digits above.
+* a power's coefficients have at most the digits above.
   With ``a = c + a'``, ``a'`` free of constants, ``a'^j = 0`` once
   ``j > N = sum_g (t_g - 1)``, so ``a^e`` is a sum of at most ``N + 1``
   terms ``binom(e, j) c^(e-j) a'^j``;
@@ -196,7 +196,7 @@ class _Parser:
                 f"power could have {terms(exponent)} terms, more than {MAX_TERMS}", pos
             )
         limit = sys.get_int_max_str_digits()
-        if limit and self.ring.coefficients.kind != "mod":
+        if limit:
             c = base.constant_term()
             largest = max(abs(c.numerator), c.denominator)
             # c^exponent has floor(exponent * log10(c)) + 1 digits
@@ -294,8 +294,7 @@ def _power_bounds(base: RingElement):
     Write ``base = (C + A')/D`` with integral ``C`` and ``A'``, ``A'``
     free of constants.  The numerators are at most ``(C + |A'|)^m`` and,
     past the nilpotency index ``N`` of ``A'``, ``C^(m-N) (C + m|A'|)^N``;
-    the denominators divide ``D^m``.  Mod m a coefficient has the
-    modulus's digits.
+    the denominators divide ``D^m``.
     """
     ring = base.ring
     truncated = [
@@ -312,9 +311,6 @@ def _power_bounds(base: RingElement):
                 return bound
         return min(count, bound)
 
-    if ring.coefficients.kind == "mod":
-        width = math.log10(ring.coefficients.modulus)
-        return terms, lambda m: width
     d = math.lcm(*(c.denominator for c in base.terms.values()))
     constant = base.constant_term()
     c = abs(constant.numerator) * (d // constant.denominator)

@@ -143,30 +143,20 @@ class Record:
 
 
 class CoefficientDomain(Record):
-    """Exact coefficient system: ``Z``, ``Q``, or ``Z/m`` with m >= 2.
+    """Exact coefficient system: ``Z`` or ``Q``."""
 
-    Mod-m values are kept as canonical representatives in ``[0, m)``.
-    """
+    __slots__ = ("kind",)  # "Z" | "Q"
 
-    __slots__ = ("kind", "modulus")  # "Z" | "Q" | "mod"; m or None
-
-    def __init__(self, kind: str, modulus: int | None = None) -> None:
-        if kind not in ("Z", "Q", "mod"):
+    def __init__(self, kind: str) -> None:
+        if kind not in ("Z", "Q"):
             raise RingError(f"unknown coefficient domain kind: {kind!r}")
-        if kind == "mod":
-            if modulus is None or modulus < 2:
-                raise RingError("modulus must be an integer >= 2")
-        elif modulus is not None:
-            raise RingError(f"domain {kind!r} takes no modulus")
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "modulus", modulus)
 
     def coerce(self, value: object) -> Coefficient:
         """Return the canonical representative of ``value``, or raise.
 
         Over Q that is an ``int`` for an integral value and a
-        ``Fraction`` with denominator > 1 otherwise; over Z an ``int``;
-        over Z/m an ``int`` in ``[0, m)``.
+        ``Fraction`` with denominator > 1 otherwise; over Z an ``int``.
         """
         if isinstance(value, bool):
             raise RingError("boolean is not a ring coefficient")
@@ -184,23 +174,14 @@ class CoefficientDomain(Record):
             value = value.numerator
         if not isinstance(value, int):
             raise RingError(f"not an integer coefficient: {value!r}")
-        if self.kind == "mod":
-            assert self.modulus is not None
-            return value % self.modulus
         return value
 
     def __str__(self) -> str:
-        if self.kind == "mod":
-            return f"Z/{self.modulus}"
         return self.kind
 
 
 INTEGERS = CoefficientDomain("Z")
 RATIONALS = CoefficientDomain("Q")
-
-
-def integers_mod(m: int) -> CoefficientDomain:
-    return CoefficientDomain("mod", m)
 
 
 class Generator(Record):
@@ -264,31 +245,23 @@ class RingPresentation(Record):
     def _reduced(self, terms: dict[ExponentVector, Coefficient]) -> "RingElement":
         """Element of ``terms`` with canonical coefficients, zero terms dropped.
 
-        The one place where coefficients are canonicalised: reduced mod m
-        over Z/m; over Q a ``Fraction`` with denominator 1 becomes its
-        numerator, so integral values are ``int``.  The exponent vectors must
-        already be valid and reduced, and are not checked again.
+        The one place where coefficients are canonicalised: a ``Fraction``
+        with denominator 1 becomes its numerator, so integral values are
+        ``int``; over Z every coefficient is already one.  The exponent
+        vectors must already be valid and reduced, and are not checked again.
         :meth:`element` checks raw input, and arithmetic on reduced operands
         of this ring keeps them so.  The membership solve
         (:func:`~crchern.cohomology.gysin.image_membership`) builds its
         preimage on the column monomials of its cup matrix: a degree basis
         of this ring's generators with each truncation capped at most at
         this ring's, so every exponent is already below its truncation.
-        Coefficients must be ``int`` or ``Fraction``, and ``int`` over Z
-        and Z/m.
+        Coefficients must be ``int`` or ``Fraction``, and ``int`` over Z.
         """
-        kind = self.coefficients.kind
-        if kind == "mod":
-            m = self.coefficients.modulus
-            canonical = {e: c % m for e, c in terms.items() if c % m}
-        elif kind == "Q":
-            canonical = {
-                e: c.numerator if type(c) is Fraction and c.denominator == 1 else c
-                for e, c in terms.items()
-                if c
-            }
-        else:
-            canonical = {e: c for e, c in terms.items() if c}
+        canonical = {
+            e: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for e, c in terms.items()
+            if c
+        }
         return RingElement(self, canonical)
 
     def zero(self) -> "RingElement":
@@ -364,19 +337,11 @@ class RingPresentation(Record):
             self._reach[k] = reach
             return reach
 
-    def monomial_name(self, exps: ExponentVector) -> str:
-        return _monomial_name([g.name for g in self.generators], exps)
-
     # -- serialization ------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        coeffs: object
-        if self.coefficients.kind == "mod":
-            coeffs = {"mod": self.coefficients.modulus}
-        else:
-            coeffs = self.coefficients.kind
         return {
-            "coefficients": coeffs,
+            "coefficients": self.coefficients.kind,
             "generators": [
                 {"name": g.name, "degree": g.degree, "truncation": g.truncation}
                 for g in self.generators
@@ -399,9 +364,6 @@ class RingPresentation(Record):
             domain = INTEGERS
         elif raw_coeffs == "Q":
             domain = RATIONALS
-        elif isinstance(raw_coeffs, Mapping):
-            _require_keys(raw_coeffs, ("mod",), "coefficient spec")
-            domain = integers_mod(_schema_int(raw_coeffs["mod"], "mod"))
         else:
             raise RingError(f"unknown coefficient spec: {quote(raw_coeffs)}")
         if not isinstance(raw_gens, list):

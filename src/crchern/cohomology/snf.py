@@ -47,35 +47,6 @@ class IntegerMatrix(Record):
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
 
-    @staticmethod
-    def from_rows(rows: list[list[int]]) -> "IntegerMatrix":
-        m = len(rows)
-        n = len(rows[0]) if rows else 0
-        return IntegerMatrix(m, n, tuple(map(tuple, rows)))
-
-    @staticmethod
-    def zero(m: int, n: int) -> "IntegerMatrix":
-        return IntegerMatrix(m, n, tuple(tuple(0 for _ in range(n)) for _ in range(m)))
-
-    def __getitem__(self, idx: tuple[int, int]) -> int:
-        i, j = idx
-        return self.entries[i][j]
-
-    def to_lists(self) -> list[list[int]]:
-        return [list(r) for r in self.entries]
-
-    def matmul(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        entries = tuple(
-            tuple(
-                sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
-                for j in range(other.cols)
-            )
-            for i in range(self.rows)
-        )
-        return IntegerMatrix(self.rows, other.cols, entries)
-
     def matvec(self, vec: list) -> list:
         if self.cols != len(vec):
             raise ValueError("dimension mismatch in matrix-vector product")
@@ -83,36 +54,6 @@ class IntegerMatrix(Record):
 
     def diagonal(self) -> list[int]:
         return [self.entries[i][i] for i in range(min(self.rows, self.cols))]
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
-
-
-def determinant(A: IntegerMatrix) -> int:
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    if A.rows != A.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = A.rows
-    if n == 0:
-        return 1
-    m = A.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def smith_normal_form(
@@ -180,19 +121,15 @@ def _back_substitute(
     factors: tuple[int, ...],
     V: IntegerMatrix,
     b: list[int],
-    integral: bool,
 ) -> tuple[list[tuple[int, int, int]], list[int] | None, int]:
-    """Solve ``A x = b`` from ``U A V = D`` in integers: ``(residue, num, L)``.
+    """Solve ``A x = b`` over Q from ``U A V = D``: ``(residue, num, L)``.
 
     ``factors`` is ``invariant_factors(D)``: the pivots ``d_i`` are its
     entries, and ``d_i = 0`` beyond it.  With ``y = U b``, the residue
-    lists ``(i, y_i, d_i)`` in index order for each ``y_i != 0`` beyond
-    the rank (``d_i = 0``) and, when ``integral``, each ``y_i`` not
-    divisible by its pivot ``d_i``.  When
-    the residue is empty, ``x = num / L`` solves the system, where ``L``
-    is the lcm of the pivots used and ``num = V z`` with
-    ``z_i = y_i * (L // d_i)``; no ``Fraction`` is formed.  If
-    ``integral``, every entry of ``num`` is divisible by ``L``.  When
+    lists ``(i, y_i, 0)`` in index order for each ``y_i != 0`` beyond
+    the rank.  When the residue is empty, ``x = num / L`` solves the
+    system, where ``L`` is the lcm of the pivots used and ``num = V z``
+    with ``z_i = y_i * (L // d_i)``; no ``Fraction`` is formed.  When
     the residue is not empty, ``num`` is ``None`` and ``L`` is 1.
     """
     y = U.matvec(b)
@@ -200,13 +137,10 @@ def _back_substitute(
     pivots = []
     for i, yi in enumerate(y):
         d = factors[i] if i < len(factors) else 0
-        if d == 0:
-            if yi != 0:
-                residue.append((i, yi, 0))
-        elif integral and yi % d != 0:
-            residue.append((i, yi, d))
-        else:
+        if d:
             pivots.append((i, yi, d))
+        elif yi:
+            residue.append((i, yi, 0))
     if residue:
         return residue, None, 1
     L = lcm(1, *(d for _, _, d in pivots))
@@ -214,23 +148,3 @@ def _back_substitute(
     for i, yi, d in pivots:
         z[i] = yi * (L // d)
     return residue, V.matvec(z), L
-
-
-def solve_integer_system(
-    A: IntegerMatrix, b: list[int]
-) -> tuple[bool, list[int] | tuple]:
-    """Solve ``A x = b`` over the integers.
-
-    Returns ``(True, x)`` with an exact solution, or ``(False, residue)``
-    where the residue lists the coordinates of ``U b`` that violate
-    divisibility by the invariant factors (or are nonzero beyond the
-    rank).
-    """
-    if len(b) != A.rows:
-        raise ValueError("right-hand side has the wrong length")
-    _check_exact(b, "right-hand side entry")
-    U, D, V = smith_normal_form(A)
-    residue, num, L = _back_substitute(U, invariant_factors(D), V, b, integral=True)
-    if residue:
-        return False, tuple(residue)
-    return True, [v // L for v in num]

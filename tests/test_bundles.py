@@ -11,13 +11,7 @@ from crchern.chern.bundles import (
     trivial_bundle,
 )
 from crchern.chern.spherical import spherical_residual
-from crchern.cohomology.ring import (
-    INTEGERS,
-    RATIONALS,
-    RingError,
-    integers_mod,
-    make_ring,
-)
+from crchern.cohomology.ring import INTEGERS, RATIONALS, RingError, make_ring
 
 
 def test_projective_space_total_classes():
@@ -32,7 +26,7 @@ def test_projective_space_total_classes():
             assert bundle.chern(k).coefficient(tuple([k])) == comb(n + 1, k)
 
 
-@pytest.mark.parametrize("domain", [INTEGERS, RATIONALS, integers_mod(2), integers_mod(6)])
+@pytest.mark.parametrize("domain", [INTEGERS, RATIONALS])
 def test_projective_space_total_is_binomial_power(domain):
     for n in range(1, 13):
         for trunc in (n + 1, max(n, 2), 2):  # exact, and dropping top powers
@@ -138,14 +132,13 @@ def test_every_space_form_satisfies_the_spherical_formula_one_dimension_down():
         lambda: chern_surface(2, make_ring([("s", 2, 1)], RATIONALS), "s"),
         lambda: chern_fake_projective_plane(make_ring([("t", 4, 3)], RATIONALS), "t"),
         # a truncation above p + 1
-        lambda: chern_projective_space(3, make_ring([("h", 2, 5)], integers_mod(2)), "h"),
+        lambda: chern_projective_space(3, make_ring([("h", 2, 5)], INTEGERS), "h"),
         lambda: chern_surface(1, make_ring([("s", 2, 3)], RATIONALS), "s"),
         lambda: chern_surface(1, make_ring([("s", 2, 4)], INTEGERS), "s"),
         lambda: chern_fake_projective_plane(make_ring([("t", 2, 4)], RATIONALS), "t"),
         # a coefficient the domain cannot hold, also where the power is dropped
         lambda: chern_fake_projective_plane(make_ring([("t", 2, 3)], INTEGERS), "t"),
         lambda: chern_fake_projective_plane(make_ring([("t", 2, 2)], INTEGERS), "t"),
-        lambda: chern_fake_projective_plane(make_ring([("t", 2, 2)], integers_mod(3)), "t"),
     ],
     ids=[
         "cp-missing",
@@ -160,7 +153,6 @@ def test_every_space_form_satisfies_the_spherical_formula_one_dimension_down():
         "fpp-truncation-4",
         "fpp-over-Z",
         "fpp-over-Z-square-zero",
-        "fpp-over-Z3-square-zero",
     ],
 )
 def test_space_form_refusals(build):

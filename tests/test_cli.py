@@ -581,6 +581,18 @@ class TestEval:
         assert err.startswith("bad ring spec: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("source", ["file", "inline"])
+    def test_mod_m_coefficients_are_refused(self, capsys, tmp_path, source):
+        # coefficients are Z or Q: no statement of the paper is over Z/m
+        spec = json.dumps(_presentation({"mod": 5}))
+        if source == "file":
+            path = tmp_path / "ring.json"
+            path.write_text(spec)
+            spec = str(path)
+        code, out, err = run_cli(["eval", "--ring", spec, "t"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "bad ring spec: unknown coefficient spec: {'mod': 5}\n"
+
     def test_presentation_past_the_generator_bound_exit_2_one_line(self, capsys, tmp_path):
         generators = [{"name": f"g{i}", "degree": 2, "truncation": 2} for i in range(1000)]
         path = tmp_path / "big.json"

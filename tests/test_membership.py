@@ -15,19 +15,9 @@ from crchern.cohomology.gysin import (
     factored_cup,
     image_membership,
 )
-from crchern.cohomology.ring import (
-    INTEGERS,
-    RATIONALS,
-    RingError,
-    integers_mod,
-    make_ring,
-)
-from crchern.cohomology.snf import (
-    IntegerMatrix,
-    invariant_factors,
-    smith_normal_form,
-    solve_integer_system,
-)
+from crchern.cohomology.ring import INTEGERS, RATIONALS, RingError, make_ring
+from crchern.cohomology.snf import invariant_factors, smith_normal_form
+from reference import from_rows, is_zero, solve_integer_system, to_lists
 
 
 def cpn_ring(n, domain=INTEGERS):
@@ -51,13 +41,13 @@ class TestCupMatrix:
         ring = th_ring()
         t, h = ring.gen("t"), ring.gen("h")
         cm = cup_matrix(ring, t - 3 * h, 4)
-        cols = [[cm.matrix[i, j] for i in range(3)] for j in range(2)]
+        cols = [[cm.matrix.entries[i][j] for i in range(3)] for j in range(2)]
         assert cols == [[1, -3, 0], [0, 1, -3]]
 
     def test_zero_class_gives_zero_matrix(self):
         ring = th_ring()
         cm = cup_matrix(ring, ring.zero(), 4)
-        assert cm.matrix.is_zero()
+        assert is_zero(cm.matrix)
 
     def test_rational_entries_cleared(self):
         ring = th_ring()
@@ -98,7 +88,6 @@ def _cup_by_products(ring, e, k):
         (INTEGERS, (2, -3, 5)),
         (RATIONALS, (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4))),
         (RATIONALS, (Fraction(1, 6), 0, 0)),
-        (integers_mod(6), (4, 5, 3)),
     ],
 )
 def test_cup_matrix_matches_column_products(domain, coeffs):
@@ -111,7 +100,7 @@ def test_cup_matrix_matches_column_products(domain, coeffs):
         cm = cup_matrix(ring, e, k)
         rows, cols, entries, scale = _cup_by_products(ring, e, k)
         assert cm.basis_rows == tuple(rows) and cm.basis_cols == tuple(cols)
-        assert cm.matrix.to_lists() == entries
+        assert to_lists(cm.matrix) == entries
         assert all(type(x) is int for row in cm.matrix.entries for x in row)
         assert (cm.matrix.rows, cm.matrix.cols) == (len(rows), len(cols))
         assert cm.denominator_scale == scale
@@ -182,13 +171,12 @@ class TestMembership:
 
     def test_integral_rings_are_refused_before_any_factorization(self):
         # over Z the question is the target's class in the cokernel
-        for domain in (INTEGERS, integers_mod(3)):
-            ring = cpn_ring(2, domain)
-            t = ring.gen("t")
-            size = gysin._factor.cache_info().currsize
-            with pytest.raises(RingError, match=r"cokernel\(\)"):
-                image_membership(ring, 2 * t, t ** 2)
-            assert gysin._factor.cache_info().currsize == size
+        ring = cpn_ring(2, INTEGERS)
+        t = ring.gen("t")
+        size = gysin._factor.cache_info().currsize
+        with pytest.raises(RingError, match=r"cokernel\(\)"):
+            image_membership(ring, 2 * t, t ** 2)
+        assert gysin._factor.cache_info().currsize == size
 
     def test_rational_scaling_recorded(self):
         qring = cpn_ring(2, RATIONALS)
@@ -214,13 +202,11 @@ class TestSharedFactorization:
             (INTEGERS, (2, -3)),
             (RATIONALS, (1, -3)),
             (RATIONALS, (Fraction(1, 6), Fraction(-2, 3))),
-            (integers_mod(4), (2, 3)),
-            (integers_mod(6), (2, 5)),
         ],
-        ids=["Z", "Q", "Q-rational-e", "Z4", "Z6"],
+        ids=["Z", "Q", "Q-rational-e"],
     )
     def test_matches_a_fresh_factorization(self, domain, coeffs):
-        # one contract on every domain: over Z/m too, the plain cup matrix
+        # one contract on both domains
         ring = make_ring([("t", 2, 3), ("h", 2, 4), ("w", 4, 2)], domain)
         e = coeffs[0] * ring.gen("t") + coeffs[1] * ring.gen("h")
         for k in range(0, 16, 2):
@@ -255,7 +241,6 @@ class TestSharedFactorization:
         data = cokernel(ring, -5 * ring.gen("t"), -2)
         assert (data.invariant_factors, data.free_rank) == ((), 0)
         assert (data.basis, data.generator_classes) == ((), ())
-        assert data.order() == 1
 
     def test_inhomogeneous_class_error_names_the_class(self):
         ring = make_ring([("t", 2, 4)], INTEGERS)
@@ -316,13 +301,9 @@ class TestSharedFactorization:
         assert cokernel(ring, second, 4) == cokernel(ring, first, 4)
         assert gysin._factor.cache_info().misses == 2
 
-    @pytest.mark.parametrize(
-        "domain", [INTEGERS, RATIONALS, integers_mod(4), integers_mod(6)],
-        ids=["Z", "Q", "Z4", "Z6"],
-    )
+    @pytest.mark.parametrize("domain", [INTEGERS, RATIONALS], ids=["Z", "Q"])
     def test_invariant_factors_are_those_of_a_fresh_smith_form(self, domain):
-        # membership is asked over Q, of the same integer matrix; e's
-        # coefficients are below every modulus, so the entries agree
+        # membership is asked over Q, of the same integer matrix
         gens = [("t", 2, 3), ("h", 2, 4), ("w", 4, 2)]
         ring, qring = make_ring(gens, domain), make_ring(gens, RATIONALS)
         t, h, w = qring.gen("t"), qring.gen("h"), qring.gen("w")
@@ -367,7 +348,7 @@ class TestCokernel:
                 ring = cpn_ring(n)
                 t = ring.gen("t")
                 data = cokernel(ring, -d * t, 4)
-                assert data.order() == d
+                assert data.free_rank == 0
                 assert data.invariant_factors == (d,)
                 # the class of t^2 generates: it must be a unit mod d
                 (cls,) = data.generator_classes
@@ -378,12 +359,11 @@ class TestCokernel:
         data = cokernel(ring, ring.zero(), 4)
         assert data.invariant_factors == ()
         assert data.free_rank == 1
-        assert data.order() is None
 
     def test_degree_one_trivial(self):
         ring = cpn_ring(2)
         data = cokernel(ring, -1 * ring.gen("t"), 4)
-        assert data.order() == 1
+        assert (data.invariant_factors, data.free_rank) == ((1,), 0)
 
     def test_requires_integer_coefficients(self):
         ring = cpn_ring(2, RATIONALS)
@@ -454,10 +434,10 @@ def _in_m_times_cokernel(data, cls, m):
 @pytest.mark.parametrize("m", [4, 6, 7])
 def test_mod_m_membership_is_read_off_the_integral_cokernel(m):
     """The Z cokernel answers membership mod m; the reference solves
-    ``[A | m I] x = b`` over Z, and its solution is checked over Z/m."""
+    ``[A | m I] x = b`` over Z, and its solution is checked as
+    ``e x = beta (mod m)`` by integer ring products."""
     rng = random.Random(m)
-    gens = [("t", 2, 4), ("h", 2, 3), ("s", 2, 2)]
-    zring, mring = make_ring(gens, INTEGERS), make_ring(gens, integers_mod(m))
+    zring = make_ring([("t", 2, 4), ("h", 2, 3), ("s", 2, 2)], INTEGERS)
     seen = {"member": 0, "nonmember": 0}
     for _ in range(80):
         e = {x: rng.randrange(m) for x in zring.degree_basis(2)}
@@ -472,7 +452,7 @@ def test_mod_m_membership_is_read_off_the_integral_cokernel(m):
         data = cokernel(zring, zring.element(e), k)
         member = _in_m_times_cokernel(data, data.class_of_element(beta), m)
         A = cup_matrix(zring, zring.element(e), k).matrix
-        augmented = IntegerMatrix.from_rows(
+        augmented = from_rows(
             [
                 list(row) + [m * (j == i) for j in range(A.rows)]
                 for i, row in enumerate(A.entries)
@@ -482,8 +462,9 @@ def test_mod_m_membership_is_read_off_the_integral_cokernel(m):
         solvable, x = solve_integer_system(augmented, b)
         assert member == solvable
         if solvable:
-            preimage = mring.element(dict(zip(zring.degree_basis(k - 2), x[: A.cols])))
-            assert mring.element(e) * preimage == mring.element(dict(beta.terms))
+            preimage = zring.element(dict(zip(zring.degree_basis(k - 2), x[: A.cols])))
+            image = zring.element(e) * preimage
+            assert all((image.coefficient(y) - beta.coefficient(y)) % m == 0 for y in data.basis)
         seen["member" if member else "nonmember"] += 1
     assert seen["member"] > 10 and seen["nonmember"] > 5
 
@@ -583,7 +564,7 @@ def _fraction_back_substitution(ring, e, beta):
             z[i] = Fraction(yi, d)
     if residue:
         return tuple(residue), None
-    x = [sum(V[i, j] * z[j] for j in range(D.cols)) for i in range(V.rows)]
+    x = [sum(V.entries[i][j] * z[j] for j in range(D.cols)) for i in range(V.rows)]
     coeffs = [xi * Fraction(cup.denominator_scale, b_scale) for xi in x]
     preimage = ring.element(
         {mono: c for mono, c in zip(cup.basis_cols, coeffs) if c}

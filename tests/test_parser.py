@@ -29,7 +29,6 @@ from crchern.cohomology.ring import (
     INTEGERS,
     RATIONALS,
     RingElement,
-    integers_mod,
     make_ring,
 )
 from crchern.presets import MAX_NILSQUARE, PresetError, preset_ring
@@ -72,12 +71,6 @@ def test_rational_rejected_in_integer_ring():
     with pytest.raises(ParseError) as info:
         parse_element("1/2*t", zring)
     assert "rational coefficient" in str(info.value)
-
-
-def test_rational_rejected_in_mod_ring():
-    mring = make_ring([("t", 2, 3)], integers_mod(5))
-    with pytest.raises(ParseError):
-        parse_element("1/2", mring)
 
 
 def test_implicit_multiplication_is_an_error(qring):
@@ -152,14 +145,11 @@ def test_power_size_limit_is_the_int_str_digit_limit():
         parse_element(f"(1/10)^{limit}", qring)  # the denominator
     with pytest.raises(ParseError):
         parse_element(f"(20+t)^{limit}*t", zring)
-    # only the constant term counts, and nothing is refused mod m
+    # only the constant term counts
     assert parse_element(f"(1+t)^{10**30}", zring) == parse_element(
         f"1 + {10**30}*t + {10**30 * (10**30 - 1) // 2}*t^2", zring
     )
     assert parse_element(f"t^{10**30}", zring).is_zero()
-    assert parse_element(
-        "2^100000000", make_ring([("t", 2, 3)], integers_mod(7))
-    ) == pow(2, 100000000, 7)
 
 
 def test_product_term_bound_reads_truncations_and_top_exponents():
@@ -188,7 +178,7 @@ def test_power_digit_bound_covers_every_coefficient():
     assert time.perf_counter() - start < 0.1
 
 
-@pytest.mark.parametrize("domain", [INTEGERS, RATIONALS, integers_mod(6)])
+@pytest.mark.parametrize("domain", [INTEGERS, RATIONALS])
 def test_power_bounds_hold_for_computed_powers(domain):
     ring = make_ring([("t", 2, 4), ("h", 4, 3)], domain)
     rng = random.Random(11)
@@ -398,7 +388,7 @@ def _json_ring(coefficients):
     )
 
 
-_FUZZ_RINGS = ("cp:2", "fpp*cp:2", _json_ring("Z"), _json_ring({"mod": 6}))
+_FUZZ_RINGS = ("cp:2", "fpp*cp:2", _json_ring("Z"), _json_ring("Q"))
 
 
 def _expressions():

@@ -15,7 +15,7 @@ from crchern.chern.bundles import chern_projective_space
 from crchern.chern.checks import check_thm_1_1, cpn_setup
 from crchern.cohomology.gysin import cokernel, cup_matrix, image_membership
 from crchern.cohomology.parser import _tokenize
-from crchern.cohomology.ring import INTEGERS, Record, RingError, integers_mod, make_ring
+from crchern.cohomology.ring import INTEGERS, CoefficientDomain, Record, RingError, make_ring
 from crchern.kahler.patch import KahlerProductPatch
 from crchern.kahler.spaceform import _Series, calibrate_space_form
 from crchern.kahler.tensors import point_tensors
@@ -32,7 +32,7 @@ def _build() -> dict:
         "CheckReport": check_thm_1_1(2),
         "BundleClass": chern_projective_space(2, setup.base, "t"),
         "CircleBundleSetup": setup,
-        "CoefficientDomain": integers_mod(5),
+        "CoefficientDomain": CoefficientDomain("Z"),
         "Generator": ring.generators[0],
         "RingPresentation": ring,
         "IntegerMatrix": cup_matrix(setup.base, setup.euler, 4).matrix,
@@ -58,7 +58,7 @@ VALUES = [name for name in NAMES if name not in ("Target", "PointTensors")]
 KEYS = ("CoefficientDomain", "Generator", "RingPresentation", "BundleClass")
 
 PQ = "RingPresentation(generators=(Generator(name='t', degree=2, truncation=3),), " + (
-    "coefficients=CoefficientDomain(kind='Q', modulus=None))"
+    "coefficients=CoefficientDomain(kind='Q'))"
 )
 BUNDLE = "BundleClass(rank=2, total=<RingElement 1 + 3*t + 3*t^2 in Q[t(deg 2, t^3=0)]>)"
 # repr of each record as the frozen dataclasses printed it
@@ -73,11 +73,11 @@ REPRS = {
     "BundleClass": BUNDLE,
     "CircleBundleSetup": f"CircleBundleSetup(base={PQ}, "
     f"euler=<RingElement -3*t in Q[t(deg 2, t^3=0)]>, base_tangent={BUNDLE})",
-    "CoefficientDomain": "CoefficientDomain(kind='mod', modulus=5)",
+    "CoefficientDomain": "CoefficientDomain(kind='Z')",
     "Generator": "Generator(name='t', degree=2, truncation=3)",
     "RingPresentation": "RingPresentation(generators=(Generator(name='t', degree=2, "
     "truncation=3), Generator(name='h', degree=2, truncation=2)), "
-    "coefficients=CoefficientDomain(kind='Z', modulus=None))",
+    "coefficients=CoefficientDomain(kind='Z'))",
     "IntegerMatrix": "IntegerMatrix(rows=1, cols=1, entries=((-3,),))",
     "_Token": "_Token(kind='name', text='t', pos=2)",
     "CupMatrix": "CupMatrix(matrix=IntegerMatrix(rows=1, cols=1, entries=((-3,),)), "
@@ -98,7 +98,7 @@ FIELDS = {
     "CheckReport": ("check", "params", "assertions", "witnesses", "residuals"),
     "BundleClass": ("rank", "total"),
     "CircleBundleSetup": ("base", "euler", "base_tangent"),
-    "CoefficientDomain": ("kind", "modulus"),
+    "CoefficientDomain": ("kind",),
     "Generator": ("name", "degree", "truncation"),
     "RingPresentation": ("generators", "coefficients"),
     "IntegerMatrix": ("rows", "cols", "entries"),
@@ -175,7 +175,7 @@ def test_copies_rebuild_their_derived_state():
 def test_cache_keys_hash_by_their_fields():
     setup = cpn_setup(2, 3)
     again = {
-        "CoefficientDomain": integers_mod(5),
+        "CoefficientDomain": CoefficientDomain("Z"),
         "Generator": make_ring([("t", 2, 3)], INTEGERS).generators[0],
         "RingPresentation": make_ring([("t", 2, 3), ("h", 2, 2)], INTEGERS),
         "BundleClass": chern_projective_space(2, setup.base, "t"),
