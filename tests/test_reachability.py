@@ -11,15 +11,21 @@ Code objects are matched to ``def`` statements by file and first line,
 which for a decorated function is its first decorator's line;
 ``co_qualname`` would name them directly, but only from Python 3.11.
 Lambdas are not counted.  The memos of the package are emptied first, so
-that no command is answered from work an earlier test did.
+that no command is answered from work an earlier test did.  The commands
+run once for the module; each has its own test of its exit code and
+streams, so a command that stops doing what the list says is named.
 """
 
 from __future__ import annotations
 
 import ast
+import io
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+
+import pytest
 
 import crchern
 from crchern import cli
@@ -62,21 +68,23 @@ UNREACHED = {
 }
 
 
+# the files the commands read, written into their directory first
+DOCUMENTS = {
+    "pair.json": {"factors": [{"dim": 3, "hsc": "1"}, {"dim": 3, "hsc": "-1"}], "samples": 4},
+    "far.json": {"factors": [{"dim": 1, "hsc": "10000"}, {"dim": 1, "hsc": "-10000"}], "samples": 2},
+    "empty.json": {"factors": []},
+    "ring.json": {"coefficients": "Q", "generators": [{"name": "t", "degree": 2, "truncation": 3}]},
+}
+
+
 def commands(tmp: Path) -> list[tuple[int, list[str]]]:
     """(exit code, argv) of every ``verify`` target, the benchmark's
     commands, the shipped scenarios, ``eval`` on presets and on Z and Q
-    rings, and one refusal per input kind."""
+    rings, and one refusal per input kind, reading ``DOCUMENTS`` from
+    ``tmp``."""
     out = ["--format", "json", "--no-timestamp", "--out", str(tmp / "manifest.json")]
-    documents = {
-        "pair.json": {"factors": [{"dim": 3, "hsc": "1"}, {"dim": 3, "hsc": "-1"}], "samples": 4},
-        "far.json": {"factors": [{"dim": 1, "hsc": "10000"}, {"dim": 1, "hsc": "-10000"}], "samples": 2},
-        "empty.json": {"factors": []},
-        "ring.json": {"coefficients": "Q", "generators": [{"name": "t", "degree": 2, "truncation": 3}]},
-    }
-    for name, document in documents.items():
-        (tmp / name).write_text(json.dumps(document))
-    zring = json.dumps({**documents["ring.json"], "coefficients": "Z"})
-    mod_ring = json.dumps({**documents["ring.json"], "coefficients": {"mod": 5}})
+    zring = json.dumps({**DOCUMENTS["ring.json"], "coefficients": "Z"})
+    mod_ring = json.dumps({**DOCUMENTS["ring.json"], "coefficients": {"mod": 5}})
     runs = [
         *(["verify", target] for target in cli.TARGETS),
         ["verify", "all", "--seed", "3", "--tol", "0.5", "--format", "md"],
@@ -140,29 +148,74 @@ def _clear_memos() -> None:
                     value.cache_clear()
 
 
-def test_every_function_is_entered_by_a_command_or_listed(tmp_path, capsys):
+def _command_id(argv: list[str], tmp: Path) -> str:
+    """A name for ``argv`` that holds no temporary path: files by their
+    name, inline rings by their coefficients."""
+    words = []
+    for arg in argv:
+        if arg.startswith("{"):
+            coefficients = json.loads(arg)["coefficients"]
+            if isinstance(coefficients, dict):  # {"mod": 5} -> mod-5
+                coefficients = "-".join(f"{k}-{v}" for k, v in coefficients.items())
+            words.append(f"ring-{coefficients}")
+        elif arg.startswith((str(tmp), str(EXAMPLES))):
+            words.append(Path(arg).name)
+        else:
+            words.append(arg)
+    return " ".join(words) or "no-arguments"
+
+
+_PLACEHOLDER = Path("/commands")
+COMMAND_IDS = [_command_id(argv, _PLACEHOLDER) for _, argv in commands(_PLACEHOLDER)]
+assert len(set(COMMAND_IDS)) == len(COMMAND_IDS), "two commands share a name"
+
+
+@pytest.fixture(scope="module")
+def traced(tmp_path_factory):
+    """Each command of ``commands()`` run once under the call tracer:
+    (expected code, code, stdout, stderr, runs of cli.main, code objects
+    entered)."""
+    tmp = tmp_path_factory.mktemp("commands")
+    for name, document in DOCUMENTS.items():
+        (tmp / name).write_text(json.dumps(document))
+    main = cli.main.__code__
+    runs = []
+    _clear_memos()
+    for expected, argv in commands(tmp):
+        entered = set()
+
+        def tracer(frame, event, arg):
+            # called on each call event; returning None asks for no line events
+            entered.add(frame.f_code)
+
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            sys.settrace(tracer)
+            try:
+                code = cli.main(argv)
+            finally:
+                sys.settrace(None)
+        mains = sum(c is main for c in entered)
+        runs.append((expected, code, stdout.getvalue(), stderr.getvalue(), mains, entered))
+    return runs
+
+
+@pytest.mark.parametrize("index", range(len(COMMAND_IDS)), ids=COMMAND_IDS)
+def test_command_exits_as_listed_under_the_tracer(traced, index):
+    expected, code, stdout, stderr, mains, _ = traced[index]
+    assert mains == 1, "the tracer missed the run of cli.main"
+    assert code == expected
+    if code == 2:  # a refusal writes its reason to stderr and nothing else
+        assert stderr and not stdout
+    else:
+        assert not stderr
+
+
+def test_every_function_is_entered_by_a_command_or_listed(traced):
     definitions = _definitions()
     assert len(definitions) > 200  # the walk found the package
-    entered = set()
-    main, mains = cli.main.__code__, []
-
-    def tracer(frame, event, arg):
-        # called on each call event; returning None asks for no line events
-        code = frame.f_code
-        if code is main:
-            mains.append(code)
-        entered.add(code)
-
-    expected = commands(tmp_path)
-    _clear_memos()
-    sys.settrace(tracer)
-    try:
-        codes = [(cli.main(argv), argv) for _, argv in expected]
-    finally:
-        sys.settrace(None)
-    capsys.readouterr()
-    assert len(mains) == len(expected), "the tracer missed a run of cli.main"
-    assert codes == expected
+    assert len(traced) == len(COMMAND_IDS)
+    entered = set().union(*(run[-1] for run in traced))
 
     reached = {definitions.get((Path(c.co_filename).resolve(), c.co_firstlineno)) for c in entered}
     names = set(definitions.values())
