@@ -26,16 +26,13 @@ import numpy as np
 
 from ..chern.report import CheckReport
 from ..cohomology.ring import quote, schema_int
-from .patch import KahlerProductPatch, PatchDomainError, metric_at
+from .patch import KahlerProductPatch, PatchDomainError
 from .spaceform import calibrate_space_form
 from .tensors import (
     IllConditionedMetric,
-    _riemann,
     chern_divergence_residual,
     curvature_at,
     first_pair_trace,
-    levi_inverse,
-    metric_derivatives,
     sample_stacks,
     space_form_curvature_oracle,
     symmetry_residuals,
@@ -43,7 +40,7 @@ from .tensors import (
 
 DEFAULT_TOLERANCES = {
     "s_max": 1e-6,  # flatness bound on |S|_inf
-    "curvature_rel": 1e-6,  # assembled curvature vs closed-form oracle
+    "curvature_rel": 1e-6,  # FD curvature vs closed-form oracle
     "r_symmetry": 1e-6,  # scaled by (1 + |R|_inf); also bounds cross_block
     "p_trace": 1e-9,
     "s_trace": 1e-6,  # scaled by (1 + |R|_inf)
@@ -183,18 +180,11 @@ def _parse_hsc(raw: object, i: int) -> Fraction:
 
 
 def convergence_factor(patch: KahlerProductPatch, z: np.ndarray) -> float:
-    """Error-reduction factor, under one step halving, of the curvature
-    that the second-order stencil (:func:`metric_derivatives`) gives at
-    ``z``, against the closed-form oracle: each factor's Riemann step on
-    the stencil's derivatives."""
+    """Error-reduction factor of the curvature under one step halving."""
     exact = space_form_curvature_oracle(patch, z)
-    linv = levi_inverse(metric_at(patch, z))
-    err_h, err_h2 = (
-        max(
-            float(np.max(np.abs(_riemann(linv[..., s, s], *d)[1] - exact[..., s, s, s, s])))
-            for s, (_g, *d) in zip(patch.slices(), metric_derivatives(patch, z, step))
-        )
-        for step in (CONVERGENCE_STEP, CONVERGENCE_STEP / 2)
+    err_h = float(np.max(np.abs(curvature_at(patch, z, CONVERGENCE_STEP).R - exact)))
+    err_h2 = float(
+        np.max(np.abs(curvature_at(patch, z, CONVERGENCE_STEP / 2).R - exact))
     )
     return err_h / err_h2 if err_h2 else float("inf")
 
@@ -209,10 +199,10 @@ def run_batch(
     """Sample the patch and enforce the pointwise tensor identities.
 
     Each row of :data:`BOUNDS` holds a measured maximum to its
-    tolerance, and the convergence factor of the second-order stencil's
-    curvature, estimated at the first point, must lie in the convergence
-    range.  The Chern tensor must then stay below ``s_max`` at every
-    point; a negative control (``expect_flat=False``) must instead *exceed*
+    tolerance, and a convergence factor for the curvature stencils,
+    estimated at the first point, must lie in the convergence range.
+    The Chern tensor must then stay below ``s_max`` at every point; a
+    negative control (``expect_flat=False``) must instead *exceed*
     :data:`CONTROL_FLOOR`.  The witness records the maxima next to the
     merged tolerance table that held them.  The samples run in the
     stacks of :func:`~crchern.kahler.tensors.sample_stacks`, each stage

@@ -2,43 +2,39 @@
 
 Each factor carries the radial Kaehler potential
 
-    f(u) = (a / c) * log(1 + (c / b) * u),     u = |z|^2,  c = hsc,
+    phi(z) = (a / c) * log(1 + (c / b) * |z|^2),        c = hsc,
 
-whose u-derivatives have the one closed form
-
-    f^(j)(u) = a (-c)^(j-1) (j-1)! / (b + c u)^j,        j >= 1,
-
-written once, in :func:`_radial`, which accepts a float array of ``u`` or
-the exact series ``u`` truncated after ``u^1``.  The metric is
+whose metric has the closed form
 
     g_{a b-} = f''(u) * conj(z_a) * z_b + f'(u) * delta_{ab},
+    f'(u) = a / (b + c u),   f''(u) = -a c / (b + c u)^2,   u = |z|^2.
 
-and :meth:`SpaceFormFactor.jet` gives every higher complex derivative of
-f from the same expression.  :func:`calibrate_space_form` evaluates it
-on the series, with ``Fraction`` coefficients, and reads off the origin
-what the metric itself gives.  The first derivatives of g vanish at 0,
-so under the package's convention ``R_{1 1- 1 1-}(0) = -d_1 d_1-
-g_{1 1-}(0) = -(f'_1 + f''_0)``, where ``f'(u) = f'_0 + f'_1 u + ...``,
-and the holomorphic sectional curvature at 0 is that over ``f'_0^2``.
-With ``b = a`` the metric is the identity at the origin and that
-curvature is ``2c / a``; so ``a = b = 2`` (``POTENTIAL``).  Calibration
-checks two things exactly, with no threshold: that the metric is
-Kaehler, ``f''(0) == d f'/du (0)`` (g is then ``d d- f(u)``), and that
-the curvature read equals ``hsc``.  A reading of ``-hsc`` means the
-sign conventions of the pipeline and the potential disagree, which is
-what calibration exists to catch.  A curvature outside the range of a
-float is refused before the series is evaluated.
+f' and f'' are written once, in :func:`_radial`, which accepts a float
+array of ``u`` or the exact series ``u`` truncated after ``u^1``.
+:meth:`SpaceFormFactor.metric` evaluates it on arrays;
+:func:`calibrate_space_form` evaluates it on the series, with
+``Fraction`` coefficients, and reads off the origin what the metric
+itself gives.  The first derivatives of g vanish at 0, so under the
+package's convention ``R_{1 1- 1 1-}(0) = -d_1 d_1- g_{1 1-}(0) =
+-(f'_1 + f''_0)``, where ``f'(u) = f'_0 + f'_1 u + ...``, and the
+holomorphic sectional curvature at 0 is that over ``f'_0^2``.  With
+``b = a`` the metric is the identity at the origin and that curvature
+is ``2c / a``; so ``a = b = 2`` (``POTENTIAL``).  Calibration checks
+two things exactly, with no threshold: that the metric is Kaehler,
+``f''(0) == d f'/du (0)`` (g is then ``d d- f(u)``), and that the
+curvature read equals ``hsc``.  A reading of ``-hsc`` means the sign
+conventions of the pipeline and the potential disagree, which is what
+calibration exists to catch.  A curvature outside the range of a float
+is refused before the series is evaluated.
 
 The chart is where ``b + c |z|^2 > 0``: for ``hsc < 0`` the ball
 ``|z| < sqrt(b/|c|)`` (the model radius), for ``hsc > 0`` all of C^dim.
 :meth:`SpaceFormFactor.metric` is the one chart check of the package;
-it also refuses a point whose f'' overflows a float, and
-:meth:`SpaceFormFactor.jet` one where a u-derivative it needs does.
+it also refuses a point whose f'' overflows a float.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from fractions import Fraction
@@ -83,10 +79,10 @@ class _Series(Record):
         return _Series(self.u0**k, k * self.u0 ** (k - 1) * self.u1)
 
 
-def _radial(a, b, c, u, j: int):
-    """``f^(j)(u)`` of the potential, ``j >= 1``, for a float array or a
-    :class:`_Series` ``u``."""
-    return a * (-c) ** (j - 1) * math.factorial(j - 1) / (b + c * u) ** j
+def _radial(a, b, c, u):
+    """``(f'(u), f''(u))`` of the potential, for a float array or a :class:`_Series` ``u``."""
+    denom = b + c * u
+    return a / denom, -a * c / denom**2
 
 
 class SpaceFormFactor(Record):
@@ -109,15 +105,6 @@ class SpaceFormFactor(Record):
         """The model radius ``sqrt(b/|c|)``, infinite for ``hsc > 0``; for sampling."""
         return math.sqrt(float(POTENTIAL / abs(self.hsc))) if self.hsc < 0 else math.inf
 
-    def _refuse(self, z: np.ndarray, bad: np.ndarray) -> None:
-        """Raise :class:`PatchDomainError` naming the first point of the
-        stack ``z`` where ``bad`` holds, if any."""
-        if np.any(bad):
-            point = z[np.unravel_index(np.argmax(bad), bad.shape)]
-            raise PatchDomainError(
-                f"point {point} outside chart of factor dim={self.dim}, hsc={self.hsc}"
-            )
-
     def metric(self, z: np.ndarray) -> np.ndarray:
         """Closed-form Hermitian metric block at ``z``.
 
@@ -132,9 +119,14 @@ class SpaceFormFactor(Record):
         a = b = float(POTENTIAL)
         with np.errstate(all="ignore"):
             u = np.einsum("...i,...i->...", np.conj(z), z).real
-            f1, f2 = (_radial(a, b, self.c, u, j) for j in (1, 2))
+            f1, f2 = _radial(a, b, self.c, u)  # f', f''
         # the exact f'' is finite and nonzero: 0 means denom**2 overflowed
-        self._refuse(z, ~((f1 > 0) & np.isfinite(f2) & (f2 != 0)))
+        outside = ~((f1 > 0) & np.isfinite(f2) & (f2 != 0))
+        if np.any(outside):
+            point = z[np.unravel_index(np.argmax(outside), outside.shape)]
+            raise PatchDomainError(
+                f"point {point} outside chart of factor dim={self.dim}, hsc={self.hsc}"
+            )
         # f'' conj(z) z^T, then f' on the diagonal: one (..., dim, dim) array
         g = np.conj(z)[..., :, None] * z[..., None, :]
         g *= f2[..., None, None]
@@ -142,56 +134,11 @@ class SpaceFormFactor(Record):
         g[..., diagonal, diagonal] += f1[..., None]
         return g
 
-    def jet(self, z: np.ndarray, p: int, q: int) -> np.ndarray:
-        """``d_{a_1} .. d_{a_p} d-_{b_1} .. d-_{b_q} f(u)`` at the ``(...,
-        dim)`` stack ``z``, at ``[..., a_1, .., a_p, b_1, .., b_q]``.
-
-        Since ``d_a u = conj(z_a)``, ``d-_b u = z_b``, ``d_a d-_b u =
-        delta_ab`` and every other derivative of u vanishes, the jet is a
-        sum over the partial matchings of the p holomorphic with the q
-        antiholomorphic slots: a matched pair gives ``delta``, an
-        unmatched holomorphic slot ``conj(z)``, an unmatched
-        antiholomorphic one ``z``, and k matched pairs the coefficient
-        ``f^(p+q-k)(u)`` (``p + q >= 1``; ``jet(z, 1, 1)`` is the metric).
-        A point where a coefficient is not a finite float raises
-        :class:`PatchDomainError`, naming that point, with no float
-        warning on the way.
-        """
-        z = np.asarray(z, dtype=complex)
-        lead = z.shape[:-1]
-        # one stack axis, so that a point gives the bits it gives in a stack
-        z = z.reshape(-1, self.dim)
-        a = b = float(POTENTIAL)
-        axes = p + q
-        with np.errstate(all="ignore"):
-            u = np.einsum("...i,...i->...", np.conj(z), z).real
-            # c as a float64: (-c)**4 beyond the float range is inf, not OverflowError
-            f = {j: _radial(a, b, np.float64(self.c), u, j) for j in range(max(p, q), axes + 1)}
-        self._refuse(z, ~np.all([np.isfinite(fj) for fj in f.values()], axis=0))
-
-        def along(x, *slots):  # x's last len(slots) axes at those slots of the jet
-            shape = [self.dim if i in slots else 1 for i in range(axes)]
-            return x.reshape(x.shape[: x.ndim - len(slots)] + tuple(shape))
-
-        jet = np.zeros((len(z),) + (self.dim,) * axes, dtype=complex)
-        for k in range(min(p, q) + 1):
-            for hol in itertools.combinations(range(p), k):
-                for anti in itertools.permutations(range(p, axes), k):
-                    term = along(f[axes - k])
-                    for i in set(range(p)) - set(hol):
-                        term = term * along(np.conj(z), i)
-                    for j in set(range(p, axes)) - set(anti):
-                        term = term * along(z, j)
-                    for i, j in zip(hol, anti):
-                        term = term * along(np.eye(self.dim), i, j)
-                    jet += term
-        return jet.reshape(lead + jet.shape[1:])
-
 
 def calibrate_space_form(dim: int, hsc: Fraction | int | str) -> SpaceFormFactor:
     """The factor of curvature ``hsc``, its metric verified at the origin.
 
-    :func:`_radial` gives f' and f'' on the series ``u`` with ``a = b =
+    :func:`_radial` is evaluated on the series ``u`` with ``a = b =
     POTENTIAL``.  :class:`CalibrationError` is raised unless the metric
     is Kaehler there and its holomorphic sectional curvature at 0 equals
     ``hsc`` exactly (a reading of ``-hsc`` is a convention error), and
@@ -206,8 +153,7 @@ def calibrate_space_form(dim: int, hsc: Fraction | int | str) -> SpaceFormFactor
             f"curvature of factor dim={dim} is beyond the float range of the "
             f"metric: |hsc| must lie in [{low:.3e}, {high:.3e}]"
         )
-    u = _Series(Fraction(0), Fraction(1))
-    f1, f2 = (_radial(POTENTIAL, POTENTIAL, hsc, u, j) for j in (1, 2))
+    f1, f2 = _radial(POTENTIAL, POTENTIAL, hsc, _Series(Fraction(0), Fraction(1)))
     if f2.u0 != f1.u1:
         raise CalibrationError(
             f"metric is not Kaehler at the origin: f''(0) = {f2.u0}, "

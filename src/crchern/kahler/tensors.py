@@ -9,8 +9,8 @@ back from on the associated circle bundle).  The curvature is
     R_{a b- c d-} = - d_c d_d- g_{a b-}
                     + g^{r s-} (d_c g_{a s-}) (d_d- g_{r b-}),
 
-with every metric derivative read off the closed form of each factor's
-potential (:meth:`~crchern.kahler.spaceform.SpaceFormFactor.jet`).  The
+with first and second metric derivatives taken by central finite
+differences of the closed-form metric (default step ``1e-4``).  The
 space-form calibration reads R at the origin exactly, under this
 convention, off the expression the metric evaluates; positive
 curvature is the Fubini-Study side.  Contractions:
@@ -27,65 +27,84 @@ torsion, and its connection coefficients and curvature form pull back
 from the base, so every tensor computed here *is* the corresponding
 circle-bundle tensor (see :data:`crchern.kahler.scenario.CIRCLE_BUNDLE`).
 
-The factor is the unit of assembly.  A factor's metric block depends on
-that factor's coordinates alone, so each factor gives its own blocks of
-``d g = jet(2, 1)``, ``d- g`` (its conjugate transpose) and ``d d- g =
-jet(2, 2)``: every cross-factor entry is zero by construction and none
-is stored.  The one curvature assembly reads the whole metric
-(:func:`~crchern.kahler.patch.metric_at`, each factor's chart check),
-inverts it once (:func:`levi_inverse`, the one inverse and condition
-check), runs one Riemann step (Gamma, R, Ric, Scal) on each factor's
-block of that inverse and of its derivatives, and scatters the blocks
-into zero arrays; P and S alone are formed over the whole patch.  Every
-contraction takes two operands, so a factor's step is O(n_k^5) per
-centre: the connection term of R goes through ``Gamma^r_{c a} = l^{r
-s-} d_c g_{a s-}``.  Each contraction is one batched matrix product
-(``@``, so BLAS), each outer product a rank-2 product or a broadcast,
-never an ``einsum`` loop.  :func:`curvature_at` is that assembly, and
-:class:`PointTensors` holds what it writes: R and S in ``[c, d, a, b]``,
-the layout of ``d d- g`` (``R_{a b- c d-}`` at ``[c, d, a, b]``), where
-a first-pair trace is a matrix-vector product, and ``gammas[c, a, r] =
-Gamma^r_{c a}``.
+Third-derivative quantities (``grad P``, ``grad S``) use a larger step
+(``1e-3``) and correspondingly looser tolerances.
 
-The divergence differentiates R once more, also in closed form and
-block by block (:func:`_curvature_derivative`): ``d_e R`` from ``d_e
-Gamma``, ``d- g``, ``d d- g`` and ``jet(3, 2)``, with ``d_e Gamma`` from
-``jet(3, 1)`` and ``d_e l = -l (d_e g) l``, an ``n_k^5`` array per
-sample; from it ``d Ric``, ``d Scal`` and the trace ``l^{e d-} d_e R``.
-``d P`` alone spans the patch, and the trace of the four P g terms of
-``d S`` is formed in closed form, O(n^4).  ``l^{r d-}`` is contracted
-into Gamma before Gamma meets S.
+The stencil, not the point, is the unit of metric evaluation, and the
+factor is the unit of assembly.  A factor's metric block depends on
+that factor's coordinates alone, so each factor runs the
+second-derivative stencil in its own ``2 dim`` real coordinates, all
+points of all centres in one call of its metric, and keeps its own
+blocks of ``g``, ``d g``, ``d- g`` and ``d d- g``: every cross-factor
+entry is zero by construction and none is stored.  The one curvature
+assembly inverts the whole metric once (:func:`levi_inverse`, the one
+inverse and condition check), runs one Riemann step (Gamma, R, Ric,
+Scal) on each factor's block of that inverse and of its derivatives,
+and scatters the blocks into zero arrays; P and S alone are formed over
+the whole patch.  Every contraction takes two operands, so a factor's
+step is O(n_k^5) per centre: the connection term of R goes through
+``Gamma^r_{c a} = l^{r s-} d_c g_{a s-}``.  Each contraction is one
+batched matrix product (``@``, so BLAS), each outer product a rank-2
+product or a broadcast, never an ``einsum`` loop.  :func:`curvature_at`
+is that assembly, and :class:`PointTensors` holds what it writes: R and
+S in ``[c, d, a, b]``, the layout of ``d d- g`` (``R_{a b- c d-}`` at
+``[c, d, a, b]``), where a first-pair trace is a matrix-vector product,
+and ``gammas[c, a, r] = Gamma^r_{c a}``.
 
-A second-order stencil of the metric (:func:`metric_derivatives`) stays
-as what the batch's convergence factor measures against the oracle.
+The divergence stencil differences P, Scal and S at the +- centres of
+each real direction.  A real direction moves the coordinates of one
+factor ``k``, so at its centres every other factor's blocks of ``g``,
+R and Ric are the centre's own, bit for bit, and only block ``k``
+changes.  The stencil therefore works one factor at a time: the
+factor's second-derivative stencil at its moved centres, the inverse of
+the whole moved ``g``, one Riemann step on its block ``k`` over all of
+them, and the full Ric, Scal and P in closed form from the centre's
+values.  R's unmoved blocks cancel in the difference, so the R part of
+``l^{r d-} d_r S`` lies in block ``k``; the four P g terms of S are
+contracted with the directions' weights before they are formed, one
+matrix product over the (direction, sign) axis.  No ``n^4`` array
+exists at a moved centre, which costs O(n_k^5 + n^3); ``l^{r d-}`` is
+contracted into Gamma before Gamma meets S.  A sample costs ``sum_f 2
+m_f (1 + 2 m_f^2)`` metric points over the factors' real dimensions
+``m_f`` (1,752 at 3+3).  The stencil's offset and index tables are
+built once per real dimension and shared read-only.
 
 Every stage takes a stack of sample centres on leading axes
 (:func:`point_tensors` is the one-point form of :func:`curvature_at`),
 and a batch runs its samples through each stage in stacks.  One
 constant, :data:`STACK_ENTRIES`, bounds the complex entries of the
-largest array a stacked call builds, an ``n^4`` tensor or a factor's
-``d R``, with at least one sample per call: :func:`sample_stacks` cuts a
-batch into stacks of :func:`curvature_at`.  Every stage computes each
-sample of a stack as it does that sample alone, so a stack's results
-are those of its samples one at a time, bit for bit.
+largest array a stacked call builds, a stencil buffer or an ``n^4``
+tensor, with at least one item per call: :func:`sample_stacks` cuts a
+batch into stacks of :func:`curvature_at`, and the divergence stencil
+stacks (sample, direction, sign) centres per call of a factor's stencil
+and whole samples per Riemann step.  Each sample's sums over its
+directions then run as they do for that sample alone, so a stack's
+results are those of its samples one at a time, bit for bit.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..cohomology.ring import Record
-from .patch import KahlerProductPatch, PatchDomainError, metric_at
+from .patch import KahlerProductPatch, PatchDomainError
 from .spaceform import SpaceFormFactor
 
 METRIC_STEP = 1e-4
+THIRD_ORDER_STEP = 1e-3
 CONDITION_LIMIT = 1e8
-# Complex entries of the largest array one stacked call builds: a sample's
-# n^4 tensors or a factor's n_k^5 curvature derivative.  Samples are
-# stacked until the bound is reached, and at least one goes into each call,
-# so a sample larger than the bound is built alone.  8192 entries (128 KiB)
-# hold the 3+3 benchmark batch of 4 samples (1,296 entries each) in one
-# stack; from 5+5 (10,000) every sample runs alone.
+# Complex entries of the largest array one stacked call builds: a stencil
+# buffer or an n^4 tensor.  Sample centres, and at a moved centre its
+# direction and sign, are stacked until the bound is reached, and at least
+# one goes into each call, so a centre or a sample larger than the bound is
+# built alone: a single-sample 8+8 scenario runs one centre (32,832
+# entries) per stencil call and one sample per Riemann step.  8192 entries
+# (128 KiB) keep the 3+3 benchmark batch of 4 samples at 12 centres per
+# stencil call and its peak RSS 0.7 MB above one sample at a time; a bound
+# that puts its whole stencil in one call adds 1.6 MB and saves no time
+# (2-core Xeon, one BLAS thread).
 STACK_ENTRIES = 8_192
 
 
@@ -93,39 +112,67 @@ class IllConditionedMetric(RuntimeError):
     pass
 
 
-def sample_stacks(patch: KahlerProductPatch, count: int) -> list[slice]:
-    """``count`` sample centres as the consecutive stacks of
-    :func:`curvature_at` calls: as many samples per stack as
-    :data:`STACK_ENTRIES` holds of a sample's largest arrays, its ``n^4``
-    tensors and the largest factor's ``n_k^5`` curvature derivative, and at
-    least one."""
-    entries = max(patch.total_dim**4, *(f.dim**5 for f in patch.factors))
+def _real_coords(z: np.ndarray) -> np.ndarray:
+    return np.concatenate([np.real(z), np.imag(z)], axis=-1)
+
+
+@lru_cache(maxsize=32)
+def _stencil_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(offsets, ia, ib)``: the second-derivative stencil in ``m`` real
+    coordinates, built once per ``m`` and shared read-only.
+
+    ``ia, ib`` is the ``triu_indices(m, 1)`` pair.  Rows of ``offsets``:
+    the centre, ``+e_a``, ``-e_a``, then for each ``a < b`` (in that
+    pair's order) the blocks ``e_a+e_b``, ``e_a-e_b``, ``-e_a+e_b``,
+    ``-e_a-e_b``: ``1 + 2m + 2m(m-1)`` points.
+    """
+    eye = np.eye(m)
+    ia, ib = np.triu_indices(m, 1)
+    ea, eb = eye[ia], eye[ib]
+    offsets = np.concatenate(
+        [np.zeros((1, m)), eye, -eye, ea + eb, ea - eb, -ea + eb, -ea - eb]
+    )
+    for table in (offsets, ia, ib):
+        table.setflags(write=False)
+    return offsets, ia, ib
+
+
+def _stencil_entries(dim: int) -> int:
+    """Complex entries of one centre's stencil buffer in a factor of ``dim``:
+    ``1 + 2m^2`` metric blocks of ``dim^2``, ``m = 2 dim``."""
+    return (1 + 8 * dim * dim) * dim * dim
+
+
+def _stacks(count: int, entries: int) -> list[slice]:
+    """``range(count)`` as consecutive slices of items of ``entries`` complex
+    entries each: as many per slice as :data:`STACK_ENTRIES` holds, at least one."""
     step = max(1, STACK_ENTRIES // entries)
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
+def sample_stacks(patch: KahlerProductPatch, count: int) -> list[slice]:
+    """``count`` sample centres as the stacks of :func:`curvature_at` calls:
+    a centre's largest arrays are its ``n^4`` tensors and each factor's
+    stencil buffer."""
+    n = patch.total_dim
+    return _stacks(count, max(n**4, *(_stencil_entries(f.dim) for f in patch.factors)))
 
 
 def _factor_derivatives(
     factor: SpaceFormFactor, z: np.ndarray, step: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(g, hol, anti, hmix)`` of one factor's block at the centres ``z``,
-    by the second-order stencil of step ``step``.
+    """``(g, hol, anti, hmix)`` of one factor's block at the centres ``z``.
 
     The stencil runs over the factor's own ``m = 2 dim`` real
-    coordinates, ``x_1..x_dim, y_1..y_dim``: the centre, ``+e_a``,
-    ``-e_a``, then for each ``a < b`` (in ``triu_indices`` order) the
-    blocks ``e_a+e_b``, ``e_a-e_b``, ``-e_a+e_b``, ``-e_a-e_b``.  All
-    points of all centres go through one call of the factor's metric, so
-    its chart check sees every point; a centre's own point is the first of
-    its stencil.
+    coordinates, ``x_1..x_dim, y_1..y_dim``.  All points of all centres
+    go through one call of the factor's metric, so its chart check sees
+    every point; a centre's own point is the first of its stencil.
     """
     d = factor.dim
     m = 2 * d
-    eye = np.eye(m)
-    ia, ib = np.triu_indices(m, 1)
-    pairs = len(ia)
-    ea, eb = eye[ia], eye[ib]
-    offsets = np.concatenate([np.zeros((1, m)), eye, -eye, ea + eb, ea - eb, -ea + eb, -ea - eb])
-    x = np.concatenate([np.real(z), np.imag(z)], axis=-1)[..., None, :] + step * offsets
+    pairs = m * (m - 1) // 2
+    offsets, ia, ib = _stencil_tables(m)
+    x = _real_coords(z)[..., None, :] + step * offsets
     G = factor.metric(x[..., :d] + 1j * x[..., d:])  # [..., point, a, b]
     g0 = G[..., 0, :, :]
     plus, minus = G[..., 1 : 1 + m, :, :], G[..., 1 + m : 1 + 2 * m, :, :]
@@ -155,9 +202,7 @@ def metric_derivatives(
     patch: KahlerProductPatch, z: np.ndarray, step: float = METRIC_STEP
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """One ``(g, hol, anti, hmix)`` per factor: its metric block and the
-    block's complex derivatives, by finite differences.  The curvature
-    assembly reads the closed form instead; this stencil is what the
-    convergence factor of a batch measures.
+    block's complex derivatives.
 
     ``hol[..., c, a, b] = d_c g_{a b-}``, ``anti[..., c, a, b] =
     d_c- g_{a b-}`` and ``hmix[..., c, d, a, b] = d_c d_d- g_{a b-}``,
@@ -276,35 +321,34 @@ def _schouten(ric: np.ndarray, scal: np.ndarray, g: np.ndarray, n: int) -> np.nd
     return (ric - scal[..., None, None] / (2 * (n + 1)) * g) / (n + 2)
 
 
-def curvature_at(patch: KahlerProductPatch, z: np.ndarray) -> PointTensors:
+def curvature_at(
+    patch: KahlerProductPatch, z: np.ndarray, step: float = METRIC_STEP
+) -> PointTensors:
     """The one curvature assembly, at the centres ``z``, batched over their
     leading axes; every field of the record is stacked like ``z``.
 
-    The metric (:func:`~crchern.kahler.patch.metric_at`, each factor's
-    chart check) is inverted whole by :func:`levi_inverse`, then
-    :func:`_riemann` runs on each factor's block of it and of the factor's
-    closed-form derivatives, ``hol`` from ``jet(z, 2, 1)``, ``anti`` its
-    conjugate transpose and ``hmix`` from ``jet(z, 2, 2)``, and Gamma, R
-    and Ric are scattered into zero arrays, their Scal summed.  P and the
-    trace-free part S of R, zero iff spherical (n >= 2), are formed over
-    the whole patch: each outer product one rank-2 product or broadcast.
-    The record holds the arrays they write.
+    :func:`levi_inverse` inverts the whole metric, then :func:`_riemann`
+    runs on each factor's block of it and of :func:`metric_derivatives`,
+    and Gamma, R and Ric are scattered into zero arrays, their Scal
+    summed.  P and the trace-free part S of R, zero iff spherical
+    (n >= 2), are formed over the whole patch: each outer product one
+    rank-2 product or broadcast.  The record holds the arrays they write.
     """
     z = patch.coordinates(z)
     n = patch.total_dim
     lead = z.shape[:-1]
-    g = metric_at(patch, z)
+    blocks = list(zip(patch.slices(), metric_derivatives(patch, z, step)))
+    g = np.zeros(lead + (n, n), dtype=complex)
+    for s, (gk, *_) in blocks:
+        g[..., s, s] = gk
     linv = levi_inverse(g)
     gam = np.zeros(lead + (n,) * 3, dtype=complex)  # [c, a, r]
     R = np.zeros(lead + (n,) * 4, dtype=complex)  # [c, d, a, b]
     ric = np.zeros(lead + (n, n), dtype=complex)
     scal = 0.0
-    for f, s in zip(patch.factors, patch.slices()):
-        hol = f.jet(z[..., s], 2, 1)  # d_c g_{a b-} at [c, a, b]
-        anti = np.conj(np.swapaxes(hol, -1, -2))  # d_c- g_{a b-} = conj(d_c g_{b a-})
-        hmix = np.swapaxes(f.jet(z[..., s], 2, 2), -3, -2)  # d_c d_d- g_{a b-} at [c, d, a, b]
+    for s, (_gk, *derivatives) in blocks:
         gam[..., s, s, s], R[..., s, s, s, s], ric[..., s, s], scal_k = _riemann(
-            linv[..., s, s], hol, anti, hmix
+            linv[..., s, s], *derivatives
         )
         scal += scal_k
     P = _schouten(ric, scal, g, n)
@@ -320,8 +364,8 @@ def curvature_at(patch: KahlerProductPatch, z: np.ndarray) -> PointTensors:
 
 
 def point_tensors(patch: KahlerProductPatch, z: np.ndarray) -> PointTensors:
-    """:func:`curvature_at` at one point, refused unless ``z`` is one point
-    of the patch's dimension."""
+    """:func:`curvature_at` at one point.  Each factor's chart check sees
+    its whole stencil, and the centre is the first point it can name."""
     z = np.asarray(z, dtype=complex)
     if z.ndim != 1:
         raise PatchDomainError(
@@ -330,60 +374,119 @@ def point_tensors(patch: KahlerProductPatch, z: np.ndarray) -> PointTensors:
     return curvature_at(patch, z)
 
 
-def _curvature_derivative(
-    factor: SpaceFormFactor,
-    z: np.ndarray,
-    linv: np.ndarray,
-    gam: np.ndarray,
-    R: np.ndarray,
-    ric: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(d_e g, d_e Ric, d_e Scal, l^{e d-} d_e R)`` of one factor's block at
-    the centres ``z``, batched over the leading axes, with the derivative
-    index ``e`` first and the trace at ``[c, a, b]``.
+def _third_order_derivatives(
+    patch: KahlerProductPatch, t: PointTensors
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Holomorphic-direction central differences of P and Scal, and the
+    trace ``l^{r d-} d_r S_{a b- c d-}``, at the centres of ``t``.
 
-    ``linv``, ``gam``, ``R`` and ``ric`` are the factor's blocks of the
-    :class:`PointTensors` at ``z``.  With ``d_e l = -l (d_e g) l``,
+    ``t`` is ``curvature_at(patch, z)``, one centre or a stack, and the
+    results are stacked like ``z``.  Each real direction ``e_r`` has the
+    two centres ``x0 +- h e_r`` (``h = THIRD_ORDER_STEP``), and moves the
+    coordinates of the factor ``k`` that owns it and no other.  At a moved
+    centre every other factor's blocks of ``g``, R and Ric are the
+    centre's bit for bit (an unmoved coordinate is ``x0 + 0.0``), so the
+    work goes one factor at a time, over its ``2 dim_k`` directions of
+    every sample, in chunks of whole samples that :func:`_stacks` bounds by
+    a moved centre's largest arrays (block ``k``'s ``n_k^4`` and the ``2
+    n^2`` of P and g).  Per chunk:
 
-        d_e Gamma^r_{c a} = l^{r s-} d_e d_c g_{a s-} - Gamma^x_{c a} Gamma^r_{e x},
-        d_e R_{a b- c d-} = d_e Gamma^r_{c a} d_d- g_{r b-}
-                            + Gamma^r_{c a} d_e d_d- g_{r b-} - d_e d_c d_d- g_{a b-},
+    - its second-derivative stencil at every (sample, direction, sign)
+      centre, as many per call of :func:`_factor_derivatives` as the
+      stencil buffer's bound holds; its chart check sees every point;
+    - ``g`` is the centre's with block ``k`` replaced, and
+      :func:`levi_inverse` inverts and checks it whole: O(n^3) per
+      centre;
+    - one :func:`_riemann` step on block ``k`` of that inverse alone
+      over all the chunk's moved centres, O(n_k^5) each;
+    - Ric is the centre's with block ``k`` replaced, ``Scal = sum_{f !=
+      k} Scal_f(centre) + Scal_k``, and P is formed with the full ``n``:
+      O(n^2) per centre;
+    - the difference quotients ``d P``, ``d Scal`` and ``d R`` of block
+      ``k``; R's other blocks cancel exactly, so the R part of the trace
+      lies in block ``k``;
+    - the four P g terms of S, each contracted with its direction's
+      weight (``1/2`` for ``x_r``, ``-i/2`` for ``y_r``, times
+      ``+-1/(2h) l^{r d-}``) before it is formed: ``u = w g`` and ``v =
+      w P``, then ``sum_j P_j (x) u_j + g_j (x) v_j`` is one matrix
+      product per sample over the (direction, sign) axis, an ``(n^2,
+      n_k)`` array, and its ``a <-> c`` transpose gives the other two
+      terms.
 
-    the last term ``jet(z, 3, 2)`` and ``d_e d_c g`` ``jet(z, 3, 1)``: one
-    batched product per centre, O(n_k^6), writes the ``n_k^5`` array
-    ``d_e R`` at ``[e, c, d, a, b]``, and each trace of it is O(n_k^5).
+    No ``n^4`` array exists at any moved centre: the cost is O(n_k^5 +
+    n^3) per moved centre.
     """
-    k = linv.shape[-1]
-    lead = linv.shape[:-2]
-    hol = factor.jet(z, 2, 1)  # d_e g_{a b-} at [e, a, b]
-    anti = np.moveaxis(np.conj(hol), -1, -3)  # d_d- g_{r b-} at [r, d, b]
-    gam_ca = gam.reshape(lead + (1, k * k, k))  # [1, (c a), r]
-    # d_e Gamma^r_{c a} at [e, (c a), r]
-    dgam = factor.jet(z, 3, 1).reshape(lead + (k, k * k, k)) @ np.swapaxes(linv, -1, -2)[
-        ..., None, :, :
-    ] - gam_ca @ gam
-    # "...ecar,...rdb->...ecadb" + "...car,...erdb->...ecadb" - jet(3, 2), each
-    # an [e, (c a), (d b)] product
-    dR = (
-        dgam @ anti.reshape(lead + (1, k, k * k))
-        + gam_ca @ factor.jet(z, 2, 2).reshape(lead + (k, k, k * k))
-        - factor.jet(z, 3, 2).reshape(lead + (k, k * k, k * k))
+    n = patch.total_dim
+    h = THIRD_ORDER_STEP
+    lead = t.point.shape[:-1]
+    count = int(np.prod(lead, dtype=int))
+    point, g0, linv0, ric0 = (
+        a.reshape((count,) + a.shape[len(lead) :]) for a in (t.point, t.g, t.linv, t.Ric)
     )
-    dR = np.swapaxes(dR.reshape(lead + (k,) * 5), -3, -2)  # [e, c, d, a, b]
-    dlinv = -np.swapaxes(gam, -1, -2) @ linv[..., None, :, :]  # d_e l^{a b-} at [e, a, b]
-    # d_e Ric_{c d-} = l^{a b-} d_e R_{a b- c d-} + d_e l^{a b-} R_{a b- c d-}
-    dric = dR.reshape(lead + (k, k * k, k * k)) @ linv.reshape(lead + (1, k * k, 1))
-    dric += R.reshape(lead + (1, k * k, k * k)) @ dlinv.reshape(lead + (k, k * k, 1))
-    dric = dric.reshape(lead + (k,) * 3)
-    dscal = (
-        dlinv.reshape(lead + (k, k * k)) @ ric.reshape(lead + (k * k, 1))
-        + dric.reshape(lead + (k, k * k)) @ linv.reshape(lead + (k * k, 1))
-    )[..., 0]
-    # "...ed,...ecdab->...cab": for each c, a (1, (e d)) x ((e d), (a b)) product
-    trace = linv.reshape(lead + (1, 1, k * k)) @ np.moveaxis(dR, -5, -4).reshape(
-        lead + (k, k * k, k * k)
+    dP = np.empty((count, 2 * n, n, n), dtype=complex)  # rows x_1..x_n, y_1..y_n
+    dScal = np.empty((count, 2 * n))
+    trace_R = np.zeros((count, n, n, n), dtype=complex)  # [c, a, b]
+    pg = np.empty((count, n * n, n), dtype=complex)  # [(a b), c]
+    slices = patch.slices()
+    scal = [(linv0[:, s, s] * ric0[:, s, s]).reshape(count, -1).sum(axis=-1).real for s in slices]
+    for k, (f, s) in enumerate(zip(patch.factors, slices)):
+        nk = f.dim
+        m = 2 * nk
+        rows = np.arange(s.start, s.stop)
+        rows = np.concatenate([rows, n + rows])  # x and y of block k
+        e = h * np.eye(m)
+        x0 = _real_coords(point[:, s])[:, None, :]
+        x = np.stack([x0 + e, x0 - e], axis=2)  # [sample, direction, sign, coordinate]
+        centres = x[..., :nk] + 1j * x[..., nk:]
+        others = sum((scal[j] for j in range(len(slices)) if j != k), np.zeros(count))
+        # lw[i, j, d] = w_j l^{r_j d-}: direction j moves x or y of row r_j
+        weight = np.concatenate([np.full(nk, 0.5), np.full(nk, -0.5j)])
+        lw = weight[:, None] * np.concatenate([linv0[:, s, s], linv0[:, s, s]], axis=1)
+        for chunk in _stacks(count, 2 * m * max(nk**4, 2 * n * n)):
+            moved = centres[chunk].reshape(-1, nk)
+            derivatives = [np.empty((len(moved),) + (nk,) * r, dtype=complex) for r in (2, 3, 3, 4)]
+            for call in _stacks(len(moved), _stencil_entries(nk)):
+                parts = _factor_derivatives(f, moved[call], METRIC_STEP)
+                for full, part in zip(derivatives, parts):
+                    full[call] = part
+            gk, *derivatives = (d.reshape((-1, m, 2) + d.shape[1:]) for d in derivatives)
+            g = np.broadcast_to(g0[chunk, None, None], gk.shape[:3] + (n, n)).copy()
+            g[..., s, s] = gk
+            _gam, Rk, ric_k, scal_k = _riemann(levi_inverse(g)[..., s, s], *derivatives)
+            del derivatives
+            ric = np.broadcast_to(ric0[chunk, None, None], g.shape).copy()
+            ric[..., s, s] = ric_k
+            scal_moved = others[chunk, None, None] + scal_k
+            P = _schouten(ric, scal_moved, g, n)
+            dP[chunk, rows] = (P[:, :, 0] - P[:, :, 1]) / (2 * h)
+            dScal[chunk, rows] = (scal_moved[:, :, 0] - scal_moved[:, :, 1]) / (2 * h)
+
+            dR = (Rk[:, :, 0] - Rk[:, :, 1]) / (2 * h)  # [sample, direction, c, d, a, b]
+            # "ijd,ijcdab->icab": for each direction and row c, a (d) x (d, (a b)) product
+            trace_R[chunk, s, s, s] = (
+                (lw[chunk, :, None, None, :] @ dR.reshape(-1, m, nk, nk, nk * nk))
+                .sum(axis=1)
+                .reshape((-1,) + (nk,) * 3)
+            )
+            del Rk, dR
+            # the weights carry the difference quotient's +-1/(2h)
+            lws = lw[chunk, :, None, :, None] * np.array([1, -1])[:, None, None] / (2 * h)
+            u = (gk @ lws)[..., 0]  # w_j g_{c d-} at [sample, direction, sign, c]
+            v = (P[..., s, s] @ lws)[..., 0]  # w_j P_{c d-}
+            # "ijab,ijc->iabc": P (x) u + g (x) v over the (direction, sign) axis j
+            X = np.concatenate([P.reshape(-1, 2 * m, n * n), g.reshape(-1, 2 * m, n * n)], axis=1)
+            Y = np.concatenate([u.reshape(-1, 2 * m, nk), v.reshape(-1, 2 * m, nk)], axis=1)
+            pg[chunk, :, s] = np.swapaxes(X, -1, -2) @ Y
+    pg = pg.reshape(count, n, n, n)  # [a, b, c]
+    # S's P g terms: P_{a b-} g_{c d-} + P_{c d-} g_{a b-} + (a <-> c)
+    trace_dS = np.moveaxis(trace_R, 1, -1) - pg - np.swapaxes(pg, 1, 3)
+    dP_hol = 0.5 * (dP[:, :n] - 1j * dP[:, n:])  # [c, a, b]
+    dScal_hol = 0.5 * (dScal[:, :n] - 1j * dScal[:, n:])
+    return (
+        dP_hol.reshape(lead + (n,) * 3),
+        trace_dS.reshape(lead + (n,) * 3),
+        dScal_hol.reshape(lead + (n,)),
     )
-    return hol, dric, dscal, trace.reshape(lead + (k,) * 3)
 
 
 def _assemble_v(dP_hol, dScal_hol, gammas, P, g, n):
@@ -410,40 +513,15 @@ def chern_divergence_residual(patch: KahlerProductPatch, t: PointTensors) -> dic
     ``t`` is ``curvature_at(patch, z)``, one centre or a stack, and every
     value is stacked like ``z``.  ``div S`` is the trace ``l^{r d-}
     grad_r S_{a b- c d-}`` with the covariant corrections on both
-    unbarred slots of S.  Each factor's :func:`_curvature_derivative`
-    gives its blocks of ``d g``, ``d Ric``, ``d Scal`` and the trace of
-    ``d R``; ``d P`` is formed over the whole patch, and the trace of the
-    four P g terms of ``d S`` in closed form, O(n^4).  ``l^{r d-}`` is
-    contracted into Gamma first (``l^{r d-} Gamma^s_{r a}``), so the
-    Gamma terms are O(n^5) and neither ``d S`` nor ``grad S`` is ever
-    built.  Returns the two sides and the residual max-norm for reporting.
+    unbarred slots of S.  The stencil streams ``l^{r d-} d_r S``, and
+    ``l^{r d-}`` is contracted into Gamma first (``l^{r d-} Gamma^s_{r
+    a}``), so the trace is O(n^5) and neither ``d S`` nor ``grad S`` is
+    ever built.  Returns the two sides and the residual max-norm for
+    reporting.
     """
     n = patch.total_dim
     lead = t.linv.shape[:-2]
-    hol, dric, trace_R = (np.zeros(lead + (n,) * 3, dtype=complex) for _ in range(3))
-    dscal = np.zeros(lead + (n,), dtype=complex)
-    for f, s in zip(patch.factors, patch.slices()):
-        hol[..., s, s, s], dric[..., s, s, s], dscal[..., s], trace_R[..., s, s, s] = (
-            _curvature_derivative(
-                f, t.point[..., s], t.linv[..., s, s], t.gammas[..., s, s, s],
-                t.R[..., s, s, s, s], t.Ric[..., s, s],
-            )
-        )
-    # d_e P = (d_e Ric - d_e Scal g / (2(n+1)) - Scal d_e g / (2(n+1))) / (n+2), at [e, a, b]
-    scal = np.asarray(t.Scal)[..., None, None, None]
-    dP = _schouten(dric, dscal, t.g[..., None, :, :], n) - scal / (2 * (n + 1) * (n + 2)) * hol
-    # l^{e d-} d_e of the four P g terms of S, at [c, a, b]: X + X(a <-> c) with
-    # X_{c a b} = d_c P_{a b-} + h_c P_{a b-} + q_c g_{a b-} + P_{c d-} l^{e d-} d_e g_{a b-},
-    # h_c = l^{e d-} d_e g_{c d-} and q_c = l^{e d-} d_e P_{c d-}
-    flat_linv = t.linv.reshape(lead + (n * n, 1))
-    h, q = (
-        (np.swapaxes(x, -3, -2).reshape(lead + (n, n * n)) @ flat_linv)[..., None]
-        for x in (hol, dP)
-    )
-    M = t.P @ np.swapaxes(t.linv, -1, -2)
-    X = dP + h * t.P[..., None, :, :] + q * t.g[..., None, :, :]
-    X += (M @ hol.reshape(lead + (n, n * n))).reshape(lead + (n,) * 3)
-    trace_dS = trace_R - X - np.swapaxes(X, -3, -2)  # l^{e d-} d_e S_{a b- c d-} at [c, a, b]
+    dP_hol, trace_dS, dScal_hol = _third_order_derivatives(patch, t)
 
     S = t.S  # S_{a b- c d-} at [c, d, a, b]
     # lg[a, d, s] = l^{r d-} Gamma^s_{r a}: for each a, a (d, r) x (r, s) product
@@ -453,9 +531,11 @@ def chern_divergence_residual(patch: KahlerProductPatch, t: PointTensors) -> dic
     first = lg.reshape(lead + (1, n, n * n)) @ S.reshape(lead + (n, n * n, n))  # [c, a, b]
     # "...cds,...absd->...abc": one (c, (s d)) x ((s d), (a b)) product
     second = np.swapaxes(lg, -2, -1).reshape(lead + (n, n * n)) @ S.reshape(lead + (n * n, n * n))
-    div_S = np.moveaxis(trace_dS - first - second.reshape(lead + (n,) * 3), -3, -1)
+    div_S = np.moveaxis(
+        np.moveaxis(trace_dS, -1, -3) - first - second.reshape(lead + (n,) * 3), -3, -1
+    )
 
-    _T1, V = _assemble_v(dP, dscal, t.gammas, t.P, t.g, n)
+    _T1, V = _assemble_v(dP_hol, dScal_hol, t.gammas, t.P, t.g, n)
     rhs = -n * 1j * V
     tensor = (-3, -2, -1)
     return {

@@ -113,11 +113,11 @@ def test_zero_curvature_rejected():
 
 
 def _mutant(monkeypatch, mutate):
-    """Replace the one expression of the u-derivatives by ``mutate`` of it."""
+    """Replace the one expression of f' and f'' by ``mutate`` of it."""
     original = _radial
 
-    def mutated(a, b, c, u, j):
-        return mutate(a, b, c, u, j, original)
+    def mutated(a, b, c, u):
+        return mutate(a, b, c, u, original)
 
     monkeypatch.setattr(spaceform, "_radial", mutated)
 
@@ -125,22 +125,21 @@ def _mutant(monkeypatch, mutate):
 def test_convention_mismatch_aborts(monkeypatch):
     # flip the sign of the curvature parameter inside f' and f'': the
     # metric stays Kaehler, but reads -hsc at the origin
-    _mutant(monkeypatch, lambda a, b, c, u, j, f: f(a, b, -c, u, j))
+    _mutant(monkeypatch, lambda a, b, c, u, f: f(a, b, -c, u))
     for dim in (1, 1, 2):
         with pytest.raises(CalibrationError, match="curvature convention error"):
             calibrate_space_form(dim, 1)
 
 
 def test_scaled_curvature_mutant_is_refused(monkeypatch):
-    # 1.5 c in the shared expression moves the metric, its jets and the
-    # calibration together; a curvature read off a second copy of the
-    # formula did not see it
+    # 1.5 c in the shared expression moves the metric and the calibration
+    # together; a curvature read off a second copy of the formula did not
+    # see it
     factor = SpaceFormFactor(1, Fraction(1))
     z = np.array([0.3 + 0.1j])
-    before = factor.metric(z), factor.jet(z, 3, 2)
-    _mutant(monkeypatch, lambda a, b, c, u, j, f: f(a, b, 3 * c / 2, u, j))
-    assert not np.allclose(factor.metric(z), before[0])
-    assert not np.allclose(factor.jet(z, 3, 2), before[1])
+    before = factor.metric(z)
+    _mutant(monkeypatch, lambda a, b, c, u, f: f(a, b, 3 * c / 2, u))
+    assert not np.allclose(factor.metric(z), before)
     for hsc in (1, -1, Fraction(5, 2)):
         with pytest.raises(CalibrationError, match="curvature mismatch: the metric reads"):
             calibrate_space_form(1, hsc)
@@ -149,8 +148,9 @@ def test_scaled_curvature_mutant_is_refused(monkeypatch):
 def test_sign_flip_of_f2_is_refused_as_not_kaehler(monkeypatch):
     # f'' = +a c / (b + c u)^2 is no longer d f'/du: g = f' I + f'' conj(z) z^T
     # then comes from no potential
-    def flipped(a, b, c, u, j, f):
-        return -1 * f(a, b, c, u, j) if j == 2 else f(a, b, c, u, j)
+    def flipped(a, b, c, u, f):
+        d1, d2 = f(a, b, c, u)
+        return d1, -1 * d2
 
     _mutant(monkeypatch, flipped)
     for hsc in (1, -1, Fraction(5, 2)):
@@ -206,39 +206,12 @@ def test_origin_series_reads_the_request_exactly(hsc):
     # f' and f'' on u = 0 + 1 u, in Fractions: the Kaehler condition and
     # R_{1 1- 1 1-}(0) / g_{1 1-}(0)^2 = -(f'_1 + f''_0) / f'_0^2 hold
     # with no remainder
-    u = _Series(Fraction(0), Fraction(1))
-    d1, d2 = (_radial(POTENTIAL, POTENTIAL, hsc, u, j) for j in (1, 2))
+    d1, d2 = _radial(POTENTIAL, POTENTIAL, hsc, _Series(Fraction(0), Fraction(1)))
     for part in (d1.u0, d1.u1, d2.u0, d2.u1):
         assert type(part) is Fraction
     assert (d1.u0, d2.u0) == (1, d1.u1)
     assert -(d1.u1 + d2.u0) / d1.u0**2 == hsc
     assert calibrate_space_form(1, hsc).hsc == hsc
-
-
-@pytest.mark.parametrize("hsc", [*WIDE_CURVATURES, Fraction(37, 3)], ids=str)
-def test_jets_at_the_origin_are_the_calibrations_exact_values(hsc):
-    # At z = 0 only the fully matched terms survive: jet(p, p)(0) is
-    # f^(p)(0) times the sum over the p! matchings of products of deltas,
-    # and every jet with p != q vanishes.  f'(0) and f''(0) are the exact
-    # series values that calibration reads the curvature off.
-    u = _Series(Fraction(0), Fraction(1))
-    d1, d2 = (_radial(POTENTIAL, POTENTIAL, Fraction(hsc), u, j) for j in (1, 2))
-    factor = calibrate_space_form(2, hsc)
-    origin = np.zeros(2, dtype=complex)
-    eye = np.eye(2)
-    want = {
-        (1, 1): float(d1.u0) * eye,
-        (2, 2): float(d2.u0) * (np.einsum("ac,bd->abcd", eye, eye) + np.einsum("ad,bc->abcd", eye, eye)),
-    }
-    for p, q in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2)):
-        got = factor.jet(origin, p, q)
-        assert got.shape == (2,) * (p + q)
-        expected = want.get((p, q), np.zeros(got.shape))
-        assert np.allclose(got, expected, rtol=4 * np.finfo(float).eps, atol=0), (p, q)
-    # and the assembly reads hsc there: R_{1 1- 1 1-}(0) = -2 f''(0) = hsc
-    R = curvature_at(KahlerProductPatch((factor,)), origin).R
-    assert R[0, 0, 0, 0].real == pytest.approx(float(hsc), rel=4 * np.finfo(float).eps)
-    assert -2 * d2.u0 == Fraction(hsc)
 
 
 @pytest.mark.parametrize("hsc", WIDE_CURVATURES, ids=str)

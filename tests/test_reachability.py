@@ -45,6 +45,7 @@ UNREACHED = {
     "chern.bundles.chern_surface": _BENCH_BINDING,
     "chern.bundles.chern_fake_projective_plane": _BENCH_BINDING,
     "chern.bundles.trivial_bundle": _BENCH_BINDING,
+    "kahler.patch.metric_at": _BENCH_BINDING,
     "kahler.tensors.point_tensors": _BENCH_BINDING,
     "cohomology.ring.Record.__init_subclass__": _AT_IMPORT,
     "cli.Flag.__init__": _AT_IMPORT,
