@@ -1,5 +1,5 @@
-"""Verification outcomes, and the one manifest of a run: its content
-(:func:`build_manifest`) and its text in JSON or Markdown (:func:`render_manifest`).
+"""Verification outcomes, and the one manifest of a run: its text in JSON or
+Markdown, rendered report by report as the run produces them (:func:`build_manifest`).
 """
 
 from __future__ import annotations
@@ -8,6 +8,8 @@ from datetime import datetime, timezone
 from json import dumps
 from json.encoder import encode_basestring_ascii
 from math import isfinite
+from operator import itemgetter
+from typing import Iterable
 
 from .. import __version__
 from ..cohomology.ring import Record
@@ -64,109 +66,110 @@ class CheckReport(Record):
 
 
 def build_manifest(
-    command: list[str], reports: list[CheckReport], seed: int, with_timestamp: bool
-) -> dict:
-    """The manifest dict of a run, its reports ordered by check and then params."""
-    reports = sorted(reports, key=lambda r: (r.check, dumps(r.params, sort_keys=True)))
-    manifest = {
+    command: list[str], reports: Iterable[CheckReport], seed: int, with_timestamp: bool, fmt: str
+) -> tuple[bool, list[str]]:
+    """Whether every report passed, and the manifest's text in ``fmt``,
+    ``"json"`` or ``"md"``, with its final newline, as pieces.
+
+    Each report is rendered as it arrives and then dropped, its sort key
+    and verdict kept with its text.  The texts are ordered by check and
+    then params, stably, and framed by the run's command, seed, status,
+    tool, version and timestamp.  JSON is ``json.dumps(manifest,
+    indent=2, sort_keys=True)`` of the manifest dict, byte for byte, in
+    pieces: the frame's items, each report and the text between them.
+    Markdown is a summary table, then each report's params, assertions
+    and residuals: one piece for the head, each row and each section.
+    """
+    render = _json_entry if fmt == "json" else _markdown_entry
+    entries = sorted(
+        (((r.check, dumps(r.params, sort_keys=True)), r.passed, render(r)) for r in reports),
+        key=itemgetter(0),
+    )
+    passed = all(entry[1] for entry in entries)
+    frame = {
         "tool": "crchern",
         "version": __version__,
         "command": command,
         "seed": seed,
-        "status": "pass" if all(r.passed for r in reports) else "fail",
-        "reports": [r.to_json_dict() for r in reports],
+        "status": "pass" if passed else "fail",
     }
     if with_timestamp:
-        manifest["timestamp"] = datetime.now(timezone.utc).isoformat()
-    return manifest
+        frame["timestamp"] = datetime.now(timezone.utc).isoformat()
+    frame_pieces = _json_frame if fmt == "json" else _markdown_frame
+    return passed, frame_pieces(frame, entries)
 
 
-def render_manifest(manifest: dict, fmt: str) -> list[str]:
-    """The text of ``manifest`` in ``fmt``, ``"json"`` or ``"md"``, with its final
-    newline, as pieces: one per report and a few short ones between them."""
-    pieces = (manifest_json if fmt == "json" else manifest_markdown)(manifest)
-    pieces.append("\n")
+def _json_entry(report: CheckReport) -> str:
+    return json_text(report.to_json_dict(), "\n    ")
+
+
+def _json_frame(frame: dict, entries: list[tuple]) -> list[str]:
+    pieces, sep = [], "{\n  "
+    for key in sorted([*frame, "reports"]):
+        pieces.append(sep + encode_basestring_ascii(key) + ": ")
+        sep = ",\n  "
+        if key != "reports":
+            pieces.append(json_text(frame[key], "\n  "))
+        elif entries:
+            for i, (_, _, text) in enumerate(entries):
+                pieces += [",\n    " if i else "[\n    ", text]
+            pieces.append("\n  ]")
+        else:
+            pieces.append("[]")
+    pieces.append("\n}\n")
     return pieces
 
 
-def manifest_markdown(manifest: dict) -> list[str]:
-    """A summary table of the reports, then each report's params, assertions and
-    residuals: the summary is the first piece and each report section one more."""
-    lines = [
-        f"# crchern {manifest['version']} -- {manifest['status'].upper()}",
-        "",
-        f"command: `{' '.join(manifest['command'])}`  ",
-        f"seed: {manifest['seed']}",
-    ]
-    if "timestamp" in manifest:
-        lines.append(f"timestamp: {manifest['timestamp']}")
-    lines += ["", "| check | params | status |", "|---|---|---|"]
-    for rep in manifest["reports"]:
-        params = ", ".join(f"{k}={v}" for k, v in sorted(rep["params"].items()))
-        lines.append(f"| {rep['check']} | {params} | {rep['status']} |")
+def _markdown_entry(report: CheckReport) -> tuple[str, str]:
+    """The report's summary row and its section; a section starts with the
+    line break that joins it to the text before it."""
+    params = sorted(report.params.items())
+    row = f"| {report.check} | {', '.join(f'{k}={v}' for k, v in params)} | {report.status} |\n"
+    lines = ["", f"## `{report.check}` -- {report.status}"]
+    if params:
+        lines.append(", ".join(f"`{k}={v}`" for k, v in params))
+    lines += ["", "| assertion | ok |", "|---|---|"]
+    lines += [f"| {name} | {'yes' if ok else 'NO'} |" for name, ok in report.assertions]
+    if report.residuals:
+        lines += ["", "residuals: " + dumps(report.residuals)]
     lines.append("")
-    pieces = ["\n".join(lines)]
-    for rep in manifest["reports"]:
-        # a section starts with the line break that joins it to the piece before
-        lines = ["", f"## `{rep['check']}` -- {rep['status']}"]
-        params = ", ".join(f"`{k}={v}`" for k, v in sorted(rep["params"].items()))
-        if params:
-            lines.append(params)
-        lines += ["", "| assertion | ok |", "|---|---|"]
-        lines += [f"| {a['name']} | {'yes' if a['ok'] else 'NO'} |" for a in rep["assertions"]]
-        if rep["residuals"]:
-            lines += ["", "residuals: " + dumps(rep["residuals"])]
-        lines.append("")
-        pieces.append("\n".join(lines))
-    return pieces
+    return row, "\n".join(lines)
 
 
-def manifest_json(value: object) -> list[str]:
-    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, as pieces.
+def _markdown_frame(frame: dict, entries: list[tuple]) -> list[str]:
+    lines = [
+        f"# crchern {frame['version']} -- {frame['status'].upper()}",
+        "",
+        f"command: `{' '.join(frame['command'])}`  ",
+        f"seed: {frame['seed']}",
+    ]
+    if "timestamp" in frame:
+        lines.append(f"timestamp: {frame['timestamp']}")
+    lines += ["", "| check | params | status |", "|---|---|---|", ""]
+    rows = [row for _, _, (row, _) in entries]
+    sections = [section for _, _, (_, section) in entries]
+    return ["\n".join(lines), *rows, *sections, "\n"]
+
+
+def json_text(value: object, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, at the
+    depth whose line break and indent is ``pad``.
 
     With an ``indent`` the standard library encodes in pure Python, one
     generator per container and one chunk per token.  This writer joins
-    one string per container instead, except at the top two levels
-    (a manifest and its ``reports`` list): there each item is its own
-    piece, so the pieces of a manifest are its reports and the short
-    text between them, and nothing holds the whole text at once.  Exact
-    ``str``, ``int``, ``bool`` and ``None`` values, finite exact floats
-    (``float.__repr__``, the standard library's own rule), lists, and
-    dicts whose keys are all ``str`` are written here; any other value
-    (NaN and infinities, tuples, subclasses, other keys) goes to
-    ``json.dumps`` and is re-indented to its depth.  That is exact
-    because encoded JSON holds a raw newline only in its layout, and it
-    raises the standard library's error for a value JSON cannot hold.
+    one string per container instead.  Exact ``str``, ``int``, ``bool``
+    and ``None`` values, finite exact floats (``float.__repr__``, the
+    standard library's own rule), lists, and dicts whose keys are all
+    ``str`` are written here; any other value (NaN and infinities,
+    tuples, subclasses, other keys) goes to ``json.dumps`` and is
+    re-indented to its depth.  That is exact because encoded JSON holds
+    a raw newline only in its layout, and it raises the standard
+    library's error for a value JSON cannot hold.
     """
     try:
-        return _pieces(value, "\n", 2)
+        return _write(value, pad)
     except RecursionError:  # circular or too deep: as the standard library fails
-        return [dumps(value, indent=2, sort_keys=True)]
-
-
-def _pieces(value: object, pad: str, levels: int) -> list[str]:
-    """``value`` encoded at the depth whose line break and indent is ``pad``:
-    each item of its top ``levels`` container levels starts a piece, and
-    each item below them is one :func:`_write` string."""
-    kind = type(value)
-    if not levels or not value or (kind is not list and kind is not dict):
-        return [_write(value, pad)]
-    if kind is dict:
-        keys = sorted(value)  # mixed key types raise as the stdlib does
-        if any(type(key) is not str for key in keys):
-            return [_write(value, pad)]  # the stdlib's key conversions
-        items = [(encode_basestring_ascii(key) + ": ", value[key]) for key in keys]
-        brackets = "{}"
-    else:
-        items, brackets = [("", item) for item in value], "[]"
-    inner = pad + "  "
-    pieces, sep = [], brackets[0] + inner
-    for head, item in items:
-        pieces.append(sep + head)
-        pieces += _pieces(item, inner, levels - 1)
-        sep = "," + inner
-    pieces.append(pad + brackets[1])
-    return pieces
+        return dumps(value, indent=2, sort_keys=True).replace("\n", pad)
 
 
 def _write(value: object, pad: str) -> str:

@@ -1,7 +1,7 @@
 """Command-line interface: named verification targets and a ring calculator.
 
 This module reads the command line and picks the output sink; the
-manifest is built and rendered by :mod:`crchern.chern.report`.
+manifest is rendered, report by report, by :mod:`crchern.chern.report`.
 
 Every ``verify`` target is one entry of :data:`TARGETS`: the flags it
 takes, each with its default and inclusive range, a runner, and the
@@ -41,7 +41,7 @@ import sys
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from . import __version__
 from .chern.checks import (
@@ -53,7 +53,7 @@ from .chern.checks import (
     fpp_times_cpn_setup,
     genus2_times_cpn_setup,
 )
-from .chern.report import CheckReport, build_manifest, render_manifest
+from .chern.report import CheckReport, build_manifest
 from .chern.spherical import verify_spherical_on_circle_bundle
 from .chern.tractor import tractor_determinant_check
 from .cohomology.parser import ParseError, parse_element
@@ -147,7 +147,8 @@ class Target(Record):
 
     ``run`` maps the target's parameters (every flag of ``flags`` plus
     ``seed``) to its reports; ``share`` maps the parameters of ``all``
-    to the reports this target adds to ``verify all``.  Both call the
+    to the reports this target adds to ``verify all``.  Either may hand
+    its reports over one at a time, as a generator does.  Both call the
     checks through this module's global names at call time, so that
     code which rebinds those names (tracing, tests) sees every call.
     """
@@ -157,8 +158,8 @@ class Target(Record):
     def __init__(
         self,
         flags: dict[str, Flag],
-        run: Callable[[dict], list[CheckReport]],
-        share: Callable[[dict], list[CheckReport]] | None = None,
+        run: Callable[[dict], Iterable[CheckReport]],
+        share: Callable[[dict], Iterable[CheckReport]] | None = None,
     ) -> None:
         object.__setattr__(self, "flags", flags)
         object.__setattr__(self, "run", run)
@@ -171,21 +172,19 @@ def _ns(p: dict, first: int) -> range:
     return range(first, p["n_max"] + 1) if n is None else range(max(first, n), n + 1)
 
 
-def _spherical_families(p: dict) -> list[CheckReport]:
-    reports = []
+def _spherical_families(p: dict) -> Iterator[CheckReport]:
     for n in _ns(p, 2):
         rep = verify_spherical_on_circle_bundle(genus2_times_cpn_setup(n), n)
-        reports.append(_relabel(rep, family="genus2-surface x cp", n=n))
+        yield _relabel(rep, family="genus2-surface x cp", n=n)
     for n in _ns(p, 2):
         base = cpn_setup(n, 1)  # e = -t; one base and tangent bundle for every d
         for d in range(1, 6):
             setup = base.replace(euler=d * base.euler)
             rep = verify_spherical_on_circle_bundle(setup, n)
-            reports.append(_relabel(rep, family="cp", n=n, d=d))
+            yield _relabel(rep, family="cp", n=n, d=d)
     for n in _ns(p, 4):
         rep = verify_spherical_on_circle_bundle(fpp_times_cpn_setup(n), n)
-        reports.append(_relabel(rep, family="fpp x cp", n=n))
-    return reports
+        yield _relabel(rep, family="fpp x cp", n=n)
 
 
 def _relabel(report: CheckReport, **extra) -> CheckReport:
@@ -244,7 +243,7 @@ TARGETS = {
     "bochner-products": Target({"samples": _SAMPLES, "tol": _TOL}, _bochner, _bochner),
     "all": Target(
         {"n_max": Flag(6, 2, 40), "samples": _SAMPLES, "tol": _TOL},
-        run=lambda p: [r for t in TARGETS.values() if t.share for r in t.share(p)],
+        run=lambda p: (r for t in TARGETS.values() if t.share for r in t.share(p)),
     ),
 }
 FLAGS = {name: flag for t in TARGETS.values() for name, flag in t.flags.items()}
@@ -283,20 +282,21 @@ def _params(label: str, target: Target, args) -> dict:
 
 
 def _emit(
-    args, argv: list[str], seed: int, compute: Callable[[], list[CheckReport]]
+    args, argv: list[str], seed: int, compute: Callable[[], Iterable[CheckReport]]
 ) -> int:
     """Write the manifest of ``compute()``; return the exit code.
 
     ``--out`` is opened before ``compute`` runs and the manifest is
-    written through that handle, so an unwritable path exits 2 before
-    any work.  The manifest's text is rendered in full, as pieces that
-    are written one after another, before the file is truncated, so a
-    run that raises or is interrupted leaves an earlier file as it was,
-    and removes a file that this call created.
+    written through that handle, so an unwritable path, the empty one
+    among them, exits 2 before any work.  ``build_manifest`` renders
+    each report as ``compute()`` yields it; the whole text is rendered,
+    as pieces that are written one after another, before the file is
+    truncated, so a run that raises or is interrupted leaves an earlier
+    file as it was, and removes a file that this call created.
     """
     created = False
     try:
-        if args.out:
+        if args.out is not None:
             try:
                 sink, created = open(args.out, "x"), True
             except FileExistsError:
@@ -308,9 +308,10 @@ def _emit(
     written = False
     try:
         with sink as stream:
-            manifest = build_manifest(argv, compute(), seed, not args.no_timestamp)
-            pieces = render_manifest(manifest, args.format)
-            if args.out and stream.seekable() and stream.tell():
+            passed, pieces = build_manifest(
+                argv, compute(), seed, not args.no_timestamp, args.format
+            )
+            if args.out is not None and stream.seekable() and stream.tell():
                 stream.truncate(0)  # an earlier file: replaced only now
             stream.writelines(pieces)
         written = True
@@ -321,7 +322,7 @@ def _emit(
     finally:
         if created and not written:
             os.remove(args.out)
-    return 0 if manifest["status"] == "pass" else 1
+    return 0 if passed else 1
 
 
 # -- subcommand entry points --------------------------------------------------

@@ -1,15 +1,36 @@
-"""Exact integer references that the tests hold the package to.
+"""References that the tests hold the package to.
 
 No command needs these, so they live with the tests: building and
 reading :class:`~crchern.cohomology.snf.IntegerMatrix` values, their
 product, a Bareiss determinant, and an integer solve of ``A x = b``
 through the package's Smith form that checks divisibility of ``U b``
-itself.  Each takes matrices by value and returns fresh values.
+itself, each taking matrices by value and returning fresh values; and
+the manifest dict of a run, whose standard-library encoding a JSON
+manifest must be.
 """
 
 from __future__ import annotations
 
+from json import dumps
+
+from crchern import __version__
+from crchern.chern.report import CheckReport
 from crchern.cohomology.snf import IntegerMatrix, invariant_factors, smith_normal_form
+
+
+def manifest_dict(command: list[str], reports: list[CheckReport], seed: int) -> dict:
+    """The manifest dict of a ``--no-timestamp`` run, its reports ordered by
+    check and then params: ``json.dumps(manifest_dict(...), indent=2,
+    sort_keys=True)`` and a newline is what the run writes as JSON."""
+    reports = sorted(reports, key=lambda r: (r.check, dumps(r.params, sort_keys=True)))
+    return {
+        "tool": "crchern",
+        "version": __version__,
+        "command": command,
+        "seed": seed,
+        "status": "pass" if all(r.passed for r in reports) else "fail",
+        "reports": [r.to_json_dict() for r in reports],
+    }
 
 
 def from_rows(rows: list[list[int]]) -> IntegerMatrix:

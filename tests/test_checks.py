@@ -14,7 +14,7 @@ from crchern.chern.checks import (
     fpp_times_cpn_setup,
     genus2_times_cpn_setup,
 )
-from crchern.chern.report import build_manifest, render_manifest
+from crchern.chern.report import build_manifest
 from crchern.chern.spherical import CircleBundleSetup
 from crchern.cohomology.gysin import cokernel, image_membership
 from crchern.cohomology.ring import INTEGERS, RingError
@@ -220,5 +220,5 @@ def test_reports_serialize():
         doc = report.to_json_dict()
         json.dumps(doc)  # JSON-able without custom encoders
         assert doc["status"] == "pass"
-        markdown = "".join(render_manifest(build_manifest([], [report], 0, False), "md"))
+        markdown = "".join(build_manifest([], [report], 0, False, "md")[1])
         assert f"\n## `{report.check}` -- pass\n" in markdown

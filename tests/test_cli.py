@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from reference import manifest_dict
 
 from crchern import cli
-from crchern.chern.report import render_manifest
 from crchern.cli import main
 from crchern.cohomology.ring import quote
 from crchern.kahler.scenario import (
@@ -205,9 +205,10 @@ class TestVerify:
         doc = json.loads(target.read_text())
         assert doc["status"] == "pass"
 
-    @pytest.mark.parametrize("where", ["missing-dir", "is-a-dir"])
+    @pytest.mark.parametrize("where", ["missing-dir", "is-a-dir", "empty"])
     def test_unwritable_out_exit_2_one_line(self, capsys, tmp_path, where):
-        target = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+        paths = {"missing-dir": tmp_path / "missing" / "x.json", "is-a-dir": tmp_path, "empty": ""}
+        target = paths[where]
         code, out, err = run_cli(
             ["verify", "thm-1-2", "--n-max", "3", "--out", str(target)], capsys
         )
@@ -237,6 +238,8 @@ class TestVerify:
     [
         (["verify", "all", "--n-max", "24", "--samples", "0"], "check_thm_1_1"),
         (["verify", "thm-1-2", "--out", "MISSING"], "verify_spherical_on_circle_bundle"),
+        (["verify", "thm-1-1", "--out", ""], "check_thm_1_1"),
+        (["scenario", "SCENARIO", "--out", ""], "run_batch"),
         (["verify", "prop-1-4", "--m", "40"], "check_prop_1_4"),
         (["verify", "thm-1-1", "--d", "7", "--samples", "3"], "check_thm_1_1"),
         (["verify", "thm-1-2", "--n-max", "41"], "verify_spherical_on_circle_bundle"),
@@ -247,6 +250,8 @@ class TestVerify:
     ids=[
         "out-of-range",
         "unwritable-out",
+        "empty-out",
+        "scenario-empty-out",
         "unbounded-m",
         "foreign-flag",
         "n-max-high",
@@ -255,7 +260,7 @@ class TestVerify:
         "samples-high",
     ],
 )
-def test_refusals_come_before_any_check(capsys, monkeypatch, tmp_path, argv, check):
+def test_refusals_come_before_any_check(capsys, monkeypatch, tmp_path, flat_pair, argv, check):
     calls = []
 
     def check_called(*args, **kwargs):
@@ -263,8 +268,8 @@ def test_refusals_come_before_any_check(capsys, monkeypatch, tmp_path, argv, che
         raise AssertionError("a check ran before the refusal")
 
     monkeypatch.setattr(cli, check, check_called)
-    argv = [str(tmp_path / "missing" / "x.json") if a == "MISSING" else a for a in argv]
-    code, out, err = run_cli(argv, capsys)
+    paths = {"MISSING": str(tmp_path / "missing" / "x.json"), "SCENARIO": flat_pair}
+    code, out, err = run_cli([paths.get(a, a) for a in argv], capsys)
     assert (code, out, calls) == (2, "", [])
     assert err.count("\n") == 1 and "Traceback" not in err
 
@@ -1105,53 +1110,44 @@ def _json_types_only(value):
     return value is None or type(value) in (str, int, float, bool)
 
 
-def test_manifests_are_plain_json_without_a_default():
-    # every target with small parameters, and both shipped scenarios
+def _small_runs():
+    """(argv, reports, seed) of every target with small parameters and of
+    both shipped scenarios, the reports run in process."""
     small = {"n_max": 3, "samples": 1}
     runs = []
     for name, target in cli.TARGETS.items():
-        params = {"seed": 0}
+        argv, params = ["verify", name], {"seed": 0}
         for flag_name, flag in target.flags.items():
-            params[flag_name] = small.get(flag_name, flag.default)
-        runs.append((["verify", name], target.run(params)))
-    examples = SCHEMA_DIR.parent / "examples"
-    for path in sorted(examples.glob("*.json")):
-        factors, samples, seed, tolerances = parse_scenario(json.loads(path.read_text()))
-        reports = [run_batch(factors, samples=samples, seed=seed, tolerances=tolerances)]
-        runs.append((["scenario", str(path)], reports))
-    assert len(runs) == len(cli.TARGETS) + 2
-    for argv, reports in runs:
-        manifest = cli.build_manifest(argv, reports, 0, with_timestamp=False)
-        assert _json_types_only(manifest), argv
-        assert json.loads(json.dumps(manifest, sort_keys=True)) == manifest
-        "".join(render_manifest(manifest, "md"))
-
-
-def test_emitted_manifests_are_the_standard_library_encoding(capsys, monkeypatch):
-    # every target with small parameters, and both shipped scenarios: the
-    # written text is ``json.dumps(indent=2, sort_keys=True)`` of the very
-    # dict the run built, before any round trip through JSON
-    small = {"n_max": 3, "samples": 1}
-    runs = []
-    for name, target in cli.TARGETS.items():
-        argv = ["verify", name]
-        for flag_name, flag in target.flags.items():
-            value = small.get(flag_name, flag.default)
+            params[flag_name] = value = small.get(flag_name, flag.default)
             if value is not None:
                 argv += [cli._option(flag_name), str(value)]
-        runs.append(argv)
-    examples = SCHEMA_DIR.parent / "examples"
-    runs += [["scenario", str(path)] for path in sorted(examples.glob("*.json"))]
+        runs.append((argv, list(target.run(params)), 0))
+    for path in sorted((SCHEMA_DIR.parent / "examples").glob("*.json")):
+        factors, samples, seed, tolerances = parse_scenario(json.loads(path.read_text()))
+        reports = [run_batch(factors, samples=samples, seed=seed, tolerances=tolerances)]
+        runs.append((["scenario", str(path)], reports, seed))
     assert len(runs) == len(cli.TARGETS) + 2
-    built = []
-    build = cli.build_manifest
-    monkeypatch.setattr(
-        cli, "build_manifest", lambda *a, **k: built.append(build(*a, **k)) or built[-1]
-    )
-    for argv in runs:
-        code, out, _ = run_cli([*argv, "--format", "json", "--no-timestamp"], capsys)
+    return runs
+
+
+def test_manifests_are_plain_json_without_a_default():
+    for argv, reports, seed in _small_runs():
+        manifest = manifest_dict(argv, reports, seed)
+        assert _json_types_only(manifest), argv
+        assert json.loads(json.dumps(manifest, sort_keys=True)) == manifest
+        cli.build_manifest(argv, reports, seed, False, "md")
+
+
+def test_emitted_manifests_are_the_standard_library_encoding(capsys):
+    # the written text is ``json.dumps(indent=2, sort_keys=True)`` of the
+    # manifest dict of the same reports (tests/reference.py), before any
+    # round trip through JSON
+    for argv, reports, seed in _small_runs():
+        argv = [*argv, "--format", "json", "--no-timestamp"]
+        code, out, _ = run_cli(argv, capsys)
         assert code in (0, 1), argv
-        assert out == json.dumps(built.pop(), indent=2, sort_keys=True) + "\n", argv
+        expected = manifest_dict(argv, reports, seed)
+        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n", argv
 
 
 class TestBochner:

@@ -6,6 +6,7 @@ factors, basis and row transform, so no record can disagree with what
 it rests on.
 """
 
+import json
 from fractions import Fraction
 from math import gcd
 
@@ -56,8 +57,9 @@ class TestReportStatus:
     def test_the_manifest_reads_the_failure(self):
         report = check_prop_1_3(2, 5)
         failed = report.replace(assertions=[*report.assertions, ("x", False)])
-        assert build_manifest([], [report], 0, False)["status"] == "pass"
-        assert build_manifest([], [report, failed], 0, False)["status"] == "fail"
+        for reports, status in [([report], "pass"), ([report, failed], "fail")]:
+            passed, pieces = build_manifest([], iter(reports), 0, False, "json")
+            assert (passed, json.loads("".join(pieces))["status"]) == (status == "pass", status)
 
     def test_an_empty_assertion_list_passes(self):
         report = CheckReport("empty", {})
