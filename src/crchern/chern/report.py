@@ -156,48 +156,104 @@ def json_text(value: object, pad: str = "\n") -> str:
     depth whose line break and indent is ``pad``.
 
     With an ``indent`` the standard library encodes in pure Python, one
-    generator per container and one chunk per token.  This writer joins
-    one string per container instead.  Exact ``str``, ``int``, ``bool``
-    and ``None`` values, finite exact floats (``float.__repr__``, the
-    standard library's own rule), lists, and dicts whose keys are all
-    ``str`` are written here; any other value (NaN and infinities,
-    tuples, subclasses, other keys) goes to ``json.dumps`` and is
-    re-indented to its depth.  That is exact because encoded JSON holds
-    a raw newline only in its layout, and it raises the standard
-    library's error for a value JSON cannot hold.
+    generator per container and one chunk per token.  This writer appends
+    its pieces to one list and joins them once; a container's ``str``,
+    ``int``, ``bool`` and ``None`` items are written in its own loop, and a
+    dict's sorted keys come from :data:`_KEY_PREFIXES`.  Exact scalars,
+    finite exact floats (``float.__repr__``, the standard library's own
+    rule), lists, and dicts whose keys are all ``str`` are written here;
+    any other value (NaN and infinities, tuples, subclasses, other keys)
+    goes to ``json.dumps`` and is re-indented to its depth.  That is exact
+    because encoded JSON holds a raw newline only in its layout, and it
+    raises the standard library's error for a value JSON cannot hold.
     """
+    out: list[str] = []
     try:
-        return _write(value, pad)
+        _write(value, pad, out)
     except RecursionError:  # circular or too deep: as the standard library fails
         return dumps(value, indent=2, sort_keys=True).replace("\n", pad)
+    return "".join(out)
 
 
-def _write(value: object, pad: str) -> str:
-    """``value`` encoded at the depth whose line break and indent is ``pad``."""
+# A dict's keys in insertion order -> its sorted keys, each with its encoded
+# ``"key": `` prefix.  Only tuples of exact ``str`` keys are kept; a dict
+# whose keys are equal ``str``-subclass instances is written in ``str``
+# order, which is the standard library's unless the subclass redefines
+# ``<``.  The table stays small: every dict a run renders has keys that the
+# program fixes (a report, a witness, a certificate) or that a
+# schema-checked document fixes, so a few key tuples cover a whole run (7
+# for ``verify thm-1-2``, 27 for ``verify all``).
+_KEY_PREFIXES: dict[tuple, tuple[tuple[str, str], ...]] = {}
+
+
+def _key_prefixes(keys: tuple) -> tuple[tuple[str, str], ...] | None:
+    """The entry of ``keys`` in :data:`_KEY_PREFIXES`, made and kept on first
+    use; ``None`` when a key is not a ``str``."""
+    ordered = sorted(keys)  # mixed key types raise as the stdlib does
+    if any(type(key) is not str for key in ordered):
+        return None
+    entry = _KEY_PREFIXES[keys] = tuple(
+        (key, encode_basestring_ascii(key) + ": ") for key in ordered
+    )
+    return entry
+
+
+def _write(value: object, pad: str, out: list[str]) -> None:
+    """Append ``value`` encoded at the depth whose line break and indent is
+    ``pad`` to ``out``.  A container writes its ``str``, ``int``, ``bool``
+    and ``None`` items itself and calls this only for the others."""
     kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is float and isfinite(value):
-        return float.__repr__(value)
-    if kind is bool or value is None:
-        return _CONSTANTS[value]
-    inner = pad + "  "
-    if kind is list:
-        if not value:
-            return "[]"
-        items = [_write(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
     if kind is dict:
         if not value:
-            return "{}"
-        items = []
-        for key in sorted(value):  # mixed key types raise as the stdlib does
-            if type(key) is not str:
-                break  # the stdlib's key conversions: the fallback below
-            items.append(encode_basestring_ascii(key) + ": " + _write(value[key], inner))
-        else:
-            return "{" + inner + ("," + inner).join(items) + pad + "}"
-    return dumps(value, indent=2, sort_keys=True).replace("\n", pad)
-
+            out.append("{}")
+            return
+        keys = tuple(value)
+        prefixes = _KEY_PREFIXES.get(keys) or _key_prefixes(keys)
+        if prefixes is None:  # the stdlib's key conversions
+            out.append(dumps(value, indent=2, sort_keys=True).replace("\n", pad))
+            return
+        inner = pad + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key, prefix in prefixes:
+            item = value[key]
+            kind = type(item)
+            if kind is str:
+                out.append(sep + prefix + encode_basestring_ascii(item))
+            elif kind is int:
+                out.append(sep + prefix + int.__repr__(item))
+            elif kind is bool or item is None:
+                out.append(sep + prefix + _CONSTANTS[item])
+            else:
+                out.append(sep + prefix)
+                _write(item, inner, out)
+            sep = comma
+        out.append(pad + "}")
+    elif kind is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in value:
+            kind = type(item)
+            if kind is str:
+                out.append(sep + encode_basestring_ascii(item))
+            elif kind is int:
+                out.append(sep + int.__repr__(item))
+            elif kind is bool or item is None:
+                out.append(sep + _CONSTANTS[item])
+            else:
+                out.append(sep)
+                _write(item, inner, out)
+            sep = comma
+        out.append(pad + "]")
+    elif kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is float and isfinite(value):
+        out.append(float.__repr__(value))
+    elif kind is bool or value is None:
+        out.append(_CONSTANTS[value])
+    else:
+        out.append(dumps(value, indent=2, sort_keys=True).replace("\n", pad))

@@ -29,12 +29,18 @@ integral arithmetic that dominates the checks never builds a
 ``Fraction``.  Both types compare, hash and print alike for equal
 values, and both have ``numerator``/``denominator``.
 
-All values are immutable after construction and all operations are pure
-functions, so everything here is safe to share across threads.  The
-package's records derive from :class:`Record`: their fields are slots
-set once by the constructor after its checks, and assigning or deleting
-an attribute raises ``AttributeError``; :class:`RingElement` refuses
-assignment the same way.
+Every value's fields are fixed by its constructor, and every operation
+is a pure function of them.  A few derived caches fill on first use: a
+ring's ``reach`` table (``RingPresentation._reach``) and monomial
+names (``RingPresentation._monomials``), and an element's content key
+(``RingElement._content_key``).  Each holds only what the fields
+determine, and each fill is a single dict or slot store of a value built
+first, so threads that race on one store equal values: the values here
+are safe to share across threads.  Equality, hashing, ``repr``, copying
+and ``replace`` leave these caches out.  The package's records derive
+from :class:`Record`: their fields are slots set once by the constructor
+after its checks, and assigning or deleting an attribute raises
+``AttributeError``; :class:`RingElement` refuses assignment the same way.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from itertools import compress
 from math import lcm, prod
 from operator import attrgetter, itemgetter, mul
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 
 class RingError(ValueError):
@@ -211,7 +217,7 @@ class Generator(Record):
 class RingPresentation(Record):
     """Tensor product of one-generator truncated rings over an exact domain."""
 
-    __slots__ = ("generators", "coefficients", "_reach")
+    __slots__ = ("generators", "coefficients", "_reach", "_monomials")
 
     def __init__(
         self, generators: tuple[Generator, ...], coefficients: CoefficientDomain
@@ -222,6 +228,7 @@ class RingPresentation(Record):
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "_reach", {})  # degree -> reach(degree)
+        object.__setattr__(self, "_monomials", {})  # exponents -> monomial(exponents)
 
     # -- construction -------------------------------------------------
 
@@ -337,6 +344,21 @@ class RingPresentation(Record):
             self._reach[k] = reach
             return reach
 
+    def monomial(self, exps: ExponentVector) -> tuple[int, str]:
+        """``(degree, name)`` of the monomial ``exps``: ``t^2*h`` for exponents
+        ``(2, 1)`` on generators ``t, h``, ``1`` for none.  Built once per
+        monomial and kept."""
+        try:
+            return self._monomials[exps]
+        except KeyError:
+            gens = self.generators
+            name = "*".join(
+                [g.name if e == 1 else f"{g.name}^{e}" for g, e in zip(gens, exps) if e]
+            )
+            entry = self.monomial_degree(exps), name or "1"
+            self._monomials[exps] = entry
+            return entry
+
     # -- serialization ------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -390,11 +412,6 @@ class RingPresentation(Record):
             for g in self.generators
         )
         return f"{self.coefficients}[{gens}]"
-
-
-def _monomial_name(names: list[str], exps: ExponentVector) -> str:
-    """``t^2*h`` for exponents ``(2, 1)`` on generators ``t, h``; ``1`` for none."""
-    return "*".join([n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e]) or "1"
 
 
 def _require_keys(doc: object, keys: tuple[str, ...], what: str) -> None:
@@ -655,36 +672,33 @@ class RingElement:
             object.__setattr__(self, "_content_key", key)
             return key
 
-    def sorted_terms(self) -> Iterator[tuple[ExponentVector, Coefficient]]:
-        """Terms by ascending degree, descending-lex within a degree."""
-        # Descending-lex first; the stable sort by degree keeps that order
-        # within each degree.
-        degrees = [g.degree for g in self.ring.generators]
-        items = sorted(self.terms.items(), key=itemgetter(0), reverse=True)
-        items.sort(key=lambda item: sum(map(mul, item[0], degrees)))
-        return iter(items)
-
     def __str__(self) -> str:
+        """The terms by ascending degree, descending-lex within a degree:
+        ``1 + 3*t - 1/2*t^2``."""
         if not self.terms:
             return "0"
-        names = [g.name for g in self.ring.generators]
+        monomial = self.ring.monomial
+        # Descending-lex first (exponent vectors are unique, so no two
+        # coefficients are compared); the stable sort by degree, needed only
+        # when the degrees differ, keeps that order within each degree.
+        rows = [  # (degree, monomial name, coefficient)
+            (*monomial(exps), c) for exps, c in sorted(self.terms.items(), reverse=True)
+        ]
+        degree = rows[0][0]
+        if len(rows) > 1 and any(row[0] != degree for row in rows):
+            rows.sort(key=itemgetter(0))
         chunks: list[str] = []
-        for exps, coeff in self.sorted_terms():
-            mono = _monomial_name(names, exps)
-            if mono == "1":
-                body = str(coeff)
-            elif coeff == 1:
-                body = mono
-            elif coeff == -1:
-                body = f"-{mono}"
-            else:
-                body = f"{coeff}*{mono}"
+        for _, mono, c in rows:
+            # a Fraction coefficient has denominator > 1 (see RingPresentation._reduced)
+            text = f"{c.numerator}/{c.denominator}" if type(c) is Fraction else str(c)
+            if mono != "1":
+                text = mono if text == "1" else "-" + mono if text == "-1" else f"{text}*{mono}"
             if not chunks:
-                chunks.append(body)
-            elif body.startswith("-"):
-                chunks.append(f"- {body[1:]}")
+                chunks.append(text)
+            elif text[0] == "-":
+                chunks.append("- " + text[1:])
             else:
-                chunks.append(f"+ {body}")
+                chunks.append("+ " + text)
         return " ".join(chunks)
 
     def __repr__(self) -> str:

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -725,6 +726,14 @@ class TestEval:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_result_past_the_digit_limit_is_refused(self, capsys):
+        # two literals inside int-to-str's digit limit whose product is past it
+        literal = "9" * (sys.get_int_max_str_digits() // 2 + 1)
+        code, out, err = run_cli(["eval", "--ring", "cp:2", f"{literal}*{literal}*t"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("result too large to print: ") and err.count("\n") == 1
+
 
     @pytest.mark.parametrize(
         "ring,expr,message",
@@ -1314,7 +1323,9 @@ def test_exact_reports_are_byte_identical(capsys, runs):
 # The JSON ones (indent, separators, key order) were pinned from the
 # manifests written by ``json.dumps(manifest, indent=2, sort_keys=True)``
 # before the manifest writer replaced it; the Markdown ones from the
-# renderer before it moved into ``chern.report``.  Every run is exact
+# renderer before it moved into ``chern.report``.  The last is the
+# benchmark's ``spherical-sweep`` command (1.9 MB of JSON), whose layout
+# ``bench/check.py`` does not see: it compares canonical JSON.  Every run is exact
 # only: the Bochner targets' floats may differ between platforms.
 GOLDEN_EMITTED_BYTES = [
     (
@@ -1341,13 +1352,25 @@ GOLDEN_EMITTED_BYTES = [
         ["verify", "prop-1-4", "--format", "md"],
         "a59a087e2d3e9deab9234aee04b3ec7693b4f95d0abeb61f6cb7e1a21f9fb347",
     ),
+    (
+        ["verify", "thm-1-2", "--n-max", "28", "--format", "json"],
+        "2c02821ef1a1aeca642b51f533f92cdce1be2f9d008c79159173b1e9d8018375",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, digest",
     GOLDEN_EMITTED_BYTES,
-    ids=["thm-1-2", "tractor", "thm-1-2-md", "tractor-md", "prop-1-3-md", "prop-1-4-md"],
+    ids=[
+        "thm-1-2",
+        "tractor",
+        "thm-1-2-md",
+        "tractor-md",
+        "prop-1-3-md",
+        "prop-1-4-md",
+        "thm-1-2-n-max-28",
+    ],
 )
 def test_emitted_manifest_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = run_cli([*argv, "--no-timestamp"], capsys)

@@ -29,6 +29,7 @@ import pytest
 
 import crchern
 from crchern import cli
+from crchern.chern import report
 
 SRC = Path(crchern.__file__).resolve().parent
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
@@ -146,6 +147,7 @@ def _clear_memos() -> None:
             for value in vars(module).values():
                 if hasattr(value, "cache_clear"):  # an lru_cache memo
                     value.cache_clear()
+    report._KEY_PREFIXES.clear()  # the manifest writer's table of key tuples
 
 
 def _command_id(argv: list[str], tmp: Path) -> str:

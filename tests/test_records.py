@@ -172,6 +172,36 @@ def test_copies_rebuild_their_derived_state():
     assert twin.reach(4) == ring.reach(4) and twin._reach is not ring._reach
 
 
+def test_the_monomial_name_table_is_derived_state():
+    # RingPresentation._monomials fills as the ring's elements are printed
+    warm, cold = (make_ring([("t", 2, 3), ("h", 2, 2)], INTEGERS) for _ in range(2))
+    element = (1 + warm.gen("t")) ** 2 * warm.gen("h")
+    assert str(element) == "h + 2*t*h + t^2*h"
+    assert warm._monomials and not cold._monomials
+    assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+    for twin in (
+        copy.copy(warm),
+        copy.deepcopy(warm),
+        pickle.loads(pickle.dumps(warm)),
+        warm.replace(),
+        warm.replace(coefficients=INTEGERS),
+    ):
+        assert twin == warm and not twin._monomials
+        assert str(twin.element(dict(element.terms))) == str(element)
+
+
+def test_an_element_prints_with_the_names_of_its_own_ring():
+    # one exponent vector, two rings: other names, other degrees
+    a = make_ring([("t", 2, 3), ("h", 2, 2)], INTEGERS)
+    b = make_ring([("x", 2, 3), ("y", 6, 2)], INTEGERS)
+    terms = {(2, 0): 1, (0, 1): -3, (0, 0): 2}
+    for _ in range(2):  # the second round reads both tables warm
+        assert str(a.element(terms)) == "2 - 3*h + t^2"
+        assert str(b.element(terms)) == "2 + x^2 - 3*y"
+        assert str(b.element({(1, 1): 1})) == "x*y"
+        assert str(a.element({(1, 1): 1})) == "t*h"
+
+
 def test_cache_keys_hash_by_their_fields():
     setup = cpn_setup(2, 3)
     again = {

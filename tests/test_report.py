@@ -158,6 +158,52 @@ def test_unserializable_values_raise_as_the_standard_library_does(bad, wrap):
         written(value)
 
 
+# The writer keeps each dict's sorted keys and their ``"key": `` prefixes
+# per key tuple, in insertion order (``report._KEY_PREFIXES``).  The table
+# stays bounded because every dict a run renders has keys that the program
+# fixes or that a schema-checked document fixes; these cases hold each use
+# of a kept entry to json.dumps, re-indented to the depth it is written at.
+_PADS = ["\n", "\n  ", "\n    "]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        # one key set inserted in two orders: two tuples, one sorted order
+        [{"b": 1, "a": "x"}, {"a": "x", "b": 1}, [{"a": 2, "b": 3}, {"b": 3, "a": 2}]],
+        # one key tuple met at two depths, first with scalar values, then nested
+        [
+            {"k": 1, "v": "s"},
+            [{"k": {"k": True, "v": None}, "v": [{"k": [], "v": {}}]}],
+        ],
+        # int, bool and str-subclass keys, str-subclass values, and NaN; a
+        # subclass key equal to a kept key is written as the stdlib writes it
+        [
+            {"a": 1, "b": 2},
+            {Text("b"): 1, Text("a"): [2]},
+            {1: "one", 2: {"a": 1, "b": 2}},
+            {True: 1, False: [0]},
+            {"a": Text("x\n\u00e9"), "b": [Text("y")]},
+            {"a": float("nan"), "b": [float("-inf"), Count(7)]},
+        ],
+    ],
+    ids=["two-insertion-orders", "two-depths", "awkward-keys-and-values"],
+)
+def test_kept_key_prefixes_match_the_standard_library(values):
+    for pad in _PADS:
+        for value in values:
+            assert json_text(value, pad) == stdlib(value).replace("\n", pad)
+
+
+@pytest.mark.parametrize("value", [{"a": 1, 2: "b"}, [{"b": [], 1.5: 0}]], ids=["bare", "nested"])
+def test_mixed_keys_raise_the_standard_library_error(value):
+    with pytest.raises(TypeError) as expected:
+        stdlib(value)
+    with pytest.raises(TypeError) as raised:
+        json_text(value)
+    assert str(raised.value) == str(expected.value)
+
+
 def _cycle_at_depth_0():
     value = {"a": []}
     value["a"].append(value)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import comb
 from operator import add
@@ -498,6 +499,14 @@ class TestDegreeBasisCache:
         assert a.to_json_dict() == fresh.to_json_dict()
 
 
+def _printed_monomial(chunk: str) -> str:
+    """The monomial of one printed term: ``a^2`` of ``-5/7*a^2``, ``1`` of ``-1/3``."""
+    chunk = chunk.lstrip("-")
+    if not chunk[0].isdigit():
+        return chunk
+    return chunk.partition("*")[2] or "1"
+
+
 def _reference_str(el) -> str:
     """The printer as it stood before per-element tables: a sort key of
     ``(monomial_degree, negated exponents)`` and each term's monomial
@@ -554,9 +563,14 @@ class TestPrinting:
         ]
         for el, text in cases:
             assert str(el) == text
-            assert [e for e, _ in el.sorted_terms()] == sorted(
-                el.terms, key=lambda e: (ring.monomial_degree(e), [-x for x in e])
-            )
+            # the printed monomials, by ascending degree, descending-lex within one
+            order = sorted(el.terms, key=lambda e: (ring.monomial_degree(e), [-x for x in e]))
+            names = [
+                "*".join(n if x == 1 else f"{n}^{x}" for n, x in zip("ab", e) if x) or "1"
+                for e in order
+            ]
+            if el.terms:
+                assert [_printed_monomial(t) for t in re.split(" [+-] ", text)] == names
 
     def test_degrees(self):
         ring = make_ring([("a", 2, 4), ("b", 4, 3)], RATIONALS)
