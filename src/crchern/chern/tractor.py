@@ -114,10 +114,11 @@ def tractor_determinant_check(n: int, seed: int = 0) -> CheckReport:
     ``full`` at ``xi = 0``: its terms free of ``xi``, which is exact
     because ``xi`` sits in one entry and a determinant is a polynomial in
     its entries.  The control (the identity must fail, and fail through
-    ``xi``) reads ``full`` itself.  Last, ``full`` at ``xi = 0`` is
-    evaluated at ``SAMPLE_POINTS`` random rational points and compared
-    with the closed form (1 + s*w)^(n+2) there, which re-checks that the
-    result is independent of the starred values.
+    ``xi``) reads ``full`` itself.  Last, ``full`` at ``xi = 0``, which is
+    that xi-free part exactly, is evaluated at ``SAMPLE_POINTS`` random
+    rational points and compared with the closed form (1 + s*w)^(n+2)
+    there, which re-checks that the result is independent of the starred
+    values.
     """
     if n < 1:
         raise RingError(f"check needs n >= 1, got {n}")
@@ -137,7 +138,7 @@ def tractor_determinant_check(n: int, seed: int = 0) -> CheckReport:
         }
         values["xi"] = 0
         closed_form = (1 + values["s"] * values["w"]) ** (n + 2)
-        point_agreements.append(full.evaluate(values) == closed_form)
+        point_agreements.append(det.evaluate(values) == closed_form)
 
     return CheckReport(
         check="tractor-determinant-identity",

@@ -24,17 +24,22 @@ membership uses, which refuses support outside the degree basis.
 
 Shared work: a sweep asks about the same cup matrix many times (every
 ``n >= k`` of a family, every Euler class of one base).  Membership and
-:func:`cokernel` take the cup matrix, its Smith form and its invariant
-factors from :func:`factored_cup`, which keeps one
-``(CupMatrix, (U, D, V), invariant factors)`` per content key in a
-bounded LRU memo (``FACTORED_CUP_MEMO`` entries).  The key is the
-coefficient domain, each generator's degree with its truncation capped
-at what degree ``k`` can reach, the terms of ``e`` (its
+:func:`cokernel` take the cup matrix and what the solvers read of its
+Smith form from :func:`factored_cup`, which keeps one
+``(CupMatrix, Solve)`` per content key in a bounded LRU memo
+(``FACTORED_CUP_MEMO`` entries).  The key is the coefficient domain,
+each generator's degree with its truncation capped at what degree ``k``
+can reach, the terms of ``e`` (its
 :meth:`~crchern.cohomology.ring.RingElement.content_key`, built once per
 class), and ``k``: together they fix both degree bases and every entry, so
 CP^n and CP^(n+1) share their degree-k entries, and generator names do
 not matter.  The memo is a pure function of its key: it rebuilds the
-ring and ``e`` from it.  Shared values are immutable.
+ring and ``e`` from it.  A factorization depends on the integer matrix
+alone, which many keys share (``verify thm-1-2 --n-max 28`` has 263
+keys and 11 distinct matrices), so the :data:`Solve` of a matrix is
+kept in a second memo of the same bound, keyed by the
+:class:`~crchern.cohomology.snf.IntegerMatrix` value: one Smith form
+per distinct matrix.  Shared values are immutable.
 """
 
 from __future__ import annotations
@@ -53,17 +58,11 @@ from .ring import (
     RingError,
     RingPresentation,
 )
-from .snf import (
-    IntegerMatrix,
-    _back_substitute,
-    invariant_factors,
-    smith_normal_form,
-)
+from .snf import IntegerMatrix, invariant_factors, smith_normal_form
 
-SmithForm = tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]  # (U, D, V)
 EULER_SIGN_CONVENTION = "cup-with-e-as-given"
-# Distinct cup-matrix contents held at once; ``verify thm-1-2 --n-max 40``
-# factors a few hundred.
+# Distinct cup-matrix contents (and, separately, distinct integer matrices)
+# held at once; ``verify thm-1-2 --n-max 40`` asks for a few hundred.
 FACTORED_CUP_MEMO = 1024
 
 
@@ -91,8 +90,16 @@ class CupMatrix(Record):
         object.__setattr__(self, "denominator_scale", denominator_scale)
 
 
-# A cup matrix, its Smith form and that form's invariant factors.
-FactoredCup = tuple[CupMatrix, SmithForm, tuple[int, ...]]
+# What the solvers read of the Smith form ``U A V = D`` of an integer
+# matrix A with rank r: ``(U, factors, L, rows)``, where ``factors`` are
+# the invariant factors d_1 | ... | d_r, ``L = lcm(1, d_1, ..., d_r)`` and
+# ``rows`` holds ``(j, row)`` for each nonzero row j of
+# ``V diag(L/d_i) U[:r]``, in index order.  ``A x = b`` is solvable over Q
+# exactly when ``U[r:] b = 0``, and then ``x_j = row . b / L``
+# (0 where no row is kept).
+Solve = tuple[IntegerMatrix, tuple[int, ...], int, tuple[tuple[int, tuple[int, ...]], ...]]
+# A cup matrix and the solve of its integer matrix.
+FactoredCup = tuple[CupMatrix, Solve]
 
 
 def cup_matrix(ring: RingPresentation, e: RingElement, k: int) -> CupMatrix:
@@ -129,6 +136,25 @@ def cup_matrix(ring: RingPresentation, e: RingElement, k: int) -> CupMatrix:
 
 
 @lru_cache(maxsize=FACTORED_CUP_MEMO)
+def _solve(A: IntegerMatrix) -> Solve:
+    # module global, looked up per call, so that rebinding it (tracing)
+    # sees every miss
+    U, D, V = smith_normal_form(A)
+    factors = invariant_factors(D)
+    L = lcm(1, *factors)
+    # diag(L/d_i) U[:r] and its columns; with r = 0 there are no columns,
+    # and every row of the product is zero
+    scaled = [[L // d * u for u in row] for d, row in zip(factors, U.entries)]
+    columns = list(zip(*scaled))
+    rows = []
+    for j, v in enumerate(V.entries):
+        row = tuple(sum(map(mul, v, column)) for column in columns)
+        if any(row):
+            rows.append((j, row))
+    return U, factors, L, tuple(rows)
+
+
+@lru_cache(maxsize=FACTORED_CUP_MEMO)
 def _factor(
     domain: CoefficientDomain, reach: tuple, terms: frozenset, k: int
 ) -> FactoredCup:
@@ -142,20 +168,19 @@ def _factor(
         tuple(Generator(f"g{i}", d, t) for i, (d, t) in enumerate(reach)), domain
     )
     e = ring._reduced({x: c for x, c in terms if all(map(lt, x, truncs))})
-    # module globals, looked up per call, so that rebinding them (tracing)
-    # sees every miss
+    # a module global, looked up per call, as in _solve
     cup = cup_matrix(ring, e, k)
-    U, D, V = smith_normal_form(cup.matrix)
-    return cup, (U, D, V), invariant_factors(D)
+    return cup, _solve(cup.matrix)
 
 
 def factored_cup(ring: RingPresentation, e: RingElement, k: int) -> FactoredCup:
-    """:func:`cup_matrix`, its Smith form ``(U, D, V)`` and ``invariant_factors(D)``.
+    """:func:`cup_matrix` and the :data:`Solve` of its integer matrix.
 
-    Equal to a fresh ``cup_matrix(ring, e, k)``, ``smith_normal_form``
-    of its matrix and the invariant factors of that form.  The result
-    is shared with every call of the same content key (see the module
-    docstring) and must not be mutated.
+    Equal to a fresh ``cup_matrix(ring, e, k)`` and the ``(U, factors,
+    L, rows)`` read off ``smith_normal_form`` of its matrix.  The result
+    is shared with every call of the same content key, and its solve with
+    every key of an equal matrix (see the module docstring); neither may
+    be mutated.
     ``e.ring != ring`` raises on every call, and so does an ``e`` that
     is not homogeneous of degree 2: the memo keeps no exception.
     """
@@ -247,36 +272,42 @@ def image_membership(
         return MembershipCertificate(0, preimage=ring.zero())
     (k,) = degrees
 
-    cup, (U, _D, V), factors = factored_cup(ring, e, k)
+    cup, (U, factors, L, rows) = factored_cup(ring, e, k)
     b = _element_vector(beta, cup.basis_rows)
     # Clear target denominators; over Q membership is scale-invariant.
     b_scale = lcm(1, *(x.denominator for x in b))
-    b_int = (
-        b if b_scale == 1 else [x.numerator * (b_scale // x.denominator) for x in b]
-    )
+    if b_scale != 1:
+        b = [x.numerator * (b_scale // x.denominator) for x in b]
 
-    residue, num, L = _back_substitute(U, factors, V, b_int)
+    rank = len(factors)
+    residue = tuple(
+        (i, y, 0)
+        for i, u in enumerate(U.entries[rank:], rank)
+        if (y := sum(map(mul, u, b)))
+    )
     if residue:
         return MembershipCertificate(
             k,
-            residue=tuple(residue),
+            residue=residue,
             invariant_factors=factors,
             denominator_scale=cup.denominator_scale,
         )
-    # x = num / L solves A_int x = b_int; undo the two clearings,
+    # x = (row . b) / L solves A_int x = b_int; undo the two clearings,
     # A_int = scale * A and b_int = b_scale * b.  The columns are reduced
     # monomials of ``ring``, so ``element``'s checks would find nothing.
     denom = L * b_scale
+    scale = cup.denominator_scale
+    cols = cup.basis_cols
     coeffs = {}
-    for mono, v in zip(cup.basis_cols, num):
-        if v:
-            v *= cup.denominator_scale
-            coeffs[mono] = v // denom if v % denom == 0 else Fraction(v, denom)
+    for j, row in rows:
+        if v := sum(map(mul, row, b)):
+            v *= scale
+            coeffs[cols[j]] = v // denom if v % denom == 0 else Fraction(v, denom)
     return MembershipCertificate(
         k,
         preimage=ring._reduced(coeffs),
         invariant_factors=factors,
-        denominator_scale=cup.denominator_scale,
+        denominator_scale=scale,
     )
 
 
@@ -342,5 +373,5 @@ def cokernel(ring: RingPresentation, e: RingElement, k: int) -> CokernelData:
     """Invariant factors and basis classes of ``H^k / Im(. cup e)`` over Z."""
     if ring.coefficients.kind != "Z":
         raise RingError("cokernel computation requires integer coefficients")
-    cup, (U, _D, _V), factors = factored_cup(ring, e, k)
+    cup, (U, factors, _L, _rows) = factored_cup(ring, e, k)
     return CokernelData(factors, cup.basis_rows, row_transform=U)

@@ -22,7 +22,6 @@ shape must match its entries, and each entry must be an exact ``int``.
 
 from __future__ import annotations
 
-from math import lcm
 from operator import mul
 
 from .ring import Record
@@ -115,36 +114,3 @@ def invariant_factors(D: IntegerMatrix) -> tuple[int, ...]:
     """Nonzero diagonal entries of a Smith form, in chain order."""
     return tuple(d for d in D.diagonal() if d != 0)
 
-
-def _back_substitute(
-    U: IntegerMatrix,
-    factors: tuple[int, ...],
-    V: IntegerMatrix,
-    b: list[int],
-) -> tuple[list[tuple[int, int, int]], list[int] | None, int]:
-    """Solve ``A x = b`` over Q from ``U A V = D``: ``(residue, num, L)``.
-
-    ``factors`` is ``invariant_factors(D)``: the pivots ``d_i`` are its
-    entries, and ``d_i = 0`` beyond it.  With ``y = U b``, the residue
-    lists ``(i, y_i, 0)`` in index order for each ``y_i != 0`` beyond
-    the rank.  When the residue is empty, ``x = num / L`` solves the
-    system, where ``L`` is the lcm of the pivots used and ``num = V z``
-    with ``z_i = y_i * (L // d_i)``; no ``Fraction`` is formed.  When
-    the residue is not empty, ``num`` is ``None`` and ``L`` is 1.
-    """
-    y = U.matvec(b)
-    residue = []
-    pivots = []
-    for i, yi in enumerate(y):
-        d = factors[i] if i < len(factors) else 0
-        if d:
-            pivots.append((i, yi, d))
-        elif yi:
-            residue.append((i, yi, 0))
-    if residue:
-        return residue, None, 1
-    L = lcm(1, *(d for _, _, d in pivots))
-    z = [0] * V.rows
-    for i, yi, d in pivots:
-        z[i] = yi * (L // d)
-    return residue, V.matvec(z), L

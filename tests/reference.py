@@ -2,15 +2,17 @@
 
 No command needs these, so they live with the tests: building and
 reading :class:`~crchern.cohomology.snf.IntegerMatrix` values, their
-product, a Bareiss determinant, and an integer solve of ``A x = b``
+product, a Bareiss determinant, an integer solve of ``A x = b``
 through the package's Smith form that checks divisibility of ``U b``
-itself, each taking matrices by value and returning fresh values; and
+itself, and a rational solve by ``Fraction`` back-substitution through
+that form, each taking matrices by value and returning fresh values; and
 the manifest dict of a run, whose standard-library encoding a JSON
 manifest must be.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from json import dumps
 
 from crchern import __version__
@@ -118,3 +120,29 @@ def solve_integer_system(A: IntegerMatrix, b: list[int]) -> tuple[bool, list[int
     if residue:
         return False, tuple(residue)
     return True, V.matvec(z)
+
+
+def solve_rational_system(A: IntegerMatrix, b: list[int]) -> tuple[tuple, list | None]:
+    """Solve ``A x = b`` over Q by ``Fraction`` back-substitution.
+
+    With ``U A V = D`` from the package's Smith form and ``y = U b``,
+    returns ``(residue, None)`` when some ``y_i`` beyond the rank is
+    nonzero, the residue listing ``(i, y_i, 0)`` for each in index order,
+    and otherwise ``((), x)`` with ``x = V z``, ``z_i = Fraction(y_i, d_i)``.
+    """
+    if len(b) != A.rows:
+        raise ValueError("right-hand side has the wrong length")
+    U, D, V = smith_normal_form(A)
+    diag = D.diagonal()
+    residue = []
+    z = [Fraction(0)] * A.cols
+    for i, yi in enumerate(U.matvec(b)):
+        d = diag[i] if i < len(diag) else 0
+        if d == 0:
+            if yi:
+                residue.append((i, yi, 0))
+        else:
+            z[i] = Fraction(yi, d)
+    if residue:
+        return tuple(residue), None
+    return (), V.matvec(z)

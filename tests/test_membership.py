@@ -1,10 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 import pytest
 
 from conftest import assert_canonical
+from crchern import cli
 from crchern.chern.checks import cpn_setup, fpp_times_cpn_setup, genus2_times_cpn_setup
 from crchern.chern.spherical import spherical_residual
 from crchern.cohomology import gysin
@@ -16,8 +19,15 @@ from crchern.cohomology.gysin import (
     image_membership,
 )
 from crchern.cohomology.ring import INTEGERS, RATIONALS, RingError, make_ring
-from crchern.cohomology.snf import invariant_factors, smith_normal_form
-from reference import from_rows, is_zero, solve_integer_system, to_lists
+from crchern.cohomology.snf import IntegerMatrix, invariant_factors, smith_normal_form
+from reference import (
+    from_rows,
+    is_zero,
+    matmul,
+    solve_integer_system,
+    solve_rational_system,
+    to_lists,
+)
 
 
 def cpn_ring(n, domain=INTEGERS):
@@ -187,14 +197,53 @@ class TestMembership:
         assert Fraction(1, 2) * t * cert.preimage == t ** 2
 
 
+def _expected_entry(ring, e, k):
+    """``factored_cup(ring, e, k)`` from a fresh cup matrix and a fresh Smith
+    form ``U A V = D``: U, the invariant factors, their lcm L, and the
+    nonzero rows of ``V diag(L/d_i) U[:r]`` with their indices."""
+    cup = cup_matrix(ring, e, k)
+    A = cup.matrix
+    U, D, V = smith_normal_form(A)
+    factors = invariant_factors(D)
+    L = lcm(1, *factors)
+    scaled = IntegerMatrix(
+        A.cols,
+        A.rows,
+        tuple(
+            tuple(L // factors[i] * u for u in U.entries[i]) if i < len(factors)
+            else (0,) * A.rows
+            for i in range(A.cols)
+        ),
+    )
+    rows = tuple((j, row) for j, row in enumerate(matmul(V, scaled).entries) if any(row))
+    return cup, (U, factors, L, rows)
+
+
+def _solve_by_rows(A, b):
+    """``A x = b`` over Q read off the shared solve entry of ``A`` as
+    membership reads it: the residue is ``U``'s rows past the rank dotted
+    with ``b``, and ``x_j = row . b / L`` for each kept row, 0 elsewhere."""
+    U, factors, L, rows = gysin._solve(A)
+    rank = len(factors)
+    residue = tuple((i, y, 0) for i, y in enumerate(U.matvec(b)[rank:], rank) if y)
+    if residue:
+        return residue, None
+    x = [Fraction(0)] * A.cols
+    for j, row in rows:
+        x[j] = Fraction(sum(map(mul, row, b)), L)
+    return (), x
+
+
 class TestSharedFactorization:
-    """One cup matrix, Smith form and invariant factors per content key, equal to fresh ones."""
+    """One cup matrix per content key and one solve per integer matrix, equal to fresh ones."""
 
     @pytest.fixture(autouse=True)
     def empty_memo(self):
         gysin._factor.cache_clear()
+        gysin._solve.cache_clear()
         yield
         gysin._factor.cache_clear()
+        gysin._solve.cache_clear()
 
     @pytest.mark.parametrize(
         "domain,coeffs",
@@ -210,12 +259,77 @@ class TestSharedFactorization:
         ring = make_ring([("t", 2, 3), ("h", 2, 4), ("w", 4, 2)], domain)
         e = coeffs[0] * ring.gen("t") + coeffs[1] * ring.gen("h")
         for k in range(0, 16, 2):
-            fresh = cup_matrix(ring, e, k)
-            U, D, V = smith_normal_form(fresh.matrix)
-            expected = (fresh, (U, D, V), invariant_factors(D))
-            assert factored_cup(ring, e, k) == expected  # miss
-            assert factored_cup(ring, e, k) == expected  # hit
+            entry = factored_cup(ring, e, k)  # miss
+            assert entry == _expected_entry(ring, e, k)
+            assert factored_cup(ring, e, k) is entry  # hit
         assert gysin._factor.cache_info().misses == 8
+
+    def test_equal_matrices_share_one_solve_entry(self):
+        # e = -2t on CP^3 gives the 1x1 matrix (-2) at degrees 4 and 6: two
+        # content keys, one Smith form
+        ring = make_ring([("t", 2, 4)], RATIONALS)
+        e = -2 * ring.gen("t")
+        four, six = factored_cup(ring, e, 4), factored_cup(ring, e, 6)
+        assert four is not six and four[0] != six[0]
+        assert four[1] is six[1]
+        assert four == _expected_entry(ring, e, 4) and six == _expected_entry(ring, e, 6)
+        assert gysin._factor.cache_info().misses == 2
+        assert gysin._solve.cache_info().misses == 1
+        assert gysin._solve.cache_info().maxsize == gysin.FACTORED_CUP_MEMO
+        for k in (4, 6):
+            beta = ring.gen("t") ** (k // 2)
+            assert e * image_membership(ring, e, beta).preimage == beta
+
+    def test_the_sweep_factors_each_distinct_matrix_once(self, monkeypatch, tmp_path):
+        # the benchmark's exact command: 2,643 asks of 263 content keys,
+        # whose cup matrices hold 11 distinct integer matrices
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("cup_matrix", "smith_normal_form"):
+            monkeypatch.setattr(gysin, name, counting(name, getattr(gysin, name)))
+        out = tmp_path / "sweep.json"
+        argv = ["verify", "thm-1-2", "--n-max", "28", "--format", "json"]
+        assert cli.main(argv + ["--no-timestamp", "--out", str(out)]) == 0
+        assert calls == {"cup_matrix": 263, "smith_normal_form": 11}
+        factor, solve = gysin._factor.cache_info(), gysin._solve.cache_info()
+        assert (factor.hits + factor.misses, factor.currsize) == (2643, 263)
+        assert (solve.hits + solve.misses, solve.currsize) == (263, 11)
+
+    def test_solve_rows_match_fraction_back_substitution(self):
+        # every shape up to 4x4, empty sides and zero matrices included;
+        # half the right-hand sides lie in the image
+        rng = random.Random(23)
+        seen = Counter()
+        for _ in range(600):
+            m, n = rng.randint(0, 4), rng.randint(0, 4)
+            values = [0] if rng.random() < 0.1 else [0, 0, 1, -1, 2, -3, 4, 6, -12]
+            A = IntegerMatrix(
+                m, n, tuple(tuple(rng.choice(values) for _ in range(n)) for _ in range(m))
+            )
+            if rng.random() < 0.5:
+                b = A.matvec([rng.randint(-5, 5) for _ in range(n)])
+            else:
+                b = [rng.randint(-9, 9) for _ in range(m)]
+            residue, x = solve_rational_system(A, b)
+            assert _solve_by_rows(A, b) == (residue, x), (A, b)
+            if x is not None:
+                assert A.matvec(x) == b
+            factors = gysin._solve(A)[1]
+            seen["member" if x is not None else "nonmember"] += 1
+            seen["0xn"] += m == 0
+            seen["mx0"] += n == 0 < m
+            seen["rank-0"] += not factors and m * n > 0
+            seen["non-unit"] += any(d > 1 for d in factors)
+        assert seen["member"] > 200 and seen["nonmember"] > 100
+        assert min(seen[key] for key in ("0xn", "mx0", "rank-0")) > 20
+        assert seen["non-unit"] > 100
 
     def test_generator_names_do_not_matter(self):
         a = make_ring([("t", 2, 4), ("h", 2, 3)], INTEGERS)
@@ -274,11 +388,13 @@ class TestSharedFactorization:
         results = [factored_cup(r, -2 * r.gen("t"), 6) for r in rings]
         assert gysin._factor.cache_info().misses == 3
         for ring, result in zip(rings, results):
-            fresh = cup_matrix(ring, -2 * ring.gen("t"), 6)
-            U, D, V = smith_normal_form(fresh.matrix)
-            assert result == (fresh, (U, D, V), invariant_factors(D))
+            assert result == _expected_entry(ring, -2 * ring.gen("t"), 6)
+            assert factored_cup(ring, -2 * ring.gen("t"), 6) is result
         # degree 6 is t^3, t*w in one ring and t^3 alone in the other
         assert results[0][0].basis_rows != results[1][0].basis_rows
+        # the two domains' matrices are equal, so they share one solve
+        assert results[0][1] is results[2][1]
+        assert gysin._solve.cache_info().misses == 2
 
     def test_equal_classes_built_separately_share_an_entry(self):
         # the memo key is the class's content, not the object that holds it
@@ -311,7 +427,7 @@ class TestSharedFactorization:
         for k, beta in ((2, t), (4, t * h + w), (6, h**3 + t * w), (8, t**2 * w)):
             A = cup_matrix(ring, e, k).matrix
             fresh = invariant_factors(smith_normal_form(A)[1])
-            assert factored_cup(ring, e, k)[2] == fresh
+            assert factored_cup(ring, e, k)[1][1] == fresh
             cert = image_membership(qring, 2 * t + 3 * h, beta)
             assert cert.invariant_factors == fresh
             if domain.kind == "Z":
@@ -542,29 +658,15 @@ def _rational_solvable(ring, e, beta):
 
 
 def _fraction_back_substitution(ring, e, beta):
-    """Residue and preimage by the ``Fraction`` back-substitution, written out.
-
-    ``z_i = Fraction(y_i, d_i)`` for ``y = U b``, then ``x = V z``; a
-    nonzero ``y_i`` beyond the rank is a residue.
-    """
+    """Residue and preimage by the reference ``Fraction`` back-substitution
+    on the cup matrix, with the target's denominators cleared first."""
     k = beta.homogeneous_degree()
     cup = cup_matrix(ring, e, k)
     b = [beta.coefficient(m) for m in cup.basis_rows]
     b_scale = lcm(1, *(Fraction(x).denominator for x in b))
-    U, D, V = smith_normal_form(cup.matrix)
-    y = U.matvec([int(x * b_scale) for x in b])
-    diag = D.diagonal()
-    residue, z = [], [Fraction(0)] * D.cols
-    for i, yi in enumerate(y):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if yi:
-                residue.append((i, yi, 0))
-        else:
-            z[i] = Fraction(yi, d)
+    residue, x = solve_rational_system(cup.matrix, [int(v * b_scale) for v in b])
     if residue:
-        return tuple(residue), None
-    x = [sum(V.entries[i][j] * z[j] for j in range(D.cols)) for i in range(V.rows)]
+        return residue, None
     coeffs = [xi * Fraction(cup.denominator_scale, b_scale) for xi in x]
     preimage = ring.element(
         {mono: c for mono, c in zip(cup.basis_cols, coeffs) if c}
@@ -673,7 +775,7 @@ def test_membership_agrees_with_substitution():
             # cup e is onto degree 2k exactly when the quotient there is 0
             p, q = (g.truncation - 1 for g in e.ring.generators)
             k = r.homogeneous_degree() // 2
-            cup, _, factors = factored_cup(e.ring, e, 2 * k)
+            cup, (_, factors, _, _) = factored_cup(e.ring, e, 2 * k)
             assert (len(factors) == len(cup.basis_rows)) == (min(p, q) < k <= p + q)
             quotient_checked += 1
     assert (queries, nonmembers, quotient_checked) == (6926, 113, 2410)

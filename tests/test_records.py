@@ -16,6 +16,7 @@ from crchern.chern.checks import check_thm_1_1, cpn_setup
 from crchern.cohomology.gysin import cokernel, cup_matrix, image_membership
 from crchern.cohomology.parser import _tokenize
 from crchern.cohomology.ring import INTEGERS, CoefficientDomain, Record, RingError, make_ring
+from crchern.cohomology.snf import IntegerMatrix
 from crchern.kahler.patch import KahlerProductPatch
 from crchern.kahler.spaceform import _Series, calibrate_space_form
 from crchern.kahler.tensors import point_tensors
@@ -53,9 +54,10 @@ NAMES = sorted(RECORDS)
 # arrays (``==`` on them is elementwise): neither is compared as a value.
 VALUES = [name for name in NAMES if name not in ("Target", "PointTensors")]
 # The records that memos key on: ``gysin._factor`` on the coefficient
-# domain, ``spherical._residual_table`` on the bundle class, and every
-# element's hash on its ring and so on the ring's generators.
-KEYS = ("CoefficientDomain", "Generator", "RingPresentation", "BundleClass")
+# domain, ``gysin._solve`` on the integer matrix,
+# ``spherical._residual_table`` on the bundle class, and every element's
+# hash on its ring and so on the ring's generators.
+KEYS = ("CoefficientDomain", "Generator", "RingPresentation", "BundleClass", "IntegerMatrix")
 
 PQ = "RingPresentation(generators=(Generator(name='t', degree=2, truncation=3),), " + (
     "coefficients=CoefficientDomain(kind='Q'))"
@@ -209,6 +211,7 @@ def test_cache_keys_hash_by_their_fields():
         "Generator": make_ring([("t", 2, 3)], INTEGERS).generators[0],
         "RingPresentation": make_ring([("t", 2, 3), ("h", 2, 2)], INTEGERS),
         "BundleClass": chern_projective_space(2, setup.base, "t"),
+        "IntegerMatrix": IntegerMatrix(1, 1, ((-3,),)),
     }
     for name in KEYS:
         record = RECORDS[name]

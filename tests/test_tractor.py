@@ -154,6 +154,40 @@ class TestTractorIdentity:
             closed_form = (1 + values["s"] * values["w"]) ** (n + 2)
             assert full.evaluate(values) == naive_evaluate(full, values) == closed_form
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_xi_free_part_evaluates_as_the_expansion_at_xi_zero(self, n):
+        # the check evaluates the xi-free part at its sample points, which
+        # is the expansion itself there
+        ring, diagonal, matrix = _build_matrix(n)
+        full = ring_matrix_determinant(matrix)
+        xi = ring.gen_index("xi")
+        det = ring.element({e: c for e, c in full.terms.items() if not e[xi]})
+        assert det != full
+        rng = random.Random(n)
+        for _ in range(tractor.SAMPLE_POINTS):
+            values = {
+                g.name: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                for g in ring.generators[:xi]
+            }
+            values["xi"] = 0
+            assert det.evaluate(values) == full.evaluate(values)
+
+    def test_a_stray_starred_term_fails_symbolically_and_at_the_points(self, monkeypatch):
+        def stray(entries):
+            full = ring_matrix_determinant(entries)
+            ring = full.ring
+            return full + ring.gen("s") * ring.gen("x1")
+
+        monkeypatch.setattr(tractor, "ring_matrix_determinant", stray)
+        report = tractor_determinant_check(3)
+        flags = dict(report.assertions)
+        assert not report.passed
+        assert not flags["det(I + s*Omega) == (1 + s*w)^(n+2) symbolically"]
+        assert not flags[
+            f"symbolic identity confirmed at {tractor.SAMPLE_POINTS} random rational points"
+        ]
+        assert report.residuals == [{"det_minus_rhs": "s*x1"}]
+
     def test_matrix_entries_match_identity_plus_s_omega(self):
         # every entry, zero ones included, is (1 or 0) + s * Omega_ij
         for n in range(1, 5):
