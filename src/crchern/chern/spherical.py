@@ -34,7 +34,11 @@ class CircleBundleSetup(Record):
 
     Classes on the total space are represented by base classes modulo
     ``Im(. cup e)``; equality and vanishing upstairs are membership
-    questions downstairs.
+    questions downstairs.  The record checks nothing: that ``euler`` and
+    the tangent classes live in ``base``, and that ``euler`` has degree 2,
+    is checked where they are used, by the solver entry
+    (:func:`~crchern.cohomology.gysin.image_membership` and
+    :func:`~crchern.cohomology.gysin.factored_cup`).
     """
 
     __slots__ = ("base", "euler", "base_tangent")
@@ -42,12 +46,6 @@ class CircleBundleSetup(Record):
     def __init__(
         self, base: RingPresentation, euler: RingElement, base_tangent: BundleClass
     ) -> None:
-        if euler.ring != base:
-            raise RingError("Euler class does not live in the base ring")
-        if not euler.is_zero() and euler.homogeneous_degree() != 2:
-            raise RingError("Euler class must be homogeneous of degree 2")
-        if base_tangent.ring != base:
-            raise RingError("base tangent classes do not live in the base ring")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "euler", euler)
         object.__setattr__(self, "base_tangent", base_tangent)

@@ -107,11 +107,9 @@ def cup_matrix(ring: RingPresentation, e: RingElement, k: int) -> CupMatrix:
 
     Column j holds e's terms shifted by the j-th column monomial; a
     shifted monomial missing from the row basis is truncated to zero.
+    ``e`` must be a class of ``ring`` of degree 2 or zero; the one caller,
+    the memo behind :func:`factored_cup`, checks both.
     """
-    if e.ring != ring:
-        raise RingError("class does not belong to the given ring")
-    if not e.is_zero() and e.homogeneous_degree() != 2:
-        raise RingError(f"cup class must be homogeneous of degree 2, got {e}")
     rows = tuple(ring.degree_basis(k))
     cols = tuple(ring.degree_basis(k - 2))
     row_index = {m: i for i, m in enumerate(rows)}
@@ -347,16 +345,16 @@ class CokernelData(Record, hidden=("row_transform",)):
 
     def class_of_vector(self, vec: list[int]) -> tuple[int, ...]:
         """Coordinates of the class of an integer vector over ``basis``."""
-        for v in vec:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise RingError(f"cokernel coordinate is not an exact integer: {v!r}")
         y = self.row_transform.matvec(vec)
         torsion = [y[i] % d for i, d in enumerate(self.invariant_factors)]
         free = list(y[len(self.invariant_factors):])
         return tuple(torsion + free)
 
     def class_of_element(self, beta: RingElement) -> tuple[int, ...]:
-        """Class of ``beta``; support outside ``basis`` raises ``RingError``."""
+        """Class of ``beta``, a class over Z; a class over Q, or with support
+        outside ``basis``, raises ``RingError``."""
+        if beta.ring.coefficients.kind != "Z":
+            raise RingError("a cokernel class is read over Z, got a class over Q")
         return self.class_of_vector(_element_vector(beta, self.basis))
 
     def to_json_dict(self) -> dict:

@@ -348,9 +348,8 @@ def parse_element(text: str, ring: RingPresentation) -> RingElement:
 
     Raises :class:`ParseError` with the offending position for malformed
     syntax, unknown identifiers, and coefficients that do not live in
-    the ring's domain.
+    the ring's domain.  Nothing else can fail: every operation acts on
+    elements of ``ring`` whose coefficients the parser has read, with a
+    nonnegative integer exponent, so no ``RingError`` reaches the caller.
     """
-    try:
-        return _Parser(_tokenize(text), ring).parse()
-    except RingError as exc:
-        raise ParseError(str(exc), 0) from exc
+    return _Parser(_tokenize(text), ring).parse()

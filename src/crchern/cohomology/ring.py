@@ -496,15 +496,6 @@ class RingElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def homogeneous_degree(self) -> int | None:
-        """Degree of a homogeneous element (``None`` for the zero element)."""
-        degs = {self.ring.monomial_degree(e) for e in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise RingError(f"element is not homogeneous: {self}")
-        return degs.pop()
-
     def homogeneous_part(self, k: int) -> "RingElement":
         return RingElement(
             self.ring,

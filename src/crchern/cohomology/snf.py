@@ -15,9 +15,11 @@ is always the entry of smallest absolute value in the working submatrix,
 ties broken row-major, so certificates derived from the decomposition
 are reproducible.
 
-Every :class:`IntegerMatrix`, the Smith forms and cup matrices this
-package builds included, passes the checked constructor: its declared
-shape must match its entries, and each entry must be an exact ``int``.
+An :class:`IntegerMatrix`'s declared shape matches its entries and each
+entry is an exact ``int``.  The constructor does not check this: the
+package builds matrices only here and in
+:func:`~crchern.cohomology.gysin.cup_matrix`, whose entries are integers
+scaled from the class's coefficients, and both build the shape they declare.
 """
 
 from __future__ import annotations
@@ -27,28 +29,15 @@ from operator import mul
 from .ring import Record
 
 
-def _check_exact(values, what: str) -> None:
-    """Refuse anything but an ``int`` (a ``bool`` included): no conversion."""
-    for x in values:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise ValueError(f"{what} is not an exact integer: {x!r}")
-
-
 class IntegerMatrix(Record):
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> None:
-        if len(entries) != rows or any(len(r) != cols for r in entries):
-            raise ValueError("entry shape does not match declared dimensions")
-        for row in entries:
-            _check_exact(row, "matrix entry")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
 
     def matvec(self, vec: list) -> list:
-        if self.cols != len(vec):
-            raise ValueError("dimension mismatch in matrix-vector product")
         return [sum(map(mul, row, vec)) for row in self.entries]
 
     def diagonal(self) -> list[int]:

@@ -22,14 +22,14 @@ class KahlerProductPatch(Record):
     """Block-diagonal product of constant-curvature factors.
 
     The metric has no cross-factor components at any point; each factor
-    owns a contiguous slice of the complex coordinates.
+    owns a contiguous slice of the complex coordinates.  There is at least
+    one factor: ``parse_scenario`` refuses an empty list, and the
+    ``bochner-products`` pairs have two.
     """
 
     __slots__ = ("factors",)
 
     def __init__(self, factors: tuple[SpaceFormFactor, ...]) -> None:
-        if not factors:
-            raise ValueError("a patch needs at least one factor")
         object.__setattr__(self, "factors", factors)
 
     @property

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import suppress
 from fractions import Fraction
 from typing import Mapping
 
@@ -168,15 +169,13 @@ def _parse_hsc(raw: object, i: int) -> Fraction:
         raise ScenarioError(f"factor #{i}: 'hsc' must be a string or an integer")
     if len(raw) > MAX_HSC_CHARS:
         raise ScenarioError(f"factor #{i}: 'hsc' must be at most {MAX_HSC_CHARS} characters")
-    if not re.fullmatch(HSC_PATTERN, raw):
-        raise ScenarioError(f"factor #{i}: bad 'hsc' value {raw!r}")
-    exponent = raw.lower().partition("e")[2]
-    try:
-        if abs(int(exponent or 0)) <= MAX_HSC_EXPONENT:
+    if re.fullmatch(HSC_PATTERN, raw):
+        exponent = raw.lower().partition("e")[2]  # digits after a sign, or none
+        if abs(int(exponent or 0)) > MAX_HSC_EXPONENT:
+            raise ScenarioError(f"factor #{i}: 'hsc' exponent must be at most {MAX_HSC_EXPONENT}")
+        with suppress(ZeroDivisionError):  # "1/0"
             return Fraction(raw)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ScenarioError(f"factor #{i}: bad 'hsc' value {raw!r}") from exc
-    raise ScenarioError(f"factor #{i}: 'hsc' exponent must be at most {MAX_HSC_EXPONENT}")
+    raise ScenarioError(f"factor #{i}: bad 'hsc' value {raw!r}")
 
 
 def convergence_factor(patch: KahlerProductPatch, z: np.ndarray) -> float:

@@ -86,13 +86,13 @@ def _radial(a, b, c, u):
 
 
 class SpaceFormFactor(Record):
+    """A calibrated factor: :func:`calibrate_space_form` makes each one, from
+    a ``dim >= 1`` (``parse_scenario``) and an ``hsc`` it has refused unless
+    nonzero and within the float range."""
+
     __slots__ = ("dim", "hsc")
 
     def __init__(self, dim: int, hsc: Fraction) -> None:
-        if dim < 1:
-            raise ValueError(f"factor dimension must be >= 1, got {dim}")
-        if hsc == 0:
-            raise ValueError("holomorphic sectional curvature must be nonzero")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "hsc", hsc)
 
@@ -145,8 +145,6 @@ def calibrate_space_form(dim: int, hsc: Fraction | int | str) -> SpaceFormFactor
     for ``hsc`` zero or ``|hsc|`` outside the normal float range.
     """
     hsc = Fraction(hsc)
-    if hsc == 0:
-        raise CalibrationError("flat factors are not part of the model family")
     low, high = sys.float_info.min, sys.float_info.max
     if not low <= abs(hsc) <= high:
         raise CalibrationError(

@@ -18,7 +18,7 @@ list, skipping names already taken, so ``cp:2`` alone uses ``t`` while
 
 from __future__ import annotations
 
-from .cohomology.ring import RATIONALS, Generator, RingError, RingPresentation, make_ring
+from .cohomology.ring import RATIONALS, Generator, RingPresentation, make_ring
 from .cohomology.ring import quote, read_integer
 
 _FALLBACK_NAMES = ("t", "h", "u", "v", "w", "y")
@@ -86,14 +86,16 @@ def _int_at_least(arg: str, low: int, msg: str) -> int:
 
 
 def preset_ring(spec: str) -> RingPresentation:
-    """Build the rational ring described by a preset string."""
+    """Build the rational ring described by a preset string.
+
+    Each factor's names are ``NAME``s taken once (``_pick_name``, the
+    nilsquare collision check) and its truncations are at least 2, so
+    :func:`make_ring` has nothing left to refuse.
+    """
     taken: set[str] = set()
     gens: list[Generator] = []
     for part in spec.split("*"):
         if not part:
             raise PresetError(f"empty factor in preset {quote(spec)}")
         gens.extend(_parse_factor(part, taken))
-    try:
-        return make_ring(gens, RATIONALS)
-    except RingError as exc:
-        raise PresetError(str(exc)) from exc
+    return make_ring(gens, RATIONALS)

@@ -36,7 +36,7 @@ def manifest_dict(command: list[str], reports: list[CheckReport], seed: int) -> 
 
 
 def from_rows(rows: list[list[int]]) -> IntegerMatrix:
-    """The matrix of ``rows``, through the checked constructor: no conversion."""
+    """The matrix of ``rows``, whose entries must already be exact ``int``s."""
     m = len(rows)
     n = len(rows[0]) if rows else 0
     return IntegerMatrix(m, n, tuple(map(tuple, rows)))

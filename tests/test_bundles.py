@@ -222,7 +222,7 @@ def test_bundle_invariants_enforced():
         BundleClass(1, 1 + t * t)  # degree 4 above 2*rank
     with pytest.raises(RingError):
         BundleClass(0, ring.one())
-    with pytest.raises(RingError):
+    with pytest.raises(RingError, match="^ring mismatch: "):
         bundle_product(
             BundleClass(1, 1 + t),
             BundleClass(1, 1 + make_ring([("t", 2, 3)], INTEGERS).gen("t")),

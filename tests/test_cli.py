@@ -1,8 +1,11 @@
 import argparse
+import errno
 import gc
 import hashlib
+import io
 import json
 import os
+import stat
 import sys
 import time
 from pathlib import Path
@@ -1488,3 +1491,65 @@ def test_closed_stdout_exits_1_without_traceback(argv):
     assert "Traceback" not in proc.stderr
     assert "Exception ignored" not in proc.stderr
     assert proc.stderr == ""
+
+
+def test_a_reader_that_stops_after_one_byte_ends_the_run_with_exit_1():
+    # ``crchern verify thm-1-2 --n-max 28 --format json | head -c 1``: the
+    # reader closes the pipe while the 1.9 MB manifest is being written
+    import subprocess
+
+    import crchern
+
+    src = str(Path(crchern.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "crchern", "verify", "thm-1-2", "--n-max", "28",
+         "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    try:
+        assert proc.stdout.read(1) == b"{"
+    finally:
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        code = proc.wait(timeout=120)
+    assert (code, stderr) == (1, b"")
+
+
+def test_a_closed_stdout_ends_the_run_with_exit_1_in_process(monkeypatch, tmp_path):
+    # the path of the two tests above in this process: the write raises
+    # BrokenPipeError, _emit lets it through, and main points the stream's
+    # descriptor (a file of this test's) at devnull and returns 1
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        def fileno(self):
+            return fd
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    try:
+        assert main(["verify", "thm-1-1", "--no-timestamp"]) == 1
+    finally:
+        os.close(fd)
+
+
+def test_the_console_entry_exits_with_the_code_of_main(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["crchern", "verify", "no-such-target"])
+    with pytest.raises(SystemExit) as exc:
+        cli.entrypoint()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("unknown target 'no-such-target'")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_a_full_device_as_out_exits_2_on_one_line(capsys):
+    # /dev/full opens, as an existing file, and refuses every write
+    code, out, err = run_cli(["verify", "thm-1-1", "--out", "/dev/full"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "cannot write manifest: [Errno 28] No space left on device\n"
+    assert stat.S_ISCHR(os.stat("/dev/full").st_mode)  # left as it was, not removed

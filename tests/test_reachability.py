@@ -13,7 +13,8 @@ which for a decorated function is its first decorator's line;
 Lambdas are not counted.  The memos of the package are emptied first, so
 that no command is answered from work an earlier test did.  The commands
 run once for the module; each has its own test of its exit code and
-streams, so a command that stops doing what the list says is named.
+streams, so a command that stops doing what the list says is named.  The
+refusals among them are the one list of ``tests/test_refusals.py``.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ import io
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import pytest
+from test_refusals import document, refusal_argvs, resolve
 
 import crchern
 from crchern import cli
@@ -69,55 +71,32 @@ UNREACHED = {
 }
 
 
-# the files the commands read, written into their directory first
-DOCUMENTS = {
-    "pair.json": {"factors": [{"dim": 3, "hsc": "1"}, {"dim": 3, "hsc": "-1"}], "samples": 4},
-    "far.json": {"factors": [{"dim": 1, "hsc": "10000"}, {"dim": 1, "hsc": "-10000"}], "samples": 2},
-    "empty.json": {"factors": []},
-    "ring.json": {"coefficients": "Q", "generators": [{"name": "t", "degree": 2, "truncation": 3}]},
-}
-
-
-def commands(tmp: Path) -> list[tuple[int, list[str]]]:
-    """(exit code, argv) of every ``verify`` target, the benchmark's
+def commands() -> list[tuple[str, int, tuple]]:
+    """(name, exit code, argv) of every ``verify`` target, the benchmark's
     commands, the shipped scenarios, ``eval`` on presets and on Z and Q
-    rings, and one refusal per input kind, reading ``DOCUMENTS`` from
-    ``tmp``."""
-    out = ["--format", "json", "--no-timestamp", "--out", str(tmp / "manifest.json")]
-    zring = json.dumps({**DOCUMENTS["ring.json"], "coefficients": "Z"})
-    mod_ring = json.dumps({**DOCUMENTS["ring.json"], "coefficients": {"mod": 5}})
+    rings, and every refusal of ``tests/test_refusals.py``; each argv as
+    :func:`test_refusals.resolve` takes it."""
+    out = ["--format", "json", "--no-timestamp", "--out", PurePath("manifest.json")]
+    ring = {"coefficients": "Q", "generators": [{"name": "t", "degree": 2, "truncation": 3}]}
+    pair = {"factors": [{"dim": 3, "hsc": "1"}, {"dim": 3, "hsc": "-1"}], "samples": 4}
     runs = [
         *(["verify", target] for target in cli.TARGETS),
         ["verify", "all", "--seed", "3", "--tol", "0.5", "--format", "md"],
         # the benchmark's workloads
         ["verify", "thm-1-2", "--n-max", "28", *out],
-        ["scenario", str(tmp / "pair.json"), *out],
+        ["scenario", document(pair), *out],
         ["verify", "all", "--n-max", "24", "--samples", "2", *out],
         ["scenario", str(EXAMPLES / "bochner_flat_pair.json")],
         ["eval", "--ring", "fpp*cp:2", "(t + 3*h)^2"],
         ["eval", "--ring", "surface:2*nilsquare:2", "1 - 2*s + 1/2*t1*t2"],
-        ["eval", "--ring", zring, "(1 + t)^3 - 2*t"],
-        ["eval", "--ring", str(tmp / "ring.json"), "(1/2 + t)^2 * (t - 1)"],
-    ]
-    refusals = [
-        [],
-        ["verify", "no-such-target"],
-        ["verify", "thm-1-1", "--n", "1"],
-        ["verify", "prop-4-1", "--samples", "2"],
-        ["verify", "prop-1-3", "--d", "x"],
-        ["verify", "bochner-products", "--tol", "0"],
-        ["verify", "all", "--seed", "x"],
-        ["eval", "--ring", "no-such-preset:2", "t"],
-        ["eval", "--ring", str(tmp / "missing.json"), "t"],
-        ["eval", "--ring", mod_ring, "t"],
-        ["eval", "--ring", zring, "1/2*t"],
-        ["scenario", str(tmp / "missing.json")],
-        ["scenario", str(tmp / "empty.json")],
-        ["scenario", str(tmp / "far.json")],
+        ["eval", "--ring", json.dumps({**ring, "coefficients": "Z"}), "(1 + t)^3 - 2*t"],
+        ["eval", "--ring", document(ring), "(1/2 + t)^2 * (t - 1)"],
     ]
     # the equal-sign control fails its assertions by design
     control = ["scenario", str(EXAMPLES / "equal_sign_control.json")]
-    return [(0, argv) for argv in runs] + [(1, control)] + [(2, argv) for argv in refusals]
+    listed = [(0, argv) for argv in runs] + [(1, control)]
+    refusals = [(name, 2, argv) for name, argv in refusal_argvs().items()]
+    return [(_command_id(argv), code, tuple(argv)) for code, argv in listed] + refusals
 
 
 def _definitions() -> dict[tuple[Path, int], str]:
@@ -150,25 +129,22 @@ def _clear_memos() -> None:
     report._KEY_PREFIXES.clear()  # the manifest writer's table of key tuples
 
 
-def _command_id(argv: list[str], tmp: Path) -> str:
-    """A name for ``argv`` that holds no temporary path: files by their
-    name, inline rings by their coefficients."""
+def _command_id(argv: list) -> str:
+    """A name for ``argv`` that holds no temporary path: rings, inline or in
+    a document, by their coefficients, and files by their name."""
     words = []
     for arg in argv:
-        if arg.startswith("{"):
-            coefficients = json.loads(arg)["coefficients"]
-            if isinstance(coefficients, dict):  # {"mod": 5} -> mod-5
-                coefficients = "-".join(f"{k}-{v}" for k, v in coefficients.items())
-            words.append(f"ring-{coefficients}")
-        elif arg.startswith((str(tmp), str(EXAMPLES))):
-            words.append(Path(arg).name)
+        if isinstance(arg, PurePath) or arg.startswith(str(EXAMPLES)):
+            words.append(PurePath(arg).name)
+        elif arg.startswith("{"):  # an inline ring, or a document's text
+            doc = json.loads(arg)
+            words.append(f"ring-{doc['coefficients']}" if "coefficients" in doc else "scenario-document")
         else:
             words.append(arg)
-    return " ".join(words) or "no-arguments"
+    return " ".join(words)
 
 
-_PLACEHOLDER = Path("/commands")
-COMMAND_IDS = [_command_id(argv, _PLACEHOLDER) for _, argv in commands(_PLACEHOLDER)]
+COMMAND_IDS = [name for name, _, _ in commands()]
 assert len(set(COMMAND_IDS)) == len(COMMAND_IDS), "two commands share a name"
 
 
@@ -178,12 +154,11 @@ def traced(tmp_path_factory):
     (expected code, code, stdout, stderr, runs of cli.main, code objects
     entered)."""
     tmp = tmp_path_factory.mktemp("commands")
-    for name, document in DOCUMENTS.items():
-        (tmp / name).write_text(json.dumps(document))
     main = cli.main.__code__
     runs = []
     _clear_memos()
-    for expected, argv in commands(tmp):
+    for _, expected, argv in commands():
+        argv = resolve(argv, tmp)
         entered = set()
 
         def tracer(frame, event, arg):

@@ -245,8 +245,8 @@ def test_replace_builds_through_the_checked_constructor():
     doubled = setup.replace(euler=2 * setup.euler)
     assert doubled.euler == 2 * setup.euler and doubled.base is setup.base
     assert setup.euler == -3 * setup.base.gen("t")  # the original is unchanged
-    with pytest.raises(RingError, match="^Euler class must be homogeneous of degree 2$"):
-        setup.replace(euler=setup.base.one())
+    with pytest.raises(RingError, match="^generator 't' must have even positive degree, got 3$"):
+        RECORDS["Generator"].replace(degree=3)
     with pytest.raises(TypeError):
         RECORDS["BundleClass"].replace(_parts={})
     report = RECORDS["CheckReport"]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import manifest_dict
 
 from crchern.chern.report import CheckReport, build_manifest, json_text
 from crchern.cli import TARGETS, main
@@ -252,6 +253,14 @@ def test_a_run_holds_about_one_copy_of_the_text(tmp_path):
         len(stdlib(report).replace("\n", "\n    ")) for report in json.loads(text)["reports"]
     )
     assert max(map(len, pieces)) <= longest_report
+
+
+def test_a_run_of_no_reports_writes_an_empty_report_list():
+    # the frame writes an empty "reports" list on its own branch
+    passed, pieces = build_manifest(["verify"], [], 0, False, "json")
+    expected = json.dumps(manifest_dict(["verify"], [], 0), indent=2, sort_keys=True) + "\n"
+    assert passed and "".join(pieces) == expected
+    assert '"reports": []' in expected
 
 
 def test_reports_with_one_sort_key_keep_their_order():

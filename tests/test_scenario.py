@@ -394,3 +394,19 @@ def test_stacked_condition_failure_names_the_first_failing_sample(monkeypatch):
     assert kind is IllConditionedMetric
     assert _first_failure(patch, points[2])[1] != message
     assert _run_at(points, factors, monkeypatch) == (kind, message)
+
+
+def test_a_stack_failure_that_no_single_sample_repeats_is_raised(monkeypatch):
+    # Each sample is measured as the stack measures it; should a stack fail
+    # where every sample alone passes, the batch gives the stack's failure,
+    # not a verdict.
+    measure = scenario._measure
+
+    def failing_stack(patch, centres):
+        if len(centres) > 1:
+            raise IllConditionedMetric("the stack's failure")
+        return measure(patch, centres)
+
+    monkeypatch.setattr(scenario, "_measure", failing_stack)
+    with pytest.raises(IllConditionedMetric, match="the stack's failure"):
+        run_batch(_FLAT_PAIR, samples=3, seed=0)

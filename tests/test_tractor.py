@@ -11,7 +11,7 @@ from crchern.chern.tractor import (
     ring_matrix_determinant,
     tractor_determinant_check,
 )
-from crchern.cohomology.ring import RATIONALS, RingError, make_ring
+from crchern.cohomology.ring import RATIONALS, make_ring
 
 
 class TestDeterminant:
@@ -71,11 +71,6 @@ class TestDeterminant:
                     prod = prod * m[row][col]
                 leibniz = leibniz + (-1) ** inversions * prod
             assert ring_matrix_determinant(m) == leibniz
-
-    def test_non_square_rejected(self):
-        ring = make_ring([("w", 2, 6)], RATIONALS)
-        with pytest.raises(RingError):
-            ring_matrix_determinant([[ring.one(), ring.one()]])
 
 
 class TestTractorIdentity:
@@ -260,7 +255,3 @@ class TestTractorIdentity:
         monkeypatch.setattr(tractor, "ring_matrix_determinant", counting)
         assert tractor_determinant_check(3).passed
         assert calls == [5]
-
-    def test_bad_n_rejected(self):
-        with pytest.raises(RingError):
-            tractor_determinant_check(0)

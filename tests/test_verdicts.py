@@ -153,11 +153,5 @@ class TestOneClassReader:
     def test_a_fraction_is_refused(self, data):
         _, coker = data
         qring = make_ring([("t", 2, 6)], RATIONALS)
-        with pytest.raises(RingError, match="not an exact integer"):
+        with pytest.raises(RingError, match="read over Z, got a class over Q"):
             coker.class_of_element(Fraction(1, 2) * qring.gen("t") ** 2)
-
-    @pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5, 1.0, True, "1"])
-    def test_class_of_vector_converts_nothing(self, data, bad):
-        _, coker = data
-        with pytest.raises(RingError, match="not an exact integer"):
-            coker.class_of_vector([bad])
